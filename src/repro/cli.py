@@ -986,8 +986,9 @@ def build_parser() -> argparse.ArgumentParser:
     svc = parser.add_argument_group(
         "time service tuning", "CTS options for 'serve', 'ccs' and 'loadgen'")
     svc.add_argument("--no-coalesce", dest="coalesce", action="store_false",
-                     help="one CCS round per clock operation (disable "
-                          "round coalescing)")
+                     help="serial replica execution: reads never overlap, "
+                          "so every CCS round covers one operation (same "
+                          "protocol, the paper's base case)")
     svc.add_argument("--fast-path", action="store_true",
                      help="serve drift-bounded reads locally between "
                           "rounds (relaxes cross-replica agreement within "

@@ -6,7 +6,7 @@ clock-call interposition table, and the Section-5 multigroup causal
 timestamp helpers.
 """
 
-from .ccs_handler import CCSHandler, PendingRound
+from .ccs_handler import CCSHandler
 from .drift import (
     AlignedReferenceSteering,
     DriftCompensation,
@@ -16,6 +16,7 @@ from .drift import (
     ReferenceSteering,
 )
 from .group_clock import GroupClockState
+from .guard import ByzantineGuard
 from .interposition import CLOCK_CALLS, CLOCK_CALLS_BY_ID, ClockCall, resolve_call
 from .messages import CCSMessage
 from .multigroup import GroupClockStamp, observe_incoming, stamp_outgoing
@@ -29,6 +30,7 @@ from .time_service import (
 
 __all__ = [
     "AlignedReferenceSteering",
+    "ByzantineGuard",
     "CCSHandler",
     "CCSMessage",
     "CLOCK_CALLS",
@@ -44,7 +46,6 @@ __all__ = [
     "MODE_PRIMARY",
     "MeanDelayCompensation",
     "NoCompensation",
-    "PendingRound",
     "ReferenceSteering",
     "TimeTransferState",
     "observe_incoming",

@@ -3,22 +3,17 @@
 "There is one such handler object for each thread" (paper Section 3.1).
 A :class:`CCSHandler` owns the thread's CCS round counter and input
 buffer; the thread blocks in ``get_grp_clock_time()`` until the first
-matching CCS message is delivered — here, the blocked operation parks on
-an event the handler wakes when a message lands in the empty buffer.
+matching CCS message is delivered.
 
-Two execution disciplines share the handler:
-
-* **Per-operation rounds** (the paper's Figure 2, one round per clock
-  operation): the blocked operation is a :class:`PendingRound` and
-  ``my_round_number`` advances when the operation starts.
-* **Coalesced rounds** (round amortization): many concurrent operations
-  share one round.  Operations park as :class:`PendingOp` entries keyed
-  by replica-independent operation ids, at most one
-  :class:`RoundInFlight` exists per handler, and ``my_round_number``
-  advances when a round's winning message is *consumed*.  Consumed
-  rounds are retained (:class:`ConsumedRound`) so a covered operation
-  that is issued late — after its round was already consumed — still
-  adopts the agreed value of the correct round.
+Operations park as :class:`PendingOp` entries keyed by
+replica-independent operation ids, at most one :class:`RoundInFlight`
+exists per handler, and ``my_round_number`` advances when a round's
+winning message is *consumed*.  A round serves every parked operation
+its winner's covering point names — exactly one when the replica
+executes serially (the paper's Figure 2), a batch when it overlaps
+reads.  Consumed rounds are retained (:class:`ConsumedRound`) so a
+covered operation that is issued late — after its round was already
+consumed — still adopts the agreed value of the correct round.
 """
 
 from __future__ import annotations
@@ -29,27 +24,13 @@ from dataclasses import dataclass, field
 from typing import Deque, List, Optional
 
 from ..errors import TimeServiceError
-from ..sim.kernel import Event, Simulator
+from ..sim.kernel import Event
 from .messages import CCSMessage, OpId
-
-
-@dataclass
-class PendingRound:
-    """The round a thread is currently blocked in (per-op mode)."""
-
-    round_number: int
-    proposal_us: int
-    call_type_id: int
-    physical_us: int
-    #: True once our own CCS message for this round was handed to Totem.
-    sent: bool
-    result: Event
-    started_at: float
 
 
 @dataclass(order=True)
 class PendingOp:
-    """One coalesced clock operation parked while a round is in flight."""
+    """One clock operation parked while a round is in flight."""
 
     op_id: OpId
     call: object = field(compare=False)
@@ -63,7 +44,7 @@ class PendingOp:
 
 @dataclass
 class RoundInFlight:
-    """The (single) coalesced round currently awaiting its winner."""
+    """The (single) round currently awaiting its winner."""
 
     round_number: int
     #: Operation id this round covers *as proposed by us*; the winning
@@ -72,13 +53,14 @@ class RoundInFlight:
     proposal_us: int
     physical_us: int
     call_type_id: int
+    #: True once our own CCS message for this round was handed to Totem.
     sent: bool
     started_at: float
 
 
 @dataclass(frozen=True)
 class ConsumedRound:
-    """A consumed coalesced round, retained for late-issued covered ops."""
+    """A consumed round, retained for late-issued covered ops."""
 
     round_number: int
     covers: OpId
@@ -88,24 +70,16 @@ class ConsumedRound:
 class CCSHandler:
     """my_thread_id, my_round_number, my_input_buffer and friends."""
 
-    def __init__(self, sim: Simulator, thread_id: str, start_round: int = 0):
-        self.sim = sim
+    def __init__(self, thread_id: str, start_round: int = 0):
         self.my_thread_id = thread_id
-        #: Per-op mode: incremented once per clock operation (Figure 2
-        #: line 9).  Coalesced mode: the highest *consumed* round.
+        #: The highest *consumed* round (the consumption point).
         self.my_round_number = start_round
         #: Received CCS messages not yet consumed by an operation.
         self.my_input_buffer: Deque[CCSMessage] = deque()
-        #: The operation currently blocked waiting for a message, if any
-        #: (per-op mode only; see the ``pending`` property).
-        self._pending: Optional[PendingRound] = None
-        self._waiter: Optional[Event] = None
-        self.rounds_completed = 0
-        # -- coalesced-mode state --------------------------------------
         #: Operations parked until a round covering them is consumed,
         #: kept sorted by operation id.
         self.parked: List[PendingOp] = []
-        #: The coalesced round awaiting its winning message, if any.
+        #: The round awaiting its winning message, if any.
         self.in_flight: Optional[RoundInFlight] = None
         #: Consumed rounds retained for late-issued covered operations,
         #: in round order (covering points strictly increase with it).
@@ -116,44 +90,10 @@ class CCSHandler:
 
     # ------------------------------------------------------------------
 
-    @property
-    def pending(self):
-        """The protocol position currently blocked, whatever the mode:
-        the per-op :class:`PendingRound` or the coalesced
-        :class:`RoundInFlight` (both carry ``round_number`` and ``sent``,
-        which is all the suppression and failover paths touch)."""
-        return self._pending if self._pending is not None else self.in_flight
-
-    @pending.setter
-    def pending(self, value: Optional[PendingRound]) -> None:
-        self._pending = value
-
-    def next_round(self) -> int:
-        """Start a new per-op round (only one can be in flight)."""
-        if self._pending is not None:
-            raise TimeServiceError(
-                f"thread {self.my_thread_id!r} started a clock operation "
-                "while a previous one is still blocked"
-            )
-        self.my_round_number += 1
-        return self.my_round_number
-
     def recv_CCS_msg(self, msg: CCSMessage) -> None:
-        """Append a (non-duplicate) CCS message; wake a blocked thread if
-        the buffer was empty (Figure 3 lines 6-9)."""
-        was_empty = not self.my_input_buffer
+        """Append a (non-duplicate) CCS message (Figure 3 lines 6-9; the
+        service pumps the handler, which wakes the covered operations)."""
         self.my_input_buffer.append(msg)
-        if was_empty and self._waiter is not None and not self._waiter.triggered:
-            self._waiter.succeed()
-
-    def wait_for_message(self) -> Event:
-        """Event that fires when the (currently empty) buffer fills."""
-        if self._waiter is not None and not self._waiter.triggered:
-            raise TimeServiceError(
-                f"thread {self.my_thread_id!r} already has a blocked waiter"
-            )
-        self._waiter = Event(self.sim)
-        return self._waiter
 
     def pop_message(self) -> CCSMessage:
         """Select (and remove) the first message in the input buffer."""
@@ -164,11 +104,11 @@ class CCSHandler:
         return self.my_input_buffer.popleft()
 
     # ------------------------------------------------------------------
-    # Coalesced operations
+    # Operations
     # ------------------------------------------------------------------
 
     def assign_op_id(self, op_id: Optional[OpId]) -> OpId:
-        """Fix the identity of one coalesced operation.
+        """Fix the identity of one operation.
 
         Explicit ids come from the replica runtime (``(request_index,
         read_seq)``, replica-independent).  Reads without one — dedicated
@@ -195,14 +135,6 @@ class CCSHandler:
             cut += 1
         served, self.parked = self.parked[:cut], self.parked[cut:]
         return served
-
-    def take_oldest(self) -> List[PendingOp]:
-        """Remove and return just the oldest parked operation (the
-        serving discipline for a legacy per-op message, which covers
-        exactly one operation)."""
-        if not self.parked:
-            return []
-        return [self.parked.pop(0)]
 
     def retain_consumed(self, entry: ConsumedRound) -> None:
         """Remember a consumed round for late-issued covered operations."""
@@ -231,26 +163,17 @@ class CCSHandler:
     # ------------------------------------------------------------------
 
     def abort_pending(self, reason: str) -> bool:
-        """Fail every blocked operation and orphan the waiter.
+        """Fail every parked operation and withdraw the round in flight.
 
-        Returns True if anything was aborted.  The orphaned waiter event
-        is never triggered; subsequent messages land in the buffer
-        without waking anyone until the next operation installs a fresh
-        waiter.
+        Returns True if anything was aborted.  Subsequent messages land
+        in the buffer until the next operation parks and consumes them.
         """
-        aborted = False
-        legacy, self._pending = self._pending, None
-        self._waiter = None
-        if legacy is not None:
-            self._fail_result(legacy.result, legacy.round_number, reason)
-            aborted = True
         round_, self.in_flight = self.in_flight, None
         parked, self.parked = self.parked, []
+        number = round_.round_number if round_ else self.my_round_number + 1
         for op in parked:
-            number = round_.round_number if round_ else self.my_round_number + 1
             self._fail_result(op.result, number, reason)
-            aborted = True
-        return aborted
+        return bool(parked)
 
     def _fail_result(self, result: Event, round_number: int, reason: str) -> None:
         if result.triggered:

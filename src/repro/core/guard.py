@@ -1,0 +1,396 @@
+"""The Byzantine guard: an add-on policy over the agreed round stream.
+
+The crash-only consistent time service trusts every ordered CCS winner
+and all of its own state.  :class:`ByzantineGuard` is what the service
+holds (instead of ``None``) when it may trust neither: a WALDEN-style
+accuracy filter rejects ordered round winners whose value falls outside
+the drift-certified window, and a Herman-style bounded repair replaces
+implausible local state (round counters, watermarks and floors that no
+real round could have produced) instead of trusting it.
+
+The guard keeps only its own evidence; the state it judges and repairs —
+``clock_state``, ``_accepted``, the handler counters, the commit anchor —
+stays on the service, where fault injection scrambles it.
+"""
+
+from __future__ import annotations
+
+from typing import Dict, Optional, TYPE_CHECKING
+
+from .. import obs, trace
+from ..replication.envelope import Envelope
+from .ccs_handler import CCSHandler
+from .messages import CCSMessage
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .time_service import ConsistentTimeService
+
+#: High-side slack of the certified window: a winner may exceed
+#: ``last_group + elapsed + drift_error`` by at most this much.
+BYZ_WINDOW_US = 10_000
+#: Low-side slack: legitimate concurrent proposals may be ordered up to
+#: this far behind the latest committed group value.
+BYZ_LAG_US = 250_000
+#: A floor this far above a freshly agreed value is corruption, not
+#: history — stabilize rather than poison proposals.
+STABILIZE_VALUE_GAP_US = 10_000_000
+#: A duplicate-detection watermark this far ahead of live rounds is
+#: corruption — reset it rather than discard rounds forever.
+STABILIZE_ROUND_GAP = 10_000
+#: Distinct senders whose ordered values must disagree with our
+#: certified window (by a corruption-scale gap, on the same side) before
+#: we conclude *our* anchor is the corrupted outlier and stabilize.  Two
+#: is sound for f = 1 (the quorum is f + 1).
+STABILIZE_QUORUM = 2
+
+M_WINNERS_REJECTED = obs.REGISTRY.counter(
+    "ccs_winners_rejected_total",
+    "ordered CCS winners rejected by the Byzantine sanity filter, "
+    "labelled by reason (too-high, too-low)")
+M_STABILIZATIONS = obs.REGISTRY.counter(
+    "cts_stabilizations_total",
+    "self-stabilization repairs of scrambled local state, labelled by "
+    "what was repaired (round-counter, watermark, floors, fast-floor)")
+
+
+class ByzantineGuard:
+    """Winner sanity filter and self-stabilization for one service."""
+
+    def __init__(self, service: "ConsistentTimeService"):
+        self.service = service
+        #: side ("too-high"/"too-low") -> {sender: most conservative
+        #: rejected value} since the last accepted winner.
+        self._reject_evidence: Dict[str, Dict[str, int]] = {
+            "too-high": {}, "too-low": {}}
+
+    # ------------------------------------------------------------------
+    # Hooks the service calls
+    # ------------------------------------------------------------------
+
+    def admit_winner(self, envelope: Envelope, msg: CCSMessage) -> bool:
+        """Judge one ordered round winner; False means it was rejected
+        and its round burned."""
+        svc = self.service
+        if not svc._recovering:
+            reason = self._winner_rejection(msg)
+            if reason is not None and self._note_reject_evidence(
+                    reason, envelope.sender, msg):
+                # A quorum of distinct peers was rejected on the same
+                # side of our window: at least one of them is correct
+                # (f < n/3), so *our* anchor was the outlier.  The
+                # quorum handler repaired it — re-evaluate this winner
+                # against the repaired state.
+                reason = self._winner_rejection(msg)
+            if reason is not None:
+                self._reject_ccs(envelope, msg, reason)
+                if envelope.sender == svc.node_id:
+                    # Our own ordered proposal failed our own filter:
+                    # some local floor or the offset fed it a poisoned
+                    # value.  Repair what is provably implausible so
+                    # the re-proposal is clean — we must recover even
+                    # when no other replica proposes.
+                    self._repair_after_self_reject(msg)
+                # Agreement safety: the window is anchored on local
+                # state, so accept/reject is not guaranteed unanimous
+                # among correct replicas — another replica may commit
+                # this winner.  Committing a *different* value for the
+                # same round number would diverge, so the round is
+                # dead to us: burn its number and re-propose.
+                self._skip_round(msg.thread_id, msg)
+                return False
+        self._reject_evidence["too-high"].clear()
+        self._reject_evidence["too-low"].clear()
+        return True
+
+    def would_reject(self, msg: CCSMessage) -> bool:
+        """A value we will reject once ordered must not withdraw our own
+        honest proposal: the round still needs it."""
+        return self._winner_rejection(msg) is not None
+
+    def stale_watermark(self, watermark: int, msg: CCSMessage) -> bool:
+        """A watermark this far ahead of live traffic is corruption, not
+        history: reset it from the live round rather than discarding
+        every future winner."""
+        if watermark - msg.round_number <= STABILIZE_ROUND_GAP:
+            return False
+        self._note_stabilization(
+            "watermark", thread=msg.thread_id,
+            watermark=watermark, round=msg.round_number)
+        return True
+
+    def adopt_round_numbering(self, handler: CCSHandler,
+                              msg: CCSMessage) -> None:
+        """Self-stabilization (Herman-style): a consumption point that
+        does not line up with the totally ordered round stream is
+        corrupted local state.  The ordered stream is the ground truth
+        every correct replica shares — adopt its numbering."""
+        self._note_stabilization(
+            "round-counter", thread=handler.my_thread_id,
+            had=handler.my_round_number, adopted=msg.round_number - 1)
+        if (
+            handler.in_flight is not None
+            and abs(handler.in_flight.round_number - msg.round_number)
+            > STABILIZE_ROUND_GAP
+        ):
+            # The pending proposal carries the corrupted numbering; a
+            # round that far from the ordered stream can never
+            # complete, and keeping it would block _open_round
+            # forever.  Its parked ops are re-proposed by _pump.
+            handler.in_flight = None
+
+    def retain_buffered_offset(self, prior_offset: int) -> None:
+        """A buffered commit's physical reading is taken at *processing*
+        time — however late the consume ran — so the derived offset
+        absorbs the scheduling lag, our estimate trails the group, and
+        our next winning proposal regresses group time (every client
+        plateaus until real time catches up).  Keep the prior offset
+        instead: Figure 2 only ever derives the offset from an
+        operation-context reading, and rounds we proposed for keep
+        re-synchronizing it from the open-time reading.  A
+        corruption-scale move stays free — it is the repair path for a
+        scrambled offset."""
+        state = self.service.clock_state
+        if abs(state.offset_us - prior_offset) <= STABILIZE_VALUE_GAP_US:
+            state.offset_us = prior_offset
+
+    def rejects_fast(self, value: int, elapsed: int) -> bool:
+        """The fast-path ceiling: corrupted local state (offset or a
+        floor) would leak straight to a client here.  Repair what is
+        provably implausible; the caller falls back to a full round."""
+        svc = self.service
+        state = svc.clock_state
+        hi = (state.last_group_us + elapsed
+              + svc.drift_bound.error_us(elapsed) + BYZ_WINDOW_US)
+        if value <= hi:
+            return False
+        repaired = []
+        if state.fast_floor_us is not None and state.fast_floor_us > hi:
+            state.fast_floor_us = None
+            repaired.append("fast")
+        if (
+            state.causal_floor_us is not None
+            and state.causal_floor_us > hi
+        ):
+            state.causal_floor_us = None
+            repaired.append("causal")
+        if repaired:
+            self._note_stabilization("fast-floor", floors=repaired)
+        return True
+
+    def drop_corrupt_fast_floor(self, value_us: int) -> None:
+        """A fast floor that far above the agreed group value is not a
+        fast read we served — it is corrupted state, and clamping would
+        hand the corruption to a client.  Drop it; monotonicity is
+        re-anchored by this round's value."""
+        state = self.service.clock_state
+        floor = state.fast_floor_us
+        if floor is not None and floor - value_us > STABILIZE_VALUE_GAP_US:
+            state.fast_floor_us = None
+            self._note_stabilization("fast-floor", floors=["fast"])
+
+    # ------------------------------------------------------------------
+    # Sanity filter
+    # ------------------------------------------------------------------
+
+    def _winner_rejection(self, msg: CCSMessage) -> Optional[str]:
+        """WALDEN-style accuracy filter: the drift-certified window.
+
+        After the first commit, an honest winner's value must sit within
+        ``[last_group - BYZ_LAG_US, last_group + elapsed + drift_error +
+        BYZ_WINDOW_US]``: group time advances at most at real time plus
+        the certified drift, and a legitimate concurrent proposal can be
+        ordered only boundedly late.  Returns the rejection reason, or
+        None to accept.  Before the first commit there is no certified
+        anchor (cold-start clock spread is legitimate) and everything is
+        accepted.
+        """
+        svc = self.service
+        last = svc.clock_state.last_group_us
+        if last is None or svc._last_commit_physical_us is None:
+            return None
+        elapsed = max(
+            0, svc.node.read_clock_us() - svc._last_commit_physical_us
+        )
+        hi = (last + elapsed + svc.drift_bound.error_us(elapsed)
+              + BYZ_WINDOW_US)
+        if msg.proposed_micros > hi:
+            return "too-high"
+        if msg.proposed_micros < last - BYZ_LAG_US:
+            return "too-low"
+        return None
+
+    def _note_reject_evidence(self, reason: str, sender: str,
+                              msg: CCSMessage) -> bool:
+        """Accumulate distinct-peer evidence that our own window — not
+        the senders' values — is wrong, and repair it at quorum.
+
+        A single liar can fabricate any value, but ``STABILIZE_QUORUM``
+        *distinct* senders rejected on the same side since our last
+        accepted winner include at least one correct replica (f < n/3
+        with quorum = f + 1), so our own state is the outlier.  Two
+        repairs, by scale of the quorum's most conservative value:
+
+        * corruption-scale (more than ``STABILIZE_VALUE_GAP_US`` off
+          our anchor): the anchor itself came from corrupted state —
+          drop every floor and re-anchor from the live stream;
+        * lag-scale too-high (honest winners keep landing just above
+          the window): the physical anchor of our last commit was
+          stamped late — processing lag, not clock drift — so the
+          window trails real group time.  Rewind the anchor until the
+          quorum's *minimum* rejected value fits.  The minimum is safe:
+          with a correct sender in the quorum it never exceeds an
+          honest proposal (liars overshoot; undershooters land in
+          ``too-low``).
+
+        Returns True when a repair happened; the caller re-evaluates
+        the current winner against the repaired state, so a liar's
+        value stays rejected while the honest quorum minimum passes.
+        """
+        svc = self.service
+        if sender == svc.node_id:
+            # Our own rejected proposal indicts our proposal state, not
+            # the window — handled by _repair_after_self_reject.  It
+            # must not count toward a peer quorum.
+            return False
+        evidence = self._reject_evidence[reason]
+        prev = evidence.get(sender)
+        if prev is None or msg.proposed_micros < prev:
+            evidence[sender] = msg.proposed_micros
+        # Coherence: honest winners over the evidence horizon sit
+        # within the ordering-lag bound of each other, while two
+        # *faulty* senders (a liar plus a not-yet-repaired corrupted
+        # replica) are arbitrarily far apart — without this check they
+        # could form a quorum whose minimum is still a lie.  Drop high
+        # outliers until the span is coherent; lone faulty values then
+        # never reach quorum against an honest entry.
+        while (
+            len(evidence) >= STABILIZE_QUORUM
+            and max(evidence.values()) - min(evidence.values())
+            > BYZ_LAG_US
+        ):
+            worst = max(evidence, key=evidence.get)
+            del evidence[worst]
+        if len(evidence) < STABILIZE_QUORUM:
+            return False
+        target = min(evidence.values())
+        evidence.clear()
+        last = svc.clock_state.last_group_us
+        if last is None:
+            return False
+        if abs(target - last) > STABILIZE_VALUE_GAP_US:
+            svc.clock_state.stabilize()
+            self._note_stabilization(
+                "floors", thread=msg.thread_id, round=msg.round_number)
+            return True
+        if reason == "too-high" and svc._last_commit_physical_us is not None:
+            elapsed = max(
+                0, svc.node.read_clock_us() - svc._last_commit_physical_us
+            )
+            estimate = last + elapsed
+            if target > estimate:
+                delta = target - estimate
+                svc._last_commit_physical_us -= delta
+                self._note_stabilization("anchor", adjusted_us=delta)
+                return True
+        return False
+
+    def _skip_round(self, thread_id: str, msg: CCSMessage) -> None:
+        """Burn a round whose ordered winner we rejected.
+
+        Other correct replicas may have accepted the winner, and the
+        first ordered proposal *is* the round under Totem — so once we
+        reject it, no later proposal may win the same round number for
+        us without risking divergence.  Advance the duplicate watermark
+        past the round, move the consumption point up, and withdraw any
+        in-flight proposal so ``_pump`` re-proposes the parked
+        operations for the next round.  A liar that keeps winning the
+        order therefore costs correct replicas rounds, never agreement;
+        liveness survives because every honest replica's re-proposal
+        races for the next round on the rotating token.
+        """
+        svc = self.service
+        if (
+            msg.round_number
+            - svc._accepted.get(
+                thread_id, svc._initial_rounds.get(thread_id, 0))
+            > STABILIZE_ROUND_GAP
+        ):
+            # A corrupted sender's round numbering is not part of the
+            # live stream; adopting it would discard every honest round
+            # behind it.  Discarding the message alone is enough.
+            return
+        svc._accepted[thread_id] = msg.round_number
+        if trace.TRACER.enabled:
+            trace.emit(
+                "round.skipped", svc.node_id, thread=thread_id,
+                round=msg.round_number, t=svc.sim.now)
+        handler = svc._handlers.get(thread_id)
+        if handler is None:
+            return
+        handler.my_round_number = max(
+            handler.my_round_number, msg.round_number)
+        if (
+            handler.in_flight is not None
+            and handler.in_flight.round_number <= msg.round_number
+        ):
+            handler.in_flight = None
+        svc._pump(handler)
+
+    def _reject_ccs(self, envelope: Envelope, msg: CCSMessage,
+                    reason: str) -> None:
+        svc = self.service
+        svc.stats.winners_rejected += 1
+        if obs.REGISTRY.enabled:
+            M_WINNERS_REJECTED.inc(node=svc.node_id, reason=reason)
+        if trace.TRACER.enabled:
+            trace.emit(
+                "round.rejected", svc.node_id, thread=msg.thread_id,
+                round=msg.round_number, sender=envelope.sender,
+                proposed_us=msg.proposed_micros, reason=reason,
+                t=svc.sim.now,
+            )
+
+    def _note_stabilization(self, what: str, **fields) -> None:
+        svc = self.service
+        svc.stats.stabilizations += 1
+        if obs.REGISTRY.enabled:
+            M_STABILIZATIONS.inc(node=svc.node_id, what=what)
+        if trace.TRACER.enabled:
+            trace.emit("state.repaired", svc.node_id, what=what,
+                       t=svc.sim.now, **fields)
+
+    def _repair_after_self_reject(self, msg: CCSMessage) -> None:
+        """Our own ordered proposal failed our own window: whichever
+        floor — or the offset itself — is corruption-scale off the
+        certified anchor fed it."""
+        svc = self.service
+        state = svc.clock_state
+        anchor = state.last_group_us
+        if anchor is None:
+            return
+        repaired = []
+        if (
+            abs(msg.proposed_micros - anchor) > STABILIZE_VALUE_GAP_US
+            and svc._last_commit_physical_us is not None
+        ):
+            # The proposal is corruption-scale off: re-derive the offset
+            # from the last committed round (group minus the physical
+            # reading taken at that commit — both honest by agreement)
+            # instead of waiting for another replica's winner.  A sole
+            # proposer must be able to repair itself.
+            state.offset_us = anchor - svc._last_commit_physical_us
+            repaired.append("offset")
+        if (
+            state.causal_floor_us is not None
+            and state.causal_floor_us - anchor > STABILIZE_VALUE_GAP_US
+        ):
+            state.causal_floor_us = None
+            repaired.append("causal")
+        if (
+            state.fast_floor_us is not None
+            and state.fast_floor_us - anchor > STABILIZE_VALUE_GAP_US
+        ):
+            state.fast_floor_us = None
+            repaired.append("fast")
+        if repaired:
+            self._note_stabilization("floors", floors=repaired)

@@ -11,9 +11,9 @@ call type identifier (Section 4.1).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
-#: A coalesced clock-operation identifier: ``(request_index, read_seq)``.
+#: A clock-operation identifier: ``(request_index, read_seq)``.
 #: Replica-independent by construction — the request index comes from the
 #: total order and the read sequence from the handler's program order —
 #: and totally ordered by lexicographic comparison.
@@ -37,32 +37,27 @@ class CCSMessage:
     call_type_id: int
     #: True for the special round run during state transfer (Section 3.2).
     special: bool = False
-    #: Coalescing (round amortization): the highest operation id this
-    #: round serves — every operation with id <= ``(covers_req,
-    #: covers_seq)`` adopts the round's group-clock value.  Because the
-    #: covering point rides *in* the message that wins the round, batch
-    #: membership is agreed across replicas, not a local timing accident.
-    #: ``(0, 0)`` marks a per-operation (uncoalesced) round.
+    #: The covering point: the highest operation id this round serves —
+    #: every operation with id <= ``(covers_req, covers_seq)`` adopts the
+    #: round's group-clock value.  Because the covering point rides *in*
+    #: the message that wins the round, batch membership is agreed
+    #: across replicas, not a local timing accident.  Operation ids
+    #: start above ``(0, 0)``, so the default covers no operation.
     covers_req: int = 0
     covers_seq: int = 0
 
     @property
-    def covers(self) -> Optional[OpId]:
-        """The covering operation id, or None for a per-op round."""
-        if self.covers_req == 0 and self.covers_seq == 0:
-            return None
+    def covers(self) -> OpId:
+        """The covering operation id."""
         return (self.covers_req, self.covers_seq)
 
     def wire_size(self) -> int:
         return 40
 
     def __str__(self) -> str:
-        covering = (
-            f" covers={self.covers_req}.{self.covers_seq}"
-            if self.covers is not None else ""
-        )
         return (
             f"CCS[{self.thread_id} r{self.round_number} "
             f"propose={self.proposed_micros}us call={self.call_type_id}"
-            f"{covering}{' special' if self.special else ''}]"
+            f" covers={self.covers_req}.{self.covers_seq}"
+            f"{' special' if self.special else ''}]"
         )

@@ -1,7 +1,7 @@
 """The Consistent Time Service (the paper's contribution, Section 3).
 
-Every clock-related operation starts a *round* of the consistent clock
-synchronization algorithm:
+Every clock-related operation is served by a *round* of the consistent
+clock synchronization algorithm:
 
 1. The replica reads its physical hardware clock and computes the local
    logical clock value ``physical + my_clock_offset`` (Figure 2, 3-4).
@@ -15,6 +15,14 @@ synchronization algorithm:
    *synchronizer*.
 4. Each replica recomputes ``my_clock_offset = group − physical``
    (Figure 2, 7) and returns the group value to the application.
+
+There is one round engine.  An operation parks under a
+replica-independent operation id; the handler opens a round when
+operations are parked and none is in flight; the winning message's
+*covering point* names the operations the round serves.  A replica that
+executes requests serially (``coalesce=False``) parks one operation at
+a time, so every round covers exactly one — the paper's Figure 2; a
+replica that overlaps reads shares rounds between them.
 
 The service supports the three replication styles: in ``active`` mode
 every replica competes to be the synchronizer; in ``primary`` mode
@@ -31,7 +39,7 @@ replica-independent round counters from the checkpoint.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple, TYPE_CHECKING
 
 from ..errors import TimeServiceError
@@ -44,12 +52,12 @@ from .ccs_handler import (
     CCSHandler,
     ConsumedRound,
     PendingOp,
-    PendingRound,
     RoundInFlight,
 )
 from .drift import DriftBound, DriftCompensation, NoCompensation
 from .group_clock import GroupClockState
-from .interposition import ClockCall, resolve_call
+from .guard import ByzantineGuard
+from .interposition import resolve_call
 from .messages import CCSMessage, OpId
 from .recovery import TimeTransferState
 
@@ -124,14 +132,6 @@ M_FAST_STALENESS = obs.REGISTRY.histogram(
 M_STALENESS_BUDGET = obs.REGISTRY.gauge(
     "cts_max_staleness_us",
     "configured fast-path staleness budget", unit="us")
-M_WINNERS_REJECTED = obs.REGISTRY.counter(
-    "ccs_winners_rejected_total",
-    "ordered CCS winners rejected by the Byzantine sanity filter, "
-    "labelled by reason (too-high, too-low)")
-M_STABILIZATIONS = obs.REGISTRY.counter(
-    "cts_stabilizations_total",
-    "self-stabilization repairs of scrambled local state, labelled by "
-    "what was repaired (round-counter, watermark, floors, fast-floor)")
 
 
 @dataclass
@@ -150,7 +150,7 @@ class CTSStats:
     duplicates_discarded: int = 0
     #: Offset adoptions performed while recovering (special rounds).
     recovery_adoptions: int = 0
-    #: Clock operations completed (>= rounds_completed under coalescing).
+    #: Clock operations completed (>= rounds_completed when rounds are shared).
     ops_completed: int = 0
     #: Operations served by a round they did not initiate (amortization).
     ops_coalesced: int = 0
@@ -180,6 +180,7 @@ class ConsistentTimeService(TimeSource):
     """The group clock provider for one replica."""
 
     name = "consistent-time-service"
+    accepts_op_ids = True
 
     def __init__(
         self,
@@ -193,25 +194,9 @@ class ConsistentTimeService(TimeSource):
         max_staleness_us: int = 2_000,
         drift_bound: Optional[DriftBound] = None,
         byzantine: bool = False,
-        byz_window_us: int = 10_000,
-        byz_lag_us: int = 250_000,
-        stabilize_value_gap_us: int = 10_000_000,
-        stabilize_round_gap: int = 10_000,
     ):
         if mode not in (MODE_ACTIVE, MODE_PRIMARY):
             raise TimeServiceError(f"unknown mode {mode!r}")
-        if fast_path and not coalesce:
-            raise TimeServiceError(
-                "the drift-bounded fast path requires coalesced rounds "
-                "(fast_path=True with coalesce=False)"
-            )
-        if byzantine and not coalesce:
-            raise TimeServiceError(
-                "byzantine mode requires coalesced rounds: a rejected "
-                "proposal of ours must be recoverable by another "
-                "replica's covering round (byzantine=True with "
-                "coalesce=False)"
-            )
         self.replica = replica
         self.node = replica.node
         self.node_id = replica.node_id
@@ -219,43 +204,17 @@ class ConsistentTimeService(TimeSource):
         self.mode = mode
         self.drift = drift or NoCompensation()
         self.suppress_pending = suppress_pending
-        #: Round amortization: concurrent clock operations share rounds.
-        self.coalesce = coalesce
         #: Serve bounded-staleness reads locally between rounds.
         self.fast_path = fast_path
         self.max_staleness_us = int(max_staleness_us)
         self.drift_bound = drift_bound or DriftBound()
-        #: Byzantine mode (WALDEN-style accuracy filter + Herman-style
-        #: bounded-round self-stabilization).  Ordered round winners
-        #: whose value falls outside the drift-certified window are
-        #: rejected; implausible local state (round counters, watermarks
-        #: and floors that no real round could have produced) is repaired
-        #: instead of trusted.
-        self.byzantine = byzantine
-        #: High-side slack of the certified window: a winner may exceed
-        #: ``last_group + elapsed + drift_error`` by at most this much.
-        self.byz_window_us = int(byz_window_us)
-        #: Low-side slack: legitimate concurrent proposals may be ordered
-        #: up to this far behind the latest committed group value.
-        self.byz_lag_us = int(byz_lag_us)
-        #: A floor this far above a freshly agreed value is corruption,
-        #: not history — stabilize rather than poison proposals.
-        self.stabilize_value_gap_us = int(stabilize_value_gap_us)
-        #: A duplicate-detection watermark this far ahead of live rounds
-        #: is corruption — reset it rather than discard rounds forever.
-        self.stabilize_round_gap = int(stabilize_round_gap)
-        #: Distinct senders whose ordered values must disagree with our
-        #: certified window (by a corruption-scale gap, on the same
-        #: side) before we conclude *our* anchor is the corrupted
-        #: outlier and stabilize.  Two is sound for f = 1; raise it to
-        #: f + 1 for larger fault budgets.
-        self.stabilize_quorum = 2
-        #: side ("too-high"/"too-low") -> {sender: most conservative
-        #: rejected value} since the last accepted winner.
-        self._reject_evidence: Dict[str, Dict[str, int]] = {
-            "too-high": {}, "too-low": {}}
-        #: The replica runtime pipelines request execution (overlapping
-        #: clock reads) only when the time source can serve them.
+        #: The winner sanity filter and self-stabilization policy;
+        #: ``None`` in crash-only mode.
+        self.guard = ByzantineGuard(self) if byzantine else None
+        #: ``coalesce`` is the replica runtime's decision, not the
+        #: service's: whether request execution is pipelined, so clock
+        #: reads overlap and share rounds, or serial, so every round
+        #: covers exactly one operation.
         self.supports_concurrent_reads = coalesce
         #: Reads may carry a per-request session floor (``floor_us``):
         #: the reply is served strictly above it on every replica.
@@ -281,13 +240,15 @@ class ConsistentTimeService(TimeSource):
         self.winners: List[Tuple[str, int, str]] = []
         #: (sim_time, thread_id, call, ClockValue) values returned to the app.
         self.readings: List[Tuple[float, str, str, ClockValue]] = []
-        #: (thread_id, op_id) -> group value, for coalesced operations —
-        #: replica-independent by construction; the agreement invariant
-        #: the property suites check.
+        #: (thread_id, op_id) -> group value, for round-served operations
+        #: — replica-independent by construction; the agreement
+        #: invariant the property suites check.
         self.served_ops: Dict[Tuple[str, OpId], int] = {}
         #: (sim_time, value_us, elapsed_us) per fast-path read — lets
         #: tests check the staleness bound the fast path promises.
         self.fast_served: List[Tuple[float, int, int]] = []
+        if fast_path:
+            M_STALENESS_BUDGET.set(self.max_staleness_us, node=self.node_id)
 
     # ------------------------------------------------------------------
     # TimeSource interface: one clock-related operation
@@ -301,6 +262,14 @@ class ConsistentTimeService(TimeSource):
         fast_ok: bool = True,
         floor_us: Optional[int] = None,
     ) -> Event:
+        """One clock operation.
+
+        The operation is identified by a replica-independent id; whatever
+        round *covers* that id — per the covering point carried by the
+        round's winning CCS message — serves it the round's group value,
+        so overlapping operations share rounds and still agree across
+        replicas.
+        """
         if floor_us is not None:
             # Session guarantee: the request carries the client's
             # last-seen value, and since the request is totally ordered
@@ -308,124 +277,13 @@ class ConsistentTimeService(TimeSource):
             # fast-serving — whichever replica's reply the client takes,
             # it exceeds the floor.
             self.clock_state.observe_causal_timestamp(floor_us)
-        if self.coalesce:
-            return self._read_coalesced(
-                thread_id, call_name, op_id, fast_ok, floor_us
-            )
-        call = resolve_call(call_name)
-        handler = self._handler(thread_id)
-        # Figure 2, lines 3-4: physical reading and local logical value.
-        physical_us = self.node.read_clock_us()
-        proposal_us = self.clock_state.clamp_to_floor(
-            self.drift.adjust_proposal(self.clock_state.propose(physical_us))
-        )
-        # Figure 2, line 9: new round; line 10: drain the common buffer.
-        round_number = handler.next_round()
-        self._drain_common(handler)
-
-        if trace.TRACER.enabled:
-            trace.emit(
-                "round.start", self.node_id, thread=thread_id,
-                round=round_number, proposal_us=proposal_us, call=call.name,
-                buffered=bool(handler.my_input_buffer), t=self.sim.now,
-            )
-        result = Event(self.sim)
-        handler.pending = PendingRound(
-            round_number=round_number,
-            proposal_us=proposal_us,
-            call_type_id=call.type_id,
-            physical_us=physical_us,
-            sent=False,
-            result=result,
-            started_at=self.sim.now,
-        )
-        if handler.my_input_buffer:
-            # The round's winner was ordered before we even got here: no
-            # CCS message is constructed at all (line 11 short-circuit).
-            self.stats.rounds_from_buffer += 1
-            if obs.REGISTRY.enabled:
-                M_FROM_BUFFER.inc(node=self.node_id)
-            self._complete(handler, call)
-        else:
-            if self._may_send():
-                self._send_ccs(handler)
-            waiter = handler.wait_for_message()
-            waiter._add_callback(lambda _ev: self._complete(handler, call))
-        return result
-
-    def _complete(self, handler: CCSHandler, call: ClockCall) -> None:
-        """Figure 2, lines 15-17 and 7-8: consume the winner, recompute
-        the offset, hand the group clock value to the application."""
-        pending = handler.pending
-        if pending is None:
-            raise TimeServiceError("completion without a pending round")
-        msg = handler.pop_message()
-        if msg.round_number != pending.round_number:
-            raise TimeServiceError(
-                f"thread {handler.my_thread_id!r}: buffered CCS round "
-                f"{msg.round_number} does not match operation round "
-                f"{pending.round_number}"
-            )
-        handler.pending = None
-        handler.rounds_completed += 1
-        group_us = msg.proposed_micros
-        self.clock_state.commit(group_us, pending.physical_us)
-        self.clock_state.offset_us = self.drift.adjust_offset(
-            self.clock_state.offset_us
-        )
-        self.stats.rounds_completed += 1
-        self.stats.ops_completed += 1
-        value = ClockValue(call.quantize(group_us))
-        self.readings.append((self.sim.now, handler.my_thread_id, call.name, value))
-        if obs.REGISTRY.enabled:
-            M_ROUNDS.inc(node=self.node_id)
-            M_OPS.inc(node=self.node_id)
-            M_ROUND_LATENCY.observe(
-                (self.sim.now - pending.started_at) * 1e6, node=self.node_id)
-            M_OFFSET.set(self.clock_state.offset_us, node=self.node_id)
-            # Our local logical value vs the winner's: the per-round
-            # estimate of this replica's skew against the group.
-            skew = pending.proposal_us - group_us
-            M_SKEW.set(skew, node=self.node_id)
-            M_SKEW_ABS.observe(abs(skew), node=self.node_id)
-        if trace.TRACER.enabled:
-            trace.emit(
-                "round.complete", self.node_id,
-                group=self.replica.group,
-                thread=handler.my_thread_id, round=pending.round_number,
-                group_us=group_us, offset_us=self.clock_state.offset_us,
-                latency_us=(self.sim.now - pending.started_at) * 1e6,
-                t=self.sim.now,
-            )
-        if not pending.result.triggered:
-            pending.result.succeed(value)
-
-    # ------------------------------------------------------------------
-    # Coalesced rounds (round amortization) and the read fast path
-    # ------------------------------------------------------------------
-
-    def _read_coalesced(
-        self,
-        thread_id: str,
-        call_name: str,
-        op_id: Optional[OpId],
-        fast_ok: bool = True,
-        floor_us: Optional[int] = None,
-    ) -> Event:
-        """One clock operation under round amortization.
-
-        The operation is identified by a replica-independent id; whatever
-        round *covers* that id — per the covering point carried by the
-        round's winning CCS message — serves it the round's group value,
-        so concurrent operations share rounds and still agree across
-        replicas.
-        """
         call = resolve_call(call_name)
         handler = self._handler(thread_id)
         op_id = handler.assign_op_id(op_id)
         self._drain_common(handler)
         result = Event(self.sim)
         result._cts_read = True
+        op = PendingOp(op_id, call, result, self.sim.now, floor_us)
 
         # Already covered by a consumed round (the op was issued late,
         # e.g. by a recovered replica replaying the request stream).
@@ -434,40 +292,32 @@ class ConsistentTimeService(TimeSource):
             self.stats.rounds_from_buffer += 1
             if obs.REGISTRY.enabled:
                 M_FROM_BUFFER.inc(node=self.node_id)
-            self._serve(
-                handler,
-                PendingOp(op_id, call, result, self.sim.now, floor_us),
-                entry.group_us,
-                round_number=entry.round_number,
-            )
+            self._serve(handler, op, entry.group_us,
+                        round_number=entry.round_number)
             return result
 
-        fast_us = self._try_fast_path(handler) if fast_ok else None
-        if fast_us is not None:
+        fast = self._try_fast_path(handler) if fast_ok else None
+        if fast is not None:
+            fast_us, elapsed = fast
             self.stats.fast_path_hits += 1
-            elapsed = self.node.read_clock_us() - self._last_commit_physical_us
             if obs.REGISTRY.enabled:
                 M_FAST_HITS.inc(node=self.node_id)
                 M_FAST_STALENESS.observe(elapsed, node=self.node_id)
                 M_DRIFT_ERROR.set(self.drift_bound.error_us(elapsed),
                                   node=self.node_id)
-                M_STALENESS_BUDGET.set(self.max_staleness_us,
-                                       node=self.node_id)
             self.fast_served.append((self.sim.now, fast_us, elapsed))
-            self._serve(
-                handler,
-                PendingOp(op_id, call, result, self.sim.now, floor_us),
-                fast_us,
-                fast=True,
-            )
+            self._serve(handler, op, fast_us, fast=True)
             return result
 
-        handler.park(PendingOp(op_id, call, result, self.sim.now, floor_us))
+        handler.park(op)
         self._pump(handler, from_read=True)
         return result
 
-    def _try_fast_path(self, handler: CCSHandler) -> Optional[int]:
-        """A drift-bounded local value, or None to run a full round.
+    def _try_fast_path(
+        self, handler: CCSHandler
+    ) -> Optional[Tuple[int, int]]:
+        """A drift-bounded local value and the staleness it was checked
+        at, or None to run a full round.
 
         Only quiescent handlers qualify (nothing parked, in flight or
         buffered): an op admitted to the fast path while a round is
@@ -487,42 +337,23 @@ class ConsistentTimeService(TimeSource):
             return None
         physical_us = self.node.read_clock_us()
         elapsed = physical_us - self._last_commit_physical_us
-        if not (0 <= elapsed <= self.max_staleness_us) or not (
+        value = None
+        if 0 <= elapsed <= self.max_staleness_us and (
             self.drift_bound.permits(elapsed)
         ):
+            value = self.clock_state.clamp_to_floor(
+                self.drift.adjust_fast_value(
+                    self.clock_state.propose(physical_us))
+            )
+            if self.guard is not None and self.guard.rejects_fast(value, elapsed):
+                value = None
+        if value is None:
             self.stats.fast_path_fallbacks += 1
             if obs.REGISTRY.enabled:
                 M_FAST_FALLBACKS.inc(node=self.node_id)
             return None
-        value = self.clock_state.clamp_to_floor(
-            self.drift.adjust_fast_value(self.clock_state.propose(physical_us))
-        )
-        if self.byzantine:
-            hi = (self.clock_state.last_group_us + elapsed
-                  + self.drift_bound.error_us(elapsed) + self.byz_window_us)
-            if value > hi:
-                # Corrupted local state (offset or a floor) would leak
-                # straight to a client here.  Repair what is provably
-                # implausible and fall back to a full round.
-                state = self.clock_state
-                repaired = []
-                if state.fast_floor_us is not None and state.fast_floor_us > hi:
-                    state.fast_floor_us = None
-                    repaired.append("fast")
-                if (
-                    state.causal_floor_us is not None
-                    and state.causal_floor_us > hi
-                ):
-                    state.causal_floor_us = None
-                    repaired.append("causal")
-                if repaired:
-                    self._note_stabilization("fast-floor", floors=repaired)
-                self.stats.fast_path_fallbacks += 1
-                if obs.REGISTRY.enabled:
-                    M_FAST_FALLBACKS.inc(node=self.node_id)
-                return None
         self.clock_state.note_fast_value(value)
-        return value
+        return value, elapsed
 
     def _serve(
         self,
@@ -533,7 +364,7 @@ class ConsistentTimeService(TimeSource):
         fast: bool = False,
         round_number: Optional[int] = None,
     ) -> None:
-        """Hand one coalesced operation its group-clock value."""
+        """Hand one operation its group-clock value."""
         value_us = group_us
         if op.floor_us is not None and value_us <= op.floor_us:
             # The request's session floor binds identically at every
@@ -547,19 +378,9 @@ class ConsistentTimeService(TimeSource):
             # The *committed* group clock stays the agreed value, but the
             # reply handed to this replica's clients must not step
             # backwards past a fast read it already served.
+            if self.guard is not None:
+                self.guard.drop_corrupt_fast_floor(value_us)
             floor = self.clock_state.fast_floor_us
-            if (
-                self.byzantine
-                and floor is not None
-                and floor - value_us > self.stabilize_value_gap_us
-            ):
-                # A floor that far above the agreed group value is not a
-                # fast read we served — it is corrupted state, and
-                # clamping would hand the corruption to a client.  Drop
-                # it; monotonicity is re-anchored by this round's value.
-                self.clock_state.fast_floor_us = None
-                self._note_stabilization("fast-floor", floors=["fast"])
-                floor = None
             if floor is not None and value_us <= floor:
                 value_us = floor + 1
             self.clock_state.note_fast_value(value_us)
@@ -602,29 +423,13 @@ class ConsistentTimeService(TimeSource):
         binds to this round (Figure 2 lines 15-17, amortized)."""
         msg = handler.pop_message()
         if msg.round_number != handler.my_round_number + 1:
-            if not self.byzantine:
+            if self.guard is None:
                 raise TimeServiceError(
                     f"thread {handler.my_thread_id!r}: buffered CCS round "
                     f"{msg.round_number} does not follow consumption point "
                     f"{handler.my_round_number}"
                 )
-            # Self-stabilization (Herman-style): a consumption point that
-            # does not line up with the totally ordered round stream is
-            # corrupted local state.  The ordered stream is the ground
-            # truth every correct replica shares — adopt its numbering.
-            self._note_stabilization(
-                "round-counter", thread=handler.my_thread_id,
-                had=handler.my_round_number, adopted=msg.round_number - 1)
-            if (
-                handler.in_flight is not None
-                and abs(handler.in_flight.round_number - msg.round_number)
-                > self.stabilize_round_gap
-            ):
-                # The pending proposal carries the corrupted numbering; a
-                # round that far from the ordered stream can never
-                # complete, and keeping it would block _open_round
-                # forever.  Its parked ops are re-proposed by _pump.
-                handler.in_flight = None
+            self.guard.adopt_round_numbering(handler, msg)
         handler.my_round_number = msg.round_number
         group_us = msg.proposed_micros
         in_flight, handler.in_flight = handler.in_flight, None
@@ -661,33 +466,15 @@ class ConsistentTimeService(TimeSource):
         self.clock_state.offset_us = self.drift.adjust_offset(
             self.clock_state.offset_us
         )
-        if self.byzantine and buffered and prior_offset is not None:
-            # A buffered commit's physical reading is taken at
-            # *processing* time — however late the consume ran — so the
-            # derived offset absorbs the scheduling lag, our estimate
-            # trails the group, and our next winning proposal regresses
-            # group time (every client plateaus until real time catches
-            # up).  Keep the prior offset instead: Figure 2 only ever
-            # derives the offset from an operation-context reading, and
-            # rounds we proposed for keep re-synchronizing it from the
-            # open-time reading.  A corruption-scale move stays free —
-            # it is the repair path for a scrambled offset.
-            move = self.clock_state.offset_us - prior_offset
-            if abs(move) <= self.stabilize_value_gap_us:
-                self.clock_state.offset_us = prior_offset
+        if self.guard is not None and buffered and prior_offset is not None:
+            self.guard.retain_buffered_offset(prior_offset)
         self._last_commit_physical_us = self.node.read_clock_us()
         self.stats.rounds_completed += 1
-        handler.rounds_completed += 1
 
-        covers = msg.covers
-        if covers is not None:
-            handler.retain_consumed(
-                ConsumedRound(msg.round_number, covers, group_us)
-            )
-            served = handler.take_covered(covers)
-        else:
-            # A legacy per-op message covers exactly one operation.
-            served = handler.take_oldest()
+        handler.retain_consumed(
+            ConsumedRound(msg.round_number, msg.covers, group_us)
+        )
+        served = handler.take_covered(msg.covers)
 
         if obs.REGISTRY.enabled:
             M_ROUNDS.inc(node=self.node_id)
@@ -720,8 +507,8 @@ class ConsistentTimeService(TimeSource):
             self._serve(handler, op, group_us, round_number=msg.round_number)
 
     def _open_round(self, handler: CCSHandler) -> None:
-        """Start a coalesced round covering every currently parked
-        operation (Figure 2 lines 3-4 and 9, amortized)."""
+        """Start a round covering every currently parked operation
+        (Figure 2 lines 3-4 and 9)."""
         round_number = handler.my_round_number + 1
         covers = handler.parked[-1].op_id
         physical_us = self.node.read_clock_us()
@@ -766,9 +553,8 @@ class ConsistentTimeService(TimeSource):
         return self.replica.endpoint.is_primary
 
     def _send_ccs(self, handler: CCSHandler) -> None:
-        pending = handler.pending
+        pending = handler.in_flight
         pending.sent = True
-        covers = getattr(pending, "covers", None) or (0, 0)
         self.stats.ccs_sent += 1
         if obs.REGISTRY.enabled:
             M_SENT.inc(node=self.node_id)
@@ -791,8 +577,8 @@ class ConsistentTimeService(TimeSource):
                     round_number=pending.round_number,
                     proposed_micros=pending.proposal_us,
                     call_type_id=pending.call_type_id,
-                    covers_req=covers[0],
-                    covers_seq=covers[1],
+                    covers_req=pending.covers[0],
+                    covers_seq=pending.covers[1],
                 ),
             )
         )
@@ -810,52 +596,14 @@ class ConsistentTimeService(TimeSource):
             thread_id, self._initial_rounds.get(thread_id, 0)
         )
         if msg.round_number <= watermark:
-            if (
-                self.byzantine
-                and watermark - msg.round_number > self.stabilize_round_gap
-            ):
-                # A watermark this far ahead of live traffic is
-                # corruption, not history: reset it from the live round
-                # rather than discarding every future winner.
-                self._note_stabilization(
-                    "watermark", thread=thread_id,
-                    watermark=watermark, round=msg.round_number)
-            else:
+            if self.guard is None or not self.guard.stale_watermark(watermark, msg):
                 self.stats.duplicates_discarded += 1
                 if obs.REGISTRY.enabled:
                     M_DUPLICATES.inc(node=self.node_id)
                 return
-        if self.byzantine and not self._recovering:
-            reason = self._winner_rejection(msg)
-            if reason is not None and self._note_reject_evidence(
-                    reason, envelope.sender, msg):
-                # A quorum of distinct peers was rejected on the same
-                # side of our window: at least one of them is correct
-                # (f < n/3), so *our* anchor was the outlier.  The
-                # quorum handler repaired it — re-evaluate this winner
-                # against the repaired state.
-                reason = self._winner_rejection(msg)
-            if reason is not None:
-                self._reject_ccs(envelope, msg, reason)
-                if envelope.sender == self.node_id:
-                    # Our own ordered proposal failed our own filter:
-                    # some local floor or the offset fed it a poisoned
-                    # value.  Repair what is provably implausible so
-                    # the re-proposal is clean — we must recover even
-                    # when no other replica proposes.
-                    self._repair_after_self_reject(msg)
-                # Agreement safety: the window is anchored on local
-                # state, so accept/reject is not guaranteed unanimous
-                # among correct replicas — another replica may commit
-                # this winner.  Committing a *different* value for the
-                # same round number would diverge, so the round is
-                # dead to us: burn its number and re-propose.
-                self._skip_round(thread_id, msg)
-                return
+        if self.guard is not None and not self.guard.admit_winner(envelope, msg):
+            return
         self._accepted[thread_id] = msg.round_number
-        if self.byzantine:
-            self._reject_evidence["too-high"].clear()
-            self._reject_evidence["too-low"].clear()
         self.winners.append((thread_id, msg.round_number, envelope.sender))
         self.clock_state.observe_group_value(msg.proposed_micros)
         if trace.TRACER.enabled:
@@ -888,8 +636,7 @@ class ConsistentTimeService(TimeSource):
         handler = self._handlers.get(thread_id)
         if handler is not None:
             handler.recv_CCS_msg(msg)
-            if self.coalesce:
-                self._pump(handler)
+            self._pump(handler)
         else:
             self.my_common_input_buffer.append(msg)
 
@@ -903,213 +650,9 @@ class ConsistentTimeService(TimeSource):
         """
         msg = envelope.body
         if isinstance(msg, CCSMessage):
-            if self.byzantine and self._winner_rejection(msg) is not None:
-                # A value we will reject once ordered must not withdraw
-                # our own honest proposal: the round still needs it.
+            if self.guard is not None and self.guard.would_reject(msg):
                 return
             self._try_suppress(envelope, msg)
-
-    # ------------------------------------------------------------------
-    # Byzantine sanity filter and self-stabilization
-    # ------------------------------------------------------------------
-
-    def _winner_rejection(self, msg: CCSMessage) -> Optional[str]:
-        """WALDEN-style accuracy filter: the drift-certified window.
-
-        After the first commit, an honest winner's value must sit within
-        ``[last_group - byz_lag, last_group + elapsed + drift_error +
-        byz_window]``: group time advances at most at real time plus the
-        certified drift, and a legitimate concurrent proposal can be
-        ordered only boundedly late.  Returns the rejection reason, or
-        None to accept.  Before the first commit there is no certified
-        anchor (cold-start clock spread is legitimate) and everything is
-        accepted.
-        """
-        last = self.clock_state.last_group_us
-        if last is None or self._last_commit_physical_us is None:
-            return None
-        elapsed = max(
-            0, self.node.read_clock_us() - self._last_commit_physical_us
-        )
-        hi = (last + elapsed + self.drift_bound.error_us(elapsed)
-              + self.byz_window_us)
-        if msg.proposed_micros > hi:
-            return "too-high"
-        if msg.proposed_micros < last - self.byz_lag_us:
-            return "too-low"
-        return None
-
-    def _note_reject_evidence(self, reason: str, sender: str,
-                              msg: CCSMessage) -> bool:
-        """Accumulate distinct-peer evidence that our own window — not
-        the senders' values — is wrong, and repair it at quorum.
-
-        A single liar can fabricate any value, but ``stabilize_quorum``
-        *distinct* senders rejected on the same side since our last
-        accepted winner include at least one correct replica (f < n/3
-        with quorum = f + 1), so our own state is the outlier.  Two
-        repairs, by scale of the quorum's most conservative value:
-
-        * corruption-scale (more than ``stabilize_value_gap_us`` off
-          our anchor): the anchor itself came from corrupted state —
-          drop every floor and re-anchor from the live stream;
-        * lag-scale too-high (honest winners keep landing just above
-          the window): the physical anchor of our last commit was
-          stamped late — processing lag, not clock drift — so the
-          window trails real group time.  Rewind the anchor until the
-          quorum's *minimum* rejected value fits.  The minimum is safe:
-          with a correct sender in the quorum it never exceeds an
-          honest proposal (liars overshoot; undershooters land in
-          ``too-low``).
-
-        Returns True when a repair happened; the caller re-evaluates
-        the current winner against the repaired state, so a liar's
-        value stays rejected while the honest quorum minimum passes.
-        """
-        if sender == self.node_id:
-            # Our own rejected proposal indicts our proposal state, not
-            # the window — handled by _repair_after_self_reject.  It
-            # must not count toward a peer quorum.
-            return False
-        evidence = self._reject_evidence[reason]
-        prev = evidence.get(sender)
-        if prev is None or msg.proposed_micros < prev:
-            evidence[sender] = msg.proposed_micros
-        # Coherence: honest winners over the evidence horizon sit
-        # within the ordering-lag bound of each other, while two
-        # *faulty* senders (a liar plus a not-yet-repaired corrupted
-        # replica) are arbitrarily far apart — without this check they
-        # could form a quorum whose minimum is still a lie.  Drop high
-        # outliers until the span is coherent; lone faulty values then
-        # never reach quorum against an honest entry.
-        while (
-            len(evidence) >= self.stabilize_quorum
-            and max(evidence.values()) - min(evidence.values())
-            > self.byz_lag_us
-        ):
-            worst = max(evidence, key=evidence.get)
-            del evidence[worst]
-        if len(evidence) < self.stabilize_quorum:
-            return False
-        target = min(evidence.values())
-        evidence.clear()
-        last = self.clock_state.last_group_us
-        if last is None:
-            return False
-        if abs(target - last) > self.stabilize_value_gap_us:
-            self.clock_state.stabilize()
-            self._note_stabilization(
-                "floors", thread=msg.thread_id, round=msg.round_number)
-            return True
-        if reason == "too-high" and self._last_commit_physical_us is not None:
-            elapsed = max(
-                0, self.node.read_clock_us() - self._last_commit_physical_us
-            )
-            estimate = last + elapsed
-            if target > estimate:
-                delta = target - estimate
-                self._last_commit_physical_us -= delta
-                self._note_stabilization("anchor", adjusted_us=delta)
-                return True
-        return False
-
-    def _skip_round(self, thread_id: str, msg: CCSMessage) -> None:
-        """Burn a round whose ordered winner we rejected.
-
-        Other correct replicas may have accepted the winner, and the
-        first ordered proposal *is* the round under Totem — so once we
-        reject it, no later proposal may win the same round number for
-        us without risking divergence.  Advance the duplicate watermark
-        past the round, move the consumption point up, and withdraw any
-        in-flight proposal so ``_pump`` re-proposes the parked
-        operations for the next round.  A liar that keeps winning the
-        order therefore costs correct replicas rounds, never agreement;
-        liveness survives because every honest replica's re-proposal
-        races for the next round on the rotating token.
-        """
-        if (
-            msg.round_number
-            - self._accepted.get(
-                thread_id, self._initial_rounds.get(thread_id, 0))
-            > self.stabilize_round_gap
-        ):
-            # A corrupted sender's round numbering is not part of the
-            # live stream; adopting it would discard every honest round
-            # behind it.  Discarding the message alone is enough.
-            return
-        self._accepted[thread_id] = msg.round_number
-        if trace.TRACER.enabled:
-            trace.emit(
-                "round.skipped", self.node_id, thread=thread_id,
-                round=msg.round_number, t=self.sim.now)
-        handler = self._handlers.get(thread_id)
-        if handler is None:
-            return
-        handler.my_round_number = max(
-            handler.my_round_number, msg.round_number)
-        if (
-            handler.in_flight is not None
-            and handler.in_flight.round_number <= msg.round_number
-        ):
-            handler.in_flight = None
-        if self.coalesce:
-            self._pump(handler)
-
-    def _reject_ccs(self, envelope: Envelope, msg: CCSMessage,
-                    reason: str) -> None:
-        self.stats.winners_rejected += 1
-        if obs.REGISTRY.enabled:
-            M_WINNERS_REJECTED.inc(node=self.node_id, reason=reason)
-        if trace.TRACER.enabled:
-            trace.emit(
-                "round.rejected", self.node_id, thread=msg.thread_id,
-                round=msg.round_number, sender=envelope.sender,
-                proposed_us=msg.proposed_micros, reason=reason,
-                t=self.sim.now,
-            )
-
-    def _note_stabilization(self, what: str, **fields) -> None:
-        self.stats.stabilizations += 1
-        if obs.REGISTRY.enabled:
-            M_STABILIZATIONS.inc(node=self.node_id, what=what)
-        if trace.TRACER.enabled:
-            trace.emit("state.repaired", self.node_id, what=what,
-                       t=self.sim.now, **fields)
-
-    def _repair_after_self_reject(self, msg: CCSMessage) -> None:
-        """Our own ordered proposal failed our own window: whichever
-        floor — or the offset itself — is corruption-scale off the
-        certified anchor fed it."""
-        state = self.clock_state
-        anchor = state.last_group_us
-        if anchor is None:
-            return
-        repaired = []
-        if (
-            abs(msg.proposed_micros - anchor) > self.stabilize_value_gap_us
-            and self._last_commit_physical_us is not None
-        ):
-            # The proposal is corruption-scale off: re-derive the offset
-            # from the last committed round (group minus the physical
-            # reading taken at that commit — both honest by agreement)
-            # instead of waiting for another replica's winner.  A sole
-            # proposer must be able to repair itself.
-            state.offset_us = anchor - self._last_commit_physical_us
-            repaired.append("offset")
-        if (
-            state.causal_floor_us is not None
-            and state.causal_floor_us - anchor > self.stabilize_value_gap_us
-        ):
-            state.causal_floor_us = None
-            repaired.append("causal")
-        if (
-            state.fast_floor_us is not None
-            and state.fast_floor_us - anchor > self.stabilize_value_gap_us
-        ):
-            state.fast_floor_us = None
-            repaired.append("fast")
-        if repaired:
-            self._note_stabilization("floors", floors=repaired)
 
     def _try_suppress(self, envelope: Envelope, msg: CCSMessage) -> None:
         """Withdraw our queued-but-untransmitted CCS message for a round
@@ -1119,9 +662,9 @@ class ConsistentTimeService(TimeSource):
         handler = self._handlers.get(msg.thread_id)
         if (
             handler is not None
-            and handler.pending is not None
-            and handler.pending.sent
-            and handler.pending.round_number == msg.round_number
+            and handler.in_flight is not None
+            and handler.in_flight.sent
+            and handler.in_flight.round_number == msg.round_number
         ):
             cancelled = self.replica.endpoint.cancel_pending(
                 self._matches_my_ccs(msg.thread_id, msg.round_number)
@@ -1156,7 +699,7 @@ class ConsistentTimeService(TimeSource):
     def _handler(self, thread_id: str) -> CCSHandler:
         if thread_id not in self._handlers:
             handler = CCSHandler(
-                self.sim, thread_id, self._initial_rounds.get(thread_id, 0)
+                thread_id, self._initial_rounds.get(thread_id, 0)
             )
             handler.last_op_id = self._initial_ops.get(thread_id, (0, 0))
             self._handlers[thread_id] = handler
@@ -1177,16 +720,8 @@ class ConsistentTimeService(TimeSource):
             m for m in self.my_common_input_buffer
             if m.thread_id != handler.my_thread_id
         ]
-        # Per-op mode: the current round was already numbered when the
-        # drain runs, so "not yet consumed" means round >= my_round_number.
-        # Coalesced mode: my_round_number IS the consumption point.
-        threshold = (
-            handler.my_round_number
-            if self.coalesce
-            else handler.my_round_number - 1
-        )
         for msg in matching:
-            if msg.round_number > threshold:
+            if msg.round_number > handler.my_round_number:
                 handler.recv_CCS_msg(msg)
 
     # ------------------------------------------------------------------
@@ -1200,7 +735,7 @@ class ConsistentTimeService(TimeSource):
         # still blocked with no CCS message received must now be driven
         # by us — unless the old primary's message already arrived.
         for handler in self._handlers.values():
-            pending = handler.pending
+            pending = handler.in_flight
             if (
                 pending is not None
                 and not pending.sent

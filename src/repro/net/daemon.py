@@ -98,7 +98,8 @@ class DaemonConfig:
     group: str = "timesvc"
     style: str = "active"
     time_source: str = "cts"
-    #: Round amortization: concurrent clock operations share CCS rounds.
+    #: Overlap request execution so concurrent clock operations share
+    #: CCS rounds (False: serial execution, one round per operation).
     coalesce: bool = True
     #: Serve drift-bounded reads locally between rounds (CTS only).
     fast_path: bool = False
@@ -356,6 +357,11 @@ class NodeDaemon:
                 f"unknown style {config.style!r}; choose from {sorted(STYLES)}")
         self.config = config
         self.kernel = kernel or LiveKernel()
+        if config.metrics_port is not None or config.trace_dir is not None:
+            # Before the replica exists: its time source exports its
+            # configuration gauges once, at construction.
+            if not obs.REGISTRY.enabled:
+                obs.REGISTRY.enable(clock=lambda: self.kernel.now)
         host, port = config.peers[config.node_id]
         self.auth = None
         if config.auth_key is not None:
@@ -474,12 +480,10 @@ class NodeDaemon:
             self.shutdown()
 
     def start_observability(self) -> None:
-        """Bring up the observability sidecars the config asks for:
-        metrics registry + scrape endpoint, trace shards, flight ring."""
+        """Bring up the observability sidecars the config asks for
+        (the metrics registry itself is on since construction): scrape
+        endpoint, trace shards, flight ring."""
         config = self.config
-        if config.metrics_port is not None or config.trace_dir is not None:
-            if not obs.REGISTRY.enabled:
-                obs.REGISTRY.enable(clock=lambda: self.kernel.now)
         if config.metrics_port is not None:
             self._metrics_server = MetricsHttpServer(port=config.metrics_port)
             task = self.kernel.loop.create_task(self._metrics_server.start())

@@ -19,14 +19,13 @@ Frame layout (all integers little-endian)::
            2  version 1 byte   WIRE_VERSION
            3  length  4 bytes  byte length of the body
            7  body    = src-node (length-prefixed UTF-8)
-                      + flags (1 byte, v3+)
+                      + flags (1 byte)
                       + trace context (if flag bit 0: trace id + causal
                         parent, both length-prefixed UTF-8)
                       + payload bytes
 
-v2 frames (no flags byte, no trace context) still decode: the trace
-context is the *optional* observability field of v3, and a mixed-version
-ring degrades to untraced frames rather than refusing to interoperate.
+A frame of any other version is rejected (``FrameError.reason ==
+"version"``).
 
 Payload layout: a one-byte kind tag followed by kind-specific fields.
 :class:`~repro.totem.messages.RegularMessage` payloads nest recursively
@@ -73,8 +72,6 @@ MAGIC = b"CT"
 #: v3: a flags byte after the source, with an optional trace context
 #: (trace id + causal parent) for cross-node causal tracing.
 WIRE_VERSION = 3
-#: Versions this decoder accepts (v2 frames simply carry no trace).
-ACCEPTED_VERSIONS = (2, 3)
 #: magic + version + length.
 HEADER_SIZE = 7
 #: Frame flag: a trace context follows the source field.
@@ -339,8 +336,8 @@ def unframe_ex(data: bytes, *, auth=None,
     """Validate a frame; returns ``(src_node, trace, payload_bytes)``.
 
     Raises :class:`~repro.errors.FrameError` on anything that is not a
-    complete, accepted-version frame — foreign datagrams, truncation, or
-    trailing garbage.  v2 frames decode with ``trace=None``.
+    complete frame of the current version — foreign datagrams,
+    truncation, or trailing garbage.
 
     With ``auth`` set (a :class:`~repro.net.auth.WireAuthenticator`),
     the frame's auth field is *required* for every ring payload kind
@@ -356,9 +353,8 @@ def unframe_ex(data: bytes, *, auth=None,
                          reason="truncated")
     if data[:2] != MAGIC:
         raise FrameError(f"bad magic {data[:2]!r}", reason="magic")
-    version = data[2]
-    if version not in ACCEPTED_VERSIONS:
-        raise FrameError(f"unsupported wire version {version}",
+    if data[2] != WIRE_VERSION:
+        raise FrameError(f"unsupported wire version {data[2]}",
                          reason="version")
     (length,) = struct.unpack_from("<I", data, 3)
     body = data[HEADER_SIZE:]
@@ -376,52 +372,50 @@ def unframe_ex(data: bytes, *, auth=None,
                          reason="source")
     trace: Optional[TraceContext] = None
     authenticated = False
-    if version >= 3:
-        if offset >= len(body):
-            raise FrameError("frame truncated before the flags byte",
-                             reason="truncated")
-        flags = body[offset]
-        offset += 1
-        if flags & ~_KNOWN_FLAGS:
-            raise FrameError(f"unknown frame flags {flags:#04x}",
+    if offset >= len(body):
+        raise FrameError("frame truncated before the flags byte",
+                         reason="truncated")
+    flags = body[offset]
+    offset += 1
+    if flags & ~_KNOWN_FLAGS:
+        raise FrameError(f"unknown frame flags {flags:#04x}",
+                         reason="trace")
+    if flags & _FLAG_TRACE:
+        try:
+            trace_id, offset = _unpack_str(body, offset)
+            parent, offset = _unpack_str(body, offset)
+        except (struct.error, IndexError, UnicodeDecodeError) as exc:
+            raise FrameError(f"malformed trace context: {exc}",
+                             reason="trace") from exc
+        if offset > len(body):
+            raise FrameError("trace context overruns the body",
                              reason="trace")
-        if flags & _FLAG_TRACE:
-            try:
-                trace_id, offset = _unpack_str(body, offset)
-                parent, offset = _unpack_str(body, offset)
-            except (struct.error, IndexError, UnicodeDecodeError) as exc:
-                raise FrameError(f"malformed trace context: {exc}",
-                                 reason="trace") from exc
-            if offset > len(body):
-                raise FrameError("trace context overruns the body",
-                                 reason="trace")
-            trace = TraceContext(trace_id, parent)
-        if flags & _FLAG_AUTH:
-            from .auth import AUTH_FIELD_SIZE, MAC_SIZE
+        trace = TraceContext(trace_id, parent)
+    if flags & _FLAG_AUTH:
+        from .auth import AUTH_FIELD_SIZE, MAC_SIZE
 
-            if len(body) - offset < AUTH_FIELD_SIZE:
-                raise FrameError(
-                    f"auth field truncated ({len(body) - offset} of "
-                    f"{AUTH_FIELD_SIZE} bytes)", reason="auth-truncated")
-            key_id = body[offset]
-            (nonce,) = struct.unpack_from("<Q", body, offset + 1)
-            mac = body[offset + 9:offset + 9 + MAC_SIZE]
-            signed_prefix = body[:offset]
-            offset += AUTH_FIELD_SIZE
-            if auth is not None:
-                auth.verify(
-                    dst=auth_node or "", src=src, key_id=key_id,
-                    nonce=nonce, mac=mac,
-                    signed_bytes=(signed_prefix
-                                  + bytes([key_id])
-                                  + struct.pack("<Q", nonce)
-                                  + body[offset:]))
-                authenticated = True
+        if len(body) - offset < AUTH_FIELD_SIZE:
+            raise FrameError(
+                f"auth field truncated ({len(body) - offset} of "
+                f"{AUTH_FIELD_SIZE} bytes)", reason="auth-truncated")
+        key_id = body[offset]
+        (nonce,) = struct.unpack_from("<Q", body, offset + 1)
+        mac = body[offset + 9:offset + 9 + MAC_SIZE]
+        signed_prefix = body[:offset]
+        offset += AUTH_FIELD_SIZE
+        if auth is not None:
+            auth.verify(
+                dst=auth_node or "", src=src, key_id=key_id,
+                nonce=nonce, mac=mac,
+                signed_bytes=(signed_prefix
+                              + bytes([key_id])
+                              + struct.pack("<Q", nonce)
+                              + body[offset:]))
+            authenticated = True
     if auth is not None and not authenticated:
         # Auth required: only the bare-envelope client channel is exempt
         # (clients hold no group key; their requests never enter the
-        # ring unmediated).  v2 frames cannot carry a MAC, so a version
-        # downgrade cannot smuggle an unauthenticated ring frame in.
+        # ring unmediated).
         if offset >= len(body) or body[offset] != _KIND_ENVELOPE:
             raise FrameError(
                 f"unauthenticated ring frame from {src!r} "

@@ -98,7 +98,7 @@ class ReplicaContext:
         ):
             kwargs["floor_us"] = after_us
         if self.request_index is not None and getattr(
-            source, "supports_concurrent_reads", False
+            source, "accepts_op_ids", False
         ):
             self._read_seq += 1
             return source.read(

@@ -211,16 +211,15 @@ class StateTransferManager:
             return  # we are recovering ourselves; someone else serves
         # Special CCS round: a clock value immediately before the checkpoint.
         if replica.runs_special_round():
-            if getattr(replica.time_source, "supports_concurrent_reads", False):
-                # A locally-served fast-path value would skip the round the
-                # recovering replica integrates its clock from: force one.
-                yield replica.time_source.read(
-                    replica.main_thread_id, "gettimeofday", fast_ok=False
-                )
-            else:
-                yield replica.time_source.read(
-                    replica.main_thread_id, "gettimeofday"
-                )
+            # A locally-served fast-path value would skip the round the
+            # recovering replica integrates its clock from: force one.
+            force = (
+                {"fast_ok": False}
+                if getattr(replica.time_source, "fast_path", False) else {}
+            )
+            yield replica.time_source.read(
+                replica.main_thread_id, "gettimeofday", **force
+            )
         # The designated member (view primary, excluding the target) sends.
         members = [m for m in replica.endpoint.view.members if m != target]
         if not members or members[0] != replica.node_id:

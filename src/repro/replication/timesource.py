@@ -35,12 +35,14 @@ class TimeSource(abc.ABC):
     #: Human-readable name used in experiment reports.
     name = "abstract"
 
-    #: True when the source can serve overlapping reads on one thread
-    #: (the consistent time service with coalesced rounds).  The replica
-    #: runtime pipelines request execution only when this is set; sources
-    #: that support it accept an ``op_id`` keyword identifying each
-    #: operation replica-independently.
+    #: True when the replica runtime should pipeline request execution,
+    #: overlapping clock reads on one thread (the consistent time service
+    #: deployed with ``coalesce=True``).
     supports_concurrent_reads = False
+
+    #: True when ``read`` accepts an ``op_id`` keyword identifying the
+    #: operation replica-independently as ``(request_index, read_seq)``.
+    accepts_op_ids = False
 
     @abc.abstractmethod
     def read(self, thread_id: str, call_name: str = "gettimeofday") -> Event:

@@ -6,7 +6,7 @@ population, and bounds the skew *between* them:
 
 * :mod:`repro.shard.ring` — deterministic client→shard placement: a
   consistent-hash ring with virtual nodes (minimal reassignment on
-  topology change) and a rendezvous-hash fallback;
+  topology change);
 * :mod:`repro.shard.summary` — the signed clock summary shards exchange;
 * :mod:`repro.shard.overlay` — the gradient sync overlay: each shard's
   primary periodically sends its summary to its ring neighbors, and the
@@ -29,7 +29,7 @@ cycle back into ``repro.net``.
 
 from __future__ import annotations
 
-from .ring import HashRing, RendezvousHash
+from .ring import HashRing
 from .summary import ShardSummary
 
 _LAZY = {
@@ -45,7 +45,6 @@ _LAZY = {
 
 __all__ = [
     "HashRing",
-    "RendezvousHash",
     "ShardSummary",
     *sorted(_LAZY),
 ]

@@ -162,7 +162,6 @@ class ShardedTestbed(TestbedBase):
         *,
         fast_path: bool = True,
         max_staleness_us: int = 2_000,
-        coalesce: bool = True,
         steering_proportion: float = 0.5,
         steering_max_step_us: int = 2_000,
         **deploy_kwargs,
@@ -182,7 +181,7 @@ class ShardedTestbed(TestbedBase):
                 nodes=self.server_nodes_of(shard),
                 style="active", time_source="cts", drift=steering,
                 fast_path=fast_path, max_staleness_us=max_staleness_us,
-                coalesce=coalesce, **deploy_kwargs,
+                **deploy_kwargs,
             )
 
     # -- group clock access ---------------------------------------------

@@ -1,4 +1,4 @@
-"""Shard placement: consistent hashing with a rendezvous fallback.
+"""Shard placement: consistent hashing.
 
 One CCS group serves one *shard* of the client population (ROADMAP
 item 1).  The routing tier needs a deterministic ``client key -> shard``
@@ -13,13 +13,10 @@ map with two properties the gateway relies on:
 
 :class:`HashRing` is the classic token ring (each shard owns
 ``vnodes`` pseudo-random points on a 64-bit circle; a key is owned by
-the first token clockwise from its hash).  :class:`RendezvousHash` is
-the highest-random-weight fallback — no token table, same minimal
-reassignment guarantee — used when a ring would be overkill (very small
-shard counts) or as a cross-check in tests.
+the first token clockwise from its hash).
 
-Both are pure functions of ``(members, salt)``: hashing is SHA-256, so
-placement is identical across processes, platforms and Python versions
+Placement is a pure function of ``(members, salt)``: hashing is SHA-256,
+so it is identical across processes, platforms and Python versions
 — a gateway tier can be scaled horizontally with no shared state.
 
 The ring also defines the **overlay topology**: :meth:`HashRing.neighbors`
@@ -36,7 +33,7 @@ from typing import Dict, List, Sequence, Tuple
 
 from ..errors import ConfigurationError
 
-__all__ = ["HashRing", "RendezvousHash"]
+__all__ = ["HashRing"]
 
 
 def _hash64(text: str) -> int:
@@ -144,49 +141,3 @@ class HashRing:
         if prev_member == next_member:
             return (prev_member,)
         return (prev_member, next_member)
-
-
-class RendezvousHash:
-    """Highest-random-weight (rendezvous) placement — the ring fallback.
-
-    ``owner(key) = argmax over members of H(member, key)``.  No token
-    table: removal reassigns exactly the departed member's keys, and the
-    balance is ideal in expectation.  O(N) per lookup, so it suits small
-    shard counts; the gateway uses it when the configured ``vnodes`` is
-    zero or the ring would hold fewer than two tokens per member.
-    """
-
-    def __init__(self, members: Sequence, *, salt: str = "shard-hrw"):
-        self.salt = salt
-        self._members: List = []
-        for member in members:
-            self.add(member)
-
-    @property
-    def members(self) -> List:
-        return list(self._members)
-
-    def __len__(self) -> int:
-        return len(self._members)
-
-    def __contains__(self, member) -> bool:
-        return member in self._members
-
-    def add(self, member) -> None:
-        if member in self._members:
-            raise ConfigurationError(f"shard {member!r} already placed")
-        self._members.append(member)
-
-    def remove(self, member) -> None:
-        if member not in self._members:
-            raise ConfigurationError(f"shard {member!r} is not placed")
-        self._members.remove(member)
-
-    def owner(self, key: str):
-        if not self._members:
-            raise ConfigurationError("no members to place keys on")
-        return max(self._members,
-                   key=lambda m: _hash64(f"{self.salt}|{m}|{key}"))
-
-    def assignments(self, keys: Sequence[str]) -> Dict:
-        return {key: self.owner(key) for key in keys}

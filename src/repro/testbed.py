@@ -148,11 +148,13 @@ class TestbedBase:
 
         ``time_source`` is ``"cts"`` (consistent time service), one of the
         baseline names (``"local"``, ``"primary-backup"``, ``"ntp"``), or
-        a factory ``Replica -> TimeSource``.  ``coalesce``, ``fast_path``
-        and ``max_staleness_us`` configure the CTS round amortization and
-        the drift-bounded read fast path; ``byzantine`` arms the winner
-        sanity filter and self-stabilization path (all ignored for
-        baselines).
+        a factory ``Replica -> TimeSource``.  ``coalesce`` lets the CTS
+        replicas overlap clock reads so they share rounds (``False``:
+        serial execution, one round per operation — the same protocol);
+        ``fast_path`` and ``max_staleness_us`` configure the
+        drift-bounded read fast path; ``byzantine`` arms the winner
+        sanity filter and self-stabilization guard.  The three are
+        independent, and all are ignored for baselines.
         """
         if group in self.services:
             raise ConfigurationError(f"group {group!r} already deployed")
@@ -223,20 +225,17 @@ class TestbedBase:
         spec: TimeSourceSpec,
         style: str,
         drift: Optional[DriftCompensation],
-        *,
-        coalesce: bool = True,
-        fast_path: bool = False,
-        max_staleness_us: int = 2_000,
-        byzantine: bool = False,
+        **cts_options,
     ) -> Callable[[Replica], TimeSource]:
+        """``cts_options`` (``coalesce``, ``fast_path``,
+        ``max_staleness_us``, ``byzantine``) reach the consistent time
+        service verbatim; every other source ignores them."""
         if callable(spec):
             return spec
         if spec == "cts":
             mode = MODE_ACTIVE if style == "active" else MODE_PRIMARY
             return lambda replica: ConsistentTimeService(
-                replica, mode=mode, drift=drift,
-                coalesce=coalesce, fast_path=fast_path,
-                max_staleness_us=max_staleness_us, byzantine=byzantine,
+                replica, mode=mode, drift=drift, **cts_options
             )
         if spec == "local":
             return LocalClockSource

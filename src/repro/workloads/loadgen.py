@@ -410,9 +410,8 @@ def record_shard_benchmark(path, single: LoadgenShardResult,
 def _mode_label(time_source: str, coalesce: bool, fast_path: bool) -> str:
     if time_source != "cts":
         return time_source
-    if fast_path:
-        return "coalesced+fast-path"
-    return "coalesced" if coalesce else "per-op-rounds"
+    base = "coalesced" if coalesce else "per-op-rounds"
+    return f"{base}+fast-path" if fast_path else base
 
 
 def run_loadgen(

@@ -3,9 +3,11 @@
 import pytest
 
 from repro.core import CCSMessage
-from repro.core.ccs_handler import CCSHandler, PendingRound
+from repro.core.ccs_handler import CCSHandler, PendingOp, RoundInFlight
 from repro.errors import TimeServiceError
 from repro.sim import Simulator
+
+from support import ClockApp, call_n, make_testbed  # noqa: E402 (tests/ on sys.path via conftest)
 
 
 def msg(round_number, value=1000, thread="0:main"):
@@ -18,25 +20,67 @@ def sim():
 
 
 @pytest.fixture
-def handler(sim):
-    return CCSHandler(sim, "0:main")
+def handler():
+    return CCSHandler("0:main")
+
+
+def op(sim, req, seq=1):
+    return PendingOp((req, seq), None, sim.event(), 0.0)
+
+
+def in_flight(round_number, covers):
+    return RoundInFlight(round_number, covers, 0, 0, 1, False, 0.0)
 
 
 class TestRounds:
-    def test_rounds_increment(self, handler):
-        assert handler.next_round() == 1
-        handler.pending = None
-        assert handler.next_round() == 2
+    def test_rounds_increment(self):
+        # Figure 2 line 9 in the one round engine: the round counter is
+        # the consumption point, and sequential operations move it one
+        # round each.
+        bed = make_testbed(seed=230)
+        bed.deploy("svc", ClockApp, ["n1", "n2", "n3"])
+        client = bed.client("n0")
+        bed.start()
+        call_n(bed, client, "svc", "get_time", 2)
+        handlers = [next(iter(r.time_source._handlers.values()))
+                    for r in bed.replicas("svc").values()]
+        before = [h.my_round_number for h in handlers]
+        call_n(bed, client, "svc", "get_time", 3)
+        bed.run(0.05)
+        assert [h.my_round_number for h in handlers] == [b + 3 for b in before]
 
-    def test_start_round_offset_from_transfer(self, sim):
-        handler = CCSHandler(sim, "0:main", start_round=17)
-        assert handler.next_round() == 18
+    def test_start_round_offset_from_transfer(self):
+        handler = CCSHandler("0:main", start_round=17)
+        assert handler.my_round_number == 17
 
-    def test_concurrent_round_in_same_thread_rejected(self, sim, handler):
-        handler.next_round()
-        handler.pending = PendingRound(1, 0, 1, 0, False, sim.event(), 0.0)
-        with pytest.raises(TimeServiceError, match="still blocked"):
-            handler.next_round()
+    def test_park_keeps_operation_order(self, sim, handler):
+        for req in (3, 1, 2):
+            handler.park(op(sim, req))
+        assert [p.op_id for p in handler.parked] == [(1, 1), (2, 1), (3, 1)]
+
+    def test_take_covered_serves_up_to_the_covering_point(self, sim, handler):
+        for req in (1, 2, 3):
+            handler.park(op(sim, req))
+        served = handler.take_covered((2, 1))
+        assert [p.op_id for p in served] == [(1, 1), (2, 1)]
+        assert [p.op_id for p in handler.parked] == [(3, 1)]
+        # The default covering point names no operation.
+        assert handler.take_covered(msg(2).covers) == []
+
+    def test_fallback_op_ids_continue_the_thread_sequence(self, handler):
+        assert handler.assign_op_id(None) == (0, 1)
+        assert handler.assign_op_id((4, 2)) == (4, 2)
+        assert handler.assign_op_id(None) == (4, 3)
+
+    def test_abort_fails_parked_ops_and_withdraws_the_round(self, sim, handler):
+        parked = op(sim, 1)
+        handler.park(parked)
+        handler.in_flight = in_flight(1, (1, 1))
+        assert handler.abort_pending("test") is True
+        assert handler.parked == [] and handler.in_flight is None
+        assert parked.result.triggered and not parked.result.ok
+        assert isinstance(parked.result.value, TimeServiceError)
+        assert handler.abort_pending("again") is False
 
 
 class TestBuffer:
@@ -53,18 +97,6 @@ class TestBuffer:
     def test_pop_empty_raises(self, handler):
         with pytest.raises(TimeServiceError, match="empty buffer"):
             handler.pop_message()
-
-    def test_recv_wakes_waiter_on_empty_buffer_only(self, sim, handler):
-        waiter = handler.wait_for_message()
-        handler.recv_CCS_msg(msg(1))
-        assert waiter.triggered
-        # Second message: buffer non-empty, no new waiter woken (none set).
-        handler.recv_CCS_msg(msg(2))
-
-    def test_double_waiter_rejected(self, handler):
-        handler.wait_for_message()
-        with pytest.raises(TimeServiceError, match="blocked waiter"):
-            handler.wait_for_message()
 
     def test_drop_through_discards_stale_rounds(self, handler):
         for r in range(1, 6):

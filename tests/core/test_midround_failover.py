@@ -49,7 +49,7 @@ class TestMidRoundFailover:
         bed.run(0.0006)  # backups have reached the op; primary has not
         blocked = [
             r for r in backups
-            if any(h.pending is not None
+            if any(h.in_flight is not None
                    for h in r.time_source._handlers.values())
         ]
         assert blocked, "expected backups blocked mid-round"

@@ -148,3 +148,45 @@ class TestReadings:
         assert thread_id.endswith(":main")
         assert call == "gettimeofday"
         assert value.micros > 0
+
+
+class SteppingNode:
+    """Stands in for the service's node: every clock read is ``step_us``
+    later than the one before, as on a wall clock (the simulated node
+    clock stands still within one event)."""
+
+    def __init__(self, node, step_us):
+        self._node = node
+        self._step_us = step_us
+        self.readings = []
+
+    def read_clock_us(self):
+        value = (self._node.read_clock_us()
+                 + self._step_us * (len(self.readings) + 1))
+        self.readings.append(value)
+        return value
+
+
+class TestFastPathStaleness:
+    def test_recorded_staleness_is_the_checked_one(self):
+        budget = 2_000
+        bed, client = build_service(seed=211, fast_path=True,
+                                    max_staleness_us=budget)
+        call_n(bed, client, "svc", "get_time", 3)  # commits an anchor
+        service = bed.replicas("svc")["n1"].time_source
+        anchor = service._last_commit_physical_us
+        node = service.node = SteppingNode(service.node, step_us=450)
+        before = len(service.fast_served)
+        fallbacks = service.stats.fast_path_fallbacks
+        # A fresh thread is quiescent, so every read tries the fast path
+        # until the stepping clock walks it past the budget.
+        while service.stats.fast_path_fallbacks == fallbacks:
+            service.read("9:probe", "gettimeofday")
+        served = [elapsed for _, _, elapsed in service.fast_served[before:]]
+        assert served and all(0 <= elapsed <= budget for elapsed in served)
+        # What is recorded is the reading the budget check saw: one
+        # clock read per fast read, plus the one that fell back (and the
+        # proposal reading of the round it fell back to).
+        assert served == [r - anchor for r in node.readings[:len(served)]]
+        assert node.readings[len(served)] - anchor > budget
+        bed.run(0.05)

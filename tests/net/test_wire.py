@@ -101,14 +101,15 @@ class TestTraceField:
         _, _, decoded = decode_frame_ex(data)
         assert decoded is None
 
-    def test_v2_frame_without_flags_byte_decodes(self):
+    def test_v2_frame_without_flags_byte_rejected(self):
+        # Nothing emits v2 (no flags byte, no trace context) any more; a
+        # well-formed v2 frame is refused by version, not mis-parsed.
         payload_bytes = encode_payload(sample_envelope())
         body = _pack_str("n1") + payload_bytes
         data = MAGIC + bytes([2]) + struct.pack("<I", len(body)) + body
-        src, decoded, tctx = decode_frame_ex(data)
-        assert src == "n1"
-        assert decoded == sample_envelope()
-        assert tctx is None
+        with pytest.raises(FrameError, match="unsupported wire version") as exc:
+            decode_frame_ex(data)
+        assert exc.value.reason == "version"
 
     def test_unknown_flag_bits_rejected(self):
         body = _pack_str("n0") + bytes([0x80]) + b"x"

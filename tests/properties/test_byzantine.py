@@ -200,5 +200,5 @@ class TestPinnedRegressions:
         bed.deploy("svc", ClockApp, REPLICAS, style="active",
                    time_source="cts")
         service = next(iter(bed.replicas("svc").values())).time_source
-        assert service.byzantine is False
+        assert service.guard is None
         assert service.stats.winners_rejected == 0

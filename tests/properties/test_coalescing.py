@@ -18,7 +18,6 @@ from the per-operation protocol:
   ``max_staleness_us`` of local elapsed time after the last round.
 """
 
-import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -44,13 +43,15 @@ def run_concurrent(
     max_staleness_us=2_000,
     crash_at=None,
     session=False,
+    coalesce=True,
 ):
     """Drive ``concurrency`` closed-loop workers; returns the testbed
     and each worker's answered values, in call order."""
     bed = make_testbed(seed=seed, epoch_spread_s=10.0, loss_rate=loss_rate,
                        drift_ppm_max=drift_ppm)
     bed.deploy("svc", ClockApp, ["n1", "n2", "n3"], time_source="cts",
-               fast_path=fast_path, max_staleness_us=max_staleness_us)
+               fast_path=fast_path, max_staleness_us=max_staleness_us,
+               coalesce=coalesce)
     client = bed.client("n0")
     bed.start(settle=0.3)
     if crash_at is not None:
@@ -236,10 +237,20 @@ class TestFastPathInvariants:
             check_agreement(bed)
             check_replica_monotone(bed)
 
-    def test_fast_path_requires_coalescing(self):
-        from repro.errors import TimeServiceError
-
-        bed = make_testbed(seed=1)
-        with pytest.raises(TimeServiceError):
-            bed.deploy("svc", ClockApp, ["n1"], time_source="cts",
-                       coalesce=False, fast_path=True)
+    def test_fast_path_with_serial_execution(self):
+        # ``coalesce=False`` only stops the replica overlapping reads;
+        # the fast path runs over the same round engine.  Under loss a
+        # replica that fast-served an operation meets a round another
+        # replica opened for it, so retained rounds (keyed by explicit
+        # operation ids) must survive until the operation is issued.
+        bed, per_worker = run_concurrent(
+            0, concurrency=3, calls_each=30, loss_rate=0.05,
+            drift_ppm=200.0, fast_path=True, max_staleness_us=400,
+            coalesce=False)
+        assert all(len(values) == 30 for values in per_worker)
+        stats = [r.time_source.stats for r in bed.replicas("svc").values()]
+        assert all(s.fast_path_hits > 0 for s in stats)
+        assert all(s.ops_coalesced == 0 for s in stats)
+        check_agreement(bed)
+        check_replica_monotone(bed)
+        check_offset_identity(bed)

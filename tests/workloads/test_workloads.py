@@ -155,6 +155,34 @@ class TestThroughputWorkload:
         assert sorted(sweep) == [500, 1_000]
 
 
+class TestSerialExecution:
+    """``coalesce`` only decides whether the replica overlaps reads: the
+    paper's one-round-per-operation protocol is the round engine run
+    serially, not a second code path."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_same_protocol(self, seed):
+        from repro.workloads import run_latency_workload, run_loadgen
+
+        # Figure 5's client is sequential, so nothing can overlap and
+        # both settings must produce the very same simulated run.
+        serial = run_latency_workload(invocations=1_000, seed=seed,
+                                      coalesce=False)
+        pipelined = run_latency_workload(invocations=1_000, seed=seed,
+                                         coalesce=True)
+        assert serial.latencies_us == pipelined.latencies_us
+        assert serial.ccs_transmitted == pipelined.ccs_transmitted
+        assert serial.ops_coalesced == pipelined.ops_coalesced == 0
+
+        # Under concurrency a serial replica still runs one round per
+        # operation (the only extras are the start-up special rounds).
+        loaded = run_loadgen(concurrency=16, duration_s=0.3, seed=seed,
+                             coalesce=False)
+        assert loaded.errors == 0
+        assert loaded.ops_coalesced == 0
+        assert loaded.ccs_per_op == pytest.approx(1.0, rel=1e-3)
+
+
 class TestLoadgenChaos:
     def test_faults_on_point_stays_bounded(self):
         # A lossy wire plus a crash/recover cycle mid-window: the retry
