@@ -16,7 +16,8 @@ from pathlib import Path
 
 from repro.analysis import format_table
 from repro.workloads import (
-    record_benchmark,
+    append_run,
+    comparison_run,
     run_loadgen_comparison,
     run_throughput_sweep,
 )
@@ -55,8 +56,8 @@ def test_throughput_capacity(benchmark, report):
         rows.append(
             [
                 rate,
-                f"{local.mean_latency_us:.0f}",
-                f"{cts.mean_latency_us:.0f}",
+                f"{local.mean_us:.0f}",
+                f"{cts.mean_us:.0f}",
             ]
         )
     report.table(
@@ -66,10 +67,10 @@ def test_throughput_capacity(benchmark, report):
         )
     )
 
-    base_local = results["local"][RATES[0]].mean_latency_us
-    base_cts = results["cts"][RATES[0]].mean_latency_us
-    top_local = results["local"][RATES[-1]].mean_latency_us
-    top_cts = results["cts"][RATES[-1]].mean_latency_us
+    base_local = results["local"][RATES[0]].mean_us
+    base_cts = results["cts"][RATES[0]].mean_us
+    top_local = results["local"][RATES[-1]].mean_us
+    top_cts = results["cts"][RATES[-1]].mean_us
     report.line(
         f"at {RATES[-1]} ops/s: local latency x{top_local / base_local:.1f} "
         f"vs unloaded; CTS latency x{top_cts / base_cts:.0f}"
@@ -82,7 +83,7 @@ def test_throughput_capacity(benchmark, report):
     # With CTS the top rate is far past saturation: queueing blow-up.
     assert top_cts > 20 * base_cts
     # But at moderate rates the CTS keeps up fine.
-    assert results["cts"][4_000].mean_latency_us < 3 * base_cts
+    assert results["cts"][4_000].mean_us < 3 * base_cts
 
 
 def test_coalescing_trajectory(benchmark, report):
@@ -111,7 +112,8 @@ def test_coalescing_trajectory(benchmark, report):
     )
     rows = [
         [r.mode, f"{r.ops_per_s:.0f}", f"{r.p50_us:.0f}",
-         f"{r.p99_us:.0f}", f"{r.ccs_per_op:.3f}", r.fast_path_hits]
+         f"{r.p99_us:.0f}", f"{r.extra['ccs_per_op']:.3f}",
+         r.extra["fast_path_hits"]]
         for r in results.values()
     ]
     report.table(format_table(
@@ -122,11 +124,11 @@ def test_coalescing_trajectory(benchmark, report):
     report.line("claim: concurrent operations share rounds, so throughput "
                 "scales with concurrency instead of the round rate.")
 
-    record_benchmark(BENCH_JSON, results)
+    append_run(BENCH_JSON, comparison_run(results.values()))
 
     # Acceptance: round amortization + fast path is >= 3x per-op rounds
     # at this concurrency, with a visibly cheaper wire bill.
     assert speedup >= 3.0
-    assert amortized.ccs_per_op < 0.5 < per_op.ccs_per_op
-    assert amortized.ops_coalesced > 0
-    assert amortized.fast_path_hits > 0
+    assert amortized.extra["ccs_per_op"] < 0.5 < per_op.extra["ccs_per_op"]
+    assert amortized.extra["ops_coalesced"] > 0
+    assert amortized.extra["fast_path_hits"] > 0

@@ -16,7 +16,13 @@ from .stats import (
     probability_density,
     summarize,
 )
-from .tables import ascii_pdf_plot, ascii_series, format_table, sparkline
+from .tables import (
+    ascii_pdf_plot,
+    ascii_series,
+    format_records,
+    format_table,
+    sparkline,
+)
 
 __all__ = [
     "Operation",
@@ -27,6 +33,7 @@ __all__ = [
     "check_no_duplicates",
     "ascii_pdf_plot",
     "ascii_series",
+    "format_records",
     "format_table",
     "histogram",
     "linear_fit",

@@ -7,7 +7,7 @@ terminal and in ``bench_output.txt``.
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import Dict, List, Sequence, Tuple
 
 
 def format_table(headers: Sequence[str], rows: Sequence[Sequence], *,
@@ -28,6 +28,18 @@ def format_table(headers: Sequence[str], rows: Sequence[Sequence], *,
     for row in text_rows:
         lines.append("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)))
     return "\n".join(lines)
+
+
+def format_records(columns: Sequence[Tuple[str, str, str]],
+                   records: Sequence[Dict], *, title: str = "") -> str:
+    """Render dict ``records`` (``to_dict()`` rows) as a table.  Each
+    column is (header, key, format spec); a record without the key
+    shows ``-``."""
+    return format_table(
+        [header for header, _, _ in columns],
+        [[format(record[key], spec) if key in record else "-"
+          for _, key, spec in columns] for record in records],
+        title=title)
 
 
 #: Eight-level vertical bars for terminal sparklines.

@@ -6,18 +6,18 @@ Runs one scenario end to end, in process but over real sockets:
    wrapped in a seeded :class:`~repro.chaos.transport.ChaosTransport`;
 2. deploy the daemon's :class:`~repro.net.daemon.TimeApp` on every node
    (active replication, CTS time source, fast path on so the staleness
-   invariant is exercised) and interpose a
-   :class:`~repro.net.daemon.ClientGateway` on each, exactly as
+   invariant is exercised) and front each with a client gateway
+   (:meth:`~repro.net.testbed.LiveTestbed.install_gateway`), exactly as
    ``repro serve`` does — crash/recover of a node is therefore the
-   in-process equivalent of stopping and restarting a daemon;
+   in-process equivalent of stopping and restarting a daemon (the bed
+   re-installs the gateway on recover);
 3. compile the scenario into a :class:`~repro.sim.faults.FaultPlan`, arm
-   it, and — for every ``recover`` event — schedule the daemon-restart
-   half (gateway re-interposition + replica re-add via state transfer)
-   in the same kernel tick, so no client frame can reach a bare Totem
-   receiver;
-4. hammer the cluster from threaded :class:`~repro.net.client.LiveCaller`
-   gateway clients riding the session floor (``after_us``), feeding
-   every reply to the :class:`~repro.chaos.oracle.InvariantOracle`;
+   it, and — for every ``recover`` event — schedule the replica re-add
+   (state transfer) in the same kernel tick;
+4. hammer the cluster from
+   :class:`~repro.net.client.ThreadedCallers` gateway clients riding
+   the session floor (``after_us``), feeding every reply to the
+   :class:`~repro.chaos.oracle.InvariantOracle`;
 5. emit a JSON-able verdict: the seeded schedule and its hash, injection
    and client tallies, and the oracle's judgement.
 
@@ -28,87 +28,43 @@ itself (hashed into the verdict, regression-tested byte-identical).
 
 from __future__ import annotations
 
-import threading
-import time
-from typing import Dict, Optional
+from typing import Dict, List, Optional
 
 from .. import trace
 from ..control.plane import ControlPlane
-from ..errors import RpcTimeout
-from ..net.client import LiveCaller
-from ..net.daemon import ClientGateway, TimeApp
+from ..net.client import LiveCaller, ThreadedCallers
+from ..net.daemon import TimeApp
 from ..net.testbed import LiveTestbed
 from ..obs import flight
 from ..obs.crossnode import CrossNodeSpanAssembler, TraceShardWriter, load_shards
-from ..replication.envelope import Envelope
 from .oracle import InvariantOracle
 from .scenario import ChaosScenario, compile_plan
 
 GROUP = "timesvc"
 
 
-class _ChaosClient:
-    """One threaded gateway client feeding the oracle."""
+def oracle_fed_clients(count: int, servers: List,
+                       oracle: InvariantOracle) -> ThreadedCallers:
+    """``count`` threaded gateway clients (``chaos0``, ``chaos1``, ...)
+    whose every served reply the oracle judges.  They pace themselves at
+    ~100 req/s each — plenty of load for a verdict."""
 
-    def __init__(self, index: int, servers, oracle: InvariantOracle,
-                 stop: threading.Event, *, timeout: float = 1.5):
-        self.client_id = f"chaos{index}"
-        self.caller = LiveCaller(servers, client_id=self.client_id)
-        self.oracle = oracle
-        self.stop = stop
-        self.timeout = timeout
-        self.calls = 0
-        self.errors = 0
-        self.thread = threading.Thread(
-            target=self._run, name=self.client_id, daemon=True)
+    def observe(client_id, value_us, started, finished, outcome) -> None:
+        oracle.observe_reply(client_id, value_us, wall_s=finished,
+                             rtt_s=finished - started,
+                             trace_id=outcome.trace_id)
 
-    def _run(self) -> None:
-        last_us: Optional[int] = None
-        while not self.stop.is_set():
-            started = time.monotonic()
-            self.calls += 1
-            try:
-                outcome = self.caller.call("gettimeofday", last_us,
-                                           timeout=self.timeout)
-            except RpcTimeout:
-                self.errors += 1
-                continue
-            finished = time.monotonic()
-            result = outcome.first()
-            if not result.ok:
-                self.errors += 1
-                continue
-            value_us = result.value["micros"]
-            self.oracle.observe_reply(
-                self.client_id, value_us,
-                wall_s=finished, rtt_s=finished - started,
-                trace_id=outcome.trace_id)
-            last_us = value_us
-            time.sleep(0.005)  # ~100 req/s per client is plenty of load
-
-    def close(self) -> None:
-        self.caller.close()
+    return ThreadedCallers(
+        [LiveCaller(servers, client_id=f"chaos{i}") for i in range(count)],
+        on_reply=observe, pace_s=0.005)
 
 
-def _install_gateway(bed: LiveTestbed, node_id: str,
-                     gateways: list) -> None:
-    """Interpose a client gateway in front of the node's Totem receiver
-    (the NodeDaemon dispatch, applied to an in-process testbed node).
-    A recovered node gets a fresh gateway (daemon restart semantics);
-    the old one stays in ``gateways`` so its tallies survive."""
-    node = bed.node(node_id)
-    totem_receiver = node._receiver
-    gateway = ClientGateway(bed.runtimes[node_id], node.iface,
-                            node_id=node_id)
-    gateways.append(gateway)
-
-    def dispatch(frame) -> None:
-        if isinstance(frame.payload, Envelope):
-            gateway.handle(frame)
-        else:
-            totem_receiver(frame)
-
-    node.set_receiver(dispatch)
+def gateway_tallies(bed: LiveTestbed) -> Dict[str, int]:
+    """Client-gateway counters summed over every gateway the bed built
+    (a restarted node's old gateway included)."""
+    return {name: sum(getattr(g, name) for g in bed.gateways)
+            for name in ("requests_injected", "requests_deduplicated",
+                         "requests_shed", "replies_replayed")}
 
 
 def run_chaos(
@@ -144,7 +100,6 @@ def run_chaos(
     oracle = InvariantOracle(staleness_budget_us=max_staleness_us,
                              flight_recorder=recorder,
                              dump_dir=artifacts_dir)
-    gateways: list = []
 
     byzantine = scenario.auth
     bed = LiveTestbed(node_ids=scenario.node_ids, seed=seed,
@@ -157,7 +112,7 @@ def run_chaos(
                    byzantine=byzantine)
         bed.start()
         for node_id in scenario.node_ids:
-            _install_gateway(bed, node_id, gateways)
+            bed.install_gateway(node_id)
         oracle.attach()
         # A replica scripted to lie or equivocate is Byzantine for the
         # whole run: the oracle judges agreement among the others.
@@ -166,19 +121,12 @@ def run_chaos(
                 oracle.mark_faulty(event.target[0])
 
         # Control plane behind the scenario's drain/join events.  A join
-        # that first recovers a crashed node rebuilds its runtime, so the
-        # gateway is re-interposed and the oracle told, exactly as for a
+        # that first recovers a crashed node rebuilds its stack (the bed
+        # re-installs the gateway); the oracle is told, exactly as for a
         # scripted recover.
-        def _node_ready(node_id: str) -> None:
-            oracle.note_recovery(node_id)
-            _install_gateway(bed, node_id, gateways)
+        plane = ControlPlane(bed, group=GROUP,
+                             on_node_ready=oracle.note_recovery)
 
-        plane = ControlPlane(bed, group=GROUP, app_factory=TimeApp,
-                             on_node_ready=_node_ready,
-                             style="active", time_source="cts",
-                             fast_path=fast_path,
-                             max_staleness_us=max_staleness_us,
-                             byzantine=byzantine)
         def _drain(node_id: str) -> bool:
             oracle.note_reconfig(node_id)
             return plane.drain_async(node_id)
@@ -192,17 +140,12 @@ def run_chaos(
 
         plan.arm(bed)
         # The daemon-restart half of every recover event: re-add the
-        # replica (state transfer) and re-interpose the gateway on the
-        # rebuilt runtime.  Scheduled *after* arming at the same event
-        # time, so it runs in the same kernel tick as bed.recover().
+        # replica as deployed (state transfer).  Scheduled *after*
+        # arming at the same event time, so it runs in the same kernel
+        # tick as bed.recover().
         def _restart(node_id: str) -> None:
             oracle.note_recovery(node_id)
-            _install_gateway(bed, node_id, gateways)
-            bed.add_replica(GROUP, node_id, TimeApp,
-                            style="active", time_source="cts",
-                            fast_path=fast_path,
-                            max_staleness_us=max_staleness_us,
-                            byzantine=byzantine)
+            bed.add_replica(GROUP, node_id)
 
         for event in plan.schedule():
             if event.kind == "recover":
@@ -215,27 +158,15 @@ def run_chaos(
 
         servers = [bed.node(node_id).address
                    for node_id in scenario.node_ids]
-        stop = threading.Event()
-        workers = [_ChaosClient(i, servers, oracle, stop)
-                   for i in range(n_clients)]
-        for worker in workers:
-            worker.thread.start()
-
-        deadline = time.monotonic() + duration
-        while time.monotonic() < deadline:
-            bed.run(0.05)
-        grace = time.monotonic() + 10.0
-        while not plan.done and time.monotonic() < grace:
-            bed.run(0.05)
-        stop.set()
-        for worker in workers:
-            worker.thread.join(timeout=self_timeout(worker))
+        callers = oracle_fed_clients(n_clients, servers, oracle)
+        callers.start()
+        bed.pump(duration)
+        bed.pump(10.0, until=lambda: plan.done)  # grace for late faults
+        callers.stop()
+        callers.join()
         bed.run(0.2)  # let in-flight replies drain before judging
         oracle.finish(bed, group=GROUP)
 
-        calls = sum(w.calls for w in workers)
-        errors = sum(w.errors for w in workers)
-        retries = sum(w.caller.stats.retries for w in workers)
         verdict = {
             "scenario": scenario.name,
             "seed": seed,
@@ -267,23 +198,8 @@ def run_chaos(
                             "stabilizations", 0)
                     for r in bed.replicas(GROUP).values()),
             },
-            "clients": {
-                "count": n_clients,
-                "calls": calls,
-                "errors": errors,
-                "retries": retries,
-                "breaker_skips": sum(
-                    w.caller.stats.breaker_skips for w in workers),
-                "error_rate": (errors / calls) if calls else 1.0,
-            },
-            "gateway": {
-                "requests_injected": sum(
-                    g.requests_injected for g in gateways),
-                "requests_deduplicated": sum(
-                    g.requests_deduplicated for g in gateways),
-                "replies_replayed": sum(
-                    g.replies_replayed for g in gateways),
-            },
+            "clients": callers.report(),
+            "gateway": gateway_tallies(bed),
             "reconfig": list(plane.log),
             "oracle": oracle.report(),
         }
@@ -295,8 +211,6 @@ def run_chaos(
             shard_writer = None
             verdict["trace"] = _trace_section(artifacts_dir)
             verdict["flight_dumps"] = list(recorder.dumps)
-        for worker in workers:
-            worker.close()
         return verdict
     finally:
         oracle.detach()
@@ -327,8 +241,3 @@ def _trace_section(artifacts_dir: str) -> Dict:
         "example": example,
     }
 
-
-def self_timeout(worker: _ChaosClient) -> float:
-    """A worker blocked in one last call returns within its call timeout
-    plus scheduling slack."""
-    return worker.timeout + 2.0

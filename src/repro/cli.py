@@ -58,7 +58,7 @@ from pathlib import Path
 from typing import List, Optional
 
 from . import obs, trace
-from .analysis import format_table, probability_density, summarize
+from .analysis import format_records, format_table, summarize
 from .obs import export as obs_export
 from .core import (
     AlignedReferenceSteering,
@@ -159,105 +159,97 @@ def cmd_ccs(args) -> int:
 
 
 def cmd_loadgen(args) -> int:
-    """Closed-loop load generator: ops/sec, tails, and CCS economy."""
+    """Load generators: ops/sec, tails, and CCS economy.
+
+    Every mode reports the same way: a table of ``to_dict()`` rows and
+    some summary lines on stdout, the run appended to the trajectory
+    with ``--bench-json``, and with ``--assert-counters`` an exit status
+    of 1 if any of the mode's checks — (failed, message) pairs — failed.
+    """
+    from .errors import ConfigurationError
+    from .workloads import append_run
+
+    if args.open_loop:
+        mode = _loadgen_open_loop
+    elif args.shards is not None and not args.chaos:
+        mode = _loadgen_sharded
+    else:
+        mode = _loadgen_flat
+    try:
+        run, checks = mode(args)
+        if args.bench_json:
+            append_run(args.bench_json, run)
+            print(f"benchmark trajectory appended to {args.bench_json}",
+                  file=sys.stderr)
+    except ConfigurationError as error:
+        print(f"loadgen: {error}", file=sys.stderr)
+        return 2
+    failures = ([message for failed, message in checks if failed]
+                if args.assert_counters else [])
+    for failure in failures:
+        print(f"ASSERT: {failure}", file=sys.stderr)
+    return 1 if failures else 0
+
+
+def _loadgen_flat(args):
+    """Closed loop on the paper's bed: one mode, the per-op/coalesced
+    pair (``--compare``), or the faults-on mode (``--chaos``)."""
     from .workloads import (
-        record_benchmark,
+        comparison_run,
         run_loadgen,
         run_loadgen_chaos,
         run_loadgen_comparison,
     )
 
-    if args.open_loop:
-        return _loadgen_open_loop(args)
-    if args.shards is not None and not args.chaos:
-        try:
-            shards = int(args.shards)
-        except ValueError:
-            print(f"loadgen: --shards expects a shard count, got "
-                  f"{args.shards!r}", file=sys.stderr)
-            return 2
-        if shards < 1:
-            print("loadgen: --shards must be >= 1", file=sys.stderr)
-            return 2
-        return _loadgen_sharded(args, shards)
-    if args.duration is None:
-        args.duration = 0.3
+    duration = args.duration if args.duration is not None else 0.3
+    common = dict(concurrency=args.concurrency, seed=args.seed,
+                  max_staleness_us=args.max_staleness_us)
     if args.chaos:
-        args.duration = max(args.duration, 0.6)
-        single = run_loadgen_chaos(
-            concurrency=args.concurrency,
-            duration_s=args.duration,
-            seed=args.seed,
-            max_staleness_us=args.max_staleness_us)
-        results = {single.mode: single}
+        duration = max(duration, 0.6)
+        results = [run_loadgen_chaos(duration_s=duration, **common)]
     elif args.compare or args.bench_json:
         results = run_loadgen_comparison(
-            concurrency=args.concurrency, duration_s=args.duration,
-            seed=args.seed, fast_path=args.fast_path,
-            max_staleness_us=args.max_staleness_us)
+            duration_s=duration, fast_path=args.fast_path, **common).values()
     else:
-        single = run_loadgen(
-            concurrency=args.concurrency, duration_s=args.duration,
-            seed=args.seed, coalesce=args.coalesce,
-            fast_path=args.fast_path,
-            max_staleness_us=args.max_staleness_us)
-        results = {single.mode: single}
-    rows = [
-        [r.mode, f"{r.ops_per_s:.0f}", f"{r.p50_us:.0f}",
-         f"{r.p99_us:.0f}", f"{r.p999_us:.0f}", f"{r.ccs_per_op:.3f}",
-         r.ops_coalesced, r.fast_path_hits]
-        for r in results.values()
-    ]
-    print(format_table(
-        ["mode", "ops/s", "p50 us", "p99 us", "p99.9 us", "CCS/op",
-         "coalesced", "fast hits"],
+        results = [run_loadgen(
+            duration_s=duration, coalesce=args.coalesce,
+            fast_path=args.fast_path, **common)]
+    run = comparison_run(results)
+    rows = [result.to_dict() for result in results]
+    print(format_records(
+        [("mode", "mode", ""), ("ops/s", "ops_per_s", ".0f"),
+         ("p50 us", "p50_us", ".0f"), ("p99 us", "p99_us", ".0f"),
+         ("p99.9 us", "p999_us", ".0f"), ("CCS/op", "ccs_per_op", ".3f"),
+         ("coalesced", "ops_coalesced", ""),
+         ("fast hits", "fast_path_hits", "")],
         rows,
         title=f"LOADGEN closed loop, {args.concurrency} workers x "
-              f"{args.duration:.2f} s"))
-    per_op = results.get("per-op-rounds")
-    amortized = (results.get("coalesced+fast-path")
-                 or results.get("coalesced"))
-    if per_op is not None and amortized is not None and per_op.ops_per_s:
-        print(f"speedup vs per-op rounds: "
-              f"x{amortized.ops_per_s / per_op.ops_per_s:.2f}")
-    chaos = results.get("chaos")
-    if chaos is not None:
-        rate = chaos.errors / max(1, chaos.completed + chaos.errors)
-        print(f"faults on: {chaos.errors} errors over "
-              f"{chaos.completed + chaos.errors} calls "
-              f"({rate:.2%} client-visible), {chaos.retries} retries")
-    if args.bench_json:
-        record_benchmark(args.bench_json, results)
-        print(f"benchmark trajectory appended to {args.bench_json}",
-              file=sys.stderr)
-    if args.assert_counters:
-        failures = []
-        if chaos is not None:
-            # Under faults the bar is a *bounded* client-visible error
-            # rate — retries and backoff mask the crash, not luck.
-            rate = chaos.errors / max(1, chaos.completed + chaos.errors)
-            if chaos.completed <= 0:
-                failures.append("no chaos-mode calls completed")
-            if rate > 0.05:
-                failures.append(
-                    f"chaos error rate {rate:.2%} exceeds the 5% bound")
-            if chaos.ops_coalesced <= 0:
-                failures.append("no operations were coalesced")
-        else:
-            target = amortized or next(iter(results.values()))
-            if target.ops_coalesced <= 0:
-                failures.append("no operations were coalesced")
-            if args.fast_path and target.fast_path_hits <= 0:
-                failures.append("the fast path never served a read")
-            if target.errors:
-                failures.append(f"{target.errors} client calls failed")
-        for failure in failures:
-            print(f"ASSERT: {failure}", file=sys.stderr)
-        return 1 if failures else 0
-    return 0
+              f"{duration:.2f} s"))
+    if "speedup_vs_per_op" in run:
+        print(f"speedup vs per-op rounds: x{run['speedup_vs_per_op']:.2f}")
+    target = rows[-1]  # the amortized mode of a pair, else the only one
+    checks = [(target["ops_coalesced"] <= 0, "no operations were coalesced")]
+    if args.chaos:
+        # Under faults the bar is a *bounded* client-visible error
+        # rate — retries and backoff mask the crash, not luck.
+        calls = target["completed"] + target["errors"]
+        rate = target["errors"] / max(1, calls)
+        print(f"faults on: {target['errors']} errors over {calls} calls "
+              f"({rate:.2%} client-visible), {target['retries']} retries")
+        checks += [
+            (target["completed"] <= 0, "no chaos-mode calls completed"),
+            (rate > 0.05, f"chaos error rate {rate:.2%} exceeds the 5% bound"),
+        ]
+    else:
+        checks += [
+            (args.fast_path and target["fast_path_hits"] <= 0,
+             "the fast path never served a read"),
+            (target["errors"], f"{target['errors']} client calls failed"),
+        ]
+    return run, checks
 
 
-def _loadgen_open_loop(args) -> int:
+def _loadgen_open_loop(args):
     """``loadgen --open-loop``: the shed-before-collapse measurement.
 
     Boots a live cluster behind admission-controlled gateways,
@@ -266,161 +258,109 @@ def _loadgen_open_loop(args) -> int:
     capacity beyond saturation while the excess is answered with typed
     ``Overloaded`` + retry-after; see docs/operations.md.
     """
-    from .control.admission import AdmissionConfig
-    from .workloads import record_overload_benchmark, run_overload_suite
+    from .workloads import run_overload_suite
 
-    config = AdmissionConfig(
-        max_inflight=args.max_inflight,
-        max_global_queue=32,
-        max_client_queue=4,
-        max_queue_delay_s=args.max_queue_delay,
-    )
     duration = args.duration if args.duration is not None else 2.0
     suite = run_overload_suite(
         seed=args.seed, duration_s=duration,
         calibration_s=max(1.5, duration),
-        admission_config=config,
         max_staleness_us=args.max_staleness_us)
-    rows = []
-    base = suite["baseline"]
-    rows.append(["baseline", f"{base['offered_rate_ops_s']:.0f}",
-                 f"{base['goodput_ops_s']:.0f}",
-                 f"{base['shed_rate']:.2%}", f"{base['timeouts']}",
-                 f"{base['p50_us'] / 1000:.1f}",
-                 f"{base['p99_us'] / 1000:.1f}"])
-    for label, point in suite["points"].items():
-        rows.append([label, f"{point['offered_rate_ops_s']:.0f}",
-                     f"{point['goodput_ops_s']:.0f}",
-                     f"{point['shed_rate']:.2%}", f"{point['timeouts']}",
-                     f"{point['p50_us'] / 1000:.1f}",
-                     f"{point['p99_us'] / 1000:.1f}"])
-    print(format_table(
-        ["point", "offered/s", "goodput/s", "shed", "timeouts",
-         "p50 ms", "p99 ms"],
-        rows,
-        title=f"LOADGEN open loop, capacity "
-              f"{suite['capacity_ops_s']:.0f} ops/s "
-              f"(admission max_inflight={config.max_inflight}, "
-              f"queue_delay={config.max_queue_delay_s * 1000:.0f}ms)"))
+    admission = suite["admission"]
+    print(format_records(
+        [("point", "point", ""), ("offered/s", "offered_rate_ops_s", ".0f"),
+         ("goodput/s", "goodput_ops_s", ".0f"), ("shed", "shed_rate", ".2%"),
+         ("timeouts", "timeouts", ""), ("p50 ms", "p50_ms", ".1f"),
+         ("p99 ms", "p99_ms", ".1f")],
+        [dict(point, point=label, p50_ms=point["p50_us"] / 1000,
+              p99_ms=point["p99_us"] / 1000)
+         for label, point in [("baseline", suite["baseline"]),
+                              *suite["points"].items()]],
+        title=f"LOADGEN open loop, capacity {suite['capacity_ops_s']:.0f} "
+              f"ops/s (admission max_inflight={admission['max_inflight']}, "
+              f"queue_delay={admission['max_queue_delay_s'] * 1000:.0f}ms)"))
+    ratio = suite.get("p99_ratio_vs_saturation", 0.0)
     print(f"served p99: 4x vs unloaded x{suite['p99_ratio_vs_baseline']:.2f}"
-          f", 4x vs saturation x"
-          f"{suite.get('p99_ratio_vs_saturation', 0.0):.2f}")
-    if args.bench_json:
-        record_overload_benchmark(args.bench_json, suite)
-        print(f"benchmark trajectory appended to {args.bench_json}",
-              file=sys.stderr)
-    if args.assert_counters:
-        failures = []
-        top = suite["points"][max(suite["points"])]
-        if top["shed"] <= 0:
-            failures.append("overload shed nothing — admission inactive")
-        if top["mean_retry_after_s"] <= 0:
-            failures.append("shed replies carried no retry-after hint")
-        if top["timeouts"] > 0.01 * top["sent"]:
-            failures.append(
-                f"{top['timeouts']} deadline misses — admitted work "
-                "is not being served (collapse, not shed)")
-        if top["goodput_ops_s"] < 0.5 * suite["capacity_ops_s"]:
-            failures.append(
-                f"goodput {top['goodput_ops_s']:.0f} ops/s collapsed "
-                f"below half of capacity {suite['capacity_ops_s']:.0f}")
+          f", 4x vs saturation x{ratio:.2f}")
+    top = suite["points"][max(suite["points"])]
+    return suite, [
+        (top["shed"] <= 0, "overload shed nothing — admission inactive"),
+        (top["mean_retry_after_s"] <= 0,
+         "shed replies carried no retry-after hint"),
+        (top["timeouts"] > 0.01 * top["sent"],
+         f"{top['timeouts']} deadline misses — admitted work is not "
+         "being served (collapse, not shed)"),
+        (top["goodput_ops_s"] < 0.5 * suite["capacity_ops_s"],
+         f"goodput {top['goodput_ops_s']:.0f} ops/s collapsed below half "
+         f"of capacity {suite['capacity_ops_s']:.0f}"),
         # The recorded acceptance bound is 2x at the benchmark seed; the
         # CI smoke allows headroom for shared-runner timing noise while
         # still catching an unbounded-tail regression.
-        ratio = suite.get("p99_ratio_vs_saturation")
-        if ratio is not None and ratio > 3.0:
-            failures.append(
-                f"served p99 grew x{ratio:.2f} from saturation to "
-                "overload — the tail is not bounded")
-        for failure in failures:
-            print(f"ASSERT: {failure}", file=sys.stderr)
-        return 1 if failures else 0
-    return 0
+        (ratio > 3.0, f"served p99 grew x{ratio:.2f} from saturation to "
+                      "overload — the tail is not bounded"),
+    ]
 
 
-def _loadgen_sharded(args, shards: int) -> int:
+def _loadgen_sharded(args):
     """``loadgen --shards N``: aggregate scaling over sharded domains.
 
     Runs the single-shard baseline and the N-shard fleet at the *same
-    per-shard concurrency*, prints per-shard ops/s plus the measured
-    inter-shard skew envelope, and (with ``--bench-json``) appends the
-    scaling measurement to the benchmark trajectory.
+    per-shard concurrency* and reports per-shard ops/s plus the measured
+    inter-shard skew envelope.
     """
-    from .workloads import record_shard_benchmark, run_loadgen_sharded
+    from .errors import ConfigurationError
+    from .workloads import run_loadgen_sharded, shard_scaling_run
 
+    try:
+        shards = int(args.shards)
+    except ValueError:
+        raise ConfigurationError(
+            f"--shards expects a shard count, got {args.shards!r}") from None
     duration = args.duration if args.duration is not None else 0.5
-    concurrency = args.concurrency
-    if concurrency > 8 and shards > 1:
-        # 16 closed-loop workers *per shard* would make the simulated
-        # fleet run for minutes; the default flat-mode concurrency is
-        # not a sensible per-shard population.
-        concurrency = 8
-    single = run_loadgen_sharded(
-        shards=1, shard_size=args.shard_size, concurrency=concurrency,
-        duration_s=duration, seed=args.seed, zipf_s=0.0,
-        fast_path=True, max_staleness_us=args.max_staleness_us)
-    sharded = run_loadgen_sharded(
-        shards=shards, shard_size=args.shard_size, concurrency=concurrency,
-        duration_s=duration, seed=args.seed, zipf_s=args.zipf,
-        fast_path=True, max_staleness_us=args.max_staleness_us)
-
-    ops = sharded.per_shard_ops_per_s()
-    rows = [["single-shard", "-", f"{single.completed}",
-             f"{single.ops_per_s:.0f}", f"{single.p50_us:.0f}",
-             f"{single.p99_us:.0f}"]]
-    for shard in sorted(sharded.per_shard_completed):
-        rows.append([f"shard {shard}", f"{shards}",
-                     f"{sharded.per_shard_completed[shard]}",
-                     f"{ops[shard]:.0f}", "-", "-"])
-    rows.append(["aggregate", f"{shards}", f"{sharded.completed}",
-                 f"{sharded.ops_per_s:.0f}", f"{sharded.p50_us:.0f}",
-                 f"{sharded.p99_us:.0f}"])
-    print(format_table(
-        ["population", "shards", "completed", "ops/s", "p50 us", "p99 us"],
-        rows,
+    # 16 closed-loop workers *per shard* would make the simulated fleet
+    # run for minutes; the default flat-mode concurrency is not a
+    # sensible per-shard population.
+    concurrency = min(args.concurrency, 8) if shards > 1 else args.concurrency
+    common = dict(concurrency=concurrency, duration_s=duration,
+                  seed=args.seed, max_staleness_us=args.max_staleness_us)
+    run = shard_scaling_run(
+        run_loadgen_sharded(shards=1, zipf_s=0.0, **common),
+        run_loadgen_sharded(shards=shards, zipf_s=args.zipf, **common))
+    single, sharded = run["modes"]["single-shard"], run["modes"]["sharded"]
+    print(format_records(
+        [("population", "population", ""), ("shards", "shards", ""),
+         ("completed", "completed", ""), ("ops/s", "ops_per_s", ".0f"),
+         ("p50 us", "p50_us", ".0f"), ("p99 us", "p99_us", ".0f")],
+        [dict(single, population="single-shard", shards="-"),
+         *(dict(row, population=f"shard {shard}", shards=shards)
+           for shard, row in sharded["per_shard"].items()),
+         dict(sharded, population="aggregate")],
         title=f"LOADGEN sharded, {concurrency} workers/shard x "
-              f"{duration:.2f} s" + (f", zipf s={args.zipf}" if args.zipf
-                                     else "")))
-    scaling = (sharded.ops_per_s / single.ops_per_s
-               if single.ops_per_s else 0.0)
-    envelope = sharded.skew_envelope
+              f"{duration:.2f} s"
+              + (f", zipf s={args.zipf}" if args.zipf else "")))
+    scaling = run.get("scaling_vs_single_shard", 0.0)
+    envelope = sharded["skew_envelope"]
     print(f"aggregate scaling vs single shard: x{scaling:.2f}")
     print(f"skew envelope (post-warmup, {envelope.get('samples', 0)} "
           f"samples): max inter-shard {envelope.get('max_skew_us', 0)} us, "
           f"max ring-hop {envelope.get('max_hop_skew_us', 0)} us")
-    if sharded.zipf_s:
-        print(f"zipf imbalance: hottest shard at x{sharded.imbalance:.2f} "
+    if args.zipf:
+        print(f"zipf imbalance: hottest shard at x{sharded['imbalance']:.2f} "
               f"of fair share")
-    oracle = sharded.oracle_report or {}
-    violations = oracle.get("violations", [])
+    oracle = sharded["oracle"] or {}
     print(f"oracle: {'OK' if oracle.get('ok') else 'VIOLATIONS'} "
           f"({oracle.get('replies_checked', 0)} replies, "
           f"{oracle.get('shard_summaries_checked', 0)} summaries checked)")
-    if args.bench_json:
-        record_shard_benchmark(args.bench_json, single, sharded)
-        print(f"benchmark trajectory appended to {args.bench_json}",
-              file=sys.stderr)
-    if args.assert_counters:
-        failures = []
-        if not oracle.get("ok"):
-            failures.append(
-                f"oracle flagged {len(violations)} violations")
-        if envelope.get("samples", 0) <= 0:
-            failures.append("skew envelope has no post-warmup samples")
-        if len(sharded.per_shard_completed) < (shards if not sharded.zipf_s
-                                               else 1):
-            failures.append("some shards served no calls")
-        if any(n <= 0 for n in sharded.per_shard_completed.values()):
-            failures.append("a shard served zero calls")
-        if sharded.errors:
-            failures.append(f"{sharded.errors} client calls failed")
-        if shards > 1 and scaling < 0.6 * shards:
-            failures.append(
-                f"aggregate scaling x{scaling:.2f} below 0.6 x {shards}")
-        for failure in failures:
-            print(f"ASSERT: {failure}", file=sys.stderr)
-        return 1 if failures else 0
-    return 0
+    return run, [
+        (not oracle.get("ok"),
+         f"oracle flagged {len(oracle.get('violations', []))} violations"),
+        (envelope.get("samples", 0) <= 0,
+         "skew envelope has no post-warmup samples"),
+        (len(sharded["per_shard"]) < (1 if args.zipf else shards),
+         "some shards served no calls"),
+        (sharded["errors"], f"{sharded['errors']} client calls failed"),
+        (shards > 1 and scaling < 0.6 * shards,
+         f"aggregate scaling x{scaling:.2f} below 0.6 x {shards}"),
+    ]
 
 
 def cmd_fig6(args) -> int:
@@ -747,10 +687,9 @@ def cmd_chaos(args) -> int:
     tallies, oracle judgement) to stdout; exit status 0 iff the
     invariant oracle saw zero violations and every fault was injected.
     """
-    import json
-
     from .chaos import load_scenario, run_chaos
     from .errors import ConfigurationError
+    from .shard import run_shard_chaos
 
     if not args.scenario:
         print("chaos requires --scenario FILE (see docs/chaos.md)",
@@ -761,26 +700,23 @@ def cmd_chaos(args) -> int:
     except (OSError, ConfigurationError, ValueError) as error:
         print(f"chaos: {error}", file=sys.stderr)
         return 2
-    if scenario.shards is not None:
-        from .shard import run_shard_chaos
+    runner = run_shard_chaos if scenario.shards is not None else run_chaos
+    verdict = runner(
+        scenario,
+        seed=args.seed,
+        duration_s=args.duration,
+        clients=args.clients,
+        max_staleness_us=args.max_staleness_us,
+        artifacts_dir=args.artifacts_dir,
+    )
+    return _emit_verdict(verdict, args)
 
-        verdict = run_shard_chaos(
-            scenario,
-            seed=args.seed,
-            duration_s=args.duration,
-            clients=args.clients,
-            max_staleness_us=args.max_staleness_us,
-            artifacts_dir=args.artifacts_dir,
-        )
-    else:
-        verdict = run_chaos(
-            scenario,
-            seed=args.seed,
-            duration_s=args.duration,
-            clients=args.clients,
-            max_staleness_us=args.max_staleness_us,
-            artifacts_dir=args.artifacts_dir,
-        )
+
+def _emit_verdict(verdict, args) -> int:
+    """Print the JSON verdict (and write it to ``--verdict-json``);
+    exit status 0 iff the run was judged ok."""
+    import json
+
     text = json.dumps(verdict, indent=2, sort_keys=True)
     print(text)
     if args.verdict_json:
@@ -800,8 +736,6 @@ def cmd_control(args) -> int:
     rest).  Prints the JSON verdict; exit status 0 iff every step
     completed and the invariant oracle saw zero violations.
     """
-    import json
-
     from .control.rolling import run_reconfig_sequence, run_rolling_restart
 
     action = args.target or "rolling-restart"
@@ -821,13 +755,7 @@ def cmd_control(args) -> int:
         print(f"control: unknown action {action!r} "
               "(expected rolling-restart or sequence)", file=sys.stderr)
         return 2
-    text = json.dumps(verdict, indent=2, sort_keys=True)
-    print(text)
-    if args.verdict_json:
-        path = Path(args.verdict_json)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text + "\n")
-    return 0 if verdict["ok"] else 1
+    return _emit_verdict(verdict, args)
 
 
 def cmd_trace(args) -> int:
@@ -1020,8 +948,6 @@ def build_parser() -> argparse.ArgumentParser:
                            "— the CI perf smoke check; in sharded mode, "
                            "requires a clean oracle, a measured skew "
                            "envelope and near-linear aggregate scaling")
-    load.add_argument("--shard-size", type=int, default=3,
-                      help="loadgen --shards: replicas per shard ring")
     load.add_argument("--zipf", type=float, default=0.0,
                       help="loadgen --shards: zipf exponent for the "
                            "client population (0 = uniform; ~1.2 gives "
@@ -1031,12 +957,6 @@ def build_parser() -> argparse.ArgumentParser:
                            "arrivals at 1x/2x/4x calibrated capacity "
                            "against admission-controlled gateways "
                            "(shed-before-collapse, see docs/operations.md)")
-    load.add_argument("--max-inflight", type=int, default=4,
-                      help="open-loop: admitted operations concurrently "
-                           "inside the total order, per gateway")
-    load.add_argument("--max-queue-delay", type=float, default=0.02,
-                      help="open-loop: admission queue delay budget in "
-                           "seconds (longer predicted waits are shed)")
     chaos = parser.add_argument_group(
         "chaos", "options for 'chaos' (see docs/chaos.md)")
     chaos.add_argument("--scenario", default=None, metavar="FILE",

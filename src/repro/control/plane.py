@@ -47,29 +47,16 @@ class ControlPlane:
         bed,
         *,
         group: str = "timesvc",
-        app_factory: Optional[Callable] = None,
         poll_s: float = 0.02,
         on_node_ready: Optional[Callable[[str], None]] = None,
-        **replica_kwargs,
     ) -> None:
         self.bed = bed
         self.group = group
-        if app_factory is None:
-            # Imported here, not at module top: the gateway imports the
-            # admission half of this package, so the package must not
-            # pull the daemon module back in at import time.
-            from ..net.daemon import TimeApp
-
-            app_factory = TimeApp
-        self.app_factory = app_factory
         self.poll_s = poll_s
         #: Invoked after a crashed node's stack is rebuilt, before its
-        #: replica is re-added — the chaos/rolling drivers re-interpose
-        #: their client gateway here (a recovered runtime is fresh).
+        #: replica is re-added (as the group was deployed) — the chaos
+        #: and rolling drivers tell their oracle about the restart here.
         self.on_node_ready = on_node_ready
-        #: Passed through to ``add_replica`` (style, time_source,
-        #: fast_path, ... — keep them identical to the original deploy).
-        self.replica_kwargs = dict(replica_kwargs)
         #: Chronological record of completed reconfigurations.
         self.log: List[Dict[str, object]] = []
 
@@ -118,9 +105,7 @@ class ControlPlane:
             self.bed.recover(node_id)
             if self.on_node_ready is not None:
                 self.on_node_ready(node_id)
-        replica = self.bed.add_replica(self.group, node_id,
-                                       self.app_factory,
-                                       **self.replica_kwargs)
+        replica = self.bed.add_replica(self.group, node_id)
         self._wait(lambda: replica.state_transfer.ready,
                    timeout_s=timeout_s,
                    what=f"state transfer to {node_id}")
@@ -211,8 +196,7 @@ class ControlPlane:
             self.bed.recover(node_id)
             if self.on_node_ready is not None:
                 self.on_node_ready(node_id)
-        self.bed.add_replica(self.group, node_id, self.app_factory,
-                             **self.replica_kwargs)
+        self.bed.add_replica(self.group, node_id)
         self.log.append({"op": "join", "node": node_id,
                          "at": self.bed.sim.now})
         return True

@@ -23,42 +23,17 @@ found zero violations.
 
 from __future__ import annotations
 
-import threading
 import time
 from typing import Callable, Dict, List, Optional
 
 from ..chaos.oracle import InvariantOracle
-from ..chaos.runner import _ChaosClient, self_timeout
-from ..net.daemon import ClientGateway, TimeApp
+from ..chaos.runner import gateway_tallies, oracle_fed_clients
+from ..net.daemon import TimeApp
 from ..net.testbed import LiveTestbed
-from ..replication.envelope import Envelope
-from .admission import AdmissionConfig, AdmissionController
+from .admission import AdmissionConfig
 from .plane import ControlPlane
 
 GROUP = "timesvc"
-
-
-def _install_gateway(bed: LiveTestbed, node_id: str, gateways: list,
-                     admission_config: Optional[AdmissionConfig]) -> None:
-    """Interpose an (admission-controlled) client gateway in front of
-    the node's Totem receiver; same shape as the chaos harness but with
-    the shed-before-collapse controller installed."""
-    node = bed.node(node_id)
-    totem_receiver = node._receiver
-    admission = None
-    if admission_config is not None:
-        admission = AdmissionController(admission_config, node_id=node_id)
-    gateway = ClientGateway(bed.runtimes[node_id], node.iface,
-                            node_id=node_id, admission=admission)
-    gateways.append(gateway)
-
-    def dispatch(frame) -> None:
-        if isinstance(frame.payload, Envelope):
-            gateway.handle(frame)
-        else:
-            totem_receiver(frame)
-
-    node.set_receiver(dispatch)
 
 
 class _ReconfigHarness:
@@ -67,8 +42,7 @@ class _ReconfigHarness:
     def __init__(self, node_ids: List[str], serving: List[str], *,
                  seed: int, clients: int, fast_path: bool,
                  max_staleness_us: int,
-                 admission_config: Optional[AdmissionConfig],
-                 require_rounds: int, timeout_s: float):
+                 admission_config: Optional[AdmissionConfig]):
         # Reconfiguration legitimately lets served time lag while a
         # membership change drains its round backlog; the oracle must
         # see the lag *repaid*, so give it a transient bound sized to a
@@ -76,47 +50,25 @@ class _ReconfigHarness:
         self.oracle = InvariantOracle(staleness_budget_us=max_staleness_us,
                                       max_transient_lag_us=5_000_000)
         self.bed = LiveTestbed(node_ids=node_ids, seed=seed)
-        self.gateways: list = []
-        self.admission_config = admission_config
-        self.require_rounds = require_rounds
-        self.timeout_s = timeout_s
         self.bed.deploy(GROUP, TimeApp, nodes=serving,
                         style="active", time_source="cts",
                         fast_path=fast_path,
                         max_staleness_us=max_staleness_us)
         self.bed.start()
         for node_id in node_ids:
-            _install_gateway(self.bed, node_id, self.gateways,
-                             admission_config)
+            self.bed.install_gateway(node_id, admission_config)
         self.oracle.attach()
-        self.plane = ControlPlane(
-            self.bed, group=GROUP, app_factory=TimeApp,
-            on_node_ready=self._node_ready,
-            style="active", time_source="cts", fast_path=fast_path,
-            max_staleness_us=max_staleness_us)
-        self.stop = threading.Event()
+        # A recovered node's runtime is fresh: the oracle must know a
+        # restart happened (it expects post-recovery rounds).
+        self.plane = ControlPlane(self.bed, group=GROUP,
+                                  on_node_ready=self.oracle.note_recovery)
         servers = [self.bed.node(node_id).address for node_id in node_ids]
-        self.workers = [_ChaosClient(i, servers, self.oracle, self.stop)
-                        for i in range(clients)]
+        self.clients = oracle_fed_clients(clients, servers, self.oracle)
         self.steps: List[Dict[str, object]] = []
 
-    def _node_ready(self, node_id: str) -> None:
-        # A recovered node's runtime is fresh: the oracle must know a
-        # restart happened (it expects post-recovery rounds) and the
-        # gateway must be re-interposed before client frames arrive.
-        self.oracle.note_recovery(node_id)
-        _install_gateway(self.bed, node_id, self.gateways,
-                         self.admission_config)
-
     def start_load(self, warmup_s: float = 1.0) -> None:
-        for worker in self.workers:
-            worker.thread.start()
-        self.run_under_load(warmup_s)
-
-    def run_under_load(self, duration_s: float) -> None:
-        deadline = time.monotonic() + duration_s
-        while time.monotonic() < deadline:
-            self.bed.run(0.05)
+        self.clients.start()
+        self.bed.pump(warmup_s)
 
     def step(self, label: str, action: Callable[[], object]) -> bool:
         started = time.monotonic()
@@ -138,36 +90,20 @@ class _ReconfigHarness:
         # Keep load running past the last step: the post-reformation
         # rounds that repay the reconfiguration's staleness debt must
         # be *observed* for the oracle to credit them.
-        self.run_under_load(drain_s)
-        self.stop.set()
-        for worker in self.workers:
-            worker.thread.join(timeout=self_timeout(worker))
+        self.bed.pump(drain_s)
+        self.clients.stop()
+        self.clients.join()
         self.bed.run(0.2)
         self.oracle.finish(self.bed, group=GROUP)
-        calls = sum(w.calls for w in self.workers)
-        errors = sum(w.errors for w in self.workers)
         steps_ok = all(s["ok"] for s in self.steps)
         verdict: Dict[str, object] = {
             "steps": self.steps,
             "reconfig_log": list(self.plane.log),
             "serving": self.plane.serving(),
-            "clients": {
-                "count": len(self.workers),
-                "calls": calls,
-                "errors": errors,
-                "retries": sum(w.caller.stats.retries for w in self.workers),
-                "error_rate": (errors / calls) if calls else 1.0,
-            },
-            "gateway": {
-                "requests_injected": sum(
-                    g.requests_injected for g in self.gateways),
-                "requests_deduplicated": sum(
-                    g.requests_deduplicated for g in self.gateways),
-                "requests_shed": sum(
-                    g.requests_shed for g in self.gateways),
-            },
+            "clients": self.clients.report(),
+            "gateway": gateway_tallies(self.bed),
             "admission": [
-                g.admission.stats.to_dict() for g in self.gateways
+                g.admission.stats.to_dict() for g in self.bed.gateways
                 if g.admission is not None
             ],
             "oracle": self.oracle.report(),
@@ -175,12 +111,10 @@ class _ReconfigHarness:
         verdict["ok"] = (self.oracle.ok
                          and steps_ok
                          and self.oracle.replies_checked > 0)
-        for worker in self.workers:
-            worker.close()
         return verdict
 
     def shutdown(self) -> None:
-        self.stop.set()
+        self.clients.stop()
         self.oracle.detach()
         self.bed.shutdown()
 
@@ -202,8 +136,7 @@ def run_rolling_restart(
     harness = _ReconfigHarness(
         node_ids, node_ids, seed=seed, clients=clients,
         fast_path=fast_path, max_staleness_us=max_staleness_us,
-        admission_config=admission_config or AdmissionConfig(),
-        require_rounds=require_rounds, timeout_s=timeout_s)
+        admission_config=admission_config or AdmissionConfig())
     try:
         harness.start_load(settle_s)
         for node_id in node_ids:
@@ -214,7 +147,7 @@ def run_rolling_restart(
                     require_rounds=require_rounds))
             if not ok:
                 break
-            harness.run_under_load(0.3)
+            harness.bed.pump(0.3)
         verdict = harness.finish()
         verdict["mode"] = "rolling-restart"
         verdict["nodes"] = node_ids
@@ -243,8 +176,7 @@ def run_reconfig_sequence(
     harness = _ReconfigHarness(
         node_ids, serving, seed=seed, clients=clients,
         fast_path=fast_path, max_staleness_us=max_staleness_us,
-        admission_config=admission_config or AdmissionConfig(),
-        require_rounds=require_rounds, timeout_s=timeout_s)
+        admission_config=admission_config or AdmissionConfig())
     try:
         harness.start_load(settle_s)
         plane = harness.plane
@@ -256,12 +188,12 @@ def run_reconfig_sequence(
             lambda: plane.join("n3", timeout_s=timeout_s,
                                require_rounds=require_rounds))
         if sequence_ok:
-            harness.run_under_load(0.3)
+            harness.bed.pump(0.3)
             sequence_ok = harness.step(
                 f"drain primary {primary}",
                 lambda: plane.drain(primary, timeout_s=timeout_s))
         if sequence_ok:
-            harness.run_under_load(0.3)
+            harness.bed.pump(0.3)
             for node_id in list(plane.serving()):
                 if not harness.step(
                         f"restart {node_id}",
@@ -269,7 +201,7 @@ def run_reconfig_sequence(
                             node_id, timeout_s=timeout_s,
                             require_rounds=require_rounds)):
                     break
-                harness.run_under_load(0.3)
+                harness.bed.pump(0.3)
         verdict = harness.finish()
         verdict["mode"] = "reconfig-sequence"
         verdict["nodes"] = node_ids

@@ -35,10 +35,12 @@ import random
 import socket
 import threading
 import time
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 from .. import obs, trace
+from ..control.admission import is_overloaded, retry_after_of
 from ..errors import RpcTimeout
 from ..replication.envelope import MsgType, make_envelope
 from ..rpc.messages import Invocation, Result
@@ -349,15 +351,6 @@ class LiveCaller:
                 results.setdefault(envelope.sender, envelope.body)
         return results
 
-    def call_many(self, method: str, count: int, *args,
-                  timeout: float = 2.0, expect_replies: int = 1) -> List[CallOutcome]:
-        """``count`` sequential invocations (for monotonicity checks)."""
-        return [
-            self.call(method, *args, timeout=timeout,
-                      expect_replies=expect_replies)
-            for _ in range(count)
-        ]
-
     def close(self) -> None:
         self.sock.close()
 
@@ -366,3 +359,86 @@ class LiveCaller:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
+
+
+class ThreadedCallers:
+    """Closed-loop load from threads: each caller keeps one
+    ``gettimeofday`` in flight on its session floor while the main
+    thread pumps the bed (``LiveTestbed.pump``).  A typed ``Overloaded``
+    reply counts as ``shed`` and its thread sleeps the retry-after hint:
+    shedding relieves a gateway only if shed clients back off."""
+
+    #: Per-call deadline, seconds.
+    TIMEOUT_S = 1.5
+
+    def __init__(self, callers: Sequence[LiveCaller], *,
+                 on_reply: Optional[Callable[..., None]] = None,
+                 pace_s: float = 0.0):
+        self.callers = list(callers)
+        #: Called on the caller's thread for every served call:
+        #: ``on_reply(client_id, value_us, started, finished, outcome)``.
+        self.on_reply = on_reply
+        self.pace_s = pace_s
+        self._stop = threading.Event()
+        #: One per thread, so no counter is shared; report() sums them.
+        self._tallies = [Counter() for _ in self.callers]
+        self._threads = [
+            threading.Thread(target=self._run, args=(caller, tally),
+                             name=caller.client_id, daemon=True)
+            for caller, tally in zip(self.callers, self._tallies)]
+
+    def _run(self, caller: LiveCaller, tally: Counter) -> None:
+        last_us: Optional[int] = None
+        while not self._stop.is_set():
+            started = time.monotonic()
+            tally["calls"] += 1
+            try:
+                outcome = caller.call("gettimeofday", last_us,
+                                      timeout=self.TIMEOUT_S)
+            except RpcTimeout:
+                tally["errors"] += 1
+                continue
+            finished = time.monotonic()
+            result = outcome.first()
+            if is_overloaded(result):
+                tally["shed"] += 1
+                self._stop.wait(retry_after_of(result))
+            elif not result.ok:
+                tally["errors"] += 1
+            else:
+                tally["served"] += 1
+                last_us = result.value["micros"]
+                if self.on_reply is not None:
+                    self.on_reply(caller.client_id, last_us,
+                                  started, finished, outcome)
+                self._stop.wait(self.pace_s)
+
+    def start(self) -> None:
+        for thread in self._threads:
+            thread.start()
+
+    def stop(self) -> None:
+        self._stop.set()
+
+    def join(self) -> None:
+        """Wait for the threads (one blocked in a last call returns
+        within its call timeout plus scheduling slack) and close the
+        callers' sockets."""
+        for thread in self._threads:
+            thread.join(timeout=self.TIMEOUT_S + 2.0)
+        for caller in self.callers:
+            caller.close()
+
+    def report(self) -> Dict[str, object]:
+        """Tallies over all callers; read it after :meth:`join`."""
+        total = sum(self._tallies, Counter())
+        stats = [caller.stats for caller in self.callers]
+        return {
+            "count": len(self.callers),
+            **{key: total[key]
+               for key in ("calls", "served", "errors", "shed")},
+            "retries": sum(s.retries for s in stats),
+            "breaker_skips": sum(s.breaker_skips for s in stats),
+            "error_rate": total["errors"] / total["calls"]
+            if total["calls"] else 1.0,
+        }

@@ -344,6 +344,28 @@ class ClientGateway:
             self.admission.complete(key)
 
 
+def interpose_gateway(node, runtime: GroupRuntime,
+                      admission: Optional[AdmissionController] = None
+                      ) -> ClientGateway:
+    """Put a :class:`ClientGateway` in front of ``node``'s installed
+    receiver (the Totem processor).  Bare envelopes are client traffic
+    (ring peers always wrap envelopes in Totem regular messages);
+    everything else is ring traffic and goes on to the receiver that was
+    there."""
+    ring_receiver = node.receiver
+    gateway = ClientGateway(runtime, node.iface, node_id=node.node_id,
+                            admission=admission)
+
+    def dispatch(frame: LiveFrame) -> None:
+        if isinstance(frame.payload, Envelope):
+            gateway.handle(frame)
+        else:
+            ring_receiver(frame)
+
+    node.set_receiver(dispatch)
+    return gateway
+
+
 class NodeDaemon:
     """One live group member: kernel, node, ring, replica, gateway."""
 
@@ -389,27 +411,12 @@ class NodeDaemon:
             static_membership=sorted(config.peers),
         )
         self.runtime = GroupRuntime(self.processor)
-        # The Totem processor installed itself as the node's receiver;
-        # interpose the gateway in front of it.  Bare envelopes are
-        # client traffic (ring peers always wrap envelopes in Totem
-        # regular messages); everything else is ring traffic.
-        totem_receiver = self.node._receiver
         admission = None
         if config.admission:
             admission = AdmissionController(
                 config.admission_config, node_id=config.node_id,
                 clock=lambda: self.kernel.now)
-        self.gateway = ClientGateway(self.runtime, self.node.iface,
-                                     node_id=config.node_id,
-                                     admission=admission)
-
-        def dispatch(frame: LiveFrame) -> None:
-            if isinstance(frame.payload, Envelope):
-                self.gateway.handle(frame)
-            else:
-                totem_receiver(frame)
-
-        self.node.set_receiver(dispatch)
+        self.gateway = interpose_gateway(self.node, self.runtime, admission)
         # Same factory path as the testbeds, so daemon replicas and
         # testbed replicas are configured identically.
         factory = TestbedBase._time_source_factory(

@@ -23,12 +23,14 @@ predicate while driving the loop.
 from __future__ import annotations
 
 import random
-from typing import Callable, List, Optional
+from typing import Callable, Dict, List, Optional
 
+from ..control.admission import AdmissionConfig, AdmissionController
 from ..errors import SimulationError
 from ..sim.clock import US_PER_SEC
 from ..testbed import TestbedBase
 from ..totem import TotemConfig
+from .daemon import ClientGateway, interpose_gateway
 from .kernel import LiveKernel
 from .node import LiveNode
 from .timing import live_totem_config
@@ -92,6 +94,36 @@ class LiveTestbed(TestbedBase):
                 clock_drift_ppm=drift_ppm,
             )
         self._init_stack(self.kernel, nodes, totem_config or live_totem_config())
+        #: Every gateway :meth:`install_gateway` built, oldest first (a
+        #: recovered node's old one stays, so its tallies survive).
+        self.gateways: List[ClientGateway] = []
+        self._gateway_configs: Dict[str, Optional[AdmissionConfig]] = {}
+
+    # -- client gateways ------------------------------------------------
+
+    def install_gateway(
+        self, node_id: str,
+        admission_config: Optional[AdmissionConfig] = None,
+    ) -> ClientGateway:
+        """Front ``node_id`` with a client gateway as ``repro serve``
+        does, admission-controlled if ``admission_config`` is given."""
+        admission = None
+        if admission_config is not None:
+            admission = AdmissionController(admission_config,
+                                            node_id=node_id)
+        gateway = interpose_gateway(self.node(node_id),
+                                    self.runtimes[node_id], admission)
+        self._gateway_configs[node_id] = admission_config
+        self.gateways.append(gateway)
+        return gateway
+
+    def recover(self, node_id: str) -> None:
+        """As the base, then a fresh gateway on the rebuilt stack (daemon
+        restart semantics) in the same kernel tick, so no client frame
+        reaches a bare Totem receiver."""
+        super().recover(node_id)
+        if node_id in self._gateway_configs:
+            self.install_gateway(node_id, self._gateway_configs[node_id])
 
     # -- execution ------------------------------------------------------
 
@@ -105,6 +137,15 @@ class LiveTestbed(TestbedBase):
         that would never finish must not hang the process."""
         kwargs.setdefault("timeout", 30.0)
         return super().run_process(generator, name, **kwargs)
+
+    def pump(self, seconds: float,
+             until: Optional[Callable[[], bool]] = None) -> None:
+        """Drive the loop from the calling thread for ``seconds`` of
+        wall time, or until ``until()`` holds if that comes first — how
+        a harness keeps the bed alive while client threads load it."""
+        deadline = self.sim.now + seconds
+        while self.sim.now < deadline and not (until and until()):
+            self.run(0.05)
 
     def wait_until(
         self,

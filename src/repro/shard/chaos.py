@@ -26,31 +26,19 @@ cross-shard summaries were actually checked.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from ..chaos.oracle import InvariantOracle
 from ..chaos.scenario import ChaosScenario, compile_plan
-from ..errors import ConfigurationError, RpcTimeout
+from ..errors import ConfigurationError
 from ..net.daemon import TimeApp
 from ..obs.crossnode import TraceShardWriter
+from ..workloads.load import closed_loop
 from .cluster import ShardedTestbed
 from .overlay import GradientOverlay, OverlayConfig
 from .router import ShardRouter
 
 __all__ = ["run_shard_chaos"]
-
-
-def _worker(router: ShardRouter, key: str, stop: Dict, tally: Dict,
-            period_s: float):
-    """One session hammering the fleet until the run stops."""
-    session = router.session(key)
-    while not stop["stop"]:
-        try:
-            yield from router.call(session)
-            tally["calls"] += 1
-        except RpcTimeout:
-            tally["errors"] += 1
-        yield router.bed.sim.timeout(period_s)
 
 
 def run_shard_chaos(
@@ -94,17 +82,13 @@ def run_shard_chaos(
         plan.arm(bed)
 
         # The daemon-restart half of every recover event, in the same
-        # kernel tick as bed.recover(): re-derive the shard from the
-        # node name, re-add the replica (state transfer + integration
-        # round) sharing the shard's steering hook.
+        # kernel tick as bed.recover(): re-add the replica as its shard
+        # was deployed (state transfer + integration round, sharing the
+        # shard's steering hook).
         def _restart(node_id: str) -> None:
             oracle.note_recovery(node_id)
-            shard = bed.shard_of_node(node_id)
-            bed.add_replica(bed.group_of(shard), node_id, TimeApp,
-                            style="active", time_source="cts",
-                            drift=bed.steerings[shard],
-                            fast_path=fast_path,
-                            max_staleness_us=max_staleness_us)
+            bed.add_replica(bed.group_of(bed.shard_of_node(node_id)),
+                            node_id)
 
         for event in plan.schedule():
             if event.kind == "recover":
@@ -128,23 +112,16 @@ def run_shard_chaos(
             bed.sim.schedule(0.55 * duration, _shrink)
             bed.sim.schedule(0.80 * duration, _grow)
 
-        stop = {"stop": False}
-        tallies: List[Dict] = []
-        for index in range(n_clients):
-            tally = {"calls": 0, "errors": 0}
-            tallies.append(tally)
-            bed.sim.process(
-                _worker(router, f"chaos{index}", stop, tally,
-                        period_s=0.01),
-                name=f"chaos{index}")
-        bed.run(duration)
-        stop["stop"] = True
-        bed.run(0.5)  # drain in-flight calls and summaries
+        # One session per client hammering the fleet at ~100 req/s.
+        sessions = [router.session(f"chaos{index}")
+                    for index in range(n_clients)]
+        load = closed_loop(
+            bed, lambda index: router.timed_call(sessions[index]),
+            workers=n_clients, duration_s=duration, think_s=0.01,
+            drain_s=0.5)  # drain in-flight calls and summaries
         oracle.finish(
             bed, groups=[bed.group_of(s) for s in range(scenario.shards)])
 
-        calls = sum(t["calls"] for t in tallies)
-        errors = sum(t["errors"] for t in tallies)
         migrations = sum(
             s.migrations for s in router.sessions.values())
         verdict = {
@@ -161,9 +138,10 @@ def run_shard_chaos(
             "migration_drill": dict(drill, migrations=migrations),
             "clients": {
                 "count": n_clients,
-                "calls": calls,
-                "errors": errors,
-                "error_rate": (errors / calls) if calls else 1.0,
+                "calls": load.completed,
+                "errors": load.errors,
+                "error_rate": (load.errors / load.completed
+                               if load.completed else 1.0),
             },
             "overlay": overlay.report(),
             "oracle": oracle.report(),

@@ -239,7 +239,7 @@ class ShardedTestbed(TestbedBase):
         """Wrap the node's receiver (the Totem processor installed by
         ``_init_stack``/``recover``) with the shard's multicast domain."""
         node = self.node(node_id)
-        inner = node._receiver
+        inner = node.receiver
         domain = self._domains[node_id]
 
         def filtered(frame: Frame,

@@ -113,3 +113,11 @@ class ShardRouter:
             session.floor_us = micros
         session.shard = shard
         return value
+
+    def timed_call(self, session: ShardSession, *,
+                   timeout: Optional[float] = None):
+        """Generator: :meth:`call`, returning its latency in microseconds
+        of bed time — the per-call shape the load engine drives."""
+        start_s = self.bed.sim.now
+        yield from self.call(session, timeout=timeout)
+        return int((self.bed.sim.now - start_s) * 1e6)

@@ -63,6 +63,11 @@ class Node:
         (normally the Totem processor on this node)."""
         self._receiver = receiver
 
+    @property
+    def receiver(self) -> Optional[Callable[[Frame], None]]:
+        """The installed receiver — what an interposing layer chains to."""
+        return self._receiver
+
     def _on_frame(self, frame: Frame) -> None:
         if self.alive and self._receiver is not None:
             self._receiver(frame)

@@ -113,6 +113,9 @@ class TestbedBase:
             self.runtimes[node_id] = GroupRuntime(processor)
         #: group -> {node_id: Replica}
         self.services: Dict[str, Dict[str, Replica]] = {}
+        #: group -> (app_factory, deploy keywords), what ``add_replica``
+        #: rebuilds a replica from.
+        self._deployed: Dict[str, tuple] = {}
         self.clients: Dict[str, RpcClient] = {}
         self._started = False
 
@@ -158,6 +161,44 @@ class TestbedBase:
         """
         if group in self.services:
             raise ConfigurationError(f"group {group!r} already deployed")
+        spec = dict(
+            style=style, time_source=time_source, drift=drift,
+            coalesce=coalesce, fast_path=fast_path,
+            max_staleness_us=max_staleness_us, byzantine=byzantine,
+            **style_kwargs,
+        )
+        self._add(group, nodes, app_factory, **spec)
+        self._deployed[group] = (app_factory, spec)
+        return self.services[group]
+
+    def add_replica(
+        self,
+        group: str,
+        node_id: str,
+        app_factory: Optional[Callable[[], Application]] = None,
+        **overrides,
+    ) -> Replica:
+        """Add (or re-add, after a crash) one replica to a running group.
+
+        The replica is built exactly as :meth:`deploy` built the group's
+        others — same application, style, time source and options —
+        except where ``app_factory`` or a :meth:`deploy` keyword given
+        here overrides the deployed value.  It recovers via state
+        transfer, including the special CCS round that integrates its
+        clock (Section 3.2).
+        """
+        if group not in self._deployed:
+            raise ConfigurationError(f"group {group!r} is not deployed")
+        deployed_factory, spec = self._deployed[group]
+        return self._add(group, [node_id], app_factory or deployed_factory,
+                         join_existing=True, **{**spec, **overrides})[node_id]
+
+    def _add(self, group: str, nodes: List[str], app_factory, *,
+             style, time_source, drift, coalesce, fast_path,
+             max_staleness_us, byzantine,
+             **replica_kwargs) -> Dict[str, Replica]:
+        """Build one replica per node, register them, and start them if
+        the bed already runs."""
         if style not in STYLES:
             raise ConfigurationError(
                 f"unknown style {style!r}; choose from {sorted(STYLES)}"
@@ -167,52 +208,16 @@ class TestbedBase:
             coalesce=coalesce, fast_path=fast_path,
             max_staleness_us=max_staleness_us, byzantine=byzantine,
         )
-        replica_cls = STYLES[style]
-        replicas: Dict[str, Replica] = {}
-        for node_id in nodes:
-            replicas[node_id] = replica_cls(
-                self.runtimes[node_id], group, app_factory(), factory,
-                **style_kwargs,
-            )
-        self.services[group] = replicas
+        replicas = {
+            node_id: STYLES[style](self.runtimes[node_id], group,
+                                   app_factory(), factory, **replica_kwargs)
+            for node_id in nodes
+        }
+        self.services.setdefault(group, {}).update(replicas)
         if self._started:
             for replica in replicas.values():
                 replica.start()
         return replicas
-
-    def add_replica(
-        self,
-        group: str,
-        node_id: str,
-        app_factory: Callable[[], Application],
-        *,
-        style: str = "active",
-        time_source: TimeSourceSpec = "cts",
-        drift: Optional[DriftCompensation] = None,
-        coalesce: bool = True,
-        fast_path: bool = False,
-        max_staleness_us: int = 2_000,
-        byzantine: bool = False,
-        **style_kwargs,
-    ) -> Replica:
-        """Add (or re-add, after a crash) one replica to a running group.
-
-        The new replica recovers via state transfer, including the
-        special CCS round that integrates its clock (Section 3.2).
-        """
-        factory = self._time_source_factory(
-            time_source, style, drift,
-            coalesce=coalesce, fast_path=fast_path,
-            max_staleness_us=max_staleness_us, byzantine=byzantine,
-        )
-        replica = STYLES[style](
-            self.runtimes[node_id], group, app_factory(), factory,
-            join_existing=True, **style_kwargs,
-        )
-        self.services.setdefault(group, {})[node_id] = replica
-        if self._started:
-            replica.start()
-        return replica
 
     def client(self, node_id: str, group: Optional[str] = None) -> RpcClient:
         """Create an (unreplicated) RPC client on ``node_id``."""
@@ -294,6 +299,16 @@ class TestbedBase:
             node, self.totem_config,
             static_membership=self._memberships[node_id],
         )
+        # The crashed daemon is gone for good, even if the host is back
+        # before its queued timers fire.  It leaves behind only what
+        # Totem keeps on stable storage, the ring sequence number: a
+        # restarted ring leader counting from zero would form singleton
+        # ring (1, leader) again — the first ring's id — and file that
+        # ring's traffic as its own.
+        crashed = self.processors[node_id]
+        crashed.started = False
+        processor.membership.highest_ring_seq = (
+            crashed.membership.highest_ring_seq)
         self.processors[node_id] = processor
         self.runtimes[node_id] = GroupRuntime(processor)
         if self._started:

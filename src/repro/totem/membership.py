@@ -116,7 +116,7 @@ class MembershipEngine:
 
     def start_gather(self, reason: str = "") -> None:
         """Leave normal operation and begin forming a new ring."""
-        if not self.p.node.alive or self.phase == self.GATHER:
+        if not self.p.alive or self.phase == self.GATHER:
             return
         self.p.state = ProcessorState.GATHER
         self.phase = self.GATHER
@@ -160,7 +160,7 @@ class MembershipEngine:
         if (
             generation != self._tick_gen
             or self.phase != self.GATHER
-            or not self.p.node.alive
+            or not self.p.alive
         ):
             return
         self.tick += 1
@@ -174,7 +174,7 @@ class MembershipEngine:
             self._arm_tick()
 
     def handle_join(self, join: JoinMessage) -> None:
-        if not self.p.node.alive:
+        if not self.p.alive:
             return
         self.highest_ring_seq = max(self.highest_ring_seq, join.ring_seq)
         if join.sender == self.p.me:
@@ -259,7 +259,7 @@ class MembershipEngine:
     # ------------------------------------------------------------------
 
     def handle_commit_token(self, token: CommitToken) -> None:
-        if not self.p.node.alive or self.p.me not in token.members:
+        if not self.p.alive or self.p.me not in token.members:
             return
         if self.phase == self.GATHER:
             if self.p.ring is not None and token.ring_id.seq <= self.p.ring.ring_id.seq:
@@ -463,7 +463,7 @@ class MembershipEngine:
     def _on_commit_loss(self, generation: int) -> None:
         if (
             generation != self._tick_gen
-            or not self.p.node.alive
+            or not self.p.alive
             or self.phase != self.RECOVER
         ):
             return
@@ -482,7 +482,7 @@ class MembershipEngine:
     def _on_commit_retransmit(self, generation: int) -> None:
         if (
             generation != self._commit_gen
-            or not self.p.node.alive
+            or not self.p.alive
             or self._last_sent_commit is None
             or self._commit_retransmits >= self.p.config.token_retransmit_limit
         ):

@@ -217,6 +217,16 @@ class TotemProcessor:
         return cancelled
 
     @property
+    def alive(self) -> bool:
+        """Whether this processor may still act: its host is up and its
+        daemon has not been stopped.  Fail-stop means a processor never
+        outlives a crash, however soon the host comes back — a restart
+        stops it (``started = False``) so its timers, still queued on
+        the kernel, find it dead rather than resume beside the processor
+        the restart built."""
+        return self.node.alive and self.started
+
+    @property
     def is_operational(self) -> bool:
         return self.state is ProcessorState.OPERATIONAL
 
@@ -338,7 +348,7 @@ class TotemProcessor:
             self.state is not ProcessorState.OPERATIONAL
             or self.ring is None
             or token.ring_id != self.ring.ring_id
-            or not self.node.alive
+            or not self.node.alive  # tokens only reach the live incarnation
         ):
             return
 
@@ -489,7 +499,7 @@ class TotemProcessor:
     def _on_token_loss(self, generation: int) -> None:
         if (
             generation != self._token_loss_gen
-            or not self.node.alive
+            or not self.alive
             or self.state is not ProcessorState.OPERATIONAL
         ):
             return
@@ -505,7 +515,7 @@ class TotemProcessor:
     def _on_retransmit_timer(self, generation: int) -> None:
         if (
             generation != self._retransmit_gen
-            or not self.node.alive
+            or not self.alive
             or self.state is not ProcessorState.OPERATIONAL
             or self._last_sent_token is None
         ):
@@ -561,7 +571,7 @@ class TotemProcessor:
     def _on_beacon(self, generation: int) -> None:
         if (
             generation != getattr(self, "_beacon_gen", 0)
-            or not self.node.alive
+            or not self.alive
             or self.state is not ProcessorState.OPERATIONAL
             or self.ring is None
             or self.me != self.ring.ring_id.representative

@@ -13,32 +13,28 @@ from .latency import (
     TimeServerApp,
     run_latency_workload,
 )
-from .loadgen import (
-    LoadgenResult,
-    LoadgenShardResult,
+from .load import (
+    LoadResult,
+    ZipfPicker,
+    append_run,
+    closed_loop,
+    open_loop,
     percentile,
-    record_benchmark,
-    record_shard_benchmark,
+    service_counters,
+)
+from .loadgen import (
+    ThroughputApp,
+    comparison_run,
     run_loadgen,
     run_loadgen_chaos,
     run_loadgen_comparison,
     run_loadgen_sharded,
-    zipf_identities,
-)
-from .openloop import (
-    OpenLoopInjector,
-    OpenLoopResult,
-    calibrate_capacity,
-    record_overload_benchmark,
-    run_overload_suite,
-)
-from .recovery import RecoveryClockApp, RecoveryResult, run_recovery_workload
-from .throughput import (
-    ThroughputApp,
-    ThroughputPoint,
     run_throughput_point,
     run_throughput_sweep,
+    shard_scaling_run,
 )
+from .openloop import OpenLoopInjector, calibrate_capacity, run_overload_suite
+from .recovery import RecoveryClockApp, RecoveryResult, run_recovery_workload
 from .skew_drift import (
     ITERATION_CHOICES,
     ReplicaSeries,
@@ -52,10 +48,8 @@ __all__ = [
     "FailoverResult",
     "ITERATION_CHOICES",
     "LatencyRunResult",
-    "LoadgenResult",
-    "LoadgenShardResult",
+    "LoadResult",
     "OpenLoopInjector",
-    "OpenLoopResult",
     "PAPER_CPU_PROFILE",
     "RecoveryClockApp",
     "RecoveryResult",
@@ -63,24 +57,26 @@ __all__ = [
     "SkewDriftApp",
     "SkewDriftResult",
     "ThroughputApp",
-    "ThroughputPoint",
     "TimeServerApp",
+    "ZipfPicker",
+    "append_run",
     "calibrate_capacity",
+    "closed_loop",
+    "comparison_run",
     "failover_comparison",
-    "run_failover_workload",
+    "open_loop",
     "percentile",
-    "record_benchmark",
-    "record_overload_benchmark",
-    "record_shard_benchmark",
-    "run_overload_suite",
+    "run_failover_workload",
     "run_latency_workload",
     "run_loadgen",
     "run_loadgen_chaos",
     "run_loadgen_comparison",
     "run_loadgen_sharded",
+    "run_overload_suite",
     "run_recovery_workload",
     "run_skew_drift_workload",
     "run_throughput_point",
     "run_throughput_sweep",
-    "zipf_identities",
+    "service_counters",
+    "shard_scaling_run",
 ]

@@ -10,7 +10,7 @@ side by side over many seeds.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List
 
 from ..replication import Application
 from ..sim import ClusterConfig

@@ -1,0 +1,278 @@
+"""The client-load engine for kernel-driven testbeds.
+
+The paper measures the service with one harness shape — clients invoke
+the replicated server and time each reply (Section 4.2).  This module is
+that shape, once: a load generator is a *bed builder* plus a *per-call
+generator* handed to one of two drivers,
+
+* :func:`closed_loop` — ``workers`` processes on the bed's kernel, each
+  with one call in flight until the deadline (the in-flight population
+  is pinned, so the service's pace sets the rate), and
+* :func:`open_loop` — arrivals at a fixed rate whether or not earlier
+  calls completed,
+
+both filling one :class:`LoadResult`.  Around them: the zipf identity
+picker skewed populations draw from, the service-side counter roll-up,
+and the recorder that appends a run to a benchmark trajectory file.
+The threaded counterpart for live beds is
+:class:`repro.net.client.ThreadedCallers`.
+"""
+
+from __future__ import annotations
+
+import bisect
+import datetime
+import json
+from dataclasses import dataclass, field
+from pathlib import Path
+from typing import Callable, Dict, Generator, List, Optional
+
+from ..errors import ConfigurationError, RpcTimeout
+
+
+def percentile(values: List[int], fraction: float) -> float:
+    """Nearest-rank percentile of ``values`` (``fraction`` in [0, 1])."""
+    if not values:
+        return 0.0
+    ordered = sorted(values)
+    rank = min(len(ordered) - 1, max(0, int(fraction * len(ordered))))
+    return float(ordered[rank])
+
+
+#: Upper bounds (microseconds) of the recorded latency histogram —
+#: matches the ``cts_round_latency_us`` instrument, so benchmark runs
+#: and live scrapes bucket identically.
+LATENCY_BUCKETS_US = (50, 100, 200, 400, 800, 1_600, 3_200, 6_400,
+                      12_800, 25_600, 51_200)
+
+
+@dataclass
+class LoadResult:
+    """One load measurement: the tallies every generator shares, plus
+    whatever else the generator reports in ``extra``."""
+
+    mode: str
+    duration_s: float
+    completed: int = 0
+    errors: int = 0
+    #: Client-observed end-to-end latencies of completed calls, microseconds.
+    latencies_us: List[int] = field(default_factory=list)
+    #: Generator-specific, JSON-able fields (service counters, per-shard
+    #: split, shed tallies, ...); :meth:`to_dict` merges them in.
+    extra: Dict = field(default_factory=dict)
+
+    @property
+    def ops_per_s(self) -> float:
+        return self.completed / self.duration_s if self.duration_s else 0.0
+
+    @property
+    def mean_us(self) -> float:
+        if not self.latencies_us:
+            return 0.0
+        return sum(self.latencies_us) / len(self.latencies_us)
+
+    @property
+    def p50_us(self) -> float:
+        return percentile(self.latencies_us, 0.50)
+
+    @property
+    def p99_us(self) -> float:
+        return percentile(self.latencies_us, 0.99)
+
+    @property
+    def p999_us(self) -> float:
+        return percentile(self.latencies_us, 0.999)
+
+    def latency_buckets(self) -> List[List]:
+        """Cumulative latency histogram: ``[[le_us, count], ...]`` ending
+        with ``["+Inf", total]`` (Prometheus-shaped, JSON-able)."""
+        ordered = sorted(self.latencies_us)
+        buckets: List[List] = []
+        index = 0
+        for bound in LATENCY_BUCKETS_US:
+            while index < len(ordered) and ordered[index] <= bound:
+                index += 1
+            buckets.append([bound, index])
+        buckets.append(["+Inf", len(ordered)])
+        return buckets
+
+    def to_dict(self) -> Dict:
+        return {
+            "mode": self.mode,
+            "duration_s": self.duration_s,
+            "completed": self.completed,
+            "errors": self.errors,
+            "ops_per_s": round(self.ops_per_s, 1),
+            "p50_us": self.p50_us,
+            "p99_us": self.p99_us,
+            **self.extra,
+        }
+
+
+#: One call, as a generator on the bed's kernel: returns its latency in
+#: microseconds, or None if the reply was an error.  ``RpcTimeout`` may
+#: propagate — the driver counts it as an error too.
+Call = Callable[[int], Generator]
+
+
+def closed_loop(
+    bed,
+    call: Call,
+    *,
+    workers: int,
+    duration_s: float,
+    warmup_s: float = 0.0,
+    think_s: float = 0.0,
+    drain_s: float = 2.5,
+    mode: str = "closed-loop",
+    on_completed: Optional[Callable[[int], None]] = None,
+) -> LoadResult:
+    """Run ``workers`` closed-loop processes, ``call(index)`` over and
+    over, for ``warmup_s + duration_s`` of bed time.
+
+    Only calls *issued* at or after the warm-up boundary are tallied
+    (``on_completed(index)`` fires for each tallied success); a worker
+    sleeps ``think_s`` between calls.  The bed then runs ``drain_s``
+    past the deadline so in-flight calls finish, and an exception that
+    killed a worker is re-raised here rather than lost with its process.
+    """
+    sim = bed.sim
+    result = LoadResult(mode=mode, duration_s=duration_s)
+    measure_start = sim.now + warmup_s
+    deadline = measure_start + duration_s
+
+    def worker(index: int):
+        while sim.now < deadline:
+            measured = sim.now >= measure_start
+            try:
+                latency_us = yield from call(index)
+            except RpcTimeout:
+                latency_us = None
+            if measured and latency_us is None:
+                result.errors += 1
+            elif measured:
+                result.completed += 1
+                result.latencies_us.append(latency_us)
+                if on_completed is not None:
+                    on_completed(index)
+            if think_s > 0:
+                yield sim.timeout(think_s)
+
+    processes = [sim.process(worker(index), name=f"load-{index}")
+                 for index in range(workers)]
+    bed.run(warmup_s + duration_s + drain_s)
+    for process in processes:
+        if process.triggered and not process.ok:
+            process._fail_silently = True
+            raise process.value
+    return result
+
+
+def open_loop(
+    bed,
+    issue: Callable[[Callable[[Optional[int]], None]], None],
+    *,
+    rate: float,
+    duration_s: float,
+    drain_s: float = 2.5,
+    mode: str = "open-loop",
+) -> LoadResult:
+    """Issue one call every ``1 / rate`` bed seconds for ``duration_s``,
+    whether or not earlier ones completed.
+
+    ``issue(done)`` starts a call and arranges for ``done(latency_us)``
+    (``None`` for a failed call) when it finishes.  The number issued is
+    ``result.extra["issued"]``; calls still unanswered after ``drain_s``
+    are in neither ``completed`` nor ``errors``.
+    """
+    sim = bed.sim
+    result = LoadResult(mode=mode, duration_s=duration_s,
+                        extra={"offered_per_s": rate, "issued": 0})
+    interval = 1.0 / rate
+    start = sim.now
+
+    def done(latency_us: Optional[int]) -> None:
+        if latency_us is None:
+            result.errors += 1
+        else:
+            result.completed += 1
+            result.latencies_us.append(latency_us)
+
+    def arrival() -> None:
+        if sim.now - start >= duration_s:
+            return
+        result.extra["issued"] += 1
+        issue(done)
+        sim.schedule(interval, arrival)
+
+    arrival()
+    bed.run(duration_s + drain_s)
+    return result
+
+
+class ZipfPicker:
+    """Draws identities ``0 .. universe-1`` from a zipf(``s``) popularity
+    distribution (cumulative weights built once; pure python — the bench
+    path must not depend on numpy).  ``s == 0`` degenerates to uniform."""
+
+    def __init__(self, universe: int, s: float, rng):
+        self._cum: List[float] = []
+        total = 0.0
+        for rank in range(1, universe + 1):
+            total += 1.0 / (rank ** s) if s else 1.0
+            self._cum.append(total)
+        self._rng = rng
+
+    def pick(self) -> int:
+        return bisect.bisect_left(self._cum,
+                                  self._rng.random() * self._cum[-1])
+
+
+#: The ``CTSStats`` counters a load result reports for the group.
+SERVICE_COUNTERS = ("ops_completed", "ops_coalesced", "fast_path_hits",
+                    "fast_path_fallbacks", "ccs_transmitted",
+                    "rounds_completed")
+
+
+def service_counters(bed, group: str) -> Dict[str, int]:
+    """Service-side counters summed over the group's replicas (zeros for
+    a baseline time source, which keeps none).  Every replica counts
+    each round, so ``rounds_completed`` is divided back to the group's
+    view."""
+    replicas = bed.replicas(group).values()
+    totals = dict.fromkeys(SERVICE_COUNTERS, 0)
+    for replica in replicas:
+        stats = getattr(replica.time_source, "stats", None)
+        for name in SERVICE_COUNTERS:
+            totals[name] += getattr(stats, name, 0)
+    totals["rounds_completed"] //= len(replicas) or 1
+    return totals
+
+
+def append_run(path, run: Dict) -> Dict:
+    """Append ``run``, stamped with today's date, to the trajectory file
+    at ``path`` — a JSON document ``{"benchmark": ..., "runs": [...]}``
+    that accumulates the service's measurements across changes.
+
+    Only a missing file starts a fresh document.  One that exists but
+    does not parse, or has no ``runs`` list, raises
+    :class:`~repro.errors.ConfigurationError`: it may be the committed
+    trajectory after a bad merge, and rewriting it would wipe the record.
+    """
+    path = Path(path)
+    doc: Dict = {"benchmark": "loadgen-throughput", "runs": []}
+    if path.exists():
+        try:
+            doc = json.loads(path.read_text())
+        except ValueError as error:
+            raise ConfigurationError(
+                f"{path} is not valid JSON ({error}); refusing to "
+                "overwrite it") from None
+        if not (isinstance(doc, dict) and isinstance(doc.get("runs"), list)):
+            raise ConfigurationError(
+                f"{path} has no 'runs' list; refusing to overwrite it")
+    doc["runs"].append(
+        {"recorded_at": datetime.date.today().isoformat(), **run})
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    return doc

@@ -21,104 +21,26 @@ What it measures is the shed-before-collapse contract:
 
 :func:`run_overload_suite` packages the acceptance measurement: a
 closed-loop capacity calibration, an unloaded latency baseline, then
-open-loop runs at 1x/2x/4x the calibrated capacity, appended to the
-benchmark trajectory by :func:`record_overload_benchmark`.
+open-loop runs at 1x/2x/4x the calibrated capacity — a JSON-able run
+for :func:`repro.workloads.load.append_run`.
 """
 
 from __future__ import annotations
 
-import bisect
-import datetime
-import json
 import socket
 import threading
 import time
 from collections import OrderedDict
-from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Dict, Optional, Sequence
 
 from ..control.admission import AdmissionConfig, is_overloaded, retry_after_of
-from ..errors import RpcTimeout
-from ..net.client import LiveCaller
+from ..net.client import LiveCaller, ThreadedCallers
 from ..replication.envelope import MsgType, make_envelope
 from ..rpc.messages import Invocation
-from .loadgen import percentile
+from .load import LoadResult, ZipfPicker
 
 GROUP = "timesvc"
-
-
-@dataclass
-class OpenLoopResult:
-    """One open-loop measurement at a fixed offered rate."""
-
-    offered_rate_ops_s: float
-    duration_s: float
-    identities: int
-    zipf_s: float
-    sent: int = 0
-    served: int = 0
-    shed: int = 0
-    timeouts: int = 0
-    errors: int = 0
-    #: End-to-end latencies of *served* requests, microseconds.
-    latencies_us: List[int] = field(default_factory=list)
-    #: Retry-after hints carried by the shed replies, seconds.
-    retry_after_s: List[float] = field(default_factory=list)
-
-    @property
-    def goodput_ops_s(self) -> float:
-        return self.served / self.duration_s if self.duration_s else 0.0
-
-    @property
-    def shed_rate(self) -> float:
-        return self.shed / self.sent if self.sent else 0.0
-
-    @property
-    def p50_us(self) -> float:
-        return percentile(self.latencies_us, 0.50)
-
-    @property
-    def p99_us(self) -> float:
-        return percentile(self.latencies_us, 0.99)
-
-    def to_dict(self) -> Dict:
-        mean_retry = (sum(self.retry_after_s) / len(self.retry_after_s)
-                      if self.retry_after_s else 0.0)
-        return {
-            "mode": "open-loop",
-            "offered_rate_ops_s": round(self.offered_rate_ops_s, 1),
-            "duration_s": self.duration_s,
-            "identities": self.identities,
-            "zipf_s": self.zipf_s,
-            "sent": self.sent,
-            "served": self.served,
-            "shed": self.shed,
-            "timeouts": self.timeouts,
-            "errors": self.errors,
-            "goodput_ops_s": round(self.goodput_ops_s, 1),
-            "shed_rate": round(self.shed_rate, 4),
-            "p50_us": self.p50_us,
-            "p99_us": self.p99_us,
-            "mean_retry_after_s": round(mean_retry, 4),
-        }
-
-
-class _ZipfPicker:
-    """Per-arrival zipf(``s``) identity draw (cumulative weights built
-    once; ``s == 0`` degenerates to uniform)."""
-
-    def __init__(self, universe: int, s: float, rng):
-        self._cum: List[float] = []
-        total = 0.0
-        for rank in range(1, universe + 1):
-            total += 1.0 / (rank ** s) if s else 1.0
-            self._cum.append(total)
-        self._total = total
-        self._rng = rng
-
-    def pick(self) -> int:
-        return bisect.bisect_left(self._cum, self._rng.random() * self._total)
 
 
 @dataclass
@@ -137,6 +59,10 @@ class OpenLoopInjector:
     the per-identity sequence number completes the operation id.
     Arrivals are fired on a Poisson schedule regardless of outstanding
     requests — the defining property of open-loop load.
+
+    A sender thread and a receiver thread share only the pending-op
+    table (under its lock); each keeps its own tallies, which
+    :meth:`run` adds up once both have finished.
     """
 
     def __init__(self, servers: Sequence, *, identities: int,
@@ -146,11 +72,12 @@ class OpenLoopInjector:
                  bind_host: str = "127.0.0.1"):
         self.servers = list(servers)
         self.identities = identities
+        self.zipf_s = zipf_s
         self.group = group
         self.deadline_s = deadline_s
         self.method = method
         self.rng = rng
-        self.picker = _ZipfPicker(identities, zipf_s, rng)
+        self.picker = ZipfPicker(identities, zipf_s, rng)
         self.sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
         self.sock.bind((bind_host, 0))
         self._seqs = [0] * identities
@@ -159,7 +86,12 @@ class OpenLoopInjector:
         self._pending: "OrderedDict[tuple, _PendingOp]" = OrderedDict()
         self._lock = threading.Lock()
         self._stop = threading.Event()
-        self.result: Optional[OpenLoopResult] = None
+        #: Sender thread's tallies.
+        self._sent = self._send_errors = 0
+        #: Receiver thread's tallies; served calls land in the result.
+        self._result: Optional[LoadResult] = None
+        self._shed_hints_s: list = []
+        self._timeouts = 0
 
     # -- sending -------------------------------------------------------
 
@@ -191,9 +123,9 @@ class OpenLoopInjector:
         except OSError:
             with self._lock:
                 self._pending.pop((conn_id, seq), None)
-            self.result.errors += 1
+            self._send_errors += 1
             return
-        self.result.sent += 1
+        self._sent += 1
 
     def _sender(self, rate_ops_s: float, duration_s: float) -> None:
         start = time.monotonic()
@@ -217,11 +149,12 @@ class OpenLoopInjector:
                 if self._pending[key].deadline > now:
                     break
                 del self._pending[key]
-                self.result.timeouts += 1
+                self._timeouts += 1
 
     def _receiver(self) -> None:
         from ..net.wire import FrameError, decode_frame
 
+        result = self._result
         self.sock.settimeout(0.05)
         while not (self._stop.is_set() and not self._pending):
             self._expire(time.monotonic())
@@ -244,26 +177,26 @@ class OpenLoopInjector:
                 op = self._pending.pop(key, None)
             if op is None:
                 continue  # duplicate replica reply or late straggler
-            result = envelope.body
-            if is_overloaded(result):
-                self.result.shed += 1
-                self.result.retry_after_s.append(retry_after_of(result))
-            elif getattr(result, "ok", False):
-                self.result.served += 1
-                self.result.latencies_us.append(
+            reply = envelope.body
+            if is_overloaded(reply):
+                self._shed_hints_s.append(retry_after_of(reply))
+            elif getattr(reply, "ok", False):
+                result.completed += 1
+                result.latencies_us.append(
                     int((received - op.sent_at) * 1_000_000))
             else:
-                self.result.errors += 1
+                result.errors += 1
 
     # -- driver --------------------------------------------------------
 
     def run(self, bed, *, rate_ops_s: float, duration_s: float,
-            zipf_s: float, drain_s: float = 1.0) -> OpenLoopResult:
+            drain_s: float = 1.0) -> LoadResult:
         """Fire Poisson arrivals for ``duration_s`` while pumping the
-        testbed's event loop from this thread."""
-        self.result = OpenLoopResult(
-            offered_rate_ops_s=rate_ops_s, duration_s=duration_s,
-            identities=self.identities, zipf_s=zipf_s)
+        testbed's event loop from this thread.  ``completed`` counts the
+        served calls (``ops_per_s`` is the goodput); shed, timed-out and
+        sent tallies are in ``extra``."""
+        result = self._result = LoadResult(
+            mode="open-loop", duration_s=duration_s)
         sender = threading.Thread(
             target=self._sender, args=(rate_ops_s, duration_s),
             name="openloop-sender", daemon=True)
@@ -271,18 +204,27 @@ class OpenLoopInjector:
             target=self._receiver, name="openloop-receiver", daemon=True)
         receiver.start()
         sender.start()
-        deadline = time.monotonic() + duration_s
-        while time.monotonic() < deadline:
-            bed.run(0.05)
+        bed.pump(duration_s)
         sender.join(timeout=5.0)
         # Drain stragglers: replies already in flight when the window
         # closed still count (their ops were offered inside it).
-        grace = time.monotonic() + drain_s
-        while self._pending and time.monotonic() < grace:
-            bed.run(0.05)
+        bed.pump(drain_s, until=lambda: not self._pending)
         self._stop.set()
         receiver.join(timeout=5.0)
-        return self.result
+        result.errors += self._send_errors
+        hints = self._shed_hints_s
+        result.extra.update(
+            offered_rate_ops_s=round(rate_ops_s, 1),
+            identities=self.identities, zipf_s=self.zipf_s,
+            sent=self._sent, served=result.completed, shed=len(hints),
+            timeouts=self._timeouts,
+            goodput_ops_s=round(result.ops_per_s, 1),
+            shed_rate=round(len(hints) / self._sent if self._sent else 0.0,
+                            4),
+            mean_retry_after_s=round(
+                sum(hints) / len(hints) if hints else 0.0, 4),
+        )
+        return result
 
     def close(self) -> None:
         self._stop.set()
@@ -291,44 +233,30 @@ class OpenLoopInjector:
 
 def calibrate_capacity(bed, servers, *, threads: int = 8,
                        duration_s: float = 1.5) -> float:
-    """Measured closed-loop capacity, ops/s: ``threads`` workers, each
+    """Measured closed-loop capacity, ops/s: ``threads`` callers, each
     one-in-flight, against the same gateways the open-loop run will hit.
     This is the 1x anchor for the overload factors."""
-    stop = threading.Event()
-    counts = [0] * threads
+    # Rotate the server list per caller: a caller prefers the head of
+    # its list, so without rotation every one would pile onto one
+    # gateway and calibrate that gateway, not the cluster.
+    servers = list(servers)
+    rotations = [servers[pivot:] + servers[:pivot]
+                 for pivot in range(len(servers))]
+    callers = ThreadedCallers([
+        LiveCaller(rotations[index % len(servers)], client_id=f"cal{index}")
+        for index in range(threads)])
+    callers.start()
+    bed.pump(duration_s)
+    callers.stop()
+    callers.join()
+    return callers.report()["served"] / duration_s
 
-    def work(index: int) -> None:
-        # Rotate the server list per worker: the caller prefers the head
-        # of its list, so without rotation every worker would pile onto
-        # one gateway and calibrate that gateway, not the cluster.
-        pivot = index % len(servers)
-        spread = list(servers[pivot:]) + list(servers[:pivot])
-        caller = LiveCaller(spread, client_id=f"cal{index}")
-        last = None
-        try:
-            while not stop.is_set():
-                try:
-                    outcome = caller.call("gettimeofday", last, timeout=1.0)
-                except RpcTimeout:
-                    continue
-                result = outcome.first()
-                if result.ok:
-                    counts[index] += 1
-                    last = result.value["micros"]
-        finally:
-            caller.close()
 
-    workers = [threading.Thread(target=work, args=(i,), daemon=True)
-               for i in range(threads)]
-    for worker in workers:
-        worker.start()
-    deadline = time.monotonic() + duration_s
-    while time.monotonic() < deadline:
-        bed.run(0.05)
-    stop.set()
-    for worker in workers:
-        worker.join(timeout=3.0)
-    return sum(counts) / duration_s
+#: The admission knobs the overload suite runs under: a short pipeline
+#: and a 20 ms queue-delay budget, so overload is shed, not queued.
+OVERLOAD_ADMISSION = AdmissionConfig(
+    max_inflight=4, max_global_queue=32, max_client_queue=4,
+    max_queue_delay_s=0.02)
 
 
 def run_overload_suite(
@@ -342,7 +270,7 @@ def run_overload_suite(
     baseline_fraction: float = 0.25,
     deadline_s: float = 0.5,
     calibration_s: float = 1.5,
-    admission_config: Optional[AdmissionConfig] = None,
+    admission_config: AdmissionConfig = OVERLOAD_ADMISSION,
     fast_path: bool = True,
     max_staleness_us: int = 2_000,
 ) -> Dict:
@@ -351,39 +279,35 @@ def run_overload_suite(
     Boots a live cluster with admission-controlled gateways, calibrates
     closed-loop capacity, records an unloaded open-loop baseline
     (``baseline_fraction`` of capacity), then drives each overload
-    factor.  Returns a JSON-able document; feed it to
-    :func:`record_overload_benchmark` to persist.
+    factor.  Returns a JSON-able run for
+    :func:`~repro.workloads.load.append_run`.
     """
     import random
 
-    from ..control.rolling import _install_gateway
     from ..net.daemon import TimeApp
     from ..net.testbed import LiveTestbed
 
     node_ids = [f"n{i}" for i in range(num_nodes)]
-    config = admission_config or AdmissionConfig()
     bed = LiveTestbed(node_ids=node_ids, seed=seed)
-    gateways: list = []
     try:
         bed.deploy(GROUP, TimeApp, nodes=node_ids,
                    style="active", time_source="cts",
                    fast_path=fast_path, max_staleness_us=max_staleness_us)
         bed.start()
         for node_id in node_ids:
-            _install_gateway(bed, node_id, gateways, config)
+            bed.install_gateway(node_id, admission_config)
         servers = [bed.node(node_id).address for node_id in node_ids]
 
         capacity = calibrate_capacity(bed, servers,
                                       duration_s=calibration_s)
         rng = random.Random(seed ^ 0x09E2)
 
-        def one_run(rate: float, run_s: float = duration_s) -> OpenLoopResult:
+        def one_run(rate: float, run_s: float = duration_s) -> LoadResult:
             injector = OpenLoopInjector(
                 servers, identities=identities, zipf_s=zipf_s, rng=rng,
                 deadline_s=deadline_s)
             try:
-                return injector.run(bed, rate_ops_s=rate,
-                                    duration_s=run_s, zipf_s=zipf_s)
+                return injector.run(bed, rate_ops_s=rate, duration_s=run_s)
             finally:
                 injector.close()
 
@@ -402,17 +326,16 @@ def run_overload_suite(
             "nodes": num_nodes,
             "capacity_ops_s": round(capacity, 1),
             "admission": {
-                "max_inflight": config.max_inflight,
-                "max_global_queue": config.max_global_queue,
-                "max_client_queue": config.max_client_queue,
-                "max_queue_delay_s": config.max_queue_delay_s,
+                "max_inflight": admission_config.max_inflight,
+                "max_global_queue": admission_config.max_global_queue,
+                "max_client_queue": admission_config.max_client_queue,
+                "max_queue_delay_s": admission_config.max_queue_delay_s,
             },
             "baseline": baseline.to_dict(),
             "points": {label: r.to_dict()
                        for label, r in points.items()},
             "admission_stats": [g.admission.stats.to_dict()
-                                for g in gateways
-                                if g.admission is not None],
+                                for g in bed.gateways],
         }
         worst = points.get(f"{max(factors):g}x")
         if worst is not None and baseline.p99_us:
@@ -432,25 +355,3 @@ def run_overload_suite(
         return suite
     finally:
         bed.shutdown()
-
-
-def record_overload_benchmark(path, suite: Dict) -> Dict:
-    """Append one overload suite to the benchmark trajectory (same
-    document as :func:`~repro.workloads.loadgen.record_benchmark`)."""
-    path = Path(path)
-    doc: Dict = {"benchmark": "loadgen-throughput", "runs": []}
-    if path.exists():
-        try:
-            existing = json.loads(path.read_text())
-            if isinstance(existing, dict) and isinstance(
-                    existing.get("runs"), list):
-                doc = existing
-        except ValueError:
-            pass
-    run = dict(suite)
-    run["recorded_at"] = datetime.date.today().isoformat()
-    doc["runs"].append(run)
-    if path.parent and not path.parent.exists():
-        path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    return doc

@@ -7,10 +7,10 @@ from repro.control import ControlPlane, ReconfigurationError
 from ..support import ClockApp, CounterApp, call_n, make_testbed
 
 
-def make_plane(bed, **kwargs):
-    kwargs.setdefault("group", "svc")
-    kwargs.setdefault("time_source", "local")
-    return ControlPlane(bed, **kwargs)
+def make_plane(bed):
+    # Joiners are built as the group was deployed: the plane needs no
+    # application or time-source arguments of its own.
+    return ControlPlane(bed, group="svc")
 
 
 class TestJoin:
@@ -21,7 +21,7 @@ class TestJoin:
         bed.start()
         call_n(bed, client, "svc", "increment", 5)
 
-        plane = make_plane(bed, app_factory=CounterApp)
+        plane = make_plane(bed)
         joiner = plane.join("n3")
         assert joiner.state_transfer.ready
         assert joiner.app.count == 5
@@ -37,7 +37,7 @@ class TestJoin:
         bed = make_testbed(seed=41)
         bed.deploy("svc", CounterApp, ["n1", "n2"], time_source="local")
         bed.start()
-        plane = make_plane(bed, app_factory=CounterApp)
+        plane = make_plane(bed)
         existing = bed.replicas("svc")["n1"]
         assert plane.join("n1") is existing
         assert plane.log == []
@@ -51,7 +51,7 @@ class TestJoin:
         bed.start()
         call_n(bed, client, "svc", "get_time", 3)
 
-        plane = make_plane(bed, app_factory=ClockApp, time_source="cts")
+        plane = make_plane(bed)
 
         # Rounds are request-driven: keep traffic flowing while the
         # control plane waits for the joiner to win rounds of its own.
@@ -78,7 +78,7 @@ class TestDrain:
         bed.start()
         call_n(bed, client, "svc", "increment", 3)
 
-        plane = make_plane(bed, app_factory=CounterApp)
+        plane = make_plane(bed)
         drained = bed.replicas("svc")["n2"]
         plane.drain("n2")
         assert plane.serving() == ["n1", "n3"]
@@ -100,7 +100,7 @@ class TestDrain:
         client = bed.client("n0")
         bed.start()
         call_n(bed, client, "svc", "increment", 2)
-        plane = make_plane(bed, app_factory=CounterApp)
+        plane = make_plane(bed)
         primary = plane.view_members("n1")[0]
         plane.drain(primary)
         values = call_n(bed, client, "svc", "increment", 2)
@@ -110,7 +110,7 @@ class TestDrain:
         bed = make_testbed(seed=45)
         bed.deploy("svc", CounterApp, ["n1"], time_source="local")
         bed.start()
-        plane = make_plane(bed, app_factory=CounterApp)
+        plane = make_plane(bed)
         with pytest.raises(ReconfigurationError):
             plane.drain("n1")
 
@@ -118,7 +118,7 @@ class TestDrain:
         bed = make_testbed(seed=46)
         bed.deploy("svc", CounterApp, ["n1", "n2"], time_source="local")
         bed.start()
-        plane = make_plane(bed, app_factory=CounterApp)
+        plane = make_plane(bed)
         with pytest.raises(ReconfigurationError):
             plane.drain("n3")
 
@@ -129,7 +129,7 @@ class TestDrain:
         client = bed.client("n0")
         bed.start()
         call_n(bed, client, "svc", "increment", 2)
-        plane = make_plane(bed, app_factory=CounterApp)
+        plane = make_plane(bed)
         plane.drain("n3")
         call_n(bed, client, "svc", "increment", 2)
         rejoined = plane.join("n3")
@@ -144,7 +144,7 @@ class TestAsyncHooks:
         bed.deploy("svc", CounterApp, ["n1", "n2", "n3"],
                    time_source="local")
         bed.start()
-        plane = make_plane(bed, app_factory=CounterApp)
+        plane = make_plane(bed)
         assert plane.drain_async("n2") is True
         assert "n2" in plane.serving()  # not yet finalized
         bed.run(1.0)
@@ -154,7 +154,7 @@ class TestAsyncHooks:
         bed = make_testbed(seed=49)
         bed.deploy("svc", CounterApp, ["n1"], time_source="local")
         bed.start()
-        plane = make_plane(bed, app_factory=CounterApp)
+        plane = make_plane(bed)
         assert plane.drain_async("n1") is False
         assert plane.drain_async("n2") is False
 
@@ -164,7 +164,7 @@ class TestAsyncHooks:
         client = bed.client("n0")
         bed.start()
         call_n(bed, client, "svc", "increment", 3)
-        plane = make_plane(bed, app_factory=CounterApp)
+        plane = make_plane(bed)
         assert plane.join_async("n3") is True
         assert plane.join_async("n3") is False  # already admitted
         bed.run(1.0)
@@ -182,7 +182,7 @@ class TestRestart:
         bed.start()
         call_n(bed, client, "svc", "increment", 4)
 
-        plane = make_plane(bed, app_factory=CounterApp)
+        plane = make_plane(bed)
         recovered = plane.restart_node("n2")
         assert recovered.state_transfer.ready
         assert recovered.app.count == 4
@@ -196,7 +196,7 @@ class TestRestart:
         bed = make_testbed(seed=52)
         bed.deploy("svc", CounterApp, ["n1", "n2"], time_source="local")
         bed.start()
-        plane = make_plane(bed, app_factory=CounterApp)
+        plane = make_plane(bed)
         status = plane.status()
         assert status["serving"] == ["n1", "n2"]
         assert all(status["ready"].values())

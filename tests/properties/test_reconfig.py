@@ -41,9 +41,8 @@ def run_reconfig_interleaving(seed, plan, plane_events, calls=12):
     bed.start(settle=0.3)
 
     oracle = InvariantOracle()
-    plane = ControlPlane(bed, group="svc", app_factory=ClockApp,
-                         on_node_ready=oracle.note_recovery,
-                         style="active", time_source="cts")
+    plane = ControlPlane(bed, group="svc",
+                         on_node_ready=oracle.note_recovery)
     def control_drain(node_id):
         oracle.note_reconfig(node_id)
         return plane.drain_async(node_id)

@@ -91,3 +91,25 @@ class TestFailureHelpers:
         assert bed.cluster.node("n1").alive
         bed.run(0.5)
         assert bed.processors["n1"].is_operational
+
+    def test_old_processor_stays_dead_after_a_quick_restart(self):
+        # Fail-stop: an outage shorter than every Totem timer leaves the
+        # crashed processor's timers queued on the kernel.  They must
+        # find it stopped, not resume beside the processor the restart
+        # built (a second "n1" reporting token losses, forming singleton
+        # rings and reusing ring ids).
+        bed = Testbed(seed=5)
+        bed.start()
+        old_processor = bed.processors["n1"]
+        ring_at_crash = old_processor.ring.ring_id
+        bed.crash("n1")
+        bed.run(0.0005)
+        bed.recover("n1")
+        assert not old_processor.alive
+        assert bed.processors["n1"].alive
+        bed.run(1.0)
+        assert old_processor.ring.ring_id == ring_at_crash
+        rings = {p.ring.ring_id for p in bed.processors.values()}
+        assert len(rings) == 1
+        assert all(p.is_operational and len(p.members) == 4
+                   for p in bed.processors.values())

@@ -7,14 +7,19 @@ envelope, and the bench JSON shape — without the multi-minute sim.
 """
 
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.workloads import (
-    record_shard_benchmark,
+    ZipfPicker,
+    append_run,
     run_loadgen_sharded,
-    zipf_identities,
+    shard_scaling_run,
 )
+
+
+TRAJECTORY = Path(__file__).parents[2] / "BENCH_throughput.json"
 
 
 @pytest.fixture(scope="module")
@@ -31,21 +36,23 @@ class TestSmallShardedRun:
     def test_every_shard_serves_calls(self, small_run):
         assert small_run.completed > 0
         assert small_run.errors == 0
-        assert sorted(small_run.per_shard_completed) == [0, 1]
-        assert all(count > 0
-                   for count in small_run.per_shard_completed.values())
-        assert small_run.clients == 4  # shards * concurrency workers
+        per_shard = small_run.extra["per_shard"]
+        assert sorted(per_shard) == ["0", "1"]
+        assert all(row["completed"] > 0 for row in per_shard.values())
+        assert sum(row["completed"]
+                   for row in per_shard.values()) == small_run.completed
+        assert small_run.extra["clients"] == 4  # shards * concurrency
 
     def test_oracle_and_envelope_are_populated(self, small_run):
-        assert small_run.oracle_report is not None
-        assert small_run.oracle_report["ok"], (
-            small_run.oracle_report["violations"])
-        assert small_run.skew_envelope["samples"] > 0
-        assert small_run.summaries_sent > 0
-        assert small_run.summaries_received > 0
+        oracle = small_run.extra["oracle"]
+        assert oracle is not None
+        assert oracle["ok"], oracle["violations"]
+        assert small_run.extra["skew_envelope"]["samples"] > 0
+        assert small_run.extra["summaries_sent"] > 0
+        assert small_run.extra["summaries_received"] > 0
 
     def test_sticky_routing_never_migrates(self, small_run):
-        assert small_run.migrations == 0
+        assert small_run.extra["migrations"] == 0
 
     def test_result_dict_shape(self, small_run):
         doc = small_run.to_dict()
@@ -56,10 +63,16 @@ class TestSmallShardedRun:
         assert doc["p50_us"] > 0
         assert doc["imbalance"] >= 1.0
 
+    def test_dict_keeps_the_committed_trajectory_keys(self, small_run):
+        committed = next(
+            run for run in json.loads(TRAJECTORY.read_text())["runs"]
+            if run.get("kind") == "shard-scaling")
+        assert set(small_run.to_dict()) == set(committed["modes"]["sharded"])
+
     def test_bench_json_round_trip(self, small_run, tmp_path):
         path = tmp_path / "BENCH_throughput.json"
-        record_shard_benchmark(path, small_run, small_run)
-        record_shard_benchmark(path, small_run, small_run)  # appends
+        append_run(path, shard_scaling_run(small_run, small_run))
+        append_run(path, shard_scaling_run(small_run, small_run))  # appends
         doc = json.loads(path.read_text())
         assert doc["benchmark"] == "loadgen-throughput"
         assert len(doc["runs"]) == 2
@@ -68,6 +81,11 @@ class TestSmallShardedRun:
         assert run["scaling_vs_single_shard"] == 1.0
         assert run["skew_envelope"]["samples"] > 0
         assert run["modes"]["sharded"]["completed"] == small_run.completed
+
+
+def zipf_identities(count, *, universe, s, rng):
+    picker = ZipfPicker(universe, s, rng)
+    return [picker.pick() for _ in range(count)]
 
 
 class TestZipfIdentities:

@@ -111,10 +111,10 @@ class TestThroughputWorkload:
         point = run_throughput_point(
             time_source="local", offered_per_s=2_000, duration_s=0.1, seed=3
         )
-        assert point.issued == pytest.approx(200, abs=2)
-        assert point.completed == point.issued
-        assert point.mean_latency_us > 0
-        assert not point.saturated
+        assert point.extra["issued"] == pytest.approx(200, abs=2)
+        assert point.completed == point.extra["issued"]
+        assert point.mean_us > 0
+        assert not point.extra["saturated"]
 
     def test_cts_latency_grows_past_capacity(self):
         # Per-operation rounds (no coalescing): the round time caps the
@@ -129,7 +129,7 @@ class TestThroughputWorkload:
             time_source="cts", offered_per_s=25_000, duration_s=0.1, seed=3,
             coalesce=False,
         )
-        assert stormy.mean_latency_us > 5 * calm.mean_latency_us
+        assert stormy.mean_us > 5 * calm.mean_us
 
     def test_coalescing_absorbs_the_same_storm(self):
         # Round amortization: the same offered rate that saturates the
@@ -143,8 +143,8 @@ class TestThroughputWorkload:
         stormy = run_throughput_point(
             time_source="cts", offered_per_s=25_000, duration_s=0.1, seed=3
         )
-        assert not stormy.saturated
-        assert stormy.mean_latency_us < 5 * calm.mean_latency_us
+        assert not stormy.extra["saturated"]
+        assert stormy.mean_us < 5 * calm.mean_us
 
     def test_sweep_returns_all_rates(self):
         from repro.workloads import run_throughput_sweep
@@ -179,8 +179,8 @@ class TestSerialExecution:
         loaded = run_loadgen(concurrency=16, duration_s=0.3, seed=seed,
                              coalesce=False)
         assert loaded.errors == 0
-        assert loaded.ops_coalesced == 0
-        assert loaded.ccs_per_op == pytest.approx(1.0, rel=1e-3)
+        assert loaded.extra["ops_coalesced"] == 0
+        assert loaded.extra["ccs_per_op"] == pytest.approx(1.0, rel=1e-3)
 
 
 class TestLoadgenChaos:
@@ -196,34 +196,41 @@ class TestLoadgenChaos:
         assert result.completed > 0
         total = result.completed + result.errors
         assert result.errors / total <= 0.05
-        assert result.ops_coalesced > 0
-        assert result.rounds_completed > 0
+        assert result.extra["ops_coalesced"] > 0
+        assert result.extra["rounds_completed"] > 0
 
-    def test_chaos_point_lands_in_benchmark_file(self, tmp_path):
-        from repro.workloads import record_benchmark, run_loadgen_chaos
+    def test_chaos_point_lands_in_benchmark_file(self, small_chaos_run,
+                                                 tmp_path):
+        from repro.workloads import append_run, comparison_run
 
-        result = run_loadgen_chaos(
-            concurrency=4, duration_s=0.2, seed=5, loss_rate=0.01)
         path = tmp_path / "bench.json"
-        doc = record_benchmark(path, {result.mode: result})
+        doc = append_run(path, comparison_run([small_chaos_run]))
         assert doc["runs"][-1]["modes"]["chaos"]["completed"] > 0
         assert "retries" in doc["runs"][-1]["modes"]["chaos"]
 
 
+@pytest.fixture(scope="module")
+def small_chaos_run():
+    from repro.workloads import run_loadgen_chaos
+
+    return run_loadgen_chaos(
+        concurrency=4, duration_s=0.2, seed=5, loss_rate=0.01)
+
+
 class TestLoadgenTailStats:
     def make_result(self, latencies):
-        from repro.workloads.loadgen import LoadgenResult
+        from repro.workloads import LoadResult
 
-        return LoadgenResult(mode="test", concurrency=1, duration_s=1.0,
-                             completed=len(latencies),
-                             latencies_us=list(latencies))
+        return LoadResult(mode="test", duration_s=1.0,
+                          completed=len(latencies),
+                          latencies_us=list(latencies))
 
     def test_p999_sits_at_the_tail(self):
         result = self.make_result(list(range(1, 1001)))
         assert result.p99_us < result.p999_us <= 1000
 
     def test_latency_buckets_are_cumulative(self):
-        from repro.workloads.loadgen import LATENCY_BUCKETS_US
+        from repro.workloads.load import LATENCY_BUCKETS_US
 
         result = self.make_result([30, 60, 60, 450, 100_000])
         buckets = result.latency_buckets()
@@ -235,8 +242,19 @@ class TestLoadgenTailStats:
         counts = [b[1] for b in buckets]
         assert counts == sorted(counts)  # cumulative, never decreasing
 
-    def test_to_dict_carries_tail_and_buckets(self):
-        result = self.make_result([100, 200, 300])
+    def test_to_dict_carries_tail_and_buckets(self, small_chaos_run):
+        # The flat-bed generators report the tail and the histogram.
+        result = small_chaos_run
         data = result.to_dict()
-        assert data["p999_us"] == result.p999_us
+        assert data["p999_us"] == result.p999_us > 0
         assert data["latency_buckets_us"] == result.latency_buckets()
+        assert data["latency_buckets_us"][-1] == ["+Inf", result.completed]
+        # ... under the keys the committed trajectory already uses.
+        import json
+        from pathlib import Path
+
+        trajectory = json.loads(
+            (Path(__file__).parents[2] / "BENCH_throughput.json").read_text())
+        committed = [run["modes"] for run in trajectory["runs"]
+                     if "kind" not in run][-1]
+        assert set(data) == set(committed["coalesced+fast-path"])
