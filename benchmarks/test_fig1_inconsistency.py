@@ -14,55 +14,14 @@ the synchronization); the CTS diverges by exactly zero.
 """
 
 from repro.analysis import format_table, summarize
-from repro.replication import Application
-from repro.sim import ClusterConfig
-from repro.testbed import Testbed
-
-
-class Fig1App(Application):
-    def get_time(self, ctx):
-        yield ctx.compute(30e-6)
-        value = yield ctx.gettimeofday()
-        return value.micros
-
-
-def measure_divergence(time_source, *, seed, calls=60, use_ntp=False):
-    bed = Testbed(
-        seed=seed,
-        cluster_config=ClusterConfig(num_nodes=4, clock_epoch_spread_s=10.0),
-    )
-    if use_ntp:
-        bed.install_ntp(poll_interval_s=0.5, gain=0.7)
-    bed.deploy("svc", Fig1App, ["n1", "n2", "n3"], time_source=time_source)
-    client = bed.client("n0")
-    bed.start()
-    if use_ntp:
-        bed.run(20.0)  # let the discipline converge first
-
-    def scenario():
-        for _ in range(calls):
-            result, _ = yield from client.timed_call("svc", "get_time",
-                                                     timeout=3.0)
-            assert result.ok
-        return None
-
-    bed.run_process(scenario())
-    bed.run(0.1)
-    per_replica = [
-        [v.micros for _, _, _, v in r.time_source.readings][-calls:]
-        for r in bed.replicas("svc").values()
-    ]
-    divergences = [
-        max(vals) - min(vals) for vals in zip(*per_replica)
-    ]
-    return divergences
+from repro.workloads import measure_divergence
 
 
 def test_fig1_inconsistency(benchmark, report):
     def run_all():
         return {
             "local clocks": measure_divergence("local", seed=11),
-            "NTP-disciplined": measure_divergence("ntp", seed=11, use_ntp=True),
+            "NTP-disciplined": measure_divergence("ntp", seed=11),
             "consistent time service": measure_divergence("cts", seed=11),
         }
 
@@ -110,7 +69,7 @@ def test_fig1_ntp_still_divergent_when_tight(benchmark, report):
     per-operation divergence does not vanish — the problem is intrinsic
     to event-triggered execution, not to synchronization quality."""
     divergences = benchmark.pedantic(
-        lambda: measure_divergence("ntp", seed=13, use_ntp=True),
+        lambda: measure_divergence("ntp", seed=13),
         rounds=1,
         iterations=1,
     )

@@ -13,70 +13,7 @@ fresh state transfer and answers consistently again.
 """
 
 from repro.analysis import format_table
-from repro.replication import Application
-from repro.sim import ClusterConfig
-from repro.testbed import Testbed
-
-
-class PartitionApp(Application):
-    def __init__(self):
-        self.count = 0
-
-    def tick(self, ctx):
-        yield ctx.compute(20e-6)
-        value = yield ctx.gettimeofday()
-        self.count += 1
-        return (self.count, value.micros)
-
-    def get_state(self):
-        return self.count
-
-    def set_state(self, state):
-        self.count = state
-
-
-def run_partition_cycle(seed):
-    bed = Testbed(seed=seed, cluster_config=ClusterConfig(
-        num_nodes=4, clock_epoch_spread_s=30.0))
-    bed.deploy("svc", PartitionApp, ["n1", "n2", "n3"], time_source="cts")
-    client = bed.client("n0")
-    bed.start()
-
-    def calls(n):
-        def scenario():
-            values = []
-            for _ in range(n):
-                result, _ = yield from client.timed_call("svc", "tick",
-                                                         timeout=3.0)
-                assert result.ok, result.error
-                values.append(result.value[1])
-            return values
-        return bed.run_process(scenario())
-
-    outcome = {"seed": seed}
-    before = calls(3)
-    bed.cluster.network.partition({"n0", "n1", "n2"}, {"n3"})
-    bed.run(0.4)
-    minority = bed.replicas("svc")["n3"]
-    outcome["minority_suspended"] = minority.suspended
-    during = calls(3)
-    minority_count_frozen = minority.app.count
-    bed.cluster.network.heal()
-    bed.run(1.5)
-    after = calls(3)
-    bed.run(0.2)
-
-    sequence = before + during + after
-    outcome["monotone"] = all(b > a for a, b in zip(sequence, sequence[1:]))
-    outcome["minority_froze_at"] = minority_count_frozen
-    outcome["rejoined_ready"] = minority.state_transfer.ready
-    outcome["rejoined_count"] = minority.app.count
-    outcome["majority_count"] = bed.replicas("svc")["n1"].app.count
-    rejoined_values = [
-        v.micros for _, _, _, v in minority.time_source.readings
-    ][-3:]
-    outcome["rejoined_consistent"] = rejoined_values == after
-    return outcome
+from repro.workloads import run_partition_cycle
 
 
 def test_partition_primary_component(benchmark, report):

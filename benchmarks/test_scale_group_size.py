@@ -13,48 +13,8 @@ Expected shape: per-call latency grows roughly linearly with ring size;
 wire CCS per round stays 1.
 """
 
-from repro.analysis import format_table, summarize
-from repro.replication import Application
-from repro.sim import ClusterConfig
-from repro.testbed import Testbed
-
-
-class ScaleApp(Application):
-    def get_time(self, ctx):
-        yield ctx.compute(40e-6)
-        value = yield ctx.gettimeofday()
-        return value.micros
-
-
-def run_at_size(replicas, *, calls=150, seed=9):
-    num_nodes = replicas + 1  # plus the client's node
-    bed = Testbed(
-        seed=seed,
-        cluster_config=ClusterConfig(num_nodes=num_nodes),
-    )
-    nodes = [f"n{i}" for i in range(1, num_nodes)]
-    bed.deploy("svc", ScaleApp, nodes, time_source="cts")
-    client = bed.client("n0")
-    bed.start(settle=0.3)
-
-    def scenario():
-        for _ in range(calls):
-            result, _ = yield from client.timed_call("svc", "get_time",
-                                                     timeout=5.0)
-            assert result.ok
-        return None
-
-    bed.run_process(scenario())
-    bed.run(0.1)
-    transmitted = sum(
-        r.time_source.stats.ccs_transmitted
-        for r in bed.replicas("svc").values()
-    )
-    rounds = max(
-        len(r.time_source.winners) for r in bed.replicas("svc").values()
-    )
-    latency = summarize(client.stats.latencies_us)
-    return latency, transmitted, rounds
+from repro.analysis import format_table
+from repro.workloads import run_at_size
 
 
 def test_scale_with_group_size(benchmark, report):

@@ -26,6 +26,7 @@ meantime is silently lost, exactly like a frame on a real wire.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
@@ -34,14 +35,15 @@ from ..errors import NetworkError
 from ..net.transport import Transport, TransportPort
 from .byzantine import ByzantineRules
 
-M_CHAOS_DROPPED = obs.REGISTRY.counter(
-    "chaos_frames_dropped_total", "frames lost to injected loss")
-M_CHAOS_DELAYED = obs.REGISTRY.counter(
-    "chaos_frames_delayed_total", "frames held back by injected delay")
-M_CHAOS_DUPLICATED = obs.REGISTRY.counter(
-    "chaos_frames_duplicated_total", "extra copies injected")
-M_CHAOS_BLOCKED = obs.REGISTRY.counter(
-    "chaos_frames_blocked_total", "frames blocked by partition/isolation")
+#: ChaosTransport tally (keyed by sending node) -> the family read from it.
+COUNTERS = obs.REGISTRY.read_counters({
+    "dropped": ("chaos_frames_dropped_total", "frames lost to injected loss", "node"),
+    "delayed": ("chaos_frames_delayed_total",
+                "frames held back by injected delay", "node"),
+    "duplicated": ("chaos_frames_duplicated_total", "extra copies injected", "node"),
+    "blocked": ("chaos_frames_blocked_total",
+                "frames blocked by partition/isolation", "node"),
+})
 
 
 @dataclass
@@ -144,11 +146,13 @@ class ChaosTransport(Transport):
         #: leg *including self-delivery* (a liar hears its own lie) and
         #: *before* the crash/omission decision procedure.
         self.byzantine = ByzantineRules(seed=seed)
-        # Injection tally for verdicts and tests.
-        self.frames_dropped = 0
-        self.frames_delayed = 0
-        self.frames_duplicated = 0
-        self.frames_blocked = 0
+        # Injection tallies per sending node; ``frames_dropped`` and its
+        # siblings total them for verdicts and tests.
+        self.dropped: Dict[str, int] = Counter()
+        self.delayed: Dict[str, int] = Counter()
+        self.duplicated: Dict[str, int] = Counter()
+        self.blocked: Dict[str, int] = Counter()
+        obs.REGISTRY.watch(self, COUNTERS)
 
     # -- topology (Transport contract) ----------------------------------
 
@@ -242,6 +246,22 @@ class ChaosTransport(Transport):
     def frames_perturbed(self) -> int:
         return self.byzantine.frames_perturbed
 
+    @property
+    def frames_dropped(self) -> int:
+        return sum(self.dropped.values())
+
+    @property
+    def frames_delayed(self) -> int:
+        return sum(self.delayed.values())
+
+    @property
+    def frames_duplicated(self) -> int:
+        return sum(self.duplicated.values())
+
+    @property
+    def frames_blocked(self) -> int:
+        return sum(self.blocked.values())
+
     def reachable(self, src: str, dst: str) -> bool:
         if src == dst:
             return True
@@ -281,15 +301,11 @@ class ChaosTransport(Transport):
         if src == dst:
             return [0.0]
         if not self.reachable(src, dst):
-            self.frames_blocked += 1
-            if obs.REGISTRY.enabled:
-                M_CHAOS_BLOCKED.inc(node=src)
+            self.blocked[src] += 1
             return None
         rng = self._rng(src, dst)
         if rng.random() < self._effective(src, dst, "drop_rate", 0.0):
-            self.frames_dropped += 1
-            if obs.REGISTRY.enabled:
-                M_CHAOS_DROPPED.inc(node=src)
+            self.dropped[src] += 1
             return None
         delay = self._effective(src, dst, "delay_s", 0.0)
         jitter = self._effective(src, dst, "jitter_s", 0.0)
@@ -300,14 +316,10 @@ class ChaosTransport(Transport):
                 0.0, self._effective(src, dst, "reorder_window_s", 0.01))
         delays = [delay]
         if rng.random() < self._effective(src, dst, "duplicate_rate", 0.0):
-            self.frames_duplicated += 1
-            if obs.REGISTRY.enabled:
-                M_CHAOS_DUPLICATED.inc(node=src)
+            self.duplicated[src] += 1
             delays.append(delay + rng.uniform(0.0, max(jitter, 0.001)))
         if delay > 0.0:
-            self.frames_delayed += 1
-            if obs.REGISTRY.enabled:
-                M_CHAOS_DELAYED.inc(node=src)
+            self.delayed[src] += 1
         return delays
 
     def _send(self, inner_port: TransportPort, src: str, dst: str,

@@ -10,7 +10,7 @@ the benchmark harness produces.  Intended for quick exploration::
     python -m repro failover --seeds 8   # roll-back comparison
     python -m repro drift --rounds 800   # compensation ablation
     python -m repro recovery             # new-clock integration
-    python -m repro metrics              # observability smoke / cross-check
+    python -m repro metrics              # observability export smoke
     python -m repro loadgen --compare    # coalesced vs per-op throughput
     python -m repro all                  # everything, quick scale
 
@@ -69,53 +69,21 @@ from .sim import US_PER_SEC
 from .testbed import STYLES
 from .workloads import (
     failover_comparison,
+    measure_divergence,
+    run_at_size,
     run_latency_workload,
+    run_partition_cycle,
     run_recovery_workload,
     run_skew_drift_workload,
 )
 
 
 def cmd_fig1(args) -> int:
-    from .replication import Application
-    from .testbed import Testbed
-    from .sim import ClusterConfig
-
-    class App(Application):
-        def get_time(self, ctx):
-            yield ctx.compute(30e-6)
-            value = yield ctx.gettimeofday()
-            return value.micros
-
     rows = []
-    for label, source, use_ntp in (
-        ("local clocks", "local", False),
-        ("NTP-disciplined", "ntp", True),
-        ("consistent time service", "cts", False),
-    ):
-        bed = Testbed(seed=args.seed, cluster_config=ClusterConfig(
-            num_nodes=4, clock_epoch_spread_s=10.0))
-        if use_ntp:
-            bed.install_ntp(poll_interval_s=0.5, gain=0.7)
-        bed.deploy("svc", App, ["n1", "n2", "n3"], time_source=source)
-        client = bed.client("n0")
-        bed.start()
-        if use_ntp:
-            bed.run(20.0)
-
-        def scenario():
-            for _ in range(30):
-                result, _ = yield from client.timed_call("svc", "get_time",
-                                                         timeout=3.0)
-            return None
-
-        bed.run_process(scenario())
-        bed.run(0.1)
-        per_replica = [
-            [v.micros for _, _, _, v in r.time_source.readings][-30:]
-            for r in bed.replicas("svc").values()
-        ]
-        divergences = [max(vs) - min(vs) for vs in zip(*per_replica)]
-        s = summarize(divergences)
+    for label, source in (("local clocks", "local"),
+                          ("NTP-disciplined", "ntp"),
+                          ("consistent time service", "cts")):
+        s = summarize(measure_divergence(source, seed=args.seed, calls=30))
         rows.append([label, f"{s.mean:.1f}", f"{s.maximum:.0f}"])
     print(format_table(["clock source", "mean divergence us", "max us"],
                        rows, title="FIG1 replica clock divergence"))
@@ -427,86 +395,20 @@ def cmd_recovery(args) -> int:
 
 
 def cmd_partition(args) -> int:
-    from .replication import Application
-    from .sim import ClusterConfig
-    from .testbed import Testbed
-
-    class App(Application):
-        def __init__(self):
-            self.count = 0
-
-        def tick(self, ctx):
-            value = yield ctx.gettimeofday()
-            self.count += 1
-            return (self.count, value.micros)
-
-        def get_state(self):
-            return self.count
-
-        def set_state(self, state):
-            self.count = state
-
-    bed = Testbed(seed=args.seed, cluster_config=ClusterConfig(num_nodes=4))
-    bed.deploy("svc", App, ["n1", "n2", "n3"], time_source="cts")
-    client = bed.client("n0")
-    bed.start()
-
-    def calls(n):
-        def scenario():
-            values = []
-            for _ in range(n):
-                result, _ = yield from client.timed_call("svc", "tick",
-                                                         timeout=3.0)
-                values.append(result.value[1])
-            return values
-        return bed.run_process(scenario())
-
+    outcome = run_partition_cycle(args.seed)
     print("EXT-PARTITION primary-component cycle")
-    before = calls(3)
-    bed.cluster.network.partition({"n0", "n1", "n2"}, {"n3"})
-    bed.run(0.4)
-    minority = bed.replicas("svc")["n3"]
-    print(f"  n3 partitioned away; suspended: {minority.suspended}")
-    during = calls(3)
-    bed.cluster.network.heal()
-    bed.run(1.5)
-    after = calls(3)
-    sequence = before + during + after
-    monotone = all(b > a for a, b in zip(sequence, sequence[1:]))
-    print(f"  clock monotone through the cycle: {monotone}")
-    print(f"  n3 rejoined with state {minority.app.count} "
-          f"(majority {bed.replicas('svc')['n1'].app.count})")
+    print(f"  n3 partitioned away; suspended: "
+          f"{outcome['minority_suspended']}")
+    print(f"  clock monotone through the cycle: {outcome['monotone']}")
+    print(f"  n3 rejoined with state {outcome['rejoined_count']} "
+          f"(majority {outcome['majority_count']})")
     return 0
 
 
 def cmd_scale(args) -> int:
-    from .replication import Application
-    from .sim import ClusterConfig
-    from .testbed import Testbed
-
-    class App(Application):
-        def get_time(self, ctx):
-            yield ctx.compute(40e-6)
-            value = yield ctx.gettimeofday()
-            return value.micros
-
     rows = []
     for replicas in (2, 3, 4, 5):
-        bed = Testbed(seed=args.seed, cluster_config=ClusterConfig(
-            num_nodes=replicas + 1))
-        nodes = [f"n{i}" for i in range(1, replicas + 1)]
-        bed.deploy("svc", App, nodes, time_source="cts")
-        client = bed.client("n0")
-        bed.start(settle=0.3)
-
-        def scenario():
-            for _ in range(60):
-                result, _ = yield from client.timed_call("svc", "get_time",
-                                                         timeout=5.0)
-            return None
-
-        bed.run_process(scenario())
-        latency = summarize(client.stats.latencies_us)
+        latency, _, _ = run_at_size(replicas, calls=60, seed=args.seed)
         rows.append([replicas, f"{latency.p50:.0f}", f"{latency.p90:.0f}"])
     print(format_table(["replicas", "p50 latency (us)", "p90 (us)"], rows,
                        title="EXT-SCALE group-size sweep"))
@@ -517,45 +419,34 @@ def cmd_metrics(args) -> int:
     """Observability smoke test.
 
     Runs the CCS workload with the metrics registry and span tracker
-    enabled, then cross-checks the registry-derived per-node transmitted
-    counts (``ccs_sent_total`` − ``ccs_suppressed_total``) against the
-    wire-level counts the benchmark harness reports.  Exit status 0 only
-    if they agree and the latency histogram is populated.
+    enabled and checks the export end to end: the CCS and wire counter
+    families are present and non-zero, the round-latency histogram is
+    populated and round spans were assembled.  Exit status 0 only if all
+    of that holds.  (Counter families are read from the counters the
+    harness itself reports, so there is no second copy to compare.)
     """
     tracker = obs.RoundSpanTracker()
     with obs.REGISTRY.session(), tracker:
-        run = run_latency_workload(
+        run_latency_workload(
             time_source="cts", invocations=args.rounds, seed=args.seed)
-    sent = obs.REGISTRY.get("ccs_sent_total")
-    suppressed = obs.REGISTRY.get("ccs_suppressed_total")
-    derived = {
-        node: int(sent.value(node=node) - suppressed.value(node=node))
-        for node in run.ccs_transmitted
-    }
-    rows = []
-    for node in sorted(run.ccs_transmitted):
-        ok = derived[node] == run.ccs_transmitted[node]
-        rows.append([node, run.ccs_transmitted[node], derived[node],
-                     "ok" if ok else "MISMATCH"])
-    print(format_table(
-        ["node", "wire count", "sent - suppressed", "check"], rows,
-        title="OBS-SMOKE CCS transmission cross-check"))
-    print()
-    print(obs_export.summary_table(obs.REGISTRY,
-                                   title="registry after the run"))
+    print(obs_export.summary_table(
+        obs.REGISTRY, title="OBS-SMOKE registry after the run"))
     spans = tracker.completed()
     print(f"round spans: {len(spans)} completed; "
           f"synchronizers: {tracker.winner_counts()}")
-    histogram = obs.REGISTRY.get("cts_round_latency_us")
-    populated = histogram is not None and histogram.total_count() > 0
-    matched = derived == dict(run.ccs_transmitted)
-    if not matched:
-        print("FAIL: registry-derived counts diverge from the wire counts")
-    if not populated:
-        print("FAIL: round-latency histogram is empty")
+    failures = [
+        f"counter family {name} is empty"
+        for name in ("ccs_rounds_total", "ccs_sent_total", "cts_ops_total",
+                     "net_frames_sent_total", "totem_tokens_forwarded_total")
+        if not obs.REGISTRY.get(name).total()
+    ]
+    if not obs.REGISTRY.get("cts_round_latency_us").total_count():
+        failures.append("round-latency histogram is empty")
     if not spans:
-        print("FAIL: no round spans were assembled")
-    return 0 if (matched and populated and spans) else 1
+        failures.append("no round spans were assembled")
+    for failure in failures:
+        print(f"FAIL: {failure}")
+    return 1 if failures else 0
 
 
 def _parse_peer_map(spec: str):
@@ -1047,8 +938,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             parser.error("argument --metrics: path must not be empty")
         path = Path(args.metrics)
         try:
-            if path.parent != Path(""):
-                path.parent.mkdir(parents=True, exist_ok=True)
+            path.parent.mkdir(parents=True, exist_ok=True)
             path.touch()
         except OSError as error:
             parser.error(f"cannot write metrics file {path}: {error}")

@@ -33,16 +33,6 @@ from typing import Callable, Deque, Dict, Optional
 
 from .. import obs
 
-M_ADM_ADMITTED = obs.REGISTRY.counter(
-    "cts_admission_admitted_total",
-    "operations dispatched into the total order")
-M_ADM_QUEUED = obs.REGISTRY.counter(
-    "cts_admission_queued_total",
-    "operations parked in a bounded client queue before dispatch")
-M_ADM_SHED = obs.REGISTRY.counter(
-    "cts_admission_shed_total",
-    "operations answered Overloaded, by reason "
-    "(global_full|client_full|deadline|aged_out)")
 G_ADM_QUEUE_DEPTH = obs.REGISTRY.gauge(
     "cts_admission_queue_depth", "operations currently parked")
 G_ADM_INFLIGHT = obs.REGISTRY.gauge(
@@ -100,6 +90,18 @@ class AdmissionStats:
         }
 
 
+#: AdmissionStats field -> the registry family read from it.
+COUNTERS = obs.REGISTRY.read_counters({
+    "admitted": ("cts_admission_admitted_total",
+                 "operations dispatched into the total order"),
+    "queued": ("cts_admission_queued_total",
+               "operations parked in a bounded client queue before dispatch"),
+    "shed": ("cts_admission_shed_total",
+             "operations answered Overloaded, by reason "
+             "(global_full|client_full|deadline|aged_out)", "reason"),
+})
+
+
 @dataclass
 class _Pending:
     key: object
@@ -127,6 +129,7 @@ class AdmissionController:
         self.node_id = node_id
         self._clock = clock
         self.stats = AdmissionStats()
+        obs.REGISTRY.watch(self.stats, COUNTERS, node=node_id)
         #: op key -> dispatch instant (insertion-ordered for timeouts).
         self._inflight: "OrderedDict[object, float]" = OrderedDict()
         self._queues: Dict[str, Deque[_Pending]] = {}
@@ -165,7 +168,6 @@ class AdmissionController:
         self._depth += 1
         self.stats.queued += 1
         if obs.REGISTRY.enabled:
-            M_ADM_QUEUED.inc(node=self.node_id)
             G_ADM_QUEUE_DEPTH.set(self._depth, node=self.node_id)
         return True
 
@@ -215,15 +217,12 @@ class AdmissionController:
         self._inflight[key] = now
         self.stats.admitted += 1
         if obs.REGISTRY.enabled:
-            M_ADM_ADMITTED.inc(node=self.node_id)
             G_ADM_INFLIGHT.set(len(self._inflight), node=self.node_id)
         dispatch()
 
     def _shed_now(self, shed: Callable[[float], None], reason: str,
                   now: float) -> None:
         self.stats.shed[reason] = self.stats.shed.get(reason, 0) + 1
-        if obs.REGISTRY.enabled:
-            M_ADM_SHED.inc(node=self.node_id, reason=reason)
         shed(self.retry_after_s())
 
     def _expire_inflight(self, now: float) -> None:

@@ -40,6 +40,7 @@ replica-independent round counters from the checkpoint.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Callable, Dict, List, Optional, Tuple, TYPE_CHECKING
 
 from ..errors import TimeServiceError
@@ -69,23 +70,8 @@ if TYPE_CHECKING:  # pragma: no cover
 MODE_ACTIVE = "active"
 MODE_PRIMARY = "primary"
 
-# -- observability instruments (zero-cost while the registry is off) ----
-M_ROUNDS = obs.REGISTRY.counter(
-    "ccs_rounds_total", "CCS rounds completed")
-M_SENT = obs.REGISTRY.counter(
-    "ccs_sent_total", "CCS messages handed to Totem for transmission")
-M_SUPPRESSED = obs.REGISTRY.counter(
-    "ccs_suppressed_total",
-    "CCS messages withdrawn before transmission (duplicate suppression)")
-M_DUPLICATES = obs.REGISTRY.counter(
-    "ccs_duplicates_total",
-    "received CCS messages discarded as round duplicates")
-M_FROM_BUFFER = obs.REGISTRY.counter(
-    "ccs_rounds_from_buffer_total",
-    "rounds satisfied from the input buffer without constructing a CCS message")
-M_ADOPTIONS = obs.REGISTRY.counter(
-    "ccs_recovery_adoptions_total",
-    "group-clock adoptions performed while recovering")
+# -- pushed instruments (zero-cost while the registry is off); the
+# counter families are read from CTSStats, see COUNTERS below ----------
 M_ROUND_LATENCY = obs.REGISTRY.histogram(
     "cts_round_latency_us",
     "CCS round latency: interposition to group-value delivery", unit="us",
@@ -94,24 +80,9 @@ M_ROUND_LATENCY = obs.REGISTRY.histogram(
 M_OFFSET = obs.REGISTRY.gauge(
     "cts_clock_offset_us", "my_clock_offset after the last committed round",
     unit="us")
-M_ABORTS = obs.REGISTRY.counter(
-    "ccs_rounds_aborted_total",
-    "blocked clock operations aborted (abandoned protocol positions)")
-M_OPS = obs.REGISTRY.counter(
-    "cts_ops_total", "clock operations completed")
-M_COALESCED = obs.REGISTRY.counter(
-    "ccs_coalesced_ops_total",
-    "operations served by a round they did not initiate (round amortization)")
 M_BATCH = obs.REGISTRY.histogram(
     "ccs_round_batch_size", "operations served per consumed CCS round",
     unit="ops", buckets=(1, 2, 4, 8, 16, 32, 64, 128))
-M_FAST_HITS = obs.REGISTRY.counter(
-    "cts_fast_path_hits_total",
-    "reads served by the drift-bounded local fast path")
-M_FAST_FALLBACKS = obs.REGISTRY.counter(
-    "cts_fast_path_fallbacks_total",
-    "fast-path attempts that fell back to a full CCS round "
-    "(staleness or drift bound exceeded)")
 M_SKEW = obs.REGISTRY.gauge(
     "cts_estimated_skew_us",
     "estimated inter-replica skew at the last round: this replica's "
@@ -132,6 +103,12 @@ M_FAST_STALENESS = obs.REGISTRY.histogram(
 M_STALENESS_BUDGET = obs.REGISTRY.gauge(
     "cts_max_staleness_us",
     "configured fast-path staleness budget", unit="us")
+
+#: The longest ``readings`` / ``winners`` / ``served_ops`` /
+#: ``fast_served`` grow (a full one drops its oldest half): a serving
+#: replica lives for days, and the largest seeded reader of these
+#: histories — the 10 000-round FIG6 run — stays well inside it.
+HISTORY_LIMIT = 65_536
 
 
 @dataclass
@@ -162,6 +139,8 @@ class CTSStats:
     winners_rejected: int = 0
     #: Self-stabilization repairs of scrambled local state.
     stabilizations: int = 0
+    #: Blocked clock operations aborted (abandoned protocol positions).
+    rounds_aborted: int = 0
 
     @property
     def ccs_transmitted(self) -> int:
@@ -174,6 +153,46 @@ class CTSStats:
         if not self.ops_completed:
             return 0.0
         return self.ccs_transmitted / self.ops_completed
+
+
+#: CTSStats field -> the registry family read from it (``winners_rejected``
+#: and ``stabilizations`` carry a second label and stay pushed, in guard.py).
+COUNTERS = obs.REGISTRY.read_counters({
+    "rounds_completed": ("ccs_rounds_total", "CCS rounds completed"),
+    "ccs_sent": ("ccs_sent_total", "CCS messages handed to Totem for transmission"),
+    "ccs_suppressed": (
+        "ccs_suppressed_total",
+        "CCS messages withdrawn before transmission (duplicate suppression)"),
+    "duplicates_discarded": (
+        "ccs_duplicates_total",
+        "received CCS messages discarded as round duplicates"),
+    "rounds_from_buffer": (
+        "ccs_rounds_from_buffer_total",
+        "rounds satisfied from the input buffer without constructing a "
+        "CCS message"),
+    "recovery_adoptions": ("ccs_recovery_adoptions_total",
+                           "group-clock adoptions performed while recovering"),
+    "rounds_aborted": (
+        "ccs_rounds_aborted_total",
+        "blocked clock operations aborted (abandoned protocol positions)"),
+    "ops_completed": ("cts_ops_total", "clock operations completed"),
+    "ops_coalesced": (
+        "ccs_coalesced_ops_total",
+        "operations served by a round they did not initiate (round "
+        "amortization)"),
+    "fast_path_hits": ("cts_fast_path_hits_total",
+                       "reads served by the drift-bounded local fast path"),
+    "fast_path_fallbacks": (
+        "cts_fast_path_fallbacks_total",
+        "fast-path attempts that fell back to a full CCS round "
+        "(staleness or drift bound exceeded)"),
+})
+
+
+def _bound(history: list) -> None:
+    """Make room in a full history list: drop its oldest half."""
+    if len(history) >= HISTORY_LIMIT:
+        del history[:HISTORY_LIMIT // 2]
 
 
 class ConsistentTimeService(TimeSource):
@@ -222,6 +241,7 @@ class ConsistentTimeService(TimeSource):
 
         self.clock_state = GroupClockState()
         self.stats = CTSStats()
+        obs.REGISTRY.watch(self.stats, COUNTERS, node=self.node_id)
         #: CCS handler objects, one per logical thread (Section 3.1).
         self._handlers: Dict[str, CCSHandler] = {}
         #: Messages for threads whose handler does not exist yet.
@@ -290,8 +310,6 @@ class ConsistentTimeService(TimeSource):
         entry = handler.lookup_consumed(op_id)
         if entry is not None:
             self.stats.rounds_from_buffer += 1
-            if obs.REGISTRY.enabled:
-                M_FROM_BUFFER.inc(node=self.node_id)
             self._serve(handler, op, entry.group_us,
                         round_number=entry.round_number)
             return result
@@ -301,10 +319,10 @@ class ConsistentTimeService(TimeSource):
             fast_us, elapsed = fast
             self.stats.fast_path_hits += 1
             if obs.REGISTRY.enabled:
-                M_FAST_HITS.inc(node=self.node_id)
                 M_FAST_STALENESS.observe(elapsed, node=self.node_id)
                 M_DRIFT_ERROR.set(self.drift_bound.error_us(elapsed),
                                   node=self.node_id)
+            _bound(self.fast_served)
             self.fast_served.append((self.sim.now, fast_us, elapsed))
             self._serve(handler, op, fast_us, fast=True)
             return result
@@ -349,8 +367,6 @@ class ConsistentTimeService(TimeSource):
                 value = None
         if value is None:
             self.stats.fast_path_fallbacks += 1
-            if obs.REGISTRY.enabled:
-                M_FAST_FALLBACKS.inc(node=self.node_id)
             return None
         self.clock_state.note_fast_value(value)
         return value, elapsed
@@ -385,14 +401,16 @@ class ConsistentTimeService(TimeSource):
                 value_us = floor + 1
             self.clock_state.note_fast_value(value_us)
         value = ClockValue(op.call.quantize(value_us))
+        _bound(self.readings)
         self.readings.append(
             (self.sim.now, handler.my_thread_id, op.call.name, value)
         )
         if not fast:
+            if len(self.served_ops) >= HISTORY_LIMIT:
+                for key in list(islice(self.served_ops, HISTORY_LIMIT // 2)):
+                    del self.served_ops[key]
             self.served_ops[(handler.my_thread_id, op.op_id)] = group_us
         self.stats.ops_completed += 1
-        if obs.REGISTRY.enabled:
-            M_OPS.inc(node=self.node_id)
         if trace.TRACER.enabled:
             # The cross-node assembler joins this to op.execute by
             # (node, request index) and to round.won by (node, thread,
@@ -477,7 +495,6 @@ class ConsistentTimeService(TimeSource):
         served = handler.take_covered(msg.covers)
 
         if obs.REGISTRY.enabled:
-            M_ROUNDS.inc(node=self.node_id)
             M_OFFSET.set(self.clock_state.offset_us, node=self.node_id)
             M_BATCH.observe(len(served), node=self.node_id)
             for op in served:
@@ -485,8 +502,6 @@ class ConsistentTimeService(TimeSource):
                     (self.sim.now - op.started_at) * 1e6, node=self.node_id)
         if len(served) > 1:
             self.stats.ops_coalesced += len(served) - 1
-            if obs.REGISTRY.enabled:
-                M_COALESCED.inc(len(served) - 1, node=self.node_id)
         if trace.TRACER.enabled:
             trace.emit(
                 "round.complete", self.node_id,
@@ -501,8 +516,6 @@ class ConsistentTimeService(TimeSource):
             # The winner was buffered before the read arrived: no CCS
             # message of ours was constructed (line 11 short-circuit).
             self.stats.rounds_from_buffer += 1
-            if obs.REGISTRY.enabled:
-                M_FROM_BUFFER.inc(node=self.node_id)
         for op in served:
             self._serve(handler, op, group_us, round_number=msg.round_number)
 
@@ -556,8 +569,6 @@ class ConsistentTimeService(TimeSource):
         pending = handler.in_flight
         pending.sent = True
         self.stats.ccs_sent += 1
-        if obs.REGISTRY.enabled:
-            M_SENT.inc(node=self.node_id)
         if trace.TRACER.enabled:
             trace.emit(
                 "round.sent", self.node_id, thread=handler.my_thread_id,
@@ -598,12 +609,11 @@ class ConsistentTimeService(TimeSource):
         if msg.round_number <= watermark:
             if self.guard is None or not self.guard.stale_watermark(watermark, msg):
                 self.stats.duplicates_discarded += 1
-                if obs.REGISTRY.enabled:
-                    M_DUPLICATES.inc(node=self.node_id)
                 return
         if self.guard is not None and not self.guard.admit_winner(envelope, msg):
             return
         self._accepted[thread_id] = msg.round_number
+        _bound(self.winners)
         self.winners.append((thread_id, msg.round_number, envelope.sender))
         self.clock_state.observe_group_value(msg.proposed_micros)
         if trace.TRACER.enabled:
@@ -620,8 +630,6 @@ class ConsistentTimeService(TimeSource):
             physical_us = self.node.read_clock_us()
             self.clock_state.commit(msg.proposed_micros, physical_us)
             self.stats.recovery_adoptions += 1
-            if obs.REGISTRY.enabled:
-                M_ADOPTIONS.inc(node=self.node_id)
             if trace.TRACER.enabled:
                 trace.emit(
                     "round.adopted", self.node_id, thread=thread_id,
@@ -670,8 +678,6 @@ class ConsistentTimeService(TimeSource):
                 self._matches_my_ccs(msg.thread_id, msg.round_number)
             )
             self.stats.ccs_suppressed += cancelled
-            if cancelled and obs.REGISTRY.enabled:
-                M_SUPPRESSED.inc(cancelled, node=self.node_id)
             if cancelled and trace.TRACER.enabled:
                 trace.emit(
                     "round.suppressed", self.node_id,
@@ -752,8 +758,8 @@ class ConsistentTimeService(TimeSource):
             aborted = handler.abort_pending(
                 "replica abandoned its protocol position"
             )
-            if aborted and obs.REGISTRY.enabled:
-                M_ABORTS.inc(node=self.node_id)
+            if aborted:
+                self.stats.rounds_aborted += 1
 
     def begin_recovery(self) -> None:
         self._recovering = True

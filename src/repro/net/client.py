@@ -47,19 +47,6 @@ from ..rpc.messages import Invocation, Result
 from .udp import Address
 from .wire import FrameError, decode_frame, encode_frame
 
-M_CLIENT_CALLS = obs.REGISTRY.counter(
-    "client_calls_total", "calls issued by live callers")
-M_CLIENT_RETRIES = obs.REGISTRY.counter(
-    "client_retries_total", "attempts beyond the first (resend of the "
-    "same operation id)")
-M_CLIENT_BACKOFFS = obs.REGISTRY.counter(
-    "client_backoffs_total", "backoff sleeps between retry sweeps")
-M_CLIENT_BREAKER_OPEN = obs.REGISTRY.counter(
-    "client_breaker_open_total", "circuit-breaker trips (server skipped)")
-M_CLIENT_FAILURES = obs.REGISTRY.counter(
-    "client_call_failures_total", "calls that exhausted their deadline")
-
-
 @dataclass
 class CallOutcome:
     """One invocation's replies, keyed by replying replica."""
@@ -88,13 +75,25 @@ class CallOutcome:
 
 @dataclass
 class CallerStats:
-    """Aggregate retry behaviour of one caller (mirrors the counters)."""
+    """Aggregate retry behaviour of one caller."""
 
     calls: int = 0
     retries: int = 0
     backoffs: int = 0
     breaker_skips: int = 0
     failures: int = 0
+
+
+#: CallerStats field -> the registry family read from it.
+COUNTERS = obs.REGISTRY.read_counters({
+    "calls": ("client_calls_total", "calls issued by live callers"),
+    "retries": ("client_retries_total",
+                "attempts beyond the first (resend of the same operation id)"),
+    "backoffs": ("client_backoffs_total", "backoff sleeps between retry sweeps"),
+    "breaker_skips": ("client_breaker_open_total",
+                      "circuit-breaker trips (server skipped)"),
+    "failures": ("client_call_failures_total", "calls that exhausted their deadline"),
+})
 
 
 @dataclass
@@ -141,6 +140,7 @@ class LiveCaller:
         self.sock.bind((bind_host, 0))
         self._seq = 0
         self.stats = CallerStats()
+        obs.REGISTRY.watch(self.stats, COUNTERS, client=self.client_id)
         self._breakers: Dict[Address, _Breaker] = {
             address: _Breaker() for address in self.servers}
         # Breaker state is shared when callers issue calls from several
@@ -189,8 +189,6 @@ class LiveCaller:
                                       f"client.{self.client_id}")
         data = encode_frame(self.client_id, envelope, trace=tctx)
         self.stats.calls += 1
-        if obs.REGISTRY.enabled:
-            M_CLIENT_CALLS.inc(client=self.client_id)
         if tctx is not None:
             trace.emit("op.send", self.client_id, trace=tctx.trace_id,
                        op_group=self.client_group, conn=conn_id, seq=seq,
@@ -226,8 +224,6 @@ class LiveCaller:
                 attempts += 1
                 if attempts > 1:
                     self.stats.retries += 1
-                    if obs.REGISTRY.enabled:
-                        M_CLIENT_RETRIES.inc(client=self.client_id)
                 try:
                     self.sock.sendto(data, address)
                 except OSError:
@@ -257,12 +253,8 @@ class LiveCaller:
             )
             if pause > 0:
                 self.stats.backoffs += 1
-                if obs.REGISTRY.enabled:
-                    M_CLIENT_BACKOFFS.inc(client=self.client_id)
                 self._sleep(pause)
         self.stats.failures += 1
-        if obs.REGISTRY.enabled:
-            M_CLIENT_FAILURES.inc(client=self.client_id)
         raise RpcTimeout(
             f"no reply to {self.group}.{method} from any of {self.servers} "
             f"within {timeout:.3f}s ({attempts} attempts)")
@@ -295,8 +287,6 @@ class LiveCaller:
                     order.append(address)
                 else:
                     self.stats.breaker_skips += 1
-                    if obs.REGISTRY.enabled:
-                        M_CLIENT_BREAKER_OPEN.inc(client=self.client_id)
         return order
 
     def _record_failure(self, address: Address) -> None:

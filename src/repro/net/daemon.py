@@ -129,14 +129,16 @@ class DaemonConfig:
     admission_config: Optional[AdmissionConfig] = None
 
 
-M_GW_REQUESTS = obs.REGISTRY.counter(
-    "gateway_requests_total", "client requests injected into the order")
-M_GW_DUPLICATES = obs.REGISTRY.counter(
-    "gateway_duplicate_requests_total",
-    "client retries deduplicated by operation id")
-M_GW_REPLAYED = obs.REGISTRY.counter(
-    "gateway_replies_replayed_total",
-    "recorded replies re-sent to a retrying client")
+#: ClientGateway attribute -> the registry family read from it.
+GATEWAY_COUNTERS = obs.REGISTRY.read_counters({
+    "requests_injected": ("gateway_requests_total",
+                          "client requests injected into the order"),
+    "requests_deduplicated": ("gateway_duplicate_requests_total",
+                              "client retries deduplicated by operation id"),
+    "replies_replayed": ("gateway_replies_replayed_total",
+                         "recorded replies re-sent to a retrying client"),
+})
+#: Pushed: ``dedup_evictions`` has no per-reason breakdown to read.
 M_GW_DEDUP_EVICTIONS = obs.REGISTRY.counter(
     "gateway_dedup_evictions_total",
     "idempotency-window entries evicted, by reason (window|ttl)")
@@ -200,6 +202,7 @@ class ClientGateway:
         self.replies_forwarded = 0
         self.replies_replayed = 0
         self.dedup_evictions = 0
+        obs.REGISTRY.watch(self, GATEWAY_COUNTERS, node=node_id)
 
     def handle(self, frame: LiveFrame) -> None:
         envelope: Envelope = frame.payload
@@ -230,8 +233,6 @@ class ClientGateway:
             self._seen.move_to_end(key)
             self._seen_at[key] = now
             self.requests_deduplicated += 1
-            if obs.REGISTRY.enabled:
-                M_GW_DUPLICATES.inc(node=self.node_id)
             if frame.trace is not None and trace.TRACER.enabled:
                 trace.emit("op.gateway", self.node_id,
                            trace=frame.trace.trace_id, op_group=client_group,
@@ -240,8 +241,6 @@ class ClientGateway:
             for reply in recorded:
                 self.port.sendto(frame.addr, reply)
                 self.replies_replayed += 1
-                if obs.REGISTRY.enabled:
-                    M_GW_REPLAYED.inc(node=self.node_id)
             return
         self._seen[key] = []
         self._seen_at[key] = now
@@ -264,8 +263,6 @@ class ClientGateway:
     def _dispatch(self, client_group: str, envelope: Envelope) -> None:
         self._endpoint_for(client_group).mcast(envelope)
         self.requests_injected += 1
-        if obs.REGISTRY.enabled:
-            M_GW_REQUESTS.inc(node=self.node_id)
 
     def _shed(self, key: _OpKey, client_group: str, addr: Address,
               header, retry_after_s: float) -> None:

@@ -36,18 +36,19 @@ from .wire import encode_frame, decode_frame_ex
 
 Address = Tuple[str, int]
 
-M_DATAGRAMS_SENT = obs.REGISTRY.counter(
-    "udp_datagrams_sent_total", "datagrams written per live port")
-M_DATAGRAM_BYTES = obs.REGISTRY.counter(
-    "udp_datagram_bytes_total", "encoded bytes written per live port",
-    unit="bytes")
-M_DATAGRAMS_RECEIVED = obs.REGISTRY.counter(
-    "udp_datagrams_received_total", "valid frames received per live port")
-M_DATAGRAMS_REJECTED = obs.REGISTRY.counter(
-    "udp_datagrams_rejected_total",
-    "datagrams dropped by frame validation, labelled by rejection reason "
-    "(truncated, magic, version, length, source, trace, payload, trailing, "
-    "auth-missing, auth-truncated, auth-forged, auth-replay)")
+#: UdpPort attribute -> the registry family read from it.
+COUNTERS = obs.REGISTRY.read_counters({
+    "frames_sent": ("udp_datagrams_sent_total", "datagrams written per live port"),
+    "bytes_sent": ("udp_datagram_bytes_total", "encoded bytes written per live port"),
+    "frames_received": ("udp_datagrams_received_total",
+                        "valid frames received per live port"),
+    "rejected_by_reason": (
+        "udp_datagrams_rejected_total",
+        "datagrams dropped by frame validation, labelled by rejection reason "
+        "(truncated, magic, version, length, source, trace, payload, "
+        "trailing, auth-missing, auth-truncated, auth-forged, auth-replay)",
+        "reason"),
+})
 
 
 def _envelope_of(payload: Any) -> Optional[Envelope]:
@@ -112,8 +113,9 @@ class UdpPort(TransportPort):
         self.bytes_sent = 0
         self.frames_rejected = 0
         #: Rejection tallies keyed by :class:`~repro.errors.FrameError`
-        #: reason code (mirrors ``udp_datagrams_rejected_total``).
+        #: reason code (read as ``udp_datagrams_rejected_total``).
         self.rejected_by_reason: Dict[str, int] = {}
+        obs.REGISTRY.watch(self, COUNTERS, node=node_id)
 
     @property
     def address(self) -> Address:
@@ -161,9 +163,6 @@ class UdpPort(TransportPort):
                 f"{self.node_id!r} failed to send to {addr}: {exc}") from exc
         self.frames_sent += 1
         self.bytes_sent += len(data)
-        if obs.REGISTRY.enabled:
-            M_DATAGRAMS_SENT.inc(node=self.node_id)
-            M_DATAGRAM_BYTES.inc(len(data), node=self.node_id)
         if flight.RECORDER.enabled:
             flight.RECORDER.record_frame(
                 self.node_id, "tx", addr, type(payload).__name__, len(data),
@@ -191,9 +190,6 @@ class UdpPort(TransportPort):
                 reason = getattr(exc, "reason", "malformed")
                 self.rejected_by_reason[reason] = (
                     self.rejected_by_reason.get(reason, 0) + 1)
-                if obs.REGISTRY.enabled:
-                    M_DATAGRAMS_REJECTED.inc(node=self.node_id,
-                                             reason=reason)
                 continue
             self.frames_received += 1
             if trace is not None:
@@ -202,8 +198,6 @@ class UdpPort(TransportPort):
                 envelope = _envelope_of(payload)
                 if envelope is not None:
                     trace_mod.BAGGAGE.put(envelope.header.message_id, trace)
-            if obs.REGISTRY.enabled:
-                M_DATAGRAMS_RECEIVED.inc(node=self.node_id)
             if flight.RECORDER.enabled:
                 flight.RECORDER.record_frame(
                     self.node_id, "rx", addr, type(payload).__name__,

@@ -48,7 +48,7 @@ def write_jsonl(
 
     Returns the number of records written.  Record types are
     distinguished by the ``record`` field: ``metric``, ``trace``,
-    ``span``.
+    ``span``.  A path's missing parent directories are created.
     """
     records: List[dict] = []
     for sample in registry.collect():
@@ -62,6 +62,7 @@ def write_jsonl(
         out = target
         close = False
     else:
+        Path(target).parent.mkdir(parents=True, exist_ok=True)
         out = open(target, "w", encoding="utf-8")
         close = True
     try:

@@ -3,11 +3,18 @@
 A Prometheus-flavoured, dependency-free instrument set for the CTS
 stack.  Design constraints:
 
-* **Zero-cost when disabled.**  Instruments are created at import time
-  (cheap handles on the process-wide :data:`REGISTRY`), but every
-  mutator begins with a single ``registry.enabled`` check and returns
-  immediately when observability is off — the hot protocol paths pay
-  one attribute read and a branch.
+* **Counted once.**  The protocol layers keep their counts as plain
+  attributes (``CTSStats.ccs_sent``, ``Interface.frames_sent``) whether
+  or not anyone records.  A counter family is *read* from those
+  attributes when it is sampled: each layer object is handed to
+  :meth:`MetricsRegistry.watch` once, at construction, and the family
+  reports what the object counted while the registry was recording —
+  nothing runs at the site of the count.
+* **Zero-cost when disabled.**  Gauges and histograms have no plain
+  twin and stay pushed; every mutator begins with a single
+  ``registry.enabled`` check and returns immediately when observability
+  is off.  Watching an object while recording is off keeps one weak
+  reference and nothing else.
 * **Simulated time.**  Samples are timestamped with the *virtual* clock
   of the discrete-event kernel: the :class:`~repro.testbed.Testbed`
   binds ``registry.set_clock(lambda: sim.now)`` when it builds a
@@ -30,6 +37,7 @@ Usage::
 
 from __future__ import annotations
 
+import weakref
 from bisect import bisect_left
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -78,15 +86,53 @@ class Metric:
         raise NotImplementedError
 
 
-class Counter(Metric):
-    """A monotonically increasing count."""
-
-    kind = "counter"
+class _ScalarMetric(Metric):
+    """What counters and gauges share: one number per label set."""
 
     def __init__(self, registry, name, help="", unit=""):
         super().__init__(registry, name, help, unit)
         #: label key -> [value, last_updated_sim_time]
         self._series: Dict[LabelKey, List[float]] = {}
+
+    def _sampled(self) -> Dict[LabelKey, List[float]]:
+        return self._series
+
+    def value(self, **labels: Any) -> float:
+        entry = self._sampled().get(_label_key(labels))
+        return entry[0] if entry else 0.0
+
+    def items(self) -> Iterator[Tuple[Dict[str, str], float]]:
+        for key, entry in sorted(self._sampled().items()):
+            yield dict(key), entry[0]
+
+    def clear(self) -> None:
+        self._series.clear()
+
+    def samples(self) -> List[dict]:
+        return [
+            {"name": self.name, "type": self.kind, "labels": dict(key),
+             "value": entry[0], "t": entry[1]}
+            for key, entry in sorted(self._sampled().items())
+        ]
+
+
+class Counter(_ScalarMetric):
+    """A monotonically increasing count.
+
+    Fed two ways.  *Pushed*: :meth:`inc` adds to a stored series (user
+    code, and the families ``docs/observability.md`` lists as pushed).
+    *Read*: an object attached by :meth:`MetricsRegistry.watch`
+    contributes ``attribute now - attribute when attached`` each time
+    the family is sampled; when recording stops that difference is
+    folded into the stored series and the object is let go.
+    """
+
+    kind = "counter"
+
+    def __init__(self, registry, name, help="", unit=""):
+        super().__init__(registry, name, help, unit)
+        #: (object, attribute, label key, keyed label, value at attach)
+        self._watched: List[tuple] = []
 
     def inc(self, amount: float = 1.0, **labels: Any) -> None:
         registry = self.registry
@@ -101,37 +147,49 @@ class Counter(Metric):
         entry[0] += amount
         entry[1] = registry.now()
 
-    def value(self, **labels: Any) -> float:
-        entry = self._series.get(_label_key(labels))
-        return entry[0] if entry else 0.0
+    def _sampled(self) -> Dict[LabelKey, List[float]]:
+        """Stored series plus what each watched object counted since it
+        was attached, stamped with the time of this sample.  As with
+        :meth:`inc`, a series exists once its count is non-zero."""
+        if not self._watched:
+            return self._series
+        now = self.registry.now()
+        merged = {key: list(entry) for key, entry in self._series.items()}
+        for obj, attr, key, keyed, base in self._watched:
+            current = getattr(obj, attr)
+            if keyed is None:
+                deltas = [(key, current - base)]
+            else:
+                deltas = [
+                    (tuple(sorted(key + ((keyed, str(k)),))),
+                     count - base.get(k, 0))
+                    for k, count in list(current.items())
+                ]
+            for series_key, delta in deltas:
+                if delta:
+                    entry = merged.setdefault(series_key, [0.0, now])
+                    entry[0] += delta
+                    entry[1] = now
+        return merged
+
+    def fold(self) -> None:
+        """Recording stopped: keep the sampled values, drop the objects."""
+        self._series = self._sampled()
+        self._watched = []
 
     def total(self) -> float:
         """Sum over every label set."""
-        return sum(entry[0] for entry in self._series.values())
-
-    def items(self) -> Iterator[Tuple[Dict[str, str], float]]:
-        for key, entry in sorted(self._series.items()):
-            yield dict(key), entry[0]
+        return sum(entry[0] for entry in self._sampled().values())
 
     def clear(self) -> None:
-        self._series.clear()
-
-    def samples(self) -> List[dict]:
-        return [
-            {"name": self.name, "type": self.kind, "labels": dict(key),
-             "value": entry[0], "t": entry[1]}
-            for key, entry in sorted(self._series.items())
-        ]
+        super().clear()
+        self._watched = []
 
 
-class Gauge(Metric):
+class Gauge(_ScalarMetric):
     """A value that can go up and down (e.g. a clock offset)."""
 
     kind = "gauge"
-
-    def __init__(self, registry, name, help="", unit=""):
-        super().__init__(registry, name, help, unit)
-        self._series: Dict[LabelKey, List[float]] = {}
 
     def set(self, value: float, **labels: Any) -> None:
         registry = self.registry
@@ -166,24 +224,6 @@ class Gauge(Metric):
             entry = self._series[key] = [0.0, 0.0]
         entry[0] += amount
         entry[1] = registry.now()
-
-    def value(self, **labels: Any) -> float:
-        entry = self._series.get(_label_key(labels))
-        return entry[0] if entry else 0.0
-
-    def items(self) -> Iterator[Tuple[Dict[str, str], float]]:
-        for key, entry in sorted(self._series.items()):
-            yield dict(key), entry[0]
-
-    def clear(self) -> None:
-        self._series.clear()
-
-    def samples(self) -> List[dict]:
-        return [
-            {"name": self.name, "type": self.kind, "labels": dict(key),
-             "value": entry[0], "t": entry[1]}
-            for key, entry in sorted(self._series.items())
-        ]
 
 
 @dataclass
@@ -306,12 +346,20 @@ class MetricsRegistry:
     on.  Instruments survive across sessions (they are module-level
     handles); :meth:`reset` clears recorded series without forgetting
     the registrations.
+
+    Objects handed to :meth:`watch` are referenced weakly while
+    recording is off.  While it is on the counter families hold them,
+    so a crashed node's counts stay in the series until recording stops
+    or :meth:`reset` starts the series over.
     """
 
     def __init__(self):
         self._enabled = False
         self._clock: Optional[Callable[[], float]] = None
         self._metrics: Dict[str, Metric] = {}
+        #: id(object) -> (weak reference, read counters, label key) for
+        #: every live watched object; an entry goes when its object does.
+        self._sources: Dict[int, tuple] = {}
 
     # -- lifecycle ------------------------------------------------------
 
@@ -320,12 +368,20 @@ class MetricsRegistry:
         return self._enabled
 
     def enable(self, clock: Optional[Callable[[], float]] = None) -> None:
+        """Start recording.  Objects already being watched count from
+        here: what they counted with recording off is not reported."""
         if clock is not None:
             self._clock = clock
-        self._enabled = True
+        if not self._enabled:
+            self._enabled = True
+            self._attach_live_sources()
 
     def disable(self) -> None:
+        """Stop recording; the series keep their values."""
         self._enabled = False
+        for metric in self._metrics.values():
+            if isinstance(metric, Counter):
+                metric.fold()
 
     def set_clock(self, clock: Callable[[], float]) -> None:
         """Bind the (simulated) time source used to stamp samples."""
@@ -335,9 +391,12 @@ class MetricsRegistry:
         return self._clock() if self._clock is not None else 0.0
 
     def reset(self) -> None:
-        """Clear all recorded series (registrations are kept)."""
+        """Clear all recorded series (registrations are kept); watched
+        objects that are still alive count from zero again."""
         for metric in self._metrics.values():
             metric.clear()
+        if self._enabled:
+            self._attach_live_sources()
 
     @contextmanager
     def session(
@@ -378,6 +437,51 @@ class MetricsRegistry:
                   buckets: Optional[Sequence[float]] = None) -> Histogram:
         return self._register(Histogram, name, help=help, unit=unit,
                               buckets=buckets)
+
+    # -- counters read from plain attributes ----------------------------
+
+    def read_counters(self, fields: Dict[str, tuple]) -> Tuple[tuple, ...]:
+        """Declare counter families that are read, not pushed.
+
+        ``fields`` maps an attribute name of the objects a layer will
+        :meth:`watch` to ``(family name, help)``, or to ``(family name,
+        help, label)`` when the attribute is a dict of counts keyed by
+        the values of ``label``.  Returns the declaration to pass to
+        :meth:`watch`.
+        """
+        return tuple(
+            (attr, self.counter(spec[0], spec[1]),
+             spec[2] if len(spec) > 2 else None)
+            for attr, spec in fields.items()
+        )
+
+    def watch(self, obj: Any, counters: Tuple[tuple, ...],
+              **labels: Any) -> None:
+        """Report ``obj``'s plain counters under ``labels``.
+
+        Called once per object, when it is built.  With recording off
+        this keeps a weak reference; with it on the families hold the
+        object and read it whenever they are sampled.
+        """
+        ident, key = id(obj), _label_key(labels)
+        self._sources[ident] = (
+            weakref.ref(obj, lambda _: self._sources.pop(ident, None)),
+            counters, key)
+        if self._enabled:
+            self._attach(obj, counters, key)
+
+    def _attach_live_sources(self) -> None:
+        for ref, counters, key in list(self._sources.values()):
+            obj = ref()
+            if obj is not None:
+                self._attach(obj, counters, key)
+
+    @staticmethod
+    def _attach(obj: Any, counters: Tuple[tuple, ...], key: LabelKey) -> None:
+        for attr, counter, keyed in counters:
+            base = getattr(obj, attr)
+            counter._watched.append(
+                (obj, attr, key, keyed, base if keyed is None else dict(base)))
 
     # -- reading --------------------------------------------------------
 

@@ -27,14 +27,11 @@ from .state_transfer import Checkpoint
 from .timesource import TimeSource
 
 
-# -- observability instruments (zero-cost while the registry is off) ----
-M_CHECKPOINTS = obs.REGISTRY.counter(
-    "replication_checkpoints_total", "checkpoints multicast by a primary")
+# -- pushed instruments (zero-cost while the registry is off); checkpoint
+# and promotion counts are read from ReplicaStats -----------------------
 M_CHECKPOINT_BYTES = obs.REGISTRY.histogram(
     "replication_checkpoint_bytes", "estimated checkpoint wire size",
     unit="bytes", buckets=(64, 128, 256, 512, 1_024, 4_096, 16_384, 65_536))
-M_PROMOTIONS = obs.REGISTRY.counter(
-    "replication_promotions_total", "backup-to-primary promotions")
 M_TAKEOVER_LATENCY = obs.REGISTRY.histogram(
     "replication_takeover_latency_s",
     "last evidence of the old primary to promotion of the new one",
@@ -131,7 +128,6 @@ class PassiveReplica(Replica):
         self.endpoint.mcast(envelope)
         self.stats.checkpoints_sent += 1
         if obs.REGISTRY.enabled:
-            M_CHECKPOINTS.inc(node=self.node_id)
             M_CHECKPOINT_BYTES.observe(envelope.wire_size(),
                                        node=self.node_id)
         if trace.TRACER.enabled:
@@ -176,7 +172,6 @@ class PassiveReplica(Replica):
             if index > self.processed_index
         ]
         if obs.REGISTRY.enabled:
-            M_PROMOTIONS.inc(node=self.node_id)
             M_REPLAY_DEPTH.observe(len(backlog), node=self.node_id)
             if self._primary_evidence_at is not None:
                 M_TAKEOVER_LATENCY.observe(

@@ -25,7 +25,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable, Generator, Optional
 
-from .. import trace
+from .. import obs, trace
 from ..errors import ReplicationError
 from ..sim.kernel import AnyOf, Event
 from ..sim.process import Store
@@ -64,6 +64,20 @@ class ReplicaStats:
     checkpoints_applied: int = 0
     requests_logged: int = 0
     promotions: int = 0
+    state_transfers_served: int = 0
+    state_transfers_applied: int = 0
+
+
+#: ReplicaStats field -> the registry family read from it.
+COUNTERS = obs.REGISTRY.read_counters({
+    "checkpoints_sent": ("replication_checkpoints_total",
+                         "checkpoints multicast by a primary"),
+    "promotions": ("replication_promotions_total", "backup-to-primary promotions"),
+    "state_transfers_served": ("replication_state_transfers_served_total",
+                               "checkpoints served to recovering replicas"),
+    "state_transfers_applied": ("replication_state_transfers_applied_total",
+                                "checkpoints adopted by recovering replicas"),
+})
 
 
 class Replica(abc.ABC):
@@ -108,6 +122,7 @@ class Replica(abc.ABC):
         #: at every member because delivery is totally ordered.
         self.request_index = 0
         self.stats = ReplicaStats()
+        obs.REGISTRY.watch(self.stats, COUNTERS, node=self.node_id)
         self.main_thread_id: str = ""
         # -- pipelined execution (coalesced time sources) ----------------
         #: Request indexes admitted but not yet finished.

@@ -25,11 +25,10 @@ addition of the new clock.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, TYPE_CHECKING
+from dataclasses import dataclass
+from typing import Any, List, Optional, TYPE_CHECKING
 
 from .. import obs, trace
-from ..errors import StateTransferError
 from .envelope import Envelope, MsgType, make_envelope
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -58,13 +57,8 @@ DISCARDING = "discarding"
 QUEUING = "queuing"
 READY = "ready"
 
-# -- observability instruments (zero-cost while the registry is off) ----
-M_TRANSFERS_SERVED = obs.REGISTRY.counter(
-    "replication_state_transfers_served_total",
-    "checkpoints served to recovering replicas")
-M_TRANSFERS_APPLIED = obs.REGISTRY.counter(
-    "replication_state_transfers_applied_total",
-    "checkpoints adopted by recovering replicas")
+# -- pushed instruments (zero-cost while the registry is off); transfers
+# served and applied are read from ReplicaStats -------------------------
 M_TRANSFER_BYTES = obs.REGISTRY.histogram(
     "replication_state_transfer_bytes",
     "estimated state-transfer wire size", unit="bytes",
@@ -83,7 +77,6 @@ class StateTransferManager:
         self.phase = DISCARDING
         #: Messages buffered between GET_STATE and STATE.
         self.pending: List[Envelope] = []
-        self.transfers_served = 0
         #: Simulated time of our last GET_STATE request (latency metric).
         self._requested_at: Optional[float] = None
 
@@ -182,12 +175,10 @@ class StateTransferManager:
             replica.time_source.set_transfer_state(checkpoint.time_state)
         replica.time_source.finish_recovery()
         self.phase = READY
-        if obs.REGISTRY.enabled:
-            M_TRANSFERS_APPLIED.inc(node=replica.node_id)
-            if self._requested_at is not None:
-                M_TRANSFER_LATENCY.observe(
-                    replica.sim.now - self._requested_at,
-                    node=replica.node_id)
+        replica.stats.state_transfers_applied += 1
+        if obs.REGISTRY.enabled and self._requested_at is not None:
+            M_TRANSFER_LATENCY.observe(
+                replica.sim.now - self._requested_at, node=replica.node_id)
         self._requested_at = None
         if trace.TRACER.enabled:
             trace.emit(
@@ -231,19 +222,18 @@ class StateTransferManager:
             processed_index=replica.checkpoint_index(),
             extra=replica.capture_extra_state(),
         )
-        self.transfers_served += 1
+        replica.stats.state_transfers_served += 1
         envelope = make_envelope(
             MsgType.STATE,
             replica.group,
             replica.group,
             0,
-            self.transfers_served,
+            replica.stats.state_transfers_served,
             replica.node_id,
             body={"target": target, "checkpoint": checkpoint},
         )
         replica.endpoint.mcast(envelope)
         if obs.REGISTRY.enabled:
-            M_TRANSFERS_SERVED.inc(node=replica.node_id)
             M_TRANSFER_BYTES.observe(envelope.wire_size(),
                                      node=replica.node_id)
         if trace.TRACER.enabled:

@@ -24,10 +24,6 @@ from ..replication.group import GroupRuntime
 from ..sim.kernel import Event
 from .messages import Invocation, Result
 
-M_RPC_RETRIES = obs.REGISTRY.counter(
-    "rpc_retries_total", "in-process client re-invocations after timeout")
-
-
 @dataclass
 class ClientStats:
     """Counters for tests and the evaluation harness."""
@@ -42,6 +38,12 @@ class ClientStats:
     latencies_us: list = field(default_factory=list)
 
 
+#: ClientStats field -> the registry family read from it.
+COUNTERS = obs.REGISTRY.read_counters({
+    "retries": ("rpc_retries_total", "in-process client re-invocations after timeout"),
+})
+
+
 class RpcClient:
     """One client endpoint on one node."""
 
@@ -54,6 +56,7 @@ class RpcClient:
         self.endpoint.on_message = self._on_message
         self.endpoint.join()
         self.stats = ClientStats()
+        obs.REGISTRY.watch(self.stats, COUNTERS, node=self.node.node_id)
         self._next_conn = 1
         self._conns: Dict[str, int] = {}
         self._next_seq: Dict[int, int] = {}
@@ -138,8 +141,6 @@ class RpcClient:
         for attempt in range(attempts):
             if attempt:
                 self.stats.retries += 1
-                if obs.REGISTRY.enabled:
-                    M_RPC_RETRIES.inc(node=self.node.node_id)
                 pause = self._rng.uniform(0.5, 1.0) * min(
                     backoff_base * (2 ** (attempt - 1)), backoff_cap)
                 yield self.sim.timeout(pause)

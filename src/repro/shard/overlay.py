@@ -34,6 +34,7 @@ keeps the post-warmup envelope — the number committed to
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
@@ -43,12 +44,16 @@ from .summary import ShardSummary
 
 __all__ = ["OverlayConfig", "GradientOverlay", "SkewTracker"]
 
-M_SUMMARIES_SENT = obs.REGISTRY.counter(
-    "shard_summaries_sent_total", "clock summaries sent to ring neighbors")
-M_SUMMARIES_RECV = obs.REGISTRY.counter(
-    "shard_summaries_received_total", "clock summaries accepted from neighbors")
-M_SUMMARIES_REJECTED = obs.REGISTRY.counter(
-    "shard_summaries_rejected_total", "summaries dropped (bad signature)")
+#: GradientOverlay tally -> the registry family read from it, keyed by
+#: the sending shard, the receiving shard and the receiving node.
+COUNTERS = obs.REGISTRY.read_counters({
+    "sent": ("shard_summaries_sent_total",
+             "clock summaries sent to ring neighbors", "shard"),
+    "received": ("shard_summaries_received_total",
+                 "clock summaries accepted from neighbors", "shard"),
+    "rejected": ("shard_summaries_rejected_total",
+                 "summaries dropped (bad signature)", "node"),
+})
 M_SHARD_SKEW = obs.REGISTRY.gauge(
     "shard_skew_us", "current global inter-shard skew (max - min estimate)",
     unit="us")
@@ -166,9 +171,10 @@ class GradientOverlay:
         self._probing: set = set()
         self._probe_clients: Dict[int, object] = {}
         self.probes_sent = 0
-        self.summaries_sent = 0
-        self.summaries_received = 0
-        self.summaries_rejected = 0
+        self.sent: Dict[int, int] = Counter()
+        self.received: Dict[int, int] = Counter()
+        self.rejected: Dict[str, int] = Counter()
+        obs.REGISTRY.watch(self, COUNTERS)
         self._started = False
         bed.summary_sink = self._on_summary
 
@@ -194,9 +200,7 @@ class GradientOverlay:
             if summary is not None:
                 for neighbor in self.bed.ring.neighbors(shard):
                     if self.bed.send_summary(shard, neighbor, summary):
-                        self.summaries_sent += 1
-                        if obs.REGISTRY.enabled:
-                            M_SUMMARIES_SENT.inc(shard=shard)
+                        self.sent[shard] += 1
                 self._maybe_probe(shard, summary.round_seq)
         self.bed.sim.schedule(self.config.period_s, self._tick, shard)
 
@@ -241,9 +245,7 @@ class GradientOverlay:
 
     def _on_summary(self, node_id: str, summary: ShardSummary) -> None:
         if not summary.verify(self.config.secret):
-            self.summaries_rejected += 1
-            if obs.REGISTRY.enabled:
-                M_SUMMARIES_REJECTED.inc(node=node_id)
+            self.rejected[node_id] += 1
             return
         dst_shard = self.bed.shard_of_node(node_id)
         if dst_shard == summary.shard or dst_shard not in self.bed.ring:
@@ -251,9 +253,7 @@ class GradientOverlay:
         local_us = self.bed.estimate_group_us(dst_shard)
         if local_us is None:
             return  # no committed round yet; nothing to steer
-        self.summaries_received += 1
-        if obs.REGISTRY.enabled:
-            M_SUMMARIES_RECV.inc(shard=dst_shard)
+        self.received[dst_shard] += 1
         delta_us = summary.value_us - local_us
         steering = self.bed.steerings.get(dst_shard)
         if steering is not None and delta_us > summary.error_us:
@@ -314,6 +314,18 @@ class GradientOverlay:
             self._draining[(neighbor, shard)] = deadline
 
     # -- reporting ------------------------------------------------------
+
+    @property
+    def summaries_sent(self) -> int:
+        return sum(self.sent.values())
+
+    @property
+    def summaries_received(self) -> int:
+        return sum(self.received.values())
+
+    @property
+    def summaries_rejected(self) -> int:
+        return sum(self.rejected.values())
 
     def report(self) -> Dict:
         return {

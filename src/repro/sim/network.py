@@ -31,16 +31,17 @@ from ..errors import NetworkError
 from ..net.transport import Transport, TransportPort
 from .kernel import Simulator
 
-# -- observability instruments (zero-cost while the registry is off) ----
-M_FRAMES_SENT = obs.REGISTRY.counter(
-    "net_frames_sent_total", "frames handed to the LAN per interface")
-M_BYTES_SENT = obs.REGISTRY.counter(
-    "net_bytes_sent_total", "payload bytes handed to the LAN per interface",
-    unit="bytes")
-M_FRAMES_RECEIVED = obs.REGISTRY.counter(
-    "net_frames_received_total", "frames delivered per interface")
-M_FRAMES_DROPPED = obs.REGISTRY.counter(
-    "net_frames_dropped_total", "frames lost to the configured loss rate")
+#: Interface / Network attribute -> the registry family read from it.
+IFACE_COUNTERS = obs.REGISTRY.read_counters({
+    "frames_sent": ("net_frames_sent_total", "frames handed to the LAN per interface"),
+    "bytes_sent": ("net_bytes_sent_total",
+                   "payload bytes handed to the LAN per interface"),
+    "frames_received": ("net_frames_received_total", "frames delivered per interface"),
+})
+NETWORK_COUNTERS = obs.REGISTRY.read_counters({
+    "frames_dropped": ("net_frames_dropped_total",
+                       "frames lost to the configured loss rate"),
+})
 
 
 @dataclass
@@ -90,6 +91,7 @@ class Interface(TransportPort):
         self.frames_sent = 0
         self.frames_received = 0
         self.bytes_sent = 0
+        obs.REGISTRY.watch(self, IFACE_COUNTERS, node=node_id)
 
     # -- sending ----------------------------------------------------------
 
@@ -112,9 +114,6 @@ class Interface(TransportPort):
             raise NetworkError(f"interface {self.node_id!r} is down")
         self.frames_sent += 1
         self.bytes_sent += size_bytes
-        if obs.REGISTRY.enabled:
-            M_FRAMES_SENT.inc(node=self.node_id)
-            M_BYTES_SENT.inc(size_bytes, node=self.node_id)
 
     # -- receiving ----------------------------------------------------------
 
@@ -122,8 +121,6 @@ class Interface(TransportPort):
         if not self.up:
             return
         self.frames_received += 1
-        if obs.REGISTRY.enabled:
-            M_FRAMES_RECEIVED.inc(node=self.node_id)
         self._deliver(frame)
 
 
@@ -154,6 +151,7 @@ class Network(Transport):
         #: same visit and must arrive after them.)
         self._last_arrival: Dict[tuple, float] = {}
         self.frames_dropped = 0
+        obs.REGISTRY.watch(self, NETWORK_COUNTERS)
         #: Optional per-leg payload mutator ``(src, dst, payload) ->
         #: payload`` applied to every delivery, self-delivery included —
         #: the simulator-side hook for Byzantine injection (lies and
@@ -209,8 +207,6 @@ class Network(Transport):
                 continue
             if self.loss_rate > 0.0 and self.rng.random() < self.loss_rate:
                 self.frames_dropped += 1
-                if obs.REGISTRY.enabled:
-                    M_FRAMES_DROPPED.inc()
                 continue
             delay = self.latency.sample(self.rng, frame.size_bytes)
             # Loopback delivery of one's own multicast is local (no wire).

@@ -49,11 +49,8 @@ from .messages import (
 from .ring import ProcessorState
 
 
-# -- observability instruments (zero-cost while the registry is off) ----
-M_GATHERS = obs.REGISTRY.counter(
-    "totem_membership_gathers_total", "gather phases entered")
-M_INSTALLS = obs.REGISTRY.counter(
-    "totem_membership_installs_total", "rings installed")
+# -- pushed instrument (zero-cost while the registry is off); gathers and
+# installs are read from ProcessorStats ---------------------------------
 M_MEMBERSHIP_DURATION = obs.REGISTRY.histogram(
     "totem_membership_duration_s",
     "gather start to ring installation", unit="s",
@@ -133,8 +130,7 @@ class MembershipEngine:
         self._commit_last_token_seq = 0
         self._last_sent_commit = None
         self._gather_started_at = self.p.sim.now
-        if obs.REGISTRY.enabled:
-            M_GATHERS.inc(node=self.p.me)
+        self.p.stats.gathers += 1
         if trace.TRACER.enabled:
             trace.emit("membership.gather", self.p.me, reason=reason,
                        t=self.p.sim.now)
@@ -426,10 +422,8 @@ class MembershipEngine:
             p.sim.now - self._gather_started_at
             if self._gather_started_at is not None else None
         )
-        if obs.REGISTRY.enabled:
-            M_INSTALLS.inc(node=p.me)
-            if duration_s is not None:
-                M_MEMBERSHIP_DURATION.observe(duration_s, node=p.me)
+        if obs.REGISTRY.enabled and duration_s is not None:
+            M_MEMBERSHIP_DURATION.observe(duration_s, node=p.me)
         if trace.TRACER.enabled:
             trace.emit(
                 "membership.install", p.me, ring=str(token.ring_id),

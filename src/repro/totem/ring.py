@@ -47,24 +47,8 @@ from .messages import (
 )
 
 
-# -- observability instruments (zero-cost while the registry is off) ----
-M_MULTICAST = obs.REGISTRY.counter(
-    "totem_messages_multicast_total", "regular messages broadcast on the ring")
-M_RETRANSMIT = obs.REGISTRY.counter(
-    "totem_retransmissions_total", "regular messages retransmitted (rtr served)")
-M_TOKENS = obs.REGISTRY.counter(
-    "totem_tokens_forwarded_total", "token visits forwarded to the successor")
-M_TOKEN_RETRANSMIT = obs.REGISTRY.counter(
-    "totem_token_retransmissions_total",
-    "token retransmissions after missing progress evidence")
-M_DELIVERED = obs.REGISTRY.counter(
-    "totem_messages_delivered_total", "messages delivered in agreed order")
-M_CANCELLED = obs.REGISTRY.counter(
-    "totem_sends_cancelled_total",
-    "queued payloads withdrawn before transmission")
-M_FLOW_DEFERRALS = obs.REGISTRY.counter(
-    "totem_flow_control_deferrals_total",
-    "token visits that left payloads queued (window exhausted)")
+# -- pushed instrument (zero-cost while the registry is off); the
+# counter families are read from ProcessorStats, see COUNTERS below ------
 M_TOKEN_INTERVAL = obs.REGISTRY.histogram(
     "totem_token_rotation_us", "interval between token visits at one node",
     unit="us",
@@ -104,6 +88,32 @@ class ProcessorStats:
     duplicate_tokens: int = 0
     membership_changes: int = 0
     sends_cancelled: int = 0
+    gathers: int = 0
+    flow_control_deferrals: int = 0
+
+
+#: ProcessorStats field -> the registry family read from it.
+COUNTERS = obs.REGISTRY.read_counters({
+    "messages_multicast": ("totem_messages_multicast_total",
+                           "regular messages broadcast on the ring"),
+    "retransmissions": ("totem_retransmissions_total",
+                        "regular messages retransmitted (rtr served)"),
+    "tokens_forwarded": ("totem_tokens_forwarded_total",
+                         "token visits forwarded to the successor"),
+    "token_retransmissions": (
+        "totem_token_retransmissions_total",
+        "token retransmissions (regular and commit tokens) after missing "
+        "progress evidence"),
+    "messages_delivered": ("totem_messages_delivered_total",
+                           "messages delivered in agreed order"),
+    "sends_cancelled": ("totem_sends_cancelled_total",
+                        "queued payloads withdrawn before transmission"),
+    "flow_control_deferrals": (
+        "totem_flow_control_deferrals_total",
+        "token visits that left payloads queued (window exhausted)"),
+    "gathers": ("totem_membership_gathers_total", "gather phases entered"),
+    "membership_changes": ("totem_membership_installs_total", "rings installed"),
+})
 
 
 class TotemProcessor:
@@ -135,6 +145,7 @@ class TotemProcessor:
         self.state = ProcessorState.GATHER
         self.ring: Optional[RingConfig] = None
         self.stats = ProcessorStats()
+        obs.REGISTRY.watch(self.stats, COUNTERS, node=self.me)
 
         # -- regular-ring state (reset on every ring install) -----------
         self.received: Dict[int, RegularMessage] = {}
@@ -212,8 +223,6 @@ class TotemProcessor:
         cancelled = len(self.send_queue) - len(kept)
         self.send_queue = kept
         self.stats.sends_cancelled += cancelled
-        if cancelled and obs.REGISTRY.enabled:
-            M_CANCELLED.inc(cancelled, node=self.me)
         return cancelled
 
     @property
@@ -313,8 +322,6 @@ class TotemProcessor:
             if isinstance(msg.payload, LostMessage):
                 continue  # recovery tombstone: skipped everywhere alike
             self.stats.messages_delivered += 1
-            if obs.REGISTRY.enabled:
-                M_DELIVERED.inc(node=self.me)
             if self.on_deliver is not None:
                 self.on_deliver(msg)
 
@@ -360,8 +367,6 @@ class TotemProcessor:
             if msg is not None:
                 self.multicast_raw(replace(msg, retransmission=True))
                 self.stats.retransmissions += 1
-                if obs.REGISTRY.enabled:
-                    M_RETRANSMIT.inc(node=self.me)
                 if trace.TRACER.enabled:
                     trace.emit(
                         "totem.retransmit", self.me, seq=seq,
@@ -384,12 +389,9 @@ class TotemProcessor:
             self.multicast_raw(msg)
             self.stats.messages_multicast += 1
             sent += 1
-        if obs.REGISTRY.enabled and sent:
-            M_MULTICAST.inc(sent, node=self.me)
         if self.send_queue and sent >= self.config.window_size:
             # Flow control: the window closed with payloads still queued.
-            if obs.REGISTRY.enabled:
-                M_FLOW_DEFERRALS.inc(node=self.me)
+            self.stats.flow_control_deferrals += 1
             if trace.TRACER.enabled:
                 trace.emit(
                     "totem.flow_control", self.me, seq=new_seq,
@@ -447,8 +449,6 @@ class TotemProcessor:
         successor = self.ring.successor(self.me)
         self.unicast_raw(successor, token)
         self.stats.tokens_forwarded += 1
-        if obs.REGISTRY.enabled:
-            M_TOKENS.inc(node=self.me)
         if trace.TRACER.enabled:
             trace.emit(
                 "totem.token.forward", self.me, to=successor,
@@ -524,8 +524,6 @@ class TotemProcessor:
             return  # give up; the token-loss timeout will trigger membership
         self._retransmit_count += 1
         self.stats.token_retransmissions += 1
-        if obs.REGISTRY.enabled:
-            M_TOKEN_RETRANSMIT.inc(node=self.me)
         if trace.TRACER.enabled:
             trace.emit(
                 "totem.token.retransmit", self.me,

@@ -1,8 +1,9 @@
 """Experiment workload generators (S15 in DESIGN.md): the paper's two
-measurement applications plus the failover and recovery scenarios."""
+measurement applications plus the failover, recovery, divergence,
+partition and group-size scenarios."""
 
 from .failover import (
-    FailoverClockApp,
+    ClockReadApp,
     FailoverResult,
     failover_comparison,
     run_failover_workload,
@@ -21,6 +22,7 @@ from .load import (
     open_loop,
     percentile,
     service_counters,
+    timed_calls,
 )
 from .loadgen import (
     ThroughputApp,
@@ -35,6 +37,7 @@ from .loadgen import (
 )
 from .openloop import OpenLoopInjector, calibrate_capacity, run_overload_suite
 from .recovery import RecoveryClockApp, RecoveryResult, run_recovery_workload
+from .scenarios import measure_divergence, run_at_size, run_partition_cycle
 from .skew_drift import (
     ITERATION_CHOICES,
     ReplicaSeries,
@@ -44,7 +47,7 @@ from .skew_drift import (
 )
 
 __all__ = [
-    "FailoverClockApp",
+    "ClockReadApp",
     "FailoverResult",
     "ITERATION_CHOICES",
     "LatencyRunResult",
@@ -64,8 +67,10 @@ __all__ = [
     "closed_loop",
     "comparison_run",
     "failover_comparison",
+    "measure_divergence",
     "open_loop",
     "percentile",
+    "run_at_size",
     "run_failover_workload",
     "run_latency_workload",
     "run_loadgen",
@@ -73,10 +78,12 @@ __all__ = [
     "run_loadgen_comparison",
     "run_loadgen_sharded",
     "run_overload_suite",
+    "run_partition_cycle",
     "run_recovery_workload",
     "run_skew_drift_workload",
     "run_throughput_point",
     "run_throughput_sweep",
     "service_counters",
     "shard_scaling_run",
+    "timed_calls",
 ]

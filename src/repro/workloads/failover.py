@@ -15,13 +15,18 @@ from typing import List
 from ..replication import Application
 from ..sim import ClusterConfig
 from ..testbed import Testbed
+from .load import timed_calls
 
 
-class FailoverClockApp(Application):
-    """Minimal time server used for failover measurements."""
+class ClockReadApp(Application):
+    """Minimal time server: burns ``work_s`` of CPU, then returns the
+    clock in microseconds."""
+
+    def __init__(self, work_s: float = 15e-6):
+        self.work_s = work_s
 
     def get_time(self, ctx):
-        yield ctx.compute(15e-6)
+        yield ctx.compute(self.work_s)
         value = yield ctx.gettimeofday()
         return value.micros
 
@@ -77,32 +82,21 @@ def run_failover_workload(
     )
     kwargs = {"checkpoint_interval": 5} if style == "passive" else {}
     bed.deploy(
-        "svc", FailoverClockApp, ["n1", "n2", "n3"],
+        "svc", ClockReadApp, ["n1", "n2", "n3"],
         style=style, time_source=time_source, **kwargs,
     )
     client = bed.client("n0")
     bed.start(settle=0.3)
 
-    def calls(n):
-        def scenario():
-            values = []
-            for _ in range(n):
-                result, _ = yield from client.timed_call(
-                    "svc", "get_time", timeout=3.0
-                )
-                assert result.ok, result.error
-                values.append(result.value)
-            return values
-
-        return bed.run_process(scenario())
-
     result = FailoverResult(time_source=time_source, style=style, seed=seed)
-    result.before_us = calls(calls_each_side)
+    result.before_us = timed_calls(bed, client, "svc", "get_time",
+                                   calls_each_side)
     t_crash = bed.sim.now
     primary = next(nid for nid, r in bed.replicas("svc").items() if r.is_primary)
     bed.crash(primary)
     bed.run(0.6)
-    result.after_us = calls(calls_each_side)
+    result.after_us = timed_calls(bed, client, "svc", "get_time",
+                                  calls_each_side)
     result.real_gap_us = (bed.sim.now - t_crash) * 1e6
     return result
 

@@ -17,6 +17,7 @@ from typing import Dict, List
 from ..replication import Application
 from ..sim import ClusterConfig
 from ..testbed import Testbed
+from .load import timed_calls
 
 
 class TimeServerApp(Application):
@@ -94,15 +95,7 @@ def run_latency_workload(
     client = bed.client(client_node)
     bed.start()
 
-    def scenario():
-        for _ in range(invocations):
-            result, _latency = yield from client.timed_call(
-                "timesvc", "get_time", timeout=5.0
-            )
-            assert result.ok, result.error
-        return None
-
-    bed.run_process(scenario())
+    timed_calls(bed, client, "timesvc", "get_time", invocations, timeout=5.0)
     bed.run(0.05)
 
     run = LatencyRunResult(

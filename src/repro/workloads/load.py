@@ -228,6 +228,28 @@ class ZipfPicker:
                                   self._rng.random() * self._cum[-1])
 
 
+def timed_calls(bed, client, group: str, method: str, count: int, *,
+                timeout: float = 3.0) -> List:
+    """Run ``count`` sequential timed calls from one client to completion
+    and return their result values; a failed call is an assertion error
+    (the seeded experiments expect every call to be answered)."""
+    def scenario():
+        values = []
+        for _ in range(count):
+            result, _ = yield from client.timed_call(group, method,
+                                                     timeout=timeout)
+            assert result.ok, result.error
+            values.append(result.value)
+        return values
+
+    return bed.run_process(scenario())
+
+
+def last_readings(replica, count: int) -> List[int]:
+    """The last ``count`` clock values (microseconds) ``replica`` served."""
+    return [v.micros for _, _, _, v in replica.time_source.readings][-count:]
+
+
 #: The ``CTSStats`` counters a load result reports for the group.
 SERVICE_COUNTERS = ("ops_completed", "ops_coalesced", "fast_path_hits",
                     "fast_path_fallbacks", "ccs_transmitted",

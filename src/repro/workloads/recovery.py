@@ -17,6 +17,7 @@ from typing import List
 from ..replication import Application
 from ..sim import ClusterConfig
 from ..testbed import Testbed
+from .load import last_readings, timed_calls
 
 
 class RecoveryClockApp(Application):
@@ -86,21 +87,12 @@ def run_recovery_workload(
     client = bed.client("n0")
     bed.start()
 
-    def calls(n):
-        def scenario():
-            values = []
-            for _ in range(n):
-                result, _ = yield from client.timed_call(
-                    "svc", "stamped", timeout=3.0
-                )
-                assert result.ok, result.error
-                values.append(result.value[1])
-            return values
-
-        return bed.run_process(scenario())
+    def stamps(count):
+        return [micros for _, micros in
+                timed_calls(bed, client, "svc", "stamped", count)]
 
     result = RecoveryResult(seed=seed)
-    result.before_us = calls(calls_before)
+    result.before_us = stamps(calls_before)
 
     joined_at = bed.sim.now
     joiner = bed.add_replica("svc", "n3", RecoveryClockApp, time_source="cts")
@@ -108,11 +100,9 @@ def run_recovery_workload(
         bed.run(0.01)
     result.integration_time_s = bed.sim.now - joined_at
 
-    result.after_us = calls(calls_after)
+    result.after_us = stamps(calls_after)
     bed.run(0.05)
-    result.joiner_after_us = [
-        v.micros for _, _, _, v in joiner.time_source.readings
-    ][-calls_after:]
+    result.joiner_after_us = last_readings(joiner, calls_after)
     result.recovery_adoptions = joiner.time_source.stats.recovery_adoptions
     result.joiner_count = joiner.app.count
     result.member_count = bed.replicas("svc")["n1"].app.count

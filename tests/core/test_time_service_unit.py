@@ -190,3 +190,26 @@ class TestFastPathStaleness:
         assert served == [r - anchor for r in node.readings[:len(served)]]
         assert node.readings[len(served)] - anchor > budget
         bed.run(0.05)
+
+
+class TestBoundedHistories:
+    def test_full_histories_drop_their_oldest_entries(self, monkeypatch):
+        """A serving replica lives for days: the per-operation and
+        per-round histories stay within HISTORY_LIMIT, newest kept."""
+        from repro.core import time_service
+
+        def served_histories():
+            bed, client = build_service(seed=212, fast_path=True,
+                                        max_staleness_us=600)
+            call_n(bed, client, "svc", "get_time", 150)
+            bed.run(0.05)
+            service = bed.replicas("svc")["n1"].time_source
+            return [list(service.readings), list(service.winners),
+                    list(service.served_ops.items()),
+                    list(service.fast_served)]
+
+        unbounded = served_histories()
+        monkeypatch.setattr(time_service, "HISTORY_LIMIT", 8)
+        for kept, everything in zip(served_histories(), unbounded):
+            assert 0 < len(kept) <= 8 < len(everything)
+            assert kept == everything[-len(kept):]

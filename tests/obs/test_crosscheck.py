@@ -1,17 +1,35 @@
-"""Cross-checks: registry-derived protocol counts must equal the
-wire-level statistics the benchmark harness reports.
+"""Counter families are *read* from the counters the protocol layers keep.
 
-This is the acceptance gate for the telemetry subsystem — the metrics
-must *agree with* the numbers the evaluation tables are built from, not
-merely resemble them.
+The evaluation tables are built from plain attributes (``CTSStats``,
+``Interface.frames_sent`` ...); the registry reports those same
+attributes, so the checks here are (1) on a seeded run the exported
+families say what the harness says, (2) for every object handed to
+``REGISTRY.watch`` each family value *is* the attribute, and (3) a run
+with telemetry off behaves like an uninstrumented one.
 """
+
+import gc
+import threading
+import weakref
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro import obs
+from repro.chaos import transport as chaos_transport
+from repro.control import admission
+from repro.core import time_service
+from repro.net import client as live_client, daemon, udp
+from repro.net.testbed import LiveTestbed
+from repro.replication import replica
+from repro.rpc import client as rpc_client
+from repro.shard import GradientOverlay, ShardedTestbed, ShardRouter, overlay
+from repro.sim import network
+from repro.totem import ring
 from repro.workloads import run_latency_workload
 
-from support import ClockApp, call_n, make_testbed  # noqa: E402
+from support import ClockApp, CounterApp, call_n, make_testbed  # noqa: E402
 
 
 @pytest.fixture
@@ -90,6 +108,150 @@ class TestInterfaceCountersMatchNetwork:
             assert bytes_sent.value(node=node_id) == node.iface.bytes_sent
 
 
+def _sim_bed():
+    """A lossy passive group through a crash and a state-transfer rejoin."""
+    bed = make_testbed(seed=5, loss_rate=0.02)
+    bed.deploy("svc", CounterApp, ["n1", "n2", "n3"], style="passive",
+               time_source="cts", checkpoint_interval=2)
+    client = bed.client("n0")
+    bed.start()
+    call_n(bed, client, "svc", "stamped_increment", 6)
+    bed.crash("n1")
+    bed.run(0.6)
+    bed.run_process(client.retrying_call("svc", "stamped_increment"))
+    bed.recover("n1")
+    bed.add_replica("svc", "n1")
+    bed.run(0.6)
+    call_n(bed, client, "svc", "stamped_increment", 3)
+    return bed
+
+
+def _chaos_decisions():
+    chaos = chaos_transport.ChaosTransport(inner=None, kernel=None, seed=3)
+    chaos.partition({"a"}, {"b"})
+    assert chaos.decide("a", "b") is None
+    chaos.heal()
+    chaos.set_drop(0.3)
+    chaos.set_delay(0.001)
+    chaos.set_duplicate(0.5)
+    for _ in range(40):
+        chaos.decide("a", "b")
+        chaos.decide("b", "a")
+    return chaos
+
+
+def _admission_overflow():
+    controller = admission.AdmissionController(
+        admission.AdmissionConfig(max_inflight=1, max_global_queue=1),
+        node_id="n9")
+    for index in range(4):
+        controller.submit("c", index, lambda: None, lambda retry: None)
+    return controller
+
+
+def _sharded_bed():
+    bed = ShardedTestbed(shards=2, shard_size=3, seed=3)
+    bed.deploy_shards(daemon.TimeApp)
+    gradient = GradientOverlay(bed, overlay.OverlayConfig(secret="t"))
+    router = ShardRouter(bed)
+    bed.start()
+    gradient.start()
+    bed.run_process(router.call(router.session("c0")))
+    bed.run(0.2)
+    return bed, gradient
+
+
+def _live_bed():
+    with LiveTestbed(num_nodes=3, seed=5) as bed:
+        bed.deploy("timesvc", daemon.TimeApp, nodes=bed.node_ids,
+                   style="active", time_source="cts")
+        bed.start()
+        bed.install_gateway("n0", admission.AdmissionConfig())
+        caller = live_client.LiveCaller([bed.node("n0").address],
+                                        client_id="xcheck")
+        thread = threading.Thread(
+            target=lambda: [caller.call("gettimeofday", timeout=3.0)
+                            for _ in range(3)], daemon=True)
+        thread.start()
+        bed.pump(6.0, until=lambda: not thread.is_alive())
+        thread.join(timeout=1.0)
+        caller.close()
+        assert caller.stats.calls == 3 and not caller.stats.failures
+    return bed, caller
+
+
+#: Every ``read_counters`` declaration in the source tree, beside a
+#: scenario that makes the objects it is declared for.
+CASES = [
+    pytest.param(_sim_bed, [
+        time_service.COUNTERS, ring.COUNTERS, replica.COUNTERS,
+        rpc_client.COUNTERS, network.IFACE_COUNTERS,
+        network.NETWORK_COUNTERS], id="simulated-bed"),
+    pytest.param(_chaos_decisions, [chaos_transport.COUNTERS], id="chaos"),
+    pytest.param(_admission_overflow, [admission.COUNTERS], id="admission"),
+    pytest.param(_sharded_bed, [overlay.COUNTERS], id="overlay"),
+    pytest.param(_live_bed, [udp.COUNTERS, daemon.GATEWAY_COUNTERS,
+                             live_client.COUNTERS, admission.COUNTERS],
+                 id="live-bed", marks=pytest.mark.live),
+]
+
+
+def _watched_totals():
+    """(family, label set) -> the plain attributes of every live watched
+    object, summed."""
+    totals = {}
+    for ref, counters, key in list(obs.REGISTRY._sources.values()):
+        source = ref()
+        for attr, family, keyed in counters if source is not None else ():
+            count = getattr(source, attr)
+            series = ({key: count} if keyed is None else
+                      {tuple(sorted(key + ((keyed, str(k)),))): v
+                       for k, v in count.items()})
+            for labels, value in series.items():
+                totals[family, labels] = totals.get((family, labels), 0) + value
+    return totals
+
+
+class TestFamiliesReadTheAttributes:
+    """For every object handed to ``REGISTRY.watch`` and every entry of
+    its map, the family reports what the attribute counted during the
+    session: there is no second copy that could disagree."""
+
+    @pytest.mark.parametrize("build, declarations", CASES)
+    def test_each_watched_attribute_is_the_family_value(self, build,
+                                                        declarations):
+        with obs.REGISTRY.session():
+            earlier = _watched_totals()  # leftovers of earlier tests
+            built = build()  # noqa: F841 - keeps the objects alive below
+            counted = {slot: value - earlier.get(slot, 0)
+                       for slot, value in _watched_totals().items()}
+            for (family, labels), value in counted.items():
+                assert family.value(**dict(labels)) == value, (
+                    family.name, labels)
+            for declaration in declarations:
+                for attr, family, _ in declaration:
+                    assert family.total() == sum(
+                        value for (f, _), value in counted.items()
+                        if f is family), family.name
+        read = {family for declaration in declarations
+                for _, family, _ in declaration}
+        assert {family for family, _ in counted} >= read - {
+            # keyed tallies with nothing to tally in these scenarios
+            obs.REGISTRY.get("shard_summaries_rejected_total"),
+            obs.REGISTRY.get("cts_admission_shed_total"),
+            obs.REGISTRY.get("udp_datagrams_rejected_total")}
+        assert sum(family.total() for family in read) > 0
+
+    def test_the_cases_name_every_declaration(self):
+        declared = sum(
+            path.read_text().count("REGISTRY.read_counters(")
+            for path in Path(repro.__file__).parent.rglob("*.py")
+            if path.name != "metrics.py")
+        named = {id(declaration) for case in CASES
+                 for declaration in case.values[1]}
+        assert declared == len(named)
+
+
 class TestDisabledOverhead:
     def test_disabled_run_identical_to_baseline(self):
         """With the registry off the instrumented stack must behave
@@ -104,3 +266,20 @@ class TestDisabledOverhead:
                                             seed=5)
         assert recorded.latencies_us == baseline.latencies_us
         assert recorded.ccs_transmitted == baseline.ccs_transmitted
+
+    def test_watching_with_recording_off_keeps_only_a_weak_reference(self):
+        registry = obs.MetricsRegistry()
+        declared = registry.read_counters({"count": ("things_total", "things")})
+
+        class Thing:
+            count = 0
+
+        thing = Thing()
+        registry.watch(thing, declared, node="n1")
+        alive = weakref.ref(thing)
+        assert len(registry._sources) == 1
+        del thing
+        gc.collect()
+        assert alive() is None
+        assert registry._sources == {}
+        assert registry.get("things_total")._watched == []

@@ -22,6 +22,11 @@ def populated_registry():
 
 
 class TestJsonl:
+    def test_missing_parent_directories_are_created(self, tmp_path):
+        target = tmp_path / "out" / "run1" / "m.jsonl"
+        assert export.write_jsonl(populated_registry(), target) == 3
+        assert len(export.read_jsonl(target)) == 3
+
     def test_round_trip_through_a_file(self, tmp_path):
         registry = populated_registry()
         target = tmp_path / "dump.jsonl"

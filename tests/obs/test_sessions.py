@@ -1,0 +1,101 @@
+"""What a recording session reports when counter families are read from
+objects that count whether or not anyone records."""
+
+import gc
+
+from repro import obs
+
+from support import ClockApp, call_n, make_testbed  # noqa: E402
+
+
+def serving_bed(seed):
+    bed = make_testbed(seed=seed)
+    bed.deploy("svc", ClockApp, ["n1", "n2", "n3"], time_source="cts")
+    client = bed.client("n0")
+    bed.start()
+    return bed, client
+
+
+def ops(node="n1"):
+    return obs.REGISTRY.get("cts_ops_total").value(node=node)
+
+
+class TestSessions:
+    def test_a_bed_built_before_the_session_reports_what_it_counts_in_it(self):
+        bed = make_testbed(seed=31)
+        bed.deploy("svc", ClockApp, ["n1", "n2", "n3"], time_source="cts")
+        client = bed.client("n0")
+        with obs.REGISTRY.session():
+            bed.start()
+            call_n(bed, client, "svc", "get_time", 4)
+            service = bed.replicas("svc")["n1"].time_source
+            assert ops() == service.stats.ops_completed > 0
+
+    def test_counts_made_with_recording_off_are_not_reported(self):
+        bed, client = serving_bed(seed=32)
+        call_n(bed, client, "svc", "get_time", 5)
+        service = bed.replicas("svc")["n1"].time_source
+        unrecorded = service.stats.ops_completed
+        with obs.REGISTRY.session():
+            assert ops() == 0
+            call_n(bed, client, "svc", "get_time", 5)
+            assert ops() == 5
+        call_n(bed, client, "svc", "get_time", 5)  # recording is off again
+        assert ops() == 5
+        assert service.stats.ops_completed == unrecorded + 10
+
+    def test_two_beds_in_one_session_sum_per_label(self):
+        with obs.REGISTRY.session():
+            first, client = serving_bed(seed=33)
+            call_n(first, client, "svc", "get_time", 3)
+            second, client = serving_bed(seed=34)
+            call_n(second, client, "svc", "get_time", 4)
+        both = [bed.replicas("svc")["n2"].time_source.stats.ops_completed
+                for bed in (first, second)]
+        assert ops("n2") == sum(both) and all(both)
+
+    def test_series_outlive_the_session_and_the_beds(self):
+        with obs.REGISTRY.session():
+            bed, client = serving_bed(seed=35)
+            call_n(bed, client, "svc", "get_time", 3)
+            recorded = ops()
+        frames = obs.REGISTRY.get("net_frames_sent_total").value(node="n0")
+        assert recorded > 0 and frames > 0
+        del bed, client
+        gc.collect()
+        assert ops() == recorded
+        assert obs.REGISTRY.get(
+            "net_frames_sent_total").value(node="n0") == frames
+        assert any(sample["name"] == "cts_ops_total"
+                   for sample in obs.REGISTRY.collect())
+
+    def test_a_recovered_node_does_not_step_its_series_backwards(self):
+        with obs.REGISTRY.session():
+            bed, client = serving_bed(seed=36)
+            call_n(bed, client, "svc", "get_time", 4)
+            seen = [ops("n3")]
+            tokens = obs.REGISTRY.get("totem_tokens_forwarded_total")
+            forwarded = [tokens.value(node="n3")]
+            bed.crash("n3")
+            bed.run(0.6)
+            seen.append(ops("n3"))
+            bed.recover("n3")
+            bed.add_replica("svc", "n3")
+            bed.run(0.6)
+            gc.collect()  # the crashed incarnation's objects may be gone
+            seen.append(ops("n3"))
+            forwarded.append(tokens.value(node="n3"))
+            call_n(bed, client, "svc", "get_time", 4)
+            seen.append(ops("n3"))
+            forwarded.append(tokens.value(node="n3"))
+        assert seen == sorted(seen) and seen[-1] > seen[0] > 0
+        assert forwarded == sorted(forwarded) and forwarded[0] > 0
+
+    def test_reset_inside_a_session_starts_the_series_over(self):
+        with obs.REGISTRY.session():
+            bed, client = serving_bed(seed=37)
+            call_n(bed, client, "svc", "get_time", 3)
+            obs.REGISTRY.reset()
+            assert ops() == 0
+            call_n(bed, client, "svc", "get_time", 2)
+            assert ops() == 2
