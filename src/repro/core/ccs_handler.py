@@ -186,7 +186,7 @@ class CCSHandler:
         )
         # A deliberate abort, not a bug: don't let the scheduler
         # re-raise if the waiting process died before observing it.
-        result._fail_silently = True
+        result.defuse()
 
     def drop_through(self, round_number: int) -> int:
         """Discard buffered messages for rounds <= ``round_number``

@@ -46,7 +46,7 @@ from typing import Callable, Dict, List, Optional, Tuple, TYPE_CHECKING
 from ..errors import TimeServiceError
 from .. import obs, trace
 from ..replication.envelope import Envelope, MsgType, make_envelope
-from ..replication.timesource import TimeSource
+from ..replication.timesource import ClockRead, TimeSource
 from ..sim.clock import ClockValue
 from ..sim.kernel import Event
 from .ccs_handler import (
@@ -301,8 +301,7 @@ class ConsistentTimeService(TimeSource):
         handler = self._handler(thread_id)
         op_id = handler.assign_op_id(op_id)
         self._drain_common(handler)
-        result = Event(self.sim)
-        result._cts_read = True
+        result = ClockRead(self.sim)
         op = PendingOp(op_id, call, result, self.sim.now, floor_us)
 
         # Already covered by a consumed round (the op was issued late,

@@ -532,6 +532,7 @@ class NodeDaemon:
               file=sys.stderr, flush=True)
 
     def shutdown(self) -> None:
+        self.processor.stop()
         if self._shard_writer is not None:
             self._shard_writer.close()
             self._shard_writer = None

@@ -8,9 +8,12 @@ API but maps it onto an asyncio event loop:
 
 * ``now`` is the loop's monotonic clock, zeroed at construction, so all
   kernel timestamps remain "seconds since start" just like the sim;
-* queueing an event becomes ``loop.call_later``; firing one replays the
-  body of :meth:`Simulator.step` (lazy trigger values, defused-event
-  skipping, unheeded-failure detection);
+* queueing an event becomes ``loop.call_later`` of the simulator's own
+  :meth:`Simulator._fire_event` (lazy trigger values, cancelled-event
+  skipping, unheeded-failure detection); a scheduled callback goes into
+  ``call_later`` as it is, and a :class:`~repro.sim.kernel.Deadline`
+  keeps one ``call_later`` pending however often it is moved, re-arming
+  it for the remaining time when it fires early;
 * ``run(until=...)`` drives the loop with ``run_until_complete`` of a
   real sleep, and ``run_process`` blocks on a loop future resolved by
   the process's completion callback.
@@ -32,10 +35,10 @@ boundary; a daemon running the loop directly drains them via
 from __future__ import annotations
 
 import asyncio
-from typing import Any, Generator, List, Optional
+from typing import Any, Callable, Generator, List, Optional
 
 from ..errors import SimulationError
-from ..sim.kernel import _PENDING, Event, Process, Simulator
+from ..sim.kernel import Deadline, Event, Simulator
 
 
 class LiveKernel(Simulator):
@@ -62,20 +65,20 @@ class LiveKernel(Simulator):
         # heap's stable-sequence tie-break; the priority lane collapses.
         self.loop.call_later(max(0.0, delay), self._fire_event, event)
 
-    def _fire_event(self, event: Event) -> None:
-        # Mirrors the body of Simulator.step for one already-due event.
-        if event._value is _PENDING:
-            event._ok = getattr(event, "_delayed_ok", True)
-            event._value = getattr(event, "_delayed_value", None)
-        callbacks = event.callbacks
-        event.callbacks = None
-        if getattr(event, "_defused", False):
-            return
-        if callbacks:
-            for callback in callbacks:
-                callback(event)
-        elif event._ok is False and not getattr(event, "_fail_silently", False):
-            self._failures.append(event._value)
+    def schedule(self, delay: float, callback: Callable, *args: Any) -> asyncio.TimerHandle:
+        """Run ``callback(*args)`` after ``delay`` real seconds; the
+        handle :meth:`cancel` takes is the loop's own."""
+        if delay < 0:
+            raise SimulationError(f"negative schedule delay {delay!r}")
+        return self.loop.call_later(delay, callback, *args)
+
+    def _queue_deadline(self, deadline: Deadline) -> None:
+        self.loop.call_later(max(0.0, deadline.when - self.now),
+                             deadline._expire, deadline.seq)
+
+    def _unheeded_failure(self, exception: BaseException) -> None:
+        # Raising inside a loop callback would only get it logged.
+        self._failures.append(exception)
 
     # -- failure surfacing ---------------------------------------------
 
@@ -125,7 +128,7 @@ class LiveKernel(Simulator):
                 future.set_result(None)
 
         proc._add_callback(_done)
-        waiter = asyncio.wait_for(self._await_future(future), timeout)
+        waiter = asyncio.wait_for(future, timeout)
         try:
             self.loop.run_until_complete(waiter)
         except asyncio.TimeoutError:
@@ -134,29 +137,8 @@ class LiveKernel(Simulator):
         self._raise_pending()
         if proc._ok:
             return proc._value
-        proc._fail_silently = True
+        proc.defuse()
         raise proc._value
-
-    @staticmethod
-    async def _await_future(future: "asyncio.Future[None]") -> None:
-        await future
-
-    def wrap_process(self, proc: Process) -> "asyncio.Future[Any]":
-        """Expose a kernel process as an asyncio future (for daemons that
-        own the running loop and therefore cannot call run_process)."""
-        future = self.loop.create_future()
-
-        def _done(event: Event) -> None:
-            if future.done():
-                return
-            if event._ok:
-                future.set_result(event._value)
-            else:
-                proc._fail_silently = True
-                future.set_exception(event._value)
-
-        proc._add_callback(_done)
-        return future
 
     # -- lifecycle -----------------------------------------------------
 

@@ -23,16 +23,14 @@ def live_totem_config(**overrides) -> TotemConfig:
     faster failover can lower ``token_loss_timeout_s``).
     """
     params = dict(
-        # Processing delays model CPU cost in the simulator; live nodes
-        # pay the real cost, so the model contributes nothing but lag.
+        # The processing delay models CPU cost in the simulator; live
+        # nodes pay the real cost, so the model contributes nothing but lag.
         token_processing_s=0.0,
-        message_processing_s=0.0,
         token_retransmit_timeout_s=0.05,
         token_loss_timeout_s=0.25,
         token_retransmit_limit=3,
         join_interval_s=0.05,
         fail_after_join_ticks=4,
-        gather_timeout_s=2.0,
         beacon_interval_s=0.5,
     )
     params.update(overrides)

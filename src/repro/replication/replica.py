@@ -34,7 +34,7 @@ from .envelope import Envelope, MsgType, make_envelope
 from .group import GroupRuntime, GroupView
 from .scheduler import ThreadManager
 from .state_transfer import StateTransferManager
-from .timesource import TimeSource
+from .timesource import ClockRead, TimeSource
 from ..rpc.messages import Result
 
 
@@ -347,7 +347,7 @@ class Replica(abc.ABC):
                 if self._work is not None and not self._work.triggered:
                     self._work.succeed()
                 return
-            if getattr(ev, "_cts_read", False):
+            if type(ev) is ClockRead:
                 if not ev.triggered:
                     ev._add_callback(
                         lambda e, g=gen: self._read_done(g, e)

@@ -29,6 +29,15 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from .group import GroupView
 
 
+class ClockRead(Event):
+    """The event a source with ``supports_concurrent_reads`` returns from
+    :meth:`TimeSource.read`: the replica parks the execution that yields
+    it and admits the next request, instead of holding its main thread
+    until the read completes."""
+
+    __slots__ = ()
+
+
 class TimeSource(abc.ABC):
     """Pluggable provider of clock readings for one replica."""
 

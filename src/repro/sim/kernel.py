@@ -9,6 +9,9 @@ purpose-built for this reproduction:
 * :class:`Process` wraps a Python generator; each value the generator
   yields must be an :class:`Event`, and the process resumes when that
   event fires.
+* :class:`Call` is a bare callback — what :meth:`Simulator.schedule`
+  queues — and :class:`Deadline` a reschedulable timer that keeps one
+  live heap entry however often it moves.
 
 Determinism: events scheduled for the same virtual time fire in FIFO
 order of scheduling (stable sequence numbers break ties), so a run is a
@@ -17,7 +20,7 @@ pure function of the root RNG seed and the program.
 
 from __future__ import annotations
 
-import heapq
+from heapq import heappop, heappush
 from itertools import count
 from typing import Any, Callable, Generator, List, Optional, Tuple
 
@@ -29,6 +32,7 @@ URGENT = 0
 NORMAL = 1
 
 _PENDING = object()  # sentinel: event not yet triggered
+_NEVER = float("inf")  # a deadline with no heap entry is queued for never
 
 
 class Event:
@@ -39,11 +43,20 @@ class Event:
     time.  Processes wait on events by ``yield``-ing them.
     """
 
+    __slots__ = ("sim", "callbacks", "_value", "_ok", "_delayed_ok",
+                 "_delayed_value", "_cancelled", "_fail_silently")
+
     def __init__(self, sim: "Simulator"):
         self.sim = sim
         self.callbacks: Optional[List[Callable[["Event"], None]]] = []
         self._value: Any = _PENDING
         self._ok: Optional[bool] = None
+        # What a still-pending event becomes when the kernel pops it
+        # (timeouts, process starts, interrupts trigger that way).
+        self._delayed_ok = True
+        self._delayed_value: Any = None
+        self._cancelled = False
+        self._fail_silently = False
 
     # -- state ---------------------------------------------------------
 
@@ -94,6 +107,15 @@ class Event:
         self.sim._queue_event(self, priority)
         return self
 
+    def defuse(self) -> None:
+        """This event's failure is deliberate or handled by the caller:
+        the kernel must not re-raise it as one nobody waited on."""
+        self._fail_silently = True
+
+    def cancel(self) -> None:
+        """Prevent the callbacks from running when the event fires."""
+        self._cancelled = True
+
     # -- internal ------------------------------------------------------
 
     def _add_callback(self, callback: Callable[["Event"], None]) -> None:
@@ -116,14 +138,14 @@ class Event:
 class Timeout(Event):
     """An event that succeeds after ``delay`` units of virtual time."""
 
+    __slots__ = ()
+
     def __init__(self, sim: "Simulator", delay: float, value: Any = None):
         if delay < 0:
             raise SimulationError(f"negative timeout delay {delay!r}")
         super().__init__(sim)
-        self.delay = delay
         # Triggered lazily when popped from the heap (see Simulator.step),
         # so `triggered` stays False until the delay has elapsed.
-        self._delayed_ok = True
         self._delayed_value = value
         sim._queue_event(self, NORMAL, delay=delay)
 
@@ -136,6 +158,8 @@ class Process(Event):
     wait for each other by yielding a :class:`Process`.
     """
 
+    __slots__ = ("name", "_generator", "_target", "_alive")
+
     def __init__(self, sim: "Simulator", generator: Generator, name: str = ""):
         super().__init__(sim)
         if not hasattr(generator, "send") or not hasattr(generator, "throw"):
@@ -146,8 +170,6 @@ class Process(Event):
         self._alive = True
         # Kick-start on the next scheduler step at the current time.
         start = Event(sim)
-        start._delayed_ok = True
-        start._delayed_value = None
         start._add_callback(self._resume)
         sim._queue_event(start, NORMAL)
 
@@ -189,7 +211,7 @@ class Process(Event):
         if not self.triggered:
             self._ok = False
             self._value = ProcessKilled(self.name)
-            self._fail_silently = True  # a kill is deliberate, not a bug
+            self.defuse()  # a kill is deliberate, not a bug
             self.sim._queue_event(self, URGENT)
 
     # -- internal ------------------------------------------------------
@@ -203,7 +225,6 @@ class Process(Event):
             self._target._remove_callback(self._resume)
         self._target = None
 
-        self.sim._active_process = self
         try:
             if event._ok:
                 next_event = self._generator.send(event._value)
@@ -219,8 +240,6 @@ class Process(Event):
             if not self.triggered:
                 self.fail(exc)
             return
-        finally:
-            self.sim._active_process = None
 
         if not isinstance(next_event, Event):
             self._alive = False
@@ -240,6 +259,8 @@ class AnyOf(Event):
     Its value is a list of ``(event, value)`` pairs for the events that
     have triggered by the time the condition fires.
     """
+
+    __slots__ = ("events",)
 
     def __init__(self, sim: "Simulator", events: List[Event]):
         super().__init__(sim)
@@ -266,6 +287,8 @@ class AllOf(Event):
     Its value is the list of event values in the order given.
     """
 
+    __slots__ = ("events", "_remaining")
+
     def __init__(self, sim: "Simulator", events: List[Event]):
         super().__init__(sim)
         self.events = list(events)
@@ -287,14 +310,95 @@ class AllOf(Event):
             self.succeed([e._value for e in self.events])
 
 
+class Call:
+    """A callback queued by :meth:`Simulator.schedule`; the handle
+    :meth:`Simulator.cancel` takes."""
+
+    __slots__ = ("fn", "args", "_cancelled")
+
+    def __init__(self, fn: Callable, args: tuple):
+        self.fn = fn
+        self.args = args
+        self._cancelled = False
+
+    def cancel(self) -> None:
+        """Prevent the callback from running."""
+        self._cancelled = True
+
+
+class Deadline:
+    """One reschedulable timer: ``fn()`` runs when the deadline set by
+    the latest :meth:`reset` passes, unless :meth:`clear` came after it.
+
+    A protocol timer moves far more often than it fires (Totem's
+    token-loss timeout moves on every token and message seen), so moving
+    it is two stores, and a push only if nothing is queued or the
+    deadline moved *earlier* than what is.  The queued entry, when it
+    pops, re-queues itself under the stored deadline if that has moved
+    on.  Firing order is that of a fresh ``schedule`` per reset: the
+    tie-break sequence number is drawn at ``reset`` time and the entry
+    re-enters the heap under that key before the kernel reaches it.
+    """
+
+    __slots__ = ("sim", "fn", "when", "seq", "_queued_when", "_queued_seq")
+
+    def __init__(self, sim: "Simulator", fn: Callable[[], None]):
+        self.sim = sim
+        self.fn = fn
+        #: Kernel time the timer fires at; None while not armed.
+        self.when: Optional[float] = None
+        self.seq = 0
+        self._queued_when = _NEVER
+        self._queued_seq = 0
+
+    @property
+    def armed(self) -> bool:
+        return self.when is not None
+
+    def reset(self, delay: float) -> None:
+        """(Re)arm the timer to fire ``delay`` seconds from now."""
+        if delay < 0:
+            raise SimulationError(f"negative deadline delay {delay!r}")
+        sim = self.sim
+        self.when = when = sim.now + delay
+        self.seq = next(sim._seq)
+        if when < self._queued_when:
+            self._queue()
+
+    def clear(self) -> None:
+        """Disarm the timer (its queued entry, if any, dies when popped)."""
+        self.when = None
+
+    def _queue(self) -> None:
+        self._queued_when = self.when
+        self._queued_seq = self.seq
+        self.sim._queue_deadline(self)
+
+    def _expire(self, seq: int) -> None:
+        """The entry queued under ``seq`` popped."""
+        if seq != self._queued_seq:
+            return  # superseded: a reset to an earlier time queued another
+        self._queued_when = _NEVER
+        if self.when is None:
+            return
+        if seq != self.seq:
+            self._queue()  # the deadline moved on
+        else:
+            self.when = None
+            self.fn()
+
+
 class Simulator:
-    """The discrete-event scheduler: virtual clock plus event heap."""
+    """The discrete-event scheduler: virtual clock plus event heap.
+
+    No ``__slots__``, and ``run`` dispatches through ``self.step``:
+    ``bench/tracing.py`` rebinds methods on the instance.
+    """
 
     def __init__(self):
         self._now: float = 0.0
-        self._heap: List[Tuple[float, int, int, Event]] = []
+        self._heap: List[Tuple[float, int, int, Any]] = []
         self._seq = count()
-        self._active_process: Optional[Process] = None
 
     # -- clock ---------------------------------------------------------
 
@@ -302,11 +406,6 @@ class Simulator:
     def now(self) -> float:
         """Current virtual time in seconds."""
         return self._now
-
-    @property
-    def active_process(self) -> Optional[Process]:
-        """The process currently being resumed, if any."""
-        return self._active_process
 
     # -- event construction ---------------------------------------------
 
@@ -332,56 +431,79 @@ class Simulator:
 
     # -- callback-style scheduling ---------------------------------------
 
-    def schedule(self, delay: float, callback: Callable, *args: Any) -> Event:
+    def schedule(self, delay: float, callback: Callable, *args: Any) -> Call:
         """Run ``callback(*args)`` after ``delay`` seconds of virtual time.
 
-        Returns the underlying event; cancel with :meth:`cancel`.
+        Returns a handle for :meth:`cancel`; it is not an event and
+        cannot be waited on (use :meth:`timeout` for that).
         """
-        event = self.timeout(delay)
-        event._add_callback(lambda ev: callback(*args))
-        return event
+        if delay < 0:
+            raise SimulationError(f"negative schedule delay {delay!r}")
+        call = Call(callback, args)
+        heappush(self._heap, (self._now + delay, NORMAL, next(self._seq), call))
+        return call
 
-    def call_soon(self, callback: Callable, *args: Any) -> Event:
+    def call_soon(self, callback: Callable, *args: Any) -> Call:
         """Run ``callback(*args)`` at the current virtual time, after the
         currently-running step completes."""
         return self.schedule(0.0, callback, *args)
 
-    def cancel(self, event: Event) -> None:
-        """Prevent a scheduled event's callbacks from running.
+    def deadline(self, fn: Callable[[], None]) -> Deadline:
+        """Create a disarmed reschedulable timer that runs ``fn()``."""
+        return Deadline(self, fn)
 
-        The heap entry stays (heap removal is O(n)); the event is simply
-        marked defused and skipped when popped.
+    def cancel(self, handle) -> None:
+        """Prevent what ``handle`` stands for from running: the callback
+        of a handle :meth:`schedule` returned, or the callbacks of an
+        :class:`Event`.  The heap entry stays (heap removal is O(n)) and
+        is dropped when popped.
         """
-        event._defused = True
+        handle.cancel()
 
     # -- internal queueing ------------------------------------------------
 
     def _queue_event(self, event: Event, priority: int, delay: float = 0.0) -> None:
-        heapq.heappush(self._heap, (self._now + delay, priority, next(self._seq), event))
+        heappush(self._heap, (self._now + delay, priority, next(self._seq), event))
+
+    def _queue_deadline(self, deadline: Deadline) -> None:
+        heappush(self._heap, (deadline.when, NORMAL, deadline.seq, deadline))
 
     # -- execution ---------------------------------------------------------
 
     def step(self) -> None:
-        """Process the single next event in the heap."""
-        when, _priority, _seq, event = heapq.heappop(self._heap)
+        """Process the single next entry in the heap."""
+        when, _priority, seq, entry = heappop(self._heap)
         if when < self._now:
             raise SimulationError("event scheduled in the past")
         self._now = when
+        kind = type(entry)
+        if kind is Call:
+            if not entry._cancelled:
+                entry.fn(*entry.args)
+        elif kind is Deadline:
+            entry._expire(seq)
+        else:
+            self._fire_event(entry)
+
+    def _fire_event(self, event: Event) -> None:
         if event._value is _PENDING:
             # Heap-delayed trigger (Timeout, process start, interrupt).
-            event._ok = getattr(event, "_delayed_ok", True)
-            event._value = getattr(event, "_delayed_value", None)
+            event._ok = event._delayed_ok
+            event._value = event._delayed_value
         callbacks = event.callbacks
         event.callbacks = None
-        if getattr(event, "_defused", False):
+        if event._cancelled:
             return
         if callbacks:
             for callback in callbacks:
                 callback(event)
-        elif event._ok is False and not getattr(event, "_fail_silently", False):
-            # A failed event nobody waited on: surface the error rather
-            # than losing it silently.
-            raise event._value
+        elif event._ok is False and not event._fail_silently:
+            self._unheeded_failure(event._value)
+
+    def _unheeded_failure(self, exception: BaseException) -> None:
+        # A failed event nobody waited on: surface the error rather
+        # than losing it silently.
+        raise exception
 
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> float:
         """Run until the heap drains, virtual time passes ``until``, or
@@ -417,5 +539,5 @@ class Simulator:
             return proc._value
         # We are observing the failure here; stop the scheduler from
         # re-raising it when the (still queued) process event is popped.
-        proc._fail_silently = True
+        proc.defuse()
         raise proc._value

@@ -144,12 +144,12 @@ class Network(Transport):
         self._interfaces: Dict[str, Interface] = {}
         #: node_id -> partition component id; missing means component 0.
         self._component: Dict[str, int] = {}
-        #: (src, dst) -> latest scheduled arrival: switched Ethernet is
+        #: src -> dst -> latest scheduled arrival: switched Ethernet is
         #: FIFO per source-destination pair, so a later frame never
         #: overtakes an earlier one on the same path.  (Totem relies on
         #: this: the token is forwarded *after* the data messages of the
         #: same visit and must arrive after them.)
-        self._last_arrival: Dict[tuple, float] = {}
+        self._last_arrival: Dict[str, Dict[str, float]] = {}
         self.frames_dropped = 0
         obs.REGISTRY.watch(self, NETWORK_COUNTERS)
         #: Optional per-leg payload mutator ``(src, dst, payload) ->
@@ -198,32 +198,42 @@ class Network(Transport):
     # -- transmission ------------------------------------------------------------
 
     def _transmit(self, frame: Frame) -> None:
-        if frame.dst is not None:
-            targets = [frame.dst] if frame.dst in self._interfaces else []
+        # One pass per frame, per-frame work hoisted out of the
+        # per-destination loop.  The random draws (loss, then jitter, per
+        # destination in attachment order) and the float arithmetic are
+        # part of the seeded cost model: neither may be reordered.
+        interfaces = self._interfaces
+        src, size = frame.src, frame.size_bytes
+        if frame.dst is None:
+            targets = interfaces
+        elif frame.dst in interfaces:
+            targets = (frame.dst,)
         else:
-            targets = list(self._interfaces)
+            return
+        sim, rng, latency = self.sim, self.rng, self.latency
+        now = sim.now
+        loss_rate, mutator = self.loss_rate, self.mutator
+        partitioned = bool(self._component)
+        last_arrival = self._last_arrival.setdefault(src, {})
         for dst in targets:
-            if not self.reachable(frame.src, dst):
+            if partitioned and not self.reachable(src, dst):
                 continue
-            if self.loss_rate > 0.0 and self.rng.random() < self.loss_rate:
+            if loss_rate > 0.0 and rng.random() < loss_rate:
                 self.frames_dropped += 1
                 continue
-            delay = self.latency.sample(self.rng, frame.size_bytes)
+            delay = latency.sample(rng, size)
             # Loopback delivery of one's own multicast is local (no wire).
-            if dst == frame.src:
-                delay = min(delay, self.latency.propagation_s * 0.1)
+            if dst == src:
+                delay = min(delay, latency.propagation_s * 0.1)
             # Enforce per-(src, dst) FIFO ordering.
-            arrival = self.sim.now + delay
-            key = (frame.src, dst)
-            previous = self._last_arrival.get(key, 0.0)
+            arrival = now + delay
+            previous = last_arrival.get(dst, 0.0)
             if arrival <= previous:
                 arrival = previous + 1e-9
-            self._last_arrival[key] = arrival
-            iface = self._interfaces[dst]
+            last_arrival[dst] = arrival
             delivered = frame
-            if self.mutator is not None:
-                payload = self.mutator(frame.src, dst, frame.payload)
+            if mutator is not None:
+                payload = mutator(src, dst, frame.payload)
                 if payload is not frame.payload:
                     delivered = dataclasses.replace(frame, payload=payload)
-            self.sim.schedule(arrival - self.sim.now, iface._receive,
-                              delivered)
+            sim.schedule(arrival - now, interfaces[dst]._receive, delivered)

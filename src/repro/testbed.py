@@ -300,13 +300,13 @@ class TestbedBase:
             static_membership=self._memberships[node_id],
         )
         # The crashed daemon is gone for good, even if the host is back
-        # before its queued timers fire.  It leaves behind only what
-        # Totem keeps on stable storage, the ring sequence number: a
-        # restarted ring leader counting from zero would form singleton
-        # ring (1, leader) again — the first ring's id — and file that
-        # ring's traffic as its own.
+        # before its timers lapse.  It leaves behind only what Totem
+        # keeps on stable storage, the ring sequence number: a restarted
+        # ring leader counting from zero would form singleton ring
+        # (1, leader) again — the first ring's id — and file that ring's
+        # traffic as its own.
         crashed = self.processors[node_id]
-        crashed.started = False
+        crashed.stop()
         processor.membership.highest_ring_seq = (
             crashed.membership.highest_ring_seq)
         self.processors[node_id] = processor

@@ -24,8 +24,6 @@ class TotemConfig:
     #: Together with the network latency this sets the token-passing
     #: time, calibrated to the paper's measured ≈51 us peak per hop.
     token_processing_s: float = 21e-6
-    #: Simulated CPU cost of handling one regular message.
-    message_processing_s: float = 5e-6
     #: No token for this long in operational state => assume token lost /
     #: processor failed, shift to the gather (membership) phase.
     token_loss_timeout_s: float = 5e-3
@@ -40,9 +38,6 @@ class TotemConfig:
     #: Gather ticks with no Join heard from a processor before it is
     #: declared failed.
     fail_after_join_ticks: int = 4
-    #: Overall cap on one gather phase; on expiry the consensus test is
-    #: forced with whatever processors have answered.
-    gather_timeout_s: float = 20e-3
     #: Interval between ring beacons multicast by the representative so
     #: that healed partitions remerge even when idle.  0 disables.
     beacon_interval_s: float = 25e-3
@@ -60,11 +55,6 @@ class TotemConfig:
             )
         if self.fail_after_join_ticks < 1:
             raise ConfigurationError("fail_after_join_ticks must be >= 1")
-        for name in (
-            "token_processing_s",
-            "message_processing_s",
-            "join_interval_s",
-            "gather_timeout_s",
-        ):
+        for name in ("token_processing_s", "join_interval_s"):
             if getattr(self, name) < 0:
                 raise ConfigurationError(f"{name} must be non-negative")

@@ -76,7 +76,6 @@ class MembershipEngine:
         self.joins: Dict[str, JoinMessage] = {}
         self.heard: Set[str] = set()
         self.tick = 0
-        self._tick_gen = 0
         #: When the current reconfiguration began (for install durations).
         self._gather_started_at: Optional[float] = None
 
@@ -94,9 +93,15 @@ class MembershipEngine:
         self._retired_ring_id: Optional[RingId] = None
         self._retired_received: Dict[int, RegularMessage] = {}
         self._commit_last_token_seq = 0
+        #: What the commit-retransmit timer re-sends while it is armed.
         self._last_sent_commit: Optional[CommitToken] = None
         self._commit_retransmits = 0
-        self._commit_gen = 0
+
+        # -- timers: one reschedulable kernel deadline each ---------------
+        sim = processor.sim
+        self._join_tick = sim.deadline(self._on_tick)
+        self._commit_loss = sim.deadline(self._on_commit_loss)
+        self._commit_retransmit = sim.deadline(self._on_commit_retransmit)
 
         #: Members of the last primary configuration this processor was
         #: part of.  Primariness is judged against it (dynamic-linear
@@ -128,14 +133,21 @@ class MembershipEngine:
         self.commit = None
         self._rtr_requested = {}
         self._commit_last_token_seq = 0
-        self._last_sent_commit = None
         self._gather_started_at = self.p.sim.now
         self.p.stats.gathers += 1
         if trace.TRACER.enabled:
             trace.emit("membership.gather", self.p.me, reason=reason,
                        t=self.p.sim.now)
         self._broadcast_join()
-        self._arm_tick()
+        self._commit_loss.clear()
+        self._commit_retransmit.clear()
+        self._join_tick.reset(self.p.config.join_interval_s)
+
+    def stop(self) -> None:
+        """Disarm every membership timer (see ``TotemProcessor.stop``)."""
+        for timer in (self._join_tick, self._commit_loss,
+                      self._commit_retransmit):
+            timer.clear()
 
     def _broadcast_join(self) -> None:
         join = JoinMessage(
@@ -146,18 +158,8 @@ class MembershipEngine:
         )
         self.p.multicast_raw(join)
 
-    def _arm_tick(self) -> None:
-        self._tick_gen += 1
-        self.p.sim.schedule(
-            self.p.config.join_interval_s, self._on_tick, self._tick_gen
-        )
-
-    def _on_tick(self, generation: int) -> None:
-        if (
-            generation != self._tick_gen
-            or self.phase != self.GATHER
-            or not self.p.alive
-        ):
+    def _on_tick(self) -> None:
+        if self.phase != self.GATHER or not self.p.alive:
             return
         self.tick += 1
         if self.tick >= self.p.config.fail_after_join_ticks:
@@ -167,7 +169,7 @@ class MembershipEngine:
         self._broadcast_join()
         self._check_consensus()
         if self.phase == self.GATHER:
-            self._arm_tick()
+            self._join_tick.reset(self.p.config.join_interval_s)
 
     def handle_join(self, join: JoinMessage) -> None:
         if not self.p.alive:
@@ -277,7 +279,7 @@ class MembershipEngine:
         self._rtr_requested = {}
         self._commit_last_token_seq = token.token_seq
         self._commit_retransmits = 0
-        self._tick_gen += 1  # stop gather ticks
+        self._join_tick.clear()
 
     def handle_recovery_message(self, msg: RegularMessage) -> None:
         """Old-ring retransmission received during recovery: file it into
@@ -295,9 +297,9 @@ class MembershipEngine:
         """Handle one visit of the commit token at this processor."""
         p = self.p
         self._commit_last_token_seq = token.token_seq
-        self._commit_gen += 1  # evidence: cancel pending retransmit
+        self._commit_retransmit.clear()  # evidence of progress
         p._token_evidence()
-        self._arm_commit_loss()
+        self._commit_loss.reset(p.config.token_loss_timeout_s)
 
         old_ring = self._my_old_ring_id()
 
@@ -383,21 +385,19 @@ class MembershipEngine:
                 token.info[m].recovered for m in token.members
             )
             if all_recovered:
-                self._last_sent_commit = None
                 p.inject_regular_token()
                 return
 
         # 7. Forward (single-member rings loop the token to themselves).
         if len(token.members) == 1 and token.info[p.me].recovered:
             # Singleton and fully recovered: no forwarding needed; inject.
-            self._last_sent_commit = None
             p.inject_regular_token()
             return
         forwarded = token.copy()
         forwarded.token_seq = token.token_seq + 1
         self.p.unicast_raw(token.next_member(p.me), forwarded)
         self._last_sent_commit = forwarded
-        self._arm_commit_retransmit()
+        self._commit_retransmit.reset(p.config.token_retransmit_timeout_s)
 
     def _finish_recovery(self, token: CommitToken) -> None:
         """Deliver the configuration change and install the new ring."""
@@ -447,37 +447,15 @@ class MembershipEngine:
     # Commit-token timers
     # ------------------------------------------------------------------
 
-    def _arm_commit_loss(self) -> None:
-        self._tick_gen += 1
-        generation = self._tick_gen
-        self.p.sim.schedule(
-            self.p.config.token_loss_timeout_s, self._on_commit_loss, generation
-        )
-
-    def _on_commit_loss(self, generation: int) -> None:
-        if (
-            generation != self._tick_gen
-            or not self.p.alive
-            or self.phase != self.RECOVER
-        ):
+    def _on_commit_loss(self) -> None:
+        if not self.p.alive or self.phase != self.RECOVER:
             return
         self.phase = self.IDLE  # allow re-entry into gather
         self.start_gather(reason="commit token loss")
 
-    def _arm_commit_retransmit(self) -> None:
-        self._commit_gen += 1
-        generation = self._commit_gen
-        self.p.sim.schedule(
-            self.p.config.token_retransmit_timeout_s,
-            self._on_commit_retransmit,
-            generation,
-        )
-
-    def _on_commit_retransmit(self, generation: int) -> None:
+    def _on_commit_retransmit(self) -> None:
         if (
-            generation != self._commit_gen
-            or not self.p.alive
-            or self._last_sent_commit is None
+            not self.p.alive
             or self._commit_retransmits >= self.p.config.token_retransmit_limit
         ):
             return
@@ -486,4 +464,4 @@ class MembershipEngine:
         self.p.unicast_raw(
             self._last_sent_commit.next_member(self.p.me), self._last_sent_commit
         )
-        self._arm_commit_retransmit()
+        self._commit_retransmit.reset(self.p.config.token_retransmit_timeout_s)

@@ -180,9 +180,11 @@ class TotemProcessor:
         #: lose the round with certainty).
         self.on_raw_message: Optional[Callable[[Any], None]] = None
 
-        # -- timers (generation counters make stale callbacks no-ops) ----
-        self._token_loss_gen = 0
-        self._retransmit_gen = 0
+        # -- timers: one reschedulable kernel deadline each ---------------
+        self._token_loss = self.sim.deadline(self._on_token_loss)
+        self._retransmit = self.sim.deadline(self._on_retransmit_timer)
+        self._beacon = self.sim.deadline(self._on_beacon)
+        #: What the retransmit timer re-sends while it is armed.
         self._last_sent_token: Optional[RegularToken] = None
         self._retransmit_count = 0
 
@@ -198,6 +200,15 @@ class TotemProcessor:
         """Boot the processor: begin the initial gather phase."""
         self.started = True
         self.membership.start_gather(reason="boot")
+
+    def stop(self) -> None:
+        """Shut the daemon down for good (its host crashed or is being
+        restarted): disarm every timer, so nothing of this processor is
+        left to run beside the one a restart builds."""
+        self.started = False
+        for timer in (self._token_loss, self._retransmit, self._beacon):
+            timer.clear()
+        self.membership.stop()
 
     def mcast(self, payload: Any) -> None:
         """Queue ``payload`` for totally-ordered multicast.
@@ -230,9 +241,9 @@ class TotemProcessor:
         """Whether this processor may still act: its host is up and its
         daemon has not been stopped.  Fail-stop means a processor never
         outlives a crash, however soon the host comes back — a restart
-        stops it (``started = False``) so its timers, still queued on
-        the kernel, find it dead rather than resume beside the processor
-        the restart built."""
+        calls :meth:`stop`, so the frames and token visits still queued
+        for it find it dead rather than resume beside the processor the
+        restart built."""
         return self.node.alive and self.started
 
     @property
@@ -457,7 +468,7 @@ class TotemProcessor:
             )
         self._last_sent_token = token
         self._retransmit_count = 0
-        self._arm_token_retransmit()
+        self._retransmit.reset(self.config.token_retransmit_timeout_s)
 
     def inject_regular_token(self) -> None:
         """Create and circulate the first token of a fresh ring.
@@ -485,40 +496,16 @@ class TotemProcessor:
     def _token_evidence(self) -> None:
         """Progress observed on the ring: cancel token retransmission and
         re-arm the token-loss timeout."""
-        self._retransmit_gen += 1
-        self._last_sent_token = None
-        self._arm_token_loss()
+        self._retransmit.clear()
+        self._token_loss.reset(self.config.token_loss_timeout_s)
 
-    def _arm_token_loss(self) -> None:
-        self._token_loss_gen += 1
-        generation = self._token_loss_gen
-        self.sim.schedule(
-            self.config.token_loss_timeout_s, self._on_token_loss, generation
-        )
-
-    def _on_token_loss(self, generation: int) -> None:
-        if (
-            generation != self._token_loss_gen
-            or not self.alive
-            or self.state is not ProcessorState.OPERATIONAL
-        ):
+    def _on_token_loss(self) -> None:
+        if not self.alive or self.state is not ProcessorState.OPERATIONAL:
             return
         self.membership.start_gather(reason="token loss")
 
-    def _arm_token_retransmit(self) -> None:
-        self._retransmit_gen += 1
-        generation = self._retransmit_gen
-        self.sim.schedule(
-            self.config.token_retransmit_timeout_s, self._on_retransmit_timer, generation
-        )
-
-    def _on_retransmit_timer(self, generation: int) -> None:
-        if (
-            generation != self._retransmit_gen
-            or not self.alive
-            or self.state is not ProcessorState.OPERATIONAL
-            or self._last_sent_token is None
-        ):
+    def _on_retransmit_timer(self) -> None:
+        if not self.alive or self.state is not ProcessorState.OPERATIONAL:
             return
         if self._retransmit_count >= self.config.token_retransmit_limit:
             return  # give up; the token-loss timeout will trigger membership
@@ -532,7 +519,7 @@ class TotemProcessor:
                 ring=str(self._last_sent_token.ring_id),
             )
         self.unicast_raw(self.ring.successor(self.me), self._last_sent_token)
-        self._arm_token_retransmit()
+        self._retransmit.reset(self.config.token_retransmit_timeout_s)
 
     # ------------------------------------------------------------------
     # Ring installation (called by the membership engine)
@@ -549,45 +536,31 @@ class TotemProcessor:
         self.safe_seq = 0
         self.last_token_seq = 0
         self._prev_visit_aru = 0
-        self._last_sent_token = None
+        self._retransmit.clear()
         self._last_token_at = None
         self.state = ProcessorState.OPERATIONAL
         self.stats.membership_changes += 1
-        self._arm_token_loss()
+        self._token_loss.reset(self.config.token_loss_timeout_s)
         if (
             self.me == ring_id.representative
             and self.config.beacon_interval_s > 0
         ):
-            self._arm_beacon()
+            self._beacon.reset(self.config.beacon_interval_s)
 
-    def _arm_beacon(self) -> None:
-        self._beacon_gen = getattr(self, "_beacon_gen", 0) + 1
-        self.sim.schedule(
-            self.config.beacon_interval_s, self._on_beacon, self._beacon_gen
-        )
-
-    def _on_beacon(self, generation: int) -> None:
+    def _on_beacon(self) -> None:
         if (
-            generation != getattr(self, "_beacon_gen", 0)
-            or not self.alive
+            not self.alive
             or self.state is not ProcessorState.OPERATIONAL
             or self.ring is None
             or self.me != self.ring.ring_id.representative
         ):
             return
         self.multicast_raw(RingBeacon(self.ring.ring_id, self.me))
-        self._arm_beacon()
+        self._beacon.reset(self.config.beacon_interval_s)
 
     def deliver_config_change(self, change: ConfigurationChange) -> None:
         if self.on_config_change is not None:
             self.on_config_change(change)
-
-    def deliver_recovered(self, msg: RegularMessage) -> None:
-        """Deliver an old-ring message during recovery (in old-ring
-        order, before the configuration change)."""
-        self.stats.messages_delivered += 1
-        if self.on_deliver is not None:
-            self.on_deliver(msg)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         ring = self.ring.ring_id if self.ring else None

@@ -163,7 +163,7 @@ def closed_loop(
     bed.run(warmup_s + duration_s + drain_s)
     for process in processes:
         if process.triggered and not process.ok:
-            process._fail_silently = True
+            process.defuse()
             raise process.value
     return result
 

@@ -47,6 +47,75 @@ class TestScheduling:
         assert results == ["done"]
 
 
+    def test_cancel_prevents_callback(self, kernel):
+        fired = []
+        kernel.cancel(kernel.schedule(0.01, fired.append, "callback"))
+        timeout = kernel.timeout(0.01)
+        timeout._add_callback(fired.append)
+        kernel.cancel(timeout)
+        kernel.run(until=kernel.now + 0.04)
+        assert fired == []
+
+    def test_negative_delay_rejected(self, kernel):
+        with pytest.raises(SimulationError):
+            kernel.schedule(-0.01, lambda: None)
+
+
+class TestDeadline:
+    @pytest.fixture
+    def call_laters(self, kernel):
+        """Every ``loop.call_later`` made while the test runs."""
+        calls = []
+        call_later = kernel.loop.call_later
+
+        def counting(delay, callback, *args):
+            calls.append(callback)
+            return call_later(delay, callback, *args)
+
+        kernel.loop.call_later = counting
+        return calls
+
+    def test_many_resets_one_pending_timer_one_firing(self, kernel,
+                                                      call_laters):
+        fired = []
+        timer = kernel.deadline(lambda: fired.append(kernel.now))
+        last_reset = 0.0
+        for _ in range(500):
+            last_reset = kernel.now
+            timer.reset(0.03)
+        assert len(call_laters) == 1
+        # Move it once more a little later: still nothing new queued.
+        kernel.run(until=kernel.now + 0.01)
+        moved_at = kernel.now
+        timer.reset(0.03)
+        before = len(call_laters)
+        kernel.run(until=kernel.now + 0.08)
+        assert len(fired) == 1
+        assert fired[0] >= moved_at + 0.03 > last_reset + 0.03
+        assert not timer.armed
+        # The pending entry fired early once and re-armed for the rest
+        # (the run() sleeps are the only other call_laters).
+        rearms = [cb for cb in call_laters[before:] if cb == timer._expire]
+        assert len(rearms) == 1
+
+    def test_clear_disarms(self, kernel):
+        fired = []
+        timer = kernel.deadline(lambda: fired.append(kernel.now))
+        timer.reset(0.01)
+        timer.clear()
+        assert not timer.armed
+        kernel.run(until=kernel.now + 0.03)
+        assert fired == []
+
+    def test_reset_to_an_earlier_time_fires_early_and_once(self, kernel):
+        fired = []
+        timer = kernel.deadline(lambda: fired.append(kernel.now))
+        timer.reset(5.0)
+        timer.reset(0.01)
+        kernel.run(until=kernel.now + 0.05)
+        assert len(fired) == 1 and fired[0] < 1.0
+
+
 class TestRun:
     def test_run_requires_until(self, kernel):
         with pytest.raises(SimulationError, match="explicit 'until'"):

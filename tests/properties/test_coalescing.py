@@ -26,7 +26,7 @@ from repro.errors import RpcTimeout
 from support import ClockApp, make_testbed  # noqa: E402 (tests/ on sys.path via conftest)
 
 COALESCE_SETTINGS = dict(
-    max_examples=8,
+    max_examples=16,
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
@@ -84,7 +84,7 @@ def run_concurrent(
     for proc in workers:
         assert proc.triggered, "worker deadlocked"
         if not proc.ok:
-            proc._fail_silently = True
+            proc.defuse()
             raise proc.value
     return bed, per_worker
 

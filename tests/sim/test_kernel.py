@@ -52,6 +52,35 @@ class TestClockAndScheduling:
         sim.run()
         assert fired == []
 
+    def test_cancel_skips_an_events_callbacks(self, sim):
+        fired = []
+        timeout = sim.timeout(1.0)
+        timeout._add_callback(fired.append)
+        sim.cancel(timeout)
+        sim.run()
+        assert fired == [] and sim.now == 1.0
+
+    def test_schedule_handle_is_not_an_event(self, sim):
+        # schedule() queues a bare callback; waiting needs timeout().
+        def proc():
+            yield sim.schedule(1.0, lambda: None)
+
+        with pytest.raises(SimulationError, match="non-event"):
+            sim.run_process(proc())
+
+    def test_negative_schedule_delay_rejected(self, sim):
+        with pytest.raises(SimulationError):
+            sim.schedule(-1.0, lambda: None)
+
+    def test_max_events_bounds_a_run(self, sim):
+        fired = []
+        for i in range(5):
+            sim.schedule(1.0 + i, fired.append, i)
+        sim.run(max_events=2)
+        assert fired == [0, 1] and sim.now == 2.0
+        sim.run(until=3.5)
+        assert fired == [0, 1, 2] and sim.now == 3.5
+
     def test_call_soon_runs_at_current_time(self, sim):
         seen = []
         sim.schedule(3.0, lambda: sim.call_soon(lambda: seen.append(sim.now)))

@@ -113,3 +113,30 @@ class TestFailureHelpers:
         assert len(rings) == 1
         assert all(p.is_operational and len(p.members) == 4
                    for p in bed.processors.values())
+
+    @pytest.mark.parametrize("node_id", ["n0", "n1"])
+    def test_a_stopped_processor_leaves_nothing_armed(self, node_id):
+        # The restart stops the crashed processor (n0 is the ring
+        # representative, so it also beacons): every timer of it and of
+        # its membership engine is disarmed, and none of their callbacks
+        # runs again — not even as a no-op that re-checks ``alive``.
+        bed = Testbed(seed=5)
+        bed.start()
+        old = bed.processors[node_id]
+        engine = old.membership
+        timers = [old._token_loss, old._retransmit, old._beacon,
+                  engine._join_tick, engine._commit_loss,
+                  engine._commit_retransmit]
+        assert old._token_loss.armed
+        bed.crash(node_id)
+        bed.run(0.0005)  # well inside the 5 ms token-loss timeout
+        bed.recover(node_id)
+        assert not old.started
+        assert not any(timer.armed for timer in timers)
+        ran = []
+        for timer in timers:
+            timer.fn = lambda fn=timer.fn: ran.append(fn.__name__)
+        bed.run(0.5)
+        assert ran == []
+        assert all(p.is_operational and len(p.members) == 4
+                   for p in bed.processors.values())
