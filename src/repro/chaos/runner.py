@@ -1,25 +1,22 @@
-"""The ``python -m repro chaos`` harness.
+"""The judged run, and the ``python -m repro chaos`` harness over it.
 
-Runs one scenario end to end, in process but over real sockets:
+:class:`JudgedRun` is the one harness every judged run goes through —
+``repro chaos`` on either substrate, the ``repro control`` drivers, the
+sharded load generator and the property tests: a bed, an optional
+:class:`~repro.sim.faults.FaultPlan`, the
+:class:`~repro.chaos.oracle.InvariantOracle` and whatever clients feed
+it, in; a JSON-able verdict out.
 
-1. boot a :class:`~repro.net.testbed.LiveTestbed` whose UDP transport is
-   wrapped in a seeded :class:`~repro.chaos.transport.ChaosTransport`;
-2. deploy the daemon's :class:`~repro.net.daemon.TimeApp` on every node
-   (active replication, CTS time source, fast path on so the staleness
-   invariant is exercised) and front each with a client gateway
-   (:meth:`~repro.net.testbed.LiveTestbed.install_gateway`), exactly as
-   ``repro serve`` does — crash/recover of a node is therefore the
-   in-process equivalent of stopping and restarting a daemon (the bed
-   re-installs the gateway on recover);
-3. compile the scenario into a :class:`~repro.sim.faults.FaultPlan`, arm
-   it, and — for every ``recover`` event — schedule the replica re-add
-   (state transfer) in the same kernel tick;
-4. hammer the cluster from
-   :class:`~repro.net.client.ThreadedCallers` gateway clients riding
-   the session floor (``after_us``), feeding every reply to the
-   :class:`~repro.chaos.oracle.InvariantOracle`;
-5. emit a JSON-able verdict: the seeded schedule and its hash, injection
-   and client tallies, and the oracle's judgement.
+:func:`run_chaos` is that over real sockets, in process: a
+:class:`~repro.net.testbed.LiveTestbed` whose UDP transport is wrapped
+in a seeded :class:`~repro.chaos.transport.ChaosTransport`, the daemon's
+:class:`~repro.net.daemon.TimeApp` on every node (active replication,
+CTS time source, fast path on so the staleness invariant is exercised)
+behind a client gateway each, exactly as ``repro serve`` does — so
+crash/recover of a node is the in-process equivalent of stopping and
+restarting a daemon — hammered by
+:class:`~repro.net.client.ThreadedCallers` gateway clients riding the
+session floor (``after_us``).
 
 Everything that varies is pinned by ``--seed``: the testbed's clock
 spread, the transport's per-pair fault streams, and the fault schedule
@@ -28,35 +25,199 @@ itself (hashed into the verdict, regression-tested byte-identical).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from contextlib import contextmanager
+from pathlib import Path
+from typing import Dict, Iterator, List, Optional
 
 from .. import trace
 from ..control.plane import ControlPlane
+from ..errors import ConfigurationError, ReproError
 from ..net.client import LiveCaller, ThreadedCallers
 from ..net.daemon import TimeApp
 from ..net.testbed import LiveTestbed
 from ..obs import flight
 from ..obs.crossnode import CrossNodeSpanAssembler, TraceShardWriter, load_shards
+from ..sim.faults import FaultEvent, FaultPlan
 from .oracle import InvariantOracle
 from .scenario import ChaosScenario, compile_plan
 
 GROUP = "timesvc"
 
 
-def oracle_fed_clients(count: int, servers: List,
-                       oracle: InvariantOracle) -> ThreadedCallers:
+class JudgedRun:
+    """One run of a bed under the invariant oracle::
+
+        run = JudgedRun(plan, name="smoke", seed=7)
+        with run.over(bed, ["timesvc"]):
+            ...                      # drive clients that feed run.oracle
+        verdict = run.verdict(clients=...)
+
+    It builds the oracle (further keywords are its options), owns the
+    :class:`~repro.control.plane.ControlPlane` behind ``drain`` / ``join``
+    events, arms the plan so the oracle hears of every injection, gives
+    ``recover`` its daemon-restart meaning, and reports a protocol
+    failure in the verdict instead of a traceback.  With
+    ``artifacts_dir`` it also writes per-node trace shards
+    (``trace-*.jsonl``) and keeps the flight recorder running: an oracle
+    violation dumps its window as ``flight-violation-*.json``, a
+    protocol failure as ``flight-protocol-failure.json``.
+    """
+
+    def __init__(self, plan: Optional[FaultPlan] = None, *, name: str = "",
+                 seed: int = 0, duration_s: Optional[float] = None,
+                 artifacts_dir: Optional[str] = None, **oracle_options):
+        self.plan = plan
+        self.name = name
+        self.seed = seed
+        self.duration_s = duration_s
+        self.artifacts_dir = artifacts_dir
+        self.oracle = InvariantOracle(
+            flight_recorder=flight.RECORDER if artifacts_dir else None,
+            dump_dir=artifacts_dir, **oracle_options)
+        #: Drives the plan's ``drain`` / ``join`` events; a run over one
+        #: group has one, from :meth:`over` on.
+        self.plane: Optional[ControlPlane] = None
+        #: One entry per failure the kernel surfaced out of the run.
+        self.protocol_failures: List[Dict[str, object]] = []
+        self.bed = None
+
+    @contextmanager
+    def over(self, bed, groups: List[str], *,
+             capture: bool = True) -> Iterator["JudgedRun"]:
+        """Judge ``bed`` for the length of the block: attach the oracle,
+        arm the plan, and on the way out run the oracle's end-of-run
+        checks over ``groups``.
+
+        A :class:`~repro.errors.ReproError` escaping the block — the
+        kernel surfacing a protocol failure out of ``bed.run`` — is
+        recorded under ``protocol_failures`` and the block ends there;
+        the verdict reports it.  ``capture=False`` lets it propagate,
+        for a caller that has no verdict to put it in.
+        """
+        self.bed = bed
+        writer = None
+        if self.artifacts_dir is not None:
+            # Stale contexts from an earlier in-process run must not
+            # bleed into this run's timelines.
+            trace.BAGGAGE.clear()
+            writer = TraceShardWriter(self.artifacts_dir)
+            flight.RECORDER.start().reset()
+        self.oracle.attach()
+        try:
+            if len(groups) == 1:
+                # A join that first recovers a crashed node rebuilds its
+                # stack; the oracle is told, as for a scripted recover.
+                self.plane = ControlPlane(
+                    bed, group=groups[0],
+                    on_node_ready=self.oracle.note_recovery)
+            if self.plan is not None:
+                # A replica scripted to lie or equivocate is Byzantine
+                # for the whole run: the oracle judges agreement among
+                # the others.
+                for event in self.plan.schedule():
+                    if event.kind in ("lie", "equivocate"):
+                        self.oracle.mark_faulty(event.target[0])
+                self.plan.arm(bed, control=self.plane, after=self._injected)
+            try:
+                yield self
+                self.oracle.finish(bed, groups=groups)
+            except ConfigurationError:
+                raise  # the harness was misused; that is not a verdict
+            except ReproError as failure:
+                if not capture:
+                    raise
+                self._record(failure)
+        finally:
+            self.oracle.detach()
+            if writer is not None:
+                writer.close()
+                flight.RECORDER.stop()
+
+    def _injected(self, event: FaultEvent) -> None:
+        """Tell the oracle what the plan just injected — in the kernel
+        callback of the injection itself, so no round completes between
+        the fault and the oracle hearing of it."""
+        if event.kind == "recover":
+            # The daemon is restarted with the host: its replicas come
+            # back as deployed, via state transfer.
+            self.oracle.note_recovery(event.target[0])
+            self.bed.redeploy(event.target[0])
+        elif event.kind == "corrupt-state":
+            self.oracle.note_corruption(event.target[0])
+        elif event.kind in ("drain", "join"):
+            self.oracle.note_reconfig(event.target[0])
+
+    def _record(self, failure: ReproError) -> None:
+        entry: Dict[str, object] = {
+            "error": repr(failure),
+            "at": self.bed.sim.now,
+            "node": getattr(failure, "node", None),
+            "flight_dump": None,
+        }
+        if self.artifacts_dir is not None:
+            try:
+                entry["flight_dump"] = flight.RECORDER.dump(
+                    Path(self.artifacts_dir) / "flight-protocol-failure.json",
+                    reason="protocol-failure", context=dict(entry))
+            except OSError:
+                pass  # a full disk must not mask the failure itself
+        self.protocol_failures.append(entry)
+
+    def verdict(self, *, require: bool = True, **sections) -> Dict:
+        """The JSON-able verdict: header, the caller's ``sections``, the
+        oracle's report and the judgement.  ``ok`` needs the oracle
+        clean with replies checked, no protocol failure, the whole plan
+        injected, and whatever else the caller ``require``s."""
+        verdict: Dict = {"seed": self.seed, "nodes": list(self.bed.node_ids)}
+        if self.plan is not None:
+            verdict.update(
+                scenario=self.name,
+                duration_s=self.duration_s,
+                schedule_hash=self.plan.schedule_hash(),
+                schedule=[e.canonical() for e in self.plan.schedule()],
+                faults_injected=len(self.plan.injected),
+                faults_pending=len(self.plan.events) - len(self.plan.injected),
+            )
+        verdict.update(sections)
+        verdict["oracle"] = self.oracle.report()
+        verdict["protocol_failures"] = list(self.protocol_failures)
+        verdict["ok"] = bool(
+            self.oracle.ok
+            and self.oracle.replies_checked > 0
+            and not self.protocol_failures
+            and (self.plan is None or self.plan.done)
+            and require)
+        return verdict
+
+
+@contextmanager
+def oracle_fed_clients(count: int, bed: LiveTestbed,
+                       oracle: InvariantOracle) -> Iterator[ThreadedCallers]:
     """``count`` threaded gateway clients (``chaos0``, ``chaos1``, ...)
-    whose every served reply the oracle judges.  They pace themselves at
-    ~100 req/s each — plenty of load for a verdict."""
+    loading ``bed`` for the length of the block, every served reply
+    judged by the oracle.  They pace themselves at ~100 req/s each —
+    plenty of load for a verdict.  Read the tallies after the block."""
 
     def observe(client_id, value_us, started, finished, outcome) -> None:
         oracle.observe_reply(client_id, value_us, wall_s=finished,
                              rtt_s=finished - started,
                              trace_id=outcome.trace_id)
 
-    return ThreadedCallers(
+    servers = [bed.node(node_id).address for node_id in bed.node_ids]
+    callers = ThreadedCallers(
         [LiveCaller(servers, client_id=f"chaos{i}") for i in range(count)],
         on_reply=observe, pace_s=0.005)
+    callers.start()
+    try:
+        yield callers
+        # A stopped client leaves after the call it has in flight, and
+        # that call is only answered while the loop runs.
+        callers.stop()
+        bed.pump(callers.TIMEOUT_S, until=lambda: not callers.running)
+    finally:
+        callers.stop()
+        callers.join()
+    bed.run(0.2)  # let in-flight replies drain before judging
 
 
 def gateway_tallies(bed: LiveTestbed) -> Dict[str, int]:
@@ -79,33 +240,18 @@ def run_chaos(
 ) -> Dict:
     """Run one chaos scenario; return the JSON-able verdict.
 
-    With ``artifacts_dir`` set, the run also writes per-node trace
-    shards (``trace-*.jsonl``), keeps the flight recorder running (every
-    oracle violation dumps its window as ``flight-violation-*.json``),
-    and the verdict gains a ``trace`` section with the assembled
-    cross-node op timelines.
+    With ``artifacts_dir`` set the verdict gains a ``trace`` section
+    with the cross-node op timelines assembled from the run's shards,
+    and ``flight_dumps``, the flight-recorder artifacts it wrote.
     """
     duration = duration_s if duration_s is not None else scenario.duration_s
     n_clients = clients if clients is not None else scenario.clients
-    plan = compile_plan(scenario)
-    shard_writer: Optional[TraceShardWriter] = None
-    recorder = None
-    if artifacts_dir is not None:
-        # Stale contexts from an earlier in-process run must not bleed
-        # into this run's timelines.
-        trace.BAGGAGE.clear()
-        shard_writer = TraceShardWriter(artifacts_dir)
-        recorder = flight.RECORDER.start()
-        recorder.reset()
-    oracle = InvariantOracle(staleness_budget_us=max_staleness_us,
-                             flight_recorder=recorder,
-                             dump_dir=artifacts_dir)
-
     byzantine = scenario.auth
-    bed = LiveTestbed(node_ids=scenario.node_ids, seed=seed,
-                      chaos_seed=seed,
-                      auth_secret=f"chaos-{seed}" if byzantine else None)
-    try:
+    run = JudgedRun(compile_plan(scenario), name=scenario.name, seed=seed,
+                    duration_s=duration, artifacts_dir=artifacts_dir,
+                    staleness_budget_us=max_staleness_us)
+    with LiveTestbed(node_ids=scenario.node_ids, seed=seed, chaos_seed=seed,
+                     auth_secret=f"chaos-{seed}" if byzantine else None) as bed:
         bed.deploy(GROUP, TimeApp, nodes=scenario.node_ids,
                    style="active", time_source="cts",
                    fast_path=fast_path, max_staleness_us=max_staleness_us,
@@ -113,112 +259,35 @@ def run_chaos(
         bed.start()
         for node_id in scenario.node_ids:
             bed.install_gateway(node_id)
-        oracle.attach()
-        # A replica scripted to lie or equivocate is Byzantine for the
-        # whole run: the oracle judges agreement among the others.
-        for event in plan.schedule():
-            if event.kind in ("lie", "equivocate"):
-                oracle.mark_faulty(event.target[0])
+        with run.over(bed, [GROUP]), \
+                oracle_fed_clients(n_clients, bed, run.oracle) as callers:
+            bed.pump(duration)
+            bed.pump(10.0, until=lambda: run.plan.done)  # grace for late faults
 
-        # Control plane behind the scenario's drain/join events.  A join
-        # that first recovers a crashed node rebuilds its stack (the bed
-        # re-installs the gateway); the oracle is told, exactly as for a
-        # scripted recover.
-        plane = ControlPlane(bed, group=GROUP,
-                             on_node_ready=oracle.note_recovery)
-
-        def _drain(node_id: str) -> bool:
-            oracle.note_reconfig(node_id)
-            return plane.drain_async(node_id)
-
-        def _join(node_id: str) -> bool:
-            oracle.note_reconfig(node_id)
-            return plane.join_async(node_id)
-
-        bed.control_drain = _drain
-        bed.control_join = _join
-
-        plan.arm(bed)
-        # The daemon-restart half of every recover event: re-add the
-        # replica as deployed (state transfer).  Scheduled *after*
-        # arming at the same event time, so it runs in the same kernel
-        # tick as bed.recover().
-        def _restart(node_id: str) -> None:
-            oracle.note_recovery(node_id)
-            bed.add_replica(GROUP, node_id)
-
-        for event in plan.schedule():
-            if event.kind == "recover":
-                bed.sim.schedule(event.at_s, _restart, event.target[0])
-            elif event.kind == "corrupt-state":
-                # The plan's injection (same tick, armed first) scrambles
-                # the state; this opens the oracle's repair window.
-                bed.sim.schedule(event.at_s, oracle.note_corruption,
-                                 event.target[0])
-
-        servers = [bed.node(node_id).address
-                   for node_id in scenario.node_ids]
-        callers = oracle_fed_clients(n_clients, servers, oracle)
-        callers.start()
-        bed.pump(duration)
-        bed.pump(10.0, until=lambda: plan.done)  # grace for late faults
-        callers.stop()
-        callers.join()
-        bed.run(0.2)  # let in-flight replies drain before judging
-        oracle.finish(bed, group=GROUP)
-
-        verdict = {
-            "scenario": scenario.name,
-            "seed": seed,
-            "nodes": list(scenario.node_ids),
-            "duration_s": duration,
-            "schedule_hash": plan.schedule_hash(),
-            "schedule": [event.canonical() for event in plan.schedule()],
-            "faults_injected": len(plan.injected),
-            "faults_pending": len(plan.events) - len(plan.injected),
-            "chaos": {
-                "frames_dropped": bed.chaos.frames_dropped,
-                "frames_delayed": bed.chaos.frames_delayed,
-                "frames_duplicated": bed.chaos.frames_duplicated,
-                "frames_blocked": bed.chaos.frames_blocked,
-                "frames_perturbed": bed.chaos.frames_perturbed,
-            },
+        stats = [getattr(replica.time_source, "stats", None)
+                 for replica in bed.replicas(GROUP).values()]
+        sections = {
+            "chaos": {name: getattr(bed.chaos, name)
+                      for name in ("frames_dropped", "frames_delayed",
+                                   "frames_duplicated", "frames_blocked",
+                                   "frames_perturbed")},
             "byzantine": {
                 "enabled": byzantine,
-                "frames_signed": (
-                    bed.auth.frames_signed if bed.auth else 0),
-                "frames_verified": (
-                    bed.auth.frames_verified if bed.auth else 0),
+                "frames_signed": bed.auth.frames_signed if bed.auth else 0,
+                "frames_verified": bed.auth.frames_verified if bed.auth else 0,
                 "winners_rejected": sum(
-                    getattr(getattr(r.time_source, "stats", None),
-                            "winners_rejected", 0)
-                    for r in bed.replicas(GROUP).values()),
+                    getattr(s, "winners_rejected", 0) for s in stats),
                 "stabilizations": sum(
-                    getattr(getattr(r.time_source, "stats", None),
-                            "stabilizations", 0)
-                    for r in bed.replicas(GROUP).values()),
+                    getattr(s, "stabilizations", 0) for s in stats),
             },
             "clients": callers.report(),
             "gateway": gateway_tallies(bed),
-            "reconfig": list(plane.log),
-            "oracle": oracle.report(),
+            "reconfig": list(run.plane.log),
         }
-        verdict["ok"] = (oracle.ok
-                         and plan.done
-                         and oracle.replies_checked > 0)
-        if shard_writer is not None:
-            shard_writer.close()
-            shard_writer = None
-            verdict["trace"] = _trace_section(artifacts_dir)
-            verdict["flight_dumps"] = list(recorder.dumps)
-        return verdict
-    finally:
-        oracle.detach()
-        if shard_writer is not None:
-            shard_writer.close()
-        if recorder is not None:
-            recorder.stop()
-        bed.shutdown()
+        if artifacts_dir is not None:
+            sections["trace"] = _trace_section(artifacts_dir)
+            sections["flight_dumps"] = list(flight.RECORDER.dumps)
+        return run.verdict(**sections)
 
 
 def _trace_section(artifacts_dir: str) -> Dict:
@@ -240,4 +309,3 @@ def _trace_section(artifacts_dir: str) -> Dict:
         "complete": len(complete),
         "example": example,
     }
-

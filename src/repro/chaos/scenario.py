@@ -1,43 +1,30 @@
 """Chaos scenario files: a small declarative DSL over ``FaultPlan``.
 
-A scenario is a mapping with a cluster shape and a timed event list::
+A scenario is a JSON mapping with a cluster shape and a timed event
+list::
 
-    name: partition-and-crash
-    nodes: 3                  # or an explicit list: [n0, n1, n2]
-    duration: 10.0            # seconds of wall time to run
-    clients: 2                # gateway clients hammering the cluster
-    events:
-      - at: 1.0
-        drop: 0.05            # 5% seeded loss on every pair
-      - at: 2.0
-        partition: [[n0, n1], [n2]]
-      - at: 4.0
-        heal: true
-      - at: 5.0
-        crash: n0
-      - at: 7.0
-        recover: n0
+    {"name": "partition-and-crash",
+     "nodes": 3,
+     "duration": 10.0,
+     "clients": 2,
+     "events": [
+       {"at": 1.0, "drop": 0.05},
+       {"at": 2.0, "partition": [["n0", "n1"], ["n2"]]},
+       {"at": 4.0, "heal": true},
+       {"at": 5.0, "crash": "n0"},
+       {"at": 7.0, "recover": "n0"}]}
 
-Event keys map one-to-one onto :class:`~repro.sim.faults.FaultPlan`
-builders: ``crash``, ``recover``, ``isolate`` (node id), ``heal``
-(ignored value), ``partition`` (list of disjoint node lists), ``drop`` /
-``duplicate`` / ``reorder`` (probability, optional ``src``/``dst``,
-``reorder`` also takes ``window``), ``delay`` (seconds, optional
-``jitter``/``src``/``dst``), ``lie`` (node id plus ``bias`` in
-microseconds; 0 stops it), ``equivocate`` (node id plus ``spread`` in
-microseconds; 0 stops it), ``corrupt-state`` (node id), and the
-control-plane reconfigurations ``drain`` / ``join`` (node id — graceful
-replica retirement and re-admission through the total order).  A
-top-level
-``auth: true`` turns on the authenticated-Byzantine mode: ring frames
-carry HMACs and the time service arms its winner sanity filter and
-self-stabilization path.
-
-Files are parsed with a built-in YAML *subset* — block mappings, block
-lists, inline flow lists, plain scalars, comments — because the
-toolchain deliberately has no third-party dependencies.  JSON is a
-subset of that subset in spirit and is accepted too (``.json`` files are
-handed to :mod:`json` directly).
+``nodes`` is a count or an explicit id list, ``duration`` the seconds of
+wall time to run, ``clients`` the gateway clients hammering the cluster.
+Each event has ``at`` plus exactly one fault kind of
+:data:`repro.sim.faults.FAULT_KINDS`, whose argument declarations say
+which further keys it takes (``delay``: seconds plus optional
+``jitter`` / ``src`` / ``dst``; ``lie``: node id plus ``bias`` in
+microseconds; ...) — the reference table is in ``docs/chaos.md``.  A
+``partition`` is a list of disjoint node lists or, in a sharded
+scenario, ``{"shards": [...]}``.  A top-level ``auth: true`` turns on the
+authenticated-Byzantine mode: ring frames carry HMACs and the time
+service arms its winner sanity filter and self-stabilization path.
 """
 
 from __future__ import annotations
@@ -45,188 +32,16 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Union
 
 from ..errors import ConfigurationError
 from ..shard.cluster import shard_nodes
-from ..sim.faults import FaultPlan
+from ..sim.faults import FAULT_KINDS, FaultPlan
 
-# ---------------------------------------------------------------------------
-# Minimal YAML-subset parser (no external dependencies).
-# ---------------------------------------------------------------------------
-
-
-def _parse_scalar(text: str) -> Any:
-    text = text.strip()
-    if text == "" or text in ("~", "null", "Null", "NULL"):
-        return None
-    if text in ("true", "True", "TRUE"):
-        return True
-    if text in ("false", "False", "FALSE"):
-        return False
-    if len(text) >= 2 and text[0] == text[-1] and text[0] in ("'", '"'):
-        return text[1:-1]
-    if text.startswith("[") and text.endswith("]"):
-        return _parse_flow_list(text)
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        pass
-    return text
-
-
-def _split_flow_items(body: str) -> List[str]:
-    """Split a flow-list body on top-level commas."""
-    items, depth, start = [], 0, 0
-    for i, ch in enumerate(body):
-        if ch == "[":
-            depth += 1
-        elif ch == "]":
-            depth -= 1
-        elif ch == "," and depth == 0:
-            items.append(body[start:i])
-            start = i + 1
-    tail = body[start:]
-    if tail.strip() or items:
-        items.append(tail)
-    return [item for item in items if item.strip()]
-
-
-def _parse_flow_list(text: str) -> List[Any]:
-    body = text.strip()[1:-1]
-    return [_parse_scalar(item) for item in _split_flow_items(body)]
-
-
-def _strip_comment(line: str) -> str:
-    """Drop a trailing ``#`` comment (quote-aware)."""
-    quote = None
-    for i, ch in enumerate(line):
-        if quote:
-            if ch == quote:
-                quote = None
-        elif ch in ("'", '"'):
-            quote = ch
-        elif ch == "#" and (i == 0 or line[i - 1] in (" ", "\t")):
-            return line[:i]
-    return line
-
-
-def _split_key(content: str, where: str) -> Tuple[str, str]:
-    """Split ``key: value`` at the first colon outside quotes/brackets."""
-    depth, quote = 0, None
-    for i, ch in enumerate(content):
-        if quote:
-            if ch == quote:
-                quote = None
-        elif ch in ("'", '"'):
-            quote = ch
-        elif ch == "[":
-            depth += 1
-        elif ch == "]":
-            depth -= 1
-        elif ch == ":" and depth == 0 and (
-                i + 1 == len(content) or content[i + 1] in (" ", "\t")):
-            return content[:i].strip(), content[i + 1:].strip()
-    raise ConfigurationError(f"expected 'key: value' at {where}: {content!r}")
-
-
-def parse_simple_yaml(text: str) -> Any:
-    """Parse the YAML subset described in the module docstring."""
-    lines: List[Tuple[int, str, int]] = []  # (indent, content, line number)
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        if "\t" in raw[: len(raw) - len(raw.lstrip())]:
-            raise ConfigurationError(
-                f"line {lineno}: tabs are not allowed in indentation")
-        stripped = _strip_comment(raw).rstrip()
-        if not stripped.strip():
-            continue
-        lines.append((len(stripped) - len(stripped.lstrip()), stripped.strip(),
-                      lineno))
-    if not lines:
-        return {}
-    value, index = _parse_block(lines, 0, lines[0][0])
-    if index != len(lines):
-        indent, content, lineno = lines[index]
-        raise ConfigurationError(
-            f"line {lineno}: unexpected indentation for {content!r}")
-    return value
-
-
-def _parse_block(lines, index: int, indent: int):
-    if lines[index][1].startswith("- ") or lines[index][1] == "-":
-        return _parse_list(lines, index, indent)
-    return _parse_mapping(lines, index, indent)
-
-
-def _parse_list(lines, index: int, indent: int):
-    items: List[Any] = []
-    while index < len(lines) and lines[index][0] == indent:
-        line_indent, content, lineno = lines[index]
-        if not (content.startswith("- ") or content == "-"):
-            break
-        body = content[2:].strip() if content.startswith("- ") else ""
-        if not body:
-            index += 1
-            if index < len(lines) and lines[index][0] > indent:
-                value, index = _parse_block(lines, index, lines[index][0])
-                items.append(value)
-            else:
-                items.append(None)
-        elif ":" in body and not body.startswith("["):
-            # "- key: value" opens an inline mapping; continuation keys sit
-            # at the column of `key`, i.e. indent + 2.
-            key, value_text = _split_key(body, f"line {lineno}")
-            mapping: Dict[str, Any] = {}
-            index += 1
-            if value_text:
-                mapping[key] = _parse_scalar(value_text)
-            elif index < len(lines) and lines[index][0] > indent + 2:
-                mapping[key], index = _parse_block(lines, index,
-                                                   lines[index][0])
-            else:
-                mapping[key] = None
-            if index < len(lines) and lines[index][0] == indent + 2 \
-                    and not lines[index][1].startswith("- "):
-                rest, index = _parse_mapping(lines, index, indent + 2)
-                mapping.update(rest)
-            items.append(mapping)
-        else:
-            items.append(_parse_scalar(body))
-            index += 1
-    return items, index
-
-
-def _parse_mapping(lines, index: int, indent: int):
-    mapping: Dict[str, Any] = {}
-    while index < len(lines) and lines[index][0] == indent:
-        line_indent, content, lineno = lines[index]
-        if content.startswith("- "):
-            break
-        key, value_text = _split_key(content, f"line {lineno}")
-        if key in mapping:
-            raise ConfigurationError(f"line {lineno}: duplicate key {key!r}")
-        index += 1
-        if value_text:
-            mapping[key] = _parse_scalar(value_text)
-        elif index < len(lines) and lines[index][0] > indent:
-            mapping[key], index = _parse_block(lines, index, lines[index][0])
-        else:
-            mapping[key] = None
-    return mapping, index
-
-
-# ---------------------------------------------------------------------------
-# Scenario model
-# ---------------------------------------------------------------------------
-
-#: Event keys that identify the fault kind within an event mapping.
-_KIND_KEYS = ("crash", "recover", "isolate", "heal", "partition", "drop",
-              "delay", "duplicate", "reorder", "lie", "equivocate",
-              "corrupt-state", "drain", "join")
+#: The fault kinds an event mapping may name (every kind with declared
+#: scenario arguments).
+_KIND_KEYS = tuple(kind for kind, spec in FAULT_KINDS.items()
+                   if spec.args is not None)
 
 
 @dataclass
@@ -255,13 +70,9 @@ class ChaosScenario:
 
 
 def load_scenario(path: Union[str, os.PathLike]) -> ChaosScenario:
-    """Load and validate a scenario file (YAML subset or JSON)."""
+    """Load and validate a JSON scenario file."""
     with open(path, "r", encoding="utf-8") as handle:
-        text = handle.read()
-    if str(path).endswith(".json"):
-        data = json.loads(text)
-    else:
-        data = parse_simple_yaml(text)
+        data = json.load(handle)
     return scenario_from_dict(data, source=str(path))
 
 
@@ -269,8 +80,8 @@ def scenario_from_dict(data: Any, *, source: str = "<scenario>") -> ChaosScenari
     if not isinstance(data, dict):
         raise ConfigurationError(
             f"{source}: scenario must be a mapping, got {type(data).__name__}")
-    known = {"name", "nodes", "duration", "duration_s", "clients", "events",
-             "auth", "shards", "shard_size"}
+    known = {"name", "nodes", "duration", "clients", "events", "auth",
+             "shards", "shard_size"}
     unknown = set(data) - known
     if unknown:
         raise ConfigurationError(
@@ -304,7 +115,7 @@ def scenario_from_dict(data: Any, *, source: str = "<scenario>") -> ChaosScenari
             raise ConfigurationError(
                 f"{source}: nodes must be an int or a list of node ids")
 
-    duration = data.get("duration", data.get("duration_s", 10.0))
+    duration = data.get("duration", 10.0)
     if not isinstance(duration, (int, float)) or duration <= 0:
         raise ConfigurationError(f"{source}: duration must be a positive number")
 
@@ -340,6 +151,45 @@ def scenario_from_dict(data: Any, *, source: str = "<scenario>") -> ChaosScenari
     )
 
 
+def _components(scenario: ChaosScenario, value: Any) -> List[set]:
+    """The components a ``partition`` value names: node lists as they
+    stand, or — ``{"shards": [...]}`` — each listed shard as its own
+    component (servers + shard client) with everyone else connected in
+    a final one.  Pure expansion from scenario fields, so the schedule
+    hash stays canonical."""
+    if isinstance(value, dict) and "shards" in value:
+        if scenario.shards is None:
+            raise ConfigurationError(
+                "partition by shards requires a sharded scenario "
+                "(top-level 'shards')")
+        listed = value["shards"]
+        if (not isinstance(listed, list) or not listed
+                or not all(isinstance(s, int) for s in listed)):
+            raise ConfigurationError(
+                "partition shards must be a non-empty list of shard "
+                "indices, e.g. {\"shards\": [0, 2]}")
+        expanded, covered = [], set()
+        for shard in listed:
+            if not 0 <= shard < scenario.shards:
+                raise ConfigurationError(
+                    f"shard {shard} out of range "
+                    f"(scenario has {scenario.shards})")
+            nodes = shard_nodes(shard, scenario.shard_size)
+            expanded.append(set(nodes))
+            covered.update(nodes)
+        rest = [n for n in scenario.node_ids if n not in covered]
+        if rest:
+            expanded.append(set(rest))
+        return expanded
+    if not isinstance(value, list) or not all(
+            isinstance(c, list) for c in value):
+        raise ConfigurationError(
+            "partition must be a list of node lists, e.g. "
+            "[[\"n0\", \"n1\"], [\"n2\"]], or {\"shards\": [...]} in a "
+            "sharded scenario")
+    return [set(map(str, c)) for c in value]
+
+
 def compile_plan(scenario: ChaosScenario) -> FaultPlan:
     """Compile the scenario's event list into an (unarmed) fault plan.
 
@@ -349,84 +199,17 @@ def compile_plan(scenario: ChaosScenario) -> FaultPlan:
     """
     plan = FaultPlan()
     for i, event in enumerate(scenario.events):
-        at = float(event["at"])
-        src = event.get("src")
-        dst = event.get("dst")
         try:
-            if "crash" in event:
-                plan.crash(str(event["crash"]), at=at)
-            elif "recover" in event:
-                plan.recover(str(event["recover"]), at=at)
-            elif "isolate" in event:
-                plan.isolate(str(event["isolate"]), at=at)
-            elif "heal" in event:
-                plan.heal(at=at)
-            elif "partition" in event:
-                components = event["partition"]
-                if isinstance(components, dict) and "shards" in components:
-                    # Shard-scoped target: each listed shard becomes its
-                    # own component (servers + shard client); everyone
-                    # else stays connected in a final component.  Pure
-                    # expansion from scenario fields, so the schedule
-                    # hash stays canonical.
-                    if scenario.shards is None:
-                        raise ConfigurationError(
-                            "partition by shards requires a sharded "
-                            "scenario (top-level 'shards')")
-                    listed = components["shards"]
-                    if (not isinstance(listed, list) or not listed
-                            or not all(isinstance(s, int) for s in listed)):
-                        raise ConfigurationError(
-                            "partition shards must be a non-empty list of "
-                            "shard indices, e.g. {shards: [0, 2]}")
-                    expanded, covered = [], set()
-                    for shard in listed:
-                        if not 0 <= shard < scenario.shards:
-                            raise ConfigurationError(
-                                f"shard {shard} out of range "
-                                f"(scenario has {scenario.shards})")
-                        nodes = shard_nodes(shard, scenario.shard_size)
-                        expanded.append(set(nodes))
-                        covered.update(nodes)
-                    rest = [n for n in scenario.node_ids if n not in covered]
-                    if rest:
-                        expanded.append(set(rest))
-                    plan.partition(*expanded, at=at)
-                elif not isinstance(components, list) or not all(
-                        isinstance(c, list) for c in components):
-                    raise ConfigurationError(
-                        "partition must be a list of node lists, e.g. "
-                        "[[n0, n1], [n2]], or {shards: [...]} in a "
-                        "sharded scenario")
-                else:
-                    plan.partition(*[set(map(str, c)) for c in components],
-                                   at=at)
-            elif "drop" in event:
-                plan.drop(float(event["drop"]), at=at, src=src, dst=dst)
-            elif "delay" in event:
-                plan.delay(float(event["delay"]), at=at,
-                           jitter_s=float(event.get("jitter", 0.0)),
-                           src=src, dst=dst)
-            elif "duplicate" in event:
-                plan.duplicate(float(event["duplicate"]), at=at,
-                               src=src, dst=dst)
-            elif "reorder" in event:
-                plan.reorder(float(event["reorder"]), at=at,
-                             window_s=float(event.get("window", 0.01)),
-                             src=src, dst=dst)
-            elif "lie" in event:
-                plan.lie(str(event["lie"]),
-                         bias_us=int(event.get("bias", 0)), at=at)
-            elif "equivocate" in event:
-                plan.equivocate(str(event["equivocate"]),
-                                spread_us=int(event.get("spread", 0)), at=at)
-            elif "corrupt-state" in event:
-                plan.corrupt_state(str(event["corrupt-state"]), at=at)
-            elif "drain" in event:
-                plan.drain(str(event["drain"]), at=at)
-            elif "join" in event:
-                plan.join(str(event["join"]), at=at)
-        except ConfigurationError as exc:
+            at = float(event["at"])
+            kind = next((k for k in _KIND_KEYS if k in event), None)
+            if kind is None:
+                raise ConfigurationError(f"no fault kind among {sorted(event)}")
+            if kind == "partition":
+                plan.partition(*_components(scenario, event[kind]), at=at)
+            else:  # FaultPlan.add converts and range-checks each item
+                plan.add(kind, *[event.get(arg.key, arg.default)
+                                 for arg in FAULT_KINDS[kind].args], at=at)
+        except (ConfigurationError, TypeError, ValueError) as exc:
             raise ConfigurationError(
                 f"{scenario.name}: event #{i}: {exc}") from exc
     return plan

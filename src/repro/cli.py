@@ -24,7 +24,7 @@ simulator::
 Chaos (see ``docs/chaos.md``) — seeded fault injection against a live
 in-process cluster, judged by the invariant oracle::
 
-    python -m repro chaos --scenario examples/chaos_partition.yaml --seed 7 \\
+    python -m repro chaos --scenario examples/chaos_partition.json --seed 7 \\
         --artifacts-dir chaos-artifacts
     python -m repro trace --shards chaos-artifacts
     python -m repro loadgen --chaos --assert-counters
@@ -34,7 +34,7 @@ tier, and the gradient sync overlay bounding inter-shard skew::
 
     python -m repro loadgen --shards 4 --bench-json BENCH_throughput.json
     python -m repro loadgen --shards 4 --zipf 1.2 --assert-counters
-    python -m repro chaos --scenario examples/chaos_shards.yaml --seed 7
+    python -m repro chaos --scenario examples/chaos_shards.json --seed 7
 
 Elastic control plane (see ``docs/operations.md``) — live
 reconfiguration and overload drills::
@@ -851,7 +851,7 @@ def build_parser() -> argparse.ArgumentParser:
     chaos = parser.add_argument_group(
         "chaos", "options for 'chaos' (see docs/chaos.md)")
     chaos.add_argument("--scenario", default=None, metavar="FILE",
-                       help="chaos: scenario file (YAML subset or JSON)")
+                       help="chaos: scenario file (JSON, see docs/chaos.md)")
     chaos.add_argument("--clients", type=int, default=None,
                        help="chaos: gateway client threads (default from "
                             "the scenario file)")

@@ -4,7 +4,7 @@ Live group reconfiguration (:class:`~repro.control.plane.ControlPlane`:
 join/drain/rolling restart without losing the primary component),
 shed-before-collapse admission control at the client gateway
 (:class:`~repro.control.admission.AdmissionController`), and the
-scripted drivers behind ``repro control`` / CI's ``reconfig-smoke``
+scripted drivers behind ``repro control`` / CI's ``scenario-smoke``
 (:mod:`repro.control.rolling`).
 
 ``rolling`` is imported lazily: it pulls in the live testbed and chaos

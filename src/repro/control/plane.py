@@ -54,8 +54,8 @@ class ControlPlane:
         self.group = group
         self.poll_s = poll_s
         #: Invoked after a crashed node's stack is rebuilt, before its
-        #: replica is re-added (as the group was deployed) — the chaos
-        #: and rolling drivers tell their oracle about the restart here.
+        #: replica is re-added (as the group was deployed) — a judged
+        #: run tells its oracle about the restart here.
         self.on_node_ready = on_node_ready
         #: Chronological record of completed reconfigurations.
         self.log: List[Dict[str, object]] = []
@@ -68,7 +68,7 @@ class ControlPlane:
 
     def view_members(self, node_id: str) -> List[str]:
         """The group view as computed on ``node_id``."""
-        return list(self.bed.runtimes[node_id]._views.get(self.group, []))
+        return self.bed.runtimes[node_id].view_members(self.group)
 
     def status(self) -> Dict[str, object]:
         replicas = self.bed.services.get(self.group, {})
@@ -101,7 +101,7 @@ class ControlPlane:
             # a fresh endpoint (the finalizer's identity guard makes it
             # a no-op afterwards).
             self._retire(node_id, existing)
-        if not self._node_alive(node_id):
+        if not self.bed.node(node_id).alive:
             self.bed.recover(node_id)
             if self.on_node_ready is not None:
                 self.on_node_ready(node_id)
@@ -149,7 +149,7 @@ class ControlPlane:
         # sustained load the replica may never be perfectly idle — that
         # is fine, every parked operation is also ordered at (and
         # answered by) the remaining active replicas.
-        self._wait(lambda: replica._inflight == 0 and not replica._resumable,
+        self._wait(lambda: replica.idle,
                    timeout_s=quiesce_s, what="", raise_on_timeout=False)
         replica.endpoint.leave()
         remaining = [n for n in replicas if n != node_id]
@@ -192,7 +192,7 @@ class ControlPlane:
                 return False
             # Pending async drain: finalize it now, then re-admit.
             self._retire(node_id, existing)
-        if not self._node_alive(node_id):
+        if not self.bed.node(node_id).alive:
             self.bed.recover(node_id)
             if self.on_node_ready is not None:
                 self.on_node_ready(node_id)
@@ -230,10 +230,6 @@ class ControlPlane:
         replica.suspended = True
         self.bed.runtimes[node_id].remove_endpoint(self.group)
         self.bed.services.get(self.group, {}).pop(node_id, None)
-
-    def _node_alive(self, node_id: str) -> bool:
-        node = self.bed.node(node_id)
-        return bool(getattr(node, "alive", True))
 
     def _wait(self, predicate: Callable[[], bool], *, timeout_s: float,
               what: str, raise_on_timeout: bool = True) -> bool:

@@ -441,10 +441,20 @@ class ConsistentTimeService(TimeSource):
         msg = handler.pop_message()
         if msg.round_number != handler.my_round_number + 1:
             if self.guard is None:
+                thread = handler.my_thread_id
+                buffered = [msg.round_number] + [
+                    m.round_number for m in handler.my_input_buffer]
+                in_flight = handler.in_flight
                 raise TimeServiceError(
-                    f"thread {handler.my_thread_id!r}: buffered CCS round "
+                    f"thread {thread!r}: buffered CCS round "
                     f"{msg.round_number} does not follow consumption point "
-                    f"{handler.my_round_number}"
+                    f"{handler.my_round_number} (node {self.node_id}; "
+                    f"buffered rounds {buffered}; accepted watermark "
+                    f"{self._accepted.get(thread)}; in-flight round "
+                    f"{in_flight.round_number if in_flight else None}; "
+                    f"recovering: {self._recovering}; inherited initial "
+                    f"round {self._initial_rounds.get(thread)})",
+                    node=self.node_id,
                 )
             self.guard.adopt_round_numbering(handler, msg)
         handler.my_round_number = msg.round_number

@@ -7,6 +7,8 @@ while still being able to discriminate the subsystem that failed.
 
 from __future__ import annotations
 
+from typing import Optional
+
 
 class ReproError(Exception):
     """Base class for all errors raised by the repro library."""
@@ -98,6 +100,11 @@ class OverloadedError(RpcError):
 
 class TimeServiceError(ReproError):
     """The consistent time service detected a protocol violation."""
+
+    def __init__(self, *args: object, node: Optional[str] = None):
+        super().__init__(*args)
+        #: The node whose service detected it, when known.
+        self.node = node
 
 
 class ClockRollbackError(TimeServiceError):

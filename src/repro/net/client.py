@@ -410,6 +410,11 @@ class ThreadedCallers:
     def stop(self) -> None:
         self._stop.set()
 
+    @property
+    def running(self) -> bool:
+        """True while any caller thread is still in its loop."""
+        return any(thread.is_alive() for thread in self._threads)
+
     def join(self) -> None:
         """Wait for the threads (one blocked in a last call returns
         within its call timeout plus scheduling slack) and close the

@@ -65,9 +65,6 @@ class LiveTestbed(TestbedBase):
             self.auth = WireAuthenticator.from_secret(auth_secret)
         self.transport = UdpTransport(self.kernel.loop, bind_host=bind_host,
                                       auth=self.auth)
-        #: Fault-injection decorator, present when chaos is requested.
-        self.chaos = None
-        #: Seeds the corrupt-state scrambler (see TestbedBase.corrupt_state).
         self.chaos_seed = chaos_seed
         if chaos_seed is not None:
             # Imported lazily: repro.chaos imports this module's runner

@@ -144,6 +144,10 @@ class GroupRuntime:
     def remove_endpoint(self, group: str) -> None:
         self._endpoints.pop(group, None)
 
+    def view_members(self, group: str) -> List[str]:
+        """The group's ordered member list as this node computes it."""
+        return list(self._views.get(group, []))
+
     # -- transmission --------------------------------------------------------
 
     def mcast(self, envelope: Envelope) -> None:

@@ -370,6 +370,11 @@ class Replica(abc.ABC):
         if self._work is not None and not self._work.triggered:
             self._work.succeed()
 
+    @property
+    def idle(self) -> bool:
+        """True when no admitted execution is in flight or resumable."""
+        return not (self._inflight or self._resumable)
+
     def _quiesce(self) -> Generator:
         """Run until no admitted execution remains in flight."""
         while self._inflight or self._resumable:

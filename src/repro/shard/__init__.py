@@ -14,7 +14,8 @@ population, and bounds the skew *between* them:
   into its next proposal (:class:`repro.core.drift.GradientSteering`),
   yielding the per-hop skew envelope documented in docs/sharding.md;
 * :mod:`repro.shard.cluster` — :class:`ShardedTestbed`: N independent
-  Totem rings (per-shard multicast domains) on one simulated network;
+  Totem rings (per-shard multicast domains) on one simulated network,
+  and :func:`sharded_fleet`, which assembles bed + overlay + router;
 * :mod:`repro.shard.router` — :class:`ShardRouter`: routes sessions to
   the owning shard and carries the session floor across migrations so
   reads stay monotone shard-to-shard;
@@ -41,6 +42,7 @@ _LAZY = {
     "ShardRouter": ("repro.shard.router", "ShardRouter"),
     "ShardSession": ("repro.shard.router", "ShardSession"),
     "run_shard_chaos": ("repro.shard.chaos", "run_shard_chaos"),
+    "sharded_fleet": ("repro.shard.cluster", "sharded_fleet"),
 }
 
 __all__ = [

@@ -1,11 +1,12 @@
 """``python -m repro chaos`` over a sharded topology.
 
-Runs a scenario whose top-level ``shards:`` key is set: boots a
-:class:`~repro.shard.cluster.ShardedTestbed` (N rings on one simulated
-LAN), deploys the daemon's :class:`~repro.net.daemon.TimeApp` as one
-active CTS group per shard, starts the gradient overlay, and hammers
-the fleet through a :class:`~repro.shard.router.ShardRouter` — session
-keys spread over the ring, floors carried across shards.
+Runs a scenario whose top-level ``shards`` key is set: boots the
+:func:`~repro.shard.cluster.sharded_fleet` (N rings on one simulated
+LAN, the daemon's :class:`~repro.net.daemon.TimeApp` as one active CTS
+group per shard, the gradient overlay, the session router) and hammers
+it through the router — session keys spread over the ring, floors
+carried across shards — as one
+:class:`~repro.chaos.runner.JudgedRun`.
 
 The fault schedule is the ordinary compiled
 :class:`~repro.sim.faults.FaultPlan` (shard-scoped partitions expand in
@@ -28,15 +29,12 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
-from ..chaos.oracle import InvariantOracle
+from ..chaos.runner import JudgedRun
 from ..chaos.scenario import ChaosScenario, compile_plan
 from ..errors import ConfigurationError
 from ..net.daemon import TimeApp
-from ..obs.crossnode import TraceShardWriter
-from ..workloads.load import closed_loop
-from .cluster import ShardedTestbed
-from .overlay import GradientOverlay, OverlayConfig
-from .router import ShardRouter
+from ..workloads.load import LoadResult, closed_loop
+from .cluster import sharded_fleet
 
 __all__ = ["run_shard_chaos"]
 
@@ -57,49 +55,21 @@ def run_shard_chaos(
             "run_shard_chaos needs a sharded scenario (top-level 'shards')")
     duration = duration_s if duration_s is not None else scenario.duration_s
     n_clients = clients if clients is not None else scenario.clients
-    plan = compile_plan(scenario)
-    oracle = InvariantOracle(staleness_budget_us=max_staleness_us)
-    shard_writer: Optional[TraceShardWriter] = None
-    if artifacts_dir is not None:
-        # Per-node trace shards for post-mortem (CI uploads on failure).
-        shard_writer = TraceShardWriter(artifacts_dir)
-
-    bed = ShardedTestbed(shards=scenario.shards,
-                         shard_size=scenario.shard_size, seed=seed)
-    bed.chaos_seed = seed  # corrupt-state draws from the run's seed
-    bed.deploy_shards(TimeApp, fast_path=fast_path,
-                      max_staleness_us=max_staleness_us)
-    overlay_config = OverlayConfig(secret=f"shards-{seed}")
-    overlay = GradientOverlay(bed, overlay_config, oracle=oracle)
-    router = ShardRouter(
-        bed, oracle=oracle,
-        oracle_gate=lambda: overlay.skew.warmed_up,
-        rate_slack_us=overlay_config.hop_bound_us)
-    try:
-        bed.start()
-        overlay.start()
-        oracle.attach()
-        plan.arm(bed)
-
-        # The daemon-restart half of every recover event, in the same
-        # kernel tick as bed.recover(): re-add the replica as its shard
-        # was deployed (state transfer + integration round, sharing the
-        # shard's steering hook).
-        def _restart(node_id: str) -> None:
-            oracle.note_recovery(node_id)
-            bed.add_replica(bed.group_of(bed.shard_of_node(node_id)),
-                            node_id)
-
-        for event in plan.schedule():
-            if event.kind == "recover":
-                bed.sim.schedule(event.at_s, _restart, event.target[0])
-            elif event.kind == "corrupt-state":
-                bed.sim.schedule(event.at_s, oracle.note_corruption,
-                                 event.target[0])
-
+    run = JudgedRun(compile_plan(scenario), name=scenario.name, seed=seed,
+                    duration_s=duration, artifacts_dir=artifacts_dir,
+                    staleness_budget_us=max_staleness_us)
+    bed, overlay, router = sharded_fleet(
+        TimeApp, shards=scenario.shards, shard_size=scenario.shard_size,
+        seed=seed, fast_path=fast_path, max_staleness_us=max_staleness_us,
+        oracle=run.oracle, secret=f"shards-{seed}")
+    bed.start()
+    overlay.start()
+    drill = {"removed": False, "restored": False}
+    last_shard = scenario.shards - 1
+    # What the verdict tallies if the run dies before the loop returns.
+    load = LoadResult(mode="closed-loop", duration_s=duration)
+    with run.over(bed, [bed.group_of(s) for s in range(scenario.shards)]):
         # Migration drill: shrink the routing ring mid-run, grow it back.
-        drill = {"removed": False, "restored": False}
-        last_shard = scenario.shards - 1
         if scenario.shards >= 2:
             def _shrink() -> None:
                 bed.ring.remove(last_shard)
@@ -119,39 +89,19 @@ def run_shard_chaos(
             bed, lambda index: router.timed_call(sessions[index]),
             workers=n_clients, duration_s=duration, think_s=0.01,
             drain_s=0.5)  # drain in-flight calls and summaries
-        oracle.finish(
-            bed, groups=[bed.group_of(s) for s in range(scenario.shards)])
 
-        migrations = sum(
-            s.migrations for s in router.sessions.values())
-        verdict = {
-            "scenario": scenario.name,
-            "seed": seed,
-            "shards": scenario.shards,
-            "shard_size": scenario.shard_size,
-            "nodes": list(scenario.node_ids),
-            "duration_s": duration,
-            "schedule_hash": plan.schedule_hash(),
-            "schedule": [event.canonical() for event in plan.schedule()],
-            "faults_injected": len(plan.injected),
-            "faults_pending": len(plan.events) - len(plan.injected),
-            "migration_drill": dict(drill, migrations=migrations),
-            "clients": {
-                "count": n_clients,
-                "calls": load.completed,
-                "errors": load.errors,
-                "error_rate": (load.errors / load.completed
-                               if load.completed else 1.0),
-            },
-            "overlay": overlay.report(),
-            "oracle": oracle.report(),
-        }
-        verdict["ok"] = (oracle.ok
-                         and plan.done
-                         and oracle.replies_checked > 0
-                         and oracle.shard_summaries_checked > 0)
-        return verdict
-    finally:
-        oracle.detach()
-        if shard_writer is not None:
-            shard_writer.close()
+    return run.verdict(
+        require=run.oracle.shard_summaries_checked > 0,
+        shards=scenario.shards,
+        shard_size=scenario.shard_size,
+        migration_drill=dict(drill, migrations=sum(
+            s.migrations for s in router.sessions.values())),
+        clients={
+            "count": n_clients,
+            "calls": load.completed,
+            "errors": load.errors,
+            "error_rate": (load.errors / load.completed
+                           if load.completed else 1.0),
+        },
+        overlay=overlay.report(),
+    )

@@ -29,10 +29,12 @@ from ..sim import Cluster, ClusterConfig
 from ..sim.network import Frame
 from ..testbed import TestbedBase
 from ..totem import TotemConfig
+from .overlay import GradientOverlay, OverlayConfig
 from .ring import HashRing
+from .router import ShardRouter
 from .summary import ShardSummary
 
-__all__ = ["ShardClusterConfig", "ShardedTestbed",
+__all__ = ["ShardClusterConfig", "ShardedTestbed", "sharded_fleet",
            "shard_server_nodes", "shard_client_node", "shard_nodes"]
 
 #: A sink for intercepted summaries: (receiving node, summary) -> None.
@@ -105,6 +107,7 @@ class ShardedTestbed(TestbedBase):
             shards=shards, shard_size=shard_size)
         self.shards = config.shards
         self.shard_size = config.shard_size
+        self.chaos_seed = seed  # corrupt-state draws from the run's seed
         self.cluster = Cluster(config, seed=seed)
         self._domains: Dict[str, frozenset] = {}
         memberships: Dict[str, List[str]] = {}
@@ -203,21 +206,17 @@ class ShardedTestbed(TestbedBase):
     def build_summary(self, shard: int,
                       secret: Optional[str] = None) -> Optional[ShardSummary]:
         """The shard's current advertisement, signed if a secret is set."""
-        node_id = self.primary_node_of(shard)
-        if node_id is None:
+        value_us = self.estimate_group_us(shard)
+        if value_us is None:
             return None
-        replica = self.services[self.group_of(shard)][node_id]
-        source = replica.time_source
-        clock_state = getattr(source, "clock_state", None)
-        if clock_state is None or clock_state.last_group_us is None:
-            return None
-        value_us = self.node(node_id).read_clock_us() + clock_state.offset_us
+        source = self.services[self.group_of(shard)][
+            self.primary_node_of(shard)].time_source
         drift_bound = getattr(source, "drift_bound", None)
         error_us = int(drift_bound.max_error_us) if drift_bound else 0
         rounds = getattr(getattr(source, "stats", None), "rounds_completed", 0)
         summary = ShardSummary(
             shard=shard, group=self.group_of(shard), value_us=value_us,
-            offset_us=clock_state.offset_us, round_seq=rounds,
+            offset_us=source.clock_state.offset_us, round_seq=rounds,
             error_us=error_us)
         return summary.sign(secret)
 
@@ -262,3 +261,27 @@ class ShardedTestbed(TestbedBase):
         receiver with the shard's domain filter."""
         super().recover(node_id)
         self._install_domain_filter(node_id)
+
+
+def sharded_fleet(app_factory, *, shards: int, shard_size: int, seed: int,
+                  fast_path: bool = True, max_staleness_us: int = 2_000,
+                  oracle=None, **overlay_options):
+    """A deployed fleet, not yet started: the sharded bed with
+    ``app_factory`` on every shard, the gradient overlay between the
+    shards (``overlay_options`` are :class:`OverlayConfig` fields) and
+    the session router in front.  Returns ``(bed, overlay, router)``.
+
+    With an ``oracle``, every overlay summary and every routed reply
+    feeds it — replies only once the skew envelope has warmed up (the
+    initial epoch-alignment jumps are not staleness), and with the
+    overlay's hop bound as rate slack.
+    """
+    bed = ShardedTestbed(shards=shards, shard_size=shard_size, seed=seed)
+    bed.deploy_shards(app_factory, fast_path=fast_path,
+                      max_staleness_us=max_staleness_us)
+    config = OverlayConfig(**overlay_options)
+    overlay = GradientOverlay(bed, config, oracle=oracle)
+    router = ShardRouter(bed, oracle=oracle,
+                         oracle_gate=lambda: overlay.skew.warmed_up,
+                         rate_slack_us=config.hop_bound_us)
+    return bed, overlay, router

@@ -80,6 +80,13 @@ class TestbedBase:
 
     __test__ = False  # not a pytest test class, despite the name
 
+    #: Fault-injecting transport decorator
+    #: (:class:`~repro.chaos.transport.ChaosTransport`); only a live bed
+    #: booted with a chaos seed carries one.
+    chaos = None
+    #: Seeds the ``corrupt-state`` scrambler (:meth:`corrupt_state`).
+    chaos_seed: Optional[int] = None
+
     def _init_stack(self, sim, nodes: Dict[str, Node],
                     totem_config: Optional[TotemConfig],
                     memberships: Optional[Dict[str, List[str]]] = None) -> None:
@@ -113,8 +120,9 @@ class TestbedBase:
             self.runtimes[node_id] = GroupRuntime(processor)
         #: group -> {node_id: Replica}
         self.services: Dict[str, Dict[str, Replica]] = {}
-        #: group -> (app_factory, deploy keywords), what ``add_replica``
-        #: rebuilds a replica from.
+        #: group -> (app_factory, deploy keywords, nodes deployed on):
+        #: what ``add_replica`` rebuilds a replica from and ``redeploy``
+        #: a restarted node's replicas.
         self._deployed: Dict[str, tuple] = {}
         self.clients: Dict[str, RpcClient] = {}
         self._started = False
@@ -168,7 +176,7 @@ class TestbedBase:
             **style_kwargs,
         )
         self._add(group, nodes, app_factory, **spec)
-        self._deployed[group] = (app_factory, spec)
+        self._deployed[group] = (app_factory, spec, list(nodes))
         return self.services[group]
 
     def add_replica(
@@ -189,9 +197,17 @@ class TestbedBase:
         """
         if group not in self._deployed:
             raise ConfigurationError(f"group {group!r} is not deployed")
-        deployed_factory, spec = self._deployed[group]
+        deployed_factory, spec, _nodes = self._deployed[group]
         return self._add(group, [node_id], app_factory or deployed_factory,
                          join_existing=True, **{**spec, **overrides})[node_id]
+
+    def redeploy(self, node_id: str) -> None:
+        """The daemon-restart half of a :meth:`recover`: re-add, as
+        deployed, every replica :meth:`deploy` placed on ``node_id`` that
+        is not serving.  Each recovers its state via state transfer."""
+        for group, (_factory, _spec, nodes) in self._deployed.items():
+            if node_id in nodes and node_id not in self.services[group]:
+                self.add_replica(group, node_id)
 
     def _add(self, group: str, nodes: List[str], app_factory, *,
              style, time_source, drift, coalesce, fast_path,
@@ -290,8 +306,8 @@ class TestbedBase:
         Fail-stop semantics: all volatile state is gone, so the Totem
         processor and group runtime are rebuilt from scratch; the node
         rejoins the ring via the membership protocol.  Re-add replicas
-        with :meth:`add_replica` afterwards — they recover their state
-        via state transfer.
+        with :meth:`redeploy` (or :meth:`add_replica`) afterwards — they
+        recover their state via state transfer.
         """
         node = self.node(node_id)
         node.recover()
@@ -331,7 +347,7 @@ class TestbedBase:
         from .chaos.byzantine import corrupt_time_state
 
         if seed is None:
-            seed = getattr(self, "chaos_seed", None) or 0
+            seed = self.chaos_seed or 0
         rng = random.Random(f"{seed}|corrupt|{node_id}")
         details: Dict[str, Dict[str, int]] = {}
         for group, replicas in self.services.items():

@@ -130,7 +130,7 @@ def run_loadgen_chaos(
         FaultPlan()
         .crash("n3", at=duration_s / 3)
         .recover("n3", at=2 * duration_s / 3)
-        .call(lambda: bed.add_replica(GROUP, "n3"), at=2 * duration_s / 3)
+        .call(lambda: bed.redeploy("n3"), at=2 * duration_s / 3)
     )
     plan.arm(bed)
 
@@ -237,15 +237,14 @@ def run_loadgen_sharded(
     think_s: float = 0.0,
     fast_path: bool = True,
     max_staleness_us: int = 2_000,
-    with_oracle: bool = True,
 ) -> LoadResult:
     """Closed-loop load against ``shards`` time domains via the router.
 
-    Boots a :class:`~repro.shard.cluster.ShardedTestbed` (one CCS ring
-    per shard on a shared LAN), starts the gradient overlay, lets it
-    align the shard epochs for ``warmup_s``, then measures
+    Boots the :func:`~repro.shard.cluster.sharded_fleet` (one CCS ring
+    per shard on a shared LAN, gradient overlay, session router), lets
+    the overlay align the shard epochs for ``warmup_s``, then measures
     ``shards * concurrency`` closed-loop workers for ``duration_s``
-    through a :class:`~repro.shard.router.ShardRouter`.  Workers run
+    through the router, judged by the invariant oracle.  Workers run
     through the warm-up too — group offsets only move when rounds
     commit, so the epoch alignment needs load to happen at all.
 
@@ -262,23 +261,15 @@ def run_loadgen_sharded(
     inflation — spiky enough to leave the steady-state hop envelope;
     tests probing the machinery rather than capacity should think.
     """
+    from ..chaos.runner import JudgedRun
     from ..net.daemon import TimeApp
-    from ..shard import GradientOverlay, OverlayConfig, ShardedTestbed, ShardRouter
+    from ..shard import sharded_fleet
 
-    bed = ShardedTestbed(shards=shards, shard_size=shard_size, seed=seed)
-    bed.deploy_shards(TimeApp, fast_path=fast_path,
-                      max_staleness_us=max_staleness_us)
-    overlay_config = OverlayConfig(
-        secret=f"loadgen-{seed}", warmup_s=warmup_s)
-    oracle = None
-    if with_oracle:
-        from ..chaos.oracle import InvariantOracle
-        oracle = InvariantOracle(staleness_budget_us=max_staleness_us)
-    overlay = GradientOverlay(bed, overlay_config, oracle=oracle)
-    router = ShardRouter(
-        bed, oracle=oracle,
-        oracle_gate=lambda: overlay.skew.warmed_up,
-        rate_slack_us=overlay_config.hop_bound_us)
+    run = JudgedRun(seed=seed, staleness_budget_us=max_staleness_us)
+    bed, overlay, router = sharded_fleet(
+        TimeApp, shards=shards, shard_size=shard_size, seed=seed,
+        fast_path=fast_path, max_staleness_us=max_staleness_us,
+        oracle=run.oracle, secret=f"loadgen-{seed}", warmup_s=warmup_s)
 
     clients = shards * concurrency
     if zipf_s > 0:
@@ -296,8 +287,6 @@ def run_loadgen_sharded(
 
     bed.start()
     overlay.start()
-    if oracle is not None:
-        oracle.attach()
 
     #: Tallied calls by the shard that served them.
     per_shard: Counter = Counter()
@@ -305,19 +294,18 @@ def run_loadgen_sharded(
     def served(index):
         per_shard[sessions[index].shard] += 1
 
-    result = closed_loop(
-        bed,
-        lambda index: router.timed_call(sessions[index],
-                                        timeout=duration_s + 2.0),
-        workers=clients, duration_s=duration_s, warmup_s=warmup_s,
-        think_s=think_s, drain_s=2.0, mode="sharded", on_completed=served)
+    # A load generator has no verdict to report a protocol failure in:
+    # it propagates.
+    with run.over(bed, [bed.group_of(s) for s in range(shards)],
+                  capture=False):
+        result = closed_loop(
+            bed,
+            lambda index: router.timed_call(sessions[index],
+                                            timeout=duration_s + 2.0),
+            workers=clients, duration_s=duration_s, warmup_s=warmup_s,
+            think_s=think_s, drain_s=2.0, mode="sharded",
+            on_completed=served)
 
-    oracle_report = None
-    if oracle is not None:
-        oracle.detach()
-        oracle.finish(bed,
-                      groups=[bed.group_of(s) for s in range(shards)])
-        oracle_report = oracle.report()
     fair_share = result.completed / len(per_shard) if per_shard else 0
     result.extra.update(
         shards=shards, shard_size=shard_size,
@@ -337,7 +325,7 @@ def run_loadgen_sharded(
         skew_envelope=overlay.skew.envelope(),
         summaries_sent=overlay.summaries_sent,
         summaries_received=overlay.summaries_received,
-        oracle=oracle_report,
+        oracle=run.oracle.report(),
     )
     return result
 

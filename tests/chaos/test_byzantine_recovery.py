@@ -16,9 +16,8 @@ from collections import defaultdict
 
 from repro import trace
 from repro.chaos.oracle import InvariantOracle
-from repro.errors import RpcTimeout
 
-from support import ClockApp, make_testbed  # noqa: E402 (tests/ on sys.path via conftest)
+from support import ClockApp, make_testbed, read_until  # noqa: E402 (tests/ on sys.path via conftest)
 
 #: The documented self-stabilization bound: a corrupted replica must
 #: have repaired its state within this many completed rounds.  Changing
@@ -35,25 +34,7 @@ def build_bed(seed):
                time_source="cts", byzantine=True)
     client = bed.client("n0")
     bed.start(settle=0.3)
-
-    def call_some(n):
-        def scenario():
-            values = []
-            attempts = 0
-            while len(values) < n and attempts < n * 4:
-                attempts += 1
-                try:
-                    result, _ = yield from client.timed_call(
-                        "svc", "get_time", timeout=0.5)
-                except RpcTimeout:
-                    continue
-                if result.ok:
-                    values.append(result.value)
-            return values
-
-        return bed.run_process(scenario())
-
-    return bed, call_some
+    return bed, lambda n: read_until(bed, client, "svc", n)
 
 
 class TestReconvergence:

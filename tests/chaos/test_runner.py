@@ -1,16 +1,22 @@
 """End-to-end chaos harness: a short seeded scenario over real sockets.
 
-A trimmed cousin of ``examples/chaos_partition.yaml`` — loss, an
+A trimmed cousin of ``examples/chaos_partition.json`` — loss, an
 isolation window, a crash/recover cycle — driven through
 :func:`repro.chaos.runner.run_chaos` exactly as the CLI does.  The
 verdict must come back clean: every fault injected, replies observed,
 zero invariant violations.
 """
 
+from pathlib import Path
+
 import pytest
 
 from repro.chaos import ChaosScenario, compile_plan, run_chaos
+from repro.errors import TimeServiceError
+from repro.net.testbed import LiveTestbed
 from repro.obs.crossnode import shard_path
+
+from support import assert_verdict_keys  # noqa: E402 (tests/ on sys.path via conftest)
 
 pytestmark = pytest.mark.live
 
@@ -37,6 +43,8 @@ class TestRunChaos:
         verdict = run_chaos(scenario, seed=3)
 
         assert verdict["ok"], verdict["oracle"]["violations"]
+        assert_verdict_keys(verdict, "run_chaos")
+        assert verdict["protocol_failures"] == []
         assert verdict["faults_injected"] == 5
         assert verdict["faults_pending"] == 0
         # The schedule in the verdict is the compiled plan, byte for byte.
@@ -85,3 +93,43 @@ class TestRunChaos:
                 "round.won", "reply.recv"} <= stages
         # A clean run dumps nothing, but the key is always present.
         assert verdict["flight_dumps"] == []
+
+    def test_protocol_failure_is_a_verdict_not_a_traceback(
+            self, tmp_path, monkeypatch):
+        # ROADMAP 4(a): the 1-in-30 recovery flake used to kill the
+        # runner with nothing for CI to upload.  Plant a failing process
+        # (what the kernel surfaces out of bed.pump as an unheeded
+        # failure) and the run must end in a verdict that records it.
+        boot = LiveTestbed.start
+
+        def boot_and_plant(bed, settle=1.0):
+            boot(bed, settle)
+
+            def doomed():
+                yield bed.sim.timeout(0.4)
+                raise TimeServiceError("planted protocol failure", node="n1")
+
+            bed.sim.process(doomed(), name="planted")
+
+        monkeypatch.setattr(LiveTestbed, "start", boot_and_plant)
+        scenario = ChaosScenario(
+            name="doomed", node_ids=["n0", "n1", "n2"],
+            duration_s=3.0, clients=1,
+            events=[{"at": 0.1, "drop": 0.02}, {"at": 2.5, "heal": True}])
+        verdict = run_chaos(scenario, seed=5, artifacts_dir=str(tmp_path))
+
+        assert verdict["ok"] is False
+        (failure,) = verdict["protocol_failures"]
+        assert "planted protocol failure" in failure["error"]
+        assert failure["node"] == "n1"
+        assert failure["at"] > 0.4
+        dump = Path(failure["flight_dump"])
+        assert dump == tmp_path / "flight-protocol-failure.json"
+        assert dump.exists()
+        assert str(dump) in verdict["flight_dumps"]
+        # The run ended where it failed: the late fault never fired, and
+        # the rest of the verdict is there to say what did happen.
+        assert verdict["faults_injected"] == 1
+        assert verdict["faults_pending"] == 1
+        assert verdict["clients"]["calls"] > 0
+        assert verdict["trace"]["records"] > 0  # the shards were closed

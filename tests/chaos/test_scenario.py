@@ -1,5 +1,5 @@
-"""Scenario files: the YAML-subset parser, validation, and the
-compile-to-FaultPlan path with its reproducibility pin."""
+"""Scenario files: validation and the compile-to-FaultPlan path with
+its reproducibility pin."""
 
 import json
 from pathlib import Path
@@ -10,14 +10,13 @@ from repro.chaos.scenario import (
     ChaosScenario,
     compile_plan,
     load_scenario,
-    parse_simple_yaml,
     scenario_from_dict,
 )
 from repro.errors import ConfigurationError
 
 EXAMPLES = Path(__file__).resolve().parents[2] / "examples"
-EXAMPLE = EXAMPLES / "chaos_partition.yaml"
-BYZANTINE_EXAMPLE = EXAMPLES / "chaos_byzantine.yaml"
+EXAMPLE = EXAMPLES / "chaos_partition.json"
+BYZANTINE_EXAMPLE = EXAMPLES / "chaos_byzantine.json"
 
 #: The committed scenario's seeded schedule digest.  If this changes,
 #: every recorded chaos verdict stops being reproducible — update the
@@ -31,62 +30,12 @@ EXAMPLE_SCHEDULE_HASH = (
 BYZANTINE_SCHEDULE_HASH = (
     "8de80eefae409ad746c4f4af387482a5d70fe63e20f93379432f5e0f677a1dab")
 
-RECONFIG_EXAMPLE = EXAMPLES / "chaos_reconfig.yaml"
+RECONFIG_EXAMPLE = EXAMPLES / "chaos_reconfig.json"
 
 #: Pin for the reconfiguration scenario: guards the drain/join event
 #: kinds' canonical form alongside the schedule itself.
 RECONFIG_SCHEDULE_HASH = (
     "152dc353661ce867fbdb380e6a59ddc2a56978dddbcf86472e112e9054cb36c2")
-
-
-class TestYamlSubset:
-    def test_scalars(self):
-        doc = parse_simple_yaml(
-            "a: 1\nb: 2.5\nc: true\nd: false\ne: null\nf: hello\n"
-            "g: 'quoted: text'\n")
-        assert doc == {"a": 1, "b": 2.5, "c": True, "d": False, "e": None,
-                       "f": "hello", "g": "quoted: text"}
-
-    def test_comments_and_blank_lines(self):
-        doc = parse_simple_yaml(
-            "# leading comment\n\na: 1  # trailing\nb: 'kept # inside'\n")
-        assert doc == {"a": 1, "b": "kept # inside"}
-
-    def test_flow_lists_nest(self):
-        doc = parse_simple_yaml("p: [[n0, n1], [n2]]\n")
-        assert doc == {"p": [["n0", "n1"], ["n2"]]}
-
-    def test_block_list_of_scalars(self):
-        doc = parse_simple_yaml("xs:\n  - 1\n  - two\n  - 3.0\n")
-        assert doc == {"xs": [1, "two", 3.0]}
-
-    def test_block_list_of_mappings_with_continuation(self):
-        doc = parse_simple_yaml(
-            "events:\n"
-            "  - at: 1.0\n"
-            "    drop: 0.05\n"
-            "  - at: 2.0\n"
-            "    partition: [[n0], [n1]]\n")
-        assert doc == {"events": [
-            {"at": 1.0, "drop": 0.05},
-            {"at": 2.0, "partition": [["n0"], ["n1"]]},
-        ]}
-
-    def test_nested_mapping(self):
-        doc = parse_simple_yaml("outer:\n  inner: 1\n  other: 2\n")
-        assert doc == {"outer": {"inner": 1, "other": 2}}
-
-    def test_duplicate_key_rejected(self):
-        with pytest.raises(ConfigurationError, match="duplicate key"):
-            parse_simple_yaml("a: 1\na: 2\n")
-
-    def test_tab_indentation_rejected(self):
-        with pytest.raises(ConfigurationError, match="tabs"):
-            parse_simple_yaml("a:\n\tb: 1\n")
-
-    def test_missing_colon_rejected(self):
-        with pytest.raises(ConfigurationError, match="key: value"):
-            parse_simple_yaml("just some words\n")
 
 
 class TestScenarioValidation:
@@ -230,19 +179,6 @@ class TestReproducibilityPin:
         assert ([e.canonical() for e in first.schedule()]
                 == [e.canonical() for e in second.schedule()])
         assert first.schedule_hash() == second.schedule_hash()
-
-    def test_json_equivalent_hashes_identically(self, tmp_path):
-        scenario = load_scenario(EXAMPLE)
-        path = tmp_path / "same.json"
-        path.write_text(json.dumps({
-            "name": scenario.name,
-            "nodes": scenario.n_nodes,
-            "duration": scenario.duration_s,
-            "clients": scenario.clients,
-            "events": scenario.events,
-        }))
-        assert (compile_plan(load_scenario(path)).schedule_hash()
-                == EXAMPLE_SCHEDULE_HASH)
 
     def test_byzantine_schedule_hash_is_pinned(self):
         plan = compile_plan(load_scenario(BYZANTINE_EXAMPLE))

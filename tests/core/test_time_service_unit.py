@@ -107,6 +107,30 @@ class TestAbortInFlight:
         assert second.triggered and second.ok
 
 
+class TestBufferedRoundGap:
+    def test_gap_in_the_buffer_names_what_explains_it(self):
+        # The live chaos flake (ROADMAP 4(a)) is this assertion firing on
+        # a recovered replica; whoever meets it next needs the handler's
+        # whole picture in the message, not just two round numbers.
+        bed, client = build_service(seed=208)
+        call_n(bed, client, "svc", "get_time", 3)
+        service = bed.replicas("svc")["n2"].time_source
+        thread = "9:gap"
+        handler = service._handler(thread)
+        service._initial_rounds[thread] = 4
+        for round_number in (7, 8):  # planted: the handler consumed 0
+            handler.recv_CCS_msg(CCSMessage(thread, round_number, 1_000, 0))
+        with pytest.raises(TimeServiceError) as raised:
+            service.read(thread, "gettimeofday")
+        message = str(raised.value)
+        for field in ("thread '9:gap'", "round 7", "consumption point 0",
+                      "node n2", "buffered rounds [7, 8]",
+                      "accepted watermark None", "in-flight round None",
+                      "recovering: False", "inherited initial round 4"):
+            assert field in message, (field, message)
+        assert raised.value.node == "n2"
+
+
 class TestTransferStateUnit:
     def test_transfer_state_round_trip(self):
         state = TimeTransferState(

@@ -36,10 +36,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.chaos.byzantine import ByzantineRules
-from repro.errors import RpcTimeout
+from repro.chaos.runner import JudgedRun
 from repro.sim import FaultPlan
 
-from support import ClockApp, make_testbed  # noqa: E402 (tests/ on sys.path via conftest)
+from support import ClockApp, make_testbed, read_until  # noqa: E402 (tests/ on sys.path via conftest)
 
 BYZ_SETTINGS = dict(
     max_examples=10,
@@ -67,24 +67,7 @@ def run_byzantine(seed, liar, events, calls=12, warmup=3):
     client = bed.client("n0")
     bed.start(settle=0.3)
 
-    def call_some(n):
-        def scenario():
-            values = []
-            attempts = 0
-            while len(values) < n and attempts < n * 4:
-                attempts += 1
-                try:
-                    result, _ = yield from client.timed_call(
-                        "svc", "get_time", timeout=0.5)
-                except RpcTimeout:
-                    continue
-                if result.ok:
-                    values.append(result.value)
-            return values
-
-        return bed.run_process(scenario())
-
-    values = call_some(warmup)  # anchor the certified window
+    values = read_until(bed, client, "svc", warmup)  # anchor the window
     plan = FaultPlan()
     for at, kind, magnitude in events:
         if kind == "lie":
@@ -92,9 +75,15 @@ def run_byzantine(seed, liar, events, calls=12, warmup=3):
         else:
             plan.call(lambda m=magnitude: rules.set_equivocate(liar, m),
                       at=at)
-    plan.arm(bed)
-    values += call_some(calls)
-    bed.run(0.2)
+    # The simulated bed has no chaos transport, so the liar is scripted
+    # through `call` events and the oracle told of it by hand.
+    run = JudgedRun(plan, seed=seed)
+    run.oracle.mark_faulty(liar)
+    with run.over(bed, ["svc"]):
+        values += read_until(bed, client, "svc", calls, oracle=run.oracle)
+        bed.run(0.2)
+    verdict = run.verdict()
+    assert verdict["ok"], verdict
     return bed, values
 
 

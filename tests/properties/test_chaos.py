@@ -4,17 +4,17 @@ system-level invariants.
 Each example draws a random fault plan (crash times, targets, optional
 recovery, partition windows) and checks the two guarantees the paper
 makes unconditionally: the group clock never rolls back, and replicas
-that answer, answer identically.
+that answer, answer identically — by the assertions below and, round by
+round, by the invariant oracle the run is judged under.
 """
 
-import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.errors import RpcTimeout
+from repro.chaos.runner import JudgedRun
 from repro.sim import FaultPlan
 
-from support import ClockApp, make_testbed  # noqa: E402 (tests/ on sys.path via conftest)
+from support import ClockApp, make_testbed, read_until  # noqa: E402 (tests/ on sys.path via conftest)
 
 CHAOS_SETTINGS = dict(
     max_examples=10,
@@ -26,33 +26,20 @@ CHAOS_SETTINGS = dict(
 def run_with_faults(seed, plan, calls=12, style="active"):
     """Run `calls` invocations with retries while the plan executes.
 
-    Returns the monotone sequence of answered values.
+    Returns the bed, the judged run and the monotone sequence of
+    answered values.
     """
     bed = make_testbed(seed=seed, epoch_spread_s=30.0)
     bed.deploy("svc", ClockApp, ["n1", "n2", "n3"], style=style,
                time_source="cts")
     client = bed.client("n0")
     bed.start(settle=0.3)
-    plan.arm(bed)
-
-    def scenario():
-        values = []
-        attempts = 0
-        while len(values) < calls and attempts < calls * 4:
-            attempts += 1
-            try:
-                result, _ = yield from client.timed_call(
-                    "svc", "get_time", timeout=0.5
-                )
-            except RpcTimeout:
-                continue  # failover in progress; retry
-            if result.ok:
-                values.append(result.value)
-        return values
-
-    values = bed.run_process(scenario())
-    bed.run(0.2)
-    return bed, values
+    run = JudgedRun(plan, seed=seed)
+    values = []
+    with run.over(bed, ["svc"]):
+        values += read_until(bed, client, "svc", calls, oracle=run.oracle)
+        bed.run(0.2)
+    return bed, run, values
 
 
 class TestChaos:
@@ -70,7 +57,9 @@ class TestChaos:
         plan = FaultPlan().crash(victim, at=crash_at)
         if recover:
             plan.recover(victim, at=crash_at + 0.8)
-        bed, values = run_with_faults(seed, plan, style=style)
+        bed, run, values = run_with_faults(seed, plan, style=style)
+        assert not run.protocol_failures
+        assert run.oracle.ok, [v.as_dict() for v in run.oracle.violations]
         assert len(values) >= 10
         assert all(b > a for a, b in zip(values, values[1:]))
         # Surviving replicas answered identically (client saw one value
@@ -101,6 +90,12 @@ class TestChaos:
             .partition(majority, {lone}, at=cut_at)
             .heal(at=cut_at + cut_for)
         )
-        bed, values = run_with_faults(seed, plan)
+        bed, run, values = run_with_faults(seed, plan)
+        # Not `run.oracle.ok`: the replica cut off alone can commit a
+        # round number the majority also commits, with another value
+        # (seed 0, n1 cut at 1 ms for 250 ms: round 7 differs by 9 us),
+        # and the oracle does not know which side was the primary
+        # component.  The client-visible guarantee is what is held here.
+        assert not run.protocol_failures
         assert len(values) >= 10
         assert all(b > a for a, b in zip(values, values[1:]))

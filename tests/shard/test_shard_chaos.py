@@ -8,7 +8,9 @@ from repro.errors import ConfigurationError
 from repro.shard import run_shard_chaos
 from repro.shard.cluster import shard_nodes
 
-#: The canonical hash of examples/chaos_shards.yaml's compiled schedule.
+from support import assert_verdict_keys  # noqa: E402 (tests/ on sys.path via conftest)
+
+#: The canonical hash of examples/chaos_shards.json's compiled schedule.
 #: It pins the shard-scoped partition expansion byte-for-byte: editing
 #: the scenario, the shard node-naming scheme, or the DSL's partition
 #: compilation will change it and must be a conscious decision.
@@ -18,7 +20,7 @@ PINNED_SCHEDULE_HASH = (
 
 class TestShardScenarioDSL:
     def test_example_scenario_hash_is_pinned(self):
-        scenario = load_scenario("examples/chaos_shards.yaml")
+        scenario = load_scenario("examples/chaos_shards.json")
         assert scenario.shards == 3
         plan = compile_plan(scenario)
         assert plan.schedule_hash() == PINNED_SCHEDULE_HASH
@@ -62,10 +64,11 @@ class TestShardScenarioDSL:
 
 class TestShardChaosRun:
     def test_example_scenario_runs_clean(self):
-        scenario = load_scenario("examples/chaos_shards.yaml")
+        scenario = load_scenario("examples/chaos_shards.json")
         verdict = run_shard_chaos(scenario, seed=7)
         assert verdict["schedule_hash"] == PINNED_SCHEDULE_HASH
         assert verdict["ok"], verdict["oracle"]["violations"]
+        assert_verdict_keys(verdict, "run_shard_chaos")
         assert verdict["faults_injected"] == 4
         assert verdict["faults_pending"] == 0
         assert verdict["clients"]["calls"] > 0

@@ -2,10 +2,93 @@
 
 import pytest
 
+from repro.chaos.scenario import ChaosScenario, compile_plan
 from repro.errors import ConfigurationError
 from repro.sim import FaultPlan
+from repro.sim.faults import FAULT_KINDS
 
 from support import ClockApp, call_n, make_testbed  # noqa: E402 (tests/ on sys.path via conftest)
+
+
+class Recording:
+    """Stands in for a bed, its chaos transport and a control plane:
+    records every method call made on it as ``(name, arguments)``."""
+
+    def __init__(self):
+        self.calls = []
+        self.chaos = self  # the stub bed's chaos transport is the stub
+
+    def __getattr__(self, name):
+        def record(*args, **kwargs):
+            self.calls.append((name, args + tuple(kwargs.values())))
+        return record
+
+
+#: kind -> (scenario event, compiled target, canonical form).  One row
+#: per scenario kind: a new FAULT_KINDS entry must add its row here.
+KIND_SAMPLES = {
+    "crash": ({"crash": "n1"}, ("n1",), "1.0 crash ['n1']"),
+    "recover": ({"recover": "n1"}, ("n1",), "1.0 recover ['n1']"),
+    "isolate": ({"isolate": "n1"}, ("n1",), "1.0 isolate ['n1']"),
+    "heal": ({"heal": True}, (), "1.0 heal []"),
+    "partition": ({"partition": [["n1", "n0"], ["n2"]]},
+                  (frozenset({"n0", "n1"}), frozenset({"n2"})),
+                  "1.0 partition [{n0,n1} {n2}]"),
+    "drop": ({"drop": 0.05, "src": "n0"}, (0.05, "n0", None),
+             "1.0 drop [0.05 'n0' None]"),
+    "delay": ({"delay": 0.2, "jitter": 0.1, "dst": "n2"},
+              (0.2, 0.1, None, "n2"), "1.0 delay [0.2 0.1 None 'n2']"),
+    "duplicate": ({"duplicate": 1}, (1.0, None, None),
+                  "1.0 duplicate [1.0 None None]"),
+    "reorder": ({"reorder": 0.3}, (0.3, 0.01, None, None),
+                "1.0 reorder [0.3 0.01 None None]"),
+    "lie": ({"lie": "n1", "bias": 50_000}, ("n1", 50_000),
+            "1.0 lie ['n1' 50000]"),
+    "equivocate": ({"equivocate": "n1"}, ("n1", 0),
+                   "1.0 equivocate ['n1' 0]"),
+    "corrupt-state": ({"corrupt-state": "n1"}, ("n1",),
+                      "1.0 corrupt-state ['n1']"),
+    "drain": ({"drain": "n1"}, ("n1",), "1.0 drain ['n1']"),
+    "join": ({"join": "n1"}, ("n1",), "1.0 join ['n1']"),
+}
+
+
+class TestFaultKindsTable:
+    """Each kind is declared once: its table entry carries it from a
+    scenario mapping to a validated, injected event."""
+
+    def test_every_kind_is_sampled(self):
+        # `call` takes a Python callable, so no scenario can name it.
+        assert set(KIND_SAMPLES) | {"call"} == set(FAULT_KINDS)
+        assert FAULT_KINDS["call"].args is None
+
+    @pytest.mark.parametrize("kind", sorted(KIND_SAMPLES))
+    def test_scenario_to_injection(self, kind):
+        mapping, target, canonical = KIND_SAMPLES[kind]
+        scenario = ChaosScenario("t", ["n0", "n1", "n2"], 2.0,
+                                 events=[{"at": 1, **mapping}])
+        plan = compile_plan(scenario)
+        (event,) = plan.schedule()
+        assert (event.kind, event.target) == (kind, target)
+        assert event.canonical() == canonical
+
+        # A bed lacking what the kind needs rejects it at arm time.
+        needs = FAULT_KINDS[kind].needs
+        if needs is not None:
+            bed = make_testbed(seed=171)  # no chaos transport, no plane
+            with pytest.raises(ConfigurationError,
+                               match={"chaos": "chaos transport",
+                                      "control": "control plane"}[needs]):
+                plan.arm(bed)
+
+        # The injector is called with exactly the target, on the surface
+        # the kind declared.
+        surface, seen = Recording(), []
+        plan._inject(surface, event, control=surface, after=seen.append)
+        ((_method, arguments),) = surface.calls
+        assert arguments == target
+        assert plan.injected == seen == [event]
+
 
 
 class TestFaultPlanConstruction:
@@ -126,13 +209,11 @@ class TestValidation:
     def test_join_after_crash_is_legal(self):
         # A join recovers a crashed node, so later events may target it.
         bed = make_testbed(seed=169)
-        bed.control_drain = lambda node_id: True
-        bed.control_join = lambda node_id: True
         plan = (FaultPlan()
                 .crash("n1", at=0.01)
                 .join("n1", at=0.02)
                 .crash("n1", at=0.03))
-        plan.arm(bed)  # must not raise
+        plan.arm(bed, control=Recording())  # must not raise
         assert len(plan.events) == 3
 
     def test_rates_must_be_probabilities(self):
@@ -258,13 +339,12 @@ class TestInjection:
 
     def test_drain_and_join_dispatch_to_control_hooks(self):
         bed = make_testbed(seed=170)
-        calls = []
-        bed.control_drain = lambda node_id: calls.append(("drain", node_id))
-        bed.control_join = lambda node_id: calls.append(("join", node_id))
+        control = Recording()
         plan = (FaultPlan()
                 .drain("n2", at=0.01)
                 .join("n2", at=0.03)
-                .arm(bed))
+                .arm(bed, control=control))
         bed.run(0.05)
-        assert calls == [("drain", "n2"), ("join", "n2")]
+        assert control.calls == [("drain_async", ("n2",)),
+                                 ("join_async", ("n2",))]
         assert plan.done

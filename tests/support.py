@@ -1,8 +1,11 @@
 """Shared applications and helpers for the upper-layer test suites."""
 
+import json
+from pathlib import Path
 from typing import List, Optional
 
 from repro import Application, Testbed
+from repro.errors import RpcTimeout
 from repro.sim import ClusterConfig
 from repro.totem import TotemConfig
 
@@ -101,3 +104,55 @@ def call_n(bed: Testbed, client, group: str, method: str, n: int, *args,
         return values
 
     return bed.run_process(scenario())
+
+
+def read_until(bed: Testbed, client, group: str, n: int, *,
+               tries_per_value: int = 4, oracle=None) -> List[int]:
+    """The retrying client of the fault-injection suites: read the group
+    clock until ``n`` calls were answered (or ``n * tries_per_value``
+    were tried), riding out timeouts while a failover or a membership
+    change is in progress.  Returns the answered values in order; with
+    an ``oracle``, every one is fed to it as client ``c0``'s reply."""
+
+    def scenario():
+        values, tries = [], 0
+        while len(values) < n and tries < n * tries_per_value:
+            tries += 1
+            try:
+                result, latency_us = yield from client.timed_call(
+                    group, "get_time", timeout=0.5)
+            except RpcTimeout:
+                continue
+            if result.ok:
+                if oracle is not None:
+                    oracle.observe_reply("c0", result.value,
+                                         wall_s=bed.sim.now,
+                                         rtt_s=latency_us / 1e6)
+                values.append(result.value)
+        return values
+
+    return bed.run_process(scenario())
+
+
+#: Top-level and second-level key sets of the four judged runners'
+#: verdicts, recorded at the parent of the PR that put them on one
+#: JudgedRun (``run_chaos``, ``run_shard_chaos``, ``run_rolling_restart``,
+#: ``run_reconfig_sequence``).
+VERDICT_KEYS = json.loads(
+    (Path(__file__).parent / "verdict_keys.json").read_text())
+
+
+def assert_verdict_keys(verdict: dict, runner: str) -> None:
+    """The verdict's key sets equal the recorded ones, plus the
+    ``protocol_failures`` list that PR added.  A second-level set is
+    the keys of a mapping, or of the mappings in a list (skipped when
+    the run left the list empty)."""
+    pinned = VERDICT_KEYS[runner]
+    assert sorted(verdict) == sorted(pinned["top"] + ["protocol_failures"])
+    for key, expected in pinned["second"].items():
+        value = verdict[key]
+        if isinstance(value, list):
+            if not value:
+                continue
+            value = set().union(*value)
+        assert sorted(value) == expected, key

@@ -1,6 +1,6 @@
 """Sharded loadgen: one small closed-loop run, reused across asserts.
 
-The full 4-shard scaling measurement lives in CI's shard-smoke job (and
+The full 4-shard scaling measurement lives in CI's scenario-smoke (shard) job (and
 in ``BENCH_throughput.json``); here a 2-shard run with a short measure
 window pins the machinery — routing spread, zipf identities, the
 envelope, and the bench JSON shape — without the multi-minute sim.
