@@ -14,9 +14,12 @@ in a seeded :class:`~repro.chaos.transport.ChaosTransport`, the daemon's
 CTS time source, fast path on so the staleness invariant is exercised)
 behind a client gateway each, exactly as ``repro serve`` does — so
 crash/recover of a node is the in-process equivalent of stopping and
-restarting a daemon — hammered by
-:class:`~repro.net.client.ThreadedCallers` gateway clients riding the
-session floor (``after_us``).
+restarting a daemon — hammered by gateway clients
+(:class:`~repro.net.client.LiveCaller` under
+:class:`~repro.workloads.load.ClockSessions`) that ride the session
+floor (``after_us``) as processes on the bed's own kernel, so the oracle
+hears every reply and every trace event on the one thread that runs the
+loop.
 
 Everything that varies is pinned by ``--seed``: the testbed's clock
 spread, the transport's per-pair fault streams, and the fault schedule
@@ -32,12 +35,13 @@ from typing import Dict, Iterator, List, Optional
 from .. import trace
 from ..control.plane import ControlPlane
 from ..errors import ConfigurationError, ReproError
-from ..net.client import LiveCaller, ThreadedCallers
+from ..net.client import LiveCaller
 from ..net.daemon import TimeApp
 from ..net.testbed import LiveTestbed
 from ..obs import flight
 from ..obs.crossnode import CrossNodeSpanAssembler, TraceShardWriter, load_shards
 from ..sim.faults import FaultEvent, FaultPlan
+from ..workloads.load import ClockSessions
 from .oracle import InvariantOracle
 from .scenario import ChaosScenario, compile_plan
 
@@ -192,11 +196,12 @@ class JudgedRun:
 
 @contextmanager
 def oracle_fed_clients(count: int, bed: LiveTestbed,
-                       oracle: InvariantOracle) -> Iterator[ThreadedCallers]:
-    """``count`` threaded gateway clients (``chaos0``, ``chaos1``, ...)
-    loading ``bed`` for the length of the block, every served reply
-    judged by the oracle.  They pace themselves at ~100 req/s each —
-    plenty of load for a verdict.  Read the tallies after the block."""
+                       oracle: InvariantOracle) -> Iterator[ClockSessions]:
+    """``count`` gateway clients (``chaos0``, ``chaos1``, ...) loading
+    ``bed`` from its own kernel for the length of the block, every
+    served reply judged by the oracle.  All list the servers in bed
+    order and pace themselves at ~100 req/s each — plenty of load for a
+    verdict.  Read the tallies after the block."""
 
     def observe(client_id, value_us, started, finished, outcome) -> None:
         oracle.observe_reply(client_id, value_us, wall_s=finished,
@@ -204,19 +209,17 @@ def oracle_fed_clients(count: int, bed: LiveTestbed,
                              trace_id=outcome.trace_id)
 
     servers = [bed.node(node_id).address for node_id in bed.node_ids]
-    callers = ThreadedCallers(
-        [LiveCaller(servers, client_id=f"chaos{i}") for i in range(count)],
-        on_reply=observe, pace_s=0.005)
-    callers.start()
+    callers = [LiveCaller(bed.kernel, servers, client_id=f"chaos{i}")
+               for i in range(count)]
+    sessions = ClockSessions(bed.sim, callers, on_reply=observe,
+                             pace_s=0.005)
+    sessions.start()
     try:
-        yield callers
-        # A stopped client leaves after the call it has in flight, and
-        # that call is only answered while the loop runs.
-        callers.stop()
-        bed.pump(callers.TIMEOUT_S, until=lambda: not callers.running)
+        yield sessions
     finally:
-        callers.stop()
-        callers.join()
+        sessions.stop()
+        for caller in callers:
+            caller.close()
     bed.run(0.2)  # let in-flight replies drain before judging
 
 
@@ -260,9 +263,14 @@ def run_chaos(
         for node_id in scenario.node_ids:
             bed.install_gateway(node_id)
         with run.over(bed, [GROUP]), \
-                oracle_fed_clients(n_clients, bed, run.oracle) as callers:
-            bed.pump(duration)
-            bed.pump(10.0, until=lambda: run.plan.done)  # grace for late faults
+                oracle_fed_clients(n_clients, bed, run.oracle) as clients:
+            # A condition wait, not one long run: it surfaces a protocol
+            # failure within a poll of its happening.  Late faults get
+            # 10 s of grace; the verdict counts any still pending.
+            ends = bed.sim.now + duration
+            bed.wait_until(
+                lambda: bed.sim.now >= (ends if run.plan.done else ends + 10.0),
+                timeout=duration + 11.0)
 
         stats = [getattr(replica.time_source, "stats", None)
                  for replica in bed.replicas(GROUP).values()]
@@ -280,7 +288,7 @@ def run_chaos(
                 "stabilizations": sum(
                     getattr(s, "stabilizations", 0) for s in stats),
             },
-            "clients": callers.report(),
+            "clients": clients.report(),
             "gateway": gateway_tallies(bed),
             "reconfig": list(run.plane.log),
         }

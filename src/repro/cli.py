@@ -41,7 +41,7 @@ reconfiguration and overload drills::
 
     python -m repro control rolling-restart --nodes 3
     python -m repro control sequence --verdict-json verdict.json
-    python -m repro loadgen --open-loop --bench-json BENCH_throughput.json
+    python -m repro loadgen --open-loop --assert-counters
 
 Observability: every experiment accepts ``--metrics out.jsonl`` (enable
 the metrics registry and dump a JSONL + Prometheus-text export) and
@@ -236,11 +236,13 @@ def _loadgen_open_loop(args):
     admission = suite["admission"]
     print(format_records(
         [("point", "point", ""), ("offered/s", "offered_rate_ops_s", ".0f"),
+         ("sent/s", "sent_per_s", ".0f"),
          ("goodput/s", "goodput_ops_s", ".0f"), ("shed", "shed_rate", ".2%"),
          ("timeouts", "timeouts", ""), ("p50 ms", "p50_ms", ".1f"),
          ("p99 ms", "p99_ms", ".1f")],
         [dict(point, point=label, p50_ms=point["p50_us"] / 1000,
-              p99_ms=point["p99_us"] / 1000)
+              p99_ms=point["p99_us"] / 1000,
+              sent_per_s=point["sent"] / point["duration_s"])
          for label, point in [("baseline", suite["baseline"]),
                               *suite["points"].items()]],
         title=f"LOADGEN open loop, capacity {suite['capacity_ops_s']:.0f} "
@@ -524,6 +526,7 @@ def cmd_serve(args) -> int:
 
 def cmd_call(args) -> int:
     from .net.client import LiveCaller
+    from .net.kernel import LiveKernel
 
     if not args.connect:
         print("call requires --connect host:port[,host:port...]",
@@ -537,14 +540,15 @@ def cmd_call(args) -> int:
         return 2
     from .errors import RpcTimeout
 
-    caller = LiveCaller(servers, group=args.group)
+    kernel = LiveKernel()
+    caller = LiveCaller(kernel, servers, group=args.group)
     status = 0
     previous_micros = None
     try:
         for index in range(args.calls):
             try:
-                outcome = caller.call(method, timeout=args.timeout,
-                                      expect_replies=args.expect)
+                outcome = kernel.run_process(caller.call(
+                    method, timeout=args.timeout, expect_replies=args.expect))
             except RpcTimeout as error:
                 print(f"call {index}: TIMEOUT ({error})")
                 status = 1
@@ -568,6 +572,7 @@ def cmd_call(args) -> int:
                 previous_micros = micros
     finally:
         caller.close()
+        kernel.close()
     return status
 
 

@@ -1,8 +1,8 @@
 """Rolling restarts and scripted reconfiguration under sustained load.
 
 Two drivers, each one :class:`~repro.chaos.runner.JudgedRun` over an
-in-process :class:`~repro.net.testbed.LiveTestbed` loaded by threaded
-gateway clients, the :class:`~repro.chaos.oracle.InvariantOracle`
+in-process :class:`~repro.net.testbed.LiveTestbed` loaded by gateway
+clients on its own kernel, the :class:`~repro.chaos.oracle.InvariantOracle`
 judging every reply:
 
 * :func:`run_rolling_restart` cycles every node of a serving group in
@@ -68,7 +68,7 @@ def _judge_script(mode: str, node_ids: List[str], serving: List[str],
             "elapsed_s": round(time.monotonic() - started, 3),
         })
         if failure is None:
-            bed.pump(0.3)
+            bed.run(0.3)
         elif not isinstance(failure, ReconfigurationError):
             raise failure  # a protocol failure: the run ends here
         return failure is None
@@ -81,20 +81,20 @@ def _judge_script(mode: str, node_ids: List[str], serving: List[str],
         for node_id in node_ids:
             bed.install_gateway(node_id, admission_config or AdmissionConfig())
         with run.over(bed, [GROUP]), \
-                oracle_fed_clients(clients, bed, run.oracle) as callers:
-            bed.pump(settle_s)
+                oracle_fed_clients(clients, bed, run.oracle) as sessions:
+            bed.run(settle_s)
             extra = script(run.plane, step)
             # Keep load running past the last step: the post-reformation
             # rounds that repay the reconfiguration's staleness debt
             # must be *observed* for the oracle to credit them.
-            bed.pump(1.5)
+            bed.run(1.5)
         return run.verdict(
             require=all(s["ok"] for s in steps),
             mode=mode,
             steps=steps,
             reconfig_log=list(run.plane.log),
             serving=run.plane.serving(),
-            clients=callers.report(),
+            clients=sessions.report(),
             gateway=gateway_tallies(bed),
             admission=[g.admission.stats.to_dict() for g in bed.gateways
                        if g.admission is not None],

@@ -39,7 +39,6 @@ from __future__ import annotations
 import hashlib
 import hmac
 import struct
-import threading
 from typing import Dict, Tuple
 
 from ..errors import FrameError
@@ -56,18 +55,13 @@ def derive_key(secret: str, *, group: str = "timesvc") -> bytes:
 
 
 class WireAuthenticator:
-    """Signs outgoing frames and verifies incoming ones.
-
-    Thread-safe: live transports encode on client threads and decode on
-    the event-loop thread concurrently.
-    """
+    """Signs outgoing frames and verifies incoming ones."""
 
     def __init__(self, key: bytes, *, key_id: int = 0):
         if not 0 <= key_id <= 255:
             raise ValueError(f"key_id must fit one byte, got {key_id}")
         self.key_id = key_id
         self._keys: Dict[int, bytes] = {key_id: key}
-        self._lock = threading.Lock()
         #: sender node -> last nonce issued.
         self._send_nonce: Dict[str, int] = {}
         #: (receiver node, sender node) -> highest nonce accepted.
@@ -82,8 +76,7 @@ class WireAuthenticator:
 
     def add_key(self, key_id: int, key: bytes) -> None:
         """Add an extra keyring entry (rotation: verify old, sign new)."""
-        with self._lock:
-            self._keys[key_id] = key
+        self._keys[key_id] = key
 
     # -- signing ----------------------------------------------------------
 
@@ -96,11 +89,10 @@ class WireAuthenticator:
         id, the nonce and the payload, so nothing in the frame can be
         spliced without detection.
         """
-        with self._lock:
-            nonce = self._send_nonce.get(src, 0) + 1
-            self._send_nonce[src] = nonce
-            key = self._keys[self.key_id]
-            self.frames_signed += 1
+        nonce = self._send_nonce.get(src, 0) + 1
+        self._send_nonce[src] = nonce
+        key = self._keys[self.key_id]
+        self.frames_signed += 1
         head = bytes([self.key_id]) + struct.pack("<Q", nonce)
         mac = hmac.new(key, signed_prefix + head + payload_bytes,
                        hashlib.sha256).digest()[:MAC_SIZE]
@@ -118,8 +110,7 @@ class WireAuthenticator:
         MAC mismatch) or ``auth-replay`` (nonce not strictly newer than
         the watermark for this (dst, src) pair).
         """
-        with self._lock:
-            key = self._keys.get(key_id)
+        key = self._keys.get(key_id)
         if key is None:
             raise FrameError(f"auth field names unknown key id {key_id}",
                              reason="auth-forged")
@@ -127,11 +118,10 @@ class WireAuthenticator:
         if not hmac.compare_digest(expect, mac):
             raise FrameError(f"frame MAC from {src!r} does not verify",
                              reason="auth-forged")
-        with self._lock:
-            watermark = self._recv_nonce.get((dst, src), 0)
-            if nonce <= watermark:
-                raise FrameError(
-                    f"replayed frame from {src!r}: nonce {nonce} <= "
-                    f"watermark {watermark}", reason="auth-replay")
-            self._recv_nonce[(dst, src)] = nonce
-            self.frames_verified += 1
+        watermark = self._recv_nonce.get((dst, src), 0)
+        if nonce <= watermark:
+            raise FrameError(
+                f"replayed frame from {src!r}: nonce {nonce} <= "
+                f"watermark {watermark}", reason="auth-replay")
+        self._recv_nonce[(dst, src)] = nonce
+        self.frames_verified += 1

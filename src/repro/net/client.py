@@ -1,4 +1,5 @@
-"""The ``repro call`` client: blocking UDP RPC against a running group.
+"""The ``repro call`` client: UDP RPC against a running group, as a
+process on a :class:`~repro.net.kernel.LiveKernel`.
 
 Speaks the same wire format as the ring — a framed ``REQUEST`` envelope
 (:mod:`repro.net.wire` around :mod:`repro.replication.codec`) sent to
@@ -9,12 +10,16 @@ per sender.  This is what makes the client a verification tool and not
 just an RPC stub: one call observes the value every replica computed,
 so agreement ("identical group-clock reads") is checked directly.
 
-No kernel, no asyncio — a plain blocking socket with a deadline, usable
-from scripts and CI.  The retry loop is built for hostile networks (the
-chaos suite drives it through seeded loss and partitions):
+The caller's socket is a port on the kernel's event loop like any
+node's, and :meth:`LiveCaller.call` is a generator for a kernel process:
+an in-process bed runs its clients on its own kernel, a script that
+talks to daemon processes owns a bare one and
+``kernel.run_process(caller.call(...))``.  No thread anywhere.  The
+retry loop is built for hostile networks (the chaos suite drives it
+through seeded loss and partitions):
 
-* one **monotonic deadline** per call; every attempt spends from the
-  remaining budget, so a black-holed first server cannot starve the
+* one **deadline** per call, in kernel time; every attempt spends from
+  the remaining budget, so a black-holed first server cannot starve the
   rest of the list;
 * retries walk the server list with **jittered exponential backoff**
   between full sweeps (deterministic per client id, so chaos runs
@@ -32,20 +37,16 @@ from __future__ import annotations
 
 import os
 import random
-import socket
-import threading
-import time
-from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, Generator, List, Optional, Sequence, Tuple
 
 from .. import obs, trace
-from ..control.admission import is_overloaded, retry_after_of
-from ..errors import RpcTimeout
-from ..replication.envelope import MsgType, make_envelope
+from ..errors import NetworkError, RpcTimeout
+from ..replication.envelope import Envelope, MsgType, make_envelope
 from ..rpc.messages import Invocation, Result
-from .udp import Address
-from .wire import FrameError, decode_frame, encode_frame
+from ..sim.kernel import Event
+from .kernel import LiveKernel
+from .udp import Address, LiveFrame, UdpTransport
 
 @dataclass
 class CallOutcome:
@@ -109,8 +110,20 @@ class _Breaker:
     probe_expires: float = field(default=0.0, repr=False)
 
 
+class _Op:
+    """One call in flight: the replies collected so far, and the event
+    its process is parked on while it waits for more."""
+
+    __slots__ = ("expect", "results", "waiter")
+
+    def __init__(self, expect: int):
+        self.expect = expect
+        self.results: Dict[str, Result] = {}
+        self.waiter: Optional[Event] = None
+
+
 class LiveCaller:
-    """A blocking client endpoint for a live replica group."""
+    """A client endpoint for a live replica group, on ``kernel``."""
 
     #: Consecutive timeouts before a server's breaker opens.
     BREAKER_THRESHOLD = 3
@@ -122,6 +135,7 @@ class LiveCaller:
 
     def __init__(
         self,
+        kernel: LiveKernel,
         servers: Sequence[Address],
         *,
         group: str = "timesvc",
@@ -130,23 +144,24 @@ class LiveCaller:
     ):
         if not servers:
             raise ValueError("need at least one server address")
+        self.kernel = kernel
         self.servers = list(servers)
         self.group = group
         # The client group name doubles as the reply route key on the
         # daemon side, so it must be unique per caller process.
         self.client_id = client_id or f"c{os.getpid()}"
         self.client_group = f"client.{self.client_id}"
-        self.sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-        self.sock.bind((bind_host, 0))
+        # A private one-port transport: the socket is drained, its
+        # frames validated and counted, exactly as a node's are.
+        self._transport = UdpTransport(kernel.loop, bind_host=bind_host)
+        self.port = self._transport.attach(self.client_id, self._on_frame)
         self._seq = 0
+        #: (conn_id, seq) -> the call waiting for those replies.
+        self._pending: Dict[Tuple[int, int], _Op] = {}
         self.stats = CallerStats()
         obs.REGISTRY.watch(self.stats, COUNTERS, client=self.client_id)
         self._breakers: Dict[Address, _Breaker] = {
             address: _Breaker() for address in self.servers}
-        # Breaker state is shared when callers issue calls from several
-        # threads (the open-loop loadgen does); the lock keeps the
-        # half-open probe token single-holder.
-        self._breaker_lock = threading.Lock()
         # Deterministic jitter so chaos runs with a fixed client id replay.
         self._rng = random.Random(f"caller|{self.client_id}")
 
@@ -159,17 +174,19 @@ class LiveCaller:
         timeout: float = 2.0,
         expect_replies: int = 1,
         conn_id: int = 1,
-    ) -> CallOutcome:
-        """Invoke ``method(*args)`` on the group.
+    ) -> Generator[Event, None, CallOutcome]:
+        """Generator: invoke ``method(*args)`` on the group.
 
         Waits until ``expect_replies`` distinct replicas have answered
         (if more keep arriving they are ignored).  The whole call runs
-        against one monotonic deadline ``now + timeout``; within it the
+        against one deadline ``kernel.now + timeout``; within it the
         caller sweeps the server list (skipping open breakers), re-sends
         the same invocation, and backs off exponentially with jitter
         between sweeps.  Raises :class:`~repro.errors.RpcTimeout` when
-        the budget is exhausted.
+        the budget is exhausted.  Calls from several processes on the
+        kernel may interleave on one caller.
         """
+        sim = self.kernel
         self._seq += 1
         seq = self._seq
         envelope = make_envelope(
@@ -181,79 +198,85 @@ class LiveCaller:
             self.client_id,
             body=Invocation(method, tuple(args)),
         )
-        # A fresh trace context per operation (not per attempt: retries
-        # re-send the same frame, so the same trace id rides every copy).
+        # A fresh trace context per operation (not per attempt): parked
+        # under the request's identity, the port attaches it to every
+        # copy it sends, so one trace id rides the retries too.
         tctx = None
         if trace.TRACER.enabled:
             tctx = trace.TraceContext(trace.new_trace_id(self._rng),
                                       f"client.{self.client_id}")
-        data = encode_frame(self.client_id, envelope, trace=tctx)
+            trace.BAGGAGE.put(envelope.header.message_id, tctx)
         self.stats.calls += 1
+        started = sim.now
         if tctx is not None:
             trace.emit("op.send", self.client_id, trace=tctx.trace_id,
                        op_group=self.client_group, conn=conn_id, seq=seq,
-                       method=method, t=time.monotonic())
+                       method=method, t=started)
 
-        started = time.monotonic()
         deadline = started + timeout
         attempts = 0
         sweep = 0
-        while True:
-            now = time.monotonic()
-            if now >= deadline:
-                break
-            candidates = self._sweep_order(now)
-            if not candidates:
-                # Every breaker is open; the earliest half-open probe is
-                # still the best move — wait for it (bounded by deadline).
-                reopen = min(b.open_until for b in self._breakers.values())
-                self._sleep(min(reopen, deadline) - now)
-                candidates = self._sweep_order(time.monotonic(),
-                                               ignore_breakers=True)
-            for position, address in enumerate(candidates):
-                now = time.monotonic()
-                remaining = deadline - now
+        op = self._pending[(conn_id, seq)] = _Op(expect_replies)
+        try:
+            while sim.now < deadline:
+                candidates = self._sweep_order(sim.now)
+                if not candidates:
+                    # Every breaker is open; the earliest half-open probe
+                    # is still the best move — wait for it (bounded by
+                    # the deadline).
+                    reopen = min(b.open_until for b in self._breakers.values())
+                    wait = min(reopen, deadline) - sim.now
+                    if wait > 0:
+                        yield sim.timeout(wait)
+                    candidates = self._sweep_order(sim.now,
+                                                   ignore_breakers=True)
+                for position, address in enumerate(candidates):
+                    remaining = deadline - sim.now
+                    if remaining <= 0:
+                        break
+                    # First sweep splits the remaining budget across the
+                    # untried servers; later sweeps give each probe the
+                    # backoff-scaled slice, never more than what's left.
+                    untried = max(len(candidates) - position, 1)
+                    slice_s = remaining / untried if sweep == 0 else min(
+                        remaining, max(0.1, self.BACKOFF_BASE * (2 ** sweep)))
+                    attempts += 1
+                    if attempts > 1:
+                        self.stats.retries += 1
+                    try:
+                        self.port.sendto(address, envelope)
+                    except NetworkError:
+                        self._record_failure(address)
+                        continue
+                    yield from self._collect(op, slice_s)
+                    if op.results:
+                        self._record_success(address)
+                        finished = sim.now
+                        if tctx is not None:
+                            trace.emit("op.reply_recv", self.client_id,
+                                       trace=tctx.trace_id, conn=conn_id,
+                                       seq=seq, replies=len(op.results),
+                                       t=finished)
+                        return CallOutcome(
+                            method, op.results,
+                            int((finished - started) * 1_000_000), address,
+                            attempts=attempts,
+                            trace_id=tctx.trace_id if tctx else None)
+                    self._record_failure(address)
+                sweep += 1
+                remaining = deadline - sim.now
                 if remaining <= 0:
                     break
-                # First sweep splits the remaining budget across the
-                # untried servers; later sweeps give each probe the
-                # backoff-scaled slice, never more than what's left.
-                untried = max(len(candidates) - position, 1)
-                slice_s = remaining / untried if sweep == 0 else min(
-                    remaining, max(0.1, self.BACKOFF_BASE * (2 ** sweep)))
-                attempts += 1
-                if attempts > 1:
-                    self.stats.retries += 1
-                try:
-                    self.sock.sendto(data, address)
-                except OSError:
-                    self._record_failure(address)
-                    continue
-                results = self._collect(conn_id, seq, expect_replies,
-                                        deadline=now + slice_s)
-                if results:
-                    self._record_success(address)
-                    latency_us = int((time.monotonic() - started) * 1_000_000)
-                    if tctx is not None:
-                        trace.emit("op.reply_recv", self.client_id,
-                                   trace=tctx.trace_id, conn=conn_id, seq=seq,
-                                   replies=len(results), t=time.monotonic())
-                    return CallOutcome(method, results, latency_us, address,
-                                       attempts=attempts,
-                                       trace_id=tctx.trace_id if tctx else None)
-                self._record_failure(address)
-            sweep += 1
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                break
-            pause = min(
-                self._rng.uniform(0.5, 1.0)
-                * min(self.BACKOFF_BASE * (2 ** sweep), self.BACKOFF_CAP),
-                remaining,
-            )
-            if pause > 0:
-                self.stats.backoffs += 1
-                self._sleep(pause)
+                pause = min(
+                    self._rng.uniform(0.5, 1.0)
+                    * min(self.BACKOFF_BASE * (2 ** sweep), self.BACKOFF_CAP),
+                    remaining,
+                )
+                if pause > 0:
+                    self.stats.backoffs += 1
+                    yield sim.timeout(pause)
+        finally:
+            del self._pending[(conn_id, seq)]
         self.stats.failures += 1
         raise RpcTimeout(
             f"no reply to {self.group}.{method} from any of {self.servers} "
@@ -267,173 +290,82 @@ class LiveCaller:
 
         A breaker past its cooldown admits exactly **one** half-open
         probe: the first sweep to arrive takes the probe token
-        (``probing = True``) and later sweeps — from this thread or a
-        concurrent one — keep skipping until that probe resolves via
-        :meth:`_record_failure` / :meth:`_record_success`.  Without the
-        token, every caller thread that swept during the half-open
-        window would hammer a still-recovering server with its own
-        probe, defeating the point of the breaker.
+        (``probing = True``) and later sweeps — of this call or of one
+        interleaved with it on the kernel — keep skipping until that
+        probe resolves via :meth:`_record_failure` /
+        :meth:`_record_success`.  Without the token, every call that
+        swept during the half-open window would hammer a
+        still-recovering server with its own probe, defeating the point
+        of the breaker.
         """
         order: List[Address] = []
-        with self._breaker_lock:
-            for address in self.servers:
-                breaker = self._breakers[address]
-                if ignore_breakers or breaker.failures < self.BREAKER_THRESHOLD:
-                    order.append(address)
-                elif now >= breaker.open_until and (
-                        not breaker.probing or now >= breaker.probe_expires):
-                    breaker.probing = True
-                    breaker.probe_expires = now + self.BREAKER_COOLDOWN
-                    order.append(address)
-                else:
-                    self.stats.breaker_skips += 1
+        for address in self.servers:
+            breaker = self._breakers[address]
+            if ignore_breakers or breaker.failures < self.BREAKER_THRESHOLD:
+                order.append(address)
+            elif now >= breaker.open_until and (
+                    not breaker.probing or now >= breaker.probe_expires):
+                breaker.probing = True
+                breaker.probe_expires = now + self.BREAKER_COOLDOWN
+                order.append(address)
+            else:
+                self.stats.breaker_skips += 1
         return order
 
     def _record_failure(self, address: Address) -> None:
-        with self._breaker_lock:
-            breaker = self._breakers[address]
-            breaker.failures += 1
-            if breaker.failures >= self.BREAKER_THRESHOLD:
-                breaker.open_until = time.monotonic() + self.BREAKER_COOLDOWN
-            breaker.probing = False
+        breaker = self._breakers[address]
+        breaker.failures += 1
+        if breaker.failures >= self.BREAKER_THRESHOLD:
+            breaker.open_until = self.kernel.now + self.BREAKER_COOLDOWN
+        breaker.probing = False
 
     def _record_success(self, address: Address) -> None:
-        with self._breaker_lock:
-            breaker = self._breakers[address]
-            breaker.failures = 0
-            breaker.open_until = 0.0
-            breaker.probing = False
-
-    @staticmethod
-    def _sleep(duration: float) -> None:
-        if duration > 0:
-            time.sleep(duration)
+        breaker = self._breakers[address]
+        breaker.failures = 0
+        breaker.open_until = 0.0
+        breaker.probing = False
 
     # -- reply collection ------------------------------------------------
 
-    def _collect(self, conn_id: int, seq: int, expect_replies: int,
-                 deadline: float) -> Dict[str, Result]:
-        results: Dict[str, Result] = {}
-        while len(results) < expect_replies:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                break
-            self.sock.settimeout(remaining)
-            try:
-                data, _addr = self.sock.recvfrom(65536)
-            except socket.timeout:
-                break
-            except OSError:
-                break
-            try:
-                _src, envelope = decode_frame(data)
-            except FrameError:
-                continue
-            header = envelope.header
-            if (header.msg_type is MsgType.REPLY
-                    and header.conn_id == conn_id
-                    and header.msg_seq_num == seq):
-                # First reply per replica wins.  A retry re-sends the
-                # same operation id; the gateway deduplicates it, but if
-                # two different gateways both injected it, mixing sender
-                # A's first-execution reply with sender B's second-
-                # execution reply would fake a disagreement.
-                results.setdefault(envelope.sender, envelope.body)
-        return results
+    def _collect(self, op: _Op, slice_s: float) -> Generator[Event, None, None]:
+        """Park until ``op`` has the replies it expects or ``slice_s``
+        passes, whichever is first."""
+        if len(op.results) >= op.expect:
+            return
+        op.waiter = waiter = self.kernel.event()
+        timer = self.kernel.schedule(
+            slice_s, lambda: waiter.triggered or waiter.succeed())
+        try:
+            yield waiter
+        finally:
+            timer.cancel()
+            op.waiter = None
+
+    def _on_frame(self, frame: LiveFrame) -> None:
+        envelope = frame.payload
+        if not (isinstance(envelope, Envelope)
+                and envelope.header.msg_type is MsgType.REPLY):
+            return
+        header = envelope.header
+        op = self._pending.get((header.conn_id, header.msg_seq_num))
+        if op is None:
+            return  # another replica's reply to a call already answered
+        # First reply per replica wins.  A retry re-sends the same
+        # operation id; the gateway deduplicates it, but if two
+        # different gateways both injected it, mixing sender A's
+        # first-execution reply with sender B's second-execution reply
+        # would fake a disagreement.
+        op.results.setdefault(envelope.sender, envelope.body)
+        waiter = op.waiter
+        if (waiter is not None and not waiter.triggered
+                and len(op.results) >= op.expect):
+            waiter.succeed()
 
     def close(self) -> None:
-        self.sock.close()
+        self._transport.close()
 
     def __enter__(self) -> "LiveCaller":
         return self
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-
-class ThreadedCallers:
-    """Closed-loop load from threads: each caller keeps one
-    ``gettimeofday`` in flight on its session floor while the main
-    thread pumps the bed (``LiveTestbed.pump``).  A typed ``Overloaded``
-    reply counts as ``shed`` and its thread sleeps the retry-after hint:
-    shedding relieves a gateway only if shed clients back off."""
-
-    #: Per-call deadline, seconds.
-    TIMEOUT_S = 1.5
-
-    def __init__(self, callers: Sequence[LiveCaller], *,
-                 on_reply: Optional[Callable[..., None]] = None,
-                 pace_s: float = 0.0):
-        self.callers = list(callers)
-        #: Called on the caller's thread for every served call:
-        #: ``on_reply(client_id, value_us, started, finished, outcome)``.
-        self.on_reply = on_reply
-        self.pace_s = pace_s
-        self._stop = threading.Event()
-        #: One per thread, so no counter is shared; report() sums them.
-        self._tallies = [Counter() for _ in self.callers]
-        self._threads = [
-            threading.Thread(target=self._run, args=(caller, tally),
-                             name=caller.client_id, daemon=True)
-            for caller, tally in zip(self.callers, self._tallies)]
-
-    def _run(self, caller: LiveCaller, tally: Counter) -> None:
-        last_us: Optional[int] = None
-        while not self._stop.is_set():
-            started = time.monotonic()
-            tally["calls"] += 1
-            try:
-                outcome = caller.call("gettimeofday", last_us,
-                                      timeout=self.TIMEOUT_S)
-            except RpcTimeout:
-                tally["errors"] += 1
-                continue
-            finished = time.monotonic()
-            result = outcome.first()
-            if is_overloaded(result):
-                tally["shed"] += 1
-                self._stop.wait(retry_after_of(result))
-            elif not result.ok:
-                tally["errors"] += 1
-            else:
-                tally["served"] += 1
-                last_us = result.value["micros"]
-                if self.on_reply is not None:
-                    self.on_reply(caller.client_id, last_us,
-                                  started, finished, outcome)
-                self._stop.wait(self.pace_s)
-
-    def start(self) -> None:
-        for thread in self._threads:
-            thread.start()
-
-    def stop(self) -> None:
-        self._stop.set()
-
-    @property
-    def running(self) -> bool:
-        """True while any caller thread is still in its loop."""
-        return any(thread.is_alive() for thread in self._threads)
-
-    def join(self) -> None:
-        """Wait for the threads (one blocked in a last call returns
-        within its call timeout plus scheduling slack) and close the
-        callers' sockets."""
-        for thread in self._threads:
-            thread.join(timeout=self.TIMEOUT_S + 2.0)
-        for caller in self.callers:
-            caller.close()
-
-    def report(self) -> Dict[str, object]:
-        """Tallies over all callers; read it after :meth:`join`."""
-        total = sum(self._tallies, Counter())
-        stats = [caller.stats for caller in self.callers]
-        return {
-            "count": len(self.callers),
-            **{key: total[key]
-               for key in ("calls", "served", "errors", "shed")},
-            "retries": sum(s.retries for s in stats),
-            "breaker_skips": sum(s.breaker_skips for s in stats),
-            "error_rate": total["errors"] / total["calls"]
-            if total["calls"] else 1.0,
-        }

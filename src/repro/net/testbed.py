@@ -135,15 +135,6 @@ class LiveTestbed(TestbedBase):
         kwargs.setdefault("timeout", 30.0)
         return super().run_process(generator, name, **kwargs)
 
-    def pump(self, seconds: float,
-             until: Optional[Callable[[], bool]] = None) -> None:
-        """Drive the loop from the calling thread for ``seconds`` of
-        wall time, or until ``until()`` holds if that comes first — how
-        a harness keeps the bed alive while client threads load it."""
-        deadline = self.sim.now + seconds
-        while self.sim.now < deadline and not (until and until()):
-            self.run(0.05)
-
     def wait_until(
         self,
         predicate: Callable[[], bool],

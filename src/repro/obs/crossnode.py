@@ -25,7 +25,6 @@ be re-joined after the fact:
 from __future__ import annotations
 
 import re
-import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, IO, Iterable, List, Optional, Tuple, Union
@@ -61,9 +60,8 @@ def shard_path(directory: Union[str, Path], node: str) -> Path:
 class TraceShardWriter:
     """Streams trace events into per-node JSONL shard files.
 
-    Thread-safe: client workers emit ``op.send`` from their own threads
-    while the kernel thread emits protocol events.  Files are opened
-    lazily (one per node seen) and flushed on :meth:`close`.
+    Files are opened lazily (one per node seen) and flushed on
+    :meth:`close`.
     """
 
     def __init__(self, directory: Union[str, Path],
@@ -71,7 +69,6 @@ class TraceShardWriter:
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
         self._files: Dict[str, IO[str]] = {}
-        self._lock = threading.Lock()
         self._unsubscribe = (tracer or trace.TRACER).subscribe(self._on_event)
         self.events_written = 0
 
@@ -80,28 +77,25 @@ class TraceShardWriter:
         import json
 
         line = json.dumps(record, default=str) + "\n"
-        with self._lock:
-            handle = self._files.get(event.node)
-            if handle is None:
-                handle = open(shard_path(self.directory, event.node), "a",
-                              encoding="utf-8")
-                self._files[event.node] = handle
-            handle.write(line)
-            self.events_written += 1
+        handle = self._files.get(event.node)
+        if handle is None:
+            handle = open(shard_path(self.directory, event.node), "a",
+                          encoding="utf-8")
+            self._files[event.node] = handle
+        handle.write(line)
+        self.events_written += 1
 
     def shards(self) -> List[Path]:
-        with self._lock:
-            return sorted(shard_path(self.directory, node)
-                          for node in self._files)
+        return sorted(shard_path(self.directory, node)
+                      for node in self._files)
 
     def close(self) -> None:
         if self._unsubscribe is not None:
             self._unsubscribe()
             self._unsubscribe = None
-        with self._lock:
-            for handle in self._files.values():
-                handle.close()
-            self._files.clear()
+        for handle in self._files.values():
+            handle.close()
+        self._files.clear()
 
     def __enter__(self) -> "TraceShardWriter":
         return self

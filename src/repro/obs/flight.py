@@ -11,11 +11,10 @@ before.  The recorder keeps two rings:
   port sent or received (direction, peer, payload kind, size, trace id),
   fed by :class:`~repro.net.udp.UdpPort`.
 
-Both rings are ``deque(maxlen=...)``: recording is O(1), memory is
-bounded, and the GIL makes appends safe from the client worker threads
-that emit ``op.send`` events.  :meth:`FlightRecorder.dump` writes the
-rings to a JSON artifact; the daemon dumps on crash and on unhandled
-protocol failures, the chaos runner hands the recorder to the
+Both rings are ``deque(maxlen=...)``: recording is O(1) and memory is
+bounded.  :meth:`FlightRecorder.dump` writes the rings to a JSON
+artifact; the daemon dumps on crash and on unhandled protocol failures,
+the chaos runner hands the recorder to the
 :class:`~repro.chaos.oracle.InvariantOracle` so every violation links to
 a dump of the window that explains it.
 

@@ -15,6 +15,7 @@ from .latency import (
     run_latency_workload,
 )
 from .load import (
+    ClockSessions,
     LoadResult,
     ZipfPicker,
     append_run,
@@ -35,7 +36,7 @@ from .loadgen import (
     run_throughput_sweep,
     shard_scaling_run,
 )
-from .openloop import OpenLoopInjector, calibrate_capacity, run_overload_suite
+from .openloop import calibrate_capacity, open_loop_point, run_overload_suite
 from .recovery import RecoveryClockApp, RecoveryResult, run_recovery_workload
 from .scenarios import measure_divergence, run_at_size, run_partition_cycle
 from .skew_drift import (
@@ -48,11 +49,11 @@ from .skew_drift import (
 
 __all__ = [
     "ClockReadApp",
+    "ClockSessions",
     "FailoverResult",
     "ITERATION_CHOICES",
     "LatencyRunResult",
     "LoadResult",
-    "OpenLoopInjector",
     "PAPER_CPU_PROFILE",
     "RecoveryClockApp",
     "RecoveryResult",
@@ -69,6 +70,7 @@ __all__ = [
     "failover_comparison",
     "measure_divergence",
     "open_loop",
+    "open_loop_point",
     "percentile",
     "run_at_size",
     "run_failover_workload",

@@ -1,4 +1,4 @@
-"""The client-load engine for kernel-driven testbeds.
+"""The client-load engine, for simulated and live testbeds alike.
 
 The paper measures the service with one harness shape — clients invoke
 the replicated server and time each reply (Section 4.2).  This module is
@@ -11,11 +11,13 @@ generator* handed to one of two drivers,
 * :func:`open_loop` — arrivals at a fixed rate whether or not earlier
   calls completed,
 
-both filling one :class:`LoadResult`.  Around them: the zipf identity
-picker skewed populations draw from, the service-side counter roll-up,
-and the recorder that appends a run to a benchmark trajectory file.
-The threaded counterpart for live beds is
-:class:`repro.net.client.ThreadedCallers`.
+both filling one :class:`LoadResult`.  Every client is a process on the
+bed's kernel — the simulator's heap or a live bed's event loop — so the
+same driver loads either substrate and nothing runs on a second thread.
+Around them: :class:`ClockSessions`, the per-call generator of the
+gateway clients that ride a session floor; the zipf identity picker
+skewed populations draw from; the service-side counter roll-up; and the
+recorder that appends a run to a benchmark trajectory file.
 """
 
 from __future__ import annotations
@@ -23,10 +25,12 @@ from __future__ import annotations
 import bisect
 import datetime
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, Generator, List, Optional
+from typing import Callable, Dict, Generator, List, Optional, Sequence
 
+from ..control.admission import is_overloaded, retry_after_of
 from ..errors import ConfigurationError, RpcTimeout
 
 
@@ -176,20 +180,30 @@ def open_loop(
     duration_s: float,
     drain_s: float = 2.5,
     mode: str = "open-loop",
+    gap: Optional[Callable[[float], float]] = None,
 ) -> LoadResult:
-    """Issue one call every ``1 / rate`` bed seconds for ``duration_s``,
-    whether or not earlier ones completed.
+    """Issue calls at ``rate`` per bed second for ``duration_s``, whether
+    or not earlier ones completed: evenly spaced, or each
+    ``gap(late_s)`` seconds after the one before (exponential draws make
+    the arrivals Poisson; ``late_s`` tells the arrival process how long
+    after its due time the arrival was issued).
 
     ``issue(done)`` starts a call and arranges for ``done(latency_us)``
-    (``None`` for a failed call) when it finishes.  The number issued is
-    ``result.extra["issued"]``; calls still unanswered after ``drain_s``
-    are in neither ``completed`` nor ``errors``.
+    (``None`` for a failed call) when it finishes.  A live bed's loop
+    may reach an arrival late; the next one is still aimed at its own
+    due time, so lateness does not add up — but a loop that has fallen
+    behind is handed one arrival per pass, not the backlog at once (the
+    generator shares it with the service it measures), and whatever it
+    has not reached when the window closes is not issued.  The number
+    issued is ``result.extra["issued"]``, to hold against ``rate *
+    duration_s``; calls still unanswered after ``drain_s`` are in
+    neither ``completed`` nor ``errors``.
     """
     sim = bed.sim
     result = LoadResult(mode=mode, duration_s=duration_s,
                         extra={"offered_per_s": rate, "issued": 0})
     interval = 1.0 / rate
-    start = sim.now
+    start = due = sim.now
 
     def done(latency_us: Optional[int]) -> None:
         if latency_us is None:
@@ -199,15 +213,114 @@ def open_loop(
             result.latencies_us.append(latency_us)
 
     def arrival() -> None:
+        nonlocal due
         if sim.now - start >= duration_s:
             return
+        late = sim.now - due  # exactly 0.0 on a simulated bed
         result.extra["issued"] += 1
         issue(done)
-        sim.schedule(interval, arrival)
+        step = gap(late) if gap is not None else interval
+        due += step
+        sim.schedule(max(0.0, step - late), arrival)
 
     arrival()
     bed.run(duration_s + drain_s)
     return result
+
+
+class ClockSessions:
+    """Closed-loop ``gettimeofday`` sessions, one per gateway caller
+    (:class:`~repro.net.client.LiveCaller`, or anything with its
+    ``call`` generator, ``client_id`` and ``stats``).
+
+    Each call rides its session's floor: ``after_us`` is the last value
+    the session was served.  A typed ``Overloaded`` reply counts as
+    ``shed``, not as an error, and the session waits out the
+    retry-after hint before it calls again — shedding relieves a
+    gateway only if shed clients back off.
+
+    :meth:`call` is the per-call generator to hand :func:`closed_loop`.
+    A harness that drives the bed itself (a judged run following a
+    script of unknown length) runs the sessions as free workers instead,
+    from :meth:`start` until :meth:`stop`.
+    """
+
+    #: Per-call deadline, seconds.
+    TIMEOUT_S = 1.5
+
+    def __init__(self, sim, callers: Sequence, *,
+                 on_reply: Optional[Callable[..., None]] = None,
+                 pace_s: float = 0.0):
+        self.sim = sim
+        self.callers = list(callers)
+        #: Called on the kernel for every served call, with kernel times:
+        #: ``on_reply(client_id, value_us, started, finished, outcome)``.
+        self.on_reply = on_reply
+        #: Pause after a served call (0: the service sets the pace).
+        self.pace_s = pace_s
+        self.tally: Counter = Counter()
+        self._floors: List[Optional[int]] = [None] * len(self.callers)
+        self._workers: List = []
+
+    def call(self, index: int) -> Generator:
+        """One call of session ``index``: its latency in microseconds,
+        or None if it was not served."""
+        sim, caller = self.sim, self.callers[index]
+        started = sim.now
+        self.tally["calls"] += 1
+        try:
+            outcome = yield from caller.call(
+                "gettimeofday", self._floors[index], timeout=self.TIMEOUT_S)
+        except RpcTimeout:
+            self.tally["errors"] += 1
+            return None
+        finished = sim.now
+        result = outcome.first()
+        if is_overloaded(result):
+            self.tally["shed"] += 1
+            yield sim.timeout(retry_after_of(result))
+            return None
+        if not result.ok:
+            self.tally["errors"] += 1
+            return None
+        self.tally["served"] += 1
+        self._floors[index] = value_us = result.value["micros"]
+        if self.on_reply is not None:
+            self.on_reply(caller.client_id, value_us, started, finished,
+                          outcome)
+        if self.pace_s > 0:
+            yield sim.timeout(self.pace_s)
+        return outcome.latency_us
+
+    def start(self) -> None:
+        """Run every session as a worker process, call after call."""
+        def session(index: int):
+            while True:
+                yield from self.call(index)
+
+        self._workers = [
+            self.sim.process(session(index), name=caller.client_id)
+            for index, caller in enumerate(self.callers)]
+
+    def stop(self) -> None:
+        """End the workers where they stand — in a call, or backing off
+        on a retry-after hint however long."""
+        for worker in self._workers:
+            worker.kill()
+
+    def report(self) -> Dict[str, object]:
+        """Tallies over all sessions."""
+        tally = self.tally
+        stats = [caller.stats for caller in self.callers]
+        return {
+            "count": len(self.callers),
+            **{key: tally[key]
+               for key in ("calls", "served", "errors", "shed")},
+            "retries": sum(s.retries for s in stats),
+            "breaker_skips": sum(s.breaker_skips for s in stats),
+            "error_rate": tally["errors"] / tally["calls"]
+            if tally["calls"] else 1.0,
+        }
 
 
 class ZipfPicker:

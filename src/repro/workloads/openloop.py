@@ -27,213 +27,83 @@ for :func:`repro.workloads.load.append_run`.
 
 from __future__ import annotations
 
-import socket
-import threading
-import time
-from collections import OrderedDict
-from dataclasses import dataclass
-from typing import Dict, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from ..control.admission import AdmissionConfig, is_overloaded, retry_after_of
-from ..net.client import LiveCaller, ThreadedCallers
-from ..replication.envelope import MsgType, make_envelope
-from ..rpc.messages import Invocation
-from .load import LoadResult, ZipfPicker
+from ..errors import RpcTimeout
+from ..net.client import LiveCaller
+from .load import ClockSessions, LoadResult, ZipfPicker, closed_loop, open_loop, percentile
 
 GROUP = "timesvc"
 
 
-@dataclass
-class _PendingOp:
-    identity: int
-    sent_at: float
-    deadline: float
+def open_loop_point(bed, callers: Sequence[LiveCaller], *, rate_ops_s: float,
+                    duration_s: float, zipf_s: float, rng,
+                    deadline_s: float = 0.5) -> LoadResult:
+    """Poisson arrivals at ``rate_ops_s`` for ``duration_s`` from a
+    zipf-skewed client population, one identity per caller.
 
-
-class OpenLoopInjector:
-    """One UDP socket hosting a whole zipf-skewed client population.
-
-    Every identity gets its own client group (so the gateway's
-    per-client fairness and dedup windows see distinct clients) but all
-    replies return to this one socket; ``conn_id`` encodes the identity,
-    the per-identity sequence number completes the operation id.
-    Arrivals are fired on a Poisson schedule regardless of outstanding
-    requests — the defining property of open-loop load.
-
-    A sender thread and a receiver thread share only the pending-op
-    table (under its lock); each keeps its own tallies, which
-    :meth:`run` adds up once both have finished.
+    Every identity is its own caller — own socket, own client group —
+    so the gateway's per-client fairness and dedup windows see distinct
+    clients.  Each arrival is one call with ``deadline_s`` to be
+    answered, started whatever is outstanding: the defining property of
+    open-loop load, and why a retry-after hint is recorded here but not
+    waited out.  ``completed`` counts the served calls (``ops_per_s`` is
+    the goodput); the sent, shed and timed-out tallies are in ``extra``.
+    The generator shares the bed's loop with the service and yields to
+    it between arrivals, so on a saturated loop it falls behind:
+    ``sent`` against ``offered_rate_ops_s * duration_s``, and
+    ``gen_late_p99_us``, say by how much.
     """
+    sim = bed.sim
+    picker = ZipfPicker(len(callers), zipf_s, rng)
+    timeouts = 0
+    hints_s: List[float] = []
+    late_us: List[int] = []
 
-    def __init__(self, servers: Sequence, *, identities: int,
-                 zipf_s: float, rng, group: str = GROUP,
-                 deadline_s: float = 0.5,
-                 method: str = "gettimeofday",
-                 bind_host: str = "127.0.0.1"):
-        self.servers = list(servers)
-        self.identities = identities
-        self.zipf_s = zipf_s
-        self.group = group
-        self.deadline_s = deadline_s
-        self.method = method
-        self.rng = rng
-        self.picker = ZipfPicker(identities, zipf_s, rng)
-        self.sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-        self.sock.bind((bind_host, 0))
-        self._seqs = [0] * identities
-        #: (conn_id, seq) -> _PendingOp, insertion-ordered by send time
-        #: (deadlines are monotone in it, so expiry pops from the front).
-        self._pending: "OrderedDict[tuple, _PendingOp]" = OrderedDict()
-        self._lock = threading.Lock()
-        self._stop = threading.Event()
-        #: Sender thread's tallies.
-        self._sent = self._send_errors = 0
-        #: Receiver thread's tallies; served calls land in the result.
-        self._result: Optional[LoadResult] = None
-        self._shed_hints_s: list = []
-        self._timeouts = 0
+    def gap(late_s: float) -> float:
+        late_us.append(int(late_s * 1_000_000))
+        return rng.expovariate(rate_ops_s)
 
-    # -- sending -------------------------------------------------------
-
-    def _send_one(self, now: float) -> None:
-        identity = self.picker.pick()
-        self._seqs[identity] += 1
-        seq = self._seqs[identity]
-        conn_id = identity + 1
-        envelope = make_envelope(
-            MsgType.REQUEST,
-            f"client.ol{identity}",
-            self.group,
-            conn_id,
-            seq,
-            f"ol{identity}",
-            body=Invocation(self.method, (None,)),
-        )
-        from ..net.wire import encode_frame
-
-        data = encode_frame(f"ol{identity}", envelope)
-        # Identities are sticky to a gateway: dedup and fair-queue state
-        # for one client lives on one node.
-        address = self.servers[identity % len(self.servers)]
-        with self._lock:
-            self._pending[(conn_id, seq)] = _PendingOp(
-                identity, now, now + self.deadline_s)
+    def one(caller: LiveCaller, done):
+        nonlocal timeouts
         try:
-            self.sock.sendto(data, address)
-        except OSError:
-            with self._lock:
-                self._pending.pop((conn_id, seq), None)
-            self._send_errors += 1
+            outcome = yield from caller.call("gettimeofday", None,
+                                             timeout=deadline_s)
+        except RpcTimeout:
+            timeouts += 1
             return
-        self._sent += 1
+        reply = outcome.first()
+        if is_overloaded(reply):
+            hints_s.append(retry_after_of(reply))
+        else:
+            done(outcome.latency_us if reply.ok else None)
 
-    def _sender(self, rate_ops_s: float, duration_s: float) -> None:
-        start = time.monotonic()
-        deadline = start + duration_s
-        next_at = start
-        while True:
-            next_at += self.rng.expovariate(rate_ops_s)
-            if next_at >= deadline:
-                break
-            pause = next_at - time.monotonic()
-            if pause > 0:
-                time.sleep(pause)
-            self._send_one(time.monotonic())
-
-    # -- receiving -----------------------------------------------------
-
-    def _expire(self, now: float) -> None:
-        with self._lock:
-            while self._pending:
-                key = next(iter(self._pending))
-                if self._pending[key].deadline > now:
-                    break
-                del self._pending[key]
-                self._timeouts += 1
-
-    def _receiver(self) -> None:
-        from ..net.wire import FrameError, decode_frame
-
-        result = self._result
-        self.sock.settimeout(0.05)
-        while not (self._stop.is_set() and not self._pending):
-            self._expire(time.monotonic())
-            try:
-                data, _addr = self.sock.recvfrom(65536)
-            except socket.timeout:
-                continue
-            except OSError:
-                break
-            received = time.monotonic()
-            try:
-                _src, envelope = decode_frame(data)
-            except FrameError:
-                continue
-            header = envelope.header
-            if header.msg_type is not MsgType.REPLY:
-                continue
-            key = (header.conn_id, header.msg_seq_num)
-            with self._lock:
-                op = self._pending.pop(key, None)
-            if op is None:
-                continue  # duplicate replica reply or late straggler
-            reply = envelope.body
-            if is_overloaded(reply):
-                self._shed_hints_s.append(retry_after_of(reply))
-            elif getattr(reply, "ok", False):
-                result.completed += 1
-                result.latencies_us.append(
-                    int((received - op.sent_at) * 1_000_000))
-            else:
-                result.errors += 1
-
-    # -- driver --------------------------------------------------------
-
-    def run(self, bed, *, rate_ops_s: float, duration_s: float,
-            drain_s: float = 1.0) -> LoadResult:
-        """Fire Poisson arrivals for ``duration_s`` while pumping the
-        testbed's event loop from this thread.  ``completed`` counts the
-        served calls (``ops_per_s`` is the goodput); shed, timed-out and
-        sent tallies are in ``extra``."""
-        result = self._result = LoadResult(
-            mode="open-loop", duration_s=duration_s)
-        sender = threading.Thread(
-            target=self._sender, args=(rate_ops_s, duration_s),
-            name="openloop-sender", daemon=True)
-        receiver = threading.Thread(
-            target=self._receiver, name="openloop-receiver", daemon=True)
-        receiver.start()
-        sender.start()
-        bed.pump(duration_s)
-        sender.join(timeout=5.0)
-        # Drain stragglers: replies already in flight when the window
-        # closed still count (their ops were offered inside it).
-        bed.pump(drain_s, until=lambda: not self._pending)
-        self._stop.set()
-        receiver.join(timeout=5.0)
-        result.errors += self._send_errors
-        hints = self._shed_hints_s
-        result.extra.update(
-            offered_rate_ops_s=round(rate_ops_s, 1),
-            identities=self.identities, zipf_s=self.zipf_s,
-            sent=self._sent, served=result.completed, shed=len(hints),
-            timeouts=self._timeouts,
-            goodput_ops_s=round(result.ops_per_s, 1),
-            shed_rate=round(len(hints) / self._sent if self._sent else 0.0,
-                            4),
-            mean_retry_after_s=round(
-                sum(hints) / len(hints) if hints else 0.0, 4),
-        )
-        return result
-
-    def close(self) -> None:
-        self._stop.set()
-        self.sock.close()
+    # Every call is answered, shed or timed out ``deadline_s`` after the
+    # last arrival, so that is all the drain the ledger needs.
+    result = open_loop(
+        bed, lambda done: sim.process(one(callers[picker.pick()], done)),
+        rate=rate_ops_s, duration_s=duration_s, drain_s=deadline_s + 0.1,
+        gap=gap)
+    extra = result.extra
+    sent = extra.pop("issued")
+    extra.update(
+        offered_rate_ops_s=round(extra.pop("offered_per_s"), 1),
+        identities=len(callers), zipf_s=zipf_s,
+        sent=sent, served=result.completed, shed=len(hints_s),
+        timeouts=timeouts,
+        goodput_ops_s=round(result.ops_per_s, 1),
+        shed_rate=round(len(hints_s) / sent if sent else 0.0, 4),
+        mean_retry_after_s=round(
+            sum(hints_s) / len(hints_s) if hints_s else 0.0, 4),
+        gen_late_p99_us=percentile(late_us, 0.99),
+    )
+    return result
 
 
-def calibrate_capacity(bed, servers, *, threads: int = 8,
+def calibrate_capacity(bed, servers, *, workers: int = 8,
                        duration_s: float = 1.5) -> float:
-    """Measured closed-loop capacity, ops/s: ``threads`` callers, each
+    """Measured closed-loop capacity, ops/s: ``workers`` callers, each
     one-in-flight, against the same gateways the open-loop run will hit.
     This is the 1x anchor for the overload factors."""
     # Rotate the server list per caller: a caller prefers the head of
@@ -242,14 +112,18 @@ def calibrate_capacity(bed, servers, *, threads: int = 8,
     servers = list(servers)
     rotations = [servers[pivot:] + servers[:pivot]
                  for pivot in range(len(servers))]
-    callers = ThreadedCallers([
-        LiveCaller(rotations[index % len(servers)], client_id=f"cal{index}")
-        for index in range(threads)])
-    callers.start()
-    bed.pump(duration_s)
-    callers.stop()
-    callers.join()
-    return callers.report()["served"] / duration_s
+    callers = [
+        LiveCaller(bed.sim, rotations[index % len(servers)],
+                   client_id=f"cal{index}")
+        for index in range(workers)]
+    try:
+        result = closed_loop(bed, ClockSessions(bed.sim, callers).call,
+                             workers=workers, duration_s=duration_s,
+                             drain_s=0.2)
+    finally:
+        for caller in callers:
+            caller.close()
+    return result.completed / duration_s
 
 
 #: The admission knobs the overload suite runs under: a short pipeline
@@ -289,6 +163,7 @@ def run_overload_suite(
 
     node_ids = [f"n{i}" for i in range(num_nodes)]
     bed = LiveTestbed(node_ids=node_ids, seed=seed)
+    callers: List[LiveCaller] = []
     try:
         bed.deploy(GROUP, TimeApp, nodes=node_ids,
                    style="active", time_source="cts",
@@ -301,15 +176,16 @@ def run_overload_suite(
         capacity = calibrate_capacity(bed, servers,
                                       duration_s=calibration_s)
         rng = random.Random(seed ^ 0x09E2)
+        # Identities are sticky to a gateway: dedup and fair-queue state
+        # for one client lives on one node.
+        callers += [LiveCaller(bed.sim, [servers[identity % len(servers)]],
+                               client_id=f"ol{identity}")
+                    for identity in range(identities)]
 
         def one_run(rate: float, run_s: float = duration_s) -> LoadResult:
-            injector = OpenLoopInjector(
-                servers, identities=identities, zipf_s=zipf_s, rng=rng,
-                deadline_s=deadline_s)
-            try:
-                return injector.run(bed, rate_ops_s=rate, duration_s=run_s)
-            finally:
-                injector.close()
+            return open_loop_point(
+                bed, callers, rate_ops_s=rate, duration_s=run_s,
+                zipf_s=zipf_s, rng=rng, deadline_s=deadline_s)
 
         # The baseline p99 anchors the acceptance ratio, and at a
         # fraction of capacity the sample count is small — run it twice
@@ -354,4 +230,6 @@ def run_overload_suite(
                 worst.p99_us / saturated.p99_us, 2)
         return suite
     finally:
+        for caller in callers:
+            caller.close()
         bed.shutdown()

@@ -7,11 +7,12 @@ verdict must come back clean: every fault injected, replies observed,
 zero invariant violations.
 """
 
+import threading
 from pathlib import Path
 
 import pytest
 
-from repro.chaos import ChaosScenario, compile_plan, run_chaos
+from repro.chaos import ChaosScenario, InvariantOracle, compile_plan, run_chaos
 from repro.errors import TimeServiceError
 from repro.net.testbed import LiveTestbed
 from repro.obs.crossnode import shard_path
@@ -38,10 +39,26 @@ def short_scenario():
 
 
 class TestRunChaos:
-    def test_verdict_is_clean_and_reproducible(self):
+    def test_verdict_is_clean_and_reproducible(self, monkeypatch):
+        # Clients, nodes and the oracle all live on the bed's kernel:
+        # whoever feeds the oracle does so from this thread, and the run
+        # starts no other.
+        fed_from = []
+        for feed in ("observe_reply", "_on_trace"):
+            def recording(self, *args, _feed=getattr(InvariantOracle, feed),
+                          **kwargs):
+                fed_from.append((threading.get_ident(),
+                                 threading.active_count()))
+                return _feed(self, *args, **kwargs)
+            monkeypatch.setattr(InvariantOracle, feed, recording)
+        threads_before = threading.active_count()
+
         scenario = short_scenario()
         verdict = run_chaos(scenario, seed=3)
 
+        assert threading.active_count() == threads_before
+        assert set(fed_from) == {(threading.get_ident(), threads_before)}
+        assert len(fed_from) > verdict["oracle"]["replies_checked"] > 0
         assert verdict["ok"], verdict["oracle"]["violations"]
         assert_verdict_keys(verdict, "run_chaos")
         assert verdict["protocol_failures"] == []
@@ -91,6 +108,16 @@ class TestRunChaos:
         stages = {hop["stage"] for hop in example["hops"]}
         assert {"client.send", "gateway.inject", "served",
                 "round.won", "reply.recv"} <= stages
+        # One time base per timeline: the client stamps its hops with
+        # the kernel time the nodes use, so the ends of the chain can be
+        # subtracted (hops in between interleave across replicas).
+        at = {}
+        for hop in example["hops"]:
+            at.setdefault(hop["stage"], []).append(hop["t"])
+        (sent,), (received,) = at["client.send"], at["reply.recv"]
+        assert sent <= min(at["gateway.inject"])
+        assert min(at["reply.forward"]) <= received
+        assert 0 < received - sent < 1.5  # under the call deadline
         # A clean run dumps nothing, but the key is always present.
         assert verdict["flight_dumps"] == []
 

@@ -4,6 +4,16 @@ import socket
 
 import pytest
 
+from repro.net.kernel import LiveKernel
+
+
+@pytest.fixture
+def kernel():
+    """A bare live kernel, for clients of servers that are not a bed."""
+    kernel = LiveKernel()
+    yield kernel
+    kernel.close()
+
 
 @pytest.fixture
 def port_allocator():

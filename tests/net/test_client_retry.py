@@ -3,7 +3,8 @@ stable operation id, and the per-server circuit breaker.
 
 The "servers" here are bare UDP sockets — a black hole that never
 answers and a scripted responder — so each retry-path property is pinned
-without booting a ring.
+without booting a ring.  The caller runs where it always does, as a
+process on a kernel: each test owns a bare ``LiveKernel``.
 """
 
 import socket
@@ -79,17 +80,21 @@ class Responder:
         self.sock.close()
 
 
+def call(kernel, caller, **options):
+    return kernel.run_process(caller.call("gettimeofday", **options))
+
+
 class TestDeadlineBudget:
-    def test_black_holed_first_server_cannot_starve_the_rest(self):
-        """The call budget is one monotonic deadline split across the
+    def test_black_holed_first_server_cannot_starve_the_rest(self, kernel):
+        """The call budget is one deadline split across the
         untried servers — not a fixed per-server floor — so a dead first
         address still leaves the live one enough time to answer."""
         hole, responder = BlackHole(), Responder()
         try:
-            with LiveCaller([hole.address, responder.address],
+            with LiveCaller(kernel, [hole.address, responder.address],
                             client_id="budget") as caller:
                 started = time.monotonic()
-                outcome = caller.call("gettimeofday", timeout=2.0)
+                outcome = call(kernel, caller, timeout=2.0)
                 elapsed = time.monotonic() - started
             assert outcome.first().ok
             assert outcome.via == responder.address
@@ -99,13 +104,14 @@ class TestDeadlineBudget:
             hole.close()
             responder.close()
 
-    def test_exhausted_deadline_raises_rpc_timeout(self):
+    def test_exhausted_deadline_raises_rpc_timeout(self, kernel):
         hole = BlackHole()
         try:
-            with LiveCaller([hole.address], client_id="doomed") as caller:
+            with LiveCaller(kernel, [hole.address],
+                            client_id="doomed") as caller:
                 started = time.monotonic()
                 with pytest.raises(RpcTimeout, match="attempts"):
-                    caller.call("gettimeofday", timeout=0.3)
+                    call(kernel, caller, timeout=0.3)
                 elapsed = time.monotonic() - started
             assert 0.25 <= elapsed < 1.5  # respected the deadline
         finally:
@@ -113,16 +119,16 @@ class TestDeadlineBudget:
 
 
 class TestRetries:
-    def test_retries_resend_the_same_operation_id(self):
+    def test_retries_resend_the_same_operation_id(self, kernel):
         """Every re-send carries the original ``(conn_id, seq)`` so the
         gateway can deduplicate instead of executing twice.  Listing the
         same server twice makes the first attempt time out (the deaf
         window) and the retry succeed — both observed by one socket."""
         responder = Responder(ignore_first=1)
         try:
-            with LiveCaller([responder.address, responder.address],
+            with LiveCaller(kernel, [responder.address, responder.address],
                             client_id="sameop") as caller:
-                outcome = caller.call("gettimeofday", timeout=3.0)
+                outcome = call(kernel, caller, timeout=3.0)
                 stats = caller.stats
             assert outcome.first().ok
             assert outcome.attempts >= 2
@@ -132,49 +138,51 @@ class TestRetries:
         finally:
             responder.close()
 
-    def test_sequential_calls_use_fresh_operation_ids(self):
+    def test_sequential_calls_use_fresh_operation_ids(self, kernel):
         responder = Responder()
         try:
-            with LiveCaller([responder.address], client_id="fresh") as caller:
-                caller.call("gettimeofday", timeout=2.0)
-                caller.call("gettimeofday", timeout=2.0)
+            with LiveCaller(kernel, [responder.address],
+                            client_id="fresh") as caller:
+                call(kernel, caller, timeout=2.0)
+                call(kernel, caller, timeout=2.0)
             assert len(set(responder.seen)) == len(responder.seen) == 2
         finally:
             responder.close()
 
 
 class TestCircuitBreaker:
-    def test_repeated_timeouts_open_the_breaker(self):
+    def test_repeated_timeouts_open_the_breaker(self, kernel):
         """Three consecutive dead calls trip the breaker; the next call
         records the skip (and still probes rather than failing fast)."""
         hole = BlackHole()
         try:
-            with LiveCaller([hole.address], client_id="breaker") as caller:
+            with LiveCaller(kernel, [hole.address],
+                            client_id="breaker") as caller:
                 for _ in range(LiveCaller.BREAKER_THRESHOLD):
                     with pytest.raises(RpcTimeout):
-                        caller.call("gettimeofday", timeout=0.15)
+                        call(kernel, caller, timeout=0.15)
                 assert caller.stats.breaker_skips == 0
                 with pytest.raises(RpcTimeout):
-                    caller.call("gettimeofday", timeout=0.2)
+                    call(kernel, caller, timeout=0.2)
                 assert caller.stats.breaker_skips > 0
                 assert caller.stats.failures == LiveCaller.BREAKER_THRESHOLD + 1
         finally:
             hole.close()
 
-    def test_breaker_recovers_after_cooldown_probe(self):
+    def test_breaker_recovers_after_cooldown_probe(self, kernel):
         responder = Responder(ignore_first=LiveCaller.BREAKER_THRESHOLD)
         try:
-            with LiveCaller([responder.address],
+            with LiveCaller(kernel, [responder.address],
                             client_id="halfopen") as caller:
                 # Enough dead calls against the deaf window to trip the
                 # breaker...
                 for _ in range(LiveCaller.BREAKER_THRESHOLD):
                     with pytest.raises(RpcTimeout):
-                        caller.call("gettimeofday", timeout=0.2)
+                        call(kernel, caller, timeout=0.2)
                 # ...then the cooldown elapses and the half-open probe
                 # finds the server answering again.
-                time.sleep(LiveCaller.BREAKER_COOLDOWN + 0.05)
-                outcome = caller.call("gettimeofday", timeout=2.0)
+                kernel.run(kernel.now + LiveCaller.BREAKER_COOLDOWN + 0.05)
+                outcome = call(kernel, caller, timeout=2.0)
             assert outcome.first().ok
         finally:
             responder.close()

@@ -1,26 +1,25 @@
 """Concurrent gateway clients against a live 3-daemon group.
 
-Eight independent ``LiveCaller`` sockets hammer a real 3-node daemon
-deployment (``repro serve`` subprocesses over loopback UDP) at the same
-time, so concurrent requests genuinely interleave in the total order and
-the daemons' coalesced CCS rounds serve batches of them.  Checked, per
-call: every replica answered the *same* value (agreement); per client:
-group-clock reads strictly increase — including across a hard kill of
-the ring leader mid-test.
+Eight independent ``LiveCaller`` sockets — eight processes on one client
+kernel — hammer a real 3-node daemon deployment (``repro serve``
+subprocesses over loopback UDP) at the same time, so concurrent requests
+genuinely interleave in the total order and the daemons' coalesced CCS
+rounds serve batches of them.  Checked, per call: every replica answered
+the *same* value (agreement); per client: group-clock reads strictly
+increase — including across a hard kill of the ring leader mid-test.
 """
 
 import os
 import socket
 import subprocess
 import sys
-import threading
-import time
 from pathlib import Path
 
 import pytest
 
 from repro.errors import RpcTimeout
 from repro.net.client import LiveCaller
+from repro.net.kernel import LiveKernel
 
 pytestmark = pytest.mark.live
 
@@ -85,95 +84,85 @@ class DaemonGroup:
             log.close()
 
 
-def wait_for_group(servers, expect_replies, timeout_s=25.0):
+def wait_for_group(kernel, servers, expect_replies, timeout_s=25.0):
     """Poll until the group answers with ``expect_replies`` replies."""
-    deadline = time.monotonic() + timeout_s
-    with LiveCaller(servers, client_id="probe-%d" % expect_replies) as probe:
-        while time.monotonic() < deadline:
+    deadline = kernel.now + timeout_s
+    with LiveCaller(kernel, servers,
+                    client_id="probe-%d" % expect_replies) as probe:
+        while kernel.now < deadline:
             try:
-                outcome = probe.call("gettimeofday", timeout=1.0,
-                                     expect_replies=expect_replies)
+                outcome = kernel.run_process(probe.call(
+                    "gettimeofday", timeout=1.0,
+                    expect_replies=expect_replies))
                 if len(outcome.results) >= expect_replies:
                     return
             except RpcTimeout:
                 pass
-            time.sleep(0.2)
+            kernel.run(kernel.now + 0.2)
     raise AssertionError(
         f"group did not answer with {expect_replies} replies "
         f"within {timeout_s}s")
 
 
 class GatewayClient:
-    """One gateway client socket; each phase runs in its own thread."""
+    """One gateway client socket; each phase is a process on the kernel."""
 
-    def __init__(self, index, servers):
+    def __init__(self, kernel, index, servers):
         self.name = f"live-client-{index}"
-        self.caller = LiveCaller(servers, client_id=f"cc{index}")
+        self.caller = LiveCaller(kernel, servers, client_id=f"cc{index}")
         self.values = []
         self.disagreements = []
-        self.error = None
-        self.thread = None
 
-    def run_phase(self, calls, expect_replies, servers=None):
+    def phase(self, calls, expect_replies, servers=None):
         if servers is not None:
             self.caller.servers = list(servers)
-        self.thread = threading.Thread(
-            target=self._run, args=(calls, expect_replies),
-            name=self.name, daemon=True)
-        self.thread.start()
+        done = attempts = 0
+        while done < calls and attempts < calls * 6:
+            attempts += 1
+            try:
+                outcome = yield from self.caller.call(
+                    "gettimeofday", timeout=2.0,
+                    expect_replies=expect_replies)
+            except RpcTimeout:
+                continue  # failover in progress; retry
+            if len(outcome.results) < expect_replies:
+                continue
+            if not outcome.agreed:
+                self.disagreements.append(outcome.values)
+            self.values.append(outcome.first().value["micros"])
+            done += 1
+        assert done == calls, f"{self.name} completed {done}/{calls}"
 
-    def join(self, timeout):
-        self.thread.join(timeout=timeout)
-        assert not self.thread.is_alive(), f"{self.name} hung"
-        if self.error:
-            raise self.error
 
-    def _run(self, calls, expect_replies):
-        try:
-            done = attempts = 0
-            while done < calls and attempts < calls * 6:
-                attempts += 1
-                try:
-                    outcome = self.caller.call(
-                        "gettimeofday", timeout=2.0,
-                        expect_replies=expect_replies)
-                except RpcTimeout:
-                    continue  # failover in progress; retry
-                if len(outcome.results) < expect_replies:
-                    continue
-                if not outcome.agreed:
-                    self.disagreements.append(outcome.values)
-                self.values.append(outcome.first().value["micros"])
-                done += 1
-            assert done == calls, f"{self.name} completed {done}/{calls}"
-        except BaseException as error:  # surfaced by the main thread
-            self.error = error
+def run_phase(kernel, clients, **phase):
+    """All clients' phases at once; a failed one fails the test."""
+    def together():
+        yield kernel.all_of([
+            kernel.process(client.phase(**phase), name=client.name)
+            for client in clients])
+
+    kernel.run_process(together(), timeout=60.0)
 
 
 def test_concurrent_gateway_clients_with_leader_kill(tmp_path):
     group = DaemonGroup(tmp_path)
+    kernel = LiveKernel()
     clients = []
     try:
-        wait_for_group(group.servers(*NODES), expect_replies=3)
+        wait_for_group(kernel, group.servers(*NODES), expect_replies=3)
 
         # Phase 1: all clients in parallel against the full group.
-        clients = [GatewayClient(i, group.servers(*NODES))
+        clients = [GatewayClient(kernel, i, group.servers(*NODES))
                    for i in range(CLIENTS)]
-        for client in clients:
-            client.run_phase(calls=5, expect_replies=3)
-        for client in clients:
-            client.join(timeout=60)
+        run_phase(kernel, clients, calls=5, expect_replies=3)
 
         # Kill the ring leader; the survivors keep serving.
         group.kill("n0")
-        wait_for_group(group.servers("n1", "n2"), expect_replies=2)
+        wait_for_group(kernel, group.servers("n1", "n2"), expect_replies=2)
 
         # Phase 2: same callers, so monotonicity spans the kill.
-        for client in clients:
-            client.run_phase(calls=4, expect_replies=2,
-                             servers=group.servers("n1", "n2"))
-        for client in clients:
-            client.join(timeout=60)
+        run_phase(kernel, clients, calls=4, expect_replies=2,
+                  servers=group.servers("n1", "n2"))
 
         for client in clients:
             # Same-operation replies were identical on every replica...
@@ -186,4 +175,5 @@ def test_concurrent_gateway_clients_with_leader_kill(tmp_path):
     finally:
         for client in clients:
             client.caller.close()
+        kernel.close()
         group.shutdown()

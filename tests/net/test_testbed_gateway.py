@@ -1,8 +1,6 @@
 """LiveTestbed.install_gateway: the ``repro serve`` front door on an
 in-process node, surviving a crash/recover cycle of that node."""
 
-import threading
-
 import pytest
 
 from repro.net.client import LiveCaller
@@ -13,21 +11,12 @@ pytestmark = pytest.mark.live
 
 
 def call_through(bed, node_id, client_id):
-    """One blocking gateway call via ``node_id``, from a thread, while
-    this thread pumps the bed; returns the served group-clock micros."""
-    outcomes = []
-
-    def work():
-        with LiveCaller([bed.node(node_id).address],
-                        client_id=client_id) as caller:
-            outcomes.append(caller.call("gettimeofday", timeout=3.0))
-
-    thread = threading.Thread(target=work, daemon=True)
-    thread.start()
-    bed.pump(4.0, until=lambda: not thread.is_alive())
-    thread.join(timeout=1.0)
-    assert outcomes, f"no reply through {node_id}"
-    result = outcomes[0].first()
+    """One gateway call via ``node_id``, on the bed's kernel; returns
+    the served group-clock micros."""
+    with LiveCaller(bed.kernel, [bed.node(node_id).address],
+                    client_id=client_id) as caller:
+        outcome = bed.run_process(caller.call("gettimeofday", timeout=3.0))
+    result = outcome.first()
     assert result.ok, result.error
     return result.value["micros"]
 

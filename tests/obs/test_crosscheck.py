@@ -9,7 +9,6 @@ with telemetry off behaves like an uninstrumented one.
 """
 
 import gc
-import threading
 import weakref
 from pathlib import Path
 
@@ -167,14 +166,10 @@ def _live_bed():
                    style="active", time_source="cts")
         bed.start()
         bed.install_gateway("n0", admission.AdmissionConfig())
-        caller = live_client.LiveCaller([bed.node("n0").address],
+        caller = live_client.LiveCaller(bed.kernel, [bed.node("n0").address],
                                         client_id="xcheck")
-        thread = threading.Thread(
-            target=lambda: [caller.call("gettimeofday", timeout=3.0)
-                            for _ in range(3)], daemon=True)
-        thread.start()
-        bed.pump(6.0, until=lambda: not thread.is_alive())
-        thread.join(timeout=1.0)
+        for _ in range(3):
+            bed.run_process(caller.call("gettimeofday", timeout=3.0))
         caller.close()
         assert caller.stats.calls == 3 and not caller.stats.failures
     return bed, caller

@@ -1,7 +1,6 @@
 """Tests for the trace shard writer and the cross-node span assembler."""
 
 import json
-import threading
 
 from repro import trace
 from repro.obs.crossnode import (
@@ -79,22 +78,6 @@ class TestShardWriter:
         assert not tracer.enabled
         tracer.emit("op.send", node="c0")  # no sink: must not raise
         assert writer.events_written == 0
-
-    def test_concurrent_emits_from_many_threads(self, tmp_path):
-        tracer = trace.Tracer()
-        with TraceShardWriter(tmp_path, tracer=tracer) as writer:
-            def worker(node):
-                for i in range(50):
-                    tracer.emit("op.send", node=node, seq=i)
-            threads = [threading.Thread(target=worker, args=(f"n{j}",))
-                       for j in range(4)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
-            assert writer.events_written == 200
-        records = load_shards(tmp_path)
-        assert len(records) == 200
 
     def test_weird_node_names_become_safe_filenames(self, tmp_path):
         path = shard_path(tmp_path, "no/des:*?")

@@ -1,32 +1,35 @@
-"""The open-loop injector against a stand-in gateway: one UDP socket
-answering every request, alternately served and shed.
+"""The open-loop overload point against a stand-in gateway: one UDP
+socket answering every request, alternately served and shed.
 
-No cluster and no testbed — the point is the injector's own accounting.
-Its sender and receiver threads used to bump the same result object
-with no lock; now each keeps its own tallies and ``run`` adds them up
-once both have finished, so every request sent must be accounted for
-exactly once.
+No cluster and no testbed — the point is the generator's own accounting.
+Arrivals, calls and replies all run on one kernel, so no tally is shared
+between threads; every request sent must still be accounted for exactly
+once.
 """
 
-import json
 import random
 import socket
-import sys
 import threading
-import time
-from pathlib import Path
 
 import pytest
 
 from repro.control.admission import OVERLOADED, overloaded_value
+from repro.net.client import LiveCaller
+from repro.net.kernel import LiveKernel
 from repro.net.wire import decode_frame, encode_frame
 from repro.replication.envelope import MsgType, make_envelope
 from repro.rpc.messages import Result
-from repro.workloads import OpenLoopInjector
+from repro.workloads import open_loop_point
 
 pytestmark = pytest.mark.live
 
-TRAJECTORY = Path(__file__).parents[2] / "BENCH_throughput.json"
+#: What one point of a recorded ``open-loop-overload`` run carries.
+POINT_KEYS = {
+    "mode", "duration_s", "completed", "errors", "ops_per_s", "p50_us",
+    "p99_us", "offered_rate_ops_s", "identities", "zipf_s", "sent", "served",
+    "shed", "timeouts", "goodput_ops_s", "shed_rate", "mean_retry_after_s",
+    "gen_late_p99_us",
+}
 
 
 class StandInGateway:
@@ -66,28 +69,32 @@ class StandInGateway:
         self.sock.close()
 
 
-class IdleBed:
-    """What the injector needs of a bed when nothing needs pumping."""
+class KernelBed:
+    """What the generator needs of a bed: a kernel, and a way to run it."""
 
-    def pump(self, seconds, until=None):
-        deadline = time.monotonic() + seconds
-        while time.monotonic() < deadline and not (until and until()):
-            time.sleep(0.01)
+    def __init__(self):
+        self.sim = LiveKernel()
+
+    def run(self, seconds):
+        self.sim.run(self.sim.now + seconds)
 
 
 def test_every_request_is_accounted_for_exactly_once():
     gateway = StandInGateway()
-    injector = OpenLoopInjector([gateway.address], identities=8, zipf_s=1.1,
-                                rng=random.Random(3), deadline_s=0.5)
-    previous = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)  # make a lost update likely, were one possible
+    bed = KernelBed()
+    callers = [LiveCaller(bed.sim, [gateway.address], client_id=f"ol{i}")
+               for i in range(8)]
     try:
-        result = injector.run(IdleBed(), rate_ops_s=2_000.0, duration_s=0.5)
+        result = open_loop_point(
+            bed, callers, rate_ops_s=2_000.0, duration_s=0.5, zipf_s=1.1,
+            rng=random.Random(3), deadline_s=0.5)
     finally:
-        sys.setswitchinterval(previous)
-        injector.close()
+        for caller in callers:
+            caller.close()
+        bed.sim.close()
         gateway.close()
     tallies = result.to_dict()
+    assert set(tallies) == POINT_KEYS
     assert tallies["sent"] == gateway.answered > 200
     assert (tallies["served"] + tallies["shed"] + tallies["timeouts"]
             + tallies["errors"]) == tallies["sent"]
@@ -96,8 +103,8 @@ def test_every_request_is_accounted_for_exactly_once():
     assert tallies["mean_retry_after_s"] == 0.25
     assert tallies["shed_rate"] == pytest.approx(0.5, abs=0.01)
     assert tallies["goodput_ops_s"] == tallies["ops_per_s"]
-
-    # The trajectory file's open-loop points keep their keys.
-    committed = next(run for run in json.loads(TRAJECTORY.read_text())["runs"]
-                     if run.get("kind") == "open-loop-overload")
-    assert set(committed["points"]["4x"]) <= set(tallies)
+    # One thread generates the load: it issues each arrival when it is
+    # due, give or take the loop's own latency.
+    assert 0 <= tallies["gen_late_p99_us"] < 50_000
+    # Every identity kept to its own caller, so to its own client group.
+    assert sum(caller.stats.calls for caller in callers) == tallies["sent"]
