@@ -8,16 +8,23 @@ the same protocol code can run over two backends:
 * :class:`repro.sim.network.Network` — the deterministic simulated LAN
   (the original backend, now formally implementing this interface), and
 * :class:`repro.net.udp.UdpTransport` — real UDP sockets on an asyncio
-  event loop, with multicast emulated by per-peer unicast fan-out.
+  event loop, with multicast emulated by unicast fan-out to every
+  *other* peer.
 
 The contract:
 
 * A node *attaches* to the transport under its node id and supplies a
   ``deliver`` callback; attaching yields a :class:`TransportPort`.
-* A port can :meth:`~TransportPort.unicast` a payload to another
-  attached node or :meth:`~TransportPort.multicast` it to every
-  reachable node **including the sender** (UDP multicast loops back, and
-  Totem relies on receiving its own broadcasts).
+* A port can :meth:`~TransportPort.unicast` a payload to an attached
+  node (itself included: a singleton ring's token goes to its own
+  successor) or :meth:`~TransportPort.multicast` it to every other
+  reachable node.  **A sender must not depend on hearing its own
+  multicast**, and must tolerate hearing it: the simulated LAN loops a
+  multicast back to the sender (its per-destination loss and jitter
+  draws are the seeded cost model), the UDP backend does not (the copy
+  would cost a datagram, a decode and a duplicate drop per message).
+  Totem satisfies both — it files its own message before multicasting
+  it and ignores its own join.
 * Deliveries invoke the receiver's ``deliver`` callback with a *frame*
   object exposing at least ``.src`` (sending node id) and ``.payload``
   (the transported object).  Backends may add fields (simulated arrival
@@ -62,7 +69,8 @@ class TransportPort(abc.ABC):
 
     @abc.abstractmethod
     def multicast(self, payload: Any, size_bytes: int = 128) -> None:
-        """Send ``payload`` to every attached node, including the sender."""
+        """Send ``payload`` to every other attached node; whether the
+        sender hears it too is the backend's choice (see the contract)."""
 
 
 class Transport(abc.ABC):

@@ -3,9 +3,13 @@
 Carries the frames of :mod:`repro.net.wire` over real datagram sockets
 on an asyncio event loop.  The paper's broadcast LAN is emulated on
 localhost (or any unicast network) by **per-peer unicast fan-out**: a
-multicast is sent as one datagram per peer in the address book,
-*including the sender's own address* — UDP multicast loops back, and
-Totem relies on receiving its own broadcasts.
+multicast is sent as one datagram per *other* peer in the address book.
+A node does not send itself datagrams: Totem files its own message
+before multicasting it and ignores its own join, so the copy would be
+encoded, sent, received, decoded and dropped as a duplicate — a quarter
+of all datagrams on a three-node ring.  (The simulated LAN does loop a
+multicast back, because its per-destination loss and jitter draws are
+the seeded cost model; see :mod:`repro.net.transport` for the contract.)
 
 Sockets are plain non-blocking ``SOCK_DGRAM`` sockets serviced via
 ``loop.add_reader``, so attaching is synchronous (no coroutine needed
@@ -23,7 +27,6 @@ arbitrary traffic, and dropping is the only safe response.
 from __future__ import annotations
 
 import socket
-from dataclasses import dataclass
 from typing import Any, Callable, Dict, Optional, Tuple
 
 from .. import obs, trace as trace_mod
@@ -77,21 +80,29 @@ def _trace_for(payload: Any) -> Optional[TraceContext]:
     return trace_mod.BAGGAGE.get(envelope.header.message_id)
 
 
-@dataclass
 class LiveFrame:
     """One validated frame off the wire.
 
     Exposes the contract fields (``src``, ``payload``) plus the sender's
     socket address, which the daemon's client gateway uses to route
     replies to callers outside the peer address book, and the optional
-    trace context carried by the v3 wire format.
+    trace context carried by the v3 wire format.  Slotted: one is built
+    per datagram received.
     """
 
-    src: str
-    payload: Any
-    size_bytes: int
-    addr: Address
-    trace: Optional[TraceContext] = None
+    __slots__ = ("src", "payload", "size_bytes", "addr", "trace")
+
+    def __init__(self, src: str, payload: Any, size_bytes: int,
+                 addr: Address, trace: Optional[TraceContext] = None):
+        self.src = src
+        self.payload = payload
+        self.size_bytes = size_bytes
+        self.addr = addr
+        self.trace = trace
+
+    def __repr__(self) -> str:
+        return (f"LiveFrame(src={self.src!r}, payload={self.payload!r}, "
+                f"size_bytes={self.size_bytes}, addr={self.addr})")
 
 
 class UdpPort(TransportPort):
@@ -135,12 +146,16 @@ class UdpPort(TransportPort):
                    addr, payload, trace)
 
     def multicast(self, payload: Any, size_bytes: int = 128) -> None:
-        """Fan out to every peer in the address book, self included."""
+        """Fan out to every *other* peer in the address book: encoded
+        once, one datagram each, none to this port's own address."""
         self._check_up()
         trace = _trace_for(payload)
-        data = encode_frame(self.node_id, payload, trace, self.auth)
-        for addr in self.transport.peers.values():
-            self._send(data, addr, payload, trace)
+        me = self.node_id
+        data = encode_frame(me, payload, trace, self.auth)
+        send = self._send
+        for node_id, addr in self.transport.peers.items():
+            if node_id != me:
+                send(data, addr, payload, trace)
 
     def sendto(self, addr: Address, payload: Any) -> None:
         """Send a framed payload to an explicit socket address (used by
@@ -161,11 +176,12 @@ class UdpPort(TransportPort):
         except OSError as exc:
             raise TransportError(
                 f"{self.node_id!r} failed to send to {addr}: {exc}") from exc
+        size = len(data)
         self.frames_sent += 1
-        self.bytes_sent += len(data)
+        self.bytes_sent += size
         if flight.RECORDER.enabled:
             flight.RECORDER.record_frame(
-                self.node_id, "tx", addr, type(payload).__name__, len(data),
+                self.node_id, "tx", addr, type(payload).__name__, size,
                 trace.trace_id if trace is not None else None)
 
     # -- receiving ---------------------------------------------------------
@@ -173,9 +189,11 @@ class UdpPort(TransportPort):
     def _on_readable(self) -> None:
         # Drain everything available; the reader callback fires once per
         # loop iteration, not once per datagram.
+        recvfrom = self.sock.recvfrom
+        auth, node_id, deliver = self.auth, self.node_id, self._deliver
         while True:
             try:
-                data, addr = self.sock.recvfrom(65536)
+                data, addr = recvfrom(65536)
             except (BlockingIOError, InterruptedError):
                 return
             except OSError:
@@ -184,7 +202,7 @@ class UdpPort(TransportPort):
                 continue
             try:
                 src, payload, trace = decode_frame_ex(
-                    data, auth=self.auth, auth_node=self.node_id)
+                    data, auth=auth, auth_node=node_id)
             except FrameError as exc:
                 self.frames_rejected += 1
                 reason = getattr(exc, "reason", "malformed")
@@ -200,9 +218,9 @@ class UdpPort(TransportPort):
                     trace_mod.BAGGAGE.put(envelope.header.message_id, trace)
             if flight.RECORDER.enabled:
                 flight.RECORDER.record_frame(
-                    self.node_id, "rx", addr, type(payload).__name__,
+                    node_id, "rx", addr, type(payload).__name__,
                     len(data), trace.trace_id if trace is not None else None)
-            self._deliver(LiveFrame(src, payload, len(data), addr, trace))
+            deliver(LiveFrame(src, payload, len(data), addr, trace))
 
 
 class UdpTransport(Transport):
@@ -249,8 +267,9 @@ class UdpTransport(Transport):
         port = UdpPort(self, node_id, deliver, sock)
         self.loop.add_reader(sock.fileno(), port._on_readable)
         self._ports[node_id] = port
-        # Publish the (possibly ephemeral) bound address so peers — and
-        # the node's own multicast loopback — can reach it.
+        # Publish the (possibly ephemeral) bound address so peers can
+        # reach it — and the node itself: a singleton ring's token is a
+        # unicast to its own successor.
         self.peers[node_id] = port.address
         return port
 

@@ -43,6 +43,8 @@ from typing import Any, Optional, Tuple
 from ..errors import FrameError
 from ..trace import TraceContext
 from ..replication.codec import (
+    _I64,
+    _U16,
     CodecError,
     _pack_json,
     _pack_str,
@@ -63,6 +65,7 @@ from ..totem.messages import (
     RingBeacon,
     RingId,
 )
+from .auth import AUTH_FIELD_SIZE
 
 #: Frame magic marker ("Consistent Time").
 MAGIC = b"CT"
@@ -73,36 +76,67 @@ MAGIC = b"CT"
 #: (trace id + causal parent) for cross-node causal tracing.
 WIRE_VERSION = 3
 #: magic + version + length.
-HEADER_SIZE = 7
+_HEADER = struct.Struct("<2sBI")
+HEADER_SIZE = _HEADER.size
 #: Frame flag: a trace context follows the source field.
 _FLAG_TRACE = 0x01
 #: Frame flag: an auth field (key id + nonce + MAC) follows the trace
 #: context — see :mod:`repro.net.auth`.
 _FLAG_AUTH = 0x02
 _KNOWN_FLAGS = _FLAG_TRACE | _FLAG_AUTH
+#: The flags byte as it goes on the wire, indexed by flag set.
+_FLAG_BYTES = tuple(bytes([flags]) for flags in range(_KNOWN_FLAGS + 1))
 
-# -- payload kind tags ----------------------------------------------------
-_KIND_ENVELOPE = 0
-_KIND_REGULAR = 1
-_KIND_TOKEN = 2
-_KIND_JOIN = 3
-_KIND_COMMIT = 4
-_KIND_BEACON = 5
-_KIND_JSON = 6
-_KIND_LOST = 7
-_KIND_SUMMARY = 8
+# -- payload kind tags (the integer a decoder reads, the byte an encoder
+# writes) ------------------------------------------------------------------
+_KIND_ENVELOPE, _TAG_ENVELOPE = 0, b"\x00"
+_KIND_REGULAR, _TAG_REGULAR = 1, b"\x01"
+_KIND_TOKEN, _TAG_TOKEN = 2, b"\x02"
+_KIND_JOIN, _TAG_JOIN = 3, b"\x03"
+_KIND_COMMIT, _TAG_COMMIT = 4, b"\x04"
+_KIND_BEACON, _TAG_BEACON = 5, b"\x05"
+_KIND_JSON, _TAG_JSON = 6, b"\x06"
+_KIND_LOST, _TAG_LOST = 7, b"\x07"
+_KIND_SUMMARY, _TAG_SUMMARY = 8, b"\x08"
+
+# -- fixed layouts, compiled once (with the envelope codec's) -----------------
+#: RegularMessage: seq, retransmission.
+_REGULAR = struct.Struct("<q?")
+#: RegularToken: token_seq, seq, aru, has-aru-id.
+_TOKEN = struct.Struct("<qqq?")
+#: CommitToken: token_seq, rotation.
+_COMMIT = struct.Struct("<qq")
+#: CommitMemberInfo: high_seq, recovery_aru, recovered.
+_COMMIT_INFO = struct.Struct("<qq?")
+#: ShardSummary: shard, value, offset, round, error bound.
+_SUMMARY = struct.Struct("<qqqqq")
+#: Auth field head: key id, nonce (the MAC follows).
+_AUTH_HEAD = struct.Struct("<BQ")
 
 
 # -- primitives -----------------------------------------------------------
 
 def _pack_ring(ring_id: RingId) -> bytes:
-    return struct.pack("<q", ring_id.seq) + _pack_str(ring_id.representative)
+    return _I64.pack(ring_id.seq) + _pack_str(ring_id.representative)
+
+
+#: The ring id last decoded, as wire bytes and as an object.  Every
+#: frame on a ring carries the same id and :class:`RingId` is frozen, so
+#: a frame that continues with the same bytes gets the same object.
+_last_ring: Tuple[bytes, RingId] = (_pack_ring(RingId(0, "")), RingId(0, ""))
 
 
 def _unpack_ring(buffer: bytes, offset: int) -> Tuple[RingId, int]:
-    (seq,) = struct.unpack_from("<q", buffer, offset)
-    representative, offset = _unpack_str(buffer, offset + 8)
-    return RingId(seq, representative), offset
+    global _last_ring
+    encoded, ring_id = _last_ring
+    if buffer.startswith(encoded, offset):
+        return ring_id, offset + len(encoded)
+    (seq,) = _I64.unpack_from(buffer, offset)
+    representative, end = _unpack_str(buffer, offset + 8)
+    ring_id = RingId(seq, representative)
+    if end <= len(buffer):  # else truncated: the caller rejects it
+        _last_ring = (buffer[offset:end], ring_id)
+    return ring_id, end
 
 
 def _pack_opt_ring(ring_id: Optional[RingId]) -> bytes:
@@ -119,15 +153,8 @@ def _unpack_opt_ring(buffer: bytes, offset: int) -> Tuple[Optional[RingId], int]
     return _unpack_ring(buffer, offset)
 
 
-def _pack_str_set(values) -> bytes:
-    items = sorted(values)
-    out = [struct.pack("<H", len(items))]
-    out.extend(_pack_str(v) for v in items)
-    return b"".join(out)
-
-
 def _unpack_str_tuple(buffer: bytes, offset: int) -> Tuple[Tuple[str, ...], int]:
-    (count,) = struct.unpack_from("<H", buffer, offset)
+    (count,) = _U16.unpack_from(buffer, offset)
     offset += 2
     values = []
     for _ in range(count):
@@ -137,7 +164,7 @@ def _unpack_str_tuple(buffer: bytes, offset: int) -> Tuple[Tuple[str, ...], int]
 
 
 def _pack_str_tuple(values) -> bytes:
-    out = [struct.pack("<H", len(values))]
+    out = [_U16.pack(len(values))]
     out.extend(_pack_str(v) for v in values)
     return b"".join(out)
 
@@ -147,73 +174,73 @@ def _pack_str_tuple(values) -> bytes:
 def encode_payload(payload: Any) -> bytes:
     """Serialize one transport payload (tag byte + fields)."""
     if isinstance(payload, Envelope):
-        return bytes([_KIND_ENVELOPE]) + encode_envelope(payload)
+        return _TAG_ENVELOPE + encode_envelope(payload)
     if isinstance(payload, RegularMessage):
-        return (
-            bytes([_KIND_REGULAR])
-            + _pack_ring(payload.ring_id)
-            + struct.pack("<q?", payload.seq, payload.retransmission)
-            + _pack_str(payload.sender)
-            + encode_payload(payload.payload)
-        )
+        return b"".join((
+            _TAG_REGULAR,
+            _pack_ring(payload.ring_id),
+            _REGULAR.pack(payload.seq, payload.retransmission),
+            _pack_str(payload.sender),
+            encode_payload(payload.payload),
+        ))
     if isinstance(payload, RegularToken):
         aru_id = payload.aru_id
-        return (
-            bytes([_KIND_TOKEN])
-            + _pack_ring(payload.ring_id)
-            + struct.pack("<qqq?", payload.token_seq, payload.seq,
-                          payload.aru, aru_id is not None)
-            + (_pack_str(aru_id) if aru_id is not None else b"")
-            + struct.pack("<H", len(payload.rtr))
-            + b"".join(struct.pack("<q", seq) for seq in payload.rtr)
-        )
+        rtr = payload.rtr
+        return b"".join((
+            _TAG_TOKEN,
+            _pack_ring(payload.ring_id),
+            _TOKEN.pack(payload.token_seq, payload.seq, payload.aru,
+                        aru_id is not None),
+            _pack_str(aru_id) if aru_id is not None else b"",
+            _U16.pack(len(rtr)),
+            struct.pack(f"<{len(rtr)}q", *rtr) if rtr else b"",
+        ))
     if isinstance(payload, JoinMessage):
-        return (
-            bytes([_KIND_JOIN])
-            + _pack_str(payload.sender)
-            + _pack_str_set(payload.proc_set)
-            + _pack_str_set(payload.fail_set)
-            + struct.pack("<q", payload.ring_seq)
-        )
+        return b"".join((
+            _TAG_JOIN,
+            _pack_str(payload.sender),
+            _pack_str_tuple(sorted(payload.proc_set)),
+            _pack_str_tuple(sorted(payload.fail_set)),
+            _I64.pack(payload.ring_seq),
+        ))
     if isinstance(payload, CommitToken):
         parts = [
-            bytes([_KIND_COMMIT]),
+            _TAG_COMMIT,
             _pack_ring(payload.ring_id),
             _pack_str_tuple(payload.members),
-            struct.pack("<qq", payload.token_seq, payload.rotation),
-            struct.pack("<H", len(payload.info)),
+            _COMMIT.pack(payload.token_seq, payload.rotation),
+            _U16.pack(len(payload.info)),
         ]
         for member in sorted(payload.info):
             info = payload.info[member]
             parts.append(_pack_str(member))
             parts.append(_pack_opt_ring(info.old_ring_id))
-            parts.append(struct.pack("<qq?", info.high_seq,
-                                     info.recovery_aru, info.recovered))
-        parts.append(struct.pack("<H", len(payload.rtr)))
+            parts.append(_COMMIT_INFO.pack(info.high_seq, info.recovery_aru,
+                                           info.recovered))
+        parts.append(_U16.pack(len(payload.rtr)))
         for ring_id, seq in payload.rtr:
             parts.append(_pack_ring(ring_id))
-            parts.append(struct.pack("<q", seq))
+            parts.append(_I64.pack(seq))
         return b"".join(parts)
     if isinstance(payload, RingBeacon):
-        return (
-            bytes([_KIND_BEACON])
-            + _pack_ring(payload.ring_id)
-            + _pack_str(payload.sender)
-        )
+        return b"".join((
+            _TAG_BEACON,
+            _pack_ring(payload.ring_id),
+            _pack_str(payload.sender),
+        ))
     if isinstance(payload, LostMessage):
-        return bytes([_KIND_LOST])
+        return _TAG_LOST
     if isinstance(payload, ShardSummary):
-        return (
-            bytes([_KIND_SUMMARY])
-            + struct.pack("<qqqqq", payload.shard, payload.value_us,
-                          payload.offset_us, payload.round_seq,
-                          payload.error_us)
-            + _pack_str(payload.group)
-            + _pack_str(payload.signature)
-        )
+        return b"".join((
+            _TAG_SUMMARY,
+            _SUMMARY.pack(payload.shard, payload.value_us, payload.offset_us,
+                          payload.round_seq, payload.error_us),
+            _pack_str(payload.group),
+            _pack_str(payload.signature),
+        ))
     # Fallback: any JSON-able payload (e.g. TotemBus pub/sub traffic).
     try:
-        return bytes([_KIND_JSON]) + _pack_json(payload)
+        return _TAG_JSON + _pack_json(payload)
     except CodecError as exc:
         raise FrameError(
             f"payload {type(payload).__name__} is not wire-encodable: {exc}",
@@ -226,33 +253,40 @@ def decode_payload(buffer: bytes, offset: int = 0) -> Tuple[Any, int]:
         kind = buffer[offset]
         offset += 1
         if kind == _KIND_ENVELOPE:
-            # The envelope codec consumes the rest of its buffer region;
-            # envelopes only ever terminate a payload, so slicing is safe.
-            return decode_envelope(buffer[offset:]), len(buffer)
+            # The envelope codec consumes the rest of the buffer (and
+            # rejects trailing bytes): envelopes only ever terminate a
+            # payload.
+            return decode_envelope(buffer, offset), len(buffer)
         if kind == _KIND_REGULAR:
             ring_id, offset = _unpack_ring(buffer, offset)
-            seq, retransmission = struct.unpack_from("<q?", buffer, offset)
-            offset += struct.calcsize("<q?")
-            sender, offset = _unpack_str(buffer, offset)
-            inner, offset = decode_payload(buffer, offset)
+            seq, retransmission = _REGULAR.unpack_from(buffer, offset)
+            sender, offset = _unpack_str(buffer, offset + _REGULAR.size)
+            if buffer[offset] == _KIND_ENVELOPE:
+                # The common case, decoded here rather than through a
+                # second pass of this dispatch and its ``try``.
+                inner, offset = decode_envelope(buffer, offset + 1), len(buffer)
+            else:
+                inner, offset = decode_payload(buffer, offset)
             return RegularMessage(ring_id, seq, sender, inner, retransmission), offset
         if kind == _KIND_TOKEN:
             ring_id, offset = _unpack_ring(buffer, offset)
-            token_seq, seq, aru, has_aru_id = struct.unpack_from("<qqq?", buffer, offset)
-            offset += struct.calcsize("<qqq?")
+            token_seq, seq, aru, has_aru_id = _TOKEN.unpack_from(buffer, offset)
+            offset += _TOKEN.size
             aru_id = None
             if has_aru_id:
                 aru_id, offset = _unpack_str(buffer, offset)
-            (count,) = struct.unpack_from("<H", buffer, offset)
+            (count,) = _U16.unpack_from(buffer, offset)
             offset += 2
-            rtr = struct.unpack_from(f"<{count}q", buffer, offset)
-            offset += 8 * count
-            return RegularToken(ring_id, token_seq, seq, aru, aru_id, tuple(rtr)), offset
+            rtr = ()
+            if count:
+                rtr = struct.unpack_from(f"<{count}q", buffer, offset)
+                offset += 8 * count
+            return RegularToken(ring_id, token_seq, seq, aru, aru_id, rtr), offset
         if kind == _KIND_JOIN:
             sender, offset = _unpack_str(buffer, offset)
             proc_set, offset = _unpack_str_tuple(buffer, offset)
             fail_set, offset = _unpack_str_tuple(buffer, offset)
-            (ring_seq,) = struct.unpack_from("<q", buffer, offset)
+            (ring_seq,) = _I64.unpack_from(buffer, offset)
             return (
                 JoinMessage(sender, frozenset(proc_set), frozenset(fail_set), ring_seq),
                 offset + 8,
@@ -260,24 +294,23 @@ def decode_payload(buffer: bytes, offset: int = 0) -> Tuple[Any, int]:
         if kind == _KIND_COMMIT:
             ring_id, offset = _unpack_ring(buffer, offset)
             members, offset = _unpack_str_tuple(buffer, offset)
-            token_seq, rotation = struct.unpack_from("<qq", buffer, offset)
-            offset += 16
-            (count,) = struct.unpack_from("<H", buffer, offset)
+            token_seq, rotation = _COMMIT.unpack_from(buffer, offset)
+            offset += _COMMIT.size
+            (count,) = _U16.unpack_from(buffer, offset)
             offset += 2
             info = {}
             for _ in range(count):
                 member, offset = _unpack_str(buffer, offset)
                 old_ring_id, offset = _unpack_opt_ring(buffer, offset)
-                high_seq, recovery_aru, recovered = struct.unpack_from("<qq?", buffer, offset)
-                offset += struct.calcsize("<qq?")
                 info[member] = CommitMemberInfo(
-                    old_ring_id, high_seq, recovery_aru, recovered)
-            (count,) = struct.unpack_from("<H", buffer, offset)
+                    old_ring_id, *_COMMIT_INFO.unpack_from(buffer, offset))
+                offset += _COMMIT_INFO.size
+            (count,) = _U16.unpack_from(buffer, offset)
             offset += 2
             rtr = []
             for _ in range(count):
                 rtr_ring, offset = _unpack_ring(buffer, offset)
-                (seq,) = struct.unpack_from("<q", buffer, offset)
+                (seq,) = _I64.unpack_from(buffer, offset)
                 offset += 8
                 rtr.append((rtr_ring, seq))
             return CommitToken(ring_id, members, token_seq, rotation, info, rtr), offset
@@ -291,9 +324,8 @@ def decode_payload(buffer: bytes, offset: int = 0) -> Tuple[Any, int]:
             return LostMessage(), offset
         if kind == _KIND_SUMMARY:
             shard, value_us, offset_us, round_seq, error_us = (
-                struct.unpack_from("<qqqqq", buffer, offset))
-            offset += struct.calcsize("<qqqqq")
-            group, offset = _unpack_str(buffer, offset)
+                _SUMMARY.unpack_from(buffer, offset))
+            group, offset = _unpack_str(buffer, offset + _SUMMARY.size)
             signature, offset = _unpack_str(buffer, offset)
             return ShardSummary(shard, group, value_us, offset_us,
                                 round_seq, error_us, signature), offset
@@ -319,15 +351,90 @@ def frame(src: str, payload_bytes: bytes,
     flags = _FLAG_TRACE if trace is not None else 0
     if auth is not None:
         flags |= _FLAG_AUTH
-    parts = [_pack_str(src), bytes([flags])]
+    # Everything between the header and the payload.
+    prefix = _pack_str(src) + _FLAG_BYTES[flags]
     if trace is not None:
-        parts.append(_pack_str(trace.trace_id))
-        parts.append(_pack_str(trace.parent))
+        prefix += _pack_str(trace.trace_id) + _pack_str(trace.parent)
     if auth is not None:
-        parts.append(auth.sign_field(src, b"".join(parts), payload_bytes))
-    parts.append(payload_bytes)
-    body = b"".join(parts)
-    return MAGIC + bytes([WIRE_VERSION]) + struct.pack("<I", len(body)) + body
+        prefix += auth.sign_field(src, prefix, payload_bytes)
+    return b"".join((
+        _HEADER.pack(MAGIC, WIRE_VERSION, len(prefix) + len(payload_bytes)),
+        prefix,
+        payload_bytes,
+    ))
+
+
+def _open_frame(data: bytes, auth, auth_node: Optional[str]
+                ) -> Tuple[str, Optional[TraceContext], int]:
+    """Validate a frame in place; returns ``(src_node, trace, offset)``
+    with the payload running from ``offset`` to the end of ``data``."""
+    end = len(data)
+    if end < HEADER_SIZE:
+        raise FrameError(f"short frame ({end} bytes)", reason="truncated")
+    magic, version, length = _HEADER.unpack_from(data)
+    if magic != MAGIC:
+        raise FrameError(f"bad magic {magic!r}", reason="magic")
+    if version != WIRE_VERSION:
+        raise FrameError(f"unsupported wire version {version}",
+                         reason="version")
+    if end - HEADER_SIZE != length:
+        raise FrameError(
+            f"frame length mismatch: header says {length}, "
+            f"got {end - HEADER_SIZE}", reason="length")
+    try:
+        src, offset = _unpack_str(data, HEADER_SIZE)
+    except (struct.error, IndexError, UnicodeDecodeError) as exc:
+        raise FrameError(f"malformed frame source: {exc}",
+                         reason="source") from exc
+    if offset > end:
+        raise FrameError("frame source field overruns the body",
+                         reason="source")
+    trace: Optional[TraceContext] = None
+    authenticated = False
+    if offset >= end:
+        raise FrameError("frame truncated before the flags byte",
+                         reason="truncated")
+    flags = data[offset]
+    offset += 1
+    if flags & ~_KNOWN_FLAGS:
+        raise FrameError(f"unknown frame flags {flags:#04x}",
+                         reason="trace")
+    if flags & _FLAG_TRACE:
+        try:
+            trace_id, offset = _unpack_str(data, offset)
+            parent, offset = _unpack_str(data, offset)
+        except (struct.error, IndexError, UnicodeDecodeError) as exc:
+            raise FrameError(f"malformed trace context: {exc}",
+                             reason="trace") from exc
+        if offset > end:
+            raise FrameError("trace context overruns the body",
+                             reason="trace")
+        trace = TraceContext(trace_id, parent)
+    if flags & _FLAG_AUTH:
+        if end - offset < AUTH_FIELD_SIZE:
+            raise FrameError(
+                f"auth field truncated ({end - offset} of "
+                f"{AUTH_FIELD_SIZE} bytes)", reason="auth-truncated")
+        key_id, nonce = _AUTH_HEAD.unpack_from(data, offset)
+        mac_at = offset + _AUTH_HEAD.size
+        offset += AUTH_FIELD_SIZE
+        if auth is not None:
+            # The sender signed the body with the MAC left out: source,
+            # flags, trace context, key id and nonce, then the payload.
+            auth.verify(
+                dst=auth_node or "", src=src, key_id=key_id,
+                nonce=nonce, mac=data[mac_at:offset],
+                signed_bytes=data[HEADER_SIZE:mac_at] + data[offset:])
+            authenticated = True
+    if auth is not None and not authenticated:
+        # Auth required: only the bare-envelope client channel is exempt
+        # (clients hold no group key; their requests never enter the
+        # ring unmediated).
+        if offset >= end or data[offset] != _KIND_ENVELOPE:
+            raise FrameError(
+                f"unauthenticated ring frame from {src!r} "
+                f"(auth mode requires a MAC)", reason="auth-missing")
+    return src, trace, offset
 
 
 def unframe_ex(data: bytes, *, auth=None,
@@ -348,89 +455,8 @@ def unframe_ex(data: bytes, *, auth=None,
     ``auth-replay``.  Without ``auth``, an attached auth field is parsed
     and skipped, so unauthenticated receivers interoperate.
     """
-    if len(data) < HEADER_SIZE:
-        raise FrameError(f"short frame ({len(data)} bytes)",
-                         reason="truncated")
-    if data[:2] != MAGIC:
-        raise FrameError(f"bad magic {data[:2]!r}", reason="magic")
-    if data[2] != WIRE_VERSION:
-        raise FrameError(f"unsupported wire version {data[2]}",
-                         reason="version")
-    (length,) = struct.unpack_from("<I", data, 3)
-    body = data[HEADER_SIZE:]
-    if len(body) != length:
-        raise FrameError(
-            f"frame length mismatch: header says {length}, got {len(body)}",
-            reason="length")
-    try:
-        src, offset = _unpack_str(body, 0)
-    except (struct.error, IndexError, UnicodeDecodeError) as exc:
-        raise FrameError(f"malformed frame source: {exc}",
-                         reason="source") from exc
-    if offset > len(body):
-        raise FrameError("frame source field overruns the body",
-                         reason="source")
-    trace: Optional[TraceContext] = None
-    authenticated = False
-    if offset >= len(body):
-        raise FrameError("frame truncated before the flags byte",
-                         reason="truncated")
-    flags = body[offset]
-    offset += 1
-    if flags & ~_KNOWN_FLAGS:
-        raise FrameError(f"unknown frame flags {flags:#04x}",
-                         reason="trace")
-    if flags & _FLAG_TRACE:
-        try:
-            trace_id, offset = _unpack_str(body, offset)
-            parent, offset = _unpack_str(body, offset)
-        except (struct.error, IndexError, UnicodeDecodeError) as exc:
-            raise FrameError(f"malformed trace context: {exc}",
-                             reason="trace") from exc
-        if offset > len(body):
-            raise FrameError("trace context overruns the body",
-                             reason="trace")
-        trace = TraceContext(trace_id, parent)
-    if flags & _FLAG_AUTH:
-        from .auth import AUTH_FIELD_SIZE, MAC_SIZE
-
-        if len(body) - offset < AUTH_FIELD_SIZE:
-            raise FrameError(
-                f"auth field truncated ({len(body) - offset} of "
-                f"{AUTH_FIELD_SIZE} bytes)", reason="auth-truncated")
-        key_id = body[offset]
-        (nonce,) = struct.unpack_from("<Q", body, offset + 1)
-        mac = body[offset + 9:offset + 9 + MAC_SIZE]
-        signed_prefix = body[:offset]
-        offset += AUTH_FIELD_SIZE
-        if auth is not None:
-            auth.verify(
-                dst=auth_node or "", src=src, key_id=key_id,
-                nonce=nonce, mac=mac,
-                signed_bytes=(signed_prefix
-                              + bytes([key_id])
-                              + struct.pack("<Q", nonce)
-                              + body[offset:]))
-            authenticated = True
-    if auth is not None and not authenticated:
-        # Auth required: only the bare-envelope client channel is exempt
-        # (clients hold no group key; their requests never enter the
-        # ring unmediated).
-        if offset >= len(body) or body[offset] != _KIND_ENVELOPE:
-            raise FrameError(
-                f"unauthenticated ring frame from {src!r} "
-                f"(auth mode requires a MAC)", reason="auth-missing")
-    return src, trace, body[offset:]
-
-
-def unframe(data: bytes) -> Tuple[str, bytes]:
-    """Validate a frame; returns ``(src_node, payload_bytes)``.
-
-    The pre-v3 two-tuple contract: any attached trace context is parsed
-    (and validated) but discarded.  Use :func:`unframe_ex` to keep it.
-    """
-    src, _trace, payload_bytes = unframe_ex(data)
-    return src, payload_bytes
+    src, trace, offset = _open_frame(data, auth, auth_node)
+    return src, trace, data[offset:]
 
 
 def encode_frame(src: str, payload: Any,
@@ -443,18 +469,11 @@ def encode_frame(src: str, payload: Any,
 def decode_frame_ex(data: bytes, *, auth=None,
                     auth_node: Optional[str] = None
                     ) -> Tuple[str, Any, Optional[TraceContext]]:
-    """Unframe and decode; returns ``(src_node, payload, trace)``."""
-    src, trace, payload_bytes = unframe_ex(data, auth=auth,
-                                           auth_node=auth_node)
-    payload, end = decode_payload(payload_bytes, 0)
-    if end != len(payload_bytes):
+    """Unframe and decode in place; returns ``(src_node, payload, trace)``."""
+    src, trace, start = _open_frame(data, auth, auth_node)
+    payload, end = decode_payload(data, start)
+    if end != len(data):
         raise FrameError(
-            f"trailing garbage: payload ends at {end} of {len(payload_bytes)} bytes",
-            reason="trailing")
+            f"trailing garbage: payload ends at {end - start} of "
+            f"{len(data) - start} bytes", reason="trailing")
     return src, payload, trace
-
-
-def decode_frame(data: bytes) -> Tuple[str, Any]:
-    """Convenience: unframe and decode; returns ``(src_node, payload)``."""
-    src, payload, _trace = decode_frame_ex(data)
-    return src, payload

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import json
 import struct
+from sys import intern
 from typing import Any, Callable, Dict, Tuple
 
 from ..core.messages import CCSMessage
@@ -47,36 +48,63 @@ class CodecError(ReproError):
 
 
 # -- primitives ----------------------------------------------------------
+#
+# Every fixed layout is compiled once, here or beside its codec; the
+# module-level ``struct`` functions look their format string up on every
+# call.  CI greps for the call-time form.
+
+_U16 = struct.Struct("<H")
+_U32 = struct.Struct("<I")
+_I64 = struct.Struct("<q")
+_I64X2 = struct.Struct("<qq")
+
+# Built once: ``json.dumps(..., separators=...)`` constructs an encoder
+# per call.  Same settings, so the same bytes.
+_json_encode = json.JSONEncoder(separators=(",", ":")).encode
+_json_decode = json.JSONDecoder().decode
+
 
 def _pack_str(value: str) -> bytes:
     data = value.encode("utf-8")
     if len(data) > 0xFFFF:
         raise CodecError(f"string too long ({len(data)} bytes)")
-    return struct.pack("<H", len(data)) + data
+    return _U16.pack(len(data)) + data
 
 
 def _unpack_str(buffer: bytes, offset: int) -> Tuple[str, int]:
-    (length,) = struct.unpack_from("<H", buffer, offset)
+    (length,) = _U16.unpack_from(buffer, offset)
     offset += 2
-    value = buffer[offset:offset + length].decode("utf-8")
-    return value, offset + length
+    end = offset + length
+    return buffer[offset:end].decode("utf-8"), end
+
+
+def _unpack_id(buffer: bytes, offset: int) -> Tuple[str, int]:
+    """A node, group or thread identifier: interned, because every frame
+    repeats the same few and whatever keeps a decoded message (a
+    gateway's replay window, the round-winner history) would otherwise
+    keep a fresh copy of each per frame.  (:func:`_unpack_str` inline,
+    not called: an envelope reads three of these.)"""
+    (length,) = _U16.unpack_from(buffer, offset)
+    offset += 2
+    end = offset + length
+    return intern(buffer[offset:end].decode("utf-8")), end
 
 
 def _pack_json(value: Any) -> bytes:
     try:
-        data = json.dumps(value, separators=(",", ":")).encode("utf-8")
+        data = _json_encode(value).encode("utf-8")
     except (TypeError, ValueError) as exc:
         raise CodecError(f"body not JSON-encodable: {exc}") from exc
     if len(data) > 0xFFFFFFFF:
         raise CodecError("JSON body too large")
-    return struct.pack("<I", len(data)) + data
+    return _U32.pack(len(data)) + data
 
 
 def _unpack_json(buffer: bytes, offset: int) -> Tuple[Any, int]:
-    (length,) = struct.unpack_from("<I", buffer, offset)
+    (length,) = _U32.unpack_from(buffer, offset)
     offset += 4
-    value = json.loads(buffer[offset:offset + length].decode("utf-8"))
-    return value, offset + length
+    end = offset + length
+    return _json_decode(buffer[offset:end].decode("utf-8")), end
 
 
 # -- body codecs -----------------------------------------------------------
@@ -98,33 +126,26 @@ def _decode_none(_buffer: bytes, offset: int) -> Tuple[None, int]:
     return None, offset
 
 
+#: round, proposed micros, call type, special, covering op id.
+_CCS = struct.Struct("<qqB?qq")
+
+
 def _encode_ccs(body: CCSMessage) -> bytes:
-    return (
-        _pack_str(body.thread_id)
-        + struct.pack(
-            "<qqB?qq",
-            body.round_number,
-            body.proposed_micros,
-            body.call_type_id,
-            body.special,
-            body.covers_req,
-            body.covers_seq,
-        )
+    return _pack_str(body.thread_id) + _CCS.pack(
+        body.round_number,
+        body.proposed_micros,
+        body.call_type_id,
+        body.special,
+        body.covers_req,
+        body.covers_seq,
     )
 
 
 def _decode_ccs(buffer: bytes, offset: int) -> Tuple[CCSMessage, int]:
-    thread_id, offset = _unpack_str(buffer, offset)
-    round_number, micros, call_type_id, special, covers_req, covers_seq = (
-        struct.unpack_from("<qqB?qq", buffer, offset)
-    )
-    offset += struct.calcsize("<qqB?qq")
+    thread_id, offset = _unpack_id(buffer, offset)
     return (
-        CCSMessage(
-            thread_id, round_number, micros, call_type_id, special,
-            covers_req, covers_seq,
-        ),
-        offset,
+        CCSMessage(thread_id, *_CCS.unpack_from(buffer, offset)),
+        offset + _CCS.size,
     )
 
 
@@ -148,12 +169,12 @@ def _decode_result(buffer: bytes, offset: int) -> Tuple[Result, int]:
 
 
 def _encode_stamp(body: GroupClockStamp) -> bytes:
-    return _pack_str(body.group) + struct.pack("<q", body.micros)
+    return _pack_str(body.group) + _I64.pack(body.micros)
 
 
 def _decode_stamp(buffer: bytes, offset: int) -> Tuple[GroupClockStamp, int]:
     group, offset = _unpack_str(buffer, offset)
-    (micros,) = struct.unpack_from("<q", buffer, offset)
+    (micros,) = _I64.unpack_from(buffer, offset)
     return GroupClockStamp(group, micros), offset + 8
 
 
@@ -185,16 +206,16 @@ def _pack_value(value: Any) -> bytes:
         return bytes([_V_BODY, tag]) + _BODY_ENCODERS[tag][0](value)
     if isinstance(value, Envelope):
         data = encode_envelope(value)
-        return bytes([_V_ENVELOPE]) + struct.pack("<I", len(data)) + data
+        return bytes([_V_ENVELOPE]) + _U32.pack(len(data)) + data
     try:
         return bytes([_V_JSON]) + _pack_json(value)
     except CodecError:
         pass
     if isinstance(value, (list, tuple)):
-        return bytes([_V_LIST]) + struct.pack("<I", len(value)) + b"".join(
+        return bytes([_V_LIST]) + _U32.pack(len(value)) + b"".join(
             _pack_value(item) for item in value)
     if isinstance(value, dict):
-        return bytes([_V_DICT]) + struct.pack("<I", len(value)) + b"".join(
+        return bytes([_V_DICT]) + _U32.pack(len(value)) + b"".join(
             _pack_value(key) + _pack_value(item) for key, item in value.items())
     raise CodecError(f"value of type {type(value).__name__} is not wire-encodable")
 
@@ -205,7 +226,7 @@ def _unpack_value(buffer: bytes, offset: int) -> Tuple[Any, int]:
     if vtag == _V_JSON:
         return _unpack_json(buffer, offset)
     if vtag == _V_LIST:
-        (count,) = struct.unpack_from("<I", buffer, offset)
+        (count,) = _U32.unpack_from(buffer, offset)
         offset += 4
         items = []
         for _ in range(count):
@@ -213,7 +234,7 @@ def _unpack_value(buffer: bytes, offset: int) -> Tuple[Any, int]:
             items.append(item)
         return items, offset
     if vtag == _V_DICT:
-        (count,) = struct.unpack_from("<I", buffer, offset)
+        (count,) = _U32.unpack_from(buffer, offset)
         offset += 4
         mapping = {}
         for _ in range(count):
@@ -228,7 +249,7 @@ def _unpack_value(buffer: bytes, offset: int) -> Tuple[Any, int]:
             raise CodecError(f"unknown body tag {tag} in value") from None
         return decoder(buffer, offset + 1)
     if vtag == _V_ENVELOPE:
-        (length,) = struct.unpack_from("<I", buffer, offset)
+        (length,) = _U32.unpack_from(buffer, offset)
         offset += 4
         return decode_envelope(buffer[offset:offset + length]), offset + length
     raise CodecError(f"unknown value tag {vtag}")
@@ -236,7 +257,7 @@ def _unpack_value(buffer: bytes, offset: int) -> Tuple[Any, int]:
 
 def _encode_checkpoint(body: Checkpoint) -> bytes:
     return (
-        struct.pack("<qq", body.request_index, body.processed_index)
+        _I64X2.pack(body.request_index, body.processed_index)
         + _pack_value(body.app_state)
         + _pack_value(body.time_state)
         + _pack_value(body.extra)
@@ -244,7 +265,7 @@ def _encode_checkpoint(body: Checkpoint) -> bytes:
 
 
 def _decode_checkpoint(buffer: bytes, offset: int) -> Tuple[Checkpoint, int]:
-    request_index, processed_index = struct.unpack_from("<qq", buffer, offset)
+    request_index, processed_index = _I64X2.unpack_from(buffer, offset)
     offset += 16
     app_state, offset = _unpack_value(buffer, offset)
     time_state, offset = _unpack_value(buffer, offset)
@@ -258,7 +279,7 @@ def _decode_checkpoint(buffer: bytes, offset: int) -> Tuple[Checkpoint, int]:
 def _pack_opt_int(value) -> bytes:
     if value is None:
         return b"\x00"
-    return b"\x01" + struct.pack("<q", value)
+    return b"\x01" + _I64.pack(value)
 
 
 def _unpack_opt_int(buffer: bytes, offset: int):
@@ -266,29 +287,29 @@ def _unpack_opt_int(buffer: bytes, offset: int):
     offset += 1
     if not flag:
         return None, offset
-    (value,) = struct.unpack_from("<q", buffer, offset)
+    (value,) = _I64.unpack_from(buffer, offset)
     return value, offset + 8
 
 
 def _encode_time_state(body: TimeTransferState) -> bytes:
-    parts = [struct.pack("<H", len(body.rounds))]
+    parts = [_U16.pack(len(body.rounds))]
     for thread_id in sorted(body.rounds):
         parts.append(_pack_str(thread_id))
-        parts.append(struct.pack("<q", body.rounds[thread_id]))
-    parts.append(struct.pack("<H", len(body.accepted)))
+        parts.append(_I64.pack(body.rounds[thread_id]))
+    parts.append(_U16.pack(len(body.accepted)))
     for thread_id in sorted(body.accepted):
         parts.append(_pack_str(thread_id))
-        parts.append(struct.pack("<q", body.accepted[thread_id]))
-    parts.append(struct.pack("<H", len(body.ops)))
+        parts.append(_I64.pack(body.accepted[thread_id]))
+    parts.append(_U16.pack(len(body.ops)))
     for thread_id in sorted(body.ops):
         op = body.ops[thread_id]
         parts.append(_pack_str(thread_id))
-        parts.append(struct.pack("<qq", op[0], op[1]))
-    parts.append(struct.pack("<H", len(body.buffered)))
+        parts.append(_I64X2.pack(op[0], op[1]))
+    parts.append(_U16.pack(len(body.buffered)))
     for thread_id in sorted(body.buffered):
         messages = body.buffered[thread_id]
         parts.append(_pack_str(thread_id))
-        parts.append(struct.pack("<H", len(messages)))
+        parts.append(_U16.pack(len(messages)))
         parts.extend(_encode_ccs(message) for message in messages)
     parts.append(_pack_opt_int(body.last_group_us))
     parts.append(_pack_opt_int(body.causal_floor_us))
@@ -297,30 +318,29 @@ def _encode_time_state(body: TimeTransferState) -> bytes:
 
 def _decode_time_state(buffer: bytes, offset: int) -> Tuple[TimeTransferState, int]:
     state = TimeTransferState()
-    (count,) = struct.unpack_from("<H", buffer, offset)
+    (count,) = _U16.unpack_from(buffer, offset)
     offset += 2
     for _ in range(count):
         thread_id, offset = _unpack_str(buffer, offset)
-        (state.rounds[thread_id],) = struct.unpack_from("<q", buffer, offset)
+        (state.rounds[thread_id],) = _I64.unpack_from(buffer, offset)
         offset += 8
-    (count,) = struct.unpack_from("<H", buffer, offset)
+    (count,) = _U16.unpack_from(buffer, offset)
     offset += 2
     for _ in range(count):
         thread_id, offset = _unpack_str(buffer, offset)
-        (state.accepted[thread_id],) = struct.unpack_from("<q", buffer, offset)
+        (state.accepted[thread_id],) = _I64.unpack_from(buffer, offset)
         offset += 8
-    (count,) = struct.unpack_from("<H", buffer, offset)
+    (count,) = _U16.unpack_from(buffer, offset)
     offset += 2
     for _ in range(count):
         thread_id, offset = _unpack_str(buffer, offset)
-        covers_req, covers_seq = struct.unpack_from("<qq", buffer, offset)
-        state.ops[thread_id] = (covers_req, covers_seq)
+        state.ops[thread_id] = _I64X2.unpack_from(buffer, offset)
         offset += 16
-    (count,) = struct.unpack_from("<H", buffer, offset)
+    (count,) = _U16.unpack_from(buffer, offset)
     offset += 2
     for _ in range(count):
         thread_id, offset = _unpack_str(buffer, offset)
-        (messages,) = struct.unpack_from("<H", buffer, offset)
+        (messages,) = _U16.unpack_from(buffer, offset)
         offset += 2
         bucket = state.buffered.setdefault(thread_id, [])
         for _ in range(messages):
@@ -362,6 +382,9 @@ def register_body_codec(tag: int, cls: type, encode: Callable,
 
 
 _MSG_TYPES = list(MsgType)
+_MSG_TYPE_INDEX = {msg_type: index for index, msg_type in enumerate(_MSG_TYPES)}
+#: message type index, connection id, sequence number, body tag.
+_ENVELOPE = struct.Struct("<BqqB")
 
 
 # -- envelope codec ------------------------------------------------------------
@@ -382,26 +405,26 @@ def encode_envelope(envelope: Envelope) -> bytes:
             # STATE body: {"target": ..., "checkpoint": Checkpoint}).
             tag = _VALUE_TAG
             payload = _pack_value(body)
-    return (
-        struct.pack("<BqqB", _MSG_TYPES.index(header.msg_type),
-                    header.conn_id, header.msg_seq_num, tag)
-        + _pack_str(header.src_grp)
-        + _pack_str(header.dst_grp)
-        + _pack_str(envelope.sender)
-        + payload
-    )
+    return b"".join((
+        _ENVELOPE.pack(_MSG_TYPE_INDEX[header.msg_type],
+                       header.conn_id, header.msg_seq_num, tag),
+        _pack_str(header.src_grp),
+        _pack_str(header.dst_grp),
+        _pack_str(envelope.sender),
+        payload,
+    ))
 
 
-def decode_envelope(buffer: bytes) -> Envelope:
-    """Deserialize :func:`encode_envelope` output."""
+def decode_envelope(buffer: bytes, offset: int = 0) -> Envelope:
+    """Deserialize :func:`encode_envelope` output, which must run from
+    ``offset`` to the end of ``buffer`` (decoded in place, no copy)."""
     try:
-        type_index, conn_id, msg_seq_num, tag = struct.unpack_from(
-            "<BqqB", buffer, 0
-        )
-        offset = struct.calcsize("<BqqB")
-        src_grp, offset = _unpack_str(buffer, offset)
-        dst_grp, offset = _unpack_str(buffer, offset)
-        sender, offset = _unpack_str(buffer, offset)
+        type_index, conn_id, msg_seq_num, tag = _ENVELOPE.unpack_from(
+            buffer, offset)
+        offset += _ENVELOPE.size
+        src_grp, offset = _unpack_id(buffer, offset)
+        dst_grp, offset = _unpack_id(buffer, offset)
+        sender, offset = _unpack_id(buffer, offset)
         if tag == _JSON_TAG:
             body, offset = _unpack_json(buffer, offset)
         elif tag == _VALUE_TAG:

@@ -102,9 +102,12 @@ class Interface(TransportPort):
                                      self.network.sim.now))
 
     def multicast(self, payload: Any, size_bytes: int = 128) -> None:
-        """Send ``payload`` to every attached interface (including the
-        sender: UDP multicast loops back, and Totem relies on receiving
-        its own broadcasts)."""
+        """Send ``payload`` to every attached interface, the sender
+        included.  No protocol layer depends on that copy (the live UDP
+        port does not send it, see :mod:`repro.net.transport`); it stays
+        here because each destination's loss and jitter draws, the
+        sender's among them, are the seeded cost model behind every
+        simulated figure."""
         self._count_send(size_bytes)
         self.network._transmit(Frame(self.node_id, None, payload, size_bytes,
                                      self.network.sim.now))

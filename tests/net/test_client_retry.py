@@ -15,7 +15,7 @@ import pytest
 
 from repro.errors import RpcTimeout
 from repro.net.client import LiveCaller
-from repro.net.wire import decode_frame, encode_frame
+from repro.net.wire import decode_frame_ex, encode_frame
 from repro.replication.envelope import MsgType, make_envelope
 from repro.rpc.messages import Result
 
@@ -62,7 +62,7 @@ class Responder:
                 continue
             except OSError:
                 return
-            _src, envelope = decode_frame(data)
+            _src, envelope, _trace = decode_frame_ex(data)
             header = envelope.header
             self.seen.append((header.conn_id, header.msg_seq_num))
             if len(self.seen) <= self.ignore_first:

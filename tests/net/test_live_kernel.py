@@ -39,6 +39,33 @@ class TestScheduling:
         kernel.run(until=kernel.now + 0.06)
         assert order == ["early", "late"]
 
+    def test_zero_delay_wakes_run_in_issue_order(self, kernel):
+        # schedule(0), call_soon and succeed() are FIFO among themselves,
+        # like the sim heap's same-time tie-break — whichever loop queue
+        # carries them (ROADMAP 2(e) wants them on ``loop.call_soon``).
+        order = []
+        event = Event(kernel)
+        event._add_callback(lambda _event: order.append("event"))
+        kernel.schedule(0, order.append, "scheduled")
+        event.succeed()
+        kernel.call_soon(order.append, "soon")
+        kernel.schedule(0.0, order.append, "scheduled again")
+        kernel.run(until=kernel.now + 0.02)
+        assert order == ["scheduled", "event", "soon", "scheduled again"]
+
+    def test_zero_delay_wake_runs_before_an_earlier_timer_comes_due(self, kernel):
+        order = []
+        kernel.schedule(0.005, order.append, "timer")
+        kernel.schedule(0, order.append, "wake")
+        kernel.run(until=kernel.now + 0.03)
+        assert order == ["wake", "timer"]
+
+    def test_zero_delay_callback_can_be_cancelled(self, kernel):
+        fired = []
+        kernel.cancel(kernel.schedule(0, fired.append, "callback"))
+        kernel.run(until=kernel.now + 0.01)
+        assert fired == []
+
     def test_timeout_event_succeeds(self, kernel):
         results = []
         kernel.timeout(0.01, value="done")._add_callback(

@@ -14,13 +14,11 @@ from repro.net.wire import (
     HEADER_SIZE,
     MAGIC,
     WIRE_VERSION,
-    decode_frame,
     decode_frame_ex,
     decode_payload,
     encode_frame,
     encode_payload,
     frame,
-    unframe,
     unframe_ex,
 )
 from repro.replication import MsgType, make_envelope
@@ -46,35 +44,36 @@ class TestFraming:
         assert length == len(data) - HEADER_SIZE
 
     def test_unframe_returns_src_and_payload(self):
-        src, payload = unframe(frame("n2", b"payload"))
+        src, trace, payload = unframe_ex(frame("n2", b"payload"))
         assert src == "n2"
+        assert trace is None
         assert payload == b"payload"
 
     def test_short_frame_rejected(self):
         with pytest.raises(FrameError, match="short frame"):
-            unframe(b"CT\x01")
+            unframe_ex(b"CT\x01")
 
     def test_bad_magic_rejected(self):
         data = bytearray(frame("n0", b"x"))
         data[0] = ord("X")
         with pytest.raises(FrameError, match="bad magic"):
-            unframe(bytes(data))
+            unframe_ex(bytes(data))
 
     def test_future_version_rejected(self):
         data = bytearray(frame("n0", b"x"))
         data[2] = WIRE_VERSION + 1
         with pytest.raises(FrameError, match="unsupported wire version"):
-            unframe(bytes(data))
+            unframe_ex(bytes(data))
 
     def test_length_mismatch_rejected(self):
         data = frame("n0", b"x")
         with pytest.raises(FrameError, match="length mismatch"):
-            unframe(data + b"zz")
+            unframe_ex(data + b"zz")
 
     def test_trailing_garbage_after_payload_rejected(self):
         data = frame("n0", encode_payload(sample_envelope()) + b"\x00")
         with pytest.raises(FrameError, match="trailing bytes"):
-            decode_frame(data)
+            decode_frame_ex(data)
 
 
 class TestTraceField:
@@ -87,14 +86,15 @@ class TestTraceField:
         assert decoded == tctx
         assert decoded.parent == "client.c1"
 
-    def test_two_tuple_contract_drops_the_trace(self):
+    def test_traced_frame_keeps_source_and_payload(self):
         tctx = TraceContext("00ab00ab00ab00ab", "client.c1")
         data = encode_frame("n0", sample_envelope(), trace=tctx)
-        src, payload = decode_frame(data)
+        src, payload, _trace = decode_frame_ex(data)
         assert src == "n0"
         assert payload == sample_envelope()
-        src, payload_bytes = unframe(data)
+        src, _trace, payload_bytes = unframe_ex(data)
         assert src == "n0"
+        assert payload_bytes == encode_payload(sample_envelope())
 
     def test_frame_without_trace_decodes_to_none(self):
         data = encode_frame("n0", sample_envelope())
@@ -145,7 +145,7 @@ class TestTraceField:
         ]
         for data, reason in cases:
             with pytest.raises(FrameError) as exc:
-                unframe(data)
+                unframe_ex(data)
             assert exc.value.reason == reason, data
 
     def test_trailing_garbage_reason(self):
@@ -153,20 +153,20 @@ class TestTraceField:
         # payload codec) sees the leftover byte.
         data = frame("n0", encode_payload(LostMessage()) + b"\x00")
         with pytest.raises(FrameError) as exc:
-            decode_frame(data)
+            decode_frame_ex(data)
         assert exc.value.reason == "trailing"
 
     def test_envelope_trailing_garbage_is_a_payload_error(self):
         data = frame("n0", encode_payload(sample_envelope()) + b"\x00")
         with pytest.raises(FrameError) as exc:
-            decode_frame(data)
+            decode_frame_ex(data)
         assert exc.value.reason == "payload"
 
 
 class TestPayloads:
     def test_envelope_roundtrip(self):
         env = sample_envelope()
-        src, decoded = decode_frame(encode_frame("n0", env))
+        src, decoded, _trace = decode_frame_ex(encode_frame("n0", env))
         assert src == "n0"
         assert decoded == env
 

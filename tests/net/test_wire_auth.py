@@ -24,7 +24,6 @@ from repro.net.wire import (
     HEADER_SIZE,
     MAGIC,
     WIRE_VERSION,
-    decode_frame,
     decode_frame_ex,
     encode_frame,
 )
@@ -150,12 +149,12 @@ class TestNegativePaths:
 class TestCompatibility:
     def test_unauthenticated_v3_frame_decodes_when_auth_off(self):
         data = encode_frame("n0", beacon())
-        src, payload = decode_frame(data)
+        src, payload, _trace = decode_frame_ex(data)
         assert (src, payload) == ("n0", beacon())
 
     def test_signed_frame_decodes_on_unauthenticated_receiver(self):
         data = encode_frame("n0", beacon(), None, signer())
-        src, payload = decode_frame(data)  # field parsed and skipped
+        src, payload, _trace = decode_frame_ex(data)  # field parsed and skipped
         assert (src, payload) == ("n0", beacon())
 
     def test_auth_field_length_matches_wire_layout(self):

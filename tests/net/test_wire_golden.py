@@ -1,0 +1,251 @@
+"""Golden bytes of the live wire format (``WIRE_VERSION`` 3).
+
+The hex strings were recorded at commit ``a68066e``, before the codec
+was rewritten around precompiled ``Struct`` objects, and pin the claim
+that the rewrite moved no byte: a daemon of either commit decodes the
+other's frames.  Round-trip *properties* live in
+``tests/properties/test_wire_roundtrip.py``; this file pins one concrete
+frame per payload kind.  A deliberate format change bumps
+``WIRE_VERSION`` and re-records every string here.
+"""
+
+import pytest
+
+from repro.core.messages import CCSMessage
+from repro.core.recovery import TimeTransferState
+from repro.net.auth import WireAuthenticator
+from repro.net.wire import WIRE_VERSION, decode_frame_ex, encode_frame
+from repro.replication.envelope import MsgType, make_envelope
+from repro.replication.state_transfer import Checkpoint
+from repro.rpc.messages import Invocation, Result
+from repro.shard.summary import ShardSummary
+from repro.totem.messages import (
+    CommitMemberInfo,
+    CommitToken,
+    JoinMessage,
+    LostMessage,
+    RegularMessage,
+    RegularToken,
+    RingBeacon,
+    RingId,
+)
+from repro.trace import TraceContext
+
+GROUP = "timesvc"
+RING = RingId(4, "n0")
+NOW_US = 1_790_000_000_123_456
+TRACE = TraceContext("00ab00ab00ab00ab", "gw.n0")
+
+
+def _authenticator() -> WireAuthenticator:
+    """A fixed key; a fresh instance signs with nonce 1, so the MAC of
+    the first frame is deterministic."""
+    return WireAuthenticator(bytes(range(32)), key_id=3)
+
+
+def _cases():
+    """name -> (payload, trace, signed).  The first four are the
+    payloads of ``bench/micro.py``."""
+    request = make_envelope(
+        MsgType.REQUEST, "client.b7", GROUP, 8, 1234, "b7",
+        body=Invocation("gettimeofday", (NOW_US,)))
+    reply = make_envelope(
+        MsgType.REPLY, GROUP, "client.b7", 8, 1234, "n1",
+        body=Result(value=NOW_US + 250))
+    ccs = make_envelope(
+        MsgType.CCS, GROUP, GROUP, 0, 5678, "n1",
+        body=CCSMessage("main", 5678, NOW_US, 1,
+                        covers_req=9012, covers_seq=1))
+    token = RegularToken(RING, 456789, 34567, 34560, "n2", (34561,))
+    time_state = TimeTransferState(
+        rounds={"main": 41, "aux": 3},
+        buffered={"main": [CCSMessage("main", 42, NOW_US, 1, special=True,
+                                      covers_req=77, covers_seq=2)]},
+        accepted={"main": 42},
+        ops={"main": (77, 2)},
+        last_group_us=NOW_US - 5,
+        causal_floor_us=None)
+    state = make_envelope(
+        MsgType.STATE, GROUP, GROUP, 0, 9, "n2",
+        body={"target": "n1",
+              "checkpoint": Checkpoint({"calls": 12}, 345, time_state, 340,
+                                       extra=[request])})
+    commit = CommitToken(
+        RingId(8, "n0"), ("n0", "n1", "n2"), token_seq=5, rotation=2,
+        info={"n1": CommitMemberInfo(RING, 120, 118, True),
+              "n0": CommitMemberInfo(None, 0, 0, False)},
+        rtr=[(RING, 119), (RingId(3, "n1"), 7)])
+    ring_request = RegularMessage(RING, 34568, "n0", request)
+    plain = {
+        "request": request,
+        "reply": reply,
+        "ccs": RegularMessage(RING, 34567, "n1", ccs),
+        "token": token,
+        "token-idle": RegularToken(RING, 456790, 34567, 34567, None, ()),
+        "ring-request": ring_request,
+        "ring-reply": RegularMessage(RING, 34569, "n1", reply, True),
+        "error-reply": make_envelope(
+            MsgType.REPLY, GROUP, "client.b7", 8, 1235, "n1",
+            body=Result(error="ValueError: no such method")),
+        "join": JoinMessage("n2", frozenset({"n0", "n1", "n2"}),
+                            frozenset({"n3"}), 7),
+        "commit": commit,
+        "beacon": RingBeacon(RING, "n0"),
+        "lost": RegularMessage(RING, 12, "n2", LostMessage(), True),
+        "summary": ShardSummary(2, "shard2", NOW_US, -1234, 88, 17,
+                                "ab" * 32),
+        "state": RegularMessage(RING, 34570, "n2", state),
+        "json": {"topic": "bus", "items": [1, 2.5, None, "x"], "ok": True},
+        "json-in-ring": RegularMessage(RING, 13, "n0", ["pub", "t", 1]),
+        "empty-body": make_envelope(
+            MsgType.GROUP_JOIN, GROUP, GROUP, 0, 1, "n0"),
+    }
+    cases = {name: (payload, None, False) for name, payload in plain.items()}
+    cases["traced"] = (ring_request, TRACE, False)
+    cases["signed"] = (plain["ccs"], None, True)
+    cases["signed-traced"] = (token, TRACE, True)
+    return cases
+
+
+CASES = _cases()
+
+GOLDEN = {
+    "request": (
+        "4354035400000002006e310000000800000000000000d2040000000000000209"
+        "00636c69656e742e6237070074696d65737663020062370c0067657474696d65"
+        "6f66646179120000005b313739303030303030303132333435365d"
+    ),
+    "reply": (
+        "4354035b00000002006e310000010800000000000000d2040000000000000307"
+        "0074696d657376630900636c69656e742e623702006e31270000007b2276616c"
+        "7565223a313739303030303030303132333730362c226572726f72223a6e756c"
+        "6c7d"
+    ),
+    "ccs": (
+        "4354037000000002006e310001040000000000000002006e3007870000000000"
+        "000002006e31000200000000000000002e1600000000000001070074696d6573"
+        "7663070074696d6573766302006e3104006d61696e2e1600000000000040c227"
+        "dafe5b0600010034230000000000000100000000000000"
+    ),
+    "token": (
+        "4354033900000002006e310002040000000000000002006e3055f80600000000"
+        "00078700000000000000870000000000000102006e3201000187000000000000"
+    ),
+    "token-idle": (
+        "4354032d00000002006e310002040000000000000002006e3056f80600000000"
+        "0007870000000000000787000000000000000000"
+    ),
+    "ring-request": (
+        "4354036e00000002006e310001040000000000000002006e3008870000000000"
+        "000002006e3000000800000000000000d204000000000000020900636c69656e"
+        "742e6237070074696d65737663020062370c0067657474696d656f6664617912"
+        "0000005b313739303030303030303132333435365d"
+    ),
+    "ring-reply": (
+        "4354037500000002006e310001040000000000000002006e3009870000000000"
+        "000102006e3100010800000000000000d20400000000000003070074696d6573"
+        "76630900636c69656e742e623702006e31270000007b2276616c7565223a3137"
+        "39303030303030303132333730362c226572726f72223a6e756c6c7d"
+    ),
+    "error-reply": (
+        "4354036700000002006e310000010800000000000000d3040000000000000307"
+        "0074696d657376630900636c69656e742e623702006e31330000007b2276616c"
+        "7565223a6e756c6c2c226572726f72223a2256616c75654572726f723a206e6f"
+        "2073756368206d6574686f64227d"
+    ),
+    "join": (
+        "4354032600000002006e31000302006e32030002006e3002006e3102006e3201"
+        "0002006e330700000000000000"
+    ),
+    "commit": (
+        "4354039400000002006e310004080000000000000002006e30030002006e3002"
+        "006e3102006e3205000000000000000200000000000000020002006e30000000"
+        "00000000000000000000000000000002006e3101040000000000000002006e30"
+        "78000000000000007600000000000000010200040000000000000002006e3077"
+        "00000000000000030000000000000002006e310700000000000000"
+    ),
+    "beacon": (
+        "4354031600000002006e310005040000000000000002006e3002006e30"
+    ),
+    "lost": (
+        "4354032000000002006e310001040000000000000002006e300c000000000000"
+        "000102006e3207"
+    ),
+    "summary": (
+        "4354037800000002006e310008020000000000000040c227dafe5b06002efbff"
+        "ffffffffff580000000000000011000000000000000600736861726432400061"
+        "6261626162616261626162616261626162616261626162616261626162616261"
+        "62616261626162616261626162616261626162616261626162616261626162"
+    ),
+    "state": (
+        "4354037201000002006e310001040000000000000002006e300a870000000000"
+        "000002006e3200070000000000000000090000000000000006070074696d6573"
+        "7663070074696d6573766302006e320202000000000800000022746172676574"
+        "220004000000226e3122000c00000022636865636b706f696e74220307590100"
+        "00000000005401000000000000000c0000007b2263616c6c73223a31327d0308"
+        "02000300617578030000000000000004006d61696e2900000000000000010004"
+        "006d61696e2a00000000000000010004006d61696e4d00000000000000020000"
+        "0000000000010004006d61696e010004006d61696e2a0000000000000040c227"
+        "dafe5b060001014d000000000000000200000000000000013bc227dafe5b0600"
+        "000101000000044e000000000800000000000000d20400000000000002090063"
+        "6c69656e742e6237070074696d65737663020062370c0067657474696d656f66"
+        "646179120000005b313739303030303030303132333435365d"
+    ),
+    "json": (
+        "4354033c00000002006e310006320000007b22746f706963223a22627573222c"
+        "226974656d73223a5b312c322e352c6e756c6c2c2278225d2c226f6b223a7472"
+        "75657d"
+    ),
+    "json-in-ring": (
+        "4354033100000002006e310001040000000000000002006e300d000000000000"
+        "000002006e30060d0000005b22707562222c2274222c315d"
+    ),
+    "empty-body": (
+        "4354032e00000002006e31000003000000000000000001000000000000000007"
+        "0074696d65737663070074696d6573766302006e30"
+    ),
+    "traced": (
+        "4354038700000002006e31011000303061623030616230306162303061620500"
+        "67772e6e3001040000000000000002006e3008870000000000000002006e3000"
+        "000800000000000000d204000000000000020900636c69656e742e6237070074"
+        "696d65737663020062370c0067657474696d656f66646179120000005b313739"
+        "303030303030303132333435365d"
+    ),
+    "signed": (
+        "4354038900000002006e310203010000000000000050290cb98c8767c55d5328"
+        "07e6512e6e01040000000000000002006e3007870000000000000002006e3100"
+        "0200000000000000002e1600000000000001070074696d65737663070074696d"
+        "6573766302006e3104006d61696e2e1600000000000040c227dafe5b06000100"
+        "34230000000000000100000000000000"
+    ),
+    "signed-traced": (
+        "4354036b00000002006e31031000303061623030616230306162303061620500"
+        "67772e6e300301000000000000004a0fdefe912582e90099a6366344049e0204"
+        "0000000000000002006e3055f806000000000007870000000000000087000000"
+        "0000000102006e3201000187000000000000"
+    ),
+}
+
+
+def test_wire_version_is_three():
+    assert WIRE_VERSION == 3
+
+
+def test_every_case_is_pinned():
+    assert sorted(GOLDEN) == sorted(CASES)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_frame_bytes_are_the_recorded_ones(name):
+    payload, trace, signed = CASES[name]
+    auth = _authenticator() if signed else None
+    assert encode_frame("n1", payload, trace, auth).hex() == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_recorded_bytes_decode_back_equal(name):
+    payload, trace, signed = CASES[name]
+    auth = _authenticator() if signed else None
+    decoded = decode_frame_ex(bytes.fromhex(GOLDEN[name]),
+                              auth=auth, auth_node="n2")
+    assert decoded == ("n1", payload, trace)

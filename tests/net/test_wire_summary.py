@@ -9,7 +9,7 @@ coverage rides along in ``tests/properties/test_wire_roundtrip.py``.
 import struct
 
 from repro.net.wire import (
-    decode_frame,
+    decode_frame_ex,
     decode_payload,
     encode_payload,
     frame,
@@ -49,7 +49,8 @@ class TestSignedRoundTrip:
     def test_signed_summary_survives_the_frame(self):
         signed = sample_summary().sign("overlay-secret")
         assert signed.signature
-        src, decoded = decode_frame(frame("s2n0", encode_payload(signed)))
+        src, decoded, _trace = decode_frame_ex(
+            frame("s2n0", encode_payload(signed)))
         assert src == "s2n0"
         assert decoded == signed
         assert decoded.verify("overlay-secret")
@@ -57,7 +58,8 @@ class TestSignedRoundTrip:
 
     def test_unsigned_summary_survives_the_frame(self):
         summary = sample_summary()
-        _, decoded = decode_frame(frame("s2n0", encode_payload(summary)))
+        _, decoded, _trace = decode_frame_ex(
+            frame("s2n0", encode_payload(summary)))
         assert decoded == summary
         assert decoded.signature == ""
 

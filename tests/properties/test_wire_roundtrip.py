@@ -15,11 +15,11 @@ from repro.net.wire import (
     HEADER_SIZE,
     MAGIC,
     WIRE_VERSION,
-    decode_frame,
+    decode_frame_ex,
     decode_payload,
     encode_payload,
     frame,
-    unframe,
+    unframe_ex,
 )
 from repro.replication import MsgType, make_envelope
 from repro.rpc import Invocation, Result
@@ -141,7 +141,8 @@ class TestRoundTrip:
     @settings(max_examples=150)
     @given(src=identifiers, payload=payloads)
     def test_encode_frame_decode_identity(self, src, payload):
-        decoded_src, decoded = decode_frame(frame(src, encode_payload(payload)))
+        decoded_src, decoded, _trace = decode_frame_ex(
+            frame(src, encode_payload(payload)))
         assert decoded_src == src
         assert decoded == payload
 
@@ -161,7 +162,7 @@ class TestRejection:
         encoded = frame(src, encode_payload(payload))
         cut = data.draw(st.integers(min_value=0, max_value=len(encoded) - 1))
         try:
-            unframe(encoded[:cut])
+            unframe_ex(encoded[:cut])
         except FrameError:
             pass  # rejection is the expected outcome
         else:
@@ -171,7 +172,7 @@ class TestRejection:
     @given(junk=st.binary(max_size=64))
     def test_garbage_never_crashes_decoder(self, junk):
         try:
-            decode_frame(junk)
+            decode_frame_ex(junk)
         except FrameError:
             pass
 
@@ -180,7 +181,7 @@ class TestRejection:
     def test_trailing_garbage_rejected(self, src, payload, extra):
         encoded = frame(src, encode_payload(payload))
         try:
-            decode_frame(encoded + extra)
+            decode_frame_ex(encoded + extra)
         except FrameError:
             pass
         else:
@@ -194,7 +195,7 @@ class TestRejection:
         delta = flip.draw(st.integers(min_value=1, max_value=255))
         encoded[index] = (encoded[index] + delta) % 256
         try:
-            decoded_src, decoded = decode_frame(bytes(encoded))
+            decoded_src, decoded, _trace = decode_frame_ex(bytes(encoded))
         except FrameError:
             return
         # A length-byte flip that still parses must not change content

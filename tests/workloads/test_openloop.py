@@ -16,7 +16,7 @@ import pytest
 from repro.control.admission import OVERLOADED, overloaded_value
 from repro.net.client import LiveCaller
 from repro.net.kernel import LiveKernel
-from repro.net.wire import decode_frame, encode_frame
+from repro.net.wire import decode_frame_ex, encode_frame
 from repro.replication.envelope import MsgType, make_envelope
 from repro.rpc.messages import Result
 from repro.workloads import open_loop_point
@@ -52,7 +52,7 @@ class StandInGateway:
                 data, addr = self.sock.recvfrom(65536)
             except socket.timeout:
                 continue
-            _src, request = decode_frame(data)
+            _src, request, _trace = decode_frame_ex(data)
             header = request.header
             body = (Result(value={"micros": 1_000 + self.answered})
                     if self.answered % 2 == 0 else
