@@ -34,6 +34,7 @@ class ClockApp(Application):
 
 def run(time_source: str):
     bed = Testbed(seed=2026)
+    bed.record()  # keep what each replica serves (off unless asked)
     bed.deploy("timesvc", ClockApp, ["n1", "n2", "n3"],
                style="active", time_source=time_source)
     client = bed.client("n0")
@@ -52,7 +53,8 @@ def run(time_source: str):
     bed.run(0.05)  # drain duplicate replies
 
     per_replica = {
-        node_id: [v.micros for _, _, _, v in replica.time_source.readings][-5:]
+        node_id: [v.micros for _, _, _, v
+                  in replica.time_source.recorder.readings][-5:]
         for node_id, replica in bed.replicas("timesvc").items()
     }
     return answers, per_replica

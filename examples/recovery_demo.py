@@ -44,6 +44,7 @@ class CounterApp(Application):
 def main():
     bed = Testbed(seed=7, cluster_config=ClusterConfig(
         num_nodes=4, clock_epoch_spread_s=30.0))
+    bed.record()  # keep every replica's readings, the later joiner's too
     bed.deploy("svc", CounterApp, ["n1", "n2"], time_source="cts")
     client = bed.client("n0")
     bed.start()
@@ -80,11 +81,11 @@ def main():
     bed.run(0.05)
 
     joiner_answers = [
-        v.micros for _, _, _, v in joiner.time_source.readings
+        v.micros for _, _, _, v in joiner.time_source.recorder.readings
     ][-4:]
     veteran_answers = [
-        v.micros
-        for _, _, _, v in bed.replicas("svc")["n1"].time_source.readings
+        v.micros for _, _, _, v
+        in bed.replicas("svc")["n1"].time_source.recorder.readings
     ][-4:]
     print(f"\n  n3's readings:  {joiner_answers}")
     print(f"  n1's readings:  {veteran_answers}")

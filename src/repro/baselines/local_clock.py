@@ -29,14 +29,13 @@ class LocalClockSource(TimeSource):
         self.replica = replica
         self.node = replica.node
         self.sim = replica.sim
-        #: (sim_time, thread_id, call, ClockValue) values handed to the
-        #: app — the same shape the consistent time service records.
-        self.readings = []
 
     def read(self, thread_id: str, call_name: str = "gettimeofday") -> Event:
         call = resolve_call(call_name)
         value = ClockValue(call.quantize(self.node.read_clock_us()))
-        self.readings.append((self.sim.now, thread_id, call.name, value))
+        if self.recorder is not None:
+            self.recorder.readings.append(
+                (self.sim.now, thread_id, call.name, value))
         event = Event(self.sim)
         event.succeed(value)
         return event

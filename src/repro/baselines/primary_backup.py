@@ -99,9 +99,6 @@ class PrimaryBackupClockSource(TimeSource):
         self.sim = replica.sim
         self._buffers: Dict[str, _ThreadBuffer] = {}
         self._seq: Dict[str, int] = {}
-        #: (sim_time, thread_id, call, ClockValue) readings handed to the
-        #: app — the same shape the consistent time service records.
-        self.readings: List[tuple] = []
         self.conveyed_sent = 0
         self.conveyed_consumed = 0
 
@@ -113,7 +110,7 @@ class PrimaryBackupClockSource(TimeSource):
             micros = self.node.read_clock_us()
             self._convey(thread_id, micros, call.type_id)
             value = ClockValue(call.quantize(micros))
-            self.readings.append((self.sim.now, thread_id, call.name, value))
+            self._record(thread_id, call.name, value)
             event = Event(self.sim)
             event.succeed(value)
             return event
@@ -125,12 +122,17 @@ class PrimaryBackupClockSource(TimeSource):
         def _finish(event: Event) -> None:
             self.conveyed_consumed += 1
             value = ClockValue(call.quantize(event.value))
-            self.readings.append((self.sim.now, thread_id, call.name, value))
+            self._record(thread_id, call.name, value)
             if not result.triggered:
                 result.succeed(value)
 
         raw._add_callback(_finish)
         return result
+
+    def _record(self, thread_id: str, call_name: str, value) -> None:
+        if self.recorder is not None:
+            self.recorder.readings.append(
+                (self.sim.now, thread_id, call_name, value))
 
     def _convey(self, thread_id: str, micros: int, call_type_id: int) -> None:
         seq = self._seq.get(thread_id, 0) + 1

@@ -127,9 +127,7 @@ def corrupt_time_state(service, rng) -> Dict[str, int]:
     Models a transient fault (bit flips, a bad restore) hitting exactly
     the state the self-stabilization path claims to repair: the clock
     offset, the per-thread round counters, the duplicate-detection
-    watermarks, and the fast-path floor.  The commit ``history`` is left
-    alone — it is the audit trail the invariant oracle re-derives
-    offsets from, not live protocol state.
+    watermarks, and the fast-path floor.
 
     Returns what was scrambled (for the chaos verdict).  Draws only from
     ``rng``, so a seeded schedule corrupts identically across runs.

@@ -460,8 +460,10 @@ class InvariantOracle:
         """Run the end-of-run checks against the testbed's replicas.
 
         ``group`` audits one group; ``groups`` audits several (one per
-        shard in sharded runs).  The recovery/stabilization checks are
-        per node and run once either way.
+        shard in sharded runs) — the commits of each replica whose bed
+        was asked to record (``bed.record()``; a judged run asks).  The
+        recovery/stabilization checks are per node and run once either
+        way.
         """
         self.detach()
         audit = list(groups) if groups is not None else (
@@ -473,10 +475,10 @@ class InvariantOracle:
                 for node_id, replica in bed.replicas(audited).items():
                     if node_id in self._faulty:
                         continue  # a Byzantine replica owes no identity
-                    state = getattr(replica.time_source, "clock_state", None)
-                    if state is None:
-                        continue  # baseline source; nothing to re-derive
-                    for entry in state.history:
+                    recorder = replica.time_source.recorder
+                    if recorder is None:
+                        continue  # nobody asked the bed to record
+                    for entry in recorder.history:
                         group_us, physical_us, offset_us = entry
                         if offset_us != group_us - physical_us:
                             self._flag(
@@ -484,7 +486,7 @@ class InvariantOracle:
                                 f"commit {entry} violates "
                                 f"offset = group - physical "
                                 f"({offset_us} != {group_us - physical_us})",
-                                list(state.history[-8:]))
+                                recorder.history[-8:])
                             break
         if not self.reconfigs_noted and not self._recovered:
             # Membership changes (and crash recoveries) stall rounds

@@ -15,8 +15,8 @@ algorithm (paper Figure 2):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Optional
 
 
 @dataclass
@@ -33,9 +33,9 @@ class GroupClockState:
     #: local (never transferred): it keeps this replica's *own* proposals
     #: and fast reads strictly above everything it already handed out.
     fast_floor_us: Optional[int] = None
-    #: (round-independent) history for the evaluation harness:
-    #: [(group_value_us, physical_us, offset_us)]
-    history: List[Tuple[int, int, int]] = field(default_factory=list)
+    #: Rounds committed — a count; the (group, physical, offset) triples
+    #: go to the service's recorder, if anyone asked for one.
+    rounds_committed: int = 0
 
     # ------------------------------------------------------------------
 
@@ -66,7 +66,7 @@ class GroupClockState:
         """
         self.offset_us = group_us - physical_us
         self.observe_group_value(group_us)
-        self.history.append((group_us, physical_us, self.offset_us))
+        self.rounds_committed += 1
         return self.offset_us
 
     def observe_group_value(self, group_us: int) -> None:
@@ -95,19 +95,8 @@ class GroupClockState:
         provably implausible (they sit far above a freshly agreed group
         value, so they came from corrupted state, not from real rounds).
         The next commit re-derives ``offset_us`` and re-anchors every
-        floor from the agreed value; ``history`` is untouched — it is
-        the audit trail the invariant oracle re-derives offsets from.
+        floor from the agreed value.
         """
         self.last_group_us = None
         self.causal_floor_us = None
         self.fast_floor_us = None
-
-    # -- reporting ---------------------------------------------------------
-
-    @property
-    def rounds_committed(self) -> int:
-        return len(self.history)
-
-    def offset_series(self) -> List[int]:
-        """Offsets after each committed round (Figure 6(b))."""
-        return [offset for _, _, offset in self.history]

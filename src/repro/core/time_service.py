@@ -40,7 +40,6 @@ replica-independent round counters from the checkpoint.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
 from typing import Callable, Dict, List, Optional, Tuple, TYPE_CHECKING
 
 from ..errors import TimeServiceError
@@ -104,18 +103,15 @@ M_STALENESS_BUDGET = obs.REGISTRY.gauge(
     "cts_max_staleness_us",
     "configured fast-path staleness budget", unit="us")
 
-#: The longest ``readings`` / ``winners`` / ``served_ops`` /
-#: ``fast_served`` grow (a full one drops its oldest half): a serving
-#: replica lives for days, and the largest seeded reader of these
-#: histories — the 10 000-round FIG6 run — stays well inside it.
-HISTORY_LIMIT = 65_536
-
 
 @dataclass
 class CTSStats:
     """Counters the evaluation harness reads (Section 4.3)."""
 
     rounds_completed: int = 0
+    #: Round winners accepted (ordered first for their round), consumed
+    #: or still buffered.
+    rounds_accepted: int = 0
     #: CCS messages handed to Totem for transmission.
     ccs_sent: int = 0
     #: CCS messages withdrawn before transmission (winner ordered first).
@@ -189,12 +185,6 @@ COUNTERS = obs.REGISTRY.read_counters({
 })
 
 
-def _bound(history: list) -> None:
-    """Make room in a full history list: drop its oldest half."""
-    if len(history) >= HISTORY_LIMIT:
-        del history[:HISTORY_LIMIT // 2]
-
-
 class ConsistentTimeService(TimeSource):
     """The group clock provider for one replica."""
 
@@ -255,18 +245,6 @@ class ConsistentTimeService(TimeSource):
         self._recovering = False
         #: Physical clock at the last committed round (fast-path anchor).
         self._last_commit_physical_us: Optional[int] = None
-        #: (thread_id, round, winner_node) per accepted round — the
-        #: synchronizer history the Figure 6 analysis plots.
-        self.winners: List[Tuple[str, int, str]] = []
-        #: (sim_time, thread_id, call, ClockValue) values returned to the app.
-        self.readings: List[Tuple[float, str, str, ClockValue]] = []
-        #: (thread_id, op_id) -> group value, for round-served operations
-        #: — replica-independent by construction; the agreement
-        #: invariant the property suites check.
-        self.served_ops: Dict[Tuple[str, OpId], int] = {}
-        #: (sim_time, value_us, elapsed_us) per fast-path read — lets
-        #: tests check the staleness bound the fast path promises.
-        self.fast_served: List[Tuple[float, int, int]] = []
         if fast_path:
             M_STALENESS_BUDGET.set(self.max_staleness_us, node=self.node_id)
 
@@ -321,8 +299,9 @@ class ConsistentTimeService(TimeSource):
                 M_FAST_STALENESS.observe(elapsed, node=self.node_id)
                 M_DRIFT_ERROR.set(self.drift_bound.error_us(elapsed),
                                   node=self.node_id)
-            _bound(self.fast_served)
-            self.fast_served.append((self.sim.now, fast_us, elapsed))
+            if self.recorder is not None:
+                self.recorder.fast_served.append(
+                    (self.sim.now, fast_us, elapsed))
             self._serve(handler, op, fast_us, fast=True)
             return result
 
@@ -400,15 +379,12 @@ class ConsistentTimeService(TimeSource):
                 value_us = floor + 1
             self.clock_state.note_fast_value(value_us)
         value = ClockValue(op.call.quantize(value_us))
-        _bound(self.readings)
-        self.readings.append(
-            (self.sim.now, handler.my_thread_id, op.call.name, value)
-        )
-        if not fast:
-            if len(self.served_ops) >= HISTORY_LIMIT:
-                for key in list(islice(self.served_ops, HISTORY_LIMIT // 2)):
-                    del self.served_ops[key]
-            self.served_ops[(handler.my_thread_id, op.op_id)] = group_us
+        recorder = self.recorder
+        if recorder is not None:
+            recorder.readings.append(
+                (self.sim.now, handler.my_thread_id, op.call.name, value))
+            if not fast:
+                recorder.served_ops[(handler.my_thread_id, op.op_id)] = group_us
         self.stats.ops_completed += 1
         if trace.TRACER.enabled:
             # The cross-node assembler joins this to op.execute by
@@ -489,7 +465,7 @@ class ConsistentTimeService(TimeSource):
             self.clock_state.offset_us
             if self.clock_state.last_group_us is not None else None
         )
-        self.clock_state.commit(group_us, physical_us)
+        self._commit(group_us, physical_us)
         self.clock_state.offset_us = self.drift.adjust_offset(
             self.clock_state.offset_us
         )
@@ -527,6 +503,12 @@ class ConsistentTimeService(TimeSource):
             self.stats.rounds_from_buffer += 1
         for op in served:
             self._serve(handler, op, group_us, round_number=msg.round_number)
+
+    def _commit(self, group_us: int, physical_us: int) -> None:
+        """Re-derive the offset from a decided round (Figure 2, line 7)."""
+        offset_us = self.clock_state.commit(group_us, physical_us)
+        if self.recorder is not None:
+            self.recorder.history.append((group_us, physical_us, offset_us))
 
     def _open_round(self, handler: CCSHandler) -> None:
         """Start a round covering every currently parked operation
@@ -622,8 +604,10 @@ class ConsistentTimeService(TimeSource):
         if self.guard is not None and not self.guard.admit_winner(envelope, msg):
             return
         self._accepted[thread_id] = msg.round_number
-        _bound(self.winners)
-        self.winners.append((thread_id, msg.round_number, envelope.sender))
+        self.stats.rounds_accepted += 1
+        if self.recorder is not None:
+            self.recorder.winners.append(
+                (thread_id, msg.round_number, envelope.sender))
         self.clock_state.observe_group_value(msg.proposed_micros)
         if trace.TRACER.enabled:
             trace.emit(
@@ -637,7 +621,7 @@ class ConsistentTimeService(TimeSource):
             # clock immediately, deriving our own offset from our own
             # physical clock; keep the message for post-recovery replay.
             physical_us = self.node.read_clock_us()
-            self.clock_state.commit(msg.proposed_micros, physical_us)
+            self._commit(msg.proposed_micros, physical_us)
             self.stats.recovery_adoptions += 1
             if trace.TRACER.enabled:
                 trace.emit(

@@ -15,7 +15,7 @@ from .replica import Application, Replica, ReplicaStats
 from .scheduler import LogicalThread, ThreadManager
 from .semiactive import SemiActiveReplica
 from .state_transfer import Checkpoint, StateTransferManager
-from .timesource import TimeSource
+from .timesource import HistoryRecorder, TimeSource
 
 __all__ = [
     "ActiveReplica",
@@ -25,6 +25,7 @@ __all__ = [
     "GroupEndpoint",
     "GroupRuntime",
     "GroupView",
+    "HistoryRecorder",
     "LogicalThread",
     "MessageHeader",
     "MsgType",

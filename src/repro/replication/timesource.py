@@ -19,7 +19,7 @@ clock-related operation goes through the replica's :class:`TimeSource`
 from __future__ import annotations
 
 import abc
-from typing import TYPE_CHECKING
+from typing import Dict, List, Optional, TYPE_CHECKING
 
 from ..sim.kernel import Event
 
@@ -38,11 +38,47 @@ class ClockRead(Event):
     __slots__ = ()
 
 
+class HistoryRecorder:
+    """One time source's experiment records.
+
+    A serving replica keeps O(1) clock state (Figure 2: an offset, a
+    round number, an input buffer).  What experiments, the invariant
+    oracle and tests read back after a run is handed to a recorder when
+    one is attached — ``bed.record()`` attaches one to every source the
+    bed deploys — and dropped otherwise.  The baselines hand over
+    ``readings`` only.
+    """
+
+    __slots__ = ("readings", "winners", "served_ops", "fast_served",
+                 "history")
+
+    def __init__(self) -> None:
+        #: (sim_time, thread_id, call, ClockValue) values returned to the app.
+        self.readings: List[tuple] = []
+        #: (thread_id, round, winner_node) per accepted round — the
+        #: synchronizer history the Figure 6 analysis plots.
+        self.winners: List[tuple] = []
+        #: (thread_id, op_id) -> group value, for round-served operations
+        #: — replica-independent by construction; the agreement
+        #: invariant the property suites check.
+        self.served_ops: Dict[tuple, int] = {}
+        #: (sim_time, value_us, elapsed_us) per fast-path read — lets
+        #: tests check the staleness bound the fast path promises.
+        self.fast_served: List[tuple] = []
+        #: (group_us, physical_us, offset_us) per committed round.
+        self.history: List[tuple] = []
+
+
 class TimeSource(abc.ABC):
     """Pluggable provider of clock readings for one replica."""
 
     #: Human-readable name used in experiment reports.
     name = "abstract"
+
+    #: Where the source hands what it serves, when somebody asked for a
+    #: record (:meth:`repro.testbed.TestbedBase.record`); ``None``: it
+    #: keeps no per-operation history at all.
+    recorder: Optional[HistoryRecorder] = None
 
     #: True when the replica runtime should pipeline request execution,
     #: overlapping clock reads on one thread (the consistent time service

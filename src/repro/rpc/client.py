@@ -30,6 +30,8 @@ class ClientStats:
 
     calls: int = 0
     replies_first: int = 0
+    #: Replies to an invocation that is no longer pending: the other
+    #: replicas' answers, or a reply that lost to the call's timeout.
     replies_duplicate: int = 0
     timeouts: int = 0
     #: Re-invocations issued by :meth:`RpcClient.retrying_call`.
@@ -61,7 +63,6 @@ class RpcClient:
         self._conns: Dict[str, int] = {}
         self._next_seq: Dict[int, int] = {}
         self._pending: Dict[Tuple[int, int], Event] = {}
-        self._answered: set = set()
         # Deterministic backoff jitter (the kernel itself is seeded, but
         # the client must not perturb other streams).
         self._rng = random.Random(f"rpc|{self.group}")
@@ -170,12 +171,12 @@ class RpcClient:
         key = (envelope.header.conn_id, envelope.header.msg_seq_num)
         event = self._pending.pop(key, None)
         if event is not None:
-            self._answered.add(key)
             self.stats.replies_first += 1
             if not event.triggered:
                 event.succeed(envelope.body)
-        elif key in self._answered:
-            # Later replicas' replies for an answered invocation.
+        elif 0 < key[1] < self._next_seq.get(key[0], 0):
+            # Issued and no longer pending — the state kept is the
+            # calls outstanding, not one entry per call ever answered.
             self.stats.replies_duplicate += 1
 
     def _on_timeout(self, key, server_group: str, method: str) -> None:

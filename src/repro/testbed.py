@@ -49,6 +49,7 @@ from .replication import (
     ActiveReplica,
     Application,
     GroupRuntime,
+    HistoryRecorder,
     PassiveReplica,
     Replica,
     SemiActiveReplica,
@@ -86,6 +87,8 @@ class TestbedBase:
     chaos = None
     #: Seeds the ``corrupt-state`` scrambler (:meth:`corrupt_state`).
     chaos_seed: Optional[int] = None
+    #: Set by :meth:`record`: new replicas' time sources get a recorder.
+    _recording = False
 
     def _init_stack(self, sim, nodes: Dict[str, Node],
                     totem_config: Optional[TotemConfig],
@@ -230,10 +233,25 @@ class TestbedBase:
             for node_id in nodes
         }
         self.services.setdefault(group, {}).update(replicas)
+        if self._recording:
+            self.record()
         if self._started:
             for replica in replicas.values():
                 replica.start()
         return replicas
+
+    def record(self) -> None:
+        """Keep experiment records from here on.  A time source serves
+        without per-operation history unless asked; this attaches a
+        :class:`~repro.replication.HistoryRecorder` to every deployed
+        replica's source and to each one added or re-deployed later.
+        Read it as ``replica.time_source.recorder`` (``.readings``,
+        ``.winners``, ``.history``, ``.served_ops``, ``.fast_served``)."""
+        self._recording = True
+        for replicas in self.services.values():
+            for replica in replicas.values():
+                if replica.time_source.recorder is None:
+                    replica.time_source.recorder = HistoryRecorder()
 
     def client(self, node_id: str, group: Optional[str] = None) -> RpcClient:
         """Create an (unreplicated) RPC client on ``node_id``."""

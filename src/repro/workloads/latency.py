@@ -107,7 +107,7 @@ def run_latency_workload(
         stats = getattr(replica.time_source, "stats", None)
         if stats is not None and hasattr(stats, "ccs_transmitted"):
             run.ccs_transmitted[node_id] = stats.ccs_transmitted
-            run.rounds = max(run.rounds, len(replica.time_source.winners))
+            run.rounds = max(run.rounds, stats.rounds_accepted)
             run.ops_completed = max(run.ops_completed,
                                     getattr(stats, "ops_completed", 0))
             run.ops_coalesced = max(run.ops_coalesced,

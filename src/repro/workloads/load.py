@@ -359,8 +359,10 @@ def timed_calls(bed, client, group: str, method: str, count: int, *,
 
 
 def last_readings(replica, count: int) -> List[int]:
-    """The last ``count`` clock values (microseconds) ``replica`` served."""
-    return [v.micros for _, _, _, v in replica.time_source.readings][-count:]
+    """The last ``count`` clock values (microseconds) ``replica`` served,
+    from the record its bed was asked to keep (``bed.record()``)."""
+    readings = replica.time_source.recorder.readings
+    return [v.micros for _, _, _, v in readings][-count:]
 
 
 #: The ``CTSStats`` counters a load result reports for the group.

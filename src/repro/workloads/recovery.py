@@ -83,6 +83,7 @@ def run_recovery_workload(
             num_nodes=4, clock_epoch_spread_s=epoch_spread_s
         ),
     )
+    bed.record()  # the joiner's source gets a recorder when it is added
     bed.deploy("svc", RecoveryClockApp, ["n1", "n2"], time_source="cts")
     client = bed.client("n0")
     bed.start()

@@ -30,6 +30,7 @@ def measure_divergence(time_source: str, *, seed: int,
     discipline and lets it converge first."""
     bed = Testbed(seed=seed, cluster_config=ClusterConfig(
         num_nodes=4, clock_epoch_spread_s=10.0))
+    bed.record()
     if time_source == "ntp":
         bed.install_ntp(poll_interval_s=0.5, gain=0.7)
     bed.deploy("svc", lambda: ClockReadApp(30e-6), ["n1", "n2", "n3"],
@@ -49,6 +50,7 @@ def run_partition_cycle(seed: int) -> Dict[str, object]:
     """Three calls, partition n3 away, three calls, heal, three calls."""
     bed = Testbed(seed=seed, cluster_config=ClusterConfig(
         num_nodes=4, clock_epoch_spread_s=30.0))
+    bed.record()
     bed.deploy("svc", RecoveryClockApp, ["n1", "n2", "n3"], time_source="cts")
     client = bed.client("n0")
     bed.start()
@@ -92,4 +94,4 @@ def run_at_size(replicas: int, *, calls: int = 150,
     services = [r.time_source for r in bed.replicas("svc").values()]
     return (summarize(client.stats.latencies_us),
             sum(service.stats.ccs_transmitted for service in services),
-            max(len(service.winners) for service in services))
+            max(service.stats.rounds_accepted for service in services))

@@ -143,6 +143,7 @@ def run_skew_drift_workload(
     )
     if drift_factory is not None:
         drift = drift_factory(bed)
+    bed.record()
     bed.deploy(
         "skewsvc",
         lambda: SkewDriftApp(workload_seed=seed),
@@ -157,11 +158,12 @@ def run_skew_drift_workload(
     # Baseline: how many rounds each time service committed before the
     # workload (state-transfer special rounds) — sliced off below.
     pre_rounds = {
-        nid: len(r.time_source.clock_state.history)
+        nid: len(r.time_source.recorder.history)
         for nid, r in bed.replicas("skewsvc").items()
     }
     pre_winners = max(
-        len(r.time_source.winners) for r in bed.replicas("skewsvc").values()
+        len(r.time_source.recorder.winners)
+        for r in bed.replicas("skewsvc").values()
     )
     pre_sent = {
         nid: r.time_source.stats.ccs_sent
@@ -187,8 +189,9 @@ def run_skew_drift_workload(
         service = replica.time_source
         base = pre_rounds[node_id]
         series = ReplicaSeries(node_id)
-        series.history = list(service.clock_state.history[base:])
-        series.times_s = [t for t, _, _, _ in service.readings[base:]]
+        series.history = list(service.recorder.history[base:])
+        series.times_s = [
+            t for t, _, _, _ in service.recorder.readings[base:]]
         result.series[node_id] = series
         result.ccs_transmitted[node_id] = (
             service.stats.ccs_sent
@@ -200,5 +203,6 @@ def run_skew_drift_workload(
         )
         result.rounds_from_buffer[node_id] = service.stats.rounds_from_buffer
     any_service = next(iter(bed.replicas("skewsvc").values())).time_source
-    result.winners = [w for _, _, w in any_service.winners[pre_winners:]]
+    result.winners = [
+        w for _, _, w in any_service.recorder.winners[pre_winners:]]
     return result

@@ -10,13 +10,14 @@ class TestLocalClockInconsistency:
         """The Figure 1 problem: the same logical operation returns
         different values at different replicas."""
         bed = make_testbed(seed=110, epoch_spread_s=10.0)
+        bed.record()
         bed.deploy("svc", ClockApp, ["n1", "n2", "n3"], time_source="local")
         client = bed.client("n0")
         bed.start()
         call_n(bed, client, "svc", "get_time", 5)
         bed.run(0.05)
         readings = [
-            tuple(v.micros for _, _, _, v in r.time_source.readings)
+            tuple(v.micros for _, _, _, v in r.time_source.recorder.readings)
             for r in bed.replicas("svc").values()
         ]
         # With unsynchronized clocks the values differ by seconds.
@@ -27,13 +28,14 @@ class TestLocalClockInconsistency:
 
     def test_each_replica_is_locally_monotone(self):
         bed = make_testbed(seed=111)
+        bed.record()
         bed.deploy("svc", ClockApp, ["n1", "n2"], time_source="local")
         client = bed.client("n0")
         bed.start()
         call_n(bed, client, "svc", "get_time", 10)
         bed.run(0.05)
         for replica in bed.replicas("svc").values():
-            values = [v.micros for _, _, _, v in replica.time_source.readings]
+            values = [v.micros for _, _, _, v in replica.time_source.recorder.readings]
             assert values == sorted(values)
 
     def test_call_granularities(self):

@@ -40,6 +40,7 @@ class TestNtpDaemon:
         different values for the same logical operation — the intrinsic
         event-triggered problem the CTS solves."""
         bed = make_testbed(seed=122, epoch_spread_s=10.0)
+        bed.record()
         bed.install_ntp(poll_interval_s=0.5, gain=0.7)
         bed.deploy("svc", ClockApp, ["n1", "n2", "n3"], time_source="ntp")
         client = bed.client("n0")
@@ -48,7 +49,7 @@ class TestNtpDaemon:
         call_n(bed, client, "svc", "get_time", 5)
         bed.run(0.05)
         readings = [
-            [v.micros for _, _, _, v in r.time_source.readings][-5:]
+            [v.micros for _, _, _, v in r.time_source.recorder.readings][-5:]
             for r in bed.replicas("svc").values()
         ]
         disagreements = sum(

@@ -7,6 +7,7 @@ from support import ClockApp, call_n, make_testbed  # noqa: E402 (tests/ on sys.
 
 def deploy_pb(seed, style="semi-active", epoch_spread_s=30.0):
     bed = make_testbed(seed=seed, epoch_spread_s=epoch_spread_s)
+    bed.record()
     bed.deploy(
         "svc", ClockApp, ["n1", "n2", "n3"],
         style=style, time_source="primary-backup",
@@ -24,7 +25,7 @@ class TestNormalOperation:
         call_n(bed, client, "svc", "get_time", 6)
         bed.run(0.1)
         readings = [
-            [v.micros for _, _, _, v in r.time_source.readings][-6:]
+            [v.micros for _, _, _, v in r.time_source.recorder.readings][-6:]
             for r in bed.replicas("svc").values()
         ]
         assert readings[0] == readings[1] == readings[2]

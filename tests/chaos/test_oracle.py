@@ -226,14 +226,14 @@ class TestAgreement:
         assert "t-last" in violation.trace_ids
 
 
-class _FakeState:
+class _FakeRecorder:
     def __init__(self, history):
         self.history = history
 
 
 class _FakeSource:
     def __init__(self, history):
-        self.clock_state = _FakeState(history)
+        self.recorder = _FakeRecorder(history)
 
 
 class _FakeReplica:

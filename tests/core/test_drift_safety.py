@@ -47,6 +47,7 @@ class TestAdversarialSteering:
         allowed (it is what steering is for) — but replicas stay
         identical."""
         bed = make_testbed(seed=281)
+        bed.record()
         bed.deploy(
             "svc", ClockApp, ["n1", "n2", "n3"],
             time_source="cts",
@@ -58,7 +59,7 @@ class TestAdversarialSteering:
         assert all(b > a for a, b in zip(values, values[1:]))
         bed.run(0.05)
         readings = [
-            tuple(v.micros for _, _, _, v in r.time_source.readings)[-5:]
+            tuple(v.micros for _, _, _, v in r.time_source.recorder.readings)[-5:]
             for r in bed.replicas("svc").values()
         ]
         assert readings[0] == readings[1] == readings[2]

@@ -48,11 +48,12 @@ class TestProposal:
 
 class TestHistory:
     def test_history_records_rounds(self):
+        """The state counts commits and returns each offset; the triples
+        themselves are the recorder's (``TestRecorder`` in
+        ``test_time_service_unit.py``)."""
         state = GroupClockState()
-        state.commit(100, 110)
-        state.commit(220, 225)
+        assert [state.commit(100, 110), state.commit(220, 225)] == [-10, -5]
         assert state.rounds_committed == 2
-        assert state.offset_series() == [-10, -5]
 
 
 class TestProperties:

@@ -17,6 +17,7 @@ from support import ClockApp, call_n, make_testbed  # noqa: E402 (tests/ on sys.
 
 def deploy_slow_primary(seed, style="semi-active"):
     bed = make_testbed(seed=seed, epoch_spread_s=30.0)
+    bed.record()
     bed.deploy("svc", ClockApp, ["n1", "n2", "n3"], style=style,
                time_source="cts")
     client = bed.client("n0")
@@ -106,7 +107,7 @@ class TestMidRoundFailover:
         bed.run(0.1)
         survivors = bed.replicas("svc")
         readings = [
-            tuple(v.micros for _, _, _, v in r.time_source.readings)[-3:]
+            tuple(v.micros for _, _, _, v in r.time_source.recorder.readings)[-3:]
             for r in survivors.values()
         ]
         assert readings[0] == readings[1]

@@ -23,6 +23,7 @@ class HopApp(Application):
 
 def deploy(seed):
     bed = make_testbed(seed=seed, epoch_spread_s=30.0)
+    bed.record()
     bed.deploy("svc", HopApp, ["n1", "n2", "n3"], time_source="cts")
     client = bed.client("n0")
     bed.start()
@@ -65,7 +66,7 @@ class TestCausalFloorUnderFaults:
         after = call(bed, client, "read")["value"]
         assert after > floor
         bed.run(0.1)
-        joiner_last = joiner.time_source.readings[-1][3].micros
+        joiner_last = joiner.time_source.recorder.readings[-1][3].micros
         assert joiner_last > floor
 
     def test_floor_is_replica_consistent(self):

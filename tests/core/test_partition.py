@@ -18,6 +18,7 @@ from support import ClockApp, CounterApp, call_n, make_testbed  # noqa: E402 (te
 
 def partitioned_bed(seed, app=CounterApp, time_source="local"):
     bed = make_testbed(seed=seed)
+    bed.record()
     bed.deploy("svc", app, ["n1", "n2", "n3"], time_source=time_source)
     client = bed.client("n0")
     bed.start()
@@ -123,6 +124,6 @@ class TestRemerge:
         bed.run(0.2)
         rejoined = bed.replicas("svc")["n3"]
         rejoined_values = [
-            v.micros for _, _, _, v in rejoined.time_source.readings
+            v.micros for _, _, _, v in rejoined.time_source.recorder.readings
         ][-4:]
         assert rejoined_values == final

@@ -34,6 +34,7 @@ class TestNewReplicaIntegration:
 
     def test_joiner_returns_consistent_values(self):
         bed = make_testbed(seed=92, epoch_spread_s=30.0)
+        bed.record()
         bed.deploy("svc", ClockApp, ["n1", "n2"], time_source="cts")
         client = bed.client("n0")
         bed.start()
@@ -42,10 +43,10 @@ class TestNewReplicaIntegration:
         bed.run(0.5)
         call_n(bed, client, "svc", "get_time", 5)
         bed.run(0.1)
-        joiner_vals = [v.micros for _, _, _, v in joiner.time_source.readings][-5:]
+        joiner_vals = [v.micros for _, _, _, v in joiner.time_source.recorder.readings][-5:]
         old_vals = [
             v.micros
-            for _, _, _, v in bed.replicas("svc")["n1"].time_source.readings
+            for _, _, _, v in bed.replicas("svc")["n1"].time_source.recorder.readings
         ][-5:]
         assert joiner_vals == old_vals
 
@@ -70,6 +71,7 @@ class TestNewReplicaIntegration:
 
     def test_crashed_replica_reintegrates_clock(self):
         bed = make_testbed(seed=94, epoch_spread_s=30.0)
+        bed.record()
         bed.deploy("svc", ClockApp, ["n1", "n2", "n3"], time_source="cts")
         client = bed.client("n0")
         bed.start()
@@ -87,11 +89,12 @@ class TestNewReplicaIntegration:
         sequence = before + mid + after
         assert all(b > a for a, b in zip(sequence, sequence[1:]))
         # The recovered replica answers identically to the survivors.
-        rec_vals = [v.micros for _, _, _, v in recovered.time_source.readings][-4:]
+        rec_vals = [v.micros for _, _, _, v in recovered.time_source.recorder.readings][-4:]
         assert rec_vals == after
 
     def test_two_sequential_joiners(self):
         bed = make_testbed(seed=95)
+        bed.record()
         bed.deploy("svc", ClockApp, ["n1"], time_source="cts")
         client = bed.client("n0")
         bed.start()
@@ -104,7 +107,7 @@ class TestNewReplicaIntegration:
         values = call_n(bed, client, "svc", "get_time", 4)
         bed.run(0.1)
         readings = [
-            tuple(v.micros for _, _, _, v in r.time_source.readings)[-4:]
+            tuple(v.micros for _, _, _, v in r.time_source.recorder.readings)[-4:]
             for r in bed.replicas("svc").values()
         ]
         assert readings[0] == readings[1] == readings[2]

@@ -36,6 +36,7 @@ class TimerApp(Application):
 
 def deploy_with_timers(seed, ticks=5):
     bed = make_testbed(seed=seed)
+    bed.record()
     bed.deploy("svc", TimerApp, ["n1", "n2", "n3"], time_source="cts")
     client = bed.client("n0")
     bed.start()
@@ -84,7 +85,7 @@ class TestTimerThreads:
         call_n(bed, client, "svc", "get_time", 4)
         bed.run(0.2)
         service = bed.replicas("svc")["n1"].time_source
-        in_order = [v.micros for _, _, _, v in service.readings]
+        in_order = [v.micros for _, _, _, v in service.recorder.readings]
         assert all(b > a for a, b in zip(in_order, in_order[1:]))
 
     def test_thread_ids_deterministic_across_replicas(self):

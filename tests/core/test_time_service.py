@@ -9,6 +9,7 @@ from support import ClockApp, call_n, make_testbed  # noqa: E402 (tests/ on sys.
 
 def deploy_cts(seed, nodes=("n1", "n2", "n3"), style="active", **kwargs):
     bed = make_testbed(seed=seed, **kwargs)
+    bed.record()
     bed.deploy("svc", ClockApp, list(nodes), style=style, time_source="cts")
     client = bed.client("n0")
     bed.start()
@@ -23,7 +24,7 @@ class TestAgreement:
         # Replicas that joined earlier served extra state-transfer
         # special rounds; the invocation rounds are the common suffix.
         readings = {
-            nid: [v.micros for _, _, _, v in r.time_source.readings][-10:]
+            nid: [v.micros for _, _, _, v in r.time_source.recorder.readings][-10:]
             for nid, r in bed.replicas("svc").items()
         }
         values = list(readings.values())
@@ -45,7 +46,7 @@ class TestAgreement:
         bed.run(0.05)
         for replica in bed.replicas("svc").values():
             for group_us, physical_us, offset_us in (
-                replica.time_source.clock_state.history
+                replica.time_source.recorder.history
             ):
                 assert physical_us + offset_us == group_us
 
@@ -55,7 +56,7 @@ class TestAgreement:
         call_n(bed, client, "svc", "get_time", 6)
         bed.run(0.05)
         readings = [
-            tuple(v.micros for _, _, _, v in r.time_source.readings)[-6:]
+            tuple(v.micros for _, _, _, v in r.time_source.recorder.readings)[-6:]
             for r in bed.replicas("svc").values()
         ]
         assert readings[0] == readings[1] == readings[2]
@@ -95,7 +96,7 @@ class TestDuplicateSuppression:
             for r in bed.replicas("svc").values()
         )
         decided_rounds = max(
-            len(r.time_source.winners) for r in bed.replicas("svc").values()
+            len(r.time_source.recorder.winners) for r in bed.replicas("svc").values()
         )
         assert transmitted == decided_rounds
 
@@ -129,7 +130,7 @@ class TestSynchronizer:
         call_n(bed, client, "svc", "get_time", 10)
         bed.run(0.05)
         replicas = list(bed.replicas("svc").values())
-        winners = [w for _, _, w in replicas[0].time_source.winners]
+        winners = [w for _, _, w in replicas[0].time_source.recorder.winners]
         assert len(winners) >= 10
         # All winners are group members.
         assert set(winners) <= {"n1", "n2", "n3"}
@@ -139,7 +140,7 @@ class TestSynchronizer:
         call_n(bed, client, "svc", "get_time", 10)
         bed.run(0.05)
         histories = [
-            tuple(r.time_source.winners) for r in bed.replicas("svc").values()
+            tuple(r.time_source.recorder.winners) for r in bed.replicas("svc").values()
         ]
         assert histories[0] == histories[1] == histories[2]
 
@@ -162,7 +163,7 @@ class TestCallTypes:
         call_n(bed, client, "svc", "get_time_ms", 2)
         bed.run(0.05)
         readings = [
-            tuple(v.micros for _, _, _, v in r.time_source.readings)[-6:]
+            tuple(v.micros for _, _, _, v in r.time_source.recorder.readings)[-6:]
             for r in bed.replicas("svc").values()
         ]
         assert readings[0] == readings[1] == readings[2]
@@ -189,7 +190,7 @@ class TestModes:
         values = call_n(bed, client, "svc", "get_time", 8)
         bed.run(0.05)
         readings = [
-            tuple(v.micros for _, _, _, v in r.time_source.readings)[-8:]
+            tuple(v.micros for _, _, _, v in r.time_source.recorder.readings)[-8:]
             for r in bed.replicas("svc").values()
         ]
         assert readings[0] == readings[1] == readings[2]

@@ -1,5 +1,8 @@
 """Unit-level tests for ConsistentTimeService internals and edge cases."""
 
+import hashlib
+from collections import deque
+
 import pytest
 
 from repro.core import (
@@ -8,12 +11,15 @@ from repro.core import (
     TimeTransferState,
 )
 from repro.errors import TimeServiceError
+from repro.net.testbed import LiveTestbed
 
 from support import ClockApp, call_n, make_testbed  # noqa: E402 (tests/ on sys.path via conftest)
 
 
-def build_service(seed=200, mode="active", **kwargs):
+def build_service(seed=200, mode="active", record=True, **kwargs):
     bed = make_testbed(seed=seed)
+    if record:
+        bed.record()
     bed.deploy("svc", ClockApp, ["n1", "n2", "n3"], time_source=(
         lambda replica: ConsistentTimeService(replica, mode=mode, **kwargs)
     ))
@@ -46,7 +52,7 @@ class TestSuppressionToggle:
         bed.run(0.1)
         assert all(b > a for a, b in zip(values, values[1:]))
         readings = [
-            tuple(v.micros for _, _, _, v in r.time_source.readings)[-8:]
+            tuple(v.micros for _, _, _, v in r.time_source.recorder.readings)[-8:]
             for r in bed.replicas("svc").values()
         ]
         assert readings[0] == readings[1] == readings[2]
@@ -167,7 +173,7 @@ class TestReadings:
         call_n(bed, client, "svc", "get_time", 2)
         bed.run(0.05)
         service = bed.replicas("svc")["n1"].time_source
-        sim_time, thread_id, call, value = service.readings[-1]
+        sim_time, thread_id, call, value = service.recorder.readings[-1]
         assert isinstance(sim_time, float)
         assert thread_id.endswith(":main")
         assert call == "gettimeofday"
@@ -200,13 +206,13 @@ class TestFastPathStaleness:
         service = bed.replicas("svc")["n1"].time_source
         anchor = service._last_commit_physical_us
         node = service.node = SteppingNode(service.node, step_us=450)
-        before = len(service.fast_served)
+        before = len(service.recorder.fast_served)
         fallbacks = service.stats.fast_path_fallbacks
         # A fresh thread is quiescent, so every read tries the fast path
         # until the stepping clock walks it past the budget.
         while service.stats.fast_path_fallbacks == fallbacks:
             service.read("9:probe", "gettimeofday")
-        served = [elapsed for _, _, elapsed in service.fast_served[before:]]
+        served = [elapsed for _, _, elapsed in service.recorder.fast_served[before:]]
         assert served and all(0 <= elapsed <= budget for elapsed in served)
         # What is recorded is the reading the budget check saw: one
         # clock read per fast read, plus the one that fell back (and the
@@ -216,24 +222,121 @@ class TestFastPathStaleness:
         bed.run(0.05)
 
 
-class TestBoundedHistories:
-    def test_full_histories_drop_their_oldest_entries(self, monkeypatch):
-        """A serving replica lives for days: the per-operation and
-        per-round histories stay within HISTORY_LIMIT, newest kept."""
-        from repro.core import time_service
+def container_sizes(service):
+    """``owner.attribute -> len`` for every list / dict / set / deque a
+    service holds: its own attributes, its clock state's, each CCS
+    handler's."""
+    owners = {"service": service, "clock_state": service.clock_state}
+    owners.update(service._handlers)
+    return {
+        f"{name}.{attr}": len(value)
+        for name, owner in owners.items()
+        for attr, value in vars(owner).items()
+        if isinstance(value, (list, dict, set, deque))
+    }
 
-        def served_histories():
-            bed, client = build_service(seed=212, fast_path=True,
-                                        max_staleness_us=600)
-            call_n(bed, client, "svc", "get_time", 150)
+
+def assert_no_growth(bed, serve, n=40):
+    """Serve ``n`` then ``3 * n`` more operations; no container of any
+    replica's service may be longer for it.  A handler's buffer, parked
+    operations and retained rounds are windows over what is in flight —
+    they drain between sequential calls — so the allowance is a couple
+    of entries, not a share of the operations served."""
+    assert bed._recording is False
+    serve(n)
+    first = {nid: container_sizes(r.time_source)
+             for nid, r in bed.replicas("svc").items()}
+    serve(3 * n)
+    for nid, replica in bed.replicas("svc").items():
+        service = replica.time_source
+        assert service.recorder is None
+        assert service.stats.ops_completed >= 4 * n
+        for name, size in container_sizes(service).items():
+            assert size <= first[nid][name] + 2, (nid, name, size)
+
+
+class TestConstantHistory:
+    """A serving replica keeps O(1) history (Figure 2's clock state is an
+    offset, a round number and an input buffer): run by node id in CI's
+    bench job, so a per-operation leak fails here before a benchmark
+    run reads it as RSS."""
+
+    def test_simulated_service_does_not_grow_with_ops_served(self):
+        bed, client = build_service(seed=212, record=False, fast_path=True,
+                                    max_staleness_us=600)
+
+        def serve(count):
+            call_n(bed, client, "svc", "get_time", count)
             bed.run(0.05)
-            service = bed.replicas("svc")["n1"].time_source
-            return [list(service.readings), list(service.winners),
-                    list(service.served_ops.items()),
-                    list(service.fast_served)]
 
-        unbounded = served_histories()
-        monkeypatch.setattr(time_service, "HISTORY_LIMIT", 8)
-        for kept, everything in zip(served_histories(), unbounded):
-            assert 0 < len(kept) <= 8 < len(everything)
-            assert kept == everything[-len(kept):]
+        assert_no_growth(bed, serve)
+
+    @pytest.mark.live
+    def test_live_service_does_not_grow_with_ops_served(self):
+        with LiveTestbed(num_nodes=4, seed=212) as bed:
+            bed.deploy("svc", ClockApp, ["n1", "n2", "n3"], fast_path=True)
+            client = bed.client("n0")
+            bed.start()
+            assert_no_growth(
+                bed, lambda count: call_n(bed, client, "svc", "get_time",
+                                          count, timeout=5.0))
+
+
+#: sha256[:16] of ``repr`` of each record of the seeded run below, taken
+#: at the parent of the PR that moved them behind the recorder — from
+#: ``service.readings`` (values as micros) / ``.winners`` /
+#: ``.served_ops.items()`` / ``.fast_served`` / ``.clock_state.history``.
+PARENT_RECORDS = {
+    "n1": {"readings": (152, "80b5f590bf505abb"),
+           "winners": (106, "e20279afe248378f"),
+           "served_ops": (66, "fdfa4899296bd290"),
+           "fast_served": (86, "dfe73c924d02a2a2"),
+           "history": (106, "8047aef647292589")},
+    # Added by ``add_replica`` after recording was requested.
+    "n3": {"readings": (90, "783ef8deadf4a34b"),
+           "winners": (70, "679506d8514a2cb2"),
+           "served_ops": (39, "38ec05df681ed142"),
+           "fast_served": (51, "1a2dde5afadec3aa"),
+           "history": (68, "77815fff23238ba3")},
+}
+
+
+class TestRecorder:
+    def test_recorder_holds_what_the_service_attributes_held(self):
+        bed = make_testbed(seed=212)
+        bed.record()
+        bed.deploy("svc", ClockApp, ["n1", "n2"], fast_path=True,
+                   max_staleness_us=600)
+        client = bed.client("n0")
+        bed.start()
+        call_n(bed, client, "svc", "get_time", 60)
+        joiner = bed.add_replica("svc", "n3")
+        while not joiner.state_transfer.ready:
+            bed.run(0.01)
+        call_n(bed, client, "svc", "get_time", 90)
+        bed.run(0.05)
+        for node_id, expected in PARENT_RECORDS.items():
+            recorder = bed.replicas("svc")[node_id].time_source.recorder
+            records = {
+                "readings": [(t, thread, call, v.micros)
+                             for t, thread, call, v in recorder.readings],
+                "winners": recorder.winners,
+                "served_ops": list(recorder.served_ops.items()),
+                "fast_served": recorder.fast_served,
+                "history": recorder.history,
+            }
+            for name, sequence in records.items():
+                digest = hashlib.sha256(repr(sequence).encode()).hexdigest()
+                assert (len(sequence), digest[:16]) == expected[name], (
+                    node_id, name)
+
+    def test_recording_requested_late_starts_there(self):
+        bed, client = build_service(seed=213, record=False)
+        call_n(bed, client, "svc", "get_time", 3)
+        bed.record()
+        values = call_n(bed, client, "svc", "get_time", 4)
+        bed.run(0.05)
+        for replica in bed.replicas("svc").values():
+            recorder = replica.time_source.recorder
+            assert [v.micros for _, _, _, v in recorder.readings] == values
+            assert len(recorder.winners) == len(recorder.history) == 4

@@ -60,6 +60,7 @@ def run_byzantine(seed, liar, events, calls=12, warmup=3):
     Returns ``(bed, values)`` — the monotone reply sequence.
     """
     bed = make_testbed(seed=seed, num_nodes=5, epoch_spread_s=30.0)
+    bed.record()
     bed.deploy("svc", ClockApp, REPLICAS, style="active",
                time_source="cts", byzantine=True)
     rules = ByzantineRules(seed=seed)
@@ -90,9 +91,9 @@ def run_byzantine(seed, liar, events, calls=12, warmup=3):
 def correct_value_sequences(bed, liar):
     """Value sequences served by each correct replica, newest 8."""
     return [
-        tuple(v.micros for _, _, _, v in r.time_source.readings)[-8:]
+        tuple(v.micros for _, _, _, v in r.time_source.recorder.readings)[-8:]
         for nid, r in bed.replicas("svc").items()
-        if nid != liar and len(r.time_source.readings) >= 8
+        if nid != liar and len(r.time_source.recorder.readings) >= 8
     ]
 
 

@@ -30,6 +30,7 @@ def run_with_faults(seed, plan, calls=12, style="active"):
     answered values.
     """
     bed = make_testbed(seed=seed, epoch_spread_s=30.0)
+    bed.record()
     bed.deploy("svc", ClockApp, ["n1", "n2", "n3"], style=style,
                time_source="cts")
     client = bed.client("n0")
@@ -70,9 +71,9 @@ class TestChaos:
             if bed.cluster.node(nid).alive
         ]
         tails = [
-            tuple(v.micros for _, _, _, v in r.time_source.readings)[-5:]
+            tuple(v.micros for _, _, _, v in r.time_source.recorder.readings)[-5:]
             for r in survivors
-            if len(r.time_source.readings) >= 5
+            if len(r.time_source.recorder.readings) >= 5
         ]
         assert all(t == tails[0] for t in tails)
 

@@ -49,6 +49,7 @@ def run_concurrent(
     and each worker's answered values, in call order."""
     bed = make_testbed(seed=seed, epoch_spread_s=10.0, loss_rate=loss_rate,
                        drift_ppm_max=drift_ppm)
+    bed.record()
     bed.deploy("svc", ClockApp, ["n1", "n2", "n3"], time_source="cts",
                fast_path=fast_path, max_staleness_us=max_staleness_us,
                coalesce=coalesce)
@@ -91,7 +92,7 @@ def run_concurrent(
 
 def check_agreement(bed, group="svc"):
     """Round-served operations got identical values on every replica."""
-    maps = [replica.time_source.served_ops
+    maps = [replica.time_source.recorder.served_ops
             for replica in bed.replicas(group).values()]
     keys = set().union(*maps)
     assert keys, "no operations were served from rounds"
@@ -102,14 +103,14 @@ def check_agreement(bed, group="svc"):
 
 def check_replica_monotone(bed, group="svc"):
     for node_id, replica in bed.replicas(group).items():
-        micros = [v.micros for _, _, _, v in replica.time_source.readings]
+        micros = [v.micros for _, _, _, v in replica.time_source.recorder.readings]
         for a, b in zip(micros, micros[1:]):
             assert b >= a, f"{node_id} stepped back: {a} -> {b}"
 
 
 def check_offset_identity(bed, group="svc"):
     for replica in bed.replicas(group).values():
-        history = replica.time_source.clock_state.history
+        history = replica.time_source.recorder.history
         assert history
         for group_us, physical_us, offset_us in history:
             assert group_us == physical_us + offset_us
@@ -198,7 +199,7 @@ class TestFastPathInvariants:
         assert all(len(values) == 5 for values in per_worker)
         for replica in bed.replicas("svc").values():
             source = replica.time_source
-            for _, _, elapsed_us in source.fast_served:
+            for _, _, elapsed_us in source.recorder.fast_served:
                 assert 0 <= elapsed_us <= max_staleness_us
                 assert source.drift_bound.permits(elapsed_us)
         # Fast-path values interleave with round values: one replica's

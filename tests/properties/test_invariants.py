@@ -28,6 +28,7 @@ class TestTimeServiceInvariants:
     )
     def test_agreement_and_monotonicity(self, seed, rounds, spread):
         bed = make_testbed(seed=seed, epoch_spread_s=spread)
+        bed.record()
         bed.deploy("svc", ClockApp, ["n1", "n2", "n3"], time_source="cts")
         client = bed.client("n0")
         bed.start()
@@ -37,14 +38,14 @@ class TestTimeServiceInvariants:
         assert all(b > a for a, b in zip(values, values[1:]))
         # Agreement: identical readings at every replica (common suffix).
         readings = [
-            tuple(v.micros for _, _, _, v in r.time_source.readings)[-rounds:]
+            tuple(v.micros for _, _, _, v in r.time_source.recorder.readings)[-rounds:]
             for r in bed.replicas("svc").values()
         ]
         assert readings[0] == readings[1] == readings[2]
         # Offset identity at every replica for every committed round.
         for replica in bed.replicas("svc").values():
             for group_us, physical_us, offset_us in (
-                replica.time_source.clock_state.history
+                replica.time_source.recorder.history
             ):
                 assert physical_us + offset_us == group_us
 
@@ -72,6 +73,7 @@ class TestTimeServiceInvariants:
     def test_wire_economy(self, seed):
         """#CCS transmissions == #decided rounds in failure-free runs."""
         bed = make_testbed(seed=seed)
+        bed.record()
         bed.deploy("svc", ClockApp, ["n1", "n2", "n3"], time_source="cts")
         client = bed.client("n0")
         bed.start()
@@ -82,7 +84,7 @@ class TestTimeServiceInvariants:
             for r in bed.replicas("svc").values()
         )
         decided = max(
-            len(r.time_source.winners) for r in bed.replicas("svc").values()
+            len(r.time_source.recorder.winners) for r in bed.replicas("svc").values()
         )
         assert transmitted == decided
 

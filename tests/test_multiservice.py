@@ -20,6 +20,7 @@ class TestMultipleServices:
 
     def test_two_cts_groups_have_independent_group_clocks(self):
         bed = make_testbed(seed=261, epoch_spread_s=30.0)
+        bed.record()
         bed.deploy("clock-a", ClockApp, ["n1", "n2"], time_source="cts")
         bed.deploy("clock-b", ClockApp, ["n2", "n3"], time_source="cts")
         client = bed.client("n0")
@@ -33,7 +34,7 @@ class TestMultipleServices:
         bed.run(0.1)
         for group in ("clock-a", "clock-b"):
             readings = [
-                tuple(v.micros for _, _, _, v in r.time_source.readings)[-4:]
+                tuple(v.micros for _, _, _, v in r.time_source.recorder.readings)[-4:]
                 for r in bed.replicas(group).values()
             ]
             assert readings[0] == readings[1]
@@ -101,6 +102,7 @@ class TestConcurrentClients:
 
     def test_concurrent_clients_with_cts_stay_monotone(self):
         bed = make_testbed(seed=265)
+        bed.record()
         bed.deploy("svc", ClockApp, ["n1", "n2", "n3"], time_source="cts")
         client_a = bed.client("n0", "client-a")
         client_b = bed.client("n2", "client-b")
@@ -126,7 +128,7 @@ class TestConcurrentClients:
         assert len(set(stamps)) == 10
         bed.run(0.1)
         readings = [
-            tuple(v.micros for _, _, _, v in r.time_source.readings)[-10:]
+            tuple(v.micros for _, _, _, v in r.time_source.recorder.readings)[-10:]
             for r in bed.replicas("svc").values()
         ]
         assert readings[0] == readings[1] == readings[2]

@@ -61,6 +61,7 @@ class TestChurnSafety:
         from support import ClockApp, call_n, make_testbed
 
         bed = make_testbed(seed=23, totem_config=aggressive_config())
+        bed.record()
         bed.deploy("svc", ClockApp, ["n1", "n2", "n3"], time_source="cts")
         client = bed.client("n0")
         bed.start(settle=0.5)
@@ -68,7 +69,7 @@ class TestChurnSafety:
         assert all(b > a for a, b in zip(values, values[1:]))
         bed.run(0.2)
         readings = [
-            tuple(v.micros for _, _, _, v in r.time_source.readings)[-10:]
+            tuple(v.micros for _, _, _, v in r.time_source.recorder.readings)[-10:]
             for r in bed.replicas("svc").values()
         ]
         assert readings[0] == readings[1] == readings[2]
