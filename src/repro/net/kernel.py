@@ -8,12 +8,16 @@ API but maps it onto an asyncio event loop:
 
 * ``now`` is the loop's monotonic clock, zeroed at construction, so all
   kernel timestamps remain "seconds since start" just like the sim;
-* queueing an event becomes ``loop.call_later`` of the simulator's own
+* queueing an event hands the simulator's own
   :meth:`Simulator._fire_event` (lazy trigger values, cancelled-event
-  skipping, unheeded-failure detection); a scheduled callback goes into
-  ``call_later`` as it is, and a :class:`~repro.sim.kernel.Deadline`
-  keeps one ``call_later`` pending however often it is moved, re-arming
-  it for the remaining time when it fires early;
+  skipping, unheeded-failure detection) to the loop, and a scheduled
+  callback goes to it as it is: ``loop.call_later`` for a delay,
+  ``loop.call_soon`` for none — a zero-delay wake (``succeed()``, a
+  process resuming, a live token visit) joins the ready queue at once,
+  ahead of the next pass's socket reads and off the timer heap; a
+  :class:`~repro.sim.kernel.Deadline` keeps one ``call_later`` pending
+  however often it is moved, re-arming it for the remaining time when
+  it fires early;
 * ``run(until=...)`` drives the loop with ``run_until_complete`` of a
   real sleep, and ``run_process`` blocks on a loop future resolved by
   the process's completion callback.
@@ -22,8 +26,9 @@ Because only the *scheduling* substrate changes, every object built on
 events — :class:`~repro.sim.process.Store`, locks, Totem timers, CCS
 rounds — runs unmodified on either kernel.  The one semantic difference
 is that URGENT/NORMAL priority ties cannot be enforced against a real
-clock; asyncio's FIFO ordering of same-deadline timers is the live
-equivalent, and real timestamps never tie exactly anyway.
+clock; asyncio's FIFO ordering of the ready queue and of same-deadline
+timers is the live equivalent, and real timestamps never tie exactly
+anyway.
 
 Unheeded failures (a failed event nobody waits on) cannot be raised from
 inside a loop callback without asyncio swallowing them, so they are
@@ -61,15 +66,22 @@ class LiveKernel(Simulator):
     # -- queueing ------------------------------------------------------
 
     def _queue_event(self, event: Event, priority: int, delay: float = 0.0) -> None:
-        # asyncio orders same-deadline timers FIFO, which matches the sim
-        # heap's stable-sequence tie-break; the priority lane collapses.
-        self.loop.call_later(max(0.0, delay), self._fire_event, event)
+        # asyncio's ready queue and its same-deadline timers are FIFO,
+        # which matches the sim heap's stable-sequence tie-break; the
+        # priority lane collapses.
+        if delay <= 0:
+            self.loop.call_soon(self._fire_event, event)
+        else:
+            self.loop.call_later(delay, self._fire_event, event)
 
-    def schedule(self, delay: float, callback: Callable, *args: Any) -> asyncio.TimerHandle:
+    def schedule(self, delay: float, callback: Callable, *args: Any) -> asyncio.Handle:
         """Run ``callback(*args)`` after ``delay`` real seconds; the
-        handle :meth:`cancel` takes is the loop's own."""
+        handle :meth:`cancel` takes is the loop's own (a plain
+        ``Handle`` for a zero delay, a ``TimerHandle`` otherwise)."""
         if delay < 0:
             raise SimulationError(f"negative schedule delay {delay!r}")
+        if delay == 0:
+            return self.loop.call_soon(callback, *args)
         return self.loop.call_later(delay, callback, *args)
 
     def _queue_deadline(self, deadline: Deadline) -> None:

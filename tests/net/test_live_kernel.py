@@ -1,5 +1,7 @@
 """LiveKernel: the simulator's event API on an asyncio loop."""
 
+import socket
+
 import pytest
 
 from repro.errors import SimulationError
@@ -65,6 +67,41 @@ class TestScheduling:
         kernel.cancel(kernel.schedule(0, fired.append, "callback"))
         kernel.run(until=kernel.now + 0.01)
         assert fired == []
+
+    def test_zero_delay_wake_skips_the_timer_heap_and_beats_the_next_reads(
+            self, kernel):
+        """A ``schedule(0)`` / ``succeed()`` issued inside a loop pass
+        joins the ready queue: nothing is pushed on the loop's timer
+        heap, and it runs before the next pass's socket callbacks.  (As
+        a ``call_later(0)`` it was moved to the ready queue only after
+        them.)"""
+        order, timers = [], []
+        ours, theirs = socket.socketpair()
+        event = Event(kernel)
+        event._add_callback(lambda _event: order.append("event"))
+
+        def inside_a_pass():
+            before = len(kernel.loop._scheduled)
+            kernel.schedule(0, order.append, "scheduled")
+            event.succeed()
+            timers.append(len(kernel.loop._scheduled) - before)
+            # Readable by the time the next pass polls its selector.
+            theirs.send(b"x")
+            kernel.cancel(kernel.schedule(0, order.append, "cancelled"))
+
+        def on_readable():
+            kernel.loop.remove_reader(ours)
+            order.append("read")
+
+        try:
+            kernel.loop.add_reader(ours, on_readable)
+            kernel.loop.call_soon(inside_a_pass)
+            kernel.run(until=kernel.now + 0.03)
+        finally:
+            ours.close()
+            theirs.close()
+        assert timers == [0]
+        assert order == ["scheduled", "event", "read"]
 
     def test_timeout_event_succeeds(self, kernel):
         results = []
