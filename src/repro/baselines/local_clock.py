@@ -33,9 +33,7 @@ class LocalClockSource(TimeSource):
     def read(self, thread_id: str, call_name: str = "gettimeofday") -> Event:
         call = resolve_call(call_name)
         value = ClockValue(call.quantize(self.node.read_clock_us()))
-        if self.recorder is not None:
-            self.recorder.readings.append(
-                (self.sim.now, thread_id, call.name, value))
+        self._record(thread_id, call.name, value)
         event = Event(self.sim)
         event.succeed(value)
         return event

@@ -129,11 +129,6 @@ class PrimaryBackupClockSource(TimeSource):
         raw._add_callback(_finish)
         return result
 
-    def _record(self, thread_id: str, call_name: str, value) -> None:
-        if self.recorder is not None:
-            self.recorder.readings.append(
-                (self.sim.now, thread_id, call_name, value))
-
     def _convey(self, thread_id: str, micros: int, call_type_id: int) -> None:
         seq = self._seq.get(thread_id, 0) + 1
         self._seq[thread_id] = seq

@@ -460,10 +460,8 @@ class InvariantOracle:
         """Run the end-of-run checks against the testbed's replicas.
 
         ``group`` audits one group; ``groups`` audits several (one per
-        shard in sharded runs) — the commits of each replica whose bed
-        was asked to record (``bed.record()``; a judged run asks).  The
-        recovery/stabilization checks are per node and run once either
-        way.
+        shard in sharded runs), over what ``bed.record()`` had kept.  The
+        recovery/stabilization checks are per node and run once either way.
         """
         self.detach()
         audit = list(groups) if groups is not None else (
@@ -476,9 +474,7 @@ class InvariantOracle:
                     if node_id in self._faulty:
                         continue  # a Byzantine replica owes no identity
                     recorder = replica.time_source.recorder
-                    if recorder is None:
-                        continue  # nobody asked the bed to record
-                    for entry in recorder.history:
+                    for entry in recorder.history if recorder else ():
                         group_us, physical_us, offset_us = entry
                         if offset_us != group_us - physical_us:
                             self._flag(

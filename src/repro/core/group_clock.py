@@ -33,9 +33,6 @@ class GroupClockState:
     #: local (never transferred): it keeps this replica's *own* proposals
     #: and fast reads strictly above everything it already handed out.
     fast_floor_us: Optional[int] = None
-    #: Rounds committed — a count; the (group, physical, offset) triples
-    #: go to the service's recorder, if anyone asked for one.
-    rounds_committed: int = 0
 
     # ------------------------------------------------------------------
 
@@ -66,7 +63,6 @@ class GroupClockState:
         """
         self.offset_us = group_us - physical_us
         self.observe_group_value(group_us)
-        self.rounds_committed += 1
         return self.offset_us
 
     def observe_group_value(self, group_us: int) -> None:

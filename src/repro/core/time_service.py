@@ -109,8 +109,7 @@ class CTSStats:
     """Counters the evaluation harness reads (Section 4.3)."""
 
     rounds_completed: int = 0
-    #: Round winners accepted (ordered first for their round), consumed
-    #: or still buffered.
+    #: Round winners accepted (first ordered), consumed or buffered.
     rounds_accepted: int = 0
     #: CCS messages handed to Totem for transmission.
     ccs_sent: int = 0
@@ -300,8 +299,7 @@ class ConsistentTimeService(TimeSource):
                 M_DRIFT_ERROR.set(self.drift_bound.error_us(elapsed),
                                   node=self.node_id)
             if self.recorder is not None:
-                self.recorder.fast_served.append(
-                    (self.sim.now, fast_us, elapsed))
+                self.recorder.fast_served.append((self.sim.now, fast_us, elapsed))
             self._serve(handler, op, fast_us, fast=True)
             return result
 
@@ -379,12 +377,9 @@ class ConsistentTimeService(TimeSource):
                 value_us = floor + 1
             self.clock_state.note_fast_value(value_us)
         value = ClockValue(op.call.quantize(value_us))
-        recorder = self.recorder
-        if recorder is not None:
-            recorder.readings.append(
-                (self.sim.now, handler.my_thread_id, op.call.name, value))
-            if not fast:
-                recorder.served_ops[(handler.my_thread_id, op.op_id)] = group_us
+        self._record(handler.my_thread_id, op.call.name, value)
+        if not fast and self.recorder is not None:
+            self.recorder.served_ops[(handler.my_thread_id, op.op_id)] = group_us
         self.stats.ops_completed += 1
         if trace.TRACER.enabled:
             # The cross-node assembler joins this to op.execute by
@@ -776,8 +771,7 @@ class ConsistentTimeService(TimeSource):
                 msg.thread_id, self._initial_rounds.get(msg.thread_id, 0)
             )
             state.buffered.setdefault(msg.thread_id, []).append(msg)
-        for thread_id, watermark in self._accepted.items():
-            state.accepted[thread_id] = watermark
+        state.accepted.update(self._accepted)
         return state
 
     def set_transfer_state(self, state: object) -> None:

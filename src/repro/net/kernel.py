@@ -8,13 +8,12 @@ API but maps it onto an asyncio event loop:
 
 * ``now`` is the loop's monotonic clock, zeroed at construction, so all
   kernel timestamps remain "seconds since start" just like the sim;
-* queueing an event hands the simulator's own
+* queueing an event hands the loop the simulator's own
   :meth:`Simulator._fire_event` (lazy trigger values, cancelled-event
-  skipping, unheeded-failure detection) to the loop, and a scheduled
-  callback goes to it as it is: ``loop.call_later`` for a delay,
-  ``loop.call_soon`` for none — a zero-delay wake (``succeed()``, a
-  process resuming, a live token visit) joins the ready queue at once,
-  ahead of the next pass's socket reads and off the timer heap; a
+  skipping, unheeded-failure detection) and a scheduled callback goes to
+  it as it is — ``loop.call_later`` for a delay, ``loop.call_soon`` for
+  none, so a zero-delay wake runs before the next pass's socket reads
+  and never touches the timer heap; a
   :class:`~repro.sim.kernel.Deadline` keeps one ``call_later`` pending
   however often it is moved, re-arming it for the remaining time when
   it fires early;
@@ -26,9 +25,8 @@ Because only the *scheduling* substrate changes, every object built on
 events — :class:`~repro.sim.process.Store`, locks, Totem timers, CCS
 rounds — runs unmodified on either kernel.  The one semantic difference
 is that URGENT/NORMAL priority ties cannot be enforced against a real
-clock; asyncio's FIFO ordering of the ready queue and of same-deadline
-timers is the live equivalent, and real timestamps never tie exactly
-anyway.
+clock; asyncio's FIFO ready queue and same-deadline timers are the live
+equivalent, and real timestamps never tie exactly anyway.
 
 Unheeded failures (a failed event nobody waits on) cannot be raised from
 inside a loop callback without asyncio swallowing them, so they are
@@ -66,9 +64,8 @@ class LiveKernel(Simulator):
     # -- queueing ------------------------------------------------------
 
     def _queue_event(self, event: Event, priority: int, delay: float = 0.0) -> None:
-        # asyncio's ready queue and its same-deadline timers are FIFO,
-        # which matches the sim heap's stable-sequence tie-break; the
-        # priority lane collapses.
+        # asyncio's ready queue and same-deadline timers are FIFO like the
+        # sim heap's stable-sequence tie-break; the priority lane collapses.
         if delay <= 0:
             self.loop.call_soon(self._fire_event, event)
         else:
@@ -76,8 +73,8 @@ class LiveKernel(Simulator):
 
     def schedule(self, delay: float, callback: Callable, *args: Any) -> asyncio.Handle:
         """Run ``callback(*args)`` after ``delay`` real seconds; the
-        handle :meth:`cancel` takes is the loop's own (a plain
-        ``Handle`` for a zero delay, a ``TimerHandle`` otherwise)."""
+        handle :meth:`cancel` takes is the loop's own (a ``TimerHandle``
+        unless the delay is zero)."""
         if delay < 0:
             raise SimulationError(f"negative schedule delay {delay!r}")
         if delay == 0:

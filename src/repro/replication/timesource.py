@@ -39,31 +39,20 @@ class ClockRead(Event):
 
 
 class HistoryRecorder:
-    """One time source's experiment records.
-
-    A serving replica keeps O(1) clock state (Figure 2: an offset, a
-    round number, an input buffer).  What experiments, the invariant
-    oracle and tests read back after a run is handed to a recorder when
-    one is attached — ``bed.record()`` attaches one to every source the
-    bed deploys — and dropped otherwise.  The baselines hand over
-    ``readings`` only.
-    """
-
-    __slots__ = ("readings", "winners", "served_ops", "fast_served",
-                 "history")
+    """One time source's experiment records.  A serving replica keeps
+    O(1) clock state (Figure 2); what experiments, the oracle and tests
+    read back after a run goes to a recorder if one is attached
+    (``bed.record()``), nowhere otherwise.  Baselines fill ``readings``."""
 
     def __init__(self) -> None:
-        #: (sim_time, thread_id, call, ClockValue) values returned to the app.
+        #: (sim_time, thread_id, call, ClockValue) per value returned.
         self.readings: List[tuple] = []
-        #: (thread_id, round, winner_node) per accepted round — the
-        #: synchronizer history the Figure 6 analysis plots.
+        #: (thread_id, round, winner_node) per accepted round (Figure 6).
         self.winners: List[tuple] = []
-        #: (thread_id, op_id) -> group value, for round-served operations
-        #: — replica-independent by construction; the agreement
-        #: invariant the property suites check.
+        #: (thread_id, op_id) -> group value per round-served operation:
+        #: replica-independent, the agreement invariant the suites check.
         self.served_ops: Dict[tuple, int] = {}
-        #: (sim_time, value_us, elapsed_us) per fast-path read — lets
-        #: tests check the staleness bound the fast path promises.
+        #: (sim_time, value_us, staleness_us) per fast-path read.
         self.fast_served: List[tuple] = []
         #: (group_us, physical_us, offset_us) per committed round.
         self.history: List[tuple] = []
@@ -75,9 +64,8 @@ class TimeSource(abc.ABC):
     #: Human-readable name used in experiment reports.
     name = "abstract"
 
-    #: Where the source hands what it serves, when somebody asked for a
-    #: record (:meth:`repro.testbed.TestbedBase.record`); ``None``: it
-    #: keeps no per-operation history at all.
+    #: Where the source hands what it serves; ``None`` until asked
+    #: (``bed.record()``): no per-operation history is kept.
     recorder: Optional[HistoryRecorder] = None
 
     #: True when the replica runtime should pipeline request execution,
@@ -88,6 +76,12 @@ class TimeSource(abc.ABC):
     #: True when ``read`` accepts an ``op_id`` keyword identifying the
     #: operation replica-independently as ``(request_index, read_seq)``.
     accepts_op_ids = False
+
+    def _record(self, thread_id: str, call_name: str, value) -> None:
+        """Hand one served value to the recorder, if one is attached."""
+        if self.recorder is not None:
+            self.recorder.readings.append(
+                (self.sim.now, thread_id, call_name, value))
 
     @abc.abstractmethod
     def read(self, thread_id: str, call_name: str = "gettimeofday") -> Event:

@@ -30,8 +30,7 @@ class ClientStats:
 
     calls: int = 0
     replies_first: int = 0
-    #: Replies to an invocation that is no longer pending: the other
-    #: replicas' answers, or a reply that lost to the call's timeout.
+    #: Replies to a call no longer pending (answered, or timed out).
     replies_duplicate: int = 0
     timeouts: int = 0
     #: Re-invocations issued by :meth:`RpcClient.retrying_call`.
@@ -175,8 +174,7 @@ class RpcClient:
             if not event.triggered:
                 event.succeed(envelope.body)
         elif 0 < key[1] < self._next_seq.get(key[0], 0):
-            # Issued and no longer pending — the state kept is the
-            # calls outstanding, not one entry per call ever answered.
+            # Issued, no longer pending: only outstanding calls are kept.
             self.stats.replies_duplicate += 1
 
     def _on_timeout(self, key, server_group: str, method: str) -> None:

@@ -241,12 +241,10 @@ class TestbedBase:
         return replicas
 
     def record(self) -> None:
-        """Keep experiment records from here on.  A time source serves
-        without per-operation history unless asked; this attaches a
-        :class:`~repro.replication.HistoryRecorder` to every deployed
-        replica's source and to each one added or re-deployed later.
-        Read it as ``replica.time_source.recorder`` (``.readings``,
-        ``.winners``, ``.history``, ``.served_ops``, ``.fast_served``)."""
+        """Keep experiment records from here on: every deployed time
+        source, and each one added or re-deployed later, gets a
+        :class:`~repro.replication.HistoryRecorder`, read back as
+        ``replica.time_source.recorder``.  Unasked, none is kept."""
         self._recording = True
         for replicas in self.services.values():
             for replica in replicas.values():

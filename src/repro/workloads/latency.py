@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List
 
+from ..core import CTSStats
 from ..replication import Application
 from ..sim import ClusterConfig
 from ..testbed import Testbed
@@ -105,11 +106,9 @@ def run_latency_workload(
     )
     for node_id, replica in bed.replicas("timesvc").items():
         stats = getattr(replica.time_source, "stats", None)
-        if stats is not None and hasattr(stats, "ccs_transmitted"):
+        if isinstance(stats, CTSStats):
             run.ccs_transmitted[node_id] = stats.ccs_transmitted
             run.rounds = max(run.rounds, stats.rounds_accepted)
-            run.ops_completed = max(run.ops_completed,
-                                    getattr(stats, "ops_completed", 0))
-            run.ops_coalesced = max(run.ops_coalesced,
-                                    getattr(stats, "ops_coalesced", 0))
+            run.ops_completed = max(run.ops_completed, stats.ops_completed)
+            run.ops_coalesced = max(run.ops_coalesced, stats.ops_coalesced)
     return run

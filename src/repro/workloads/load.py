@@ -359,8 +359,7 @@ def timed_calls(bed, client, group: str, method: str, count: int, *,
 
 
 def last_readings(replica, count: int) -> List[int]:
-    """The last ``count`` clock values (microseconds) ``replica`` served,
-    from the record its bed was asked to keep (``bed.record()``)."""
+    """The last ``count`` values (us) ``replica`` served; needs ``bed.record()``."""
     readings = replica.time_source.recorder.readings
     return [v.micros for _, _, _, v in readings][-count:]
 

@@ -20,7 +20,7 @@ Collected per run:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
 from ..core import DriftCompensation
@@ -155,24 +155,12 @@ def run_skew_drift_workload(
     client = bed.client("n0")
     bed.start()
 
-    # Baseline: how many rounds each time service committed before the
-    # workload (state-transfer special rounds) — sliced off below.
-    pre_rounds = {
-        nid: len(r.time_source.recorder.history)
-        for nid, r in bed.replicas("skewsvc").items()
-    }
-    pre_winners = max(
-        len(r.time_source.recorder.winners)
-        for r in bed.replicas("skewsvc").values()
-    )
-    pre_sent = {
-        nid: r.time_source.stats.ccs_sent
-        for nid, r in bed.replicas("skewsvc").items()
-    }
-    pre_suppressed = {
-        nid: r.time_source.stats.ccs_suppressed
-        for nid, r in bed.replicas("skewsvc").items()
-    }
+    # Baseline: each service's counters and how many rounds it committed
+    # before the workload (state-transfer special rounds) — taken off below.
+    sources = {nid: r.time_source for nid, r in bed.replicas("skewsvc").items()}
+    pre_stats = {nid: replace(s.stats) for nid, s in sources.items()}
+    pre_rounds = {nid: len(s.recorder.history) for nid, s in sources.items()}
+    pre_winners = max(len(s.recorder.winners) for s in sources.values())
 
     def scenario():
         result = yield client.call(
@@ -185,24 +173,16 @@ def run_skew_drift_workload(
     bed.run(0.05)
 
     result = SkewDriftResult(rounds=rounds)
-    for node_id, replica in bed.replicas("skewsvc").items():
-        service = replica.time_source
-        base = pre_rounds[node_id]
+    for node_id, service in sources.items():
+        base, stats, pre = pre_rounds[node_id], service.stats, pre_stats[node_id]
         series = ReplicaSeries(node_id)
         series.history = list(service.recorder.history[base:])
-        series.times_s = [
-            t for t, _, _, _ in service.recorder.readings[base:]]
+        series.times_s = [t for t, _, _, _ in service.recorder.readings[base:]]
         result.series[node_id] = series
         result.ccs_transmitted[node_id] = (
-            service.stats.ccs_sent
-            - service.stats.ccs_suppressed
-            - (pre_sent[node_id] - pre_suppressed[node_id])
-        )
-        result.ccs_suppressed[node_id] = (
-            service.stats.ccs_suppressed - pre_suppressed[node_id]
-        )
-        result.rounds_from_buffer[node_id] = service.stats.rounds_from_buffer
-    any_service = next(iter(bed.replicas("skewsvc").values())).time_source
-    result.winners = [
-        w for _, _, w in any_service.recorder.winners[pre_winners:]]
+            stats.ccs_transmitted - pre.ccs_transmitted)
+        result.ccs_suppressed[node_id] = stats.ccs_suppressed - pre.ccs_suppressed
+        result.rounds_from_buffer[node_id] = stats.rounds_from_buffer
+    recorder = next(iter(sources.values())).recorder
+    result.winners = [w for _, _, w in recorder.winners[pre_winners:]]
     return result

@@ -48,12 +48,13 @@ class TestProposal:
 
 class TestHistory:
     def test_history_records_rounds(self):
-        """The state counts commits and returns each offset; the triples
-        themselves are the recorder's (``TestRecorder`` in
-        ``test_time_service_unit.py``)."""
+        """The state keeps no history: a commit returns its offset, and
+        the (group, physical, offset) triple is the service recorder's
+        (``TestRecorder`` in ``test_time_service_unit.py``)."""
         state = GroupClockState()
         assert [state.commit(100, 110), state.commit(220, 225)] == [-10, -5]
-        assert state.rounds_committed == 2
+        assert not any(isinstance(value, (list, dict, set))
+                       for value in vars(state).values())
 
 
 class TestProperties:

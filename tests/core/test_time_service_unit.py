@@ -242,7 +242,6 @@ def assert_no_growth(bed, serve, n=40):
     operations and retained rounds are windows over what is in flight —
     they drain between sequential calls — so the allowance is a couple
     of entries, not a share of the operations served."""
-    assert bed._recording is False
     serve(n)
     first = {nid: container_sizes(r.time_source)
              for nid, r in bed.replicas("svc").items()}
