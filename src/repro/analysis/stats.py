@@ -109,21 +109,3 @@ def mode_bin(values: Sequence[float], *, bin_width: float) -> float:
         raise ValueError("cannot take the mode of an empty sample")
     return max(bins, key=lambda pair: pair[1])[0]
 
-
-def linear_fit(xs: Sequence[float], ys: Sequence[float]) -> Tuple[float, float]:
-    """Least-squares line ``y = slope * x + intercept``.
-
-    Used to estimate clock drift rates (slope of clock value vs real
-    time minus one, in ppm).
-    """
-    if len(xs) != len(ys) or len(xs) < 2:
-        raise ValueError("need two same-length samples of size >= 2")
-    n = len(xs)
-    mean_x = sum(xs) / n
-    mean_y = sum(ys) / n
-    sxx = sum((x - mean_x) ** 2 for x in xs)
-    if sxx == 0:
-        raise ValueError("degenerate fit: all x values identical")
-    sxy = sum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys))
-    slope = sxy / sxx
-    return slope, mean_y - slope * mean_x

@@ -76,11 +76,6 @@ class ByzantineRules:
         self._lies.clear()
         self._equivocations.clear()
 
-    @property
-    def faulty_nodes(self) -> frozenset:
-        """Nodes with an active lie or equivocation rule."""
-        return frozenset(self._lies) | frozenset(self._equivocations)
-
     # -- the perturbation -----------------------------------------------
 
     def bias_for(self, src: str, dst: str) -> int:

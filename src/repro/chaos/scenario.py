@@ -64,10 +64,6 @@ class ChaosScenario:
     shards: Optional[int] = None
     shard_size: int = 3
 
-    @property
-    def n_nodes(self) -> int:
-        return len(self.node_ids)
-
 
 def load_scenario(path: Union[str, os.PathLike]) -> ChaosScenario:
     """Load and validate a JSON scenario file."""

@@ -505,9 +505,8 @@ def cmd_serve(args) -> int:
         peers=peers,
         group=args.group,
         style=args.style,
-        coalesce=args.coalesce,
-        fast_path=args.fast_path,
-        max_staleness_us=args.max_staleness_us,
+        time_options=dict(coalesce=args.coalesce, fast_path=args.fast_path,
+                          max_staleness_us=args.max_staleness_us),
         clock_epoch_us=args.clock_offset_us,
         clock_drift_ppm=args.clock_drift_ppm,
         join_existing=args.join,

@@ -12,7 +12,7 @@ harness, which the gateway (an importer of :mod:`.admission`) must not
 load at import time.
 """
 
-from ..errors import OverloadedError, ReconfigurationError
+from ..errors import ReconfigurationError
 from .admission import (
     OVERLOADED,
     AdmissionConfig,
@@ -30,7 +30,6 @@ __all__ = [
     "AdmissionStats",
     "ControlPlane",
     "OVERLOADED",
-    "OverloadedError",
     "ReconfigurationError",
     "is_overloaded",
     "overloaded_value",

@@ -26,7 +26,6 @@ instruments (``cts_admission_*``) for SLO-burn dashboards.
 
 from __future__ import annotations
 
-import time
 from collections import OrderedDict, deque
 from dataclasses import dataclass, field
 from typing import Callable, Deque, Dict, Optional
@@ -119,12 +118,13 @@ class AdmissionController:
     ``Overloaded`` with a retry-after hint.  Exactly one of them is
     invoked, possibly later (a parked operation dispatches when capacity
     frees, or sheds when it ages out).  :meth:`complete` must be called
-    when the operation's first reply leaves the gateway.
+    when the operation's first reply leaves the gateway.  ``clock`` is
+    the host's time base, seconds: the kernel's, as every other stamp.
     """
 
     def __init__(self, config: Optional[AdmissionConfig] = None, *,
                  node_id: str = "?",
-                 clock: Callable[[], float] = time.monotonic) -> None:
+                 clock: Callable[[], float]) -> None:
         self.config = config or AdmissionConfig()
         self.node_id = node_id
         self._clock = clock

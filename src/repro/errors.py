@@ -52,20 +52,8 @@ class TotemError(ReproError):
     invariants (sequencing, ring state, token handling)."""
 
 
-class MembershipError(TotemError):
-    """The Totem membership protocol reached an inconsistent state."""
-
-
 class ReplicationError(ReproError):
     """The replication infrastructure detected an inconsistency."""
-
-
-class NotPrimaryError(ReplicationError):
-    """A primary-only operation was invoked on a backup replica."""
-
-
-class StateTransferError(ReplicationError):
-    """State transfer to a joining/recovering replica failed."""
 
 
 class ReconfigurationError(ReplicationError):
@@ -82,22 +70,6 @@ class RpcTimeout(RpcError):
     """A remote method invocation did not complete within its deadline."""
 
 
-class OverloadedError(RpcError):
-    """The gateway shed the request before it entered the total order.
-
-    Raised client-side when a daemon answers with the typed
-    ``Overloaded`` result instead of queueing the operation: the
-    admission controller judged that accepting it would push queueing
-    delay past the point where the reply could still be useful.
-    ``retry_after_s`` is the server's backoff hint — the earliest time
-    at which retrying has a realistic chance of being admitted.
-    """
-
-    def __init__(self, message: str, *, retry_after_s: float = 0.1):
-        super().__init__(message)
-        self.retry_after_s = retry_after_s
-
-
 class TimeServiceError(ReproError):
     """The consistent time service detected a protocol violation."""
 
@@ -105,14 +77,6 @@ class TimeServiceError(ReproError):
         super().__init__(*args)
         #: The node whose service detected it, when known.
         self.node = node
-
-
-class ClockRollbackError(TimeServiceError):
-    """A clock source returned a value earlier than a previous reading.
-
-    The consistent time service guarantees this never happens for the
-    group clock; baselines may raise or record it depending on policy.
-    """
 
 
 class ConfigurationError(ReproError):

@@ -74,10 +74,6 @@ class WireAuthenticator:
                     key_id: int = 0) -> "WireAuthenticator":
         return cls(derive_key(secret, group=group), key_id=key_id)
 
-    def add_key(self, key_id: int, key: bytes) -> None:
-        """Add an extra keyring entry (rotation: verify old, sign new)."""
-        self._keys[key_id] = key
-
     # -- signing ----------------------------------------------------------
 
     def sign_field(self, src: str, signed_prefix: bytes,

@@ -140,7 +140,6 @@ class LiveCaller:
         *,
         group: str = "timesvc",
         client_id: Optional[str] = None,
-        bind_host: str = "127.0.0.1",
     ):
         if not servers:
             raise ValueError("need at least one server address")
@@ -153,7 +152,7 @@ class LiveCaller:
         self.client_group = f"client.{self.client_id}"
         # A private one-port transport: the socket is drained, its
         # frames validated and counted, exactly as a node's are.
-        self._transport = UdpTransport(kernel.loop, bind_host=bind_host)
+        self._transport = UdpTransport(kernel.loop)
         self.port = self._transport.attach(self.client_id, self._on_frame)
         self._seq = 0
         #: (conn_id, seq) -> the call waiting for those replies.

@@ -28,7 +28,6 @@ what lets ``repro call`` verify the replies are identical).
 from __future__ import annotations
 
 import sys
-import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
@@ -47,12 +46,7 @@ from ..replication.envelope import Envelope, MsgType, make_envelope
 from ..replication.group import GroupEndpoint, GroupRuntime
 from ..replication.replica import Application
 from ..rpc.messages import Result
-from ..testbed import STYLES, TestbedBase
-from ..totem import TotemConfig, TotemProcessor
-from .kernel import LiveKernel
-from .node import LiveNode
-from .timing import live_totem_config
-from .udp import Address, LiveFrame, UdpTransport
+from .udp import Address, LiveFrame
 
 
 class TimeApp(Application):
@@ -80,12 +74,6 @@ class TimeApp(Application):
         yield ctx.compute(0.0)
         return "pong"
 
-    def get_state(self):
-        return None
-
-    def set_state(self, state):
-        pass
-
 
 @dataclass
 class DaemonConfig:
@@ -97,21 +85,15 @@ class DaemonConfig:
     peers: Dict[str, Address]
     group: str = "timesvc"
     style: str = "active"
-    time_source: str = "cts"
-    #: Overlap request execution so concurrent clock operations share
-    #: CCS rounds (False: serial execution, one round per operation).
-    coalesce: bool = True
-    #: Serve drift-bounded reads locally between rounds (CTS only).
-    fast_path: bool = False
-    #: Staleness budget for the fast path, microseconds.
-    max_staleness_us: int = 2_000
+    #: The time-service options ``coalesce``, ``fast_path`` and
+    #: ``max_staleness_us``, as :meth:`~repro.testbed.TestbedBase.deploy`
+    #: takes (and defaults) them.
+    time_options: Dict[str, object] = field(default_factory=dict)
     #: Injected wall-clock error (the live Figure-1 inconsistency).
     clock_epoch_us: int = 0
     clock_drift_ppm: float = 0.0
     #: Join an already-running group (recovering/added replica).
     join_existing: bool = False
-    totem: Optional[TotemConfig] = None
-    extra_style_kwargs: Dict = field(default_factory=dict)
     #: Serve ``/metrics`` (Prometheus text) on this port (None = off).
     metrics_port: Optional[int] = None
     #: Write per-node trace shards (JSONL) into this directory and keep
@@ -122,11 +104,6 @@ class DaemonConfig:
     #: time service arms its winner sanity filter (None = off).  All
     #: peers must agree — an unauthenticated peer's frames are rejected.
     auth_key: Optional[str] = None
-    #: Shed-before-collapse admission control at the gateway (bounded
-    #: queues, fair dequeue, typed Overloaded replies).  On by default;
-    #: ``admission_config`` overrides the knobs (see docs/operations.md).
-    admission: bool = True
-    admission_config: Optional[AdmissionConfig] = None
 
 
 #: ClientGateway attribute -> the registry family read from it.
@@ -179,7 +156,7 @@ class ClientGateway:
     ROUTES_CAP = 8192
 
     def __init__(self, runtime: GroupRuntime, port, *,
-                 node_id: str = "?", clock=None,
+                 node_id: str = "?",
                  admission: Optional[AdmissionController] = None) -> None:
         self.runtime = runtime
         self.port = port
@@ -191,11 +168,8 @@ class ClientGateway:
         self._endpoints: Dict[str, GroupEndpoint] = {}
         #: operation id -> replies forwarded so far (replayed on retry).
         self._seen: "OrderedDict[_OpKey, List[Envelope]]" = OrderedDict()
-        #: operation id -> clock reading at first sight (drives the TTL).
+        #: operation id -> kernel time at first sight (drives the TTL).
         self._seen_at: Dict[_OpKey, float] = {}
-        sim = getattr(runtime, "sim", None)
-        self._clock = clock or (
-            (lambda: sim.now) if sim is not None else time.monotonic)
         self.requests_injected = 0
         self.requests_deduplicated = 0
         self.requests_shed = 0
@@ -209,7 +183,7 @@ class ClientGateway:
         header = envelope.header
         client_group = header.src_grp
         self._record_route(client_group, frame.addr)
-        now = self._clock()
+        now = self.runtime.sim.now
         self._expire_seen(now)
         key: _OpKey = (header.dst_grp, client_group,
                        header.conn_id, header.msg_seq_num)
@@ -341,92 +315,43 @@ class ClientGateway:
             self.admission.complete(key)
 
 
-def interpose_gateway(node, runtime: GroupRuntime,
-                      admission: Optional[AdmissionController] = None
-                      ) -> ClientGateway:
-    """Put a :class:`ClientGateway` in front of ``node``'s installed
-    receiver (the Totem processor).  Bare envelopes are client traffic
-    (ring peers always wrap envelopes in Totem regular messages);
-    everything else is ring traffic and goes on to the receiver that was
-    there."""
-    ring_receiver = node.receiver
-    gateway = ClientGateway(runtime, node.iface, node_id=node.node_id,
-                            admission=admission)
-
-    def dispatch(frame: LiveFrame) -> None:
-        if isinstance(frame.payload, Envelope):
-            gateway.handle(frame)
-        else:
-            ring_receiver(frame)
-
-    node.set_receiver(dispatch)
-    return gateway
-
-
 class NodeDaemon:
-    """One live group member: kernel, node, ring, replica, gateway."""
+    """One live group member: a one-node :class:`LiveTestbed` given the
+    whole ring's address book — the stack ``bench`` and the live tests
+    build, node for node — plus a process's lifecycle: the quorum-gated
+    join, signals, the observability sidecars, failure reports."""
 
-    def __init__(self, config: DaemonConfig,
-                 kernel: Optional[LiveKernel] = None):
+    def __init__(self, config: DaemonConfig):
+        # The bed imports this module's gateway.
+        from .testbed import LiveTestbed
+
         if config.node_id not in config.peers:
             raise KeyError(
                 f"--peers must include this node ({config.node_id!r})")
-        if config.style not in STYLES:
-            raise KeyError(
-                f"unknown style {config.style!r}; choose from {sorted(STYLES)}")
         self.config = config
-        self.kernel = kernel or LiveKernel()
         if config.metrics_port is not None or config.trace_dir is not None:
             # Before the replica exists: its time source exports its
-            # configuration gauges once, at construction.
-            if not obs.REGISTRY.enabled:
-                obs.REGISTRY.enable(clock=lambda: self.kernel.now)
-        host, port = config.peers[config.node_id]
-        self.auth = None
-        if config.auth_key is not None:
-            from .auth import WireAuthenticator
-
-            self.auth = WireAuthenticator.from_secret(
-                config.auth_key, group=config.group)
-        self.transport = UdpTransport(
-            self.kernel.loop,
-            peers=config.peers,
-            bind_host=host,
-            bind_ports={config.node_id: port},
-            auth=self.auth,
-        )
-        self.node = LiveNode(
-            self.kernel,
-            config.node_id,
-            self.transport,
-            clock_epoch_us=config.clock_epoch_us,
-            clock_drift_ppm=config.clock_drift_ppm,
-        )
-        self.processor = TotemProcessor(
-            self.node,
-            config.totem or live_totem_config(),
-            static_membership=sorted(config.peers),
-        )
-        self.runtime = GroupRuntime(self.processor)
-        admission = None
-        if config.admission:
-            admission = AdmissionController(
-                config.admission_config, node_id=config.node_id,
-                clock=lambda: self.kernel.now)
-        self.gateway = interpose_gateway(self.node, self.runtime, admission)
-        # Same factory path as the testbeds, so daemon replicas and
-        # testbed replicas are configured identically.
-        factory = TestbedBase._time_source_factory(
-            config.time_source, config.style, None,
-            coalesce=config.coalesce, fast_path=config.fast_path,
-            max_staleness_us=config.max_staleness_us,
-            byzantine=config.auth_key is not None)
-        self.replica = STYLES[config.style](
-            self.runtime, config.group, TimeApp(), factory,
-            join_existing=config.join_existing,
-            **config.extra_style_kwargs,
-        )
-        self._started = False
+            # configuration gauges once, at construction.  (The bed
+            # points the registry's clock at its kernel.)
+            obs.REGISTRY.enable()
+        self.bed = LiveTestbed(node_ids=[config.node_id], peers=config.peers,
+                               auth_secret=config.auth_key)
+        self.kernel = self.bed.kernel
+        self.node = self.bed.node(config.node_id)
+        # The injected clock error is this daemon's to say, not the
+        # bed's seed's to draw.
+        self.node.clock.epoch_us = config.clock_epoch_us
+        self.node.clock.drift_ppm = config.clock_drift_ppm
+        self.processor = self.bed.processors[config.node_id]
+        # Shed-before-collapse admission control (bounded queues, fair
+        # dequeue, typed Overloaded replies; docs/operations.md) is on.
+        self.gateway = self.bed.install_gateway(config.node_id,
+                                                AdmissionConfig())
+        self.replica = self.bed.deploy(
+            config.group, TimeApp, [config.node_id], style=config.style,
+            byzantine=config.auth_key is not None,
+            join_existing=config.join_existing, **config.time_options,
+        )[config.node_id]
         self._metrics_server: Optional[MetricsHttpServer] = None
         self._shard_writer: Optional[TraceShardWriter] = None
 
@@ -435,13 +360,6 @@ class NodeDaemon:
         return self.node.address
 
     # -- lifecycle -----------------------------------------------------
-
-    def start(self) -> None:
-        if self._started:
-            return
-        self._started = True
-        self.processor.start()
-        self._join_when_quorate()
 
     def _join_when_quorate(self) -> None:
         """Join the group once the ring holds a majority of the peers.
@@ -471,7 +389,8 @@ class NodeDaemon:
             except (NotImplementedError, RuntimeError):  # pragma: no cover
                 pass
         self.start_observability()
-        self.start()
+        self.processor.start()
+        self._join_when_quorate()
         self._log(f"serving group {self.config.group!r} "
                   f"({self.config.style}) on {self.address[0]}:{self.address[1]}")
         self.kernel.schedule(1.0, self._report_failures)
@@ -537,5 +456,4 @@ class NodeDaemon:
             self._shard_writer.close()
             self._shard_writer = None
             flight.RECORDER.stop()
-        self.transport.close()
-        self.kernel.close()
+        self.bed.shutdown()

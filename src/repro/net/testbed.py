@@ -27,18 +27,32 @@ from typing import Callable, Dict, List, Optional
 
 from ..control.admission import AdmissionConfig, AdmissionController
 from ..errors import SimulationError
+from ..replication.envelope import Envelope
 from ..sim.clock import US_PER_SEC
 from ..testbed import TestbedBase
 from ..totem import TotemConfig
-from .daemon import ClientGateway, interpose_gateway
+from .daemon import ClientGateway
 from .kernel import LiveKernel
 from .node import LiveNode
 from .timing import live_totem_config
-from .udp import UdpTransport
+from .udp import Address, LiveFrame, UdpTransport
+
+
+#: The unsynchronized-start model, as the simulated cluster's defaults:
+#: per-node epoch offset within ± this many seconds, drift rate within
+#: ± this many ppm, both drawn from the bed's seed.
+CLOCK_EPOCH_SPREAD_S = 10.0
+CLOCK_DRIFT_PPM_MAX = 50.0
 
 
 class LiveTestbed(TestbedBase):
-    """A live cluster on localhost UDP, one event loop, real time."""
+    """A live cluster on localhost UDP, one event loop, real time.
+
+    ``peers`` is the address book of a ring this bed hosts only part
+    of — ``repro serve`` is a one-node bed given the whole ring's: the
+    hosted nodes bind their own entries, and the ring's static
+    membership is everyone listed, hosted here or not.
+    """
 
     def __init__(
         self,
@@ -47,11 +61,9 @@ class LiveTestbed(TestbedBase):
         seed: int = 0,
         node_ids: Optional[List[str]] = None,
         totem_config: Optional[TotemConfig] = None,
-        clock_epoch_spread_s: float = 10.0,
-        clock_drift_ppm_max: float = 50.0,
-        bind_host: str = "127.0.0.1",
         chaos_seed: Optional[int] = None,
         auth_secret: Optional[str] = None,
+        peers: Optional[Dict[str, Address]] = None,
     ):
         self.kernel = LiveKernel()
         #: Shared wire authenticator when the cluster runs authenticated.
@@ -63,7 +75,7 @@ class LiveTestbed(TestbedBase):
             from .auth import WireAuthenticator
 
             self.auth = WireAuthenticator.from_secret(auth_secret)
-        self.transport = UdpTransport(self.kernel.loop, bind_host=bind_host,
+        self.transport = UdpTransport(self.kernel.loop, peers=peers,
                                       auth=self.auth)
         self.chaos_seed = chaos_seed
         if chaos_seed is not None:
@@ -79,9 +91,9 @@ class LiveTestbed(TestbedBase):
         for node_id in ids:
             # Same unsynchronized-start model as the simulated cluster:
             # per-node epoch offset and drift rate from the seed.
-            epoch_us = int(rng.uniform(-clock_epoch_spread_s,
-                                       clock_epoch_spread_s) * US_PER_SEC)
-            drift_ppm = rng.uniform(-clock_drift_ppm_max, clock_drift_ppm_max)
+            epoch_us = int(rng.uniform(-CLOCK_EPOCH_SPREAD_S,
+                                       CLOCK_EPOCH_SPREAD_S) * US_PER_SEC)
+            drift_ppm = rng.uniform(-CLOCK_DRIFT_PPM_MAX, CLOCK_DRIFT_PPM_MAX)
             nodes[node_id] = LiveNode(
                 self.kernel,
                 node_id,
@@ -90,7 +102,9 @@ class LiveTestbed(TestbedBase):
                 clock_epoch_us=epoch_us,
                 clock_drift_ppm=drift_ppm,
             )
-        self._init_stack(self.kernel, nodes, totem_config or live_totem_config())
+        self._init_stack(
+            self.kernel, nodes, totem_config or live_totem_config(),
+            {node_id: sorted(peers) for node_id in ids} if peers else None)
         #: Every gateway :meth:`install_gateway` built, oldest first (a
         #: recovered node's old one stays, so its tallies survive).
         self.gateways: List[ClientGateway] = []
@@ -102,14 +116,30 @@ class LiveTestbed(TestbedBase):
         self, node_id: str,
         admission_config: Optional[AdmissionConfig] = None,
     ) -> ClientGateway:
-        """Front ``node_id`` with a client gateway as ``repro serve``
-        does, admission-controlled if ``admission_config`` is given."""
+        """Put a :class:`ClientGateway` in front of ``node_id``'s
+        installed receiver (the Totem processor), admission-controlled
+        if ``admission_config`` is given (queue ages and service times
+        in the bed's kernel time).  Bare envelopes are client traffic
+        (ring peers always wrap envelopes in Totem regular messages);
+        everything else is ring traffic and goes on to the receiver that
+        was there."""
+        node = self.node(node_id)
         admission = None
         if admission_config is not None:
-            admission = AdmissionController(admission_config,
-                                            node_id=node_id)
-        gateway = interpose_gateway(self.node(node_id),
-                                    self.runtimes[node_id], admission)
+            admission = AdmissionController(
+                admission_config, node_id=node_id,
+                clock=lambda: self.kernel.now)
+        gateway = ClientGateway(self.runtimes[node_id], node.iface,
+                                node_id=node_id, admission=admission)
+        ring_receiver = node.receiver
+
+        def dispatch(frame: LiveFrame) -> None:
+            if isinstance(frame.payload, Envelope):
+                gateway.handle(frame)
+            else:
+                ring_receiver(frame)
+
+        node.set_receiver(dispatch)
         self._gateway_configs[node_id] = admission_config
         self.gateways.append(gateway)
         return gateway

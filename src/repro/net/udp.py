@@ -228,10 +228,9 @@ class UdpTransport(Transport):
 
     ``peers`` maps node id to ``(host, port)``.  In multi-process
     deployment it is the daemon's ``--peers`` list; in-process it starts
-    empty and fills as nodes attach on ephemeral ports.  ``bind_host``
-    and ``bind_ports`` configure where :meth:`attach` binds (attach keeps
-    the two-argument contract signature, so bind configuration lives on
-    the transport).
+    empty and fills as nodes attach on ephemeral ports.  A node listed
+    in it when it attaches binds its own entry; any other binds an
+    ephemeral loopback port.
     """
 
     def __init__(
@@ -239,14 +238,10 @@ class UdpTransport(Transport):
         loop,
         *,
         peers: Optional[Dict[str, Address]] = None,
-        bind_host: str = "127.0.0.1",
-        bind_ports: Optional[Dict[str, int]] = None,
         auth=None,
     ):
         self.loop = loop
         self.peers: Dict[str, Address] = dict(peers or {})
-        self.bind_host = bind_host
-        self.bind_ports = dict(bind_ports or {})
         #: Optional :class:`~repro.net.auth.WireAuthenticator` shared by
         #: every port on this transport (authenticated Byzantine mode).
         self.auth = auth
@@ -260,7 +255,7 @@ class UdpTransport(Transport):
         sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
         try:
             sock.setblocking(False)
-            sock.bind((self.bind_host, self.bind_ports.get(node_id, 0)))
+            sock.bind(self.peers.get(node_id, ("127.0.0.1", 0)))
         except OSError as exc:
             sock.close()
             raise TransportError(f"cannot bind {node_id!r}: {exc}") from exc

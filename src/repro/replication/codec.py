@@ -178,14 +178,6 @@ def _decode_stamp(buffer: bytes, offset: int) -> Tuple[GroupClockStamp, int]:
     return GroupClockStamp(group, micros), offset + 8
 
 
-def _encode_json_body(body: Any) -> bytes:
-    return _pack_json(body)
-
-
-def _decode_json_body(buffer: bytes, offset: int) -> Tuple[Any, int]:
-    return _unpack_json(buffer, offset)
-
-
 # -- recursive value encoding --------------------------------------------
 #
 # Bodies like the STATE response are containers mixing JSON-able data
@@ -446,9 +438,3 @@ def decode_envelope(buffer: bytes, offset: int = 0) -> Envelope:
     except (struct.error, IndexError, UnicodeDecodeError,
             json.JSONDecodeError) as exc:
         raise CodecError(f"malformed envelope: {exc}") from exc
-
-
-def wire_length(envelope: Envelope) -> int:
-    """The exact encoded size — for checking the simulation's
-    ``wire_size()`` estimates."""
-    return len(encode_envelope(envelope))

@@ -125,14 +125,12 @@ class RpcClient:
         *args,
         timeout: float = 0.25,
         attempts: int = 4,
-        backoff_base: float = 0.05,
-        backoff_cap: float = 1.0,
     ):
         """Generator: invoke with timeout-driven re-invocation.
 
         Each attempt is a fresh :meth:`call` with its own per-attempt
-        ``timeout``; between attempts the client sleeps an exponentially
-        growing, jittered backoff.  Retries mask a replica crash or a
+        ``timeout``; between attempts the client sleeps a jittered
+        backoff (50 ms doubled per attempt, capped at 1 s).  Retries mask a replica crash or a
         lossy network from the workload — the chaos loadgen runs on
         this path.  Raises the last :class:`~repro.errors.RpcTimeout`
         when ``attempts`` are exhausted.
@@ -142,7 +140,7 @@ class RpcClient:
             if attempt:
                 self.stats.retries += 1
                 pause = self._rng.uniform(0.5, 1.0) * min(
-                    backoff_base * (2 ** (attempt - 1)), backoff_cap)
+                    0.05 * (2 ** (attempt - 1)), 1.0)
                 yield self.sim.timeout(pause)
             try:
                 result = yield self.call(

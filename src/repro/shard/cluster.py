@@ -37,6 +37,12 @@ from .summary import ShardSummary
 __all__ = ["ShardClusterConfig", "ShardedTestbed", "sharded_fleet",
            "shard_server_nodes", "shard_client_node", "shard_nodes"]
 
+#: Every shard's steering: the fraction ``p`` of a neighbor delta folded
+#: into a proposal, and the per-proposal step cap ``S`` (the overlay's
+#: contraction point needs ``S >= p * g*``; docs/sharding.md).
+STEERING_PROPORTION = 0.5
+STEERING_MAX_STEP_US = 2_000
+
 #: A sink for intercepted summaries: (receiving node, summary) -> None.
 SummarySink = Callable[[str, ShardSummary], None]
 
@@ -159,17 +165,11 @@ class ShardedTestbed(TestbedBase):
 
     # -- deployment -----------------------------------------------------
 
-    def deploy_shards(
-        self,
-        app_factory,
-        *,
-        fast_path: bool = True,
-        max_staleness_us: int = 2_000,
-        steering_proportion: float = 0.5,
-        steering_max_step_us: int = 2_000,
-        **deploy_kwargs,
-    ) -> None:
-        """Deploy ``app_factory`` as one active CTS group per shard.
+    def deploy_shards(self, app_factory, *, fast_path: bool = True,
+                      **deploy_options) -> None:
+        """Deploy ``app_factory`` as one active CTS group per shard
+        (``deploy_options`` as :meth:`deploy`; the fast path is on
+        unless asked otherwise).
 
         Every shard gets its own :class:`GradientSteering` (shared by
         the shard's replicas — the testbed hands one drift object to
@@ -177,14 +177,13 @@ class ShardedTestbed(TestbedBase):
         """
         for shard in range(self.shards):
             steering = GradientSteering(
-                steering_proportion, max_step_us=steering_max_step_us)
+                STEERING_PROPORTION, max_step_us=STEERING_MAX_STEP_US)
             self.steerings[shard] = steering
             self.deploy(
                 self.group_of(shard), app_factory,
                 nodes=self.server_nodes_of(shard),
                 style="active", time_source="cts", drift=steering,
-                fast_path=fast_path, max_staleness_us=max_staleness_us,
-                **deploy_kwargs,
+                fast_path=fast_path, **deploy_options,
             )
 
     # -- group clock access ---------------------------------------------

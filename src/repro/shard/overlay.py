@@ -24,7 +24,7 @@ drift accumulated over one period — the bound the
 (partition, dead primary) or whose primary failed over (the estimate is
 re-based mid-stream) enters a *resync* drain window: its deliveries are
 steered (and, above the align threshold, jumped) but not judged against
-the bound until the delta re-enters it — or ``resync_drain_s`` passes,
+the bound until the delta re-enters it — or ``RESYNC_DRAIN_S`` passes,
 so real divergence is still flagged.
 
 :class:`SkewTracker` samples every shard's live estimate each period and
@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import ClassVar, Dict, Optional, Tuple
 
 from .. import obs
 from ..errors import RpcTimeout
@@ -67,7 +67,7 @@ M_HOP_SKEW_PEAK = obs.REGISTRY.gauge(
 
 @dataclass
 class OverlayConfig:
-    """Tuning knobs for the gradient overlay."""
+    """Tuning knobs for the gradient overlay; the two in capitals are fixed."""
 
     #: Summary period T, seconds.
     period_s: float = 0.02
@@ -89,13 +89,13 @@ class OverlayConfig:
     hop_bound_us: int = 5_000
     #: A hop silent longer than this many periods is resyncing: its next
     #: delivery is steered but not judged against the bound.
-    resync_after_periods: float = 3.0
+    RESYNC_AFTER_PERIODS: ClassVar[float] = 3.0
     #: How long a resyncing hop may keep draining its backlog before the
     #: oracle judges it again.  A silence or a primary failover re-bases
     #: one side of the edge; deliveries stay exempt until the delta
     #: re-enters the bound — or this deadline passes, so a genuinely
     #: diverging overlay is still caught.
-    resync_drain_s: float = 1.0
+    RESYNC_DRAIN_S: ClassVar[float] = 1.0
 
 
 class SkewTracker:
@@ -268,9 +268,9 @@ class GradientOverlay:
         self._last_delivery[key] = now
         if self.oracle is None or not self.skew.warmed_up:
             return
-        grace = self.config.resync_after_periods * self.config.period_s
+        grace = self.config.RESYNC_AFTER_PERIODS * self.config.period_s
         if last is None or (now - last) > grace:
-            self._draining[key] = now + self.config.resync_drain_s
+            self._draining[key] = now + self.config.RESYNC_DRAIN_S
         resync = False
         deadline = self._draining.get(key)
         if deadline is not None:
@@ -308,7 +308,7 @@ class GradientOverlay:
             rebased = abs(estimate - expected) > self.config.hop_bound_us
         if not rebased:
             return
-        deadline = now + self.config.resync_drain_s
+        deadline = now + self.config.RESYNC_DRAIN_S
         for neighbor in self.bed.ring.neighbors(shard):
             self._draining[(shard, neighbor)] = deadline
             self._draining[(neighbor, shard)] = deadline

@@ -111,10 +111,6 @@ class HashRing:
             index = 0  # wrap around the circle
         return self._owners[index]
 
-    def assignments(self, keys: Sequence[str]) -> Dict:
-        """Bulk :meth:`owner`: ``{key: shard}`` for analysis and tests."""
-        return {key: self.owner(key) for key in keys}
-
     # -- overlay topology -----------------------------------------------
 
     def order(self) -> List:

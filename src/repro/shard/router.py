@@ -81,9 +81,6 @@ class ShardRouter:
             client = self._clients[shard] = self.bed.shard_client(shard)
         return client
 
-    def owner_of(self, key: str) -> int:
-        return self.ring.owner(key)
-
     def call(self, session: ShardSession, *, timeout: Optional[float] = None):
         """Generator: one ``gettimeofday`` through the owning shard.
 

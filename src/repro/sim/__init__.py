@@ -11,7 +11,7 @@ from .faults import FaultEvent, FaultPlan
 from .kernel import AllOf, AnyOf, Event, Process, Simulator, Timeout
 from .network import Frame, Interface, LatencyModel, Network
 from .node import Node
-from .process import Lock, Signal, Store
+from .process import Store
 from .rng import RngRegistry, derive_seed
 
 __all__ = [
@@ -27,12 +27,10 @@ __all__ = [
     "HardwareClock",
     "Interface",
     "LatencyModel",
-    "Lock",
     "Network",
     "Node",
     "Process",
     "RngRegistry",
-    "Signal",
     "Simulator",
     "Store",
     "Timeout",

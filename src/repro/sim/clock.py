@@ -56,15 +56,6 @@ class ClockValue:
         """The sub-second component (``tv_usec``)."""
         return self.micros % US_PER_SEC
 
-    @classmethod
-    def from_seconds(cls, seconds: float) -> "ClockValue":
-        """Build a clock value from (possibly fractional) seconds."""
-        return cls(int(round(seconds * US_PER_SEC)))
-
-    def to_seconds(self) -> float:
-        """The reading as float seconds (for reporting only)."""
-        return self.micros / US_PER_SEC
-
     # -- arithmetic -------------------------------------------------------
 
     def __add__(self, offset: int) -> "ClockValue":

@@ -1,15 +1,10 @@
-"""Process-level coordination primitives for the simulation kernel.
+"""Process-level coordination for the simulation kernel.
 
-These mirror the POSIX primitives the paper's C++ implementation uses
-(mutexes and condition variables protecting per-thread message buffers),
-recast as event-based objects for simulated processes:
-
-* :class:`Store` — an unbounded FIFO with blocking ``get()``; the analogue
-  of a message input buffer plus its condition variable.
-* :class:`Signal` — a broadcast condition: every waiter present when
-  :meth:`Signal.fire` is called is woken with the fired value.
-* :class:`Lock` — a FIFO mutex (rarely needed: the kernel is cooperative,
-  but explicit critical sections make some protocol code clearer).
+The paper's C++ implementation protects per-thread message buffers with
+POSIX mutexes and condition variables; recast as an event-based object
+for simulated processes that is :class:`Store` — an unbounded FIFO with
+blocking ``get()``, the analogue of a message input buffer plus its
+condition variable.
 """
 
 from __future__ import annotations
@@ -71,84 +66,3 @@ class Store:
         self._items.clear()
         return items
 
-
-class Signal:
-    """A broadcast condition variable.
-
-    Waiters obtain an event via :meth:`wait`; the next :meth:`fire` call
-    wakes all of them with the fired value.  Waiters arriving after a
-    ``fire`` wait for the following one (no memory).
-    """
-
-    def __init__(self, sim: Simulator, name: str = ""):
-        self.sim = sim
-        self.name = name
-        self._waiters: List[Event] = []
-
-    @property
-    def waiting(self) -> int:
-        """Number of events currently waiting on this signal."""
-        return sum(1 for w in self._waiters if not w.triggered)
-
-    def wait(self) -> Event:
-        """Return an event that succeeds at the next :meth:`fire`."""
-        event = Event(self.sim)
-        self._waiters.append(event)
-        return event
-
-    def fire(self, value: Any = None) -> int:
-        """Wake all current waiters with ``value``.
-
-        Returns the number of waiters woken.
-        """
-        waiters, self._waiters = self._waiters, []
-        woken = 0
-        for waiter in waiters:
-            if not waiter.triggered:
-                waiter.succeed(value)
-                woken += 1
-        return woken
-
-
-class Lock:
-    """A FIFO mutex for simulated processes.
-
-    Usage::
-
-        yield lock.acquire()
-        try:
-            ...critical section...
-        finally:
-            lock.release()
-    """
-
-    def __init__(self, sim: Simulator, name: str = ""):
-        self.sim = sim
-        self.name = name
-        self._locked = False
-        self._waiters: Deque[Event] = deque()
-
-    @property
-    def locked(self) -> bool:
-        return self._locked
-
-    def acquire(self) -> Event:
-        """Return an event that succeeds when the lock is held."""
-        event = Event(self.sim)
-        if not self._locked:
-            self._locked = True
-            event.succeed()
-        else:
-            self._waiters.append(event)
-        return event
-
-    def release(self) -> None:
-        """Release the lock, handing it to the oldest waiter if any."""
-        if not self._locked:
-            raise RuntimeError(f"lock {self.name!r} released while not held")
-        while self._waiters:
-            waiter = self._waiters.popleft()
-            if not waiter.triggered:
-                waiter.succeed()
-                return
-        self._locked = False

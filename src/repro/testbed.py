@@ -69,6 +69,11 @@ STYLES = {
 
 TimeSourceSpec = Union[str, Callable[[Replica], TimeSource]]
 
+#: The :meth:`TestbedBase.deploy` keywords that are the consistent time
+#: service's: named, defaulted and checked on its constructor; the bed
+#: only carries them there.
+CTS_OPTIONS = ("coalesce", "fast_path", "max_staleness_us", "byzantine")
+
 
 class TestbedBase:
     """Deployment and execution API over a set of nodes with Totem.
@@ -114,13 +119,7 @@ class TestbedBase:
             for node_id in static
         }
         for node_id in static:
-            processor = TotemProcessor(
-                self._nodes[node_id],
-                self.totem_config,
-                static_membership=self._memberships[node_id],
-            )
-            self.processors[node_id] = processor
-            self.runtimes[node_id] = GroupRuntime(processor)
+            self._boot(node_id)
         #: group -> {node_id: Replica}
         self.services: Dict[str, Dict[str, Replica]] = {}
         #: group -> (app_factory, deploy keywords, nodes deployed on):
@@ -129,6 +128,19 @@ class TestbedBase:
         self._deployed: Dict[str, tuple] = {}
         self.clients: Dict[str, RpcClient] = {}
         self._started = False
+
+    def _boot(self, node_id: str) -> TotemProcessor:
+        """One node's protocol stack from scratch — a Totem processor on
+        the node, a group runtime on the processor — at first boot and
+        at every :meth:`recover`."""
+        processor = TotemProcessor(
+            self._nodes[node_id],
+            self.totem_config,
+            static_membership=self._memberships[node_id],
+        )
+        self.processors[node_id] = processor
+        self.runtimes[node_id] = GroupRuntime(processor)
+        return processor
 
     # -- node access ---------------------------------------------------
 
@@ -143,43 +155,30 @@ class TestbedBase:
     # Deployment
     # ------------------------------------------------------------------
 
-    def deploy(
-        self,
-        group: str,
-        app_factory: Callable[[], Application],
-        nodes: List[str],
-        *,
-        style: str = "active",
-        time_source: TimeSourceSpec = "cts",
-        drift: Optional[DriftCompensation] = None,
-        coalesce: bool = True,
-        fast_path: bool = False,
-        max_staleness_us: int = 2_000,
-        byzantine: bool = False,
-        **style_kwargs,
-    ) -> Dict[str, Replica]:
+    def deploy(self, group: str, app_factory: Callable[[], Application],
+               nodes: List[str], **options) -> Dict[str, Replica]:
         """Deploy one replicated service: one replica per listed node.
 
-        ``time_source`` is ``"cts"`` (consistent time service), one of the
-        baseline names (``"local"``, ``"primary-backup"``, ``"ntp"``), or
-        a factory ``Replica -> TimeSource``.  ``coalesce`` lets the CTS
-        replicas overlap clock reads so they share rounds (``False``:
-        serial execution, one round per operation — the same protocol);
-        ``fast_path`` and ``max_staleness_us`` configure the
-        drift-bounded read fast path; ``byzantine`` arms the winner
-        sanity filter and self-stabilization guard.  The three are
-        independent, and all are ignored for baselines.
+        ``style`` is one of :data:`STYLES` (default ``"active"``).
+        ``time_source`` is ``"cts"`` (consistent time service, the
+        default), one of the baseline names (``"local"``,
+        ``"primary-backup"``, ``"ntp"``), or a factory ``Replica ->
+        TimeSource``; ``drift`` is its drift compensation.  The
+        :data:`CTS_OPTIONS` configure the consistent time service:
+        ``coalesce`` (default on) lets the CTS replicas overlap clock
+        reads so they share rounds (``False``: serial execution, one
+        round per operation — the same protocol); ``fast_path`` (off)
+        and ``max_staleness_us`` (2 000) configure the drift-bounded
+        read fast path; ``byzantine`` (off) arms the winner sanity
+        filter and self-stabilization guard.  The three are independent,
+        and all are ignored for baselines.  Any other keyword is the
+        replication style's own (``checkpoint_interval``); one that
+        nothing takes is a ``TypeError`` here.
         """
         if group in self.services:
             raise ConfigurationError(f"group {group!r} already deployed")
-        spec = dict(
-            style=style, time_source=time_source, drift=drift,
-            coalesce=coalesce, fast_path=fast_path,
-            max_staleness_us=max_staleness_us, byzantine=byzantine,
-            **style_kwargs,
-        )
-        self._add(group, nodes, app_factory, **spec)
-        self._deployed[group] = (app_factory, spec, list(nodes))
+        self._add(group, nodes, app_factory, **options)
+        self._deployed[group] = (app_factory, options, list(nodes))
         return self.services[group]
 
     def add_replica(
@@ -213,8 +212,8 @@ class TestbedBase:
                 self.add_replica(group, node_id)
 
     def _add(self, group: str, nodes: List[str], app_factory, *,
-             style, time_source, drift, coalesce, fast_path,
-             max_staleness_us, byzantine,
+             style: str = "active", time_source: TimeSourceSpec = "cts",
+             drift: Optional[DriftCompensation] = None,
              **replica_kwargs) -> Dict[str, Replica]:
         """Build one replica per node, register them, and start them if
         the bed already runs."""
@@ -222,11 +221,10 @@ class TestbedBase:
             raise ConfigurationError(
                 f"unknown style {style!r}; choose from {sorted(STYLES)}"
             )
+        cts_options = {name: replica_kwargs.pop(name)
+                       for name in CTS_OPTIONS if name in replica_kwargs}
         factory = self._time_source_factory(
-            time_source, style, drift,
-            coalesce=coalesce, fast_path=fast_path,
-            max_staleness_us=max_staleness_us, byzantine=byzantine,
-        )
+            time_source, style, drift, **cts_options)
         replicas = {
             node_id: STYLES[style](self.runtimes[node_id], group,
                                    app_factory(), factory, **replica_kwargs)
@@ -264,9 +262,8 @@ class TestbedBase:
         drift: Optional[DriftCompensation],
         **cts_options,
     ) -> Callable[[Replica], TimeSource]:
-        """``cts_options`` (``coalesce``, ``fast_path``,
-        ``max_staleness_us``, ``byzantine``) reach the consistent time
-        service verbatim; every other source ignores them."""
+        """``cts_options`` (the :data:`CTS_OPTIONS`) reach the consistent
+        time service verbatim; every other source ignores them."""
         if callable(spec):
             return spec
         if spec == "cts":
@@ -325,12 +322,7 @@ class TestbedBase:
         with :meth:`redeploy` (or :meth:`add_replica`) afterwards — they
         recover their state via state transfer.
         """
-        node = self.node(node_id)
-        node.recover()
-        processor = TotemProcessor(
-            node, self.totem_config,
-            static_membership=self._memberships[node_id],
-        )
+        self.node(node_id).recover()
         # The crashed daemon is gone for good, even if the host is back
         # before its timers lapse.  It leaves behind only what Totem
         # keeps on stable storage, the ring sequence number: a restarted
@@ -339,10 +331,9 @@ class TestbedBase:
         # traffic as its own.
         crashed = self.processors[node_id]
         crashed.stop()
+        processor = self._boot(node_id)
         processor.membership.highest_ring_seq = (
             crashed.membership.highest_ring_seq)
-        self.processors[node_id] = processor
-        self.runtimes[node_id] = GroupRuntime(processor)
         if self._started:
             processor.start()
 

@@ -13,9 +13,7 @@ from dataclasses import dataclass, field
 from typing import List
 
 from ..replication import Application
-from ..sim import ClusterConfig
-from ..testbed import Testbed
-from .load import timed_calls
+from .load import paper_bed, timed_calls
 
 
 class ClockReadApp(Application):
@@ -36,7 +34,6 @@ class FailoverResult:
     """Clock readings straddling one induced primary failure."""
 
     time_source: str
-    style: str
     seed: int
     before_us: List[int] = field(default_factory=list)
     after_us: List[int] = field(default_factory=list)
@@ -68,27 +65,17 @@ class FailoverResult:
 def run_failover_workload(
     *,
     time_source: str = "cts",
-    style: str = "passive",
     seed: int = 0,
     calls_each_side: int = 5,
-    epoch_spread_s: float = 30.0,
 ) -> FailoverResult:
-    """Measure the clock step across one primary crash."""
-    bed = Testbed(
-        seed=seed,
-        cluster_config=ClusterConfig(
-            num_nodes=4, clock_epoch_spread_s=epoch_spread_s
-        ),
-    )
-    kwargs = {"checkpoint_interval": 5} if style == "passive" else {}
-    bed.deploy(
-        "svc", ClockReadApp, ["n1", "n2", "n3"],
-        style=style, time_source=time_source, **kwargs,
-    )
-    client = bed.client("n0")
-    bed.start(settle=0.3)
+    """Measure the clock step across one crash of a passive group's
+    primary."""
+    bed, client = paper_bed(
+        seed, ClockReadApp, settle=0.3,
+        cluster=dict(clock_epoch_spread_s=30.0),
+        style="passive", time_source=time_source, checkpoint_interval=5)
 
-    result = FailoverResult(time_source=time_source, style=style, seed=seed)
+    result = FailoverResult(time_source=time_source, seed=seed)
     result.before_us = timed_calls(bed, client, "svc", "get_time",
                                    calls_each_side)
     t_crash = bed.sim.now
@@ -104,7 +91,6 @@ def run_failover_workload(
 def failover_comparison(
     seeds: range,
     *,
-    style: str = "passive",
     calls_each_side: int = 4,
 ) -> dict:
     """Run the failover workload for both time sources over many seeds.
@@ -116,7 +102,6 @@ def failover_comparison(
         results = [
             run_failover_workload(
                 time_source=source,
-                style=style,
                 seed=seed,
                 calls_each_side=calls_each_side,
             )

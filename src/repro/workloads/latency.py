@@ -16,9 +16,7 @@ from typing import Dict, List
 
 from ..core import CTSStats
 from ..replication import Application
-from ..sim import ClusterConfig
-from ..testbed import Testbed
-from .load import timed_calls
+from .load import paper_bed, timed_calls
 
 
 class TimeServerApp(Application):
@@ -71,8 +69,6 @@ def run_latency_workload(
     time_source: str = "cts",
     invocations: int = 2_000,
     seed: int = 0,
-    server_nodes: tuple = ("n1", "n2", "n3"),
-    client_node: str = "n0",
     cpu_profile: dict = None,
     coalesce: bool = True,
 ) -> LatencyRunResult:
@@ -85,16 +81,10 @@ def run_latency_workload(
     :data:`PAPER_CPU_PROFILE`.
     """
     profile = PAPER_CPU_PROFILE if cpu_profile is None else cpu_profile
-    bed = Testbed(
-        seed=seed,
-        cluster_config=ClusterConfig(num_nodes=4, cpu_factor_overrides=profile),
-    )
-    bed.deploy(
-        "timesvc", TimeServerApp, list(server_nodes),
-        style="active", time_source=time_source, coalesce=coalesce,
-    )
-    client = bed.client(client_node)
-    bed.start()
+    bed, client = paper_bed(
+        seed, TimeServerApp, group="timesvc",
+        cluster=dict(cpu_factor_overrides=profile),
+        style="active", time_source=time_source, coalesce=coalesce)
 
     timed_calls(bed, client, "timesvc", "get_time", invocations, timeout=5.0)
     bed.run(0.05)

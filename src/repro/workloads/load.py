@@ -32,6 +32,8 @@ from typing import Callable, Dict, Generator, List, Optional, Sequence
 
 from ..control.admission import is_overloaded, retry_after_of
 from ..errors import ConfigurationError, RpcTimeout
+from ..sim import ClusterConfig
+from ..testbed import Testbed
 
 
 def percentile(values: List[int], fraction: float) -> float:
@@ -339,6 +341,26 @@ class ZipfPicker:
     def pick(self) -> int:
         return bisect.bisect_left(self._cum,
                                   self._rng.random() * self._cum[-1])
+
+
+def paper_bed(seed: int, app_factory, nodes: Sequence[str] = ("n1", "n2", "n3"),
+              *, group: str = "svc", record: bool = False,
+              settle: float = 0.2, num_nodes: int = 4,
+              cluster: Optional[Dict] = None, **deploy_options):
+    """The paper's bed, started: four PCs, ``app_factory`` deployed as
+    ``group`` on ``nodes`` (``deploy_options`` as ``Testbed.deploy``),
+    the unreplicated client on the ring leader n0.  ``cluster`` holds
+    further ``ClusterConfig`` fields; ``record`` asks for experiment
+    records before anything is deployed.  Returns the bed and the
+    client."""
+    bed = Testbed(seed=seed, cluster_config=ClusterConfig(
+        num_nodes=num_nodes, **(cluster or {})))
+    if record:
+        bed.record()
+    bed.deploy(group, app_factory, list(nodes), **deploy_options)
+    client = bed.client("n0")
+    bed.start(settle)
+    return bed, client
 
 
 def timed_calls(bed, client, group: str, method: str, count: int, *,

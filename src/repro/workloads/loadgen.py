@@ -24,9 +24,8 @@ from collections import Counter
 from typing import Dict, Iterable
 
 from ..replication import Application
-from ..sim import ClusterConfig
-from ..testbed import Testbed
-from .load import LoadResult, ZipfPicker, closed_loop, open_loop, service_counters
+from .load import (LoadResult, ZipfPicker, closed_loop, open_loop, paper_bed,
+                   service_counters)
 
 GROUP, METHOD = "svc", "get_time"
 
@@ -40,16 +39,6 @@ class ThroughputApp(Application):
         yield ctx.compute(self.WORK_S)
         value = yield ctx.gettimeofday()
         return value.micros
-
-
-def _standard_bed(seed: int, *, loss_rate: float = 0.0, **deploy_options):
-    """The paper's bed, started: returns it and the client on n0."""
-    bed = Testbed(seed=seed, cluster_config=ClusterConfig(
-        num_nodes=4, loss_rate=loss_rate))
-    bed.deploy(GROUP, ThroughputApp, ["n1", "n2", "n3"], **deploy_options)
-    client = bed.client("n0")
-    bed.start()
-    return bed, client
 
 
 def _with_service_counters(result: LoadResult, bed, **fields) -> LoadResult:
@@ -70,7 +59,9 @@ def _with_service_counters(result: LoadResult, bed, **fields) -> LoadResult:
     return result
 
 
-def _mode_label(time_source: str, coalesce: bool, fast_path: bool) -> str:
+def _mode_label(time_source: str = "cts", coalesce: bool = True,
+                fast_path: bool = False, **_other_options) -> str:
+    """What a flat-bed result is filed under, from its deploy options."""
     if time_source != "cts":
         return time_source
     base = "coalesced" if coalesce else "per-op-rounds"
@@ -81,16 +72,14 @@ def run_loadgen(
     *,
     concurrency: int = 16,
     duration_s: float = 0.3,
-    time_source: str = "cts",
-    coalesce: bool = True,
-    fast_path: bool = False,
-    max_staleness_us: int = 2_000,
     seed: int = 0,
+    **deploy_options,
 ) -> LoadResult:
-    """Run ``concurrency`` closed-loop workers for ``duration_s``."""
-    bed, client = _standard_bed(
-        seed, time_source=time_source, coalesce=coalesce,
-        fast_path=fast_path, max_staleness_us=max_staleness_us)
+    """Run ``concurrency`` closed-loop workers for ``duration_s``
+    against the service deployed with ``deploy_options`` (``time_source``,
+    ``coalesce``, ``fast_path``, ``max_staleness_us``: as
+    ``Testbed.deploy``)."""
+    bed, client = paper_bed(seed, ThroughputApp, group=GROUP, **deploy_options)
 
     def call(_index):
         reply, latency_us = yield from client.timed_call(
@@ -99,7 +88,7 @@ def run_loadgen(
 
     result = closed_loop(
         bed, call, workers=concurrency, duration_s=duration_s,
-        mode=_mode_label(time_source, coalesce, fast_path))
+        mode=_mode_label(**deploy_options))
     return _with_service_counters(result, bed, concurrency=concurrency,
                                   retries=0)
 
@@ -124,8 +113,9 @@ def run_loadgen_chaos(
     """
     from ..sim.faults import FaultPlan
 
-    bed, client = _standard_bed(
-        seed, loss_rate=loss_rate, max_staleness_us=max_staleness_us)
+    bed, client = paper_bed(
+        seed, ThroughputApp, group=GROUP, cluster=dict(loss_rate=loss_rate),
+        max_staleness_us=max_staleness_us)
     plan = (
         FaultPlan()
         .crash("n3", at=duration_s / 3)
@@ -153,20 +143,14 @@ def run_loadgen_comparison(
     concurrency: int = 16,
     duration_s: float = 0.3,
     seed: int = 0,
-    fast_path: bool = False,
-    max_staleness_us: int = 2_000,
+    **coalesced_options,
 ) -> Dict[str, LoadResult]:
-    """The benchmark pair: per-op rounds vs coalesced (optionally with
-    the fast path), identical load otherwise."""
-    per_op = run_loadgen(
-        concurrency=concurrency, duration_s=duration_s, seed=seed,
-        coalesce=False,
-    )
-    coalesced = run_loadgen(
-        concurrency=concurrency, duration_s=duration_s, seed=seed,
-        coalesce=True, fast_path=fast_path,
-        max_staleness_us=max_staleness_us,
-    )
+    """The benchmark pair: per-op rounds vs coalesced (with
+    ``coalesced_options``, e.g. the fast path), identical load
+    otherwise."""
+    load = dict(concurrency=concurrency, duration_s=duration_s, seed=seed)
+    per_op = run_loadgen(coalesce=False, **load)
+    coalesced = run_loadgen(coalesce=True, **coalesced_options, **load)
     return {per_op.mode: per_op, coalesced.mode: coalesced}
 
 
@@ -189,21 +173,18 @@ def comparison_run(results: Iterable[LoadResult]) -> Dict:
 
 def run_throughput_point(
     *,
-    time_source: str = "cts",
     offered_per_s: float = 1_000.0,
     duration_s: float = 0.5,
     seed: int = 0,
-    coalesce: bool = True,
-    fast_path: bool = False,
+    **deploy_options,
 ) -> LoadResult:
-    """Drive an open-loop client at ``offered_per_s`` for ``duration_s``.
+    """Drive an open-loop client at ``offered_per_s`` for ``duration_s``
+    (``deploy_options`` as :func:`run_loadgen`).
 
     ``extra["saturated"]`` is set when the service could not keep up
     with the offered rate (completions fall clearly short of issues).
     """
-    bed, client = _standard_bed(
-        seed, time_source=time_source, coalesce=coalesce,
-        fast_path=fast_path)
+    bed, client = paper_bed(seed, ThroughputApp, group=GROUP, **deploy_options)
 
     def issue(done):
         sent_at_us = client.node.read_clock_us()
@@ -212,7 +193,7 @@ def run_throughput_point(
             client.node.read_clock_us() - sent_at_us if ev.ok else None))
 
     result = open_loop(bed, issue, rate=offered_per_s, duration_s=duration_s,
-                       mode=_mode_label(time_source, coalesce, fast_path))
+                       mode=_mode_label(**deploy_options))
     result.extra["saturated"] = (
         result.completed < 0.9 * result.extra["issued"])
     return result

@@ -15,9 +15,7 @@ from dataclasses import dataclass, field
 from typing import List
 
 from ..replication import Application
-from ..sim import ClusterConfig
-from ..testbed import Testbed
-from .load import last_readings, timed_calls
+from .load import last_readings, paper_bed, timed_calls
 
 
 class RecoveryClockApp(Application):
@@ -74,19 +72,12 @@ def run_recovery_workload(
     seed: int = 0,
     calls_before: int = 6,
     calls_after: int = 6,
-    epoch_spread_s: float = 30.0,
 ) -> RecoveryResult:
     """Run service, join a fourth replica mid-run, measure integration."""
-    bed = Testbed(
-        seed=seed,
-        cluster_config=ClusterConfig(
-            num_nodes=4, clock_epoch_spread_s=epoch_spread_s
-        ),
-    )
-    bed.record()  # the joiner's source gets a recorder when it is added
-    bed.deploy("svc", RecoveryClockApp, ["n1", "n2"], time_source="cts")
-    client = bed.client("n0")
-    bed.start()
+    # Recording: the joiner's source gets a recorder when it is added.
+    bed, client = paper_bed(
+        seed, RecoveryClockApp, ["n1", "n2"], record=True,
+        cluster=dict(clock_epoch_spread_s=30.0))
 
     def stamps(count):
         return [micros for _, micros in

@@ -19,7 +19,7 @@ from ..analysis import Summary, summarize
 from ..sim import ClusterConfig
 from ..testbed import Testbed
 from .failover import ClockReadApp
-from .load import last_readings, timed_calls
+from .load import last_readings, paper_bed, timed_calls
 from .recovery import RecoveryClockApp
 
 
@@ -48,12 +48,8 @@ def measure_divergence(time_source: str, *, seed: int,
 
 def run_partition_cycle(seed: int) -> Dict[str, object]:
     """Three calls, partition n3 away, three calls, heal, three calls."""
-    bed = Testbed(seed=seed, cluster_config=ClusterConfig(
-        num_nodes=4, clock_epoch_spread_s=30.0))
-    bed.record()
-    bed.deploy("svc", RecoveryClockApp, ["n1", "n2", "n3"], time_source="cts")
-    client = bed.client("n0")
-    bed.start()
+    bed, client = paper_bed(seed, RecoveryClockApp, record=True,
+                            cluster=dict(clock_epoch_spread_s=30.0))
 
     def stamps():
         return [micros for _, micros in
@@ -83,12 +79,9 @@ def run_at_size(replicas: int, *, calls: int = 150,
                 seed: int = 9) -> Tuple[Summary, int, int]:
     """Client latency summary, CCS messages on the wire and rounds
     decided with ``replicas`` servers (plus the client's node)."""
-    bed = Testbed(seed=seed,
-                  cluster_config=ClusterConfig(num_nodes=replicas + 1))
     nodes = [f"n{i}" for i in range(1, replicas + 1)]
-    bed.deploy("svc", lambda: ClockReadApp(40e-6), nodes, time_source="cts")
-    client = bed.client("n0")
-    bed.start(settle=0.3)
+    bed, client = paper_bed(seed, lambda: ClockReadApp(40e-6), nodes,
+                            num_nodes=replicas + 1, settle=0.3)
     timed_calls(bed, client, "svc", "get_time", calls, timeout=5.0)
     bed.run(0.1)
     services = [r.time_source for r in bed.replicas("svc").values()]

@@ -124,10 +124,8 @@ def run_skew_drift_workload(
     *,
     rounds: int = 1_000,
     seed: int = 0,
-    server_nodes: tuple = ("n1", "n2", "n3"),
     drift: Optional[DriftCompensation] = None,
     drift_factory=None,
-    clock_drift_ppm_max: float = 50.0,
 ) -> SkewDriftResult:
     """Run the Figure 6 measurement once and collect all series.
 
@@ -135,19 +133,14 @@ def run_skew_drift_workload(
     that need simulation access, e.g. reference steering against the
     testbed's notion of real time.
     """
-    bed = Testbed(
-        seed=seed,
-        cluster_config=ClusterConfig(
-            num_nodes=4, clock_drift_ppm_max=clock_drift_ppm_max
-        ),
-    )
+    bed = Testbed(seed=seed, cluster_config=ClusterConfig(num_nodes=4))
     if drift_factory is not None:
         drift = drift_factory(bed)
     bed.record()
     bed.deploy(
         "skewsvc",
         lambda: SkewDriftApp(workload_seed=seed),
-        list(server_nodes),
+        ["n1", "n2", "n3"],
         style="active",
         time_source="cts",
         drift=drift,
@@ -156,10 +149,13 @@ def run_skew_drift_workload(
     bed.start()
 
     # Baseline: each service's counters and how many rounds it committed
-    # before the workload (state-transfer special rounds) — taken off below.
+    # and readings it served before the workload (state-transfer special
+    # rounds: a replica commits every one but reads only in its own) —
+    # taken off below.
     sources = {nid: r.time_source for nid, r in bed.replicas("skewsvc").items()}
     pre_stats = {nid: replace(s.stats) for nid, s in sources.items()}
     pre_rounds = {nid: len(s.recorder.history) for nid, s in sources.items()}
+    pre_readings = {nid: len(s.recorder.readings) for nid, s in sources.items()}
     pre_winners = max(len(s.recorder.winners) for s in sources.values())
 
     def scenario():
@@ -177,7 +173,8 @@ def run_skew_drift_workload(
         base, stats, pre = pre_rounds[node_id], service.stats, pre_stats[node_id]
         series = ReplicaSeries(node_id)
         series.history = list(service.recorder.history[base:])
-        series.times_s = [t for t, _, _, _ in service.recorder.readings[base:]]
+        series.times_s = [t for t, _, _, _ in
+                          service.recorder.readings[pre_readings[node_id]:]]
         result.series[node_id] = series
         result.ccs_transmitted[node_id] = (
             stats.ccs_transmitted - pre.ccs_transmitted)

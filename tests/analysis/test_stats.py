@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from repro.analysis import (
     histogram,
-    linear_fit,
     mode_bin,
     percentile,
     probability_density,
@@ -82,19 +81,3 @@ class TestHistogram:
     def test_mode_bin(self):
         assert mode_bin([1, 2, 2, 2, 9], bin_width=1.0) == 2.0
 
-
-class TestLinearFit:
-    def test_exact_line(self):
-        xs = [0.0, 1.0, 2.0, 3.0]
-        ys = [1.0, 3.0, 5.0, 7.0]
-        slope, intercept = linear_fit(xs, ys)
-        assert slope == pytest.approx(2.0)
-        assert intercept == pytest.approx(1.0)
-
-    def test_degenerate_rejected(self):
-        with pytest.raises(ValueError):
-            linear_fit([1.0, 1.0], [0.0, 1.0])
-
-    def test_size_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            linear_fit([1.0], [1.0, 2.0])

@@ -19,9 +19,17 @@ class FakeEndpoint:
         self.mcasts.append(envelope)
 
 
+class FakeClock:
+    """Stands in for the kernel: the gateway reads ``runtime.sim.now``."""
+
+    def __init__(self):
+        self.now = 0.0
+
+
 class FakeRuntime:
     def __init__(self):
         self.endpoints = {}
+        self.sim = FakeClock()
 
     def endpoint(self, group):
         endpoint = self.endpoints.setdefault(group, FakeEndpoint())
@@ -128,18 +136,9 @@ class TestGatewayDedup:
         assert gateway.dedup_evictions == 2
 
 
-class FakeClock:
-    def __init__(self):
-        self.now = 0.0
-
-    def __call__(self):
-        return self.now
-
-
 def make_timed_gateway():
-    runtime, port, clock = FakeRuntime(), FakePort(), FakeClock()
-    gateway = ClientGateway(runtime, port, node_id="n0", clock=clock)
-    return gateway, runtime, port, clock
+    gateway, runtime, port = make_gateway()
+    return gateway, runtime, port, runtime.sim
 
 
 class TestGatewayWindowBounds:

@@ -62,8 +62,7 @@ class TestLiveBasics:
             assert all(port != 0 for _host, port in addresses)
 
     def test_wall_clocks_are_spread(self):
-        with LiveTestbed(num_nodes=3, seed=5,
-                         clock_epoch_spread_s=10.0) as bed:
+        with LiveTestbed(num_nodes=3, seed=5) as bed:
             epochs = [bed.node(n).clock.epoch_us for n in bed.node_ids]
             assert len(set(epochs)) == 3
 

@@ -60,3 +60,20 @@ def test_admission_config_installs_a_controller():
         assert plain.admission is None
         assert controlled.admission.config is config
         assert controlled.node_id == "n1"
+
+
+def test_gateway_and_admission_are_stamped_in_kernel_time():
+    """One time base: queue ages, the service-time EWMA and the
+    idempotency window's TTL read the bed's kernel clock (seconds since
+    the kernel started), not ``time.monotonic`` (seconds since boot)."""
+    from repro.control.admission import AdmissionConfig
+
+    with LiveTestbed(num_nodes=1, seed=6) as bed:
+        gateway = bed.install_gateway("n0", AdmissionConfig())
+        bed.run(0.05)
+        kernel_now = bed.kernel.now
+        assert 0.05 <= kernel_now < 5.0
+        assert 0.0 <= gateway.admission._clock() - kernel_now < 1.0
+        gateway.admission.submit("c", "op", lambda: None, lambda _s: None)
+        (stamp,) = gateway.admission._inflight.values()
+        assert 0.0 <= stamp - kernel_now < 1.0

@@ -142,7 +142,7 @@ def _chaos_decisions():
 def _admission_overflow():
     controller = admission.AdmissionController(
         admission.AdmissionConfig(max_inflight=1, max_global_queue=1),
-        node_id="n9")
+        node_id="n9", clock=lambda: 0.0)
     for index in range(4):
         controller.submit("c", index, lambda: None, lambda retry: None)
     return controller

@@ -10,7 +10,6 @@ from repro.replication.codec import (
     CodecError,
     decode_envelope,
     encode_envelope,
-    wire_length,
 )
 from repro.rpc import Invocation, Result
 
@@ -158,5 +157,5 @@ class TestSizeEstimates:
         ]
         for env in samples:
             estimate = env.wire_size()
-            actual = wire_length(env)
+            actual = len(encode_envelope(env))
             assert 0.25 <= actual / estimate <= 4.0, (env, estimate, actual)

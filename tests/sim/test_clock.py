@@ -19,11 +19,6 @@ class TestClockValue:
         assert value.seconds == 3
         assert value.microseconds == 500_123
 
-    def test_from_and_to_seconds(self):
-        value = ClockValue.from_seconds(1.25)
-        assert value.micros == 1_250_000
-        assert value.to_seconds() == 1.25
-
     def test_add_offset(self):
         assert (ClockValue(100) + 50).micros == 150
         assert (50 + ClockValue(100)).micros == 150

@@ -1,9 +1,9 @@
-"""Unit tests for Store, Signal and Lock coordination primitives."""
+"""Unit tests for the Store coordination primitive."""
 
 import pytest
 
 from repro.sim import Simulator
-from repro.sim.process import Lock, Signal, Store
+from repro.sim.process import Store
 
 
 @pytest.fixture
@@ -74,84 +74,3 @@ class TestStore:
         assert store.clear() == [1, 2]
         assert len(store) == 0
 
-
-class TestSignal:
-    def test_fire_wakes_all_waiters(self, sim):
-        signal = Signal(sim)
-        woken = []
-
-        def waiter(tag):
-            value = yield signal.wait()
-            woken.append((tag, value, sim.now))
-
-        sim.process(waiter("a"))
-        sim.process(waiter("b"))
-        sim.schedule(3.0, signal.fire, 42)
-        sim.run()
-        assert woken == [("a", 42, 3.0), ("b", 42, 3.0)]
-
-    def test_fire_returns_woken_count(self, sim):
-        signal = Signal(sim)
-
-        def waiter():
-            yield signal.wait()
-
-        sim.process(waiter())
-        sim.run(until=0.1)
-        assert signal.waiting == 1
-        assert signal.fire() == 1
-        assert signal.fire() == 0
-
-    def test_no_memory_between_fires(self, sim):
-        signal = Signal(sim)
-        signal.fire("lost")
-        woken = []
-
-        def waiter():
-            value = yield signal.wait()
-            woken.append(value)
-
-        sim.process(waiter())
-        sim.schedule(1.0, signal.fire, "second")
-        sim.run()
-        assert woken == ["second"]
-
-
-class TestLock:
-    def test_mutual_exclusion(self, sim):
-        lock = Lock(sim)
-        trace = []
-
-        def worker(tag, hold):
-            yield lock.acquire()
-            trace.append(("enter", tag, sim.now))
-            yield sim.timeout(hold)
-            trace.append(("exit", tag, sim.now))
-            lock.release()
-
-        sim.process(worker("a", 2.0))
-        sim.process(worker("b", 1.0))
-        sim.run()
-        assert trace == [
-            ("enter", "a", 0.0),
-            ("exit", "a", 2.0),
-            ("enter", "b", 2.0),
-            ("exit", "b", 3.0),
-        ]
-
-    def test_release_unheld_lock_raises(self, sim):
-        lock = Lock(sim)
-        with pytest.raises(RuntimeError):
-            lock.release()
-
-    def test_locked_property(self, sim):
-        lock = Lock(sim)
-        assert not lock.locked
-
-        def worker():
-            yield lock.acquire()
-            lock.release()
-
-        sim.process(worker())
-        sim.run()
-        assert not lock.locked

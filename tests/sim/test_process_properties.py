@@ -1,10 +1,10 @@
-"""Property-based tests for the coordination primitives."""
+"""Property-based tests for the Store coordination primitive."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim import Simulator
-from repro.sim.process import Lock, Signal, Store
+from repro.sim.process import Store
 
 
 class TestStoreProperties:
@@ -65,55 +65,3 @@ class TestStoreProperties:
         sim.run()
         assert served == [(i, i) for i in range(waiters)]
 
-
-class TestLockProperties:
-    @settings(max_examples=30, deadline=None)
-    @given(
-        holds=st.lists(
-            st.floats(min_value=0.001, max_value=0.5), min_size=2, max_size=8
-        )
-    )
-    def test_critical_sections_never_overlap(self, holds):
-        sim = Simulator()
-        lock = Lock(sim)
-        intervals = []
-
-        def worker(duration):
-            yield lock.acquire()
-            start = sim.now
-            yield sim.timeout(duration)
-            intervals.append((start, sim.now))
-            lock.release()
-
-        for duration in holds:
-            sim.process(worker(duration))
-        sim.run()
-        intervals.sort()
-        for (_, end_a), (start_b, _) in zip(intervals, intervals[1:]):
-            assert start_b >= end_a
-
-
-class TestSignalProperties:
-    @settings(max_examples=30, deadline=None)
-    @given(
-        arrivals=st.lists(
-            st.floats(min_value=0.0, max_value=0.9), min_size=1, max_size=12
-        ),
-        fire_at=st.floats(min_value=1.0, max_value=2.0),
-    )
-    def test_exactly_prefire_waiters_wake(self, arrivals, fire_at):
-        sim = Simulator()
-        signal = Signal(sim)
-        woken = []
-
-        def waiter(tag, arrive):
-            yield sim.timeout(arrive)
-            yield signal.wait()
-            woken.append(tag)
-
-        for i, arrive in enumerate(arrivals):
-            sim.process(waiter(i, arrive))
-        sim.schedule(fire_at, signal.fire)
-        sim.run(until=5.0)
-        # Everyone arrived before the fire; all must be woken, once.
-        assert sorted(woken) == list(range(len(arrivals)))

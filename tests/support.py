@@ -134,6 +134,40 @@ def read_until(bed: Testbed, client, group: str, n: int, *,
     return bed.run_process(scenario())
 
 
+def group_clock_rate(*, workers: int = 1, think_s: float = 0.0,
+                     seed: int = 0, duration_s: float = 1.0, **cts_options):
+    """ROADMAP item 7's reproducer: how fast the served group clock runs
+    against simulated real time.  ``workers`` closed-loop clients (each
+    thinking ``think_s`` between calls) read the daemon's ``TimeApp`` on
+    the paper's bed for ``duration_s``; the rate is the served value
+    advanced ÷ real time elapsed between the reply a tenth of the way in
+    and the last one.  Returns ``(rate, allowance)``: a value is served
+    somewhere inside its call, so each end of the window is uncertain by
+    one call latency — the allowance is the 100 ppm drift bound plus
+    2 × the mean call latency ÷ the window."""
+    from repro.net.daemon import TimeApp
+    from repro.workloads.load import closed_loop
+
+    bed = make_testbed(seed=seed)
+    bed.deploy("svc", TimeApp, ["n1", "n2", "n3"], **cts_options)
+    client = bed.client("n0")
+    bed.start()
+    seen = []
+
+    def call(_index):
+        reply, latency_us = yield from client.timed_call(
+            "svc", "gettimeofday", timeout=None)
+        seen.append((bed.sim.now, reply.value["micros"], latency_us))
+        return latency_us
+
+    closed_loop(bed, call, workers=workers, duration_s=duration_s,
+                drain_s=0.0, think_s=think_s)
+    (t0, v0, _), (t1, v1, _) = seen[len(seen) // 10], seen[-1]
+    mean_latency_s = sum(latency for _, _, latency in seen) / len(seen) / 1e6
+    return ((v1 - v0) / 1e6 / (t1 - t0),
+            100e-6 + 2 * mean_latency_s / (t1 - t0))
+
+
 #: Top-level and second-level key sets of the four judged runners'
 #: verdicts, recorded at the parent of the PR that put them on one
 #: JudgedRun (``run_chaos``, ``run_shard_chaos``, ``run_rolling_restart``,

@@ -15,10 +15,8 @@ class TestHierarchy:
                 assert issubclass(obj, errors.ReproError), name
 
     def test_subsystem_grouping(self):
-        assert issubclass(errors.MembershipError, errors.TotemError)
         assert issubclass(errors.RpcTimeout, errors.RpcError)
-        assert issubclass(errors.NotPrimaryError, errors.ReplicationError)
-        assert issubclass(errors.ClockRollbackError, errors.TimeServiceError)
+        assert issubclass(errors.ReconfigurationError, errors.ReplicationError)
         assert issubclass(errors.ProcessKilled, errors.SimulationError)
         assert issubclass(errors.Interrupt, errors.SimulationError)
         assert issubclass(errors.NodeDown, errors.SimulationError)
@@ -29,7 +27,7 @@ class TestHierarchy:
 
     def test_one_except_clause_catches_everything(self):
         for cls in (errors.TotemError, errors.RpcTimeout,
-                    errors.StateTransferError, errors.ConfigurationError):
+                    errors.ReconfigurationError, errors.ConfigurationError):
             try:
                 raise cls("x")
             except errors.ReproError:

@@ -46,6 +46,15 @@ class TestSkewDriftWorkload:
         for series in result.series.values():
             assert len(series.history) == 120
 
+    def test_every_series_times_cover_the_workload(self, result):
+        """A replica's pre-workload readings (2 / 1 / 0 on n1 / n2 / n3)
+        are not its pre-workload commits (2 each): each list is baselined
+        by its own length, so no workload reading is dropped."""
+        assert sorted(result.series) == ["n1", "n2", "n3"]
+        for series in result.series.values():
+            assert len(series.times_s) == len(series.history) == 120
+            assert series.times_s == sorted(series.times_s)
+
     def test_synchronizer_rotates(self, result):
         counts = result.winner_counts()
         assert len(counts) >= 2  # more than one replica wins rounds
