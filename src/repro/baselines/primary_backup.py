@@ -44,15 +44,19 @@ class ConveyedClockValue:
         return 32
 
 
+#: seq, micros, call type.
+_CONVEYED = struct.Struct("<qqB")
+
+
 def _encode_conveyed(body: ConveyedClockValue) -> bytes:
-    return _pack_str(body.thread_id) + struct.pack(
-        "<qqB", body.seq, body.micros, body.call_type_id)
+    return _pack_str(body.thread_id) + _CONVEYED.pack(
+        body.seq, body.micros, body.call_type_id)
 
 
 def _decode_conveyed(buffer: bytes, offset: int):
     thread_id, offset = _unpack_str(buffer, offset)
-    seq, micros, call_type_id = struct.unpack_from("<qqB", buffer, offset)
-    return ConveyedClockValue(thread_id, seq, micros, call_type_id), offset + 17
+    fields = _CONVEYED.unpack_from(buffer, offset)
+    return ConveyedClockValue(thread_id, *fields), offset + _CONVEYED.size
 
 
 # Self-registration keeps the baseline transmittable over the live wire

@@ -20,8 +20,8 @@ a chosen replica actively adversarial at the wire boundary:
 Perturbation happens in :class:`~repro.chaos.transport.ChaosTransport`'s
 send path, before the fault decision procedure, and descends through the
 nested payload (``RegularMessage`` → ``Envelope`` → ``CCSMessage``)
-returning replaced *copies* — every protocol dataclass is frozen and
-shared, so in-place mutation would corrupt the sender's own buffers.
+returning replaced *copies* — every protocol message is an immutable,
+shared tuple, so in-place mutation would corrupt the sender's own buffers.
 
 Everything is seeded: the per-destination equivocation bias is a pure
 function of ``(seed, src, dst)``, and the state scrambling draws from
@@ -32,7 +32,6 @@ byte-identical lies.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import replace
 from typing import Any, Dict
 
 from ..core.messages import CCSMessage
@@ -105,14 +104,13 @@ def _bias_ccs(payload: Any, bias_us: int) -> Any:
     """Rebuild ``payload`` with every nested CCSMessage biased; returns
     the original object when there is nothing to perturb."""
     if isinstance(payload, Envelope) and isinstance(payload.body, CCSMessage):
-        body = replace(
-            payload.body,
+        body = payload.body._replace(
             proposed_micros=payload.body.proposed_micros + bias_us)
-        return replace(payload, body=body)
+        return payload._replace(body=body)
     if isinstance(payload, RegularMessage):
         inner = _bias_ccs(payload.payload, bias_us)
         if inner is not payload.payload:
-            return replace(payload, payload=inner)
+            return payload._replace(payload=inner)
     return payload
 
 

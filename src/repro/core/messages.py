@@ -10,8 +10,7 @@ call type identifier (Section 4.1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Tuple
+from typing import NamedTuple, Tuple
 
 #: A clock-operation identifier: ``(request_index, read_seq)``.
 #: Replica-independent by construction — the request index comes from the
@@ -20,8 +19,7 @@ from typing import Tuple
 OpId = Tuple[int, int]
 
 
-@dataclass(frozen=True)
-class CCSMessage:
+class CCSMessage(NamedTuple):
     """Payload of one Consistent Clock Synchronization message."""
 
     #: Identifier of the sending logical thread; CCS messages are matched

@@ -23,15 +23,14 @@ B (via a message), then ``clock(a) < clock(b)``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from ..errors import TimeServiceError
 from ..replication.context import ReplicaContext
 from .time_service import ConsistentTimeService
 
 
-@dataclass(frozen=True)
-class GroupClockStamp:
+class GroupClockStamp(NamedTuple):
     """A group clock value attached to an inter-group message."""
 
     group: str

@@ -45,8 +45,10 @@ from ..errors import FrameError
 
 #: Truncated HMAC-SHA256 output carried on the wire.
 MAC_SIZE = 16
+#: Auth field head: key id, nonce (the MAC follows).
+AUTH_HEAD = struct.Struct("<BQ")
 #: key id + nonce + mac.
-AUTH_FIELD_SIZE = 1 + 8 + MAC_SIZE
+AUTH_FIELD_SIZE = AUTH_HEAD.size + MAC_SIZE
 
 
 def derive_key(secret: str, *, group: str = "timesvc") -> bytes:
@@ -89,7 +91,7 @@ class WireAuthenticator:
         self._send_nonce[src] = nonce
         key = self._keys[self.key_id]
         self.frames_signed += 1
-        head = bytes([self.key_id]) + struct.pack("<Q", nonce)
+        head = AUTH_HEAD.pack(self.key_id, nonce)
         mac = hmac.new(key, signed_prefix + head + payload_bytes,
                        hashlib.sha256).digest()[:MAC_SIZE]
         return head + mac

@@ -7,7 +7,10 @@ put them on a real wire:
 * a **payload codec** covering everything a node transmits — bare
   envelopes (the client channel) plus the Totem wire messages
   (:class:`~repro.totem.messages.RegularMessage`, tokens, joins, commit
-  tokens, beacons), with the envelope codec reused for message bodies;
+  tokens, beacons), with the envelope codec reused for message bodies —
+  like the envelope, every immutable class decoded here (the Totem
+  messages but the commit token, ``ShardSummary``, ``TraceContext``) is
+  a ``NamedTuple`` built positionally: see that codec for why;
 * explicit **framing** with a magic marker, a version byte and a length
   field, so a receiver can reject truncated or foreign datagrams before
   attempting to decode them, and so the same format can later run over a
@@ -46,6 +49,8 @@ from ..replication.codec import (
     _I64,
     _U16,
     CodecError,
+    _new,
+    _pack_id,
     _pack_json,
     _pack_str,
     _unpack_json,
@@ -65,7 +70,7 @@ from ..totem.messages import (
     RingBeacon,
     RingId,
 )
-from .auth import AUTH_FIELD_SIZE
+from .auth import AUTH_FIELD_SIZE, AUTH_HEAD
 
 #: Frame magic marker ("Consistent Time").
 MAGIC = b"CT"
@@ -110,18 +115,16 @@ _COMMIT = struct.Struct("<qq")
 _COMMIT_INFO = struct.Struct("<qq?")
 #: ShardSummary: shard, value, offset, round, error bound.
 _SUMMARY = struct.Struct("<qqqqq")
-#: Auth field head: key id, nonce (the MAC follows).
-_AUTH_HEAD = struct.Struct("<BQ")
 
 
 # -- primitives -----------------------------------------------------------
 
 def _pack_ring(ring_id: RingId) -> bytes:
-    return _I64.pack(ring_id.seq) + _pack_str(ring_id.representative)
+    return _I64.pack(ring_id.seq) + _pack_id(ring_id.representative)
 
 
 #: The ring id last decoded, as wire bytes and as an object.  Every
-#: frame on a ring carries the same id and :class:`RingId` is frozen, so
+#: frame on a ring carries the same id and :class:`RingId` is immutable, so
 #: a frame that continues with the same bytes gets the same object.
 _last_ring: Tuple[bytes, RingId] = (_pack_ring(RingId(0, "")), RingId(0, ""))
 
@@ -133,7 +136,7 @@ def _unpack_ring(buffer: bytes, offset: int) -> Tuple[RingId, int]:
         return ring_id, offset + len(encoded)
     (seq,) = _I64.unpack_from(buffer, offset)
     representative, end = _unpack_str(buffer, offset + 8)
-    ring_id = RingId(seq, representative)
+    ring_id = _new(RingId, (seq, representative))
     if end <= len(buffer):  # else truncated: the caller rejects it
         _last_ring = (buffer[offset:end], ring_id)
     return ring_id, end
@@ -164,9 +167,7 @@ def _unpack_str_tuple(buffer: bytes, offset: int) -> Tuple[Tuple[str, ...], int]
 
 
 def _pack_str_tuple(values) -> bytes:
-    out = [_U16.pack(len(values))]
-    out.extend(_pack_str(v) for v in values)
-    return b"".join(out)
+    return _U16.pack(len(values)) + b"".join(map(_pack_id, values))
 
 
 # -- payload codec --------------------------------------------------------
@@ -180,25 +181,23 @@ def encode_payload(payload: Any) -> bytes:
             _TAG_REGULAR,
             _pack_ring(payload.ring_id),
             _REGULAR.pack(payload.seq, payload.retransmission),
-            _pack_str(payload.sender),
+            _pack_id(payload.sender),
             encode_payload(payload.payload),
         ))
     if isinstance(payload, RegularToken):
-        aru_id = payload.aru_id
-        rtr = payload.rtr
+        ring_id, token_seq, seq, aru, aru_id, rtr = payload
         return b"".join((
             _TAG_TOKEN,
-            _pack_ring(payload.ring_id),
-            _TOKEN.pack(payload.token_seq, payload.seq, payload.aru,
-                        aru_id is not None),
-            _pack_str(aru_id) if aru_id is not None else b"",
+            _pack_ring(ring_id),
+            _TOKEN.pack(token_seq, seq, aru, aru_id is not None),
+            _pack_id(aru_id) if aru_id is not None else b"",
             _U16.pack(len(rtr)),
             struct.pack(f"<{len(rtr)}q", *rtr) if rtr else b"",
         ))
     if isinstance(payload, JoinMessage):
         return b"".join((
             _TAG_JOIN,
-            _pack_str(payload.sender),
+            _pack_id(payload.sender),
             _pack_str_tuple(sorted(payload.proc_set)),
             _pack_str_tuple(sorted(payload.fail_set)),
             _I64.pack(payload.ring_seq),
@@ -213,7 +212,7 @@ def encode_payload(payload: Any) -> bytes:
         ]
         for member in sorted(payload.info):
             info = payload.info[member]
-            parts.append(_pack_str(member))
+            parts.append(_pack_id(member))
             parts.append(_pack_opt_ring(info.old_ring_id))
             parts.append(_COMMIT_INFO.pack(info.high_seq, info.recovery_aru,
                                            info.recovered))
@@ -226,7 +225,7 @@ def encode_payload(payload: Any) -> bytes:
         return b"".join((
             _TAG_BEACON,
             _pack_ring(payload.ring_id),
-            _pack_str(payload.sender),
+            _pack_id(payload.sender),
         ))
     if isinstance(payload, LostMessage):
         return _TAG_LOST
@@ -235,7 +234,7 @@ def encode_payload(payload: Any) -> bytes:
             _TAG_SUMMARY,
             _SUMMARY.pack(payload.shard, payload.value_us, payload.offset_us,
                           payload.round_seq, payload.error_us),
-            _pack_str(payload.group),
+            _pack_id(payload.group),
             _pack_str(payload.signature),
         ))
     # Fallback: any JSON-able payload (e.g. TotemBus pub/sub traffic).
@@ -267,7 +266,7 @@ def decode_payload(buffer: bytes, offset: int = 0) -> Tuple[Any, int]:
                 inner, offset = decode_envelope(buffer, offset + 1), len(buffer)
             else:
                 inner, offset = decode_payload(buffer, offset)
-            return RegularMessage(ring_id, seq, sender, inner, retransmission), offset
+            return _new(RegularMessage, (ring_id, seq, sender, inner, retransmission)), offset
         if kind == _KIND_TOKEN:
             ring_id, offset = _unpack_ring(buffer, offset)
             token_seq, seq, aru, has_aru_id = _TOKEN.unpack_from(buffer, offset)
@@ -281,16 +280,14 @@ def decode_payload(buffer: bytes, offset: int = 0) -> Tuple[Any, int]:
             if count:
                 rtr = struct.unpack_from(f"<{count}q", buffer, offset)
                 offset += 8 * count
-            return RegularToken(ring_id, token_seq, seq, aru, aru_id, rtr), offset
+            return _new(RegularToken, (ring_id, token_seq, seq, aru, aru_id, rtr)), offset
         if kind == _KIND_JOIN:
             sender, offset = _unpack_str(buffer, offset)
             proc_set, offset = _unpack_str_tuple(buffer, offset)
             fail_set, offset = _unpack_str_tuple(buffer, offset)
             (ring_seq,) = _I64.unpack_from(buffer, offset)
-            return (
-                JoinMessage(sender, frozenset(proc_set), frozenset(fail_set), ring_seq),
-                offset + 8,
-            )
+            return _new(JoinMessage, (
+                sender, frozenset(proc_set), frozenset(fail_set), ring_seq)), offset + 8
         if kind == _KIND_COMMIT:
             ring_id, offset = _unpack_ring(buffer, offset)
             members, offset = _unpack_str_tuple(buffer, offset)
@@ -317,18 +314,16 @@ def decode_payload(buffer: bytes, offset: int = 0) -> Tuple[Any, int]:
         if kind == _KIND_BEACON:
             ring_id, offset = _unpack_ring(buffer, offset)
             sender, offset = _unpack_str(buffer, offset)
-            return RingBeacon(ring_id, sender), offset
+            return _new(RingBeacon, (ring_id, sender)), offset
         if kind == _KIND_JSON:
             return _unpack_json(buffer, offset)
         if kind == _KIND_LOST:
             return LostMessage(), offset
         if kind == _KIND_SUMMARY:
-            shard, value_us, offset_us, round_seq, error_us = (
-                _SUMMARY.unpack_from(buffer, offset))
+            shard, *clock = _SUMMARY.unpack_from(buffer, offset)
             group, offset = _unpack_str(buffer, offset + _SUMMARY.size)
             signature, offset = _unpack_str(buffer, offset)
-            return ShardSummary(shard, group, value_us, offset_us,
-                                round_seq, error_us, signature), offset
+            return _new(ShardSummary, (shard, group, *clock, signature)), offset
         raise FrameError(f"unknown payload kind {kind}", reason="payload")
     except (struct.error, IndexError, UnicodeDecodeError,
             json.JSONDecodeError, CodecError) as exc:
@@ -352,9 +347,9 @@ def frame(src: str, payload_bytes: bytes,
     if auth is not None:
         flags |= _FLAG_AUTH
     # Everything between the header and the payload.
-    prefix = _pack_str(src) + _FLAG_BYTES[flags]
+    prefix = _pack_id(src) + _FLAG_BYTES[flags]
     if trace is not None:
-        prefix += _pack_str(trace.trace_id) + _pack_str(trace.parent)
+        prefix += _pack_str(trace.trace_id) + _pack_id(trace.parent)
     if auth is not None:
         prefix += auth.sign_field(src, prefix, payload_bytes)
     return b"".join((
@@ -409,14 +404,14 @@ def _open_frame(data: bytes, auth, auth_node: Optional[str]
         if offset > end:
             raise FrameError("trace context overruns the body",
                              reason="trace")
-        trace = TraceContext(trace_id, parent)
+        trace = _new(TraceContext, (trace_id, parent))
     if flags & _FLAG_AUTH:
         if end - offset < AUTH_FIELD_SIZE:
             raise FrameError(
                 f"auth field truncated ({end - offset} of "
                 f"{AUTH_FIELD_SIZE} bytes)", reason="auth-truncated")
-        key_id, nonce = _AUTH_HEAD.unpack_from(data, offset)
-        mac_at = offset + _AUTH_HEAD.size
+        key_id, nonce = AUTH_HEAD.unpack_from(data, offset)
+        mac_at = offset + AUTH_HEAD.size
         offset += AUTH_FIELD_SIZE
         if auth is not None:
             # The sender signed the body with the MAC left out: source,

@@ -1,10 +1,9 @@
 """Binary wire codec for the fault-tolerant protocol messages.
 
 The simulation passes Python objects around and uses per-type
-``wire_size()`` *estimates* for the latency model.  For adopters who
-want a real wire format — and to sanity-check those estimates — this
-module provides a compact, self-describing binary encoding for the
-protocol-level messages:
+``wire_size()`` *estimates* for the latency model; this module is the
+real encoding, compact and self-describing, of the protocol-level
+messages:
 
 * :class:`~repro.replication.envelope.Envelope` (with header),
 * :class:`~repro.core.messages.CCSMessage`,
@@ -25,12 +24,22 @@ clock values), keeping the tag space centralized without import cycles.
 This format is what actually crosses the socket in live mode — every
 envelope a node transmits goes through :mod:`repro.net.wire`, which
 frames the output of :func:`encode_envelope`.
+
+The envelope, its header and the first four bodies above are
+``NamedTuple``s: immutable by construction, and a live operation decodes
+some twenty.  The decoders build each positionally — ``_new(Class,
+(fields…))``, which is ``tuple.__new__``, past the keyword ``__new__``
+the class generates — where a frozen dataclass paid one
+``object.__setattr__`` per field, 45 % of a decode.  To :mod:`json` such
+a message is an array like any tuple, so :func:`_pack_json` refuses a
+value that holds one.
 """
 
 from __future__ import annotations
 
 import json
 import struct
+from functools import lru_cache
 from sys import intern
 from typing import Any, Callable, Dict, Tuple
 
@@ -90,11 +99,40 @@ def _unpack_id(buffer: bytes, offset: int) -> Tuple[str, int]:
     return intern(buffer[offset:end].decode("utf-8")), end
 
 
+#: A node, group, thread or method identifier as :func:`_pack_str`
+#: returns it, remembered — the encode-side twin of :func:`_unpack_id`:
+#: an envelope frame packs five, the same five every time.  Bounded, least
+#: recently used out: a gateway may front thousands of client groups.
+_pack_id = lru_cache(maxsize=1024)(_pack_str)
+
+#: Builds a message tuple positionally, past the keyword ``__new__`` a
+#: ``NamedTuple`` generates: the decoders' one construction idiom.
+_new = tuple.__new__
+
+
+def _holds_record(value: Any) -> bool:
+    """Is ``value``, or anything inside it, a tuple *subclass* — a
+    ``NamedTuple`` message, not a sequence, whatever ``isinstance(…,
+    tuple)`` says?"""
+    if isinstance(value, dict):
+        return any(map(_holds_record, value.values()))
+    if isinstance(value, (list, tuple)):
+        return (isinstance(value, tuple) and type(value) is not tuple
+                or any(map(_holds_record, value)))
+    return False
+
+
 def _pack_json(value: Any) -> bytes:
     try:
-        data = _json_encode(value).encode("utf-8")
+        text = _json_encode(value)
     except (TypeError, ValueError) as exc:
         raise CodecError(f"body not JSON-encodable: {exc}") from exc
+    # The encoder writes any tuple as an array, a message class included,
+    # and the far side would read back a list: refuse.  (No "[" in the
+    # text, no array in the value: most replies skip the scan.)
+    if "[" in text and _holds_record(value):
+        raise CodecError("body not JSON-encodable: holds a message object")
+    data = text.encode("utf-8")
     if len(data) > 0xFFFFFFFF:
         raise CodecError("JSON body too large")
     return _U32.pack(len(data)) + data
@@ -131,32 +169,24 @@ _CCS = struct.Struct("<qqB?qq")
 
 
 def _encode_ccs(body: CCSMessage) -> bytes:
-    return _pack_str(body.thread_id) + _CCS.pack(
-        body.round_number,
-        body.proposed_micros,
-        body.call_type_id,
-        body.special,
-        body.covers_req,
-        body.covers_seq,
-    )
+    # The fixed layout is the tuple's own fields after the thread id.
+    return _pack_id(body[0]) + _CCS.pack(*body[1:])
 
 
 def _decode_ccs(buffer: bytes, offset: int) -> Tuple[CCSMessage, int]:
     thread_id, offset = _unpack_id(buffer, offset)
-    return (
-        CCSMessage(thread_id, *_CCS.unpack_from(buffer, offset)),
-        offset + _CCS.size,
-    )
+    fields = (thread_id,) + _CCS.unpack_from(buffer, offset)
+    return _new(CCSMessage, fields), offset + _CCS.size
 
 
 def _encode_invocation(body: Invocation) -> bytes:
-    return _pack_str(body.method) + _pack_json(list(body.args))
+    return _pack_id(body.method) + _pack_json(list(body.args))
 
 
 def _decode_invocation(buffer: bytes, offset: int) -> Tuple[Invocation, int]:
     method, offset = _unpack_str(buffer, offset)
     args, offset = _unpack_json(buffer, offset)
-    return Invocation(method, tuple(args)), offset
+    return _new(Invocation, (method, tuple(args))), offset
 
 
 def _encode_result(body: Result) -> bytes:
@@ -165,17 +195,17 @@ def _encode_result(body: Result) -> bytes:
 
 def _decode_result(buffer: bytes, offset: int) -> Tuple[Result, int]:
     data, offset = _unpack_json(buffer, offset)
-    return Result(value=data["value"], error=data["error"]), offset
+    return _new(Result, (data["value"], data["error"])), offset
 
 
 def _encode_stamp(body: GroupClockStamp) -> bytes:
-    return _pack_str(body.group) + _I64.pack(body.micros)
+    return _pack_id(body.group) + _I64.pack(body.micros)
 
 
 def _decode_stamp(buffer: bytes, offset: int) -> Tuple[GroupClockStamp, int]:
-    group, offset = _unpack_str(buffer, offset)
+    group, offset = _unpack_id(buffer, offset)
     (micros,) = _I64.unpack_from(buffer, offset)
-    return GroupClockStamp(group, micros), offset + 8
+    return _new(GroupClockStamp, (group, micros)), offset + 8
 
 
 # -- recursive value encoding --------------------------------------------
@@ -203,7 +233,8 @@ def _pack_value(value: Any) -> bytes:
         return bytes([_V_JSON]) + _pack_json(value)
     except CodecError:
         pass
-    if isinstance(value, (list, tuple)):
+    # A plain tuple: a message class is one too, and is never a sequence.
+    if type(value) is tuple or isinstance(value, list):
         return bytes([_V_LIST]) + _U32.pack(len(value)) + b"".join(
             _pack_value(item) for item in value)
     if isinstance(value, dict):
@@ -383,8 +414,7 @@ _ENVELOPE = struct.Struct("<BqqB")
 
 def encode_envelope(envelope: Envelope) -> bytes:
     """Serialize an envelope (header + sender + tagged body)."""
-    header = envelope.header
-    body = envelope.body
+    header, sender, body = envelope
     tag = _BODY_TAGS.get(type(body))
     if tag is not None:
         payload = _BODY_ENCODERS[tag][0](body)
@@ -400,9 +430,9 @@ def encode_envelope(envelope: Envelope) -> bytes:
     return b"".join((
         _ENVELOPE.pack(_MSG_TYPE_INDEX[header.msg_type],
                        header.conn_id, header.msg_seq_num, tag),
-        _pack_str(header.src_grp),
-        _pack_str(header.dst_grp),
-        _pack_str(envelope.sender),
+        _pack_id(header.src_grp),
+        _pack_id(header.dst_grp),
+        _pack_id(sender),
         payload,
     ))
 
@@ -431,10 +461,9 @@ def decode_envelope(buffer: bytes, offset: int = 0) -> Envelope:
             raise CodecError(
                 f"envelope has {len(buffer) - offset} trailing bytes"
             )
-        header = MessageHeader(
-            _MSG_TYPES[type_index], src_grp, dst_grp, conn_id, msg_seq_num
-        )
-        return Envelope(header, sender, body)
+        header = _new(MessageHeader, (
+            _MSG_TYPES[type_index], src_grp, dst_grp, conn_id, msg_seq_num))
+        return _new(Envelope, (header, sender, body))
     except (struct.error, IndexError, UnicodeDecodeError,
             json.JSONDecodeError) as exc:
         raise CodecError(f"malformed envelope: {exc}") from exc

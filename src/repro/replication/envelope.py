@@ -11,8 +11,7 @@ carries the consistent-clock-synchronization round number.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Any, Tuple
+from typing import Any, NamedTuple, Tuple
 
 
 class MsgType(enum.Enum):
@@ -30,8 +29,7 @@ class MsgType(enum.Enum):
     APP = "app"                  # application-defined group message
 
 
-@dataclass(frozen=True)
-class MessageHeader:
+class MessageHeader(NamedTuple):
     """The common fault-tolerant protocol message header."""
 
     msg_type: MsgType
@@ -47,8 +45,7 @@ class MessageHeader:
         return (self.src_grp, self.dst_grp, self.conn_id, self.msg_seq_num)
 
 
-@dataclass(frozen=True)
-class Envelope:
+class Envelope(NamedTuple):
     """Header plus body plus the sending node, as multicast via Totem."""
 
     header: MessageHeader
@@ -67,18 +64,7 @@ class Envelope:
         )
 
 
-def make_envelope(
-    msg_type: MsgType,
-    src_grp: str,
-    dst_grp: str,
-    conn_id: int,
-    msg_seq_num: int,
-    sender: str,
-    body: Any = None,
-) -> Envelope:
+def make_envelope(msg_type: MsgType, src_grp: str, dst_grp: str, conn_id: int,
+                  msg_seq_num: int, sender: str, body: Any = None) -> Envelope:
     """Convenience constructor used throughout the upper layers."""
-    return Envelope(
-        MessageHeader(msg_type, src_grp, dst_grp, conn_id, msg_seq_num),
-        sender,
-        body,
-    )
+    return Envelope(MessageHeader(msg_type, src_grp, dst_grp, conn_id, msg_seq_num), sender, body)

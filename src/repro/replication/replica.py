@@ -254,8 +254,9 @@ class Replica(abc.ABC):
             self._handle_request(envelope, self.request_index)
         elif msg_type is MsgType.GET_STATE:
             if envelope.body.get("target") != self.node_id:
-                # Serve at a quiescent point: through the request queue.
-                self.request_queue.put(envelope)
+                # Serve at a quiescent point: through the request queue
+                # (``(envelope, request index)`` pairs; this has no index).
+                self.request_queue.put((envelope, None))
         elif msg_type is MsgType.CHECKPOINT:
             self._handle_checkpoint(envelope)
         elif msg_type is MsgType.APP:
@@ -268,8 +269,7 @@ class Replica(abc.ABC):
             yield from self._pipelined_loop()
             return
         while True:
-            item = yield self.request_queue.get()
-            envelope, index = item if isinstance(item, tuple) else (item, None)
+            envelope, index = yield self.request_queue.get()
             if envelope.header.msg_type is MsgType.GET_STATE:
                 yield from self.state_transfer.handle_get_state(envelope)
             else:
@@ -310,9 +310,8 @@ class Replica(abc.ABC):
                     self._work = Event(self.sim)
                 yield AnyOf(self.sim, [pending_get, self._work])
                 continue
-            item = pending_get.value
+            envelope, index = pending_get.value
             pending_get = None
-            envelope, index = item if isinstance(item, tuple) else (item, None)
             if envelope.header.msg_type is MsgType.GET_STATE:
                 # State is served at a quiescent point: every admitted
                 # execution must finish before the special round runs.

@@ -8,12 +8,10 @@ bodies over the totally-ordered group layer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Optional, Tuple
+from typing import Any, NamedTuple, Optional, Tuple
 
 
-@dataclass(frozen=True)
-class Invocation:
+class Invocation(NamedTuple):
     """One remote method invocation."""
 
     method: str
@@ -26,8 +24,7 @@ class Invocation:
         return f"{self.method}({', '.join(map(repr, self.args))})"
 
 
-@dataclass(frozen=True)
-class Result:
+class Result(NamedTuple):
     """The outcome of one invocation."""
 
     value: Any = None

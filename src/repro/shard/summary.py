@@ -20,14 +20,12 @@ from __future__ import annotations
 
 import hashlib
 import hmac
-from dataclasses import dataclass, replace
-from typing import Optional
+from typing import NamedTuple, Optional
 
 __all__ = ["ShardSummary"]
 
 
-@dataclass(frozen=True)
-class ShardSummary:
+class ShardSummary(NamedTuple):
     """One shard's signed clock advertisement to its ring neighbors."""
 
     #: The advertising shard's id on the ring.
@@ -58,7 +56,7 @@ class ShardSummary:
             return self
         mac = hmac.new(secret.encode("utf-8"), self.canonical_bytes(),
                        hashlib.sha256).hexdigest()
-        return replace(self, signature=mac)
+        return self._replace(signature=mac)
 
     def verify(self, secret: Optional[str]) -> bool:
         """True if the signature matches ``secret``.

@@ -20,13 +20,13 @@ the paper's consistent time service is built on:
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, FrozenSet, List, Optional, Tuple
+from typing import Any, Dict, FrozenSet, List, NamedTuple, Optional, Tuple
 
 
-@dataclass(frozen=True, order=True)
-class RingId:
+class RingId(NamedTuple):
     """Identifies one ring: a monotonically increasing sequence number
-    plus the representative (lowest-id member) that formed it."""
+    plus the representative (lowest-id member) that formed it; rings
+    order, as the tuples they are, by ``(seq, representative)``."""
 
     seq: int
     representative: str
@@ -57,8 +57,7 @@ class LostMessage:
         return 0
 
 
-@dataclass(frozen=True)
-class RegularMessage:
+class RegularMessage(NamedTuple):
     """A sequenced application multicast on a specific ring."""
 
     ring_id: RingId
@@ -76,8 +75,7 @@ class RegularMessage:
         return 48 + payload_size
 
 
-@dataclass(frozen=True)
-class RegularToken:
+class RegularToken(NamedTuple):
     """The rotating token of the single ring.
 
     * ``token_seq`` increments on every transmission; receivers discard
@@ -102,8 +100,7 @@ class RegularToken:
         return 64 + 4 * len(self.rtr)
 
 
-@dataclass(frozen=True)
-class JoinMessage:
+class JoinMessage(NamedTuple):
     """Gather-phase membership advertisement."""
 
     sender: str
@@ -165,8 +162,7 @@ class CommitToken:
         return 64 + 24 * len(self.members) + 12 * len(self.rtr)
 
 
-@dataclass(frozen=True)
-class RingBeacon:
+class RingBeacon(NamedTuple):
     """Periodic multicast from a ring's representative.
 
     Totem proper detects partition remerge when foreign multicast traffic
@@ -183,8 +179,7 @@ class RingBeacon:
         return 24
 
 
-@dataclass(frozen=True)
-class ConfigurationChange:
+class ConfigurationChange(NamedTuple):
     """Membership event delivered to the application.
 
     Delivered in total order with regular messages; ``is_primary`` tells

@@ -26,7 +26,7 @@ receive the same messages in the same order."
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 from collections import deque
@@ -376,7 +376,7 @@ class TotemProcessor:
         for seq in sorted(rtr):
             msg = self.received.get(seq)
             if msg is not None:
-                self.multicast_raw(replace(msg, retransmission=True))
+                self.multicast_raw(msg._replace(retransmission=True))
                 self.stats.retransmissions += 1
                 if trace.TRACER.enabled:
                     trace.emit(

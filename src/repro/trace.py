@@ -28,11 +28,10 @@ import random
 from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Hashable, Iterator, List, Optional
+from typing import Any, Callable, Dict, Hashable, Iterator, List, NamedTuple, Optional
 
 
-@dataclass(frozen=True)
-class TraceContext:
+class TraceContext(NamedTuple):
     """Causal identity of one cross-node operation.
 
     ``trace_id`` names the end-to-end operation (one client call);

@@ -30,6 +30,7 @@ from repro.totem.messages import (
     RingId,
 )
 from repro.trace import TraceContext
+from support import classed
 
 GROUP = "timesvc"
 RING = RingId(4, "n0")
@@ -249,3 +250,19 @@ def test_recorded_bytes_decode_back_equal(name):
     decoded = decode_frame_ex(bytes.fromhex(GOLDEN[name]),
                               auth=auth, auth_node="n2")
     assert decoded == ("n1", payload, trace)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_recorded_bytes_decode_to_the_same_classes_and_re_encode(name):
+    """``==`` between message tuples is class-blind, and a decoder builds
+    them positionally: hold it to the classes, and to the recorded bytes
+    when what it built is encoded again."""
+    payload, trace, signed = CASES[name]
+    data = bytes.fromhex(GOLDEN[name])
+    src, decoded, decoded_trace = decode_frame_ex(
+        data, auth=_authenticator() if signed else None, auth_node="n2")
+    assert classed(decoded) == classed(payload)
+    assert classed(decoded_trace) == classed(trace)
+    # A fresh authenticator: the recorded MAC was signed with nonce 1.
+    assert encode_frame(src, decoded, decoded_trace,
+                        _authenticator() if signed else None) == data

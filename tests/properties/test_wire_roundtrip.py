@@ -5,10 +5,11 @@ value, and no truncated or corrupted frame may crash the decoder — a
 daemon's UDP port is fed by the network, not by friendly code.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import CCSMessage
+from repro.core import CCSMessage, GroupClockStamp
 from repro.core.recovery import TimeTransferState
 from repro.net.wire import (
     FrameError,
@@ -22,6 +23,14 @@ from repro.net.wire import (
     unframe_ex,
 )
 from repro.replication import MsgType, make_envelope
+from repro.replication.codec import (
+    CodecError,
+    _pack_id,
+    _pack_str,
+    decode_envelope,
+    encode_envelope,
+)
+from repro.replication.state_transfer import Checkpoint
 from repro.rpc import Invocation, Result
 from repro.shard.summary import ShardSummary
 from repro.totem.messages import (
@@ -32,6 +41,7 @@ from repro.totem.messages import (
     RingBeacon,
     RingId,
 )
+from support import classed
 
 identifiers = st.text(
     alphabet=st.characters(min_codepoint=33, max_codepoint=126),
@@ -145,6 +155,7 @@ class TestRoundTrip:
             frame(src, encode_payload(payload)))
         assert decoded_src == src
         assert decoded == payload
+        assert classed(decoded) == classed(payload)
 
     @settings(max_examples=80)
     @given(payload=payloads)
@@ -153,6 +164,108 @@ class TestRoundTrip:
         decoded, offset = decode_payload(data, 0)
         assert decoded == payload
         assert offset == len(data)
+
+
+#: One of each message class the value encoding carries (the registered
+#: bodies and whole envelopes).  Each is a tuple, which :mod:`json` would
+#: write as an array if the encoder let it.
+NESTABLE = [
+    CCSMessage("main", 1, 2, 3),
+    CCSMessage("aux", 42, 2**50, 1, special=True, covers_req=7, covers_seq=2),
+    Invocation("gettimeofday", (5, "x")),
+    Invocation("noargs"),
+    Result(value=5),
+    Result(error="ValueError: boom"),
+    GroupClockStamp("alpha", 1_790_000_000_000_000),
+    make_envelope(MsgType.REQUEST, "client.c1", "svc", 8, 9, "c1",
+                  body=Invocation("m", (1,))),
+]
+#: Message classes with no body codec: refused, never shipped as arrays.
+UNREGISTERED = [RingId(4, "n0"), RingBeacon(RingId(4, "n0"), "n0"),
+                RegularToken(RingId(4, "n0"), 1, 0, 0, None),
+                ShardSummary(1, "shard1", 2, 3, 4, 5)]
+
+
+def _through_a_state_envelope(app_state, time_state=None, extra=None):
+    checkpoint = Checkpoint(app_state, 12, time_state, 11, extra)
+    state = make_envelope(MsgType.STATE, "svc", "svc", 0, 3, "n2",
+                          body={"target": "n1", "checkpoint": checkpoint})
+    _src, decoded, _trace = decode_frame_ex(
+        frame("n2", encode_payload(RegularMessage(RingId(4, "n0"), 7, "n2", state))))
+    assert classed(decoded.payload) == classed(state)
+    return decoded.payload.body["checkpoint"]
+
+
+class TestMessagesNestedInContainers:
+    """A message inside a list or a dict inside a checkpoint comes back
+    as its own class — not as the JSON array a tuple looks like."""
+
+    @pytest.mark.parametrize("message", NESTABLE, ids=lambda m: type(m).__name__)
+    def test_in_a_list_and_in_a_dict(self, message):
+        decoded = _through_a_state_envelope(
+            {"pending": [message, 1, "two"], "last": message, "n": 3},
+            time_state={"deep": {"er": [[message]]}},
+            extra=[message])
+        for found in (decoded.app_state["pending"][0], decoded.app_state["last"],
+                      decoded.time_state["deep"]["er"][0][0], decoded.extra[0]):
+            assert type(found) is type(message)
+            assert found == message
+        assert decoded.app_state["pending"][1:] == [1, "two"]
+
+    def test_the_case_the_issue_met(self):
+        decoded = _through_a_state_envelope(
+            {"pending": [CCSMessage("main", 1, 2, 3)], "last": Result(value=5)})
+        assert decoded.app_state == {
+            "pending": [CCSMessage("main", 1, 2, 3)], "last": Result(value=5)}
+        assert type(decoded.app_state["pending"][0]) is CCSMessage
+        assert type(decoded.app_state["last"]) is Result
+
+    def test_plain_json_state_is_still_one_json_chunk(self):
+        """Same bytes: a checkpoint with no message in it is not walked."""
+        plain = {"calls": 12, "items": [1, [2, 3], {"k": None}]}
+        chunk = b'{"calls":12,"items":[1,[2,3],{"k":null}]}'
+        body = {"target": "n1", "checkpoint": Checkpoint(plain, 1, None, 1, None)}
+        data = encode_envelope(make_envelope(MsgType.STATE, "g", "g", 0, 1, "n1", body=body))
+        assert b"\x00" + len(chunk).to_bytes(4, "little") + chunk in data
+        assert decode_envelope(data).body["checkpoint"].app_state == plain
+
+    @pytest.mark.parametrize("message", UNREGISTERED, ids=lambda m: type(m).__name__)
+    def test_a_class_without_a_codec_is_refused_not_flattened(self, message):
+        for body in (message, [message], {"held": (1, message)},
+                     Result(value={"r": [message]}), Invocation("m", (message,))):
+            with pytest.raises(CodecError):
+                encode_envelope(make_envelope(MsgType.APP, "g", "g", 0, 1, "n1", body=body))
+        # The transport's last-resort JSON payload: the same refusal, at
+        # the port, under the reason the rejection counters know.
+        for payload in ([message], {"held": (1, message)}):
+            with pytest.raises(FrameError) as refused:
+                encode_payload(payload)
+            assert refused.value.reason == "payload"
+
+    def test_a_bare_unregistered_class_is_no_payload(self):
+        with pytest.raises(FrameError) as refused:
+            encode_payload(RingId(4, "n0"))
+        assert refused.value.reason == "payload"
+
+
+class TestPackedIdentifiers:
+    def test_the_memo_is_bounded_and_returns_what_pack_str_would(self):
+        bound = _pack_id.cache_info().maxsize
+        assert bound is not None and bound <= 4096
+        request = make_envelope(MsgType.REQUEST, "client.b7", "svc", 8, 1234, "b7",
+                                body=Invocation("gettimeofday", (1,)))
+        before = encode_payload(request)
+        # A gateway fronting 8 192 client groups: every name goes through.
+        for client in range(8192):
+            name = f"client.c{client}"
+            assert _pack_id(name) == _pack_str(name)
+        assert _pack_id.cache_info().currsize == bound
+        assert encode_payload(request) == before
+        assert decode_payload(before)[0] == request
+        for odd in ("", "é" * 40, "x" * 0xFFFF):
+            assert _pack_id(odd) == _pack_str(odd)
+        with pytest.raises(CodecError):
+            _pack_id("x" * 0x10000)
 
 
 class TestRejection:

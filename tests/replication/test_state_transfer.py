@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.replication.envelope import MsgType
 from support import CounterApp, call_n, make_testbed  # noqa: E402 (tests/ on sys.path via conftest)
 
 
@@ -114,3 +115,36 @@ class TestFounders:
         bed.start(settle=0.5)
         ready = [r for r in bed.replicas("svc").values() if r.state_transfer.ready]
         assert len(ready) == 3  # everyone became ready (founder or transfer)
+
+
+class TestGetStateOnTheRequestQueue:
+    """The request queue holds ``(envelope, index)`` pairs and nothing
+    else.  An ``Envelope`` is itself a tuple (of three), so a bare one on
+    the queue cannot be told from a pair by ``isinstance(item, tuple)``:
+    a GET_STATE went on bare, and the loops unpacked it as a pair."""
+
+    @pytest.mark.parametrize("options, pipelined", [
+        ({"time_source": "local"}, False),  # Replica._main_loop
+        ({}, True),                         # Replica._pipelined_loop
+    ])
+    def test_get_state_is_served_through_either_loop(self, options, pipelined):
+        bed = make_testbed(seed=27)
+        bed.deploy("svc", CounterApp, ["n1", "n2"], **options)
+        client = bed.client("n0")
+        bed.start()
+        donor = bed.replicas("svc")["n1"]
+        assert donor.time_source.supports_concurrent_reads is pipelined
+        queued = []
+        put = donor.request_queue.put
+        donor.request_queue.put = lambda item: (queued.append(item), put(item))[1]
+        call_n(bed, client, "svc", "stamped_increment", 3)
+        joiner = bed.add_replica("svc", "n3", CounterApp, **options)
+        bed.run(0.5)
+        assert joiner.state_transfer.ready
+        assert joiner.app.count == 3
+        kinds = [envelope.header.msg_type for envelope, _index in queued]
+        assert kinds.count(MsgType.GET_STATE) == 1
+        assert all(type(item) is tuple and len(item) == 2 for item in queued)
+        call_n(bed, client, "svc", "stamped_increment", 1)
+        bed.run(0.1)
+        assert joiner.app.count == donor.app.count == 4

@@ -77,8 +77,7 @@ class TestShardSummary:
         signed = ShardSummary(shard=1, group="shard1", value_us=123,
                               offset_us=45, round_seq=6,
                               error_us=7).sign("secret")
-        from dataclasses import replace
-        assert not replace(signed, value_us=999).verify("secret")
+        assert not signed._replace(value_us=999).verify("secret")
 
     def test_open_mode_accepts_unsigned(self):
         summary = ShardSummary(shard=0, group="shard0", value_us=1,

@@ -71,6 +71,23 @@ class CounterApp(Application):
         self.stamps = list(state["stamps"])
 
 
+def classed(value):
+    """``value`` with the class of every message written beside it, for
+    comparing a decoded payload with the original.  Message classes are
+    ``NamedTuple``s, whose ``==`` is structural and class-blind —
+    ``RingBeacon(ring, "n1") == (ring, "n1")`` — so plain equality would
+    pass a decoder that returned bare tuples or the wrong class."""
+    if isinstance(value, tuple):
+        return (type(value).__name__, *map(classed, value))
+    if isinstance(value, list):
+        return [classed(item) for item in value]
+    if isinstance(value, dict):
+        return {key: classed(item) for key, item in value.items()}
+    if hasattr(value, "__dataclass_fields__"):
+        return (type(value).__name__, classed(vars(value)))
+    return value
+
+
 def make_testbed(
     *,
     seed: int = 0,
