@@ -901,8 +901,8 @@ def build_parser() -> argparse.ArgumentParser:
     live.add_argument("--calls", type=int, default=5,
                       help="call: number of sequential invocations")
     live.add_argument("--expect", type=int, default=1,
-                      help="call: replies to wait for per invocation "
-                           "(set to the group size with active replication)")
+                      help="call: replies to collect per invocation (the group "
+                           "size to compare them all; the gateway is asked again)")
     live.add_argument("--timeout", type=float, default=2.0,
                       help="call: per-invocation timeout in seconds")
     live.add_argument("--style", default="active",

@@ -19,41 +19,13 @@ simulation kernel; this package is the deployment path.  It provides
   — the ``repro serve`` / ``repro call`` runtime for multi-process
   deployment.
 
-Heavy modules are imported lazily (PEP 562): ``repro.sim.network`` pulls
-in :mod:`repro.net.transport` at import time, and an eager import of the
-live modules here would close an import cycle back into ``repro.sim``.
+Import the live classes from their modules: ``repro.sim.network`` pulls
+in :mod:`repro.net.transport` at import time, and an import of the live
+modules here would close an import cycle back into ``repro.sim``.
 """
 
 from __future__ import annotations
 
 from .transport import Transport, TransportPort
 
-_LAZY = {
-    "LiveKernel": ("repro.net.kernel", "LiveKernel"),
-    "WallClock": ("repro.net.clock", "WallClock"),
-    "MonotonicTimeBase": ("repro.net.clock", "MonotonicTimeBase"),
-    "LiveNode": ("repro.net.node", "LiveNode"),
-    "UdpTransport": ("repro.net.udp", "UdpTransport"),
-    "LiveTestbed": ("repro.net.testbed", "LiveTestbed"),
-    "NodeDaemon": ("repro.net.daemon", "NodeDaemon"),
-    "DaemonConfig": ("repro.net.daemon", "DaemonConfig"),
-    "TimeApp": ("repro.net.daemon", "TimeApp"),
-    "live_totem_config": ("repro.net.timing", "live_totem_config"),
-    "LiveCaller": ("repro.net.client", "LiveCaller"),
-}
-
-__all__ = ["Transport", "TransportPort", *sorted(_LAZY)]
-
-
-def __getattr__(name: str):
-    try:
-        module_name, attr = _LAZY[name]
-    except KeyError:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
-    import importlib
-
-    return getattr(importlib.import_module(module_name), attr)
-
-
-def __dir__():
-    return sorted(set(globals()) | set(_LAZY))
+__all__ = ["Transport", "TransportPort"]

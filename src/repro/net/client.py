@@ -5,10 +5,12 @@ Speaks the same wire format as the ring — a framed ``REQUEST`` envelope
 (:mod:`repro.net.wire` around :mod:`repro.replication.codec`) sent to
 any daemon's UDP port.  That daemon's gateway injects the request into
 the total order; with active replication **every** replica answers, the
-gateway forwards each reply to this socket, and the caller collects them
-per sender.  This is what makes the client a verification tool and not
-just an RPC stub: one call observes the value every replica computed,
-so agreement ("identical group-clock reads") is checked directly.
+gateway forwards the first reply to this socket and keeps the rest, and
+a caller that asked for more than one (``expect_replies=N``) re-sends
+the operation id to be sent everything recorded, collecting per sender.
+This is what makes the client a verification tool and not just an RPC
+stub: one call can observe the value every replica computed, so
+agreement ("identical group-clock reads") is checked directly.
 
 The caller's socket is a port on the kernel's event loop like any
 node's, and :meth:`LiveCaller.call` is a generator for a kernel process:
@@ -112,12 +114,12 @@ class _Breaker:
 
 class _Op:
     """One call in flight: the replies collected so far, and the event
-    its process is parked on while it waits for more."""
+    its process is parked on until it has ``want`` of them."""
 
-    __slots__ = ("expect", "results", "waiter")
+    __slots__ = ("want", "results", "waiter")
 
-    def __init__(self, expect: int):
-        self.expect = expect
+    def __init__(self):
+        self.want = 1
         self.results: Dict[str, Result] = {}
         self.waiter: Optional[Event] = None
 
@@ -132,6 +134,9 @@ class LiveCaller:
     #: Backoff: base * 2^sweep, jittered, capped.
     BACKOFF_BASE = 0.02
     BACKOFF_CAP = 0.5
+    #: Seconds from an op's first reply to asking its gateway for the
+    #: rest, doubling from there (they follow within a token rotation).
+    REASK_BASE = 0.001
 
     def __init__(
         self,
@@ -177,13 +182,16 @@ class LiveCaller:
         """Generator: invoke ``method(*args)`` on the group.
 
         Waits until ``expect_replies`` distinct replicas have answered
-        (if more keep arriving they are ignored).  The whole call runs
-        against one deadline ``kernel.now + timeout``; within it the
-        caller sweeps the server list (skipping open breakers), re-sends
-        the same invocation, and backs off exponentially with jitter
-        between sweeps.  Raises :class:`~repro.errors.RpcTimeout` when
-        the budget is exhausted.  Calls from several processes on the
-        kernel may interleave on one caller.
+        (if more keep arriving they are ignored); past the first reply
+        that means asking the gateway again (:meth:`_gather`), within the
+        attempt's slice, and returning what is there when it ends.  The
+        whole call runs against one deadline ``kernel.now + timeout``;
+        within it the caller sweeps the server list (skipping open
+        breakers), re-sends the same invocation, and backs off
+        exponentially with jitter between sweeps.  Raises
+        :class:`~repro.errors.RpcTimeout` when the budget is exhausted.
+        Calls from several processes on the kernel may interleave on one
+        caller.
         """
         sim = self.kernel
         self._seq += 1
@@ -215,7 +223,7 @@ class LiveCaller:
         deadline = started + timeout
         attempts = 0
         sweep = 0
-        op = self._pending[(conn_id, seq)] = _Op(expect_replies)
+        op = self._pending[(conn_id, seq)] = _Op()
         try:
             while sim.now < deadline:
                 candidates = self._sweep_order(sim.now)
@@ -247,7 +255,8 @@ class LiveCaller:
                     except NetworkError:
                         self._record_failure(address)
                         continue
-                    yield from self._collect(op, slice_s)
+                    yield from self._gather(op, expect_replies, address,
+                                            envelope, slice_s)
                     if op.results:
                         self._record_success(address)
                         finished = sim.now
@@ -326,19 +335,44 @@ class LiveCaller:
 
     # -- reply collection ------------------------------------------------
 
-    def _collect(self, op: _Op, slice_s: float) -> Generator[Event, None, None]:
-        """Park until ``op`` has the replies it expects or ``slice_s``
-        passes, whichever is first."""
-        if len(op.results) >= op.expect:
+    def _collect(self, op: _Op, want: int,
+                 wait_s: float) -> Generator[Event, None, None]:
+        """Park until ``op`` has ``want`` replies or ``wait_s`` passes,
+        whichever is first."""
+        if len(op.results) >= want or wait_s <= 0:
             return
+        op.want = want
         op.waiter = waiter = self.kernel.event()
         timer = self.kernel.schedule(
-            slice_s, lambda: waiter.triggered or waiter.succeed())
+            wait_s, lambda: waiter.triggered or waiter.succeed())
         try:
             yield waiter
         finally:
             timer.cancel()
             op.waiter = None
+
+    def _gather(self, op: _Op, expect: int, address: Address,
+                envelope: Envelope,
+                slice_s: float) -> Generator[Event, None, None]:
+        """Park until ``op`` has the ``expect`` replies or the attempt's
+        ``slice_s`` passes.  The gateway forwards the first reply and
+        records the rest: past it the operation id is re-sent — answered
+        from the record, not executed again — ``REASK_BASE`` later and
+        at doubling intervals (``stats.retries`` counts each asking)."""
+        slice_end = self.kernel.now + slice_s
+        yield from self._collect(op, 1, slice_s)
+        reask_s = self.REASK_BASE
+        while 0 < len(op.results) < expect:
+            left = slice_end - self.kernel.now
+            yield from self._collect(op, expect, min(reask_s, left))
+            if len(op.results) >= expect or left <= reask_s:
+                return
+            self.stats.retries += 1
+            try:
+                self.port.sendto(address, envelope)
+            except NetworkError:
+                return
+            reask_s *= 2
 
     def _on_frame(self, frame: LiveFrame) -> None:
         envelope = frame.payload
@@ -357,7 +391,7 @@ class LiveCaller:
         op.results.setdefault(envelope.sender, envelope.body)
         waiter = op.waiter
         if (waiter is not None and not waiter.triggered
-                and len(op.results) >= op.expect):
+                and len(op.results) >= op.want):
             waiter.succeed()
 
     def close(self) -> None:

@@ -20,9 +20,11 @@ address, and injects the request into the total order through a local
 endpoint for the client's group — exactly what :class:`~repro.rpc.client.RpcClient`
 does in-process.  Replies addressed to that client group come back via
 the total order on every member, but only the gateway holding the route
-forwards them to the caller's address, so the client receives one reply
-per replica (active replication answers from every member — that is
-what lets ``repro call`` verify the replies are identical).
+answers the caller — and it answers **once**: active replication has
+every member reply, the gateway forwards the first reply of an operation
+and keeps the rest, and a caller that wants them all (``repro call
+--expect 3`` verifies the replies are identical) asks again with the
+same operation id and is sent everything recorded so far.
 """
 
 from __future__ import annotations
@@ -114,6 +116,10 @@ GATEWAY_COUNTERS = obs.REGISTRY.read_counters({
                               "client retries deduplicated by operation id"),
     "replies_replayed": ("gateway_replies_replayed_total",
                          "recorded replies re-sent to a retrying client"),
+    "replies_suppressed": ("gateway_duplicate_replies_total",
+                           "later replicas' replies recorded, not forwarded"),
+    "replies_divergent": ("gateway_divergent_replies_total",
+                          "recorded replies that differ from the forwarded"),
 })
 #: Pushed: ``dedup_evictions`` has no per-reason breakdown to read.
 M_GW_DEDUP_EVICTIONS = obs.REGISTRY.counter(
@@ -138,6 +144,13 @@ class ClientGateway:
     gateway therefore keeps a bounded idempotency window: a repeated
     operation id refreshes the reply route and replays the recorded
     replies instead of re-entering the total order.
+
+    The caller gets an operation's **first** reply, as from
+    :class:`~repro.rpc.client.RpcClient` in-process; the later replicas'
+    are recorded under the operation id, compared with the forwarded one
+    (``replies_divergent``) and sent only on asking again.  An operation
+    no longer in the window has nothing to be replayed from, so every
+    reply to it is forwarded.
 
     The window is bounded **two ways**: by entry count (a zipf-heavy
     client population with millions of one-shot identities would
@@ -166,15 +179,17 @@ class ClientGateway:
         #: client group -> last known socket address (LRU-bounded).
         self.routes: "OrderedDict[str, Address]" = OrderedDict()
         self._endpoints: Dict[str, GroupEndpoint] = {}
-        #: operation id -> replies forwarded so far (replayed on retry).
-        self._seen: "OrderedDict[_OpKey, List[Envelope]]" = OrderedDict()
-        #: operation id -> kernel time at first sight (drives the TTL).
-        self._seen_at: Dict[_OpKey, float] = {}
+        #: operation id -> (kernel time last asked for: the TTL's clock,
+        #: replies delivered so far: replayed on retry), last asked last.
+        self._seen: "OrderedDict[_OpKey, Tuple[float, List[Envelope]]]" = (
+            OrderedDict())
         self.requests_injected = 0
         self.requests_deduplicated = 0
         self.requests_shed = 0
         self.replies_forwarded = 0
         self.replies_replayed = 0
+        self.replies_suppressed = 0
+        self.replies_divergent = 0
         self.dedup_evictions = 0
         obs.REGISTRY.watch(self, GATEWAY_COUNTERS, node=node_id)
 
@@ -193,53 +208,49 @@ class ClientGateway:
             # context under that identity so the REPLY frames every
             # replica multicasts — and the forward to the caller — carry
             # the trace without any per-layer plumbing.
-            trace.BAGGAGE.put(
-                (header.dst_grp, client_group, header.conn_id,
-                 header.msg_seq_num),
-                frame.trace.child(f"gw.{self.node_id}"))
-        recorded = self._seen.get(key)
-        if recorded is not None:
+            trace.BAGGAGE.put(key, frame.trace.child(f"gw.{self.node_id}"))
+        entry = self._seen.get(key)
+        if frame.trace is not None and trace.TRACER.enabled:
+            trace.emit("op.gateway", self.node_id,
+                       trace=frame.trace.trace_id, op_group=client_group,
+                       conn=header.conn_id, seq=header.msg_seq_num,
+                       dedup=entry is not None, t=now)
+        if entry is not None:
             # A retry of an operation already in (or through) the order:
             # do not execute it again — replay what the group already
             # answered to the refreshed route.  The retry also refreshes
             # the entry's age: the window stays last-touch ordered, so
             # TTL expiry below can pop strictly from the front.
+            recorded = entry[1]
+            self._seen[key] = (now, recorded)
             self._seen.move_to_end(key)
-            self._seen_at[key] = now
             self.requests_deduplicated += 1
-            if frame.trace is not None and trace.TRACER.enabled:
-                trace.emit("op.gateway", self.node_id,
-                           trace=frame.trace.trace_id, op_group=client_group,
-                           conn=header.conn_id, seq=header.msg_seq_num,
-                           dedup=True, t=self.runtime.sim.now)
             for reply in recorded:
                 self.port.sendto(frame.addr, reply)
                 self.replies_replayed += 1
             return
-        self._seen[key] = []
-        self._seen_at[key] = now
+        self._seen[key] = (now, [])
         while len(self._seen) > self.DEDUP_WINDOW:
             self._evict_oldest("window")
-        if frame.trace is not None and trace.TRACER.enabled:
-            trace.emit("op.gateway", self.node_id,
-                       trace=frame.trace.trace_id, op_group=client_group,
-                       conn=header.conn_id, seq=header.msg_seq_num,
-                       dedup=False, t=self.runtime.sim.now)
         if self.admission is None:
             self._dispatch(client_group, envelope)
         else:
             self.admission.submit(
                 client_group, key,
                 lambda: self._dispatch(client_group, envelope),
-                lambda retry_after_s: self._shed(
-                    key, client_group, frame.addr, header, retry_after_s))
+                lambda retry_after_s: self._shed(key, frame.addr, retry_after_s))
 
     def _dispatch(self, client_group: str, envelope: Envelope) -> None:
-        self._endpoint_for(client_group).mcast(envelope)
+        endpoint = self._endpoints.get(client_group)
+        if endpoint is None:
+            endpoint = self._endpoints[client_group] = (
+                self.runtime.endpoint(client_group))
+            endpoint.on_message = self._forward
+            endpoint.join()
+        endpoint.mcast(envelope)
         self.requests_injected += 1
 
-    def _shed(self, key: _OpKey, client_group: str, addr: Address,
-              header, retry_after_s: float) -> None:
+    def _shed(self, key: _OpKey, addr: Address, retry_after_s: float) -> None:
         """Answer ``Overloaded`` instead of entering the order.
 
         The operation never executed, so it must also leave the
@@ -247,10 +258,9 @@ class ClientGateway:
         is a fresh admission attempt, not a replay of nothing.
         """
         self._seen.pop(key, None)
-        self._seen_at.pop(key, None)
+        # A reply's (service group, client group, conn, seq) is the key.
         reply = make_envelope(
-            MsgType.REPLY, header.dst_grp, header.src_grp,
-            header.conn_id, header.msg_seq_num, self.node_id,
+            MsgType.REPLY, *key, self.node_id,
             body=Result(value=overloaded_value(retry_after_s),
                         error=OVERLOADED))
         self.port.sendto(addr, reply)
@@ -264,55 +274,48 @@ class ClientGateway:
 
     def _expire_seen(self, now: float) -> None:
         horizon = now - self.DEDUP_TTL_S
-        while self._seen:
-            oldest = next(iter(self._seen))
-            if self._seen_at[oldest] > horizon:
-                break
+        while self._seen and next(iter(self._seen.values()))[0] <= horizon:
             self._evict_oldest("ttl")
 
     def _evict_oldest(self, reason: str) -> None:
-        key, _ = self._seen.popitem(last=False)
-        self._seen_at.pop(key, None)
+        self._seen.popitem(last=False)
         self.dedup_evictions += 1
         if obs.REGISTRY.enabled:
             M_GW_DEDUP_EVICTIONS.inc(node=self.node_id, reason=reason)
 
-    def _endpoint_for(self, client_group: str) -> GroupEndpoint:
-        endpoint = self._endpoints.get(client_group)
-        if endpoint is None:
-            endpoint = self.runtime.endpoint(client_group)
-            endpoint.on_message = (
-                lambda envelope, group=client_group: self._forward(group, envelope))
-            endpoint.join()
-            self._endpoints[client_group] = endpoint
-        return endpoint
-
-    def _forward(self, client_group: str, envelope: Envelope) -> None:
-        address = self.routes.get(client_group)
+    def _forward(self, envelope: Envelope) -> None:
+        header = envelope.header
+        # Replies travel service group -> client group (this endpoint's),
+        # so a reply's message id is the operation's key.
+        key: _OpKey = header.message_id
+        entry = self._seen.get(key)
+        if entry is not None:
+            recorded = entry[1]
+            recorded.append(envelope)
+            if len(recorded) > 1:
+                # A later replica's reply: no encode, no MAC, no datagram
+                # — only the comparison the caller used to make.
+                self.replies_suppressed += 1
+                if envelope.body != recorded[0].body:
+                    self.replies_divergent += 1
+                return
+        if self.admission is not None:
+            # First reply for the op frees its admission slot and pumps
+            # the bounded queues, route or no route (idempotent for an
+            # op out of the window, whose every reply comes this way).
+            self.admission.complete(key)
+        address = self.routes.get(header.dst_grp)
         if address is None:
             return
         self.port.sendto(address, envelope)
         self.replies_forwarded += 1
-        header = envelope.header
         if trace.TRACER.enabled:
-            context = trace.BAGGAGE.get(envelope.header.message_id)
+            context = trace.BAGGAGE.get(key)
             if context is not None:
                 trace.emit("op.reply", self.node_id,
                            trace=context.trace_id, conn=header.conn_id,
                            seq=header.msg_seq_num, replica=envelope.sender,
                            t=self.runtime.sim.now)
-        # Replies travel service group -> client group, so the service
-        # group is the envelope's *source* here.
-        key: _OpKey = (header.src_grp, client_group,
-                       header.conn_id, header.msg_seq_num)
-        recorded = self._seen.get(key)
-        if recorded is not None:
-            recorded.append(envelope)
-        if self.admission is not None:
-            # First reply for the op frees its admission slot and pumps
-            # the bounded queues (idempotent for the later replicas'
-            # replies to the same op).
-            self.admission.complete(key)
 
 
 class NodeDaemon:

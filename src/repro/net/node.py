@@ -20,7 +20,6 @@ failover test uses to kill a primary.
 from __future__ import annotations
 
 import random
-from typing import Optional
 
 from ..sim.node import Node
 from .clock import WallClock
@@ -36,34 +35,19 @@ class LiveNode(Node):
         kernel: LiveKernel,
         node_id: str,
         transport: UdpTransport,
-        cpu_rng: Optional[random.Random] = None,
+        cpu_rng: random.Random,
         *,
         clock_epoch_us: int = 0,
         clock_drift_ppm: float = 0.0,
-        clock_granularity_us: int = 1,
-        cpu_factor: float = 1.0,
-        cpu_jitter: float = 0.05,
     ):
-        super().__init__(
-            kernel,
-            node_id,
-            transport,
-            cpu_rng if cpu_rng is not None else random.Random(node_id),
-            clock_epoch_us=clock_epoch_us,
-            clock_drift_ppm=clock_drift_ppm,
-            clock_granularity_us=clock_granularity_us,
-            cpu_factor=cpu_factor,
-            cpu_jitter=cpu_jitter,
-        )
+        super().__init__(kernel, node_id, transport, cpu_rng,
+                         clock_epoch_us=clock_epoch_us,
+                         clock_drift_ppm=clock_drift_ppm)
         # Same parameters, explicit wall-clock type (the base class built
         # an equivalent clock on kernel time; keep one canonical object).
-        self.clock = WallClock(
-            kernel,
-            epoch_us=clock_epoch_us,
-            drift_ppm=clock_drift_ppm,
-            granularity_us=clock_granularity_us,
-            name=f"clock.{node_id}",
-        )
+        self.clock = WallClock(kernel, epoch_us=clock_epoch_us,
+                               drift_ppm=clock_drift_ppm,
+                               name=f"clock.{node_id}")
 
     @property
     def address(self) -> Address:

@@ -4,7 +4,7 @@ One client call to the live stack touches many processes: the caller
 (``op.send``), a daemon's client gateway (``op.gateway``), every replica
 that executes it (``op.execute``), the time service that hands it a
 group-clock value (``op.served``), the CCS round that produced the value
-(``round.won``) and the gateway that forwards each reply (``op.reply``
+(``round.won``) and the gateway that forwards the first reply (``op.reply``
 on the daemon, ``op.reply_recv`` on the client).  Each hop stamps its
 trace events with the trace id carried in the v3 wire format
 (:class:`~repro.trace.TraceContext`), so the per-node event streams can

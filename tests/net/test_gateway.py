@@ -1,5 +1,7 @@
-"""ClientGateway idempotency: retries replay, they never re-execute."""
+"""ClientGateway idempotency: retries replay, they never re-execute;
+an op's first reply is forwarded, the rest recorded for the replay."""
 
+from repro.control.admission import AdmissionConfig, AdmissionController
 from repro.net.daemon import ClientGateway
 from repro.net.udp import LiveFrame
 from repro.replication.envelope import MsgType, make_envelope
@@ -59,9 +61,15 @@ ADDR_A = ("127.0.0.1", 40001)
 ADDR_B = ("127.0.0.1", 40002)
 
 
-def make_gateway():
+def make_gateway(admission=None):
     runtime, port = FakeRuntime(), FakePort()
-    return ClientGateway(runtime, port, node_id="n0"), runtime, port
+    return (ClientGateway(runtime, port, node_id="n0", admission=admission),
+            runtime, port)
+
+
+def replies(seq, values=(123, 123, 123)):
+    return [reply(seq, sender=f"n{i}", value=value)
+            for i, value in enumerate(values)]
 
 
 class TestGatewayDedup:
@@ -134,6 +142,108 @@ class TestGatewayDedup:
         # One eviction for the overflow insert, one more when the
         # re-executed op 1 pushed the window over again.
         assert gateway.dedup_evictions == 2
+
+
+class TestGatewayAnswersOnce:
+    """Active replication answers from every member; the caller gets the
+    first reply and the others only on asking again."""
+
+    def deliver(self, runtime, *envelopes):
+        for envelope in envelopes:
+            runtime.endpoints["client.c1"].on_message(envelope)
+
+    def test_first_reply_forwarded_later_ones_recorded_not_sent(self):
+        gateway, runtime, port = make_gateway()
+        gateway.handle(LiveFrame("c1", request(1), 64, ADDR_A))
+        first, second, third = replies(1)
+        self.deliver(runtime, first, second, third)
+        assert port.sent == [(ADDR_A, first)]
+        assert gateway.replies_forwarded == 1
+        assert gateway.replies_suppressed == 2
+        assert gateway.replies_divergent == 0
+
+    def test_retry_after_three_replies_replays_three_to_the_new_route(self):
+        gateway, runtime, port = make_gateway()
+        gateway.handle(LiveFrame("c1", request(1), 64, ADDR_A))
+        answers = replies(1)
+        self.deliver(runtime, *answers)
+        gateway.handle(LiveFrame("c1", request(1), 64, ADDR_B))  # asks again
+        assert port.sent[1:] == [(ADDR_B, answer) for answer in answers]
+        assert gateway.replies_replayed == 3
+        assert gateway.replies_forwarded == 1
+        assert gateway.requests_injected == 1
+
+    def test_retry_between_first_and_third_replays_what_is_there(self):
+        gateway, runtime, port = make_gateway()
+        gateway.handle(LiveFrame("c1", request(1), 64, ADDR_A))
+        first, second, third = replies(1)
+        self.deliver(runtime, first, second)
+        gateway.handle(LiveFrame("c1", request(1), 64, ADDR_A))
+        assert port.sent == [(ADDR_A, first), (ADDR_A, first), (ADDR_A, second)]
+        self.deliver(runtime, third)  # still recorded, still not sent
+        assert len(port.sent) == 3
+        gateway.handle(LiveFrame("c1", request(1), 64, ADDR_A))
+        assert port.sent[3:] == [(ADDR_A, first), (ADDR_A, second),
+                                 (ADDR_A, third)]
+        assert gateway.replies_replayed == 5
+
+    def test_op_evicted_from_the_window_forwards_every_reply(self):
+        gateway, runtime, port = make_gateway()
+        for seq in range(1, ClientGateway.DEDUP_WINDOW + 2):
+            gateway.handle(LiveFrame("c1", request(seq), 64, ADDR_A))
+        answers = replies(1)  # op 1 is out: nothing to replay it from
+        self.deliver(runtime, *answers)
+        assert port.sent == [(ADDR_A, answer) for answer in answers]
+        assert gateway.replies_forwarded == 3
+        assert gateway.replies_suppressed == 0
+
+    def test_a_differing_recorded_reply_is_counted(self):
+        # Per-replica values (``physical``: the Figure-1 hazard) — the
+        # comparison the caller made over three datagrams is made here.
+        gateway, runtime, port = make_gateway()
+        gateway.handle(LiveFrame("c1", request(1), 64, ADDR_A))
+        self.deliver(runtime, *replies(1, values=(100, 100, 107)))
+        assert gateway.replies_suppressed == 2
+        assert gateway.replies_divergent == 1
+
+
+class TestGatewayAdmission:
+    def admitting(self, **config):
+        clock = FakeClock()
+        controller = AdmissionController(AdmissionConfig(**config),
+                                         node_id="n0", clock=lambda: clock.now)
+        return make_gateway(controller) + (controller,)
+
+    def test_slot_is_freed_when_the_route_is_gone(self):
+        gateway, runtime, port, controller = self.admitting()
+        gateway.handle(LiveFrame("c1", request(1), 64, ADDR_A))
+        assert controller.inflight == 1
+        del gateway.routes["client.c1"]  # LRU-evicted (ROUTES_CAP)
+        runtime.endpoints["client.c1"].on_message(reply(1))
+        assert port.sent == []
+        assert controller.inflight == 0
+        assert controller.stats.completed == 1
+        # Recorded all the same: the retry brings a route and gets it.
+        gateway.handle(LiveFrame("c1", request(1), 64, ADDR_B))
+        assert [addr for addr, _ in port.sent] == [ADDR_B]
+
+    def test_shed_ops_later_admission_is_a_fresh_op(self):
+        gateway, runtime, port, controller = self.admitting(
+            max_inflight=1, max_global_queue=0)
+        gateway.handle(LiveFrame("c1", request(1), 64, ADDR_A))
+        gateway.handle(LiveFrame("c1", request(2), 64, ADDR_A))  # shed
+        assert gateway.requests_shed == 1
+        overloaded = port.sent[-1][1]
+        assert overloaded.body.error is not None
+        runtime.endpoints["client.c1"].on_message(reply(1))  # frees the slot
+        gateway.handle(LiveFrame("c1", request(2), 64, ADDR_A))
+        assert gateway.requests_deduplicated == 0  # not a replay of nothing
+        assert gateway.requests_injected == 2
+        first, second, third = replies(2)
+        sent_before = len(port.sent)
+        for envelope in (first, second, third):
+            runtime.endpoints["client.c1"].on_message(envelope)
+        assert port.sent[sent_before:] == [(ADDR_A, first)]
 
 
 def make_timed_gateway():
