@@ -1,12 +1,14 @@
 """The Byzantine guard: an add-on policy over the agreed round stream.
 
 The crash-only consistent time service trusts every ordered CCS winner
-and all of its own state.  :class:`ByzantineGuard` is what the service
+and most of its own state.  :class:`ByzantineGuard` is what the service
 holds (instead of ``None``) when it may trust neither: a WALDEN-style
 accuracy filter rejects ordered round winners whose value falls outside
 the drift-certified window, and a Herman-style bounded repair replaces
-implausible local state (round counters, watermarks and floors that no
-real round could have produced) instead of trusting it.
+implausible local state (round counters and floors that no real round
+could have produced) instead of trusting it.  Two repairs are the
+service's own, in both modes: the duplicate watermark and a scrambled
+offset.
 
 The guard keeps only its own evidence; the state it judges and repairs —
 ``clock_state``, ``_accepted``, the handler counters, the commit anchor —
@@ -47,10 +49,6 @@ M_WINNERS_REJECTED = obs.REGISTRY.counter(
     "ccs_winners_rejected_total",
     "ordered CCS winners rejected by the Byzantine sanity filter, "
     "labelled by reason (too-high, too-low)")
-M_STABILIZATIONS = obs.REGISTRY.counter(
-    "cts_stabilizations_total",
-    "self-stabilization repairs of scrambled local state, labelled by "
-    "what was repaired (round-counter, watermark, floors, fast-floor)")
 
 
 class ByzantineGuard:
@@ -107,24 +105,13 @@ class ByzantineGuard:
         honest proposal: the round still needs it."""
         return self._winner_rejection(msg) is not None
 
-    def stale_watermark(self, watermark: int, msg: CCSMessage) -> bool:
-        """A watermark this far ahead of live traffic is corruption, not
-        history: reset it from the live round rather than discarding
-        every future winner."""
-        if watermark - msg.round_number <= STABILIZE_ROUND_GAP:
-            return False
-        self._note_stabilization(
-            "watermark", thread=msg.thread_id,
-            watermark=watermark, round=msg.round_number)
-        return True
-
     def adopt_round_numbering(self, handler: CCSHandler,
                               msg: CCSMessage) -> None:
         """Self-stabilization (Herman-style): a consumption point that
         does not line up with the totally ordered round stream is
         corrupted local state.  The ordered stream is the ground truth
         every correct replica shares — adopt its numbering."""
-        self._note_stabilization(
+        self.service._note_stabilization(
             "round-counter", thread=handler.my_thread_id,
             had=handler.my_round_number, adopted=msg.round_number - 1)
         if (
@@ -137,21 +124,6 @@ class ByzantineGuard:
             # complete, and keeping it would block _open_round
             # forever.  Its parked ops are re-proposed by _pump.
             handler.in_flight = None
-
-    def retain_buffered_offset(self, prior_offset: int) -> None:
-        """A buffered commit's physical reading is taken at *processing*
-        time — however late the consume ran — so the derived offset
-        absorbs the scheduling lag, our estimate trails the group, and
-        our next winning proposal regresses group time (every client
-        plateaus until real time catches up).  Keep the prior offset
-        instead: Figure 2 only ever derives the offset from an
-        operation-context reading, and rounds we proposed for keep
-        re-synchronizing it from the open-time reading.  A
-        corruption-scale move stays free — it is the repair path for a
-        scrambled offset."""
-        state = self.service.clock_state
-        if abs(state.offset_us - prior_offset) <= STABILIZE_VALUE_GAP_US:
-            state.offset_us = prior_offset
 
     def rejects_fast(self, value: int, elapsed: int) -> bool:
         """The fast-path ceiling: corrupted local state (offset or a
@@ -174,7 +146,7 @@ class ByzantineGuard:
             state.causal_floor_us = None
             repaired.append("causal")
         if repaired:
-            self._note_stabilization("fast-floor", floors=repaired)
+            svc._note_stabilization("fast-floor", floors=repaired)
         return True
 
     def drop_corrupt_fast_floor(self, value_us: int) -> None:
@@ -186,7 +158,7 @@ class ByzantineGuard:
         floor = state.fast_floor_us
         if floor is not None and floor - value_us > STABILIZE_VALUE_GAP_US:
             state.fast_floor_us = None
-            self._note_stabilization("fast-floor", floors=["fast"])
+            self.service._note_stabilization("fast-floor", floors=["fast"])
 
     # ------------------------------------------------------------------
     # Sanity filter
@@ -279,7 +251,7 @@ class ByzantineGuard:
             return False
         if abs(target - last) > STABILIZE_VALUE_GAP_US:
             svc.clock_state.stabilize()
-            self._note_stabilization(
+            svc._note_stabilization(
                 "floors", thread=msg.thread_id, round=msg.round_number)
             return True
         if reason == "too-high" and svc._last_commit_physical_us is not None:
@@ -290,7 +262,7 @@ class ByzantineGuard:
             if target > estimate:
                 delta = target - estimate
                 svc._last_commit_physical_us -= delta
-                self._note_stabilization("anchor", adjusted_us=delta)
+                svc._note_stabilization("anchor", adjusted_us=delta)
                 return True
         return False
 
@@ -350,15 +322,6 @@ class ByzantineGuard:
                 t=svc.sim.now,
             )
 
-    def _note_stabilization(self, what: str, **fields) -> None:
-        svc = self.service
-        svc.stats.stabilizations += 1
-        if obs.REGISTRY.enabled:
-            M_STABILIZATIONS.inc(node=svc.node_id, what=what)
-        if trace.TRACER.enabled:
-            trace.emit("state.repaired", svc.node_id, what=what,
-                       t=svc.sim.now, **fields)
-
     def _repair_after_self_reject(self, msg: CCSMessage) -> None:
         """Our own ordered proposal failed our own window: whichever
         floor — or the offset itself — is corruption-scale off the
@@ -393,4 +356,4 @@ class ByzantineGuard:
             state.fast_floor_us = None
             repaired.append("fast")
         if repaired:
-            self._note_stabilization("floors", floors=repaired)
+            svc._note_stabilization("floors", floors=repaired)

@@ -56,7 +56,7 @@ from .ccs_handler import (
 )
 from .drift import DriftBound, DriftCompensation, NoCompensation
 from .group_clock import GroupClockState
-from .guard import ByzantineGuard
+from .guard import STABILIZE_ROUND_GAP, STABILIZE_VALUE_GAP_US, ByzantineGuard
 from .interposition import resolve_call
 from .messages import CCSMessage, OpId
 from .recovery import TimeTransferState
@@ -102,6 +102,10 @@ M_FAST_STALENESS = obs.REGISTRY.histogram(
 M_STALENESS_BUDGET = obs.REGISTRY.gauge(
     "cts_max_staleness_us",
     "configured fast-path staleness budget", unit="us")
+M_STABILIZATIONS = obs.REGISTRY.counter(
+    "cts_stabilizations_total",
+    "self-stabilization repairs of scrambled local state, labelled by "
+    "what was repaired (round-counter, watermark, floors, fast-floor)")
 
 
 @dataclass
@@ -151,7 +155,8 @@ class CTSStats:
 
 
 #: CTSStats field -> the registry family read from it (``winners_rejected``
-#: and ``stabilizations`` carry a second label and stay pushed, in guard.py).
+#: and ``stabilizations`` carry a second label and stay pushed: the first
+#: in guard.py, the second by ``_note_stabilization`` below).
 COUNTERS = obs.REGISTRY.read_counters({
     "rounds_completed": ("ccs_rounds_total", "CCS rounds completed"),
     "ccs_sent": ("ccs_sent_total", "CCS messages handed to Totem for transmission"),
@@ -431,8 +436,9 @@ class ConsistentTimeService(TimeSource):
         handler.my_round_number = msg.round_number
         group_us = msg.proposed_micros
         in_flight, handler.in_flight = handler.in_flight, None
-        buffered = False
-        if in_flight is not None and in_flight.round_number == msg.round_number:
+        proposed = (in_flight is not None
+                    and in_flight.round_number == msg.round_number)
+        if proposed:
             physical_us = in_flight.physical_us
             started_at = in_flight.started_at
             if obs.REGISTRY.enabled:
@@ -443,9 +449,9 @@ class ConsistentTimeService(TimeSource):
                 M_SKEW_ABS.observe(abs(skew), node=self.node_id)
         else:
             # We never proposed for this round (it was driven by another
-            # replica, or arrived while we were catching up): anchor the
-            # offset to a fresh physical reading.
-            buffered = True
+            # replica, or arrived while we were catching up): read the
+            # clock now — the consuming read's reading when the round
+            # serves it (Figure 2, line 11 short-circuit).
             physical_us = self.node.read_clock_us()
             started_at = self.sim.now
             handler.in_flight = in_flight
@@ -456,26 +462,33 @@ class ConsistentTimeService(TimeSource):
                     proposal_us=None, call=None, buffered=True,
                     t=started_at,
                 )
-        prior_offset = (
-            self.clock_state.offset_us
-            if self.clock_state.last_group_us is not None else None
-        )
-        self._commit(group_us, physical_us)
-        self.clock_state.offset_us = self.drift.adjust_offset(
-            self.clock_state.offset_us
-        )
-        if self.guard is not None and buffered and prior_offset is not None:
-            self.guard.retain_buffered_offset(prior_offset)
-        self._last_commit_physical_us = self.node.read_clock_us()
-        self.stats.rounds_completed += 1
-
         handler.retain_consumed(
             ConsumedRound(msg.round_number, msg.covers, group_us)
         )
         served = handler.take_covered(msg.covers)
+        state = self.clock_state
+        prior_offset = (
+            state.offset_us if state.last_group_us is not None else None)
+        self._commit(group_us, physical_us)
+        state.offset_us = self.drift.adjust_offset(state.offset_us)
+        if (
+            prior_offset is not None and not (proposed or served)
+            and abs(state.offset_us - prior_offset) <= STABILIZE_VALUE_GAP_US
+        ):
+            # Figure 2 derives the offset from an operation's line-3
+            # reading: the round's open, or the consuming read it serves.
+            # A round we neither proposed for nor serve an op from is
+            # consumed only to catch the consumption point up (we
+            # fast-served what it covers); its reading is taken however
+            # late the consume ran and would fold that wait into the
+            # offset.  Keep the prior one — unless it is corruption-scale
+            # off: that is the repair path for a scrambled offset.
+            state.offset_us = prior_offset
+        self._last_commit_physical_us = self.node.read_clock_us()
+        self.stats.rounds_completed += 1
 
         if obs.REGISTRY.enabled:
-            M_OFFSET.set(self.clock_state.offset_us, node=self.node_id)
+            M_OFFSET.set(state.offset_us, node=self.node_id)
             M_BATCH.observe(len(served), node=self.node_id)
             for op in served:
                 M_ROUND_LATENCY.observe(
@@ -487,7 +500,7 @@ class ConsistentTimeService(TimeSource):
                 "round.complete", self.node_id,
                 group=self.replica.group,
                 thread=handler.my_thread_id, round=msg.round_number,
-                group_us=group_us, offset_us=self.clock_state.offset_us,
+                group_us=group_us, offset_us=state.offset_us,
                 batch=len(served),
                 latency_us=(self.sim.now - started_at) * 1e6,
                 t=self.sim.now,
@@ -593,9 +606,15 @@ class ConsistentTimeService(TimeSource):
             thread_id, self._initial_rounds.get(thread_id, 0)
         )
         if msg.round_number <= watermark:
-            if self.guard is None or not self.guard.stale_watermark(watermark, msg):
+            if watermark - msg.round_number <= STABILIZE_ROUND_GAP:
                 self.stats.duplicates_discarded += 1
                 return
+            # A watermark this far ahead of live traffic is corruption,
+            # not history: reset it from the live round rather than
+            # discarding every future winner.
+            self._note_stabilization(
+                "watermark", thread=thread_id, watermark=watermark,
+                round=msg.round_number)
         if self.guard is not None and not self.guard.admit_winner(envelope, msg):
             return
         self._accepted[thread_id] = msg.round_number
@@ -672,6 +691,15 @@ class ConsistentTimeService(TimeSource):
                     thread=msg.thread_id, round=msg.round_number,
                     beaten_by=envelope.sender, t=self.sim.now,
                 )
+
+    def _note_stabilization(self, what: str, **fields) -> None:
+        """Count one self-stabilization repair of scrambled local state."""
+        self.stats.stabilizations += 1
+        if obs.REGISTRY.enabled:
+            M_STABILIZATIONS.inc(node=self.node_id, what=what)
+        if trace.TRACER.enabled:
+            trace.emit("state.repaired", self.node_id, what=what,
+                       t=self.sim.now, **fields)
 
     def _matches_my_ccs(self, thread_id: str, round_number: int) -> Callable:
         def predicate(envelope: Envelope) -> bool:

@@ -152,8 +152,10 @@ class LiveCaller:
         self.servers = list(servers)
         self.group = group
         # The client group name doubles as the reply route key on the
-        # daemon side, so it must be unique per caller process.
-        self.client_id = client_id or f"c{os.getpid()}"
+        # daemon side and keys the gateway's replay window, so it must be
+        # unique per caller — a default id is random, because a pid is
+        # recycled and its next owner would be replayed old replies.
+        self.client_id = client_id or f"c{os.urandom(6).hex()}"
         self.client_group = f"client.{self.client_id}"
         # A private one-port transport: the socket is drained, its
         # frames validated and counted, exactly as a node's are.

@@ -10,6 +10,7 @@ from repro.core import (
     ConsistentTimeService,
     TimeTransferState,
 )
+from repro.core.guard import STABILIZE_VALUE_GAP_US
 from repro.errors import TimeServiceError
 from repro.net.testbed import LiveTestbed
 
@@ -135,6 +136,61 @@ class TestBufferedRoundGap:
                       "recovering: False", "inherited initial round 4"):
             assert field in message, (field, message)
         assert raised.value.node == "n2"
+
+
+class TestOffsetRule:
+    """Figure 2, line 7, in both modes: a round re-derives the offset
+    from an operation's reading — the round's open, or the consuming read
+    it serves; a round consumed only to catch the consumption point up
+    keeps the prior offset, unless that is corruption-scale off."""
+
+    THREAD = "9:rule"
+
+    def plant(self, byzantine, covers):
+        """A committed offset on n2, a buffered winner for a fresh thread
+        covering ``covers``, and a clock that steps 5 ms per read — so a
+        reading taken at consumption differs from the one the offset
+        was derived from."""
+        bed, client = build_service(seed=214, byzantine=byzantine)
+        call_n(bed, client, "svc", "get_time", 3)
+        service = bed.replicas("svc")["n2"].time_source
+        handler = service._handler(self.THREAD)
+        group_us = service.clock_state.last_group_us + 1_000
+        handler.recv_CCS_msg(CCSMessage(
+            self.THREAD, handler.my_round_number + 1, group_us, 0,
+            covers_req=covers[0], covers_seq=covers[1]))
+        node = service.node = SteppingNode(service.node, step_us=5_000)
+        return service, node, group_us
+
+    @pytest.mark.parametrize("byzantine", [False, True],
+                             ids=["crash-only", "byzantine"])
+    def test_a_round_serving_no_op_keeps_the_offset(self, byzantine):
+        # The winner covers only (1, 1), an operation this replica has
+        # already served (on the fast path, say); the read parks (2, 1).
+        service, node, group_us = self.plant(byzantine, covers=(1, 1))
+        prior = service.clock_state.offset_us
+        service.read(self.THREAD, "gettimeofday", op_id=(2, 1))
+        assert service.stats.rounds_completed and node.readings
+        assert group_us - node.readings[0] != prior
+        assert service.clock_state.offset_us == prior
+
+    @pytest.mark.parametrize("byzantine", [False, True],
+                             ids=["crash-only", "byzantine"])
+    def test_a_round_serving_a_parked_op_rederives_the_offset(self, byzantine):
+        # Line 11 short-circuit: the winner was buffered before the read
+        # arrived, and the consuming read's reading is the op's.
+        service, node, group_us = self.plant(byzantine, covers=(2, 1))
+        result = service.read(self.THREAD, "gettimeofday", op_id=(2, 1))
+        assert result.triggered and result.value.micros == group_us
+        assert service.clock_state.offset_us == group_us - node.readings[0]
+
+    @pytest.mark.parametrize("byzantine", [False, True],
+                             ids=["crash-only", "byzantine"])
+    def test_a_corruption_scale_offset_is_replaced(self, byzantine):
+        service, node, group_us = self.plant(byzantine, covers=(1, 1))
+        service.clock_state.offset_us += 3 * STABILIZE_VALUE_GAP_US
+        service.read(self.THREAD, "gettimeofday", op_id=(2, 1))
+        assert service.clock_state.offset_us == group_us - node.readings[0]
 
 
 class TestTransferStateUnit:
@@ -282,21 +338,25 @@ class TestConstantHistory:
 
 
 #: sha256[:16] of ``repr`` of each record of the seeded run below, taken
-#: at the parent of the PR that moved them behind the recorder — from
+#: at the parent of the change that moved them behind the recorder — from
 #: ``service.readings`` (values as micros) / ``.winners`` /
-#: ``.served_ops.items()`` / ``.fast_served`` / ``.clock_state.history``.
+#: ``.served_ops.items()`` / ``.fast_served`` / ``.clock_state.history`` —
+#: and re-recorded once since, when a round consumed only to catch up
+#: began keeping the prior offset in crash-only mode: every count and both
+#: ``winners`` digests stayed; the values n1 and n3 serve (``readings``,
+#: ``served_ops``, ``fast_served``) and the offsets in ``history`` moved.
 PARENT_RECORDS = {
-    "n1": {"readings": (152, "80b5f590bf505abb"),
+    "n1": {"readings": (152, "3088b64c7326dbc9"),
            "winners": (106, "e20279afe248378f"),
-           "served_ops": (66, "fdfa4899296bd290"),
-           "fast_served": (86, "dfe73c924d02a2a2"),
-           "history": (106, "8047aef647292589")},
+           "served_ops": (66, "2cf4e41f6c750f40"),
+           "fast_served": (86, "22c5708e6970b6da"),
+           "history": (106, "fe4ce1c343ee6023")},
     # Added by ``add_replica`` after recording was requested.
-    "n3": {"readings": (90, "783ef8deadf4a34b"),
+    "n3": {"readings": (90, "cfd54d15f4932d89"),
            "winners": (70, "679506d8514a2cb2"),
-           "served_ops": (39, "38ec05df681ed142"),
-           "fast_served": (51, "1a2dde5afadec3aa"),
-           "history": (68, "77815fff23238ba3")},
+           "served_ops": (39, "be0e2d722c814f41"),
+           "fast_served": (51, "36a60a42fc7af555"),
+           "history": (68, "61723884dbae52b2")},
 }
 
 

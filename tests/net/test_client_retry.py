@@ -186,3 +186,18 @@ class TestCircuitBreaker:
             assert outcome.first().ok
         finally:
             responder.close()
+
+
+class TestClientIdentity:
+    def test_default_callers_in_one_process_are_distinct_clients(self, kernel):
+        """The gateway's replay window is keyed by the client group, so
+        two callers that take the default id — a restarted ``repro call``
+        on a recycled pid, say — must not share one, or the second is
+        replayed the first's recorded replies."""
+        hole = BlackHole()
+        try:
+            with LiveCaller(kernel, [hole.address]) as first, \
+                    LiveCaller(kernel, [hole.address]) as second:
+                assert first.client_group != second.client_group
+        finally:
+            hole.close()
