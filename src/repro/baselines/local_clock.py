@@ -21,18 +21,17 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 class LocalClockSource(TimeSource):
-    """Reads the hosting node's physical clock, nothing more."""
+    """Serves the hosting node's physical clock reading, nothing more."""
 
     name = "local-clock"
 
     def __init__(self, replica: "Replica"):
         self.replica = replica
-        self.node = replica.node
         self.sim = replica.sim
 
-    def read(self, thread_id: str, call_name: str = "gettimeofday") -> Event:
+    def read(self, thread_id: str, call_name: str, physical_us: int) -> Event:
         call = resolve_call(call_name)
-        value = ClockValue(call.quantize(self.node.read_clock_us()))
+        value = ClockValue(call.quantize(physical_us))
         self._record(thread_id, call.name, value)
         event = Event(self.sim)
         event.succeed(value)

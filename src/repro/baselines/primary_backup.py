@@ -108,12 +108,11 @@ class PrimaryBackupClockSource(TimeSource):
 
     # ------------------------------------------------------------------
 
-    def read(self, thread_id: str, call_name: str = "gettimeofday") -> Event:
+    def read(self, thread_id: str, call_name: str, physical_us: int) -> Event:
         call = resolve_call(call_name)
         if self.replica.is_primary:
-            micros = self.node.read_clock_us()
-            self._convey(thread_id, micros, call.type_id)
-            value = ClockValue(call.quantize(micros))
+            self._convey(thread_id, physical_us, call.type_id)
+            value = ClockValue(call.quantize(physical_us))
             self._record(thread_id, call.name, value)
             event = Event(self.sim)
             event.succeed(value)
@@ -149,7 +148,7 @@ class PrimaryBackupClockSource(TimeSource):
             )
         )
 
-    def handle_ccs(self, envelope: Envelope) -> None:
+    def handle_ccs(self, envelope: Envelope, physical_us: int) -> None:
         conveyed = envelope.body
         if not isinstance(conveyed, ConveyedClockValue):
             return

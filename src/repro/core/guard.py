@@ -56,8 +56,8 @@ class ByzantineGuard:
 
     def __init__(self, service: "ConsistentTimeService"):
         self.service = service
-        #: side ("too-high"/"too-low") -> {sender: most conservative
-        #: rejected value} since the last accepted winner.
+        #: side ("too-high"/"too-low") -> {sender: latest rejected
+        #: value} since the last accepted winner.
         self._reject_evidence: Dict[str, Dict[str, int]] = {
             "too-high": {}, "too-low": {}}
 
@@ -65,20 +65,21 @@ class ByzantineGuard:
     # Hooks the service calls
     # ------------------------------------------------------------------
 
-    def admit_winner(self, envelope: Envelope, msg: CCSMessage) -> bool:
-        """Judge one ordered round winner; False means it was rejected
-        and its round burned."""
+    def admit_winner(self, envelope: Envelope, msg: CCSMessage,
+                     physical_us: int) -> bool:
+        """Judge one ordered round winner at its delivery reading;
+        False means it was rejected and its round burned."""
         svc = self.service
         if not svc._recovering:
-            reason = self._winner_rejection(msg)
+            reason = self._winner_rejection(msg, physical_us)
             if reason is not None and self._note_reject_evidence(
-                    reason, envelope.sender, msg):
+                    reason, envelope.sender, msg, physical_us):
                 # A quorum of distinct peers was rejected on the same
                 # side of our window: at least one of them is correct
                 # (f < n/3), so *our* anchor was the outlier.  The
                 # quorum handler repaired it — re-evaluate this winner
                 # against the repaired state.
-                reason = self._winner_rejection(msg)
+                reason = self._winner_rejection(msg, physical_us)
             if reason is not None:
                 self._reject_ccs(envelope, msg, reason)
                 if envelope.sender == svc.node_id:
@@ -94,16 +95,16 @@ class ByzantineGuard:
                 # this winner.  Committing a *different* value for the
                 # same round number would diverge, so the round is
                 # dead to us: burn its number and re-propose.
-                self._skip_round(msg.thread_id, msg)
+                self._skip_round(msg.thread_id, msg, physical_us)
                 return False
         self._reject_evidence["too-high"].clear()
         self._reject_evidence["too-low"].clear()
         return True
 
-    def would_reject(self, msg: CCSMessage) -> bool:
+    def would_reject(self, msg: CCSMessage, physical_us: int) -> bool:
         """A value we will reject once ordered must not withdraw our own
         honest proposal: the round still needs it."""
-        return self._winner_rejection(msg) is not None
+        return self._winner_rejection(msg, physical_us) is not None
 
     def adopt_round_numbering(self, handler: CCSHandler,
                               msg: CCSMessage) -> None:
@@ -164,7 +165,7 @@ class ByzantineGuard:
     # Sanity filter
     # ------------------------------------------------------------------
 
-    def _winner_rejection(self, msg: CCSMessage) -> Optional[str]:
+    def _winner_rejection(self, msg: CCSMessage, physical_us: int) -> Optional[str]:
         """WALDEN-style accuracy filter: the drift-certified window.
 
         After the first commit, an honest winner's value must sit within
@@ -180,9 +181,7 @@ class ByzantineGuard:
         last = svc.clock_state.last_group_us
         if last is None or svc._last_commit_physical_us is None:
             return None
-        elapsed = max(
-            0, svc.node.read_clock_us() - svc._last_commit_physical_us
-        )
+        elapsed = max(0, physical_us - svc._last_commit_physical_us)
         hi = (last + elapsed + svc.drift_bound.error_us(elapsed)
               + BYZ_WINDOW_US)
         if msg.proposed_micros > hi:
@@ -192,7 +191,7 @@ class ByzantineGuard:
         return None
 
     def _note_reject_evidence(self, reason: str, sender: str,
-                              msg: CCSMessage) -> bool:
+                              msg: CCSMessage, physical_us: int) -> bool:
         """Accumulate distinct-peer evidence that our own window — not
         the senders' values — is wrong, and repair it at quorum.
 
@@ -224,10 +223,10 @@ class ByzantineGuard:
             # the window — handled by _repair_after_self_reject.  It
             # must not count toward a peer quorum.
             return False
+        # Each sender's latest value: an older one trails live group
+        # time and would make every fresh value an outlier below.
         evidence = self._reject_evidence[reason]
-        prev = evidence.get(sender)
-        if prev is None or msg.proposed_micros < prev:
-            evidence[sender] = msg.proposed_micros
+        evidence[sender] = msg.proposed_micros
         # Coherence: honest winners over the evidence horizon sit
         # within the ordering-lag bound of each other, while two
         # *faulty* senders (a liar plus a not-yet-repaired corrupted
@@ -255,9 +254,7 @@ class ByzantineGuard:
                 "floors", thread=msg.thread_id, round=msg.round_number)
             return True
         if reason == "too-high" and svc._last_commit_physical_us is not None:
-            elapsed = max(
-                0, svc.node.read_clock_us() - svc._last_commit_physical_us
-            )
+            elapsed = max(0, physical_us - svc._last_commit_physical_us)
             estimate = last + elapsed
             if target > estimate:
                 delta = target - estimate
@@ -266,7 +263,7 @@ class ByzantineGuard:
                 return True
         return False
 
-    def _skip_round(self, thread_id: str, msg: CCSMessage) -> None:
+    def _skip_round(self, thread_id: str, msg: CCSMessage, physical_us: int) -> None:
         """Burn a round whose ordered winner we rejected.
 
         Other correct replicas may have accepted the winner, and the
@@ -306,7 +303,7 @@ class ByzantineGuard:
             and handler.in_flight.round_number <= msg.round_number
         ):
             handler.in_flight = None
-        svc._pump(handler)
+        svc._pump(handler, physical_us)
 
     def _reject_ccs(self, envelope: Envelope, msg: CCSMessage,
                     reason: str) -> None:

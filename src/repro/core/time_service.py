@@ -211,7 +211,6 @@ class ConsistentTimeService(TimeSource):
         if mode not in (MODE_ACTIVE, MODE_PRIMARY):
             raise TimeServiceError(f"unknown mode {mode!r}")
         self.replica = replica
-        self.node = replica.node
         self.node_id = replica.node_id
         self.sim = replica.sim
         self.mode = mode
@@ -259,7 +258,8 @@ class ConsistentTimeService(TimeSource):
     def read(
         self,
         thread_id: str,
-        call_name: str = "gettimeofday",
+        call_name: str,
+        physical_us: int,
         op_id: Optional[OpId] = None,
         fast_ok: bool = True,
         floor_us: Optional[int] = None,
@@ -270,7 +270,8 @@ class ConsistentTimeService(TimeSource):
         round *covers* that id — per the covering point carried by the
         round's winning CCS message — serves it the round's group value,
         so overlapping operations share rounds and still agree across
-        replicas.
+        replicas.  ``physical_us`` is the operation's one reading of the
+        physical clock (Figure 2, line 3).
         """
         if floor_us is not None:
             # Session guarantee: the request carries the client's
@@ -295,7 +296,7 @@ class ConsistentTimeService(TimeSource):
                         round_number=entry.round_number)
             return result
 
-        fast = self._try_fast_path(handler) if fast_ok else None
+        fast = self._try_fast_path(handler, physical_us) if fast_ok else None
         if fast is not None:
             fast_us, elapsed = fast
             self.stats.fast_path_hits += 1
@@ -309,11 +310,11 @@ class ConsistentTimeService(TimeSource):
             return result
 
         handler.park(op)
-        self._pump(handler, from_read=True)
+        self._pump(handler, physical_us, from_read=True)
         return result
 
     def _try_fast_path(
-        self, handler: CCSHandler
+        self, handler: CCSHandler, physical_us: int
     ) -> Optional[Tuple[int, int]]:
         """A drift-bounded local value and the staleness it was checked
         at, or None to run a full round.
@@ -334,7 +335,6 @@ class ConsistentTimeService(TimeSource):
             or self._last_commit_physical_us is None
         ):
             return None
-        physical_us = self.node.read_clock_us()
         elapsed = physical_us - self._last_commit_physical_us
         value = None
         if 0 <= elapsed <= self.max_staleness_us and (
@@ -398,19 +398,21 @@ class ConsistentTimeService(TimeSource):
         if not op.result.triggered:
             op.result.succeed(value)
 
-    def _pump(self, handler: CCSHandler, from_read: bool = False) -> None:
-        """Advance the handler: consume every buffered winning message,
-        then open a new round if operations remain unserved."""
+    def _pump(self, handler: CCSHandler, physical_us: int,
+              from_read: bool = False) -> None:
+        """Advance the handler at the caller's reading (the operation's
+        or the delivery's): consume every buffered winning message, then
+        open a new round if operations remain unserved."""
         while handler.parked and handler.my_input_buffer:
-            self._consume_round(handler, from_read)
+            self._consume_round(handler, physical_us, from_read)
         if (
             handler.parked
             and handler.in_flight is None
             and not handler.my_input_buffer
         ):
-            self._open_round(handler)
+            self._open_round(handler, physical_us)
 
-    def _consume_round(self, handler: CCSHandler, from_read: bool) -> None:
+    def _consume_round(self, handler: CCSHandler, physical_us: int, from_read: bool) -> None:
         """Consume the next winning CCS message: commit the group value,
         then serve every parked operation the message's covering point
         binds to this round (Figure 2 lines 15-17, amortized)."""
@@ -439,7 +441,7 @@ class ConsistentTimeService(TimeSource):
         proposed = (in_flight is not None
                     and in_flight.round_number == msg.round_number)
         if proposed:
-            physical_us = in_flight.physical_us
+            derived_from_us = in_flight.physical_us
             started_at = in_flight.started_at
             if obs.REGISTRY.enabled:
                 # We proposed for this round: proposal minus winner is
@@ -449,10 +451,10 @@ class ConsistentTimeService(TimeSource):
                 M_SKEW_ABS.observe(abs(skew), node=self.node_id)
         else:
             # We never proposed for this round (it was driven by another
-            # replica, or arrived while we were catching up): read the
-            # clock now — the consuming read's reading when the round
+            # replica, or arrived while we were catching up): the reading
+            # is the caller's — the consuming read's when the round
             # serves it (Figure 2, line 11 short-circuit).
-            physical_us = self.node.read_clock_us()
+            derived_from_us = physical_us
             started_at = self.sim.now
             handler.in_flight = in_flight
             if trace.TRACER.enabled:
@@ -469,7 +471,7 @@ class ConsistentTimeService(TimeSource):
         state = self.clock_state
         prior_offset = (
             state.offset_us if state.last_group_us is not None else None)
-        self._commit(group_us, physical_us)
+        self._commit(group_us, derived_from_us)
         state.offset_us = self.drift.adjust_offset(state.offset_us)
         if (
             prior_offset is not None and not (proposed or served)
@@ -484,7 +486,7 @@ class ConsistentTimeService(TimeSource):
             # offset.  Keep the prior one — unless it is corruption-scale
             # off: that is the repair path for a scrambled offset.
             state.offset_us = prior_offset
-        self._last_commit_physical_us = self.node.read_clock_us()
+        self._last_commit_physical_us = physical_us
         self.stats.rounds_completed += 1
 
         if obs.REGISTRY.enabled:
@@ -518,12 +520,11 @@ class ConsistentTimeService(TimeSource):
         if self.recorder is not None:
             self.recorder.history.append((group_us, physical_us, offset_us))
 
-    def _open_round(self, handler: CCSHandler) -> None:
+    def _open_round(self, handler: CCSHandler, physical_us: int) -> None:
         """Start a round covering every currently parked operation
         (Figure 2 lines 3-4 and 9)."""
         round_number = handler.my_round_number + 1
         covers = handler.parked[-1].op_id
-        physical_us = self.node.read_clock_us()
         proposal_us = self.clock_state.clamp_to_floor(
             self.drift.adjust_proposal(self.clock_state.propose(physical_us))
         )
@@ -597,7 +598,7 @@ class ConsistentTimeService(TimeSource):
     # Reception (Figure 3)
     # ------------------------------------------------------------------
 
-    def handle_ccs(self, envelope: Envelope) -> None:
+    def handle_ccs(self, envelope: Envelope, physical_us: int) -> None:
         msg = envelope.body
         if not isinstance(msg, CCSMessage):
             return  # some other time source's control traffic
@@ -615,7 +616,8 @@ class ConsistentTimeService(TimeSource):
             self._note_stabilization(
                 "watermark", thread=thread_id, watermark=watermark,
                 round=msg.round_number)
-        if self.guard is not None and not self.guard.admit_winner(envelope, msg):
+        if self.guard is not None and not self.guard.admit_winner(
+                envelope, msg, physical_us):
             return
         self._accepted[thread_id] = msg.round_number
         self.stats.rounds_accepted += 1
@@ -634,7 +636,6 @@ class ConsistentTimeService(TimeSource):
             # Integration of a new clock (Section 3.2): adopt the group
             # clock immediately, deriving our own offset from our own
             # physical clock; keep the message for post-recovery replay.
-            physical_us = self.node.read_clock_us()
             self._commit(msg.proposed_micros, physical_us)
             self.stats.recovery_adoptions += 1
             if trace.TRACER.enabled:
@@ -651,11 +652,11 @@ class ConsistentTimeService(TimeSource):
         handler = self._handlers.get(thread_id)
         if handler is not None:
             handler.recv_CCS_msg(msg)
-            self._pump(handler)
+            self._pump(handler, physical_us)
         else:
             self.my_common_input_buffer.append(msg)
 
-    def handle_raw_ccs(self, envelope: Envelope) -> None:
+    def handle_raw_ccs(self, envelope: Envelope, physical_us: int) -> None:
         """Early duplicate suppression (Section 4.3).
 
         A CCS message observed on the wire already carries a Totem
@@ -665,7 +666,7 @@ class ConsistentTimeService(TimeSource):
         """
         msg = envelope.body
         if isinstance(msg, CCSMessage):
-            if self.guard is not None and self.guard.would_reject(msg):
+            if self.guard is not None and self.guard.would_reject(msg, physical_us):
                 return
             self._try_suppress(envelope, msg)
 

@@ -101,13 +101,11 @@ class ReplicaContext:
             source, "accepts_op_ids", False
         ):
             self._read_seq += 1
-            return source.read(
-                self.thread_id,
-                call_name,
-                op_id=(self.request_index, self._read_seq),
-                **kwargs,
-            )
-        return source.read(self.thread_id, call_name, **kwargs)
+            kwargs["op_id"] = (self.request_index, self._read_seq)
+        # The operation's context reads the physical clock once (Figure 2,
+        # line 3); the time source reads none of its own.
+        physical_us = self.node.read_clock_us()
+        return source.read(self.thread_id, call_name, physical_us, **kwargs)
 
     # -- instrumentation only ---------------------------------------------
 

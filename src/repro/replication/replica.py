@@ -192,7 +192,7 @@ class Replica(abc.ABC):
 
     def _on_raw_message(self, envelope: Envelope) -> None:
         if envelope.header.msg_type is MsgType.CCS:
-            self.time_source.handle_raw_ccs(envelope)
+            self.time_source.handle_raw_ccs(envelope, self.node.read_clock_us())
 
     def _on_totem_config(self, change) -> None:
         """Primary-component partition handling (paper Section 2): only
@@ -227,7 +227,7 @@ class Replica(abc.ABC):
         # Time-service control traffic and checkpoints addressed to us are
         # handled immediately even during recovery.
         if msg_type is MsgType.CCS:
-            self.time_source.handle_ccs(envelope)
+            self.time_source.handle_ccs(envelope, self.node.read_clock_us())
             return
         if msg_type is MsgType.STATE:
             self.state_transfer.on_state(envelope)

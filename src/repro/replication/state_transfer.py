@@ -209,7 +209,8 @@ class StateTransferManager:
                 if getattr(replica.time_source, "fast_path", False) else {}
             )
             yield replica.time_source.read(
-                replica.main_thread_id, "gettimeofday", **force
+                replica.main_thread_id, "gettimeofday",
+                replica.node.read_clock_us(), **force
             )
         # The designated member (view primary, excluding the target) sends.
         members = [m for m in replica.endpoint.view.members if m != target]

@@ -84,23 +84,27 @@ class TimeSource(abc.ABC):
                 (self.sim.now, thread_id, call_name, value))
 
     @abc.abstractmethod
-    def read(self, thread_id: str, call_name: str = "gettimeofday") -> Event:
+    def read(self, thread_id: str, call_name: str, physical_us: int) -> Event:
         """Begin one clock-related operation on behalf of ``thread_id``.
 
         Returns a simulation event that fires with the
         :class:`~repro.sim.clock.ClockValue` result.  ``call_name`` names
         the interposed system call (``gettimeofday``, ``time`` or
         ``ftime``) and controls the granularity of the returned value.
+        ``physical_us`` is the physical clock, read once in the operation's
+        context (Figure 2, line 3); a source reads no clock of its own.
         """
 
     # -- protocol plumbing (no-ops for sources that need none) -----------
 
-    def handle_ccs(self, envelope: "Envelope") -> None:
-        """An ordered CCS control message arrived for this replica."""
+    def handle_ccs(self, envelope: "Envelope", physical_us: int) -> None:
+        """An ordered CCS control message arrived for this replica;
+        ``physical_us`` is the physical clock read at its delivery."""
 
-    def handle_raw_ccs(self, envelope: "Envelope") -> None:
+    def handle_raw_ccs(self, envelope: "Envelope", physical_us: int) -> None:
         """A CCS message was *observed* on the wire before ordering
-        completed (early duplicate-suppression opportunity)."""
+        completed (early duplicate-suppression opportunity), at the
+        physical clock reading ``physical_us``."""
 
     def on_view_change(self, view: "GroupView") -> None:
         """The replica's group membership view changed."""

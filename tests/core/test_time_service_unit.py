@@ -10,11 +10,17 @@ from repro.core import (
     ConsistentTimeService,
     TimeTransferState,
 )
-from repro.core.guard import STABILIZE_VALUE_GAP_US
+from repro.core.guard import BYZ_WINDOW_US, STABILIZE_VALUE_GAP_US
 from repro.errors import TimeServiceError
 from repro.net.testbed import LiveTestbed
+from repro.replication.envelope import MsgType, make_envelope
 
 from support import ClockApp, call_n, make_testbed  # noqa: E402 (tests/ on sys.path via conftest)
+
+
+def now_us(service):
+    """The service's node's physical clock: the reading a caller passes."""
+    return service.replica.node.read_clock_us()
 
 
 def build_service(seed=200, mode="active", record=True, **kwargs):
@@ -89,7 +95,7 @@ class TestAbortInFlight:
         # Block an operation artificially: read on a fresh thread in
         # primary-only fashion by suppressing sends.
         service._recovering = True  # recovering replicas never send
-        event = service.read("9:orphan", "gettimeofday")
+        event = service.read("9:orphan", "gettimeofday", now_us(service))
         bed.run(0.01)
         assert not event.triggered
         service.abort_in_flight()
@@ -104,12 +110,12 @@ class TestAbortInFlight:
         replica = bed.replicas("svc")["n2"]
         service = replica.time_source
         service._recovering = True
-        first = service.read("9:orphan", "gettimeofday")
+        first = service.read("9:orphan", "gettimeofday", now_us(service))
         bed.run(0.01)
         service.abort_in_flight()
         service._recovering = False
         bed.run(0.01)
-        second = service.read("9:orphan", "gettimeofday")
+        second = service.read("9:orphan", "gettimeofday", now_us(service))
         bed.run(0.05)
         assert second.triggered and second.ok
 
@@ -128,7 +134,7 @@ class TestBufferedRoundGap:
         for round_number in (7, 8):  # planted: the handler consumed 0
             handler.recv_CCS_msg(CCSMessage(thread, round_number, 1_000, 0))
         with pytest.raises(TimeServiceError) as raised:
-            service.read(thread, "gettimeofday")
+            service.read(thread, "gettimeofday", now_us(service))
         message = str(raised.value)
         for field in ("thread '9:gap'", "round 7", "consumption point 0",
                       "node n2", "buffered rounds [7, 8]",
@@ -148,9 +154,9 @@ class TestOffsetRule:
 
     def plant(self, byzantine, covers):
         """A committed offset on n2, a buffered winner for a fresh thread
-        covering ``covers``, and a clock that steps 5 ms per read — so a
-        reading taken at consumption differs from the one the offset
-        was derived from."""
+        covering ``covers``, and the consuming read's reading: 5 ms past
+        the node's clock, so it differs from the one the offset was
+        derived from."""
         bed, client = build_service(seed=214, byzantine=byzantine)
         call_n(bed, client, "svc", "get_time", 3)
         service = bed.replicas("svc")["n2"].time_source
@@ -159,19 +165,18 @@ class TestOffsetRule:
         handler.recv_CCS_msg(CCSMessage(
             self.THREAD, handler.my_round_number + 1, group_us, 0,
             covers_req=covers[0], covers_seq=covers[1]))
-        node = service.node = SteppingNode(service.node, step_us=5_000)
-        return service, node, group_us
+        return service, now_us(service) + 5_000, group_us
 
     @pytest.mark.parametrize("byzantine", [False, True],
                              ids=["crash-only", "byzantine"])
     def test_a_round_serving_no_op_keeps_the_offset(self, byzantine):
         # The winner covers only (1, 1), an operation this replica has
         # already served (on the fast path, say); the read parks (2, 1).
-        service, node, group_us = self.plant(byzantine, covers=(1, 1))
+        service, reading, group_us = self.plant(byzantine, covers=(1, 1))
         prior = service.clock_state.offset_us
-        service.read(self.THREAD, "gettimeofday", op_id=(2, 1))
-        assert service.stats.rounds_completed and node.readings
-        assert group_us - node.readings[0] != prior
+        service.read(self.THREAD, "gettimeofday", reading, op_id=(2, 1))
+        assert service.stats.rounds_completed
+        assert group_us - reading != prior
         assert service.clock_state.offset_us == prior
 
     @pytest.mark.parametrize("byzantine", [False, True],
@@ -179,18 +184,45 @@ class TestOffsetRule:
     def test_a_round_serving_a_parked_op_rederives_the_offset(self, byzantine):
         # Line 11 short-circuit: the winner was buffered before the read
         # arrived, and the consuming read's reading is the op's.
-        service, node, group_us = self.plant(byzantine, covers=(2, 1))
-        result = service.read(self.THREAD, "gettimeofday", op_id=(2, 1))
+        service, reading, group_us = self.plant(byzantine, covers=(2, 1))
+        result = service.read(self.THREAD, "gettimeofday", reading, op_id=(2, 1))
         assert result.triggered and result.value.micros == group_us
-        assert service.clock_state.offset_us == group_us - node.readings[0]
+        assert service.clock_state.offset_us == group_us - reading
 
     @pytest.mark.parametrize("byzantine", [False, True],
                              ids=["crash-only", "byzantine"])
     def test_a_corruption_scale_offset_is_replaced(self, byzantine):
-        service, node, group_us = self.plant(byzantine, covers=(1, 1))
+        service, reading, group_us = self.plant(byzantine, covers=(1, 1))
         service.clock_state.offset_us += 3 * STABILIZE_VALUE_GAP_US
-        service.read(self.THREAD, "gettimeofday", op_id=(2, 1))
-        assert service.clock_state.offset_us == group_us - node.readings[0]
+        service.read(self.THREAD, "gettimeofday", reading, op_id=(2, 1))
+        assert service.clock_state.offset_us == group_us - reading
+
+
+class TestRejectEvidence:
+    """The guard's anchor repair counts each sender's latest rejected
+    value: a seconds-old entry must not veto a fresh quorum."""
+
+    THREAD = "9:evidence"
+
+    def test_a_stale_entry_does_not_block_the_anchor_repair(self):
+        bed, client = build_service(seed=215, byzantine=True)
+        call_n(bed, client, "svc", "get_time", 3)
+        service = bed.replicas("svc")["n1"].time_source
+        reading, anchor = now_us(service), service._last_commit_physical_us
+        elapsed = reading - anchor
+        fresh = (service.clock_state.last_group_us + elapsed
+                 + service.drift_bound.error_us(elapsed) + BYZ_WINDOW_US
+                 + 20_000)  # lag-scale too high: honest winners, late anchor
+        service.guard._reject_evidence["too-high"]["n2"] = fresh - 2_000_000
+        stabilizations = service.stats.stabilizations
+        for round_number, (sender, value) in enumerate(
+                [("n3", fresh), ("n2", fresh + 1_000), ("n3", fresh + 2_000)],
+                start=1):
+            service.handle_ccs(make_envelope(
+                MsgType.CCS, "svc", "svc", 0, round_number, sender,
+                body=CCSMessage(self.THREAD, round_number, value, 0)), reading)
+        assert service.stats.stabilizations == stabilizations + 1
+        assert service._last_commit_physical_us < anchor
 
 
 class TestTransferStateUnit:
@@ -236,23 +268,6 @@ class TestReadings:
         assert value.micros > 0
 
 
-class SteppingNode:
-    """Stands in for the service's node: every clock read is ``step_us``
-    later than the one before, as on a wall clock (the simulated node
-    clock stands still within one event)."""
-
-    def __init__(self, node, step_us):
-        self._node = node
-        self._step_us = step_us
-        self.readings = []
-
-    def read_clock_us(self):
-        value = (self._node.read_clock_us()
-                 + self._step_us * (len(self.readings) + 1))
-        self.readings.append(value)
-        return value
-
-
 class TestFastPathStaleness:
     def test_recorded_staleness_is_the_checked_one(self):
         budget = 2_000
@@ -261,20 +276,22 @@ class TestFastPathStaleness:
         call_n(bed, client, "svc", "get_time", 3)  # commits an anchor
         service = bed.replicas("svc")["n1"].time_source
         anchor = service._last_commit_physical_us
-        node = service.node = SteppingNode(service.node, step_us=450)
         before = len(service.recorder.fast_served)
         fallbacks = service.stats.fast_path_fallbacks
         # A fresh thread is quiescent, so every read tries the fast path
-        # until the stepping clock walks it past the budget.
+        # until readings 450 us apart walk it past the budget.
+        readings = []
         while service.stats.fast_path_fallbacks == fallbacks:
-            service.read("9:probe", "gettimeofday")
+            readings.append(anchor + 450 * (len(readings) + 1))
+            service.read("9:probe", "gettimeofday", readings[-1])
         served = [elapsed for _, _, elapsed in service.recorder.fast_served[before:]]
         assert served and all(0 <= elapsed <= budget for elapsed in served)
-        # What is recorded is the reading the budget check saw: one
-        # clock read per fast read, plus the one that fell back (and the
-        # proposal reading of the round it fell back to).
-        assert served == [r - anchor for r in node.readings[:len(served)]]
-        assert node.readings[len(served)] - anchor > budget
+        # What is recorded is the reading the budget check saw, and the
+        # read that fell back proposes from the reading that failed it:
+        # one reading per operation.
+        assert served == [r - anchor for r in readings[:-1]]
+        assert readings[-1] - anchor > budget
+        assert service._handler("9:probe").in_flight.physical_us == readings[-1]
         bed.run(0.05)
 
 
