@@ -63,7 +63,8 @@ class WireAuthenticator:
         if not 0 <= key_id <= 255:
             raise ValueError(f"key_id must fit one byte, got {key_id}")
         self.key_id = key_id
-        self._keys: Dict[int, bytes] = {key_id: key}
+        #: key id -> an HMAC keyed once, copied per frame.
+        self._macs = {key_id: hmac.new(key, digestmod=hashlib.sha256)}
         #: sender node -> last nonce issued.
         self._send_nonce: Dict[str, int] = {}
         #: (receiver node, sender node) -> highest nonce accepted.
@@ -89,31 +90,33 @@ class WireAuthenticator:
         """
         nonce = self._send_nonce.get(src, 0) + 1
         self._send_nonce[src] = nonce
-        key = self._keys[self.key_id]
         self.frames_signed += 1
         head = AUTH_HEAD.pack(self.key_id, nonce)
-        mac = hmac.new(key, signed_prefix + head + payload_bytes,
-                       hashlib.sha256).digest()[:MAC_SIZE]
-        return head + mac
+        mac = self._macs[self.key_id].copy()
+        mac.update(signed_prefix + head + payload_bytes)
+        return head + mac.digest()[:MAC_SIZE]
 
     # -- verification -----------------------------------------------------
 
     def verify(self, *, dst: str, src: str, key_id: int, nonce: int,
-               mac: bytes, signed_bytes: bytes) -> None:
+               mac: bytes, signed_bytes: bytes,
+               signed_tail: bytes = b"") -> None:
         """Check one incoming frame's auth field; raise on failure.
 
-        ``signed_bytes`` is the exact byte string the sender signed
-        (prefix + key id + nonce + payload).  Raises
+        ``signed_bytes + signed_tail`` is the exact byte string the sender
+        signed (prefix + key id + nonce, then payload; passed apart).  Raises
         :class:`FrameError` with reason ``auth-forged`` (bad key id or
         MAC mismatch) or ``auth-replay`` (nonce not strictly newer than
         the watermark for this (dst, src) pair).
         """
-        key = self._keys.get(key_id)
-        if key is None:
+        keyed = self._macs.get(key_id)
+        if keyed is None:
             raise FrameError(f"auth field names unknown key id {key_id}",
                              reason="auth-forged")
-        expect = hmac.new(key, signed_bytes, hashlib.sha256).digest()[:MAC_SIZE]
-        if not hmac.compare_digest(expect, mac):
+        expect = keyed.copy()
+        expect.update(signed_bytes)
+        expect.update(signed_tail)
+        if not hmac.compare_digest(expect.digest()[:MAC_SIZE], mac):
             raise FrameError(f"frame MAC from {src!r} does not verify",
                              reason="auth-forged")
         watermark = self._recv_nonce.get((dst, src), 0)

@@ -4,10 +4,10 @@ process on a :class:`~repro.net.kernel.LiveKernel`.
 Speaks the same wire format as the ring — a framed ``REQUEST`` envelope
 (:mod:`repro.net.wire` around :mod:`repro.replication.codec`) sent to
 any daemon's UDP port.  That daemon's gateway injects the request into
-the total order; with active replication **every** replica answers, the
-gateway forwards the first reply to this socket and keeps the rest, and
-a caller that asked for more than one (``expect_replies=N``) re-sends
-the operation id to be sent everything recorded, collecting per sender.
+the total order; the replica on its node answers.  A caller asking for
+N > 1 replies sends a ``REQUEST_ALL``: **every** replica answers via the
+ring, the gateway forwards the first reply and keeps the rest, and the
+caller re-sends the op id to be sent all recorded, collecting per sender.
 This is what makes the client a verification tool and not just an RPC
 stub: one call can observe the value every replica computed, so
 agreement ("identical group-clock reads") is checked directly.
@@ -199,7 +199,7 @@ class LiveCaller:
         self._seq += 1
         seq = self._seq
         envelope = make_envelope(
-            MsgType.REQUEST,
+            MsgType.REQUEST_ALL if expect_replies > 1 else MsgType.REQUEST,
             self.client_group,
             self.group,
             conn_id,

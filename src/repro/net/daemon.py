@@ -18,12 +18,12 @@ framed ``REQUEST`` envelope straight to any daemon's UDP port.  The
 envelopes are not Totem wire messages), records the sender's socket
 address, and injects the request into the total order through a local
 endpoint for the client's group — exactly what :class:`~repro.rpc.client.RpcClient`
-does in-process.  Replies addressed to that client group come back via
-the total order on every member, but only the gateway holding the route
-answers the caller — and it answers **once**: active replication has
-every member reply, the gateway forwards the first reply of an operation
-and keeps the rest, and a caller that wants them all (``repro call
---expect 3`` verifies the replies are identical) asks again with the
+does in-process.  The replica in this process alone answers, handing its
+reply to the gateway with nothing ordered (``docs/algorithm.md``).  A
+caller that wants every replica's answer (``repro call --expect 3``
+verifies the replies are identical) sends a ``REQUEST_ALL``: every member
+replies through the total order, the gateway forwards the first reply of
+the operation and keeps the rest, and the caller asks again with the
 same operation id and is sent everything recorded so far.
 """
 

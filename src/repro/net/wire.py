@@ -419,7 +419,8 @@ def _open_frame(data: bytes, auth, auth_node: Optional[str]
             auth.verify(
                 dst=auth_node or "", src=src, key_id=key_id,
                 nonce=nonce, mac=data[mac_at:offset],
-                signed_bytes=data[HEADER_SIZE:mac_at] + data[offset:])
+                signed_bytes=data[HEADER_SIZE:mac_at],
+                signed_tail=data[offset:])
             authenticated = True
     if auth is not None and not authenticated:
         # Auth required: only the bare-envelope client channel is exempt

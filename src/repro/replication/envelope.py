@@ -27,6 +27,7 @@ class MsgType(enum.Enum):
     STATE = "state"              # checkpoint transfer to a recovering replica
     CHECKPOINT = "checkpoint"    # passive replication periodic checkpoint
     APP = "app"                  # application-defined group message
+    REQUEST_ALL = "request_all"  # invocation every replica answers (ring)
 
 
 class MessageHeader(NamedTuple):

@@ -68,6 +68,8 @@ class GroupEndpoint:
         #: Raw (pre-ordering) observation of a group message, used for
         #: early duplicate suppression in the time service.
         self.on_raw_message: Optional[Callable[[Envelope], None]] = None
+        #: Whether a request ordered now will run here (see :meth:`mcast`).
+        self.executes: Callable[[], bool] = lambda: True
         self.joined = False
 
     # -- membership ------------------------------------------------------
@@ -103,7 +105,15 @@ class GroupEndpoint:
     # -- messaging ---------------------------------------------------------
 
     def mcast(self, envelope: Envelope) -> None:
-        """Multicast an envelope into the total order."""
+        """Multicast an envelope into the total order; a ``REQUEST`` from a
+        node whose replica would not run it goes as ``REQUEST_ALL``, as
+        that replica could not answer it (the responder rule)."""
+        header = envelope.header
+        if header.msg_type is MsgType.REQUEST:
+            local = self.runtime._endpoints.get(header.dst_grp)
+            if local is not None and not local.executes():
+                envelope = envelope._replace(header=header._replace(
+                    msg_type=MsgType.REQUEST_ALL))
         self.runtime.mcast(envelope)
 
     def cancel_pending(self, predicate: Callable[[Envelope], bool]) -> int:
@@ -148,6 +158,12 @@ class GroupRuntime:
         """The group's ordered member list as this node computes it."""
         return list(self._views.get(group, []))
 
+    def deliver_local(self, envelope: Envelope) -> None:
+        """Hand ``envelope`` to this node's member of its destination group."""
+        target = self._endpoints.get(envelope.header.dst_grp)
+        if target is not None and target.on_message is not None:
+            target.on_message(envelope)
+
     # -- transmission --------------------------------------------------------
 
     def mcast(self, envelope: Envelope) -> None:
@@ -172,9 +188,7 @@ class GroupRuntime:
         elif msg_type is MsgType.VIEW_SYNC:
             self._apply_view_sync(envelope.header.src_grp, list(envelope.body))
         else:
-            target = self._endpoints.get(envelope.header.dst_grp)
-            if target is not None and target.on_message is not None:
-                target.on_message(envelope)
+            self.deliver_local(envelope)
 
     def _on_raw_message(self, payload) -> None:
         if not isinstance(payload, Envelope):

@@ -20,7 +20,7 @@ from __future__ import annotations
 from typing import Any, Callable, List, Optional, Tuple
 
 from .. import obs, trace
-from .envelope import Envelope, MsgType, make_envelope
+from .envelope import Envelope, MessageHeader, MsgType, make_envelope
 from .group import GroupRuntime, GroupView
 from .replica import Application, Replica
 from .state_transfer import Checkpoint
@@ -90,11 +90,11 @@ class PassiveReplica(Replica):
             self.request_log.append((index, envelope))
             self.stats.requests_logged += 1
 
-    def _should_reply(self) -> bool:
+    def _reply_route(self, header: MessageHeader) -> Optional[Callable]:
         # Failovers mid-request: the reply decision uses the *current*
         # primaryship, so a freshly promoted backup answers the requests
         # it replays.
-        return self.is_primary
+        return self.endpoint.mcast if self.is_primary else None
 
     def _after_execute(self, envelope: Envelope, index: Optional[int]) -> None:
         if index is not None:

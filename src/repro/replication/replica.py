@@ -30,10 +30,10 @@ from ..errors import ReplicationError
 from ..sim.kernel import AnyOf, Event
 from ..sim.process import Store
 from .context import ReplicaContext
-from .envelope import Envelope, MsgType, make_envelope
+from .envelope import Envelope, MessageHeader, MsgType, make_envelope
 from .group import GroupRuntime, GroupView
 from .scheduler import ThreadManager
-from .state_transfer import StateTransferManager
+from .state_transfer import DISCARDING, StateTransferManager
 from .timesource import ClockRead, TimeSource
 from ..rpc.messages import Result
 
@@ -118,6 +118,10 @@ class Replica(abc.ABC):
         self.request_queue = Store(self.sim, name=f"{group}@{self.node_id}.requests")
         self.state_transfer = StateTransferManager(self)
         self.time_source = time_source_factory(self)
+        # Whether a request ordered now runs here (not before GET_STATE).
+        self.endpoint.executes = lambda: (
+            self.endpoint.joined and not self.suspended
+            and self.state_transfer.phase != DISCARDING)
         #: Count of REQUEST envelopes delivered to the group — identical
         #: at every member because delivery is totally ordered.
         self.request_index = 0
@@ -249,7 +253,7 @@ class Replica(abc.ABC):
     def dispatch(self, envelope: Envelope) -> None:
         """Route one ordered message (live or replayed after recovery)."""
         msg_type = envelope.header.msg_type
-        if msg_type is MsgType.REQUEST:
+        if msg_type is MsgType.REQUEST or msg_type is MsgType.REQUEST_ALL:
             self.request_index += 1
             self._handle_request(envelope, self.request_index)
         elif msg_type is MsgType.GET_STATE:
@@ -440,9 +444,10 @@ class Replica(abc.ABC):
             except Exception as exc:  # deterministic app error -> caller
                 result = Result(error=f"{type(exc).__name__}: {exc}")
         self.stats.requests_processed += 1
-        if self._should_reply():
-            header = envelope.header
-            self.endpoint.mcast(
+        header = envelope.header
+        route = self._reply_route(header)
+        if route is not None:
+            route(
                 make_envelope(
                     MsgType.REPLY,
                     self.group,
@@ -488,8 +493,9 @@ class Replica(abc.ABC):
     def _handle_request(self, envelope: Envelope, index: int) -> None:
         """Decide what to do with a delivered request."""
 
-    def _should_reply(self) -> bool:
-        return True
+    def _reply_route(self, header: MessageHeader) -> Optional[Callable]:
+        """Where the reply to ``header`` goes (None: this one does not answer)."""
+        return self.endpoint.mcast
 
     def _after_execute(self, envelope: Envelope, index: Optional[int]) -> None:
         """Post-processing hook (checkpointing for passive replication)."""

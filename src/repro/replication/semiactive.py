@@ -10,7 +10,9 @@ Only the primary transmits replies.
 
 from __future__ import annotations
 
-from .envelope import Envelope
+from typing import Callable, Optional
+
+from .envelope import Envelope, MessageHeader
 from .replica import Replica
 
 
@@ -29,6 +31,6 @@ class SemiActiveReplica(Replica):
         # hot and need no replay on failover).
         self._enqueue_request(envelope, index)
 
-    def _should_reply(self) -> bool:
+    def _reply_route(self, header: MessageHeader) -> Optional[Callable]:
         # Only the primary talks to the outside world.
-        return self.is_primary
+        return self.endpoint.mcast if self.is_primary else None
