@@ -3,8 +3,8 @@
 The crash/omission fault model of the base protocol lets any datagram
 that *parses* join the total order.  Under an authenticated-Byzantine
 model (f < n/3 replicas may lie, but cannot forge each other's
-signatures) every ring frame instead carries a MAC field behind the v3
-flags byte::
+signatures) every ring frame instead carries a MAC field behind the
+frame's flags byte (``WIRE_VERSION`` 4, :mod:`repro.net.wire`)::
 
     key id   1 byte   which group key signed this frame
     nonce    8 bytes  little-endian, strictly increasing per sender

@@ -33,13 +33,12 @@ A frame of any other version is rejected (``FrameError.reason ==
 Payload layout: a one-byte kind tag followed by kind-specific fields.
 :class:`~repro.totem.messages.RegularMessage` payloads nest recursively
 (an ordered message usually carries an envelope; recovery tombstones and
-arbitrary JSON-able payloads are also covered), so one entry point
+any other value-encoded payload are also covered), so one entry point
 handles every frame either backend can carry.
 """
 
 from __future__ import annotations
 
-import json
 import struct
 from typing import Any, Optional, Tuple
 
@@ -47,14 +46,15 @@ from ..errors import FrameError
 from ..trace import TraceContext
 from ..replication.codec import (
     _I64,
+    _MALFORMED,
     _U16,
     CodecError,
     _new,
     _pack_id,
-    _pack_json,
     _pack_str,
-    _unpack_json,
+    _pack_value,
     _unpack_str,
+    _unpack_value,
     decode_envelope,
     encode_envelope,
 )
@@ -79,7 +79,9 @@ MAGIC = b"CT"
 #: time-transfer state carries per-thread operation-numbering points.
 #: v3: a flags byte after the source, with an optional trace context
 #: (trace id + causal parent) for cross-node causal tracing.
-WIRE_VERSION = 3
+#: v4: scalar value tags; RPC bodies and any other body or payload are
+#: value-encoded (the JSON body tag and payload kind went).
+WIRE_VERSION = 4
 #: magic + version + length.
 _HEADER = struct.Struct("<2sBI")
 HEADER_SIZE = _HEADER.size
@@ -100,7 +102,7 @@ _KIND_TOKEN, _TAG_TOKEN = 2, b"\x02"
 _KIND_JOIN, _TAG_JOIN = 3, b"\x03"
 _KIND_COMMIT, _TAG_COMMIT = 4, b"\x04"
 _KIND_BEACON, _TAG_BEACON = 5, b"\x05"
-_KIND_JSON, _TAG_JSON = 6, b"\x06"
+_KIND_VALUE, _TAG_VALUE = 6, b"\x06"
 _KIND_LOST, _TAG_LOST = 7, b"\x07"
 _KIND_SUMMARY, _TAG_SUMMARY = 8, b"\x08"
 
@@ -237,9 +239,9 @@ def encode_payload(payload: Any) -> bytes:
             _pack_id(payload.group),
             _pack_str(payload.signature),
         ))
-    # Fallback: any JSON-able payload (e.g. TotemBus pub/sub traffic).
+    # Anything else, value-encoded (e.g. TotemBus pub/sub traffic).
     try:
-        return _TAG_JSON + _pack_json(payload)
+        return _TAG_VALUE + _pack_value(payload)
     except CodecError as exc:
         raise FrameError(
             f"payload {type(payload).__name__} is not wire-encodable: {exc}",
@@ -315,8 +317,8 @@ def decode_payload(buffer: bytes, offset: int = 0) -> Tuple[Any, int]:
             ring_id, offset = _unpack_ring(buffer, offset)
             sender, offset = _unpack_str(buffer, offset)
             return _new(RingBeacon, (ring_id, sender)), offset
-        if kind == _KIND_JSON:
-            return _unpack_json(buffer, offset)
+        if kind == _KIND_VALUE:
+            return _unpack_value(buffer, offset)
         if kind == _KIND_LOST:
             return LostMessage(), offset
         if kind == _KIND_SUMMARY:
@@ -325,8 +327,7 @@ def decode_payload(buffer: bytes, offset: int = 0) -> Tuple[Any, int]:
             signature, offset = _unpack_str(buffer, offset)
             return _new(ShardSummary, (shard, group, *clock, signature)), offset
         raise FrameError(f"unknown payload kind {kind}", reason="payload")
-    except (struct.error, IndexError, UnicodeDecodeError,
-            json.JSONDecodeError, CodecError) as exc:
+    except (*_MALFORMED, CodecError) as exc:
         raise FrameError(f"malformed payload: {exc}", reason="payload") from exc
 
 
@@ -337,7 +338,7 @@ def frame(src: str, payload_bytes: bytes,
           auth=None) -> bytes:
     """Wrap encoded payload bytes in a versioned, length-checked frame.
 
-    ``trace`` attaches the optional v3 trace-context field (a compact
+    ``trace`` attaches the optional trace-context field (a compact
     trace id plus the causal parent hop).  ``auth`` — a
     :class:`~repro.net.auth.WireAuthenticator` — attaches the optional
     auth field (key id + nonce + truncated HMAC over the whole frame

@@ -1,9 +1,11 @@
-"""Golden bytes of the live wire format (``WIRE_VERSION`` 3).
+"""Golden bytes of the live wire format (``WIRE_VERSION`` 4).
 
-The hex strings were recorded at commit ``a68066e``, before the codec
-was rewritten around precompiled ``Struct`` objects, and pin the claim
-that the rewrite moved no byte: a daemon of either commit decodes the
-other's frames.  Round-trip *properties* live in
+The hex strings were recorded when RPC arguments and results moved onto
+the value encoding's scalar tags (v4), and pin that no later change
+moves a byte unannounced: a daemon of any commit since decodes the
+others' frames.  The v3 strings they replaced are kept in
+``wire_golden_v3.py``, and every one of them must be rejected for its
+version.  Round-trip *properties* live in
 ``tests/properties/test_wire_roundtrip.py``; this file pins one concrete
 frame per payload kind.  A deliberate format change bumps
 ``WIRE_VERSION`` and re-records every string here.
@@ -14,6 +16,7 @@ import pytest
 from repro.core.messages import CCSMessage
 from repro.core.recovery import TimeTransferState
 from repro.net.auth import WireAuthenticator
+from repro.errors import FrameError
 from repro.net.wire import WIRE_VERSION, decode_frame_ex, encode_frame
 from repro.replication.envelope import MsgType, make_envelope
 from repro.replication.state_transfer import Checkpoint
@@ -31,6 +34,8 @@ from repro.totem.messages import (
 )
 from repro.trace import TraceContext
 from support import classed
+
+from .wire_golden_v3 import GOLDEN_V3
 
 GROUP = "timesvc"
 RING = RingId(4, "n0")
@@ -112,115 +117,112 @@ CASES = _cases()
 
 GOLDEN = {
     "request": (
-        "4354035400000002006e310000000800000000000000d2040000000000000209"
+        "4354044800000002006e310000000800000000000000d2040000000000000209"
         "00636c69656e742e6237070074696d65737663020062370c0067657474696d65"
-        "6f66646179120000005b313739303030303030303132333435365d"
+        "6f66646179010840c227dafe5b0600"
     ),
     "reply": (
-        "4354035b00000002006e310000010800000000000000d2040000000000000307"
-        "0074696d657376630900636c69656e742e623702006e31270000007b2276616c"
-        "7565223a313739303030303030303132333730362c226572726f72223a6e756c"
-        "6c7d"
+        "4354043a00000002006e310000010800000000000000d2040000000000000307"
+        "0074696d657376630900636c69656e742e623702006e31083ac327dafe5b0600"
+        "05"
     ),
     "ccs": (
-        "4354037000000002006e310001040000000000000002006e3007870000000000"
+        "4354047000000002006e310001040000000000000002006e3007870000000000"
         "000002006e31000200000000000000002e1600000000000001070074696d6573"
         "7663070074696d6573766302006e3104006d61696e2e1600000000000040c227"
         "dafe5b0600010034230000000000000100000000000000"
     ),
     "token": (
-        "4354033900000002006e310002040000000000000002006e3055f80600000000"
+        "4354043900000002006e310002040000000000000002006e3055f80600000000"
         "00078700000000000000870000000000000102006e3201000187000000000000"
     ),
     "token-idle": (
-        "4354032d00000002006e310002040000000000000002006e3056f80600000000"
+        "4354042d00000002006e310002040000000000000002006e3056f80600000000"
         "0007870000000000000787000000000000000000"
     ),
     "ring-request": (
-        "4354036e00000002006e310001040000000000000002006e3008870000000000"
+        "4354046200000002006e310001040000000000000002006e3008870000000000"
         "000002006e3000000800000000000000d204000000000000020900636c69656e"
-        "742e6237070074696d65737663020062370c0067657474696d656f6664617912"
-        "0000005b313739303030303030303132333435365d"
+        "742e6237070074696d65737663020062370c0067657474696d656f6664617901"
+        "0840c227dafe5b0600"
     ),
     "ring-reply": (
-        "4354037500000002006e310001040000000000000002006e3009870000000000"
+        "4354045400000002006e310001040000000000000002006e3009870000000000"
         "000102006e3100010800000000000000d20400000000000003070074696d6573"
-        "76630900636c69656e742e623702006e31270000007b2276616c7565223a3137"
-        "39303030303030303132333730362c226572726f72223a6e756c6c7d"
+        "76630900636c69656e742e623702006e31083ac327dafe5b060005"
     ),
     "error-reply": (
-        "4354036700000002006e310000010800000000000000d3040000000000000307"
-        "0074696d657376630900636c69656e742e623702006e31330000007b2276616c"
-        "7565223a6e756c6c2c226572726f72223a2256616c75654572726f723a206e6f"
-        "2073756368206d6574686f64227d"
+        "4354044e00000002006e310000010800000000000000d3040000000000000307"
+        "0074696d657376630900636c69656e742e623702006e31050a1a0056616c7565"
+        "4572726f723a206e6f2073756368206d6574686f64"
     ),
     "join": (
-        "4354032600000002006e31000302006e32030002006e3002006e3102006e3201"
+        "4354042600000002006e31000302006e32030002006e3002006e3102006e3201"
         "0002006e330700000000000000"
     ),
     "commit": (
-        "4354039400000002006e310004080000000000000002006e30030002006e3002"
+        "4354049400000002006e310004080000000000000002006e30030002006e3002"
         "006e3102006e3205000000000000000200000000000000020002006e30000000"
         "00000000000000000000000000000002006e3101040000000000000002006e30"
         "78000000000000007600000000000000010200040000000000000002006e3077"
         "00000000000000030000000000000002006e310700000000000000"
     ),
     "beacon": (
-        "4354031600000002006e310005040000000000000002006e3002006e30"
+        "4354041600000002006e310005040000000000000002006e3002006e30"
     ),
     "lost": (
-        "4354032000000002006e310001040000000000000002006e300c000000000000"
+        "4354042000000002006e310001040000000000000002006e300c000000000000"
         "000102006e3207"
     ),
     "summary": (
-        "4354037800000002006e310008020000000000000040c227dafe5b06002efbff"
+        "4354047800000002006e310008020000000000000040c227dafe5b06002efbff"
         "ffffffffff580000000000000011000000000000000600736861726432400061"
         "6261626162616261626162616261626162616261626162616261626162616261"
         "62616261626162616261626162616261626162616261626162616261626162"
     ),
     "state": (
-        "4354037201000002006e310001040000000000000002006e300a870000000000"
+        "4354045a01000002006e310001040000000000000002006e300a870000000000"
         "000002006e3200070000000000000000090000000000000006070074696d6573"
-        "7663070074696d6573766302006e320202000000000800000022746172676574"
-        "220004000000226e3122000c00000022636865636b706f696e74220307590100"
-        "00000000005401000000000000000c0000007b2263616c6c73223a31327d0308"
-        "02000300617578030000000000000004006d61696e2900000000000000010004"
-        "006d61696e2a00000000000000010004006d61696e4d00000000000000020000"
-        "0000000000010004006d61696e010004006d61696e2a0000000000000040c227"
-        "dafe5b060001014d000000000000000200000000000000013bc227dafe5b0600"
-        "000101000000044e000000000800000000000000d20400000000000002090063"
-        "6c69656e742e6237070074696d65737663020062370c0067657474696d656f66"
-        "646179120000005b313739303030303030303132333435365d"
+        "7663070074696d6573766302006e3202020000000a06007461726765740a0200"
+        "6e310a0a00636865636b706f696e740307590100000000000054010000000000"
+        "00000c0000007b2263616c6c73223a31327d0308020003006175780300000000"
+        "00000004006d61696e2900000000000000010004006d61696e2a000000000000"
+        "00010004006d61696e4d000000000000000200000000000000010004006d6169"
+        "6e010004006d61696e2a0000000000000040c227dafe5b060001014d00000000"
+        "0000000200000000000000013bc227dafe5b0600000101000000044200000000"
+        "0800000000000000d204000000000000020900636c69656e742e623707007469"
+        "6d65737663020062370c0067657474696d656f66646179010840c227dafe5b06"
+        "00"
     ),
     "json": (
-        "4354033c00000002006e310006320000007b22746f706963223a22627573222c"
-        "226974656d73223a5b312c322e352c6e756c6c2c2278225d2c226f6b223a7472"
-        "75657d"
+        "4354043d00000002006e31000600320000007b22746f706963223a2262757322"
+        "2c226974656d73223a5b312c322e352c6e756c6c2c2278225d2c226f6b223a74"
+        "7275657d"
     ),
     "json-in-ring": (
-        "4354033100000002006e310001040000000000000002006e300d000000000000"
-        "000002006e30060d0000005b22707562222c2274222c315d"
+        "4354043200000002006e310001040000000000000002006e300d000000000000"
+        "000002006e3006000d0000005b22707562222c2274222c315d"
     ),
     "empty-body": (
-        "4354032e00000002006e31000003000000000000000001000000000000000007"
-        "0074696d65737663070074696d6573766302006e30"
+        "4354042f00000002006e31000003000000000000000001000000000000000607"
+        "0074696d65737663070074696d6573766302006e3005"
     ),
     "traced": (
-        "4354038700000002006e31011000303061623030616230306162303061620500"
+        "4354047b00000002006e31011000303061623030616230306162303061620500"
         "67772e6e3001040000000000000002006e3008870000000000000002006e3000"
         "000800000000000000d204000000000000020900636c69656e742e6237070074"
-        "696d65737663020062370c0067657474696d656f66646179120000005b313739"
-        "303030303030303132333435365d"
+        "696d65737663020062370c0067657474696d656f66646179010840c227dafe5b"
+        "0600"
     ),
     "signed": (
-        "4354038900000002006e310203010000000000000050290cb98c8767c55d5328"
+        "4354048900000002006e310203010000000000000050290cb98c8767c55d5328"
         "07e6512e6e01040000000000000002006e3007870000000000000002006e3100"
         "0200000000000000002e1600000000000001070074696d65737663070074696d"
         "6573766302006e3104006d61696e2e1600000000000040c227dafe5b06000100"
         "34230000000000000100000000000000"
     ),
     "signed-traced": (
-        "4354036b00000002006e31031000303061623030616230306162303061620500"
+        "4354046b00000002006e31031000303061623030616230306162303061620500"
         "67772e6e300301000000000000004a0fdefe912582e90099a6366344049e0204"
         "0000000000000002006e3055f806000000000007870000000000000087000000"
         "0000000102006e3201000187000000000000"
@@ -228,12 +230,24 @@ GOLDEN = {
 }
 
 
-def test_wire_version_is_three():
-    assert WIRE_VERSION == 3
+def test_wire_version_is_four():
+    assert WIRE_VERSION == 4
 
 
 def test_every_case_is_pinned():
-    assert sorted(GOLDEN) == sorted(CASES)
+    assert sorted(GOLDEN) == sorted(CASES) == sorted(GOLDEN_V3)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_V3))
+def test_a_v3_frame_is_rejected_for_its_version(name):
+    """A v3 daemon cannot join a v4 ring: its frames are dropped, and
+    counted under ``version``, before any byte of the body is read."""
+    _payload, _trace, signed = CASES[name]
+    with pytest.raises(FrameError) as rejected:
+        decode_frame_ex(bytes.fromhex(GOLDEN_V3[name]),
+                        auth=_authenticator() if signed else None,
+                        auth_node="n2")
+    assert rejected.value.reason == "version"
 
 
 @pytest.mark.parametrize("name", sorted(CASES))

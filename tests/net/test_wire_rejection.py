@@ -13,7 +13,8 @@ import pytest
 from repro import obs
 from repro.net.kernel import LiveKernel
 from repro.net.udp import UdpTransport
-from repro.net.wire import HEADER_SIZE, MAGIC, WIRE_VERSION, encode_frame
+from repro.net.wire import HEADER_SIZE, MAGIC, WIRE_VERSION, encode_frame, frame
+from repro.replication.codec import _ENVELOPE, _pack_str
 
 pytestmark = pytest.mark.live
 
@@ -123,3 +124,23 @@ class TestFrameRejection:
             "truncated": 1, "magic": 1, "version": 1, "length": 1,
         }
         assert port.frames_rejected == 4
+
+    def test_a_malformed_body_is_counted_and_the_drain_reads_on(self, live_port):
+        """Sound frames with unsound bodies: a value payload that is a
+        dict keyed by a list (unhashable, a ``TypeError``), and a bare
+        envelope — the client channel, exempt from any MAC — whose
+        ``Result`` body is what v3 read as the JSON ``{}`` (a
+        ``KeyError`` then; a count past the end now).  Each must reach the port as a counted
+        ``payload`` rejection, and the frame behind them must still be
+        read."""
+        kernel, port, probe, received = live_port
+        key_is_a_list = b"\x02\x01\x00\x00\x00\x00\x03\x00\x00\x00[1]\x05"
+        probe.sendto(frame("stranger", b"\x06" + key_is_a_list), port.address)
+        reply_header = _ENVELOPE.pack(1, 8, 1, 3) + _pack_str("g") * 2 + _pack_str("b7")
+        probe.sendto(frame("stranger", b"\x00" + reply_header + b"\x02\x00\x00\x00{}"),
+                     port.address)
+        probe.sendto(valid_frame(), port.address)
+        pump(kernel)
+        assert port.rejected_by_reason == {"payload": 2}
+        assert port.frames_received == 1
+        assert len(received) == 1

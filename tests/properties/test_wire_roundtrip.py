@@ -6,11 +6,12 @@ daemon's UDP port is fed by the network, not by friendly code.
 """
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import CCSMessage, GroupClockStamp
 from repro.core.recovery import TimeTransferState
+import repro.baselines.primary_backup  # noqa: F401  (registers body tag 16)
 from repro.net.wire import (
     FrameError,
     HEADER_SIZE,
@@ -24,6 +25,8 @@ from repro.net.wire import (
 )
 from repro.replication import MsgType, make_envelope
 from repro.replication.codec import (
+    _BODY_ENCODERS,
+    _ENVELOPE,
     CodecError,
     _pack_id,
     _pack_str,
@@ -316,3 +319,72 @@ class TestRejection:
         assert encoded[:2] == MAGIC
         assert encoded[2] == WIRE_VERSION
         assert (decoded_src, decoded) == (src, payload)
+
+
+def _well_framed(body_tag, body):
+    """A valid frame around a valid envelope header, then ``body`` under
+    ``body_tag`` as it came off the wire."""
+    header = _ENVELOPE.pack(0, 8, 1234, body_tag)
+    return frame("n1", b"\x00" + header + _pack_str("client.b7")
+                 + _pack_str("timesvc") + _pack_str("b7") + body)
+
+
+def _ordered_frame(payload):
+    """An ordered-message frame carrying ``payload`` bytes verbatim."""
+    head = encode_payload(RegularMessage(RingId(4, "n0"), 7, "n0", LostMessage()))
+    return frame("n1", head[:-1] + payload)  # the LostMessage kind byte out
+
+
+#: Every body tag, the retired v3 empty and JSON tags (0, 5) and one
+#: nobody took.
+BODY_TAGS = sorted(set(_BODY_ENCODERS) | {0, 5, 15})
+#: Body bytes that start like a value: a tag of the value encoding
+#: (0-10), or one past it, then anything.
+value_like = st.builds(lambda tag, rest: bytes([tag]) + rest,
+                       st.integers(min_value=0, max_value=11),
+                       st.binary(max_size=48))
+
+
+class TestMalformedBodies:
+    """A datagram whose frame and envelope header are sound but whose
+    body is not must be one :class:`FrameError` with reason
+    ``payload`` — counted by the port, which then reads on — never a
+    ``KeyError`` or ``TypeError`` out of a body decoder."""
+
+    @settings(max_examples=400)
+    @given(tag=st.sampled_from(BODY_TAGS),
+           body=st.one_of(st.binary(max_size=64), value_like))
+    # What crashed v3's decoders (a Result of {} or [1], Invocation
+    # arguments 5), in v4's encoding: each must decode or be rejected.
+    @example(tag=3, body=b"\x00\x02\x00\x00\x00{}")
+    @example(tag=3, body=b"\x00\x03\x00\x00\x00[1]\x05")
+    @example(tag=2, body=b"\x01\x00m\x01\x00\x01\x00\x00\x005")
+    # A dict whose key decodes to a list: unhashable.
+    @example(tag=6, body=b"\x02\x01\x00\x00\x00\x00\x03\x00\x00\x00[1]\x05")
+    @example(tag=6, body=b"\x02\x01\x00\x00\x00\x01\x00\x00\x00\x00\x05")
+    # A list nested past the interpreter's recursion limit.
+    @example(tag=6, body=b"\x01\x01\x00\x00\x00" * 5000)
+    def test_any_body_under_any_tag_is_a_frame_error(self, tag, body):
+        try:
+            decode_frame_ex(_well_framed(tag, body))
+        except FrameError as exc:
+            assert exc.reason in ("payload", "trailing")
+
+    @settings(max_examples=200)
+    @given(body=st.one_of(st.binary(max_size=64), value_like))
+    def test_any_value_payload_is_a_frame_error(self, body):
+        """The same for a payload of the value kind (6), bare and
+        inside an ordered message."""
+        for data in (frame("n1", b"\x06" + body),
+                     _ordered_frame(b"\x06" + body)):
+            try:
+                decode_frame_ex(data)
+            except FrameError as exc:
+                assert exc.reason in ("payload", "trailing")
+
+    def test_the_decoder_says_which_body_failed(self):
+        with pytest.raises(FrameError) as rejected:
+            decode_frame_ex(_well_framed(
+                6, b"\x02\x01\x00\x00\x00\x00\x03\x00\x00\x00[1]\x05"))
+        assert rejected.value.reason == "payload"
+        assert "unhashable" in str(rejected.value)

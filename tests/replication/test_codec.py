@@ -1,7 +1,9 @@
 """Round-trip tests for the binary wire codec."""
 
+import json
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import CCSMessage, GroupClockStamp
@@ -113,6 +115,47 @@ class TestRoundTrips:
             body=Invocation(method, tuple(args)),
         )
         assert roundtrip(env) == env
+
+
+#: What a caller could hand an RPC as an argument or a result: scalars
+#: at and past the i64 edges, floats with -0.0 and the non-finite ones,
+#: any text, and lists, tuples and dicts of them (int keys included).
+json_values = st.recursive(
+    st.one_of(
+        st.none(), st.booleans(), st.integers(), st.floats(), st.text(),
+        st.sampled_from([2**63 - 1, -(2**63 - 1), -(2**63), 2**63,
+                         -(2**63) - 1, -0.0, 0.0, 1.0, True, 1, "é∆😀"]),
+    ),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=3).map(tuple),
+        st.dictionaries(st.text(max_size=6), children, max_size=4),
+        st.dictionaries(st.integers(-3, 3), children, max_size=3),
+    ),
+    max_leaves=12,
+)
+
+
+class TestWhatACallerSees:
+    """Since v4 an RPC argument or result is value-encoded, not one JSON
+    text: only the bytes changed.  A decoded value is what v3's
+    ``json.loads(json.dumps(v))`` gave — a tuple comes back a list, a
+    dict's int keys strings, ``True`` stays ``True`` and ``1`` stays
+    ``1``; ``repr`` tells each of those apart, and -0.0 from 0.0."""
+
+    @settings(max_examples=300)
+    @given(value=json_values)
+    @example(value="x" * 70_000)   # past _pack_str's 64 KiB
+    @example(value="\ud800")       # a lone surrogate: no UTF-8 for it
+    @example(value=10**40)
+    def test_result_and_argument_decode_as_json_did(self, value):
+        expected = repr(json.loads(json.dumps(value)))
+        reply = make_envelope(MsgType.REPLY, "srv", "cli", 1, 1, "n1",
+                              body=Result(value=value))
+        request = make_envelope(MsgType.REQUEST, "cli", "srv", 1, 1, "n0",
+                                body=Invocation("m", (value,)))
+        assert repr(roundtrip(reply).body.value) == expected
+        assert repr(roundtrip(request).body.args) == f"({expected},)"
 
 
 class TestErrors:
