@@ -41,7 +41,7 @@ The contract:
 from __future__ import annotations
 
 import abc
-from typing import Any, Callable
+from typing import Any, Callable, Sequence
 
 
 class TransportPort(abc.ABC):
@@ -71,6 +71,12 @@ class TransportPort(abc.ABC):
     def multicast(self, payload: Any, size_bytes: int = 128) -> None:
         """Send ``payload`` to every other attached node; whether the
         sender hears it too is the backend's choice (see the contract)."""
+
+    def multicast_many(self, payloads: Sequence[Any], sizes: Sequence[int]) -> None:
+        """Multicast a token visit's ``payloads`` in order: one :meth:`multicast`
+        each (the simulated LAN's cost model) unless a backend packs them."""
+        for payload, size_bytes in zip(payloads, sizes):
+            self.multicast(payload, size_bytes)
 
 
 class Transport(abc.ABC):

@@ -3,7 +3,8 @@
 Carries the frames of :mod:`repro.net.wire` over real datagram sockets
 on an asyncio event loop.  The paper's broadcast LAN is emulated on
 localhost (or any unicast network) by **per-peer unicast fan-out**: a
-multicast is sent as one datagram per *other* peer in the address book.
+multicast is sent as one datagram per *other* peer in the address book,
+a token visit's messages as one :class:`~repro.net.wire.Batch` datagram.
 A node does not send itself datagrams: Totem files its own message
 before multicasting it and ignores its own join, so the copy would be
 encoded, sent, received, decoded and dropped as a duplicate — a quarter
@@ -27,7 +28,7 @@ arbitrary traffic, and dropping is the only safe response.
 from __future__ import annotations
 
 import socket
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 
 from .. import obs, trace as trace_mod
 from ..errors import FrameError, NetworkError, TransportError
@@ -35,9 +36,11 @@ from ..obs import flight
 from ..replication.envelope import Envelope
 from ..trace import TraceContext
 from .transport import Transport, TransportPort
-from .wire import encode_frame, decode_frame_ex
+from .wire import Batch, decode_frame_ex, encode_frame, encode_payload
 
 Address = Tuple[str, int]
+#: The largest datagram a batch fills: under UDP's 65 507-byte limit.
+MAX_DATAGRAM = 65_000
 
 #: UdpPort attribute -> the registry family read from it.
 COUNTERS = obs.REGISTRY.read_counters({
@@ -61,6 +64,21 @@ def _envelope_of(payload: Any) -> Optional[Envelope]:
         return payload
     inner = getattr(payload, "payload", None)
     return inner if isinstance(inner, Envelope) else None
+
+
+def _runs(batch: Batch, frame_size: int):
+    """An oversized batch in greedy runs whose frames fit :data:`MAX_DATAGRAM`;
+    a run of one item (too big to share a datagram) goes bare, as it would alone."""
+    sizes = [4 + len(encode_payload(payload)) for payload in batch]
+    room = MAX_DATAGRAM - frame_size + sum(sizes)  # what one run's items may fill
+    run, used = [], 0
+    for payload, size in zip(batch, sizes):
+        if run and used + size > room:
+            yield run[0] if len(run) == 1 else Batch(run)
+            run, used = [], 0
+        run.append(payload)
+        used += size
+    yield run[0] if len(run) == 1 else Batch(run)
 
 
 def _trace_for(payload: Any) -> Optional[TraceContext]:
@@ -147,15 +165,28 @@ class UdpPort(TransportPort):
 
     def multicast(self, payload: Any, size_bytes: int = 128) -> None:
         """Fan out to every *other* peer in the address book: encoded
-        once, one datagram each, none to this port's own address."""
+        once, one datagram each, none to this port's own address.  A
+        batch over :data:`MAX_DATAGRAM` goes as the runs of it that fit."""
         self._check_up()
         trace = _trace_for(payload)
         me = self.node_id
         data = encode_frame(me, payload, trace, self.auth)
+        if len(data) > MAX_DATAGRAM and type(payload) is Batch:
+            for part in _runs(payload, len(data)):
+                self.multicast(part)
+            return
         send = self._send
         for node_id, addr in self.transport.peers.items():
             if node_id != me:
                 send(data, addr, payload, trace)
+
+    def multicast_many(self, payloads: Sequence[Any], sizes: Sequence[int]) -> None:
+        """Two or more payloads go to each other peer as one :class:`~repro.net.wire.Batch`
+        datagram; one goes bare, as does each of a traced run's (own trace context)."""
+        if len(payloads) < 2 or trace_mod.BAGGAGE:
+            super().multicast_many(payloads, sizes)
+        else:
+            self.multicast(Batch(payloads))
 
     def sendto(self, addr: Address, payload: Any) -> None:
         """Send a framed payload to an explicit socket address (used by
@@ -220,7 +251,8 @@ class UdpPort(TransportPort):
                 flight.RECORDER.record_frame(
                     node_id, "rx", addr, type(payload).__name__,
                     len(data), trace.trace_id if trace is not None else None)
-            deliver(LiveFrame(src, payload, len(data), addr, trace))
+            for item in payload if type(payload) is Batch else (payload,):
+                deliver(LiveFrame(src, item, len(data), addr, trace))
 
 
 class UdpTransport(Transport):

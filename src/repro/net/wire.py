@@ -34,7 +34,8 @@ Payload layout: a one-byte kind tag followed by kind-specific fields.
 :class:`~repro.totem.messages.RegularMessage` payloads nest recursively
 (an ordered message usually carries an envelope; recovery tombstones and
 any other value-encoded payload are also covered), so one entry point
-handles every frame either backend can carry.
+handles every frame either backend can carry.  A :class:`Batch` (kind 9)
+carries a token visit's messages as one frame (see :mod:`repro.net.udp`).
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ from ..replication.codec import (
     _I64,
     _MALFORMED,
     _U16,
+    _U32,
     CodecError,
     _new,
     _pack_id,
@@ -80,7 +82,9 @@ MAGIC = b"CT"
 #: v3: a flags byte after the source, with an optional trace context
 #: (trace id + causal parent) for cross-node causal tracing.
 #: v4: scalar value tags; RPC bodies and any other body or payload are
-#: value-encoded (the JSON body tag and payload kind went).
+#: value-encoded (the JSON body tag and payload kind went).  Payload kind
+#: 9 (:class:`Batch`) was appended later without a bump: a daemon older
+#: than it rejects a batch for ``payload``.
 WIRE_VERSION = 4
 #: magic + version + length.
 _HEADER = struct.Struct("<2sBI")
@@ -105,6 +109,13 @@ _KIND_BEACON, _TAG_BEACON = 5, b"\x05"
 _KIND_VALUE, _TAG_VALUE = 6, b"\x06"
 _KIND_LOST, _TAG_LOST = 7, b"\x07"
 _KIND_SUMMARY, _TAG_SUMMARY = 8, b"\x08"
+_KIND_BATCH, _TAG_BATCH = 9, b"\x09"
+
+
+class Batch(tuple):
+    """Two or more payloads in one frame, received as one frame each, in
+    order: a u16 count, then per item a u32 length and its payload."""
+
 
 # -- fixed layouts, compiled once (with the envelope codec's) -----------------
 #: RegularMessage: seq, retransmission.
@@ -142,20 +153,6 @@ def _unpack_ring(buffer: bytes, offset: int) -> Tuple[RingId, int]:
     if end <= len(buffer):  # else truncated: the caller rejects it
         _last_ring = (buffer[offset:end], ring_id)
     return ring_id, end
-
-
-def _pack_opt_ring(ring_id: Optional[RingId]) -> bytes:
-    if ring_id is None:
-        return b"\x00"
-    return b"\x01" + _pack_ring(ring_id)
-
-
-def _unpack_opt_ring(buffer: bytes, offset: int) -> Tuple[Optional[RingId], int]:
-    flag = buffer[offset]
-    offset += 1
-    if not flag:
-        return None, offset
-    return _unpack_ring(buffer, offset)
 
 
 def _unpack_str_tuple(buffer: bytes, offset: int) -> Tuple[Tuple[str, ...], int]:
@@ -196,6 +193,10 @@ def encode_payload(payload: Any) -> bytes:
             _U16.pack(len(rtr)),
             struct.pack(f"<{len(rtr)}q", *rtr) if rtr else b"",
         ))
+    if isinstance(payload, Batch):
+        items = [encode_payload(item) for item in payload]
+        return b"".join((_TAG_BATCH, _U16.pack(len(items)),
+                         *(_U32.pack(len(item)) + item for item in items)))
     if isinstance(payload, JoinMessage):
         return b"".join((
             _TAG_JOIN,
@@ -215,7 +216,8 @@ def encode_payload(payload: Any) -> bytes:
         for member in sorted(payload.info):
             info = payload.info[member]
             parts.append(_pack_id(member))
-            parts.append(_pack_opt_ring(info.old_ring_id))
+            old_ring_id = info.old_ring_id  # optional: a flag byte, then the id
+            parts.append(b"\x00" if old_ring_id is None else b"\x01" + _pack_ring(old_ring_id))
             parts.append(_COMMIT_INFO.pack(info.high_seq, info.recovery_aru,
                                            info.recovered))
         parts.append(_U16.pack(len(payload.rtr)))
@@ -283,6 +285,23 @@ def decode_payload(buffer: bytes, offset: int = 0) -> Tuple[Any, int]:
                 rtr = struct.unpack_from(f"<{count}q", buffer, offset)
                 offset += 8 * count
             return _new(RegularToken, (ring_id, token_seq, seq, aru, aru_id, rtr)), offset
+        if kind == _KIND_BATCH:
+            (count,) = _U16.unpack_from(buffer, offset)
+            if count < 2:
+                raise FrameError(f"batch of {count} items", reason="payload")
+            items, offset = [], offset + 2
+            for _ in range(count):
+                (size,) = _U32.unpack_from(buffer, offset)
+                item, offset = buffer[offset + 4:offset + 4 + size], offset + 4 + size
+                if len(item) != size:
+                    raise FrameError("batch item overruns the frame", reason="payload")
+                if item[:1] == _TAG_BATCH:
+                    raise FrameError("nested batch", reason="payload")
+                payload, end = decode_payload(item)
+                if end != size:
+                    raise FrameError("trailing bytes in a batch item", reason="trailing")
+                items.append(payload)
+            return Batch(items), offset
         if kind == _KIND_JOIN:
             sender, offset = _unpack_str(buffer, offset)
             proc_set, offset = _unpack_str_tuple(buffer, offset)
@@ -300,7 +319,8 @@ def decode_payload(buffer: bytes, offset: int = 0) -> Tuple[Any, int]:
             info = {}
             for _ in range(count):
                 member, offset = _unpack_str(buffer, offset)
-                old_ring_id, offset = _unpack_opt_ring(buffer, offset)
+                old_ring_id, offset = (_unpack_ring(buffer, offset + 1) if buffer[offset]
+                                       else (None, offset + 1))
                 info[member] = CommitMemberInfo(
                     old_ring_id, *_COMMIT_INFO.unpack_from(buffer, offset))
                 offset += _COMMIT_INFO.size

@@ -85,7 +85,6 @@ class ProcessorStats:
     tokens_forwarded: int = 0
     token_retransmissions: int = 0
     messages_delivered: int = 0
-    duplicate_tokens: int = 0
     membership_changes: int = 0
     sends_cancelled: int = 0
     gathers: int = 0
@@ -348,8 +347,7 @@ class TotemProcessor:
                 self.membership.start_gather(reason=f"foreign token {token.ring_id}")
             return
         if token.token_seq <= self.last_token_seq:
-            self.stats.duplicate_tokens += 1
-            return
+            return  # a retransmitted token we already hold
         self.last_token_seq = token.token_seq
         if self.config.record_token_times:
             self.token_arrival_times.append(self.sim.now)
@@ -371,12 +369,13 @@ class TotemProcessor:
             return
 
         rtr = set(token.rtr)
+        out: List[RegularMessage] = []  # multicast together after step 2
 
         # 1. Serve retransmission requests we can satisfy.
         for seq in sorted(rtr):
             msg = self.received.get(seq)
             if msg is not None:
-                self.multicast_raw(msg._replace(retransmission=True))
+                out.append(msg._replace(retransmission=True))
                 self.stats.retransmissions += 1
                 if trace.TRACER.enabled:
                     trace.emit(
@@ -397,7 +396,7 @@ class TotemProcessor:
             # multicasts, but acting on the loopback copy would race the
             # token we are about to forward.
             self._store_message(msg)
-            self.multicast_raw(msg)
+            out.append(msg)
             self.stats.messages_multicast += 1
             sent += 1
         if self.send_queue and sent >= self.config.window_size:
@@ -409,6 +408,8 @@ class TotemProcessor:
                     deferred=len(self.send_queue),
                     window=self.config.window_size,
                 )
+        if out:
+            self.node.iface.multicast_many(out, [m.wire_size() for m in out])
         self._try_deliver()
 
         # 3. Request retransmission of anything we are missing.

@@ -2,19 +2,30 @@
 
 A node does not send itself datagrams (``UdpPort.multicast`` skips its
 own id), while the address book still lists it, so a singleton ring's
-token — a unicast to its own successor — keeps circulating.  The last
-test pins the bug the loopback copy caused: a node's *own* message used
-to count as progress evidence and disarm retransmission of the token it
-had just forwarded.
+token — a unicast to its own successor — keeps circulating.  A token
+visit's messages (``multicast_many``) go to each peer as one batch
+datagram on the live port, and as one frame per message on the
+simulated LAN and through a chaos port.  The last test pins the bug the
+loopback copy caused: a node's *own* message used to count as progress
+evidence and disarm retransmission of the token it had just forwarded.
 """
 
+import random
 import select
 
 import pytest
 
+from repro import trace as trace_mod
+from repro.chaos.transport import ChaosTransport
+from repro.net.auth import WireAuthenticator
 from repro.net.testbed import LiveTestbed
-from repro.net.udp import UdpTransport
-from repro.totem.messages import RingBeacon, RingId
+from repro.net.udp import MAX_DATAGRAM, UdpTransport
+from repro.net.wire import Batch, encode_frame
+from repro.replication.envelope import MsgType, make_envelope
+from repro.sim.kernel import Simulator
+from repro.sim.network import Network
+from repro.totem.messages import RegularMessage, RingBeacon, RingId
+from repro.trace import Baggage, TraceContext
 
 from support import ClockApp, call_n  # noqa: E402 (tests/ on sys.path via conftest)
 
@@ -23,14 +34,36 @@ pytestmark = pytest.mark.live
 BEACON = RingBeacon(RingId(1, "a"), "a")
 
 
-@pytest.fixture
-def three_ports(kernel):
-    transport = UdpTransport(kernel.loop)
+def ordered(seq, body=None):
+    """An ordered APP message from ``a``, as a token visit sends it."""
+    return RegularMessage(RingId(1, "a"), seq, "a", make_envelope(
+        MsgType.APP, "g", "g", 0, seq, "a", body=body))
+
+
+def visit(*seqs, body=None):
+    messages = [ordered(seq, body) for seq in seqs]
+    return messages, [message.wire_size() for message in messages]
+
+
+def _three_ports(kernel, auth=None):
+    transport = UdpTransport(kernel.loop, auth=auth)
     inbox = {node_id: [] for node_id in "abc"}
     ports = {node_id: transport.attach(node_id, inbox[node_id].append)
              for node_id in inbox}
     yield transport, ports, inbox
     transport.close()
+
+
+@pytest.fixture
+def three_ports(kernel):
+    yield from _three_ports(kernel)
+
+
+@pytest.fixture(params=["unsigned", "signed"])
+def visit_ports(request, kernel):
+    """Three ports, with and without a MAC on every frame."""
+    auth = WireAuthenticator(bytes(range(32))) if request.param == "signed" else None
+    yield from _three_ports(kernel, auth)
 
 
 class TestFanOut:
@@ -57,6 +90,109 @@ class TestFanOut:
         kernel.run(kernel.now + 0.05)
         assert [frame.payload for frame in inbox["a"]] == [BEACON]
         assert ports["a"].frames_sent == 1
+
+
+class TestOneDatagramPerVisit:
+    def test_a_visit_goes_to_each_other_peer_as_one_datagram(self, kernel, visit_ports):
+        _transport, ports, inbox = visit_ports
+        messages, sizes = visit(1, 2, 3)
+        ports["a"].multicast_many(messages, sizes)
+        assert ports["a"].frames_sent == 2
+        kernel.run(kernel.now + 0.05)
+        for peer in "bc":
+            assert [frame.payload for frame in inbox[peer]] == messages
+            assert ports[peer].frames_received == 1
+        assert inbox["a"] == []
+
+    def test_one_payload_goes_as_itself(self, kernel, visit_ports):
+        _transport, ports, inbox = visit_ports
+        ports["a"].multicast_many([BEACON], [64])
+        assert ports["a"].frames_sent == 2
+        kernel.run(kernel.now + 0.05)
+        for peer in "bc":
+            assert [frame.payload for frame in inbox[peer]] == [BEACON]
+            assert inbox[peer][0].size_bytes == len(
+                encode_frame("a", BEACON, None, ports["a"].auth))
+
+    def test_a_traced_run_sends_each_message_as_itself(self, kernel, visit_ports,
+                                                       monkeypatch):
+        _transport, ports, inbox = visit_ports
+        baggage = Baggage()
+        baggage.put(("somewhere", "else", 0, 1), TraceContext("t1", "gw.b"))
+        monkeypatch.setattr(trace_mod, "BAGGAGE", baggage)
+        messages, sizes = visit(1, 2, 3)
+        ports["a"].multicast_many(messages, sizes)
+        assert ports["a"].frames_sent == 6
+        kernel.run(kernel.now + 0.05)
+        for peer in "bc":
+            assert [frame.payload for frame in inbox[peer]] == messages
+            assert ports[peer].frames_received == 3
+
+    def test_a_visit_over_the_datagram_cap_goes_as_runs_that_fit(self, kernel,
+                                                                 visit_ports):
+        """Three ~30 kB messages: the first two share a datagram, the
+        third goes alone, and each peer gets all three intact, in order."""
+        _transport, ports, inbox = visit_ports
+        messages, sizes = visit(1, 2, 3, body="x" * 30_000)
+        ports["a"].multicast_many(messages, sizes)
+        assert ports["a"].frames_sent == 4
+        kernel.run(kernel.now + 0.1)
+        for peer in "bc":
+            assert [frame.payload for frame in inbox[peer]] == messages
+            assert ports[peer].frames_received == 2
+            assert max(frame.size_bytes for frame in inbox[peer]) <= MAX_DATAGRAM
+
+    @pytest.mark.parametrize("over", [0, 1], ids=["at-the-cap", "one-byte-over"])
+    def test_the_cap_is_on_the_whole_datagram(self, kernel, visit_ports, over):
+        """Two messages whose batch frame is exactly MAX_DATAGRAM share a
+        datagram; one byte more, and each goes alone."""
+        _transport, ports, inbox = visit_ports
+        # A fresh authenticator of the same key: the same size, and no
+        # nonce spent on the port's own.
+        auth = WireAuthenticator(bytes(range(32))) if ports["a"].auth else None
+        short = len(encode_frame("a", Batch([ordered(1, ""), ordered(2, "")]), None, auth))
+        grow = MAX_DATAGRAM + over - short  # one byte per character
+        messages = [ordered(1, "x" * (grow // 2)), ordered(2, "x" * (grow - grow // 2))]
+        assert len(encode_frame("a", Batch(messages), None, auth)) == MAX_DATAGRAM + over
+        ports["a"].multicast_many(messages, [m.wire_size() for m in messages])
+        assert ports["a"].frames_sent == 2 * (1 + over)
+        kernel.run(kernel.now + 0.1)
+        for peer in "bc":
+            assert [frame.payload for frame in inbox[peer]] == messages
+            assert max(frame.size_bytes for frame in inbox[peer]) <= MAX_DATAGRAM
+
+
+@pytest.mark.parametrize("chaos", [False, True], ids=["lan", "chaos"])
+def test_the_simulator_sends_a_visit_one_frame_per_message(chaos):
+    """The simulated LAN (and a chaos port over it) emits the same frames
+    for a visit as for one multicast per message: same arrivals, same
+    sizes, same random draws."""
+    messages, sizes = visit(1, 2, 3)
+
+    def run(send):
+        sim = Simulator()
+        network = Network(sim, random.Random(11), loss_rate=0.2)
+        transport = network
+        if chaos:
+            transport = ChaosTransport(network, sim, seed=3)
+            transport.set_delay(0.001, jitter_s=0.002)
+            transport.set_duplicate(0.3)
+        seen = []
+        ports = {node_id: transport.attach(node_id, lambda frame, node_id=node_id: seen.append(
+            (sim.now, node_id, frame.src, frame.payload, frame.size_bytes)))
+            for node_id in "abc"}
+        send(ports["a"])
+        sim.run()
+        return seen, ports["a"].frames_sent, ports["a"].bytes_sent
+
+    def one_by_one(port):
+        for message, size in zip(messages, sizes):
+            port.multicast(message, size)
+
+    batched = run(lambda port: port.multicast_many(messages, sizes))
+    assert batched == run(one_by_one)
+    # One frame per message (per leg through the chaos port, duplicates on top).
+    assert batched[1] >= 3 * (3 if chaos else 1)
 
 
 def test_one_node_bed_forms_its_ring_and_delivers_its_own_messages():

@@ -24,11 +24,13 @@ from repro.net.wire import (
     HEADER_SIZE,
     MAGIC,
     WIRE_VERSION,
+    Batch,
     decode_frame_ex,
     encode_frame,
+    encode_payload,
 )
 from repro.replication.envelope import Envelope, MsgType, make_envelope
-from repro.totem.messages import RingBeacon, RingId
+from repro.totem.messages import RegularMessage, RingBeacon, RingId
 
 pytestmark = pytest.mark.live
 
@@ -83,6 +85,22 @@ class TestNegativePaths:
         with pytest.raises(FrameError) as exc:
             decode_frame_ex(data, auth=receiver, auth_node="n1")
         assert exc.value.reason == "auth-missing"
+
+    def test_unsigned_batch_rejected_as_missing(self):
+        """A batch is ring traffic, even one that carries envelopes."""
+        ordered = RegularMessage(RingId(3, "n0"), 1, "n0", client_envelope())
+        data = encode_frame("n0", Batch((ordered, beacon())))
+        with pytest.raises(FrameError) as exc:
+            decode_frame_ex(data, auth=signer(), auth_node="n1")
+        assert exc.value.reason == "auth-missing"
+
+    def test_one_flipped_byte_in_an_item_rejects_the_whole_batch(self):
+        ordered = RegularMessage(RingId(3, "n0"), 1, "n0", client_envelope())
+        data = bytearray(encode_frame("n0", Batch((ordered, beacon())), None, signer()))
+        data[bytes(data).index(encode_payload(ordered)) + 12] ^= 0x01
+        with pytest.raises(FrameError) as exc:
+            decode_frame_ex(bytes(data), auth=signer(), auth_node="n1")
+        assert exc.value.reason == "auth-forged"
 
     def test_client_envelope_exempt_from_auth(self):
         receiver = signer()

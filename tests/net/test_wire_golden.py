@@ -17,7 +17,7 @@ from repro.core.messages import CCSMessage
 from repro.core.recovery import TimeTransferState
 from repro.net.auth import WireAuthenticator
 from repro.errors import FrameError
-from repro.net.wire import WIRE_VERSION, decode_frame_ex, encode_frame
+from repro.net.wire import HEADER_SIZE, WIRE_VERSION, Batch, decode_frame_ex, encode_frame
 from repro.replication.envelope import MsgType, make_envelope
 from repro.replication.state_transfer import Checkpoint
 from repro.rpc.messages import Invocation, Result
@@ -228,6 +228,45 @@ GOLDEN = {
         "0000000102006e3201000187000000000000"
     ),
 }
+
+#: A token visit's two messages in one signed datagram: payload kind 9,
+#: appended to v4 without a version bump (a daemon older than it rejects
+#: the frame for ``payload``).  Kept apart from ``GOLDEN``, whose cases
+#: match the v3 fixture's one for one.
+GOLDEN_BATCH = {
+    "signed-batch": (
+        "435404f100000002006e3102030100000000000000a98d8e81b7c7e6ee79a63e"
+        "d42e74cd320902005d00000001040000000000000002006e3008870000000000"
+        "000002006e3000000800000000000000d204000000000000020900636c69656e"
+        "742e6237070074696d65737663020062370c0067657474696d656f6664617901"
+        "0840c227dafe5b06006b00000001040000000000000002006e30078700000000"
+        "00000002006e31000200000000000000002e1600000000000001070074696d65"
+        "737663070074696d6573766302006e3104006d61696e2e1600000000000040c2"
+        "27dafe5b0600010034230000000000000100000000000000"
+    ),
+}
+BATCH = Batch((CASES["ring-request"][0], CASES["ccs"][0]))
+
+
+def test_batch_bytes_are_the_recorded_ones():
+    data = encode_frame("n1", BATCH, None, _authenticator())
+    assert data.hex() == GOLDEN_BATCH["signed-batch"]
+
+
+def test_recorded_batch_decodes_to_its_items_and_re_encodes():
+    data = bytes.fromhex(GOLDEN_BATCH["signed-batch"])
+    src, decoded, trace = decode_frame_ex(data, auth=_authenticator(), auth_node="n2")
+    assert (src, trace) == ("n1", None)
+    assert classed(decoded) == classed(BATCH)
+    assert encode_frame(src, decoded, None, _authenticator()) == data
+
+
+def test_a_batch_item_is_the_payload_its_own_frame_carries():
+    data = bytes.fromhex(GOLDEN_BATCH["signed-batch"])
+    for name in ("ring-request", "ccs"):
+        # An unsigned, untraced "n1" frame: header, source, flags byte.
+        payload = bytes.fromhex(GOLDEN[name])[HEADER_SIZE + 4 + 1:]
+        assert len(payload).to_bytes(4, "little") + payload in data
 
 
 def test_wire_version_is_four():

@@ -13,6 +13,7 @@ from repro.core import CCSMessage, GroupClockStamp
 from repro.core.recovery import TimeTransferState
 import repro.baselines.primary_backup  # noqa: F401  (registers body tag 16)
 from repro.net.wire import (
+    Batch,
     FrameError,
     HEADER_SIZE,
     MAGIC,
@@ -149,10 +150,13 @@ payloads = st.one_of(
     ),
 )
 
+#: What a token visit hands the live port: two or more payloads, none a batch.
+batches = st.lists(payloads, min_size=2, max_size=4).map(Batch)
+
 
 class TestRoundTrip:
     @settings(max_examples=150)
-    @given(src=identifiers, payload=payloads)
+    @given(src=identifiers, payload=st.one_of(payloads, batches))
     def test_encode_frame_decode_identity(self, src, payload):
         decoded_src, decoded, _trace = decode_frame_ex(
             frame(src, encode_payload(payload)))
@@ -161,7 +165,7 @@ class TestRoundTrip:
         assert classed(decoded) == classed(payload)
 
     @settings(max_examples=80)
-    @given(payload=payloads)
+    @given(payload=st.one_of(payloads, batches))
     def test_payload_decode_consumes_everything(self, payload):
         data = encode_payload(payload)
         decoded, offset = decode_payload(data, 0)
@@ -345,6 +349,19 @@ value_like = st.builds(lambda tag, rest: bytes([tag]) + rest,
                        st.binary(max_size=48))
 
 
+def _batch_body(items, count=None):
+    """A batch's bytes after its kind: ``count`` (default: how many items
+    there are), then each ``(payload bytes, length error)`` as a length
+    off by that error and the bytes."""
+    count = len(items) if count is None else count
+    return count.to_bytes(2, "little") + b"".join(
+        max(len(data) + error, 0).to_bytes(4, "little") + data for data, error in items)
+
+
+_BEACON = encode_payload(RingBeacon(RingId(4, "n0"), "n0"))
+_BATCH = encode_payload(Batch((RingBeacon(RingId(4, "n0"), "n0"),) * 2))
+
+
 class TestMalformedBodies:
     """A datagram whose frame and envelope header are sound but whose
     body is not must be one :class:`FrameError` with reason
@@ -388,3 +405,34 @@ class TestMalformedBodies:
                 6, b"\x02\x01\x00\x00\x00\x00\x03\x00\x00\x00[1]\x05"))
         assert rejected.value.reason == "payload"
         assert "unhashable" in str(rejected.value)
+
+    @settings(max_examples=300)
+    @given(body=st.one_of(st.binary(max_size=96), st.builds(
+        lambda count, items: _batch_body(items, count),
+        st.integers(min_value=0, max_value=4),
+        st.lists(st.tuples(st.one_of(payloads.map(encode_payload), st.binary(max_size=24)),
+                           st.integers(min_value=-2, max_value=2)),
+                 max_size=4))))
+    def test_any_bytes_after_the_batch_kind_are_a_frame_error(self, body):
+        """Kind 9 (a batch) is read only as far as its count and lengths
+        say: whatever follows the kind byte decodes or is rejected, and
+        a rejection is a :class:`FrameError`."""
+        try:
+            decode_frame_ex(frame("n1", b"\x09" + body))
+        except FrameError as exc:
+            assert exc.reason in ("payload", "trailing")
+
+    @pytest.mark.parametrize("body, reason, says", [
+        (_batch_body([(_BEACON, 0), (_BATCH, 0)]), "payload", "nested batch"),
+        (_batch_body([(_BEACON, 0)]), "payload", "batch of 1 items"),
+        (_batch_body([]), "payload", "batch of 0 items"),
+        (_batch_body([(_BEACON, 0), (_BEACON, 1)]), "payload", "overruns"),
+        (_batch_body([(_BEACON + b"\x00", 0), (_BEACON, 0)]), "trailing",
+         "trailing bytes in a batch item"),
+        (_batch_body([(_BEACON, 0), (_BEACON, 0)]) + b"\x00", "trailing",
+         "trailing garbage"),
+    ], ids=["nested", "count-1", "count-0", "overrun", "item-trailing", "batch-trailing"])
+    def test_a_malformed_batch_says_what_is_wrong(self, body, reason, says):
+        with pytest.raises(FrameError, match=says) as rejected:
+            decode_frame_ex(frame("n1", b"\x09" + body))
+        assert rejected.value.reason == reason

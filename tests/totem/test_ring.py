@@ -190,3 +190,35 @@ class TestStats:
         assert harness.processors["n0"].stats.messages_multicast == 2
         for p in harness.processors.values():
             assert p.stats.messages_delivered >= 2
+
+
+class TestOneHandOffPerVisit:
+    def test_a_visit_hands_its_messages_to_the_port_at_once_ahead_of_the_token(self):
+        """The port may pack a visit (the live one sends one datagram per
+        peer), so the visit's messages reach it in one call, in sequence
+        order, before the token is forwarded."""
+        harness = TotemHarness(3)
+        harness.run_until_operational()
+        iface = harness.cluster.node("n1").iface
+        calls = []
+        many, unicast = iface.multicast_many, iface.unicast
+
+        def multicast_many(payloads, sizes):
+            calls.append([message.seq for message in payloads])
+            many(payloads, sizes)
+
+        def forward(dst, token, size_bytes=128):
+            calls.append(getattr(token, "seq", 0))  # a commit token has none
+            unicast(dst, token, size_bytes)
+
+        iface.multicast_many, iface.unicast = multicast_many, forward
+        for name in ("a", "b", "c"):
+            harness.processors["n1"].mcast(name)
+        harness.run(0.05)
+        at, visit = next((i, call) for i, call in enumerate(calls) if isinstance(call, list))
+        assert visit == list(range(visit[0], visit[0] + 3))
+        # The token that carries the visit's last sequence number follows it.
+        assert calls[at + 1] == visit[-1]
+        assert all(seq < visit[0] for seq in calls[:at])
+        for recorder in harness.recorders.values():
+            assert recorder.payloads == ["a", "b", "c"]
