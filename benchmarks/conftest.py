@@ -7,7 +7,8 @@ they survive pytest's output capture.
 
 Scale: by default the workloads run at reduced size so the whole harness
 finishes in minutes; set ``REPRO_FULL=1`` to run at the paper's full
-scale (10,000 invocations / rounds).
+scale (10,000 invocations / rounds).  The load gates run CI's inputs at
+quick scale and the EXPERIMENTS.md rows' inputs at full scale.
 """
 
 import os
@@ -33,6 +34,9 @@ def scale():
         "ccs_rounds": 10_000 if FULL else 1_500,
         "failover_seeds": range(0, 16) if FULL else range(0, 8),
         "drift_rounds": 5_000 if FULL else 800,
+        "shards": 4 if FULL else 3,
+        "shard_duration_s": 0.5 if FULL else 0.3,
+        "overload_duration_s": 2.0 if FULL else 1.5,
     }
 
 

@@ -11,8 +11,8 @@ the benchmark harness produces.  Intended for quick exploration::
     python -m repro drift --rounds 800   # compensation ablation
     python -m repro recovery             # new-clock integration
     python -m repro metrics              # observability export smoke
-    python -m repro loadgen --compare    # coalesced vs per-op throughput
     python -m repro all                  # everything, quick scale
+    python -m pytest benchmarks/test_throughput.py::test_coalescing_trajectory
 
 Live mode (see ``docs/live_mode.md``) — real UDP sockets instead of the
 simulator::
@@ -27,13 +27,12 @@ in-process cluster, judged by the invariant oracle::
     python -m repro chaos --scenario examples/chaos_partition.json --seed 7 \\
         --artifacts-dir chaos-artifacts
     python -m repro trace --shards chaos-artifacts
-    python -m repro loadgen --chaos --assert-counters
+    python -m pytest benchmarks/test_throughput.py::test_faults_on_throughput
 
 Sharded time domains (see ``docs/sharding.md``) — N rings, a routing
 tier, and the gradient sync overlay bounding inter-shard skew::
 
-    python -m repro loadgen --shards 4 --bench-json BENCH_throughput.json
-    python -m repro loadgen --shards 4 --zipf 1.2 --assert-counters
+    python -m pytest benchmarks/test_shard_scaling.py
     python -m repro chaos --scenario examples/chaos_shards.json --seed 7
 
 Elastic control plane (see ``docs/operations.md``) — live
@@ -41,7 +40,7 @@ reconfiguration and overload drills::
 
     python -m repro control rolling-restart --nodes 3
     python -m repro control sequence --verdict-json verdict.json
-    python -m repro loadgen --open-loop --assert-counters
+    python -m pytest benchmarks/test_overload.py
 
 Observability: every experiment accepts ``--metrics out.jsonl`` (enable
 the metrics registry and dump a JSONL + Prometheus-text export) and
@@ -58,7 +57,7 @@ from pathlib import Path
 from typing import List, Optional
 
 from . import obs, trace
-from .analysis import format_records, format_table, summarize
+from .analysis import format_table, summarize
 from .obs import export as obs_export
 from .core import (
     AlignedReferenceSteering,
@@ -124,213 +123,6 @@ def cmd_ccs(args) -> int:
           f"coalesced: {run.ops_coalesced}  "
           f"CCS messages/op: {per_op:.3f}")
     return 0
-
-
-def cmd_loadgen(args) -> int:
-    """Load generators: ops/sec, tails, and CCS economy.
-
-    Every mode reports the same way: a table of ``to_dict()`` rows and
-    some summary lines on stdout, the run appended to the trajectory
-    with ``--bench-json``, and with ``--assert-counters`` an exit status
-    of 1 if any of the mode's checks — (failed, message) pairs — failed.
-    """
-    from .errors import ConfigurationError
-    from .workloads import append_run
-
-    if args.open_loop:
-        mode = _loadgen_open_loop
-    elif args.shards is not None and not args.chaos:
-        mode = _loadgen_sharded
-    else:
-        mode = _loadgen_flat
-    try:
-        run, checks = mode(args)
-        if args.bench_json:
-            append_run(args.bench_json, run)
-            print(f"benchmark trajectory appended to {args.bench_json}",
-                  file=sys.stderr)
-    except ConfigurationError as error:
-        print(f"loadgen: {error}", file=sys.stderr)
-        return 2
-    failures = ([message for failed, message in checks if failed]
-                if args.assert_counters else [])
-    for failure in failures:
-        print(f"ASSERT: {failure}", file=sys.stderr)
-    return 1 if failures else 0
-
-
-def _loadgen_flat(args):
-    """Closed loop on the paper's bed: one mode, the per-op/coalesced
-    pair (``--compare``), or the faults-on mode (``--chaos``)."""
-    from .workloads import (
-        comparison_run,
-        run_loadgen,
-        run_loadgen_chaos,
-        run_loadgen_comparison,
-    )
-
-    duration = args.duration if args.duration is not None else 0.3
-    common = dict(concurrency=args.concurrency, seed=args.seed,
-                  max_staleness_us=args.max_staleness_us)
-    if args.chaos:
-        duration = max(duration, 0.6)
-        results = [run_loadgen_chaos(duration_s=duration, **common)]
-    elif args.compare or args.bench_json:
-        results = run_loadgen_comparison(
-            duration_s=duration, fast_path=args.fast_path, **common).values()
-    else:
-        results = [run_loadgen(
-            duration_s=duration, coalesce=args.coalesce,
-            fast_path=args.fast_path, **common)]
-    run = comparison_run(results)
-    rows = [result.to_dict() for result in results]
-    print(format_records(
-        [("mode", "mode", ""), ("ops/s", "ops_per_s", ".0f"),
-         ("p50 us", "p50_us", ".0f"), ("p99 us", "p99_us", ".0f"),
-         ("p99.9 us", "p999_us", ".0f"), ("CCS/op", "ccs_per_op", ".3f"),
-         ("coalesced", "ops_coalesced", ""),
-         ("fast hits", "fast_path_hits", "")],
-        rows,
-        title=f"LOADGEN closed loop, {args.concurrency} workers x "
-              f"{duration:.2f} s"))
-    if "speedup_vs_per_op" in run:
-        print(f"speedup vs per-op rounds: x{run['speedup_vs_per_op']:.2f}")
-    target = rows[-1]  # the amortized mode of a pair, else the only one
-    checks = [(target["ops_coalesced"] <= 0, "no operations were coalesced")]
-    if args.chaos:
-        # Under faults the bar is a *bounded* client-visible error
-        # rate — retries and backoff mask the crash, not luck.
-        calls = target["completed"] + target["errors"]
-        rate = target["errors"] / max(1, calls)
-        print(f"faults on: {target['errors']} errors over {calls} calls "
-              f"({rate:.2%} client-visible), {target['retries']} retries")
-        checks += [
-            (target["completed"] <= 0, "no chaos-mode calls completed"),
-            (rate > 0.05, f"chaos error rate {rate:.2%} exceeds the 5% bound"),
-        ]
-    else:
-        checks += [
-            (args.fast_path and target["fast_path_hits"] <= 0,
-             "the fast path never served a read"),
-            (target["errors"], f"{target['errors']} client calls failed"),
-        ]
-    return run, checks
-
-
-def _loadgen_open_loop(args):
-    """``loadgen --open-loop``: the shed-before-collapse measurement.
-
-    Boots a live cluster behind admission-controlled gateways,
-    calibrates closed-loop capacity, then drives Poisson arrivals at
-    1x/2x/4x capacity (zipf-skewed identities).  Goodput must hold near
-    capacity beyond saturation while the excess is answered with typed
-    ``Overloaded`` + retry-after; see docs/operations.md.
-    """
-    from .workloads import run_overload_suite
-
-    duration = args.duration if args.duration is not None else 2.0
-    suite = run_overload_suite(
-        seed=args.seed, duration_s=duration,
-        calibration_s=max(1.5, duration),
-        max_staleness_us=args.max_staleness_us)
-    admission = suite["admission"]
-    print(format_records(
-        [("point", "point", ""), ("offered/s", "offered_rate_ops_s", ".0f"),
-         ("sent/s", "sent_per_s", ".0f"),
-         ("goodput/s", "goodput_ops_s", ".0f"), ("shed", "shed_rate", ".2%"),
-         ("timeouts", "timeouts", ""), ("p50 ms", "p50_ms", ".1f"),
-         ("p99 ms", "p99_ms", ".1f")],
-        [dict(point, point=label, p50_ms=point["p50_us"] / 1000,
-              p99_ms=point["p99_us"] / 1000,
-              sent_per_s=point["sent"] / point["duration_s"])
-         for label, point in [("baseline", suite["baseline"]),
-                              *suite["points"].items()]],
-        title=f"LOADGEN open loop, capacity {suite['capacity_ops_s']:.0f} "
-              f"ops/s (admission max_inflight={admission['max_inflight']}, "
-              f"queue_delay={admission['max_queue_delay_s'] * 1000:.0f}ms)"))
-    ratio = suite.get("p99_ratio_vs_saturation", 0.0)
-    print(f"served p99: 4x vs unloaded x{suite['p99_ratio_vs_baseline']:.2f}"
-          f", 4x vs saturation x{ratio:.2f}")
-    top = suite["points"][max(suite["points"])]
-    return suite, [
-        (top["shed"] <= 0, "overload shed nothing — admission inactive"),
-        (top["mean_retry_after_s"] <= 0,
-         "shed replies carried no retry-after hint"),
-        (top["timeouts"] > 0.01 * top["sent"],
-         f"{top['timeouts']} deadline misses — admitted work is not "
-         "being served (collapse, not shed)"),
-        (top["goodput_ops_s"] < 0.5 * suite["capacity_ops_s"],
-         f"goodput {top['goodput_ops_s']:.0f} ops/s collapsed below half "
-         f"of capacity {suite['capacity_ops_s']:.0f}"),
-        # The recorded acceptance bound is 2x at the benchmark seed; the
-        # CI smoke allows headroom for shared-runner timing noise while
-        # still catching an unbounded-tail regression.
-        (ratio > 3.0, f"served p99 grew x{ratio:.2f} from saturation to "
-                      "overload — the tail is not bounded"),
-    ]
-
-
-def _loadgen_sharded(args):
-    """``loadgen --shards N``: aggregate scaling over sharded domains.
-
-    Runs the single-shard baseline and the N-shard fleet at the *same
-    per-shard concurrency* and reports per-shard ops/s plus the measured
-    inter-shard skew envelope.
-    """
-    from .errors import ConfigurationError
-    from .workloads import run_loadgen_sharded, shard_scaling_run
-
-    try:
-        shards = int(args.shards)
-    except ValueError:
-        raise ConfigurationError(
-            f"--shards expects a shard count, got {args.shards!r}") from None
-    duration = args.duration if args.duration is not None else 0.5
-    # 16 closed-loop workers *per shard* would make the simulated fleet
-    # run for minutes; the default flat-mode concurrency is not a
-    # sensible per-shard population.
-    concurrency = min(args.concurrency, 8) if shards > 1 else args.concurrency
-    common = dict(concurrency=concurrency, duration_s=duration,
-                  seed=args.seed, max_staleness_us=args.max_staleness_us)
-    run = shard_scaling_run(
-        run_loadgen_sharded(shards=1, zipf_s=0.0, **common),
-        run_loadgen_sharded(shards=shards, zipf_s=args.zipf, **common))
-    single, sharded = run["modes"]["single-shard"], run["modes"]["sharded"]
-    print(format_records(
-        [("population", "population", ""), ("shards", "shards", ""),
-         ("completed", "completed", ""), ("ops/s", "ops_per_s", ".0f"),
-         ("p50 us", "p50_us", ".0f"), ("p99 us", "p99_us", ".0f")],
-        [dict(single, population="single-shard", shards="-"),
-         *(dict(row, population=f"shard {shard}", shards=shards)
-           for shard, row in sharded["per_shard"].items()),
-         dict(sharded, population="aggregate")],
-        title=f"LOADGEN sharded, {concurrency} workers/shard x "
-              f"{duration:.2f} s"
-              + (f", zipf s={args.zipf}" if args.zipf else "")))
-    scaling = run.get("scaling_vs_single_shard", 0.0)
-    envelope = sharded["skew_envelope"]
-    print(f"aggregate scaling vs single shard: x{scaling:.2f}")
-    print(f"skew envelope (post-warmup, {envelope.get('samples', 0)} "
-          f"samples): max inter-shard {envelope.get('max_skew_us', 0)} us, "
-          f"max ring-hop {envelope.get('max_hop_skew_us', 0)} us")
-    if args.zipf:
-        print(f"zipf imbalance: hottest shard at x{sharded['imbalance']:.2f} "
-              f"of fair share")
-    oracle = sharded["oracle"] or {}
-    print(f"oracle: {'OK' if oracle.get('ok') else 'VIOLATIONS'} "
-          f"({oracle.get('replies_checked', 0)} replies, "
-          f"{oracle.get('shard_summaries_checked', 0)} summaries checked)")
-    return run, [
-        (not oracle.get("ok"),
-         f"oracle flagged {len(oracle.get('violations', []))} violations"),
-        (envelope.get("samples", 0) <= 0,
-         "skew envelope has no post-warmup samples"),
-        (len(sharded["per_shard"]) < (1 if args.zipf else shards),
-         "some shards served no calls"),
-        (sharded["errors"], f"{sharded['errors']} client calls failed"),
-        (shards > 1 and scaling < 0.6 * shards,
-         f"aggregate scaling x{scaling:.2f} below 0.6 x {shards}"),
-    ]
 
 
 def cmd_fig6(args) -> int:
@@ -451,41 +243,36 @@ def cmd_metrics(args) -> int:
     return 1 if failures else 0
 
 
-def _parse_peer_map(spec: str):
-    """``n0=127.0.0.1:9000,n1=...`` -> {node_id: (host, port)}."""
-    peers = {}
-    for entry in spec.split(","):
-        entry = entry.strip()
-        if not entry:
-            continue
-        try:
-            node_id, address = entry.split("=", 1)
-            host, port = address.rsplit(":", 1)
-            peers[node_id.strip()] = (host.strip(), int(port))
-        except ValueError:
-            raise ValueError(
-                f"bad peer entry {entry!r}; expected name=host:port") from None
-    if not peers:
-        raise ValueError("empty peer map")
-    return peers
-
-
 def _parse_addresses(spec: str):
     """``host:port[,host:port...]`` -> [(host, port), ...]."""
     addresses = []
-    for entry in spec.split(","):
-        entry = entry.strip()
-        if not entry:
-            continue
+    for entry in filter(None, map(str.strip, spec.split(","))):
         try:
             host, port = entry.rsplit(":", 1)
-            addresses.append((host.strip(), int(port)))
+            if not 0 <= int(port) <= 65535:
+                raise ValueError(port)
         except ValueError:
-            raise ValueError(
+            raise argparse.ArgumentTypeError(
                 f"bad address {entry!r}; expected host:port") from None
+        addresses.append((host.strip(), int(port)))
     if not addresses:
-        raise ValueError("no server addresses")
+        raise argparse.ArgumentTypeError("no server addresses")
     return addresses
+
+
+def _parse_peer_map(spec: str):
+    """``n0=127.0.0.1:9000,n1=...`` -> {node_id: (host, port)}."""
+    peers = {}
+    for entry in filter(None, map(str.strip, spec.split(","))):
+        node_id, _, address = entry.partition("=")
+        try:
+            peers[node_id.strip()] = _parse_addresses(address)[0]
+        except argparse.ArgumentTypeError:
+            raise argparse.ArgumentTypeError(
+                f"bad peer entry {entry!r}; expected name=host:port") from None
+    if not peers:
+        raise argparse.ArgumentTypeError("empty peer map")
+    return peers
 
 
 def cmd_serve(args) -> int:
@@ -495,14 +282,9 @@ def cmd_serve(args) -> int:
         print("serve requires --node and --peers (name=host:port,...)",
               file=sys.stderr)
         return 2
-    try:
-        peers = _parse_peer_map(args.peers)
-    except ValueError as error:
-        print(f"serve: {error}", file=sys.stderr)
-        return 2
     config = DaemonConfig(
         node_id=args.node,
-        peers=peers,
+        peers=args.peers,
         group=args.group,
         style=args.style,
         time_options=dict(coalesce=args.coalesce, fast_path=args.fast_path,
@@ -524,6 +306,7 @@ def cmd_serve(args) -> int:
 
 
 def cmd_call(args) -> int:
+    from .errors import RpcTimeout
     from .net.client import LiveCaller
     from .net.kernel import LiveKernel
 
@@ -532,15 +315,8 @@ def cmd_call(args) -> int:
               file=sys.stderr)
         return 2
     method = args.target or "gettimeofday"
-    try:
-        servers = _parse_addresses(args.connect)
-    except ValueError as error:
-        print(f"call: {error}", file=sys.stderr)
-        return 2
-    from .errors import RpcTimeout
-
     kernel = LiveKernel()
-    caller = LiveCaller(kernel, servers, group=args.group)
+    caller = LiveCaller(kernel, args.connect, group=args.group)
     status = 0
     previous_micros = None
     try:
@@ -730,7 +506,6 @@ COMMANDS = {
     "partition": cmd_partition,
     "scale": cmd_scale,
     "metrics": cmd_metrics,
-    "loadgen": cmd_loadgen,
     "all": cmd_all,
     "serve": cmd_serve,
     "call": cmd_call,
@@ -807,7 +582,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--trace", action="store_true",
                         help="stream protocol trace events to stderr")
     svc = parser.add_argument_group(
-        "time service tuning", "CTS options for 'serve', 'ccs' and 'loadgen'")
+        "time service tuning", "CTS options for 'serve', 'ccs' and 'control'")
     svc.add_argument("--no-coalesce", dest="coalesce", action="store_false",
                      help="serial replica execution: reads never overlap, "
                           "so every CCS round covers one operation (same "
@@ -818,44 +593,13 @@ def build_parser() -> argparse.ArgumentParser:
                           "the staleness budget)")
     svc.add_argument("--max-staleness-us", type=int, default=2_000,
                      help="fast path staleness budget in microseconds")
-    load = parser.add_argument_group(
-        "load generator", "options for 'loadgen'")
-    load.add_argument("--concurrency", type=int, default=16,
-                      help="closed-loop worker count")
-    load.add_argument("--duration", type=float, default=None,
-                      help="measurement window in seconds (loadgen default "
-                           "0.3 virtual s; chaos default comes from the "
-                           "scenario file)")
-    load.add_argument("--compare", action="store_true",
-                      help="run per-op-rounds and coalesced modes back "
-                           "to back and report the speedup")
-    load.add_argument("--chaos", action="store_true",
-                      help="loadgen: run the faults-on mode (lossy LAN + "
-                           "mid-run replica crash/recovery, retrying "
-                           "clients) and report throughput under faults")
-    load.add_argument("--bench-json", metavar="PATH", default=None,
-                      help="append the comparison to the persisted "
-                           "benchmark trajectory at PATH (implies "
-                           "--compare)")
-    load.add_argument("--assert-counters", action="store_true",
-                      help="exit nonzero unless coalescing (and, with "
-                           "--fast-path, fast path) counters are nonzero "
-                           "— the CI perf smoke check; in sharded mode, "
-                           "requires a clean oracle, a measured skew "
-                           "envelope and near-linear aggregate scaling")
-    load.add_argument("--zipf", type=float, default=0.0,
-                      help="loadgen --shards: zipf exponent for the "
-                           "client population (0 = uniform; ~1.2 gives "
-                           "a visibly hot shard)")
-    load.add_argument("--open-loop", action="store_true",
-                      help="loadgen: open-loop overload suite — Poisson "
-                           "arrivals at 1x/2x/4x calibrated capacity "
-                           "against admission-controlled gateways "
-                           "(shed-before-collapse, see docs/operations.md)")
     chaos = parser.add_argument_group(
         "chaos", "options for 'chaos' (see docs/chaos.md)")
     chaos.add_argument("--scenario", default=None, metavar="FILE",
                        help="chaos: scenario file (JSON, see docs/chaos.md)")
+    chaos.add_argument("--duration", type=float, default=None,
+                       help="chaos: run length in seconds (default from "
+                            "the scenario file)")
     chaos.add_argument("--clients", type=int, default=None,
                        help="chaos: gateway client threads (default from "
                             "the scenario file)")
@@ -877,10 +621,8 @@ def build_parser() -> argparse.ArgumentParser:
                               "must complete before the next step")
     tracecmd = parser.add_argument_group(
         "trace", "options for 'trace' (cross-node timeline rendering)")
-    tracecmd.add_argument("--shards", default=None, metavar="N|DIR",
-                          help="loadgen: shard count for the sharded bench "
-                               "(time domains, see docs/sharding.md); "
-                               "trace: directory of trace-*.jsonl shards "
+    tracecmd.add_argument("--shards", default=None, metavar="DIR",
+                          help="trace: directory of trace-*.jsonl shards "
                                "(chaos --artifacts-dir / serve --trace-dir)")
     tracecmd.add_argument("--jsonl", action="store_true",
                           help="trace: emit one JSON timeline per line "
@@ -893,10 +635,10 @@ def build_parser() -> argparse.ArgumentParser:
         "live mode", "options for 'serve' and 'call' (see docs/live_mode.md)")
     live.add_argument("--node", default=None,
                       help="serve: this daemon's node id (must be in --peers)")
-    live.add_argument("--peers", default=None, metavar="MAP",
+    live.add_argument("--peers", type=_parse_peer_map, metavar="MAP",
                       help="serve: ring address book, "
                            "n0=host:port,n1=host:port,... (same on every node)")
-    live.add_argument("--connect", default=None, metavar="ADDRS",
+    live.add_argument("--connect", type=_parse_addresses, metavar="ADDRS",
                       help="call: daemon addresses, host:port[,host:port...]")
     live.add_argument("--calls", type=int, default=5,
                       help="call: number of sequential invocations")

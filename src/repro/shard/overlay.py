@@ -28,8 +28,8 @@ the bound until the delta re-enters it — or ``RESYNC_DRAIN_S`` passes,
 so real divergence is still flagged.
 
 :class:`SkewTracker` samples every shard's live estimate each period and
-keeps the post-warmup envelope — the number committed to
-``BENCH_throughput.json`` by ``loadgen --shards``.
+keeps the post-warmup envelope — the number
+``benchmarks/test_shard_scaling.py`` reports and gates.
 """
 
 from __future__ import annotations

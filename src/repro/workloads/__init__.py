@@ -18,7 +18,6 @@ from .load import (
     ClockSessions,
     LoadResult,
     ZipfPicker,
-    append_run,
     closed_loop,
     open_loop,
     percentile,
@@ -27,14 +26,12 @@ from .load import (
 )
 from .loadgen import (
     ThroughputApp,
-    comparison_run,
     run_loadgen,
     run_loadgen_chaos,
     run_loadgen_comparison,
     run_loadgen_sharded,
     run_throughput_point,
     run_throughput_sweep,
-    shard_scaling_run,
 )
 from .openloop import calibrate_capacity, open_loop_point, run_overload_suite
 from .recovery import RecoveryClockApp, RecoveryResult, run_recovery_workload
@@ -63,10 +60,8 @@ __all__ = [
     "ThroughputApp",
     "TimeServerApp",
     "ZipfPicker",
-    "append_run",
     "calibrate_capacity",
     "closed_loop",
-    "comparison_run",
     "failover_comparison",
     "measure_divergence",
     "open_loop",
@@ -86,6 +81,5 @@ __all__ = [
     "run_throughput_point",
     "run_throughput_sweep",
     "service_counters",
-    "shard_scaling_run",
     "timed_calls",
 ]

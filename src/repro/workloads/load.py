@@ -16,22 +16,18 @@ bed's kernel — the simulator's heap or a live bed's event loop — so the
 same driver loads either substrate and nothing runs on a second thread.
 Around them: :class:`ClockSessions`, the per-call generator of the
 gateway clients that ride a session floor; the zipf identity picker
-skewed populations draw from; the service-side counter roll-up; and the
-recorder that appends a run to a benchmark trajectory file.
+skewed populations draw from; and the service-side counter roll-up.
 """
 
 from __future__ import annotations
 
 import bisect
-import datetime
-import json
 from collections import Counter
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Callable, Dict, Generator, List, Optional, Sequence
 
 from ..control.admission import is_overloaded, retry_after_of
-from ..errors import ConfigurationError, RpcTimeout
+from ..errors import RpcTimeout
 from ..sim import ClusterConfig
 from ..testbed import Testbed
 
@@ -406,31 +402,3 @@ def service_counters(bed, group: str) -> Dict[str, int]:
     totals["rounds_completed"] //= len(replicas) or 1
     return totals
 
-
-def append_run(path, run: Dict) -> Dict:
-    """Append ``run``, stamped with today's date, to the trajectory file
-    at ``path`` — a JSON document ``{"benchmark": ..., "runs": [...]}``
-    that accumulates the service's measurements across changes.
-
-    Only a missing file starts a fresh document.  One that exists but
-    does not parse, or has no ``runs`` list, raises
-    :class:`~repro.errors.ConfigurationError`: it may be the committed
-    trajectory after a bad merge, and rewriting it would wipe the record.
-    """
-    path = Path(path)
-    doc: Dict = {"benchmark": "loadgen-throughput", "runs": []}
-    if path.exists():
-        try:
-            doc = json.loads(path.read_text())
-        except ValueError as error:
-            raise ConfigurationError(
-                f"{path} is not valid JSON ({error}); refusing to "
-                "overwrite it") from None
-        if not (isinstance(doc, dict) and isinstance(doc.get("runs"), list)):
-            raise ConfigurationError(
-                f"{path} has no 'runs' list; refusing to overwrite it")
-    doc["runs"].append(
-        {"recorded_at": datetime.date.today().isoformat(), **run})
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    return doc

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from typing import Dict, Iterable
+from typing import Dict
 
 from ..replication import Application
 from .load import (LoadResult, ZipfPicker, closed_loop, open_loop, paper_bed,
@@ -108,8 +108,8 @@ def run_loadgen_chaos(
     sees ``loss_rate`` random frame loss.  Workers call through
     :meth:`~repro.rpc.client.RpcClient.retrying_call`, so the jittered
     backoff + re-invocation path — not luck — is what keeps the
-    client-visible error rate bounded.  The result lands in the same
-    benchmark trajectory as the fault-free modes (``mode="chaos"``).
+    client-visible error rate bounded.  The result is filed under
+    ``mode="chaos"``, next to the fault-free modes.
     """
     from ..sim.faults import FaultPlan
 
@@ -152,23 +152,6 @@ def run_loadgen_comparison(
     per_op = run_loadgen(coalesce=False, **load)
     coalesced = run_loadgen(coalesce=True, **coalesced_options, **load)
     return {per_op.mode: per_op, coalesced.mode: coalesced}
-
-
-def comparison_run(results: Iterable[LoadResult]) -> Dict:
-    """The trajectory entry for a set of flat-bed results: per-mode
-    numbers plus, when both are present, the coalesced mode's speedup
-    over per-op rounds."""
-    by_mode = {result.mode: result for result in results}
-    run: Dict = {
-        "modes": {mode: r.to_dict() for mode, r in sorted(by_mode.items())},
-    }
-    per_op = by_mode.get("per-op-rounds")
-    coalesced = (by_mode.get("coalesced+fast-path")
-                 or by_mode.get("coalesced"))
-    if per_op is not None and coalesced is not None and per_op.ops_per_s:
-        run["speedup_vs_per_op"] = round(
-            coalesced.ops_per_s / per_op.ops_per_s, 2)
-    return run
 
 
 def run_throughput_point(
@@ -310,20 +293,3 @@ def run_loadgen_sharded(
     )
     return result
 
-
-def shard_scaling_run(single: LoadResult, sharded: LoadResult) -> Dict:
-    """The trajectory entry for a shard-scaling measurement: the N-shard
-    run next to its single-shard baseline, the aggregate scaling ratio,
-    and the measured inter-shard skew envelope."""
-    run: Dict = {
-        "kind": "shard-scaling",
-        "modes": {
-            "single-shard": single.to_dict(),
-            "sharded": sharded.to_dict(),
-        },
-        "skew_envelope": dict(sharded.extra["skew_envelope"]),
-    }
-    if single.ops_per_s:
-        run["scaling_vs_single_shard"] = round(
-            sharded.ops_per_s / single.ops_per_s, 2)
-    return run

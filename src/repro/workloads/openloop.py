@@ -21,8 +21,8 @@ What it measures is the shed-before-collapse contract:
 
 :func:`run_overload_suite` packages the acceptance measurement: a
 closed-loop capacity calibration, an unloaded latency baseline, then
-open-loop runs at 1x/2x/4x the calibrated capacity — a JSON-able run
-for :func:`repro.workloads.load.append_run`.
+open-loop runs at 1x/2x/4x the calibrated capacity, as one JSON-able
+report (``benchmarks/test_overload.py`` gates it).
 """
 
 from __future__ import annotations
@@ -153,8 +153,8 @@ def run_overload_suite(
     Boots a live cluster with admission-controlled gateways, calibrates
     closed-loop capacity, records an unloaded open-loop baseline
     (``baseline_fraction`` of capacity), then drives each overload
-    factor.  Returns a JSON-able run for
-    :func:`~repro.workloads.load.append_run`.
+    factor.  Returns the JSON-able report: capacity, admission
+    settings, the baseline and each point's ``to_dict()``, p99 ratios.
     """
     import random
 

@@ -1,5 +1,7 @@
 """Tests for the experiment CLI."""
 
+import socket
+
 import pytest
 
 from repro import obs
@@ -28,6 +30,32 @@ class TestParser:
             ["ccs", "--metrics", "out.jsonl", "--trace"])
         assert args.metrics == "out.jsonl"
         assert args.trace is True
+
+
+class TestLiveAddresses:
+    """A port outside 0-65535 is a usage error, raised before any socket
+    is opened (bind and sendto would raise OverflowError)."""
+
+    @pytest.fixture(autouse=True)
+    def no_sockets(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a socket was opened")
+
+        monkeypatch.setattr(socket, "socket", refuse)
+
+    def test_serve_rejects_an_out_of_range_port(self, capsys):
+        with pytest.raises(SystemExit) as exited:
+            main(["serve", "--node", "n0", "--peers",
+                  "n0=127.0.0.1:9000,n1=127.0.0.1:70000"])
+        assert exited.value.code == 2
+        assert ("bad peer entry 'n1=127.0.0.1:70000'"
+                in capsys.readouterr().err)
+
+    def test_call_rejects_an_out_of_range_port(self, capsys):
+        with pytest.raises(SystemExit) as exited:
+            main(["call", "--connect", "127.0.0.1:70000"])
+        assert exited.value.code == 2
+        assert "bad address '127.0.0.1:70000'" in capsys.readouterr().err
 
 
 class TestCommands:

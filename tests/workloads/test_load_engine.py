@@ -6,14 +6,13 @@ test hands :func:`closed_loop` / :func:`open_loop` a call whose timing
 and outcome it controls.
 """
 
-import json
 import random
 import threading
 
 import pytest
 
 from repro.control.admission import OVERLOADED, overloaded_value
-from repro.errors import ConfigurationError, RpcTimeout
+from repro.errors import RpcTimeout
 from repro.net.client import CallerStats, CallOutcome, LiveCaller
 from repro.net.daemon import TimeApp
 from repro.net.testbed import LiveTestbed
@@ -22,7 +21,6 @@ from repro.workloads import (
     ClockSessions,
     LoadResult,
     ZipfPicker,
-    append_run,
     closed_loop,
     open_loop,
 )
@@ -332,29 +330,3 @@ class TestZipfPicker:
         picker = ZipfPicker(7, 1.3, random.Random(5))
         assert {picker.pick() for _ in range(500)} <= set(range(7))
 
-
-class TestAppendRun:
-    def test_creates_the_parent_directory(self, tmp_path):
-        # Defect (a): the flat recorder never created it, so
-        # ``--compare --bench-json new/dir/x.json`` died at the very end.
-        path = tmp_path / "new" / "dir" / "bench.json"
-        append_run(path, {"modes": {}})
-        doc = append_run(path, {"modes": {}, "kind": "second"})
-        assert json.loads(path.read_text()) == doc
-        assert doc["benchmark"] == "loadgen-throughput"
-        assert [run.get("kind") for run in doc["runs"]] == [None, "second"]
-        assert all("recorded_at" in run for run in doc["runs"])
-
-    @pytest.mark.parametrize("content", [
-        "{ not json",                 # a bad merge left conflict debris
-        json.dumps({"benchmark": "x"}),   # parses, but no runs list
-        json.dumps([1, 2, 3]),
-    ])
-    def test_refuses_to_replace_a_damaged_trajectory(self, tmp_path, content):
-        # Defect (b): all three recorders silently started a fresh
-        # document over a file they could not read.
-        path = tmp_path / "bench.json"
-        path.write_text(content)
-        with pytest.raises(ConfigurationError, match="bench.json"):
-            append_run(path, {"modes": {}})
-        assert path.read_text() == content

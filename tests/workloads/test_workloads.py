@@ -208,15 +208,6 @@ class TestLoadgenChaos:
         assert result.extra["ops_coalesced"] > 0
         assert result.extra["rounds_completed"] > 0
 
-    def test_chaos_point_lands_in_benchmark_file(self, small_chaos_run,
-                                                 tmp_path):
-        from repro.workloads import append_run, comparison_run
-
-        path = tmp_path / "bench.json"
-        doc = append_run(path, comparison_run([small_chaos_run]))
-        assert doc["runs"][-1]["modes"]["chaos"]["completed"] > 0
-        assert "retries" in doc["runs"][-1]["modes"]["chaos"]
-
 
 @pytest.fixture(scope="module")
 def small_chaos_run():
