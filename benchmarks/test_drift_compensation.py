@@ -14,49 +14,15 @@ drift almost entirely.
 """
 
 from repro.analysis import format_table
-from repro.core import (
-    AlignedReferenceSteering,
-    MeanDelayCompensation,
-    NoCompensation,
-)
-from repro.sim import US_PER_SEC
-from repro.workloads import run_skew_drift_workload
-
-
-def run_ablation(rounds):
-    results = {}
-
-    results["none"] = run_skew_drift_workload(
-        rounds=rounds, seed=17, drift=NoCompensation()
-    )
-    # Calibrate the mean delay from the uncompensated run: the average
-    # per-round loss is exactly the measured drift per round.
-    series = next(iter(results["none"].series.values()))
-    real_span_us = (series.times_s[-1] - series.times_s[0]) * US_PER_SEC
-    group_span_us = series.history[-1][0] - series.history[0][0]
-    mean_delay = max(1, int((real_span_us - group_span_us) / rounds))
-    results["mean-delay"] = run_skew_drift_workload(
-        rounds=rounds, seed=17, drift=MeanDelayCompensation(mean_delay)
-    )
-
-    # Reference steering: a drift-free reference (e.g. GPS time) — here,
-    # the testbed's simulated real time, epoch-aligned at the first round
-    # (the paper's source has "a transient skew from real time but no
-    # drift").
-    results["reference-steering"] = run_skew_drift_workload(
-        rounds=rounds,
-        seed=17,
-        drift_factory=lambda bed: AlignedReferenceSteering(
-            lambda: int(bed.sim.now * US_PER_SEC), proportion=0.2
-        ),
-    )
-    return results, mean_delay
+from repro.workloads import run_drift_ablation
 
 
 def test_drift_compensation_ablation(benchmark, scale, report):
     rounds = scale["drift_rounds"]
-    (results, mean_delay), _ = benchmark.pedantic(
-        lambda: (run_ablation(rounds), None), rounds=1, iterations=1
+    results, mean_delay = benchmark.pedantic(
+        lambda: run_drift_ablation(rounds=rounds, seed=17),
+        rounds=1,
+        iterations=1,
     )
 
     report.title(

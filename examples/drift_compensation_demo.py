@@ -21,42 +21,22 @@ import sys
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from repro.analysis import ascii_series
-from repro.core import (
-    AlignedReferenceSteering,
-    MeanDelayCompensation,
-    NoCompensation,
-)
-from repro.sim import US_PER_SEC
-from repro.workloads import run_skew_drift_workload
+from repro.workloads import run_drift_ablation
 
 ROUNDS = 400
+
+#: The ablation's strategy keys, as this demo labels them.
+LABELS = {
+    "none": "no compensation",
+    "mean-delay": "mean-delay compensation",
+    "reference-steering": "reference steering",
+}
 
 
 def main():
     print(f"running {ROUNDS} clock-synchronization rounds per strategy...\n")
-
-    runs = {}
-    runs["no compensation"] = run_skew_drift_workload(
-        rounds=ROUNDS, seed=5, drift=NoCompensation()
-    )
-
-    # Calibrate the mean per-round delay from the uncompensated run.
-    series = next(iter(runs["no compensation"].series.values()))
-    real_span = (series.times_s[-1] - series.times_s[0]) * US_PER_SEC
-    group_span = series.history[-1][0] - series.history[0][0]
-    mean_delay_us = max(1, int((real_span - group_span) / ROUNDS))
+    runs, mean_delay_us = run_drift_ablation(rounds=ROUNDS, seed=5)
     print(f"calibrated mean per-round delay: {mean_delay_us} us\n")
-
-    runs["mean-delay compensation"] = run_skew_drift_workload(
-        rounds=ROUNDS, seed=5, drift=MeanDelayCompensation(mean_delay_us)
-    )
-    runs["reference steering"] = run_skew_drift_workload(
-        rounds=ROUNDS,
-        seed=5,
-        drift_factory=lambda bed: AlignedReferenceSteering(
-            lambda: int(bed.sim.now * US_PER_SEC), proportion=0.2
-        ),
-    )
 
     for name, result in runs.items():
         series = next(iter(result.series.values()))
@@ -65,7 +45,7 @@ def main():
             for g, p in zip(series.normalized_group(),
                             series.normalized_physical())
         ]
-        print(f"--- {name} ---")
+        print(f"--- {LABELS[name]} ---")
         print(" ", ascii_series(lag, label="group clock lag vs pc (us)"))
         print(f"  drift vs real time: {result.group_drift_ppm() / 1e4:+.2f}%")
         print()

@@ -1,18 +1,16 @@
-"""Command-line experiment runner: ``python -m repro <experiment>``.
+"""Command-line front door: ``python -m repro COMMAND``.
 
-Runs the paper's experiments without pytest and prints the same reports
-the benchmark harness produces.  Intended for quick exploration::
+``fig NAME`` runs one of the paper's experiments without pytest and
+prints the report the benchmark harness produces for it::
 
-    python -m repro fig1                 # replica clock divergence
-    python -m repro fig5 --rounds 2000   # latency PDF with/without CTS
-    python -m repro ccs  --rounds 5000   # duplicate-suppression counts
-    python -m repro fig6 --rounds 1500   # skew & drift series
-    python -m repro failover --seeds 8   # roll-back comparison
-    python -m repro drift --rounds 800   # compensation ablation
-    python -m repro recovery             # new-clock integration
-    python -m repro metrics              # observability export smoke
-    python -m repro all                  # everything, quick scale
-    python -m pytest benchmarks/test_throughput.py::test_coalescing_trajectory
+    python -m repro fig fig1                 # replica clock divergence
+    python -m repro fig fig5 --rounds 2000   # latency PDF with/without CTS
+    python -m repro fig ccs  --rounds 5000   # duplicate-suppression counts
+    python -m repro fig fig6 --rounds 1500   # skew & drift series
+    python -m repro fig failover --seeds 8   # roll-back comparison
+    python -m repro fig drift --rounds 800   # compensation ablation
+    python -m repro fig recovery             # new-clock integration
+    python -m repro fig all                  # everything, quick scale
 
 Live mode (see ``docs/live_mode.md``) — real UDP sockets instead of the
 simulator::
@@ -21,55 +19,44 @@ simulator::
         --peers n0=127.0.0.1:9000,n1=127.0.0.1:9001,n2=127.0.0.1:9002
     python -m repro call gettimeofday --connect 127.0.0.1:9000 --expect 3
 
-Chaos (see ``docs/chaos.md``) — seeded fault injection against a live
-in-process cluster, judged by the invariant oracle::
+Chaos (see ``docs/chaos.md`` and ``docs/sharding.md``) — seeded fault
+injection against a live in-process cluster, flat or sharded, judged by
+the invariant oracle; ``trace`` renders its cross-node op timelines::
 
     python -m repro chaos --scenario examples/chaos_partition.json --seed 7 \\
         --artifacts-dir chaos-artifacts
     python -m repro trace --shards chaos-artifacts
-    python -m pytest benchmarks/test_throughput.py::test_faults_on_throughput
-
-Sharded time domains (see ``docs/sharding.md``) — N rings, a routing
-tier, and the gradient sync overlay bounding inter-shard skew::
-
-    python -m pytest benchmarks/test_shard_scaling.py
-    python -m repro chaos --scenario examples/chaos_shards.json --seed 7
 
 Elastic control plane (see ``docs/operations.md``) — live
-reconfiguration and overload drills::
+reconfiguration drills::
 
     python -m repro control rolling-restart --nodes 3
     python -m repro control sequence --verdict-json verdict.json
-    python -m pytest benchmarks/test_overload.py
 
-Observability: every experiment accepts ``--metrics out.jsonl`` (enable
-the metrics registry and dump a JSONL + Prometheus-text export) and
-``--trace`` (stream protocol trace events to stderr); see
-``docs/observability.md``.
+Observability (see ``docs/observability.md``): ``--metrics out.jsonl``
+enables the metrics registry and writes a JSONL + Prometheus-text
+export; on a ``fig`` run it then checks that the export is populated end
+to end.  ``--trace`` streams protocol trace events to stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import sys
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from pathlib import Path
 from typing import List, Optional
 
 from . import obs, trace
 from .analysis import format_table, summarize
 from .obs import export as obs_export
-from .core import (
-    AlignedReferenceSteering,
-    MeanDelayCompensation,
-    NoCompensation,
-)
-from .sim import US_PER_SEC
 from .testbed import STYLES
 from .workloads import (
     failover_comparison,
     measure_divergence,
     run_at_size,
+    run_drift_ablation,
     run_latency_workload,
     run_partition_cycle,
     run_recovery_workload,
@@ -77,7 +64,7 @@ from .workloads import (
 )
 
 
-def cmd_fig1(args) -> int:
+def fig1(args) -> None:
     rows = []
     for label, source in (("local clocks", "local"),
                           ("NTP-disciplined", "ntp"),
@@ -86,10 +73,9 @@ def cmd_fig1(args) -> int:
         rows.append([label, f"{s.mean:.1f}", f"{s.maximum:.0f}"])
     print(format_table(["clock source", "mean divergence us", "max us"],
                        rows, title="FIG1 replica clock divergence"))
-    return 0
 
 
-def cmd_fig5(args) -> int:
+def fig5(args) -> None:
     without = run_latency_workload(
         time_source="local", invocations=args.rounds, seed=args.seed)
     with_cts = run_latency_workload(
@@ -103,10 +89,9 @@ def cmd_fig5(args) -> int:
     overhead = summarize(with_cts.latencies_us).mean - summarize(
         without.latencies_us).mean
     print(f"overhead: {overhead:+.1f} us  (paper: ≈ +300 us)")
-    return 0
 
 
-def cmd_ccs(args) -> int:
+def ccs(args) -> None:
     run = run_latency_workload(
         time_source="cts", invocations=args.rounds, seed=args.seed,
         coalesce=args.coalesce)
@@ -122,10 +107,9 @@ def cmd_ccs(args) -> int:
     print(f"clock ops per replica: {run.ops_completed}  "
           f"coalesced: {run.ops_coalesced}  "
           f"CCS messages/op: {per_op:.3f}")
-    return 0
 
 
-def cmd_fig6(args) -> int:
+def fig6(args) -> None:
     result = run_skew_drift_workload(rounds=args.rounds, seed=args.seed)
     print(f"FIG6 skew & drift over {args.rounds} rounds")
     print(f"  synchronizer totals: {result.winner_counts()}")
@@ -137,10 +121,9 @@ def cmd_fig6(args) -> int:
           f"{result.group_drift_ppm() / 1e4:+.2f}%")
     print(f"  CCS transmitted: {result.ccs_transmitted} "
           f"(total {result.total_transmitted} == rounds)")
-    return 0
 
 
-def cmd_failover(args) -> int:
+def failover(args) -> None:
     summary = failover_comparison(range(args.seed, args.seed + args.seeds))
     rows = []
     for source in ("primary-backup", "cts"):
@@ -150,45 +133,30 @@ def cmd_failover(args) -> int:
     print(format_table(
         ["time source", "roll-backs", "fast-forwards", "worst step (s)"],
         rows, title=f"EXT-FAILOVER over {args.seeds} seeds"))
-    return 0
 
 
-def cmd_drift(args) -> int:
-    plain = run_skew_drift_workload(rounds=args.rounds, seed=args.seed,
-                                    drift=NoCompensation())
-    series = next(iter(plain.series.values()))
-    real = (series.times_s[-1] - series.times_s[0]) * US_PER_SEC
-    group = series.history[-1][0] - series.history[0][0]
-    mean_delay = max(1, int((real - group) / args.rounds))
-    compensated = run_skew_drift_workload(
-        rounds=args.rounds, seed=args.seed,
-        drift=MeanDelayCompensation(mean_delay))
-    steered = run_skew_drift_workload(
-        rounds=args.rounds, seed=args.seed,
-        drift_factory=lambda bed: AlignedReferenceSteering(
-            lambda: int(bed.sim.now * US_PER_SEC), proportion=0.2))
-    rows = [
-        ["none", f"{plain.group_drift_ppm() / 1e4:+.2f}%"],
-        [f"mean-delay ({mean_delay} us)",
-         f"{compensated.group_drift_ppm() / 1e4:+.2f}%"],
-        ["reference steering", f"{steered.group_drift_ppm() / 1e4:+.2f}%"],
-    ]
+def drift(args) -> None:
+    results, mean_delay = run_drift_ablation(rounds=args.rounds,
+                                             seed=args.seed)
+    rows = [[label, f"{results[name].group_drift_ppm() / 1e4:+.2f}%"]
+            for name, label in (
+                ("none", "none"),
+                ("mean-delay", f"mean-delay ({mean_delay} us)"),
+                ("reference-steering", "reference steering"))]
     print(format_table(["strategy", "drift vs real time"], rows,
                        title=f"EXT-DRIFT ablation ({args.rounds} rounds)"))
-    return 0
 
 
-def cmd_recovery(args) -> int:
+def recovery(args) -> None:
     result = run_recovery_workload(seed=args.seed)
     print("EXT-RECOVERY new-clock integration")
     print(f"  monotone across join:   {result.monotone}")
     print(f"  joiner consistent:      {result.joiner_consistent}")
     print(f"  offset adoptions:       {result.recovery_adoptions}")
     print(f"  integration time:       {result.integration_time_s * 1000:.1f} ms")
-    return 0
 
 
-def cmd_partition(args) -> int:
+def partition(args) -> None:
     outcome = run_partition_cycle(args.seed)
     print("EXT-PARTITION primary-component cycle")
     print(f"  n3 partitioned away; suspended: "
@@ -196,33 +164,45 @@ def cmd_partition(args) -> int:
     print(f"  clock monotone through the cycle: {outcome['monotone']}")
     print(f"  n3 rejoined with state {outcome['rejoined_count']} "
           f"(majority {outcome['majority_count']})")
-    return 0
 
 
-def cmd_scale(args) -> int:
+def scale(args) -> None:
     rows = []
     for replicas in (2, 3, 4, 5):
         latency, _, _ = run_at_size(replicas, calls=60, seed=args.seed)
         rows.append([replicas, f"{latency.p50:.0f}", f"{latency.p90:.0f}"])
     print(format_table(["replicas", "p50 latency (us)", "p90 (us)"], rows,
                        title="EXT-SCALE group-size sweep"))
+
+
+#: ``repro fig NAME``: figure name -> the function that prints it, in
+#: the order ``repro fig all`` prints them.
+FIGURES = {figure.__name__: figure for figure in (
+    fig1, fig5, ccs, fig6, failover, drift, recovery, partition, scale)}
+FIGURE_NAMES = (*FIGURES, "all")
+
+
+def _positive_int(text: str) -> int:
+    """The type of ``--rounds`` and ``--seeds``: an integer of at least 1."""
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"not a positive integer: {text!r}")
+    return int(text)
+
+
+def cmd_fig(args) -> int:
+    """Print one figure, or with ``all`` each figure after a blank line."""
+    if args.target != "all":
+        FIGURES[args.target](args)
+    else:
+        for figure in FIGURES.values():
+            print()
+            figure(args)
     return 0
 
 
-def cmd_metrics(args) -> int:
-    """Observability smoke test.
-
-    Runs the CCS workload with the metrics registry and span tracker
-    enabled and checks the export end to end: the CCS and wire counter
-    families are present and non-zero, the round-latency histogram is
-    populated and round spans were assembled.  Exit status 0 only if all
-    of that holds.  (Counter families are read from the counters the
-    harness itself reports, so there is no second copy to compare.)
-    """
-    tracker = obs.RoundSpanTracker()
-    with obs.REGISTRY.session(), tracker:
-        run_latency_workload(
-            time_source="cts", invocations=args.rounds, seed=args.seed)
+def _check_export(tracker: obs.RoundSpanTracker) -> int:
+    """``--metrics`` on a ``fig`` run: print the registry and the round
+    spans; fail (1) on an empty counter family, histogram or span list."""
     print(obs_export.summary_table(
         obs.REGISTRY, title="OBS-SMOKE registry after the run"))
     spans = tracker.completed()
@@ -278,10 +258,6 @@ def _parse_peer_map(spec: str):
 def cmd_serve(args) -> int:
     from .net.daemon import DaemonConfig, NodeDaemon
 
-    if not args.node or not args.peers:
-        print("serve requires --node and --peers (name=host:port,...)",
-              file=sys.stderr)
-        return 2
     config = DaemonConfig(
         node_id=args.node,
         peers=args.peers,
@@ -310,10 +286,6 @@ def cmd_call(args) -> int:
     from .net.client import LiveCaller
     from .net.kernel import LiveKernel
 
-    if not args.connect:
-        print("call requires --connect host:port[,host:port...]",
-              file=sys.stderr)
-        return 2
     method = args.target or "gettimeofday"
     kernel = LiveKernel()
     caller = LiveCaller(kernel, args.connect, group=args.group)
@@ -362,10 +334,6 @@ def cmd_chaos(args) -> int:
     from .errors import ConfigurationError
     from .shard import run_shard_chaos
 
-    if not args.scenario:
-        print("chaos requires --scenario FILE (see docs/chaos.md)",
-              file=sys.stderr)
-        return 2
     try:
         scenario = load_scenario(args.scenario)
     except (OSError, ConfigurationError, ValueError) as error:
@@ -386,8 +354,6 @@ def cmd_chaos(args) -> int:
 def _emit_verdict(verdict, args) -> int:
     """Print the JSON verdict (and write it to ``--verdict-json``);
     exit status 0 iff the run was judged ok."""
-    import json
-
     text = json.dumps(verdict, indent=2, sort_keys=True)
     print(text)
     if args.verdict_json:
@@ -438,14 +404,8 @@ def cmd_trace(args) -> int:
     and prints one timeline per trace id — as a table, or as JSONL with
     ``--jsonl`` for downstream tooling.
     """
-    import json
-
     from .obs.crossnode import assemble_timelines
 
-    if not args.shards:
-        print("trace requires --shards DIR (a chaos --artifacts-dir or "
-              "serve --trace-dir directory)", file=sys.stderr)
-        return 2
     if not Path(args.shards).is_dir():
         print(f"trace: {args.shards} is not a directory", file=sys.stderr)
         return 2
@@ -486,27 +446,8 @@ def cmd_trace(args) -> int:
     return 0
 
 
-def cmd_all(args) -> int:
-    status = 0
-    for command in (cmd_fig1, cmd_fig5, cmd_ccs, cmd_fig6, cmd_failover,
-                    cmd_drift, cmd_recovery, cmd_partition, cmd_scale):
-        print()
-        status |= command(args)
-    return status
-
-
 COMMANDS = {
-    "fig1": cmd_fig1,
-    "fig5": cmd_fig5,
-    "ccs": cmd_ccs,
-    "fig6": cmd_fig6,
-    "failover": cmd_failover,
-    "drift": cmd_drift,
-    "recovery": cmd_recovery,
-    "partition": cmd_partition,
-    "scale": cmd_scale,
-    "metrics": cmd_metrics,
-    "all": cmd_all,
+    "fig": cmd_fig,
     "serve": cmd_serve,
     "call": cmd_call,
     "chaos": cmd_chaos,
@@ -514,41 +455,38 @@ COMMANDS = {
     "trace": cmd_trace,
 }
 
+#: Command -> the options it cannot run without.
+REQUIRED = {"serve": ("node", "peers"), "call": ("connect",),
+            "chaos": ("scenario",), "trace": ("shards",)}
+
 
 @contextmanager
 def _observability(args):
     """Wrap one command in the telemetry the flags asked for.
 
     ``--metrics PATH`` enables the registry, collects trace events and
-    round spans, and on exit writes a JSONL export to PATH plus a
-    Prometheus text exposition next to it.  ``--trace`` streams every
-    protocol trace event to stderr as it happens.
+    round spans (the span tracker is what the block receives), and on
+    exit writes a JSONL export to PATH plus a Prometheus text exposition
+    next to it.  ``--trace`` streams every protocol trace event to
+    stderr as it happens.
     """
-    metrics_path = getattr(args, "metrics", None)
-    tracing = getattr(args, "trace", False)
-    if not metrics_path and not tracing:
-        yield
-        return
     events: List[trace.TraceEvent] = []
     tracker = obs.RoundSpanTracker()
-    unsubscribes = []
-    if metrics_path:
-        obs.REGISTRY.reset()
-        obs.REGISTRY.enable()
-        tracker.attach()
-        unsubscribes.append(trace.subscribe(events.append))
-    if tracing:
-        unsubscribes.append(trace.subscribe(
-            lambda event: print(str(event), file=sys.stderr)))
-    try:
-        yield
-    finally:
-        for unsubscribe in unsubscribes:
-            unsubscribe()
-        tracker.detach()
-        if metrics_path:
-            obs.REGISTRY.disable()
-            path = Path(metrics_path)
+    with ExitStack() as stack:
+        if args.trace:
+            stack.callback(trace.subscribe(
+                lambda event: print(str(event), file=sys.stderr)))
+        if not args.metrics:
+            yield None
+            return
+        stack.enter_context(obs.REGISTRY.session())
+        stack.enter_context(tracker)
+        stack.callback(trace.subscribe(events.append))
+        try:
+            yield tracker
+        finally:
+            stack.close()
+            path = Path(args.metrics)
             written = obs_export.write_jsonl(
                 obs.REGISTRY, path,
                 trace_events=events, spans=tracker.completed())
@@ -565,13 +503,14 @@ def build_parser() -> argparse.ArgumentParser:
                     "time service reproduction).",
     )
     parser.add_argument("experiment", choices=sorted(COMMANDS),
-                        help="which experiment to run (or 'serve'/'call' "
-                             "for live mode)")
+                        help="'fig' runs one of the paper's experiments")
     parser.add_argument("target", nargs="?", default=None,
-                        help="method name for 'call' (default gettimeofday)")
-    parser.add_argument("--rounds", type=int, default=500,
+                        help=f"figure for 'fig' ({' | '.join(FIGURE_NAMES)}), "
+                             "method for 'call' (default gettimeofday), "
+                             "action for 'control'")
+    parser.add_argument("--rounds", type=_positive_int, default=500,
                         help="workload size (invocations / rounds)")
-    parser.add_argument("--seeds", type=int, default=6,
+    parser.add_argument("--seeds", type=_positive_int, default=6,
                         help="seed-sweep width (failover)")
     parser.add_argument("--seed", type=int, default=0,
                         help="root RNG seed")
@@ -582,7 +521,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--trace", action="store_true",
                         help="stream protocol trace events to stderr")
     svc = parser.add_argument_group(
-        "time service tuning", "CTS options for 'serve', 'ccs' and 'control'")
+        "time service tuning",
+        "CTS options for 'serve', 'fig ccs' and 'control'")
     svc.add_argument("--no-coalesce", dest="coalesce", action="store_false",
                      help="serial replica execution: reads never overlap, "
                           "so every CCS round covers one operation (same "
@@ -677,6 +617,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.experiment == "fig" and args.target not in FIGURE_NAMES:
+        parser.error(f"fig needs a figure: {' | '.join(FIGURE_NAMES)}")
+    for name in REQUIRED.get(args.experiment, ()):
+        if not getattr(args, name):
+            parser.error(f"{args.experiment} requires --{name}")
     if args.metrics is not None:
         # Fail before the experiment runs, not after: an unwritable
         # export path would otherwise waste the whole run.
@@ -688,8 +633,11 @@ def main(argv: Optional[List[str]] = None) -> int:
             path.touch()
         except OSError as error:
             parser.error(f"cannot write metrics file {path}: {error}")
-    with _observability(args):
-        return COMMANDS[args.experiment](args)
+    with _observability(args) as tracker:
+        status = COMMANDS[args.experiment](args)
+    if tracker is not None and args.experiment == "fig":
+        status |= _check_export(tracker)
+    return status
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -91,39 +91,33 @@ class ControlPlane:
         fully caught up (state transferred, present in every view, and —
         when ``require_rounds`` is set and traffic flows — having
         completed that many fresh CCS rounds of its own)."""
-        replicas = self.bed.services.get(self.group, {})
-        existing = replicas.get(node_id)
-        if existing is not None:
-            if existing.endpoint.joined:
-                return existing
-            # An async drain left the group but has not finalized yet:
-            # retire the departed replica now so the re-join starts from
-            # a fresh endpoint (the finalizer's identity guard makes it
-            # a no-op afterwards).
-            self._retire(node_id, existing)
-        if not self.bed.node(node_id).alive:
-            self.bed.recover(node_id)
-            if self.on_node_ready is not None:
-                self.on_node_ready(node_id)
-        replica = self.bed.add_replica(self.group, node_id)
+        replica = self._admit(node_id)
+        if replica is None:
+            return self.bed.services[self.group][node_id]
         self._wait(lambda: replica.state_transfer.ready,
                    timeout_s=timeout_s,
                    what=f"state transfer to {node_id}")
-        others = [n for n in self.serving() if n != node_id]
+        serving = self.serving()  # the joiner included
         self._wait(lambda: all(node_id in self.view_members(n)
-                               for n in others + [node_id]),
+                               for n in serving),
                    timeout_s=timeout_s,
                    what=f"{node_id} in every group view")
-        if require_rounds:
-            stats = getattr(replica.time_source, "stats", None)
-            if stats is not None and hasattr(stats, "rounds_completed"):
-                self._wait(
-                    lambda: stats.rounds_completed >= require_rounds,
-                    timeout_s=timeout_s,
-                    what=f"{node_id} completing {require_rounds} rounds")
-        self.log.append({"op": "join", "node": node_id,
-                         "at": self.bed.sim.now})
+        stats = getattr(replica.time_source, "stats", None)
+        if require_rounds and hasattr(stats, "rounds_completed"):
+            self._wait(lambda: stats.rounds_completed >= require_rounds,
+                       timeout_s=timeout_s,
+                       what=f"{node_id} completing {require_rounds} rounds")
+        self._record("join", node_id)
         return replica
+
+    def join_async(self, node_id: str) -> bool:
+        """Non-blocking join for kernel callbacks: start the admission
+        (recover + add_replica → state transfer) without waiting for
+        catch-up.  Returns False when the node already serves."""
+        if self._admit(node_id) is None:
+            return False
+        self._record("join", node_id)
+        return True
 
     # -- drain ---------------------------------------------------------
 
@@ -135,15 +129,7 @@ class ControlPlane:
         place in the Totem ring (and its gateway keeps serving clients);
         only its group membership ends.
         """
-        replicas = self.bed.services.get(self.group, {})
-        replica = replicas.get(node_id)
-        if replica is None:
-            raise ReconfigurationError(
-                f"{node_id} hosts no replica of {self.group!r}")
-        if len(replicas) <= 1:
-            raise ReconfigurationError(
-                f"refusing to drain {node_id}: it is the last serving "
-                f"replica of {self.group!r}")
+        replica = self._drainable(node_id)
         # Quiesce best-effort: let locally in-flight operations finish so
         # the departure lands between operations, not inside one.  Under
         # sustained load the replica may never be perfectly idle — that
@@ -152,14 +138,12 @@ class ControlPlane:
         self._wait(lambda: replica.idle,
                    timeout_s=quiesce_s, what="", raise_on_timeout=False)
         replica.endpoint.leave()
-        remaining = [n for n in replicas if n != node_id]
+        remaining = [n for n in self.serving() if n != node_id]
         self._wait(lambda: all(node_id not in self.view_members(n)
                                for n in remaining),
                    timeout_s=timeout_s,
                    what=f"views excluding {node_id}")
-        self._retire(node_id, replica)
-        self.log.append({"op": "drain", "node": node_id,
-                         "at": self.bed.sim.now})
+        self._drained(node_id, replica)
 
     def drain_async(self, node_id: str, *, grace_s: float = 0.5) -> bool:
         """Non-blocking drain for use inside a kernel callback (the
@@ -167,38 +151,17 @@ class ControlPlane:
         Leaves immediately; endpoint removal follows after ``grace_s``
         (by which time the ordered LEAVE has propagated).  Returns False
         when the drain would be unsafe (last replica / not serving)."""
-        replicas = self.bed.services.get(self.group, {})
-        replica = replicas.get(node_id)
-        if replica is None or len(replicas) <= 1:
+        try:
+            replica = self._drainable(node_id)
+        except ReconfigurationError:
             return False
         replica.endpoint.leave()
 
         def finalize() -> None:
             if self.bed.services.get(self.group, {}).get(node_id) is replica:
-                self._retire(node_id, replica)
-                self.log.append({"op": "drain", "node": node_id,
-                                 "at": self.bed.sim.now})
+                self._drained(node_id, replica)
 
         self.bed.sim.schedule(grace_s, finalize)
-        return True
-
-    def join_async(self, node_id: str) -> bool:
-        """Non-blocking join for kernel callbacks: start the admission
-        (recover + add_replica → state transfer) without waiting for
-        catch-up.  Returns False when the node already serves."""
-        existing = self.bed.services.get(self.group, {}).get(node_id)
-        if existing is not None:
-            if existing.endpoint.joined:
-                return False
-            # Pending async drain: finalize it now, then re-admit.
-            self._retire(node_id, existing)
-        if not self.bed.node(node_id).alive:
-            self.bed.recover(node_id)
-            if self.on_node_ready is not None:
-                self.on_node_ready(node_id)
-        self.bed.add_replica(self.group, node_id)
-        self.log.append({"op": "join", "node": node_id,
-                         "at": self.bed.sim.now})
         return True
 
     # -- restart -------------------------------------------------------
@@ -215,13 +178,48 @@ class ControlPlane:
         self.drain(node_id, timeout_s=timeout_s)
         self.bed.crash(node_id)
         self.bed.run(self.poll_s)
-        self.bed.recover(node_id)
-        if self.on_node_ready is not None:
-            self.on_node_ready(node_id)
         return self.join(node_id, timeout_s=timeout_s,
                          require_rounds=require_rounds)
 
     # -- internals -----------------------------------------------------
+
+    def _admit(self, node_id: str) -> Optional[Replica]:
+        """The steps both joins take: retire a drain still pending, recover
+        a crashed node, add its replica.  None when it already serves."""
+        existing = self.bed.services.get(self.group, {}).get(node_id)
+        if existing is not None:
+            if existing.endpoint.joined:
+                return None
+            # An async drain left the group but has not finalized yet:
+            # retire the departed replica now so the re-join starts from
+            # a fresh endpoint (the finalizer's identity guard makes it
+            # a no-op afterwards).
+            self._retire(node_id, existing)
+        if not self.bed.node(node_id).alive:
+            self.bed.recover(node_id)
+            if self.on_node_ready is not None:
+                self.on_node_ready(node_id)
+        return self.bed.add_replica(self.group, node_id)
+
+    def _drainable(self, node_id: str) -> Replica:
+        """``node_id``'s replica, if draining it leaves the group serving."""
+        replicas = self.bed.services.get(self.group, {})
+        replica = replicas.get(node_id)
+        if replica is None:
+            raise ReconfigurationError(
+                f"{node_id} hosts no replica of {self.group!r}")
+        if len(replicas) <= 1:
+            raise ReconfigurationError(
+                f"refusing to drain {node_id}: it is the last serving "
+                f"replica of {self.group!r}")
+        return replica
+
+    def _drained(self, node_id: str, replica: Replica) -> None:
+        self._retire(node_id, replica)
+        self._record("drain", node_id)
+
+    def _record(self, op: str, node_id: str) -> None:
+        self.log.append({"op": op, "node": node_id, "at": self.bed.sim.now})
 
     def _retire(self, node_id: str, replica: Replica) -> None:
         # Delivery routes by endpoint registration, not view membership:

@@ -25,7 +25,6 @@ from .load import (
     timed_calls,
 )
 from .loadgen import (
-    ThroughputApp,
     run_loadgen,
     run_loadgen_chaos,
     run_loadgen_comparison,
@@ -41,6 +40,7 @@ from .skew_drift import (
     ReplicaSeries,
     SkewDriftApp,
     SkewDriftResult,
+    run_drift_ablation,
     run_skew_drift_workload,
 )
 
@@ -57,7 +57,6 @@ __all__ = [
     "ReplicaSeries",
     "SkewDriftApp",
     "SkewDriftResult",
-    "ThroughputApp",
     "TimeServerApp",
     "ZipfPicker",
     "calibrate_capacity",
@@ -68,6 +67,7 @@ __all__ = [
     "open_loop_point",
     "percentile",
     "run_at_size",
+    "run_drift_ablation",
     "run_failover_workload",
     "run_latency_workload",
     "run_loadgen",

@@ -23,22 +23,11 @@ import random
 from collections import Counter
 from typing import Dict
 
-from ..replication import Application
+from .failover import ClockReadApp
 from .load import (LoadResult, ZipfPicker, closed_loop, open_loop, paper_bed,
                    service_counters)
 
 GROUP, METHOD = "svc", "get_time"
-
-
-class ThroughputApp(Application):
-    """Minimal clock-reading servant."""
-
-    WORK_S = 20e-6
-
-    def get_time(self, ctx):
-        yield ctx.compute(self.WORK_S)
-        value = yield ctx.gettimeofday()
-        return value.micros
 
 
 def _with_service_counters(result: LoadResult, bed, **fields) -> LoadResult:
@@ -79,7 +68,8 @@ def run_loadgen(
     against the service deployed with ``deploy_options`` (``time_source``,
     ``coalesce``, ``fast_path``, ``max_staleness_us``: as
     ``Testbed.deploy``)."""
-    bed, client = paper_bed(seed, ThroughputApp, group=GROUP, **deploy_options)
+    bed, client = paper_bed(seed, lambda: ClockReadApp(20e-6), group=GROUP,
+                            **deploy_options)
 
     def call(_index):
         reply, latency_us = yield from client.timed_call(
@@ -114,8 +104,8 @@ def run_loadgen_chaos(
     from ..sim.faults import FaultPlan
 
     bed, client = paper_bed(
-        seed, ThroughputApp, group=GROUP, cluster=dict(loss_rate=loss_rate),
-        max_staleness_us=max_staleness_us)
+        seed, lambda: ClockReadApp(20e-6), group=GROUP,
+        cluster=dict(loss_rate=loss_rate), max_staleness_us=max_staleness_us)
     plan = (
         FaultPlan()
         .crash("n3", at=duration_s / 3)
@@ -167,7 +157,8 @@ def run_throughput_point(
     ``extra["saturated"]`` is set when the service could not keep up
     with the offered rate (completions fall clearly short of issues).
     """
-    bed, client = paper_bed(seed, ThroughputApp, group=GROUP, **deploy_options)
+    bed, client = paper_bed(seed, lambda: ClockReadApp(20e-6), group=GROUP,
+                            **deploy_options)
 
     def issue(done):
         sent_at_us = client.node.read_clock_us()

@@ -1,4 +1,4 @@
-"""The small scenarios `repro fig1 | partition | scale` and their
+"""The small scenarios `repro fig fig1 | partition | scale` and their
 benchmark files share.
 
 * :func:`measure_divergence` — FIG1: how far three replicas' answers to

@@ -16,6 +16,9 @@ Collected per run:
 * CCS messages transmitted per node — the Section 4.3 duplicate-
   suppression counts (1 / 9,977 / 22 in the paper's run);
 * group clock vs simulated real time — drift measurements.
+
+:func:`run_drift_ablation` runs it under the three Section 3.3
+drift strategies (EXT-DRIFT).
 """
 
 from __future__ import annotations
@@ -23,9 +26,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
-from ..core import DriftCompensation
+from ..core import (
+    AlignedReferenceSteering,
+    DriftCompensation,
+    MeanDelayCompensation,
+    NoCompensation,
+)
 from ..replication import Application
-from ..sim import ClusterConfig, RngRegistry
+from ..sim import US_PER_SEC, ClusterConfig, RngRegistry
 from ..testbed import Testbed
 
 #: The paper's three busy-loop lengths (empty iterations).
@@ -183,3 +191,34 @@ def run_skew_drift_workload(
     recorder = next(iter(sources.values())).recorder
     result.winners = [w for _, _, w in recorder.winners[pre_winners:]]
     return result
+
+
+def run_drift_ablation(
+    *, rounds: int, seed: int
+) -> Tuple[Dict[str, SkewDriftResult], int]:
+    """EXT-DRIFT: the Figure 6 workload under each Section 3.3 strategy.
+
+    Returns ``({"none" | "mean-delay" | "reference-steering": result},
+    mean_delay_us)``.  The mean delay is calibrated from the
+    uncompensated run: its average per-round loss is exactly the
+    measured drift per round.  Reference steering follows a drift-free
+    reference (e.g. GPS time) — here the testbed's simulated real time,
+    epoch-aligned at the first round (the paper's source has "a
+    transient skew from real time but no drift").
+    """
+    plain = run_skew_drift_workload(rounds=rounds, seed=seed,
+                                    drift=NoCompensation())
+    series = next(iter(plain.series.values()))
+    real_span_us = (series.times_s[-1] - series.times_s[0]) * US_PER_SEC
+    group_span_us = series.history[-1][0] - series.history[0][0]
+    mean_delay = max(1, int((real_span_us - group_span_us) / rounds))
+    results = {
+        "none": plain,
+        "mean-delay": run_skew_drift_workload(
+            rounds=rounds, seed=seed, drift=MeanDelayCompensation(mean_delay)),
+        "reference-steering": run_skew_drift_workload(
+            rounds=rounds, seed=seed,
+            drift_factory=lambda bed: AlignedReferenceSteering(
+                lambda: int(bed.sim.now * US_PER_SEC), proportion=0.2)),
+    }
+    return results, mean_delay

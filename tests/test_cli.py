@@ -5,7 +5,7 @@ import socket
 import pytest
 
 from repro import obs
-from repro.cli import build_parser, main
+from repro.cli import FIGURES, build_parser, main
 from repro.obs import export
 
 
@@ -19,17 +19,57 @@ class TestParser:
             build_parser().parse_args(["flux-capacitor"])
 
     def test_defaults(self):
-        args = build_parser().parse_args(["fig5"])
+        args = build_parser().parse_args(["fig", "fig5"])
+        assert args.target == "fig5"
         assert args.rounds == 500
+        assert args.seeds == 6
         assert args.seed == 0
         assert args.metrics is None
         assert args.trace is False
 
     def test_observability_flags(self):
         args = build_parser().parse_args(
-            ["ccs", "--metrics", "out.jsonl", "--trace"])
+            ["fig", "ccs", "--metrics", "out.jsonl", "--trace"])
         assert args.metrics == "out.jsonl"
         assert args.trace is True
+
+    @pytest.mark.parametrize("command", ["fig1", "ccs", "all", "metrics"])
+    def test_figures_are_not_top_level_commands(self, command, capsys):
+        with pytest.raises(SystemExit) as exited:
+            main([command])
+        assert exited.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["fig"], " | ".join([*FIGURES, "all"])),
+        (["fig", "fig7"], " | ".join([*FIGURES, "all"])),
+        (["serve"], "serve requires --node"),
+        (["call"], "call requires --connect"),
+        (["chaos"], "chaos requires --scenario"),
+        (["trace"], "trace requires --shards"),
+    ], ids=["fig", "fig-fig7", "serve", "call", "chaos", "trace"])
+    def test_a_missing_or_unknown_target_is_a_usage_error(
+            self, argv, message, capsys):
+        with pytest.raises(SystemExit) as exited:
+            main(argv)
+        assert exited.value.code == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["fig", "fig5", "--rounds", "0"],
+        ["fig", "fig6", "--rounds", "-3"],
+        ["fig", "failover", "--seeds", "0"],
+        ["fig", "ccs", "--rounds", "many"],
+    ], ids=["fig5-rounds-0", "fig6-rounds-neg", "failover-seeds-0",
+            "ccs-rounds-text"])
+    def test_sizes_must_be_positive(self, argv, monkeypatch, capsys):
+        # A usage error before any workload runs, not a traceback out of
+        # an empty sample.
+        monkeypatch.setitem(FIGURES, argv[1], pytest.fail)
+        with pytest.raises(SystemExit) as exited:
+            main(argv)
+        assert exited.value.code == 2
+        assert "not a positive integer" in capsys.readouterr().err
 
 
 class TestLiveAddresses:
@@ -58,66 +98,52 @@ class TestLiveAddresses:
         assert "bad address '127.0.0.1:70000'" in capsys.readouterr().err
 
 
+#: Figure -> (extra arguments, substrings its report must contain).
+FIGURE_CHECKS = {
+    "fig1": ([], ["FIG1", "consistent time service"]),
+    "fig5": (["--rounds", "60"], ["with CTS", "overhead"]),
+    "ccs": (["--rounds", "60"], ["TAB-CCS", "rounds="]),
+    "fig6": (["--rounds", "60"], ["synchronizer totals", "drift"]),
+    "failover": (["--seeds", "2"], ["primary-backup", "cts"]),
+    "drift": (["--rounds", "120"], ["mean-delay", "reference steering"]),
+    "recovery": ([], ["monotone across join:   True"]),
+    "partition": ([], ["suspended: True",
+                       "clock monotone through the cycle: True"]),
+    "scale": ([], ["EXT-SCALE", "p50 latency"]),
+}
+
+
 class TestCommands:
-    def test_ccs_command(self, capsys):
-        assert main(["ccs", "--rounds", "60"]) == 0
+    @pytest.mark.parametrize("name", list(FIGURES))
+    def test_figure(self, name, capsys):
+        extra, expected = FIGURE_CHECKS[name]
+        assert main(["fig", name, *extra]) == 0
         out = capsys.readouterr().out
-        assert "TAB-CCS" in out
-        assert "rounds=" in out
-
-    def test_fig5_command(self, capsys):
-        assert main(["fig5", "--rounds", "60"]) == 0
-        out = capsys.readouterr().out
-        assert "with CTS" in out
-        assert "overhead" in out
-
-    def test_fig6_command(self, capsys):
-        assert main(["fig6", "--rounds", "60"]) == 0
-        out = capsys.readouterr().out
-        assert "synchronizer totals" in out
-        assert "drift" in out
-
-    def test_recovery_command(self, capsys):
-        assert main(["recovery"]) == 0
-        out = capsys.readouterr().out
-        assert "monotone across join:   True" in out
-
-    def test_failover_command(self, capsys):
-        assert main(["failover", "--seeds", "2"]) == 0
-        out = capsys.readouterr().out
-        assert "primary-backup" in out
-        assert "cts" in out
-
-    def test_drift_command(self, capsys):
-        assert main(["drift", "--rounds", "120"]) == 0
-        out = capsys.readouterr().out
-        assert "mean-delay" in out
-        assert "reference steering" in out
-
-    def test_partition_command(self, capsys):
-        assert main(["partition"]) == 0
-        out = capsys.readouterr().out
-        assert "suspended: True" in out
-        assert "clock monotone through the cycle: True" in out
-
-    def test_scale_command(self, capsys):
-        assert main(["scale"]) == 0
-        out = capsys.readouterr().out
-        assert "EXT-SCALE" in out
-        assert "p50 latency" in out
+        for text in expected:
+            assert text in out
 
 
 class TestObservability:
-    def test_metrics_command_cross_check_passes(self, capsys):
-        assert main(["metrics", "--rounds", "60"]) == 0
+    def test_metrics_command_cross_check_passes(self, tmp_path, capsys):
+        assert main(["fig", "ccs", "--rounds", "60",
+                     "--metrics", str(tmp_path / "obs.jsonl")]) == 0
         out = capsys.readouterr().out
         assert "OBS-SMOKE" in out
-        assert "MISMATCH" not in out
+        assert "FAIL" not in out
         assert "round spans:" in out
+
+    def test_an_empty_family_fails_the_check_and_is_named(
+            self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setitem(FIGURES, "ccs", lambda args: None)
+        assert main(["fig", "ccs", "--metrics",
+                     str(tmp_path / "obs.jsonl")]) == 1
+        out = capsys.readouterr().out
+        assert "FAIL: counter family ccs_rounds_total is empty" in out
+        assert "FAIL: no round spans were assembled" in out
 
     def test_metrics_flag_writes_jsonl_and_prometheus(self, tmp_path, capsys):
         target = tmp_path / "ccs.jsonl"
-        assert main(["ccs", "--rounds", "40",
+        assert main(["fig", "ccs", "--rounds", "40",
                      "--metrics", str(target)]) == 0
         captured = capsys.readouterr()
         assert target.exists()
@@ -145,18 +171,18 @@ class TestObservability:
         # An unusable export path must be rejected BEFORE the experiment
         # runs, not crash after wasting the whole run.
         with pytest.raises(SystemExit):
-            main(["ccs", "--metrics", ""])
+            main(["fig", "ccs", "--metrics", ""])
         assert "--metrics" in capsys.readouterr().err
 
     def test_trace_flag_streams_to_stderr(self, capsys):
-        assert main(["recovery", "--trace"]) == 0
+        assert main(["fig", "recovery", "--trace"]) == 0
         captured = capsys.readouterr()
         assert "membership.install" in captured.err
         assert "membership.install" not in captured.out
 
     def test_disabled_by_default_records_nothing(self, capsys):
         obs.REGISTRY.reset()  # clear residue from earlier enabled runs
-        main(["ccs", "--rounds", "30"])
+        main(["fig", "ccs", "--rounds", "30"])
         capsys.readouterr()
         counter = obs.REGISTRY.get("ccs_rounds_total")
         assert counter is not None
