@@ -50,6 +50,7 @@ from typing import List, Optional
 
 from . import obs, trace
 from .analysis import format_table, summarize
+from .errors import ConfigurationError
 from .obs import export as obs_export
 from .testbed import STYLES
 from .workloads import (
@@ -183,10 +184,20 @@ FIGURE_NAMES = (*FIGURES, "all")
 
 
 def _positive_int(text: str) -> int:
-    """The type of ``--rounds`` and ``--seeds``: an integer of at least 1."""
+    """The type of every size option: an integer of at least 1."""
     if not text.isdigit() or int(text) < 1:
         raise argparse.ArgumentTypeError(f"not a positive integer: {text!r}")
     return int(text)
+
+
+def _positive_seconds(text: str) -> float:
+    """The type of ``--duration`` and ``--timeout``: finite seconds > 0."""
+    try:
+        if 0 < float(text) < float("inf"):
+            return float(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"not a positive duration: {text!r}")
 
 
 def cmd_fig(args) -> int:
@@ -274,7 +285,7 @@ def cmd_serve(args) -> int:
     )
     try:
         daemon = NodeDaemon(config)
-    except KeyError as error:
+    except (KeyError, ConfigurationError) as error:
         print(f"serve: {error.args[0]}", file=sys.stderr)
         return 2
     daemon.serve_forever()
@@ -331,7 +342,6 @@ def cmd_chaos(args) -> int:
     invariant oracle saw zero violations and every fault was injected.
     """
     from .chaos import load_scenario, run_chaos
-    from .errors import ConfigurationError
     from .shard import run_shard_chaos
 
     try:
@@ -537,10 +547,10 @@ def build_parser() -> argparse.ArgumentParser:
         "chaos", "options for 'chaos' (see docs/chaos.md)")
     chaos.add_argument("--scenario", default=None, metavar="FILE",
                        help="chaos: scenario file (JSON, see docs/chaos.md)")
-    chaos.add_argument("--duration", type=float, default=None,
+    chaos.add_argument("--duration", type=_positive_seconds, default=None,
                        help="chaos: run length in seconds (default from "
                             "the scenario file)")
-    chaos.add_argument("--clients", type=int, default=None,
+    chaos.add_argument("--clients", type=_positive_int, default=None,
                        help="chaos: gateway client threads (default from "
                             "the scenario file)")
     chaos.add_argument("--artifacts-dir", default=None, metavar="DIR",
@@ -554,7 +564,7 @@ def build_parser() -> argparse.ArgumentParser:
         "control plane",
         "options for 'control' (rolling-restart | sequence; "
         "see docs/operations.md)")
-    control.add_argument("--nodes", type=int, default=3,
+    control.add_argument("--nodes", type=_positive_int, default=3,
                          help="control rolling-restart: cluster size")
     control.add_argument("--require-rounds", type=int, default=1,
                          help="control: CCS rounds a re-admitted node "
@@ -580,12 +590,12 @@ def build_parser() -> argparse.ArgumentParser:
                            "n0=host:port,n1=host:port,... (same on every node)")
     live.add_argument("--connect", type=_parse_addresses, metavar="ADDRS",
                       help="call: daemon addresses, host:port[,host:port...]")
-    live.add_argument("--calls", type=int, default=5,
+    live.add_argument("--calls", type=_positive_int, default=5,
                       help="call: number of sequential invocations")
-    live.add_argument("--expect", type=int, default=1,
+    live.add_argument("--expect", type=_positive_int, default=1,
                       help="call: replies to collect per invocation (the group "
                            "size to compare them all; the gateway is asked again)")
-    live.add_argument("--timeout", type=float, default=2.0,
+    live.add_argument("--timeout", type=_positive_seconds, default=2.0,
                       help="call: per-invocation timeout in seconds")
     live.add_argument("--style", default="active",
                       choices=sorted(STYLES),

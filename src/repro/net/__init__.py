@@ -1,4 +1,4 @@
-"""repro.net — the live runtime: real sockets, wall clocks, daemons.
+"""repro.net — the live runtime: real sockets, wall time, daemons.
 
 Everything else in this reproduction runs inside the deterministic
 simulation kernel; this package is the deployment path.  It provides
@@ -10,11 +10,10 @@ simulation kernel; this package is the deployment path.  It provides
 * :class:`~repro.net.kernel.LiveKernel` — the simulation kernel's event
   API (events, timeouts, generator processes) re-implemented on an
   asyncio event loop in real time, so the protocol stack runs unmodified.
-* :class:`~repro.net.clock.WallClock` — a hardware clock backed by the
-  monotonic OS clock, with injected offset/drift so live nodes still
-  exhibit the Figure-1 inconsistency the time service corrects.
 * :class:`~repro.net.testbed.LiveTestbed` — the sim
-  :class:`~repro.testbed.Testbed` API over real sockets, in-process.
+  :class:`~repro.testbed.Testbed` API over real sockets, in-process:
+  the same :class:`~repro.sim.Cluster` hosts, whose seeded clock
+  offsets and drifts run on the kernel's wall time.
 * :class:`~repro.net.daemon.NodeDaemon` / :class:`~repro.net.client.LiveCaller`
   — the ``repro serve`` / ``repro call`` runtime for multi-process
   deployment.

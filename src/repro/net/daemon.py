@@ -41,6 +41,7 @@ from ..control.admission import (
     AdmissionController,
     overloaded_value,
 )
+from ..errors import ConfigurationError
 from ..obs import flight
 from ..obs.crossnode import TraceShardWriter
 from ..obs.http import MetricsHttpServer
@@ -48,6 +49,7 @@ from ..replication.envelope import Envelope, MsgType, make_envelope
 from ..replication.group import GroupEndpoint, GroupRuntime
 from ..replication.replica import Application
 from ..rpc.messages import Result
+from ..sim.clock import HardwareClock
 from .udp import Address, LiveFrame
 
 
@@ -341,10 +343,15 @@ class NodeDaemon:
                                auth_secret=config.auth_key)
         self.kernel = self.bed.kernel
         self.node = self.bed.node(config.node_id)
-        # The injected clock error is this daemon's to say, not the
-        # bed's seed's to draw.
-        self.node.clock.epoch_us = config.clock_epoch_us
-        self.node.clock.drift_ppm = config.clock_drift_ppm
+        try:
+            # The injected clock error is this daemon's to say, not the
+            # bed's seed's to draw; the clock checks it.
+            self.node.clock = HardwareClock(
+                self.kernel, epoch_us=config.clock_epoch_us,
+                drift_ppm=config.clock_drift_ppm, name=self.node.clock.name)
+        except ConfigurationError:
+            self.bed.shutdown()
+            raise
         self.processor = self.bed.processors[config.node_id]
         # Shed-before-collapse admission control (bounded queues, fair
         # dequeue, typed Overloaded replies; docs/operations.md) is on.

@@ -1,15 +1,14 @@
 """The testbed API over real sockets: in-process live deployment.
 
 :class:`LiveTestbed` is :class:`repro.testbed.Testbed` with the
-substrate swapped out: a :class:`~repro.net.kernel.LiveKernel` instead
-of the simulator, :class:`~repro.net.node.LiveNode` hosts with wall
-clocks instead of simulated PCs, and a
+substrate swapped out: its :class:`~repro.sim.Cluster` runs on a
+:class:`~repro.net.kernel.LiveKernel` instead of the simulator and a
 :class:`~repro.net.udp.UdpTransport` on 127.0.0.1 instead of the
-modelled LAN.  All nodes run in one process on one event loop — the
-multi-process deployment is :mod:`repro.net.daemon` — which makes it the
-bridge mode: real time, real sockets, but still a single test-friendly
-object, so workloads and the obs subsystem run unmodified against
-either testbed.
+modelled LAN, so the same seeded host clocks move with the wall.  All
+nodes run in one process on one event loop — the multi-process
+deployment is :mod:`repro.net.daemon` — which makes it the bridge mode:
+real time, real sockets, but still a single test-friendly object, so
+workloads and the obs subsystem run unmodified against either testbed.
 
 Nodes bind ephemeral ports (bind-all-then-start ordering makes the
 shared address book complete before any traffic flows), so live tests
@@ -22,27 +21,18 @@ predicate while driving the loop.
 
 from __future__ import annotations
 
-import random
 from typing import Callable, Dict, List, Optional
 
 from ..control.admission import AdmissionConfig, AdmissionController
 from ..errors import SimulationError
 from ..replication.envelope import Envelope
-from ..sim.clock import US_PER_SEC
+from ..sim import Cluster, ClusterConfig
 from ..testbed import TestbedBase
 from ..totem import TotemConfig
 from .daemon import ClientGateway
 from .kernel import LiveKernel
-from .node import LiveNode
 from .timing import live_totem_config
 from .udp import Address, LiveFrame, UdpTransport
-
-
-#: The unsynchronized-start model, as the simulated cluster's defaults:
-#: per-node epoch offset within ± this many seconds, drift rate within
-#: ± this many ppm, both drawn from the bed's seed.
-CLOCK_EPOCH_SPREAD_S = 10.0
-CLOCK_DRIFT_PPM_MAX = 50.0
 
 
 class LiveTestbed(TestbedBase):
@@ -85,26 +75,14 @@ class LiveTestbed(TestbedBase):
 
             self.chaos = ChaosTransport(self.transport, self.kernel,
                                         seed=chaos_seed)
-        ids = list(node_ids) if node_ids else [f"n{i}" for i in range(num_nodes)]
-        rng = random.Random(seed)
-        nodes = {}
-        for node_id in ids:
-            # Same unsynchronized-start model as the simulated cluster:
-            # per-node epoch offset and drift rate from the seed.
-            epoch_us = int(rng.uniform(-CLOCK_EPOCH_SPREAD_S,
-                                       CLOCK_EPOCH_SPREAD_S) * US_PER_SEC)
-            drift_ppm = rng.uniform(-CLOCK_DRIFT_PPM_MAX, CLOCK_DRIFT_PPM_MAX)
-            nodes[node_id] = LiveNode(
-                self.kernel,
-                node_id,
-                self.chaos or self.transport,
-                random.Random(rng.random()),
-                clock_epoch_us=epoch_us,
-                clock_drift_ppm=drift_ppm,
-            )
+        cluster = Cluster(ClusterConfig(num_nodes=num_nodes), seed=seed,
+                          sim=self.kernel,
+                          transport=self.chaos or self.transport,
+                          node_ids=node_ids)
         self._init_stack(
-            self.kernel, nodes, totem_config or live_totem_config(),
-            {node_id: sorted(peers) for node_id in ids} if peers else None)
+            cluster, totem_config or live_totem_config(),
+            {node_id: sorted(peers) for node_id in cluster.nodes}
+            if peers else None)
         #: Every gateway :meth:`install_gateway` built, oldest first (a
         #: recovered node's old one stays, so its tallies survive).
         self.gateways: List[ClientGateway] = []

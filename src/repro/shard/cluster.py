@@ -114,7 +114,6 @@ class ShardedTestbed(TestbedBase):
         self.shards = config.shards
         self.shard_size = config.shard_size
         self.chaos_seed = seed  # corrupt-state draws from the run's seed
-        self.cluster = Cluster(config, seed=seed)
         self._domains: Dict[str, frozenset] = {}
         memberships: Dict[str, List[str]] = {}
         for shard in range(self.shards):
@@ -123,7 +122,7 @@ class ShardedTestbed(TestbedBase):
             for node_id in members:
                 memberships[node_id] = members
                 self._domains[node_id] = domain
-        self._init_stack(self.cluster.sim, self.cluster.nodes, totem_config,
+        self._init_stack(Cluster(config, seed=seed), totem_config,
                          memberships)
         #: Set by the overlay: receives intercepted ShardSummary frames.
         self.summary_sink: Optional[SummarySink] = None

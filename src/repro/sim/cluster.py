@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from ..errors import ConfigurationError
+from ..net.transport import Transport
 from .clock import US_PER_SEC
 from .kernel import Simulator
 from .network import LatencyModel, Network
@@ -45,23 +46,28 @@ class ClusterConfig:
     cpu_factor_overrides: Dict[str, float] = field(default_factory=dict)
     latency: LatencyModel = field(default_factory=LatencyModel)
     loss_rate: float = 0.0
-    node_prefix: str = "n"
 
     def node_ids(self) -> List[str]:
-        return [f"{self.node_prefix}{i}" for i in range(self.num_nodes)]
+        return [f"n{i}" for i in range(self.num_nodes)]
 
 
 class Cluster:
-    """A ready-to-run testbed: kernel + network + nodes."""
+    """A ready-to-run testbed: kernel + network + nodes.  A live bed
+    passes its kernel as ``sim``, its UDP or chaos transport as
+    ``transport`` (kept as ``network``) and its ``node_ids``."""
 
-    def __init__(self, config: Optional[ClusterConfig] = None, *, seed: int = 0):
+    def __init__(self, config: Optional[ClusterConfig] = None, *,
+                 seed: int = 0, sim: Optional[Simulator] = None,
+                 transport: Optional[Transport] = None,
+                 node_ids: Optional[List[str]] = None):
         self.config = config or ClusterConfig()
-        if self.config.num_nodes < 1:
+        ids = list(node_ids) if node_ids else self.config.node_ids()
+        if not ids:
             raise ConfigurationError("cluster needs at least one node")
         self.seed = seed
-        self.sim = Simulator()
+        self.sim = sim if sim is not None else Simulator()
         self.rngs = RngRegistry(seed)
-        self.network = Network(
+        self.network = transport if transport is not None else Network(
             self.sim,
             self.rngs.stream("network"),
             latency=self.config.latency,
@@ -69,7 +75,7 @@ class Cluster:
         )
         self.nodes: Dict[str, Node] = {}
         clock_rng = self.rngs.stream("clock-setup")
-        for node_id in self.config.node_ids():
+        for node_id in ids:
             epoch_us = int(
                 clock_rng.uniform(0, self.config.clock_epoch_spread_s) * US_PER_SEC
             )

@@ -111,12 +111,6 @@ def _check_partition(event: FaultEvent, known: set) -> None:
         seen |= component
 
 
-def _lan(bed):
-    """Where topology faults land: the chaos transport of a live bed,
-    the modelled network of a simulated one."""
-    return bed.chaos if bed.chaos is not None else bed.cluster.network
-
-
 @dataclass(frozen=True)
 class FaultKind:
     """One entry of the fault vocabulary."""
@@ -169,12 +163,14 @@ FAULT_KINDS: Dict[str, FaultKind] = {
     "isolate": FaultKind(
         (Arg("isolate", str),), lambda chaos, node: chaos.isolate(node),
         needs="chaos", nodes=_NODE, requires="up"),
-    "heal": FaultKind((), lambda bed: _lan(bed).heal()),
+    # Topology faults: the modelled LAN or a live bed's chaos transport.
+    "heal": FaultKind((), lambda bed: bed.cluster.network.heal()),
     # A scenario's partition value (node lists, or shard indices in a
     # sharded scenario) is expanded by compile_plan, which knows the
     # topology; the target is one frozenset per component.
     "partition": FaultKind(
-        (), lambda bed, *components: _lan(bed).partition(*components),
+        (), lambda bed, *components: bed.cluster.network.partition(
+            *components),
         check=_check_partition),
     "drop": FaultKind(
         (Arg("drop", _rate),) + _SRC_DST,

@@ -80,6 +80,9 @@ class Frame:
 class Interface(TransportPort):
     """A node's attachment point to the network."""
 
+    #: A modelled port has no socket address (``Node.address``).
+    address = None
+
     def __init__(self, network: "Network", node_id: str,
                  deliver: Callable[[Frame], None]):
         self.network = network

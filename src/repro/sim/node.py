@@ -1,9 +1,10 @@
-"""Simulated hosts (the testbed's Pentium III PCs).
+"""Hosts (the testbed's Pentium III PCs), simulated or live.
 
 A :class:`Node` bundles a hardware clock, a network interface, a relative
-CPU speed, and the set of simulated processes running on it.  Nodes are
-fail-stop (paper Section 2): :meth:`Node.crash` atomically stops all its
-processes, silences its interface and makes its clock unreadable;
+CPU speed, and the set of processes running on it; on a live kernel and
+transport its clock moves with the wall.  Nodes are fail-stop (paper
+Section 2): :meth:`Node.crash` atomically stops all its processes,
+silences its interface and makes its clock unreadable;
 :meth:`Node.recover` brings the host back with its clock intact but all
 volatile state gone (the replication layer re-initialises it via state
 transfer).
@@ -12,22 +13,23 @@ transfer).
 from __future__ import annotations
 
 import random
-from typing import Any, Callable, Generator, List, Optional
+from typing import Callable, Generator, List, Optional
 
 from ..errors import NodeDown
+from ..net.transport import Transport, TransportPort
 from .clock import ClockValue, HardwareClock
 from .kernel import Process, Simulator, Timeout
-from .network import Frame, Interface, Network
+from .network import Frame
 
 
 class Node:
-    """One simulated host attached to the LAN."""
+    """One host attached to a transport (the modelled LAN or UDP)."""
 
     def __init__(
         self,
         sim: Simulator,
         node_id: str,
-        network: Network,
+        network: Transport,
         cpu_rng: random.Random,
         *,
         clock_epoch_us: int = 0,
@@ -51,7 +53,7 @@ class Node:
             granularity_us=clock_granularity_us,
             name=f"clock.{node_id}",
         )
-        self.iface: Interface = network.attach(node_id, self._on_frame)
+        self.iface: TransportPort = network.attach(node_id, self._on_frame)
         self._receiver: Optional[Callable[[Frame], None]] = None
         self._processes: List[Process] = []
         self.crash_count = 0
@@ -62,6 +64,11 @@ class Node:
         """Register the protocol entity that consumes inbound frames
         (normally the Totem processor on this node)."""
         self._receiver = receiver
+
+    @property
+    def address(self):
+        """The port's bound socket address; None on the modelled LAN."""
+        return self.iface.address
 
     @property
     def receiver(self) -> Optional[Callable[[Frame], None]]:

@@ -9,7 +9,8 @@ leader invoking a three-way actively replicated server).
 Everything above the substrate — deployment, time-source selection,
 execution, fault injection — lives in :class:`TestbedBase`, shared with
 the live counterpart :class:`repro.net.testbed.LiveTestbed`, which runs
-the identical stack over real UDP sockets and wall clocks.  Workload
+the identical stack over real UDP sockets and wall clocks.  Every bed
+builds its hosts through one :class:`~repro.sim.Cluster`, so workload
 code written against this API runs unmodified in either mode.
 
 Example::
@@ -78,10 +79,10 @@ CTS_OPTIONS = ("coalesce", "fast_path", "max_staleness_us", "byzantine")
 class TestbedBase:
     """Deployment and execution API over a set of nodes with Totem.
 
-    Substrate-independent: subclasses provide the kernel and the nodes
-    (simulated cluster or live UDP hosts) by calling :meth:`_init_stack`;
-    everything else — replica deployment, clients, time-source wiring,
-    fault injection — is identical in both modes.
+    Substrate-independent: subclasses build a :class:`Cluster` (on the
+    simulator or on a live kernel and transport) and hand it to
+    :meth:`_init_stack`; everything else — replica deployment, clients,
+    time-source wiring, fault injection — is identical in both modes.
     """
 
     __test__ = False  # not a pytest test class, despite the name
@@ -95,25 +96,25 @@ class TestbedBase:
     #: Set by :meth:`record`: new replicas' time sources get a recorder.
     _recording = False
 
-    def _init_stack(self, sim, nodes: Dict[str, Node],
+    def _init_stack(self, cluster: Cluster,
                     totem_config: Optional[TotemConfig],
                     memberships: Optional[Dict[str, List[str]]] = None) -> None:
-        """Install the protocol stack: one Totem processor and one group
-        runtime per node.
+        """Install the protocol stack on ``cluster``'s nodes: one Totem
+        processor and one group runtime per node.
 
         By default every node shares one static membership (one ring).
         ``memberships`` maps node ids to per-node membership lists for
         partitioned deployments — the sharded testbed gives each shard
         its own ring on a common network substrate.
         """
-        self.sim = sim
-        self._nodes = dict(nodes)
+        self.cluster = cluster
+        self.sim = cluster.sim
         # Metric samples are stamped in this testbed's kernel time.
         obs.REGISTRY.set_clock(lambda: self.sim.now)
         self.totem_config = totem_config or TotemConfig()
         self.processors: Dict[str, TotemProcessor] = {}
         self.runtimes: Dict[str, GroupRuntime] = {}
-        static = list(self._nodes)
+        static = cluster.node_ids
         self._memberships: Dict[str, List[str]] = {
             node_id: list((memberships or {}).get(node_id, static))
             for node_id in static
@@ -134,7 +135,7 @@ class TestbedBase:
         the node, a group runtime on the processor — at first boot and
         at every :meth:`recover`."""
         processor = TotemProcessor(
-            self._nodes[node_id],
+            self.node(node_id),
             self.totem_config,
             static_membership=self._memberships[node_id],
         )
@@ -146,10 +147,10 @@ class TestbedBase:
 
     @property
     def node_ids(self) -> List[str]:
-        return list(self._nodes)
+        return self.cluster.node_ids
 
     def node(self, node_id: str) -> Node:
-        return self._nodes[node_id]
+        return self.cluster.nodes[node_id]
 
     # ------------------------------------------------------------------
     # Deployment
@@ -379,8 +380,7 @@ class Testbed(TestbedBase):
         totem_config: Optional[TotemConfig] = None,
     ):
         config = cluster_config or ClusterConfig(num_nodes=num_nodes)
-        self.cluster = Cluster(config, seed=seed)
-        self._init_stack(self.cluster.sim, self.cluster.nodes, totem_config)
+        self._init_stack(Cluster(config, seed=seed), totem_config)
 
     def install_ntp(self, **daemon_kwargs):
         """Discipline every node's clock with an NTP-style daemon."""

@@ -10,6 +10,7 @@ import pytest
 
 from repro import Testbed
 from repro.net.testbed import LiveTestbed
+from repro.sim import Cluster, ClusterConfig
 
 from support import ClockApp  # noqa: E402 (tests/ on sys.path via conftest)
 
@@ -65,6 +66,21 @@ class TestLiveBasics:
         with LiveTestbed(num_nodes=3, seed=5) as bed:
             epochs = [bed.node(n).clock.epoch_us for n in bed.node_ids]
             assert len(set(epochs)) == 3
+
+    @pytest.mark.parametrize("node_ids", [None, ["a", "b", "c"]])
+    def test_clocks_are_the_simulated_clusters(self, node_ids):
+        # One clock model: at the same seed and ids a live bed's hosts
+        # draw the epochs and drifts a simulated cluster's do.
+        simulated = Cluster(ClusterConfig(num_nodes=3), seed=5,
+                            node_ids=node_ids)
+        with LiveTestbed(num_nodes=3, seed=5, node_ids=node_ids) as bed:
+            assert bed.node_ids == simulated.node_ids
+            for node_id in bed.node_ids:
+                live, modelled = (bed.node(node_id).clock,
+                                  simulated.node(node_id).clock)
+                assert live.sim is bed.kernel
+                assert (live.epoch_us, live.drift_ppm) == (
+                    modelled.epoch_us, modelled.drift_ppm)
 
     def test_wait_until_polls_the_loop(self):
         with LiveTestbed(num_nodes=3, seed=7) as bed:

@@ -11,12 +11,14 @@ from support import ClockApp, call_n, make_testbed  # noqa: E402 (tests/ on sys.
 
 
 class Recording:
-    """Stands in for a bed, its chaos transport and a control plane:
-    records every method call made on it as ``(name, arguments)``."""
+    """Stands in for a bed, its chaos transport, its cluster's network
+    and a control plane: records every method call made on it as
+    ``(name, arguments)``."""
 
     def __init__(self):
         self.calls = []
-        self.chaos = self  # the stub bed's chaos transport is the stub
+        # The stub bed's chaos transport and cluster network are the stub.
+        self.chaos = self.cluster = self.network = self
 
     def __getattr__(self, name):
         def record(*args, **kwargs):

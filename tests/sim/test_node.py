@@ -132,6 +132,11 @@ class TestCrashRecover:
         assert node.crash_count == 1
 
 
+class TestAddress:
+    def test_a_modelled_port_has_no_socket_address(self, sim, network):
+        assert make_node(sim, network).address is None
+
+
 class TestCluster:
     def test_default_matches_paper_testbed(self):
         cluster = Cluster()
@@ -150,8 +155,8 @@ class TestCluster:
             assert first.node(nid).clock.drift_ppm == second.node(nid).clock.drift_ppm
 
     def test_config_is_honoured(self):
-        config = ClusterConfig(num_nodes=2, node_prefix="host", clock_drift_ppm_max=0.0)
-        cluster = Cluster(config, seed=1)
+        config = ClusterConfig(num_nodes=2, clock_drift_ppm_max=0.0)
+        cluster = Cluster(config, seed=1, node_ids=["host0", "host1"])
         assert cluster.node_ids == ["host0", "host1"]
         for node in cluster.nodes.values():
             assert node.clock.drift_ppm == 0.0

@@ -5,7 +5,9 @@ import socket
 import pytest
 
 from repro import obs
-from repro.cli import FIGURES, build_parser, main
+from repro.cli import COMMANDS, FIGURES, build_parser, main
+from repro.net.daemon import NodeDaemon
+from repro.net.testbed import LiveTestbed
 from repro.obs import export
 
 
@@ -70,6 +72,49 @@ class TestParser:
             main(argv)
         assert exited.value.code == 2
         assert "not a positive integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["control", "rolling-restart", "--nodes", "0"], "integer"),
+        (["chaos", "--scenario", "s.json", "--clients", "0"], "integer"),
+        (["chaos", "--scenario", "s.json", "--duration", "0"], "duration"),
+        (["call", "--connect", "127.0.0.1:9", "--calls", "0"], "integer"),
+        (["call", "--connect", "127.0.0.1:9", "--expect", "-1"], "integer"),
+        (["call", "--connect", "127.0.0.1:9", "--timeout", "0"], "duration"),
+        (["call", "--connect", "127.0.0.1:9", "--timeout", "nan"],
+         "duration"),
+    ], ids=["control-nodes-0", "chaos-clients-0", "chaos-duration-0",
+            "call-calls-0", "call-expect-neg", "call-timeout-0",
+            "call-timeout-nan"])
+    def test_live_sizes_and_durations_must_be_positive(
+            self, argv, message, monkeypatch, capsys):
+        # Otherwise an empty run: a verdict with no steps, an oracle
+        # violation for load that never ran, a call never made.
+        monkeypatch.setitem(COMMANDS, argv[0], pytest.fail)
+        with pytest.raises(SystemExit) as exited:
+            main(argv)
+        assert exited.value.code == 2
+        assert f"not a positive {message}" in capsys.readouterr().err
+
+
+class TestServe:
+    def test_a_drift_that_stops_the_clock_is_refused(
+            self, monkeypatch, capsys):
+        # -1e6 ppm and below would freeze (or reverse) the clock; the
+        # clock's own check refuses it and the bed's sockets are closed.
+        closed = []
+        shutdown = LiveTestbed.shutdown
+
+        def recording_shutdown(bed):
+            closed.append(bed)
+            shutdown(bed)
+
+        monkeypatch.setattr(LiveTestbed, "shutdown", recording_shutdown)
+        monkeypatch.setattr(NodeDaemon, "serve_forever", pytest.fail)
+        assert main(["serve", "--node", "n0", "--peers", "n0=127.0.0.1:0",
+                     "--clock-drift-ppm", "-2000000"]) == 2
+        assert "serve: drift must keep the clock rate positive" in (
+            capsys.readouterr().err)
+        assert len(closed) == 1
 
 
 class TestLiveAddresses:
