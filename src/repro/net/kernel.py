@@ -22,7 +22,7 @@ API but maps it onto an asyncio event loop:
   the process's completion callback.
 
 Because only the *scheduling* substrate changes, every object built on
-events — :class:`~repro.sim.process.Store`, locks, Totem timers, CCS
+events or callbacks — the replicas' main threads, Totem timers, CCS
 rounds — runs unmodified on either kernel.  The one semantic difference
 is that URGENT/NORMAL priority ties cannot be enforced against a real
 clock; asyncio's FIFO ready queue and same-deadline timers are the live

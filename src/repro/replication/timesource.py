@@ -19,9 +19,9 @@ clock-related operation goes through the replica's :class:`TimeSource`
 from __future__ import annotations
 
 import abc
-from typing import Dict, List, Optional, TYPE_CHECKING
+from typing import Any, Callable, Dict, List, Optional, TYPE_CHECKING
 
-from ..sim.kernel import Event
+from ..sim.kernel import NORMAL, Event
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from ..totem.messages import ConfigurationChange
@@ -33,9 +33,36 @@ class ClockRead(Event):
     """The event a source with ``supports_concurrent_reads`` returns from
     :meth:`TimeSource.read`: the replica parks the execution that yields
     it and admits the next request, instead of holding its main thread
-    until the read completes."""
+    until the read completes.
 
-    __slots__ = ()
+    A read nothing waits on through the kernel completes without a
+    kernel event: completing it calls the :attr:`waiter` of an execution
+    parked on it there and then, and a callback added later runs through
+    ``call_soon``, as on any processed event."""
+
+    __slots__ = ("waiter",)
+
+    def __init__(self, sim) -> None:
+        super().__init__(sim)
+        #: Set while an execution is parked on this read.
+        self.waiter: Optional[Callable[["ClockRead"], None]] = None
+
+    def succeed(self, value: Any = None, priority: int = NORMAL) -> Event:
+        if self.callbacks != []:  # kernel waiters, or completed already
+            return super().succeed(value, priority)
+        return self._complete(True, value)
+
+    def fail(self, exception: BaseException, priority: int = NORMAL) -> Event:
+        if self.callbacks != []:
+            return super().fail(exception, priority)
+        return self._complete(False, exception)
+
+    def _complete(self, ok: bool, value: Any) -> Event:
+        self._ok, self._value, self.callbacks = ok, value, None
+        waiter, self.waiter = self.waiter, None
+        if waiter is not None:
+            waiter(self)
+        return self
 
 
 class HistoryRecorder:

@@ -11,7 +11,6 @@ from .faults import FaultEvent, FaultPlan
 from .kernel import AllOf, AnyOf, Event, Process, Simulator, Timeout
 from .network import Frame, Interface, LatencyModel, Network
 from .node import Node
-from .process import Store
 from .rng import RngRegistry, derive_seed
 
 __all__ = [
@@ -32,7 +31,6 @@ __all__ = [
     "Process",
     "RngRegistry",
     "Simulator",
-    "Store",
     "Timeout",
     "US_PER_SEC",
     "derive_seed",

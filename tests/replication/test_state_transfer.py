@@ -118,14 +118,15 @@ class TestFounders:
 
 
 class TestGetStateOnTheRequestQueue:
-    """The request queue holds ``(envelope, index)`` pairs and nothing
-    else.  An ``Envelope`` is itself a tuple (of three), so a bare one on
-    the queue cannot be told from a pair by ``isinstance(item, tuple)``:
-    a GET_STATE went on bare, and the loops unpacked it as a pair."""
+    """The main thread's queue holds ``(envelope, index)`` pairs and
+    nothing else.  An ``Envelope`` is itself a tuple (of three), so a bare
+    one on the queue cannot be told from a pair by ``isinstance(item,
+    tuple)``: a GET_STATE went on bare, and the thread unpacked it as a
+    pair."""
 
     @pytest.mark.parametrize("options, pipelined", [
-        ({"time_source": "local"}, False),  # Replica._main_loop
-        ({}, True),                         # Replica._pipelined_loop
+        ({"time_source": "local"}, False),  # serial: every read holds
+        ({}, True),                         # pipelined: reads park
     ])
     def test_get_state_is_served_through_either_loop(self, options, pipelined):
         bed = make_testbed(seed=27)
@@ -135,8 +136,8 @@ class TestGetStateOnTheRequestQueue:
         donor = bed.replicas("svc")["n1"]
         assert donor.time_source.supports_concurrent_reads is pipelined
         queued = []
-        put = donor.request_queue.put
-        donor.request_queue.put = lambda item: (queued.append(item), put(item))[1]
+        submit = donor._submit
+        donor._submit = lambda item: (queued.append(item), submit(item))[1]
         call_n(bed, client, "svc", "stamped_increment", 3)
         joiner = bed.add_replica("svc", "n3", CounterApp, **options)
         bed.run(0.5)
