@@ -5,9 +5,7 @@ are dropped, delayed, duplicated, or the node stops.  This module makes
 a chosen replica actively adversarial at the wire boundary:
 
 * **lie** — every CCS proposal the node transmits carries a fixed bias
-  added to ``proposed_micros`` (the same wrong value to every receiver,
-  including the node's own loopback leg, so the liar stays internally
-  consistent with what it said);
+  added to ``proposed_micros`` (the same wrong value to every receiver);
 * **equivocate** — the bias differs per *destination*, derived
   deterministically from the seed and the ``(src, dst)`` pair, so
   different receivers are told different values for the same totally

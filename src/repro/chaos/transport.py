@@ -112,13 +112,14 @@ class ChaosPort(TransportPort):
         self.transport._send(self.inner, self.node_id, dst, payload, size_bytes)
 
     def multicast(self, payload: Any, size_bytes: int = 128) -> None:
-        """Fan out as per-peer unicasts so each leg is impaired
+        """Fan out as unicasts to every *other* peer, each leg impaired
         independently (matching how the UDP backend emulates multicast)."""
         if not self.inner.up:
             raise NetworkError(f"interface {self.node_id!r} is down")
         for dst in self.transport.peer_ids():
-            self.transport._send(self.inner, self.node_id, dst, payload,
-                                 size_bytes)
+            if dst != self.node_id:
+                self.transport._send(self.inner, self.node_id, dst, payload,
+                                     size_bytes)
 
 
 class ChaosTransport(Transport):
@@ -127,10 +128,10 @@ class ChaosTransport(Transport):
     Rules resolve most-specific-first: ``(src, dst)`` overrides
     ``(src, ANY)`` overrides ``(ANY, dst)`` overrides ``(ANY, ANY)``.
     Partitions and isolation are topology state, kept separately and
-    checked before any probabilistic rule.  Self-delivery (a node's own
-    multicast loopback) is never impaired — Totem's singleton ring
-    depends on hearing itself, and a real host's loopback does not cross
-    the faulty wire.
+    checked before any probabilistic rule.  A unicast to oneself is never
+    impaired — a singleton ring's token goes to its own successor, and a
+    real host's loopback does not cross the faulty wire.  A multicast
+    has no self leg at all.
     """
 
     def __init__(self, inner: Transport, kernel, *, seed: int = 0):
@@ -143,8 +144,7 @@ class ChaosTransport(Transport):
         self._rngs: Dict[Tuple[str, str], random.Random] = {}
         self._attached: List[str] = []
         #: Byzantine lie/equivocation rules, applied to every outgoing
-        #: leg *including self-delivery* (a liar hears its own lie) and
-        #: *before* the crash/omission decision procedure.
+        #: leg *before* the crash/omission decision procedure.
         self.byzantine = ByzantineRules(seed=seed)
         # Injection tallies per sending node; ``frames_dropped`` and its
         # siblings total them for verdicts and tests.
@@ -325,10 +325,7 @@ class ChaosTransport(Transport):
     def _send(self, inner_port: TransportPort, src: str, dst: str,
               payload: Any, size_bytes: int) -> None:
         # Byzantine perturbation applies before — and regardless of —
-        # the crash/omission decision: the self-delivery leg is exempt
-        # from drops but NOT from the node's own lie, so a faulty node
-        # processes exactly the proposal it multicast and its local
-        # state stays consistent with its observable behaviour.
+        # the crash/omission decision.
         payload = self.byzantine.perturb(src, dst, payload)
         delays = self.decide(src, dst)
         if delays is None:

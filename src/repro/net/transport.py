@@ -18,13 +18,12 @@ The contract:
 * A port can :meth:`~TransportPort.unicast` a payload to an attached
   node (itself included: a singleton ring's token goes to its own
   successor) or :meth:`~TransportPort.multicast` it to every other
-  reachable node.  **A sender must not depend on hearing its own
-  multicast**, and must tolerate hearing it: the simulated LAN loops a
-  multicast back to the sender (its per-destination loss and jitter
-  draws are the seeded cost model), the UDP backend does not (the copy
-  would cost a datagram, a decode and a duplicate drop per message).
-  Totem satisfies both — it files its own message before multicasting
-  it and ignores its own join.
+  reachable node.  **A node never hears its own multicast**, on any
+  backend (the simulated LAN still draws the sender's leg of its seeded
+  loss and jitter stream, and delivers nothing on it).  A copy would be
+  worse than waste: a protocol that takes any inbound frame as progress
+  would take its own message for a peer's.  Totem files its own message
+  before multicasting it and ignores its own join.
 * Deliveries invoke the receiver's ``deliver`` callback with a *frame*
   object exposing at least ``.src`` (sending node id) and ``.payload``
   (the transported object).  Backends may add fields (simulated arrival
@@ -69,8 +68,8 @@ class TransportPort(abc.ABC):
 
     @abc.abstractmethod
     def multicast(self, payload: Any, size_bytes: int = 128) -> None:
-        """Send ``payload`` to every other attached node; whether the
-        sender hears it too is the backend's choice (see the contract)."""
+        """Send ``payload`` to every other attached node; the sender
+        never hears it (see the contract)."""
 
     def multicast_many(self, payloads: Sequence[Any], sizes: Sequence[int]) -> None:
         """Multicast a token visit's ``payloads`` in order: one :meth:`multicast`

@@ -1,8 +1,8 @@
 """Simulated local-area network.
 
 Substitutes for the paper's dedicated 100 Mbit/s Ethernet.  The model is
-a broadcast LAN: any attached interface can unicast to another interface
-or multicast to all of them.  Each delivery experiences
+a broadcast LAN: an interface can unicast to any interface, itself
+included, or multicast to all the others.  Each delivery experiences
 
 ``latency = transmission(size) + propagation + jitter``
 
@@ -105,11 +105,10 @@ class Interface(TransportPort):
                                      self.network.sim.now))
 
     def multicast(self, payload: Any, size_bytes: int = 128) -> None:
-        """Send ``payload`` to every attached interface, the sender
-        included.  No protocol layer depends on that copy (the live UDP
-        port does not send it, see :mod:`repro.net.transport`); it stays
-        here because each destination's loss and jitter draws, the
-        sender's among them, are the seeded cost model behind every
+        """Send ``payload`` to every *other* attached interface: a
+        sender never hears its own multicast (:mod:`repro.net.transport`).
+        The sender's leg still draws its loss and jitter, in attachment
+        order, because that seeded stream is the cost model behind every
         simulated figure."""
         self._count_send(size_bytes)
         self.network._transmit(Frame(self.node_id, None, payload, size_bytes,
@@ -159,10 +158,10 @@ class Network(Transport):
         self.frames_dropped = 0
         obs.REGISTRY.watch(self, NETWORK_COUNTERS)
         #: Optional per-leg payload mutator ``(src, dst, payload) ->
-        #: payload`` applied to every delivery, self-delivery included —
-        #: the simulator-side hook for Byzantine injection (lies and
-        #: equivocation in the property suites).  Mutators must return
-        #: replaced copies, never mutate the shared payload.
+        #: payload`` applied to every delivery — the simulator-side
+        #: hook for Byzantine injection (lies and equivocation in the
+        #: property suites).  Mutators must return replaced copies,
+        #: never mutate the shared payload.
         self.mutator: Optional[Callable[[str, str, Any], Any]] = None
 
     # -- topology -------------------------------------------------------------
@@ -220,15 +219,21 @@ class Network(Transport):
         now = sim.now
         loss_rate, mutator = self.loss_rate, self.mutator
         partitioned = bool(self._component)
+        multicast = frame.dst is None
         last_arrival = self._last_arrival.setdefault(src, {})
         for dst in targets:
             if partitioned and not self.reachable(src, dst):
+                continue
+            if dst == src and multicast:
+                # The sender's own leg delivers nothing but keeps its draws.
+                if not (loss_rate > 0.0 and rng.random() < loss_rate):
+                    latency.sample(rng, size)
                 continue
             if loss_rate > 0.0 and rng.random() < loss_rate:
                 self.frames_dropped += 1
                 continue
             delay = latency.sample(rng, size)
-            # Loopback delivery of one's own multicast is local (no wire).
+            # A unicast to oneself (a singleton ring's token) is local.
             if dst == src:
                 delay = min(delay, latency.propagation_s * 0.1)
             # Enforce per-(src, dst) FIFO ordering.

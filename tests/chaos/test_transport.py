@@ -96,8 +96,11 @@ class TestPassThrough:
     def test_multicast_fans_out_per_peer(self):
         chaos, inner, kernel, ports = make_chaos()
         ports["n0"].multicast("hello")
-        # One leg per attached peer, self included (loopback).
-        assert sorted(dst for _s, dst, _p in inner.delivered) == ["n0", "n1", "n2"]
+        # One leg per attached peer other than the sender.
+        assert sorted(dst for _s, dst, _p in inner.delivered) == ["n1", "n2"]
+        # A unicast to oneself still goes (a singleton ring's token).
+        ports["n0"].unicast("n0", "token")
+        assert inner.delivered[-1] == ("n0", "n0", "token")
 
     def test_up_is_delegated_to_inner_port(self):
         chaos, inner, kernel, ports = make_chaos()
@@ -164,7 +167,7 @@ class TestTopology:
         assert [(s, d) for s, d, _p in inner.delivered] == [("n0", "n1")]
         assert chaos.frames_blocked == 1
         assert not chaos.reachable("n0", "n2")
-        assert chaos.reachable("n2", "n2")  # self-delivery survives
+        assert chaos.reachable("n2", "n2")  # a unicast to oneself survives
 
     def test_isolate_cuts_both_directions(self):
         chaos, inner, kernel, ports = make_chaos()

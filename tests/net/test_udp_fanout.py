@@ -5,9 +5,11 @@ own id), while the address book still lists it, so a singleton ring's
 token — a unicast to its own successor — keeps circulating.  A token
 visit's messages (``multicast_many``) go to each peer as one batch
 datagram on the live port, and as one frame per message on the
-simulated LAN and through a chaos port.  The last test pins the bug the
-loopback copy caused: a node's *own* message used to count as progress
-evidence and disarm retransmission of the token it had just forwarded.
+simulated LAN and through a chaos port; no backend hands the sender a
+copy.  The last test pins the bug the loopback copy caused: a node's
+*own* message used to count as progress evidence and disarm
+retransmission of the token it had just forwarded
+(``tests/sim/test_lost_token.py`` is the simulated counterpart).
 """
 
 import random
@@ -191,8 +193,10 @@ def test_the_simulator_sends_a_visit_one_frame_per_message(chaos):
 
     batched = run(lambda port: port.multicast_many(messages, sizes))
     assert batched == run(one_by_one)
-    # One frame per message (per leg through the chaos port, duplicates on top).
-    assert batched[1] >= 3 * (3 if chaos else 1)
+    # One frame per message (per other peer through the chaos port,
+    # duplicates on top); nobody hears its own multicast.
+    assert batched[1] >= 3 * (2 if chaos else 1)
+    assert all(node_id != src for _t, node_id, src, _p, _s in batched[0])
 
 
 def test_one_node_bed_forms_its_ring_and_delivers_its_own_messages():

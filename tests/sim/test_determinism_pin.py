@@ -4,8 +4,11 @@ and end at, and how deep the event heap gets.
 The simulated figures (ops/s, latencies, outage and recovery times) are
 a function of the seed and of the order in which the kernel fires
 events.  A change that only makes the simulator faster must leave both
-digests below untouched; they were recorded at the commit before the
-kernel's callback lane and the one-deadline Totem timers went in.
+digests below untouched.  The closed-loop digest was recorded at the
+commit before the kernel's callback lane and the one-deadline Totem
+timers went in.  The failover digest was re-recorded when the simulated
+LAN stopped handing a sender its own multicast, so that a token lost in
+its 0.2 % loss is retransmitted instead of re-formed around.
 """
 
 import hashlib
@@ -23,7 +26,7 @@ GROUP, METHOD = "svc", "get_time"
 CLOSED_LOOP_DIGEST = (
     "9c214096c14451792c141d4a246af0e8b70c01a15048ccb8121573c54a91e3fb")
 FAILOVER_DIGEST = (
-    "e78d07c53e0b747115904fa98c0d2bf1ebc30852ff30e7bcc4bd62f5c1e8b584")
+    "10d81e2ca89c7c040b19c0c15e3091543159df1b41fa08efee80c4e14a6d6b00")
 
 
 class _Recorder:

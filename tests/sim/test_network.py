@@ -73,25 +73,62 @@ class TestUnicast:
         assert a.bytes_sent == 100
         assert b.frames_received == 1
 
+    def test_unicast_to_oneself_is_fast(self, sim):
+        """A singleton ring's token goes to its own successor: a local
+        delivery, at most a tenth of the propagation delay."""
+        net = make_network(sim)
+        sink_a, sink_b = Sink(sim), Sink(sim)
+        a = net.attach("a", sink_a)
+        net.attach("b", sink_b)
+        a.unicast("a", "token")
+        a.unicast("b", "token")
+        sim.run()
+        assert len(sink_a.frames) == 1
+        assert sink_a.frames[0][0] <= net.latency.propagation_s * 0.1
+        assert sink_a.frames[0][0] < sink_b.frames[0][0]
+
 
 class TestMulticast:
-    def test_reaches_everyone_including_sender(self, sim):
+    def test_reaches_everyone_but_the_sender(self, sim):
         net = make_network(sim)
         sinks = {nid: Sink(sim) for nid in "abc"}
         ifaces = {nid: net.attach(nid, sinks[nid]) for nid in "abc"}
         ifaces["a"].multicast("announce")
         sim.run()
-        for nid in "abc":
+        assert sinks["a"].frames == []
+        for nid in "bc":
             assert len(sinks[nid].frames) == 1, nid
+        assert ifaces["a"].frames_sent == 1
+        assert ifaces["a"].frames_received == 0
 
-    def test_loopback_is_fast(self, sim):
-        net = make_network(sim)
-        sink_a, sink_b = Sink(sim), Sink(sim)
-        a = net.attach("a", sink_a)
-        net.attach("b", sink_b)
-        a.multicast("m")
+    def test_the_senders_leg_still_draws(self, sim):
+        """Each multicast draws loss, then jitter, for every destination
+        in attachment order, the sender's leg first here: the seeded
+        stream every simulated figure rests on.  The sender's leg is
+        drawn and dropped; it is not counted as a lost frame."""
+        seed, loss_rate, size = 99, 0.3, 200
+        net = Network(sim, random.Random(seed), loss_rate=loss_rate)
+        sinks = {nid: Sink(sim) for nid in "abc"}
+        ifaces = {nid: net.attach(nid, sinks[nid]) for nid in "abc"}
+        sends = [i * 1e-3 for i in range(40)]  # spaced: no FIFO clamping
+        for at in sends:
+            sim.schedule(at, ifaces["a"].multicast, "m", size)
         sim.run()
-        assert sink_a.frames[0][0] <= sink_b.frames[0][0]
+
+        rng = random.Random(seed)
+        expected = {nid: [] for nid in "abc"}
+        lost = 0
+        for at in sends:
+            for nid in "abc":
+                if rng.random() < loss_rate:
+                    lost += nid != "a"
+                    continue
+                expected[nid].append(at + net.latency.sample(rng, size))
+        assert expected["a"], "the sender's leg must have drawn a delay"
+        assert sinks["a"].frames == []
+        for nid in "bc":
+            assert [t for t, _ in sinks[nid].frames] == expected[nid], nid
+        assert net.frames_dropped == lost
 
 
 class TestFaults:
