@@ -105,11 +105,14 @@ def scenario_from_dict(data: Any, *, source: str = "<scenario>") -> ChaosScenari
             if nodes < 1:
                 raise ConfigurationError(f"{source}: nodes must be >= 1")
             node_ids = [f"n{i}" for i in range(nodes)]
-        elif isinstance(nodes, list) and all(isinstance(n, str) for n in nodes):
+        elif (isinstance(nodes, list) and nodes
+              and all(isinstance(n, str) for n in nodes)
+              and len(set(nodes)) == len(nodes)):
             node_ids = list(nodes)
         else:
             raise ConfigurationError(
-                f"{source}: nodes must be an int or a list of node ids")
+                f"{source}: nodes must be an int or a non-empty list of "
+                f"distinct node ids")
 
     duration = data.get("duration", 10.0)
     if not isinstance(duration, (int, float)) or duration <= 0:

@@ -4,8 +4,8 @@ The paper's deployment model keeps a *fixed* replica set alive through
 Totem membership; production elasticity needs the set itself to change
 while the service keeps answering.  :class:`ControlPlane` drives both
 directions against a running testbed (simulated or live — every wait is
-expressed as ``bed.run(poll)`` steps, which advances virtual time on the
-sim kernel and pumps the event loop on the live one):
+the bed's ``wait_until``, whose ``bed.run(poll)`` steps advance virtual
+time on the sim kernel and pump the event loop on the live one):
 
 **Join** re-uses the paper's §3.2 recovery machinery: the new replica
 announces GET_STATE through the ordered request queue, shadows rounds
@@ -30,9 +30,10 @@ clients routed at that node.
 
 from __future__ import annotations
 
+from contextlib import suppress
 from typing import Callable, Dict, List, Optional
 
-from ..errors import ReconfigurationError
+from ..errors import ReconfigurationError, WaitTimeout
 from ..replication.replica import Replica
 
 #: Default deadline for a reconfiguration step, in bed-clock seconds.
@@ -135,8 +136,9 @@ class ControlPlane:
         # sustained load the replica may never be perfectly idle — that
         # is fine, every parked operation is also ordered at (and
         # answered by) the remaining active replicas.
-        self._wait(lambda: replica.idle,
-                   timeout_s=quiesce_s, what="", raise_on_timeout=False)
+        with suppress(ReconfigurationError):
+            self._wait(lambda: replica.idle, timeout_s=quiesce_s,
+                       what=f"{node_id} to quiesce")
         replica.endpoint.leave()
         remaining = [n for n in self.serving() if n != node_id]
         self._wait(lambda: all(node_id not in self.view_members(n)
@@ -230,15 +232,11 @@ class ControlPlane:
         self.bed.services.get(self.group, {}).pop(node_id, None)
 
     def _wait(self, predicate: Callable[[], bool], *, timeout_s: float,
-              what: str, raise_on_timeout: bool = True) -> bool:
-        elapsed = 0.0
-        while not predicate():
-            if elapsed >= timeout_s:
-                if raise_on_timeout:
-                    raise ReconfigurationError(
-                        f"timed out after {timeout_s:.1f}s waiting for "
-                        f"{what}")
-                return False
-            self.bed.run(self.poll_s)
-            elapsed += self.poll_s
-        return True
+              what: str) -> None:
+        try:
+            self.bed.wait_until(predicate, timeout=timeout_s,
+                                poll=self.poll_s)
+        except WaitTimeout as timeout:
+            raise ReconfigurationError(
+                f"timed out after {timeout_s:.1f}s waiting for {what}"
+            ) from timeout

@@ -26,16 +26,8 @@ class ProcessKilled(SimulationError):
     """
 
 
-class Interrupt(SimulationError):
-    """Raised inside a simulated process that was interrupted.
-
-    Carries the interrupting ``cause`` so the process can decide how to
-    react (e.g. a timer firing while blocked on a message queue).
-    """
-
-    def __init__(self, cause: object = None):
-        super().__init__(cause)
-        self.cause = cause
+class WaitTimeout(SimulationError):
+    """A bed's condition wait (``wait_until``) ran out of time."""
 
 
 class NodeDown(SimulationError):

@@ -15,19 +15,18 @@ shared address book complete before any traffic flows), so live tests
 never collide on fixed ports.
 
 Because real time cannot be paused, scenario code should wait on
-conditions, not durations: :meth:`LiveTestbed.wait_until` polls a
-predicate while driving the loop.
+conditions, not durations: :meth:`~repro.testbed.Testbed.wait_until`
+polls a predicate while driving the loop.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
 from ..control.admission import AdmissionConfig, AdmissionController
-from ..errors import SimulationError
 from ..replication.envelope import Envelope
 from ..sim import Cluster, ClusterConfig
-from ..testbed import TestbedBase
+from ..testbed import Testbed
 from ..totem import TotemConfig
 from .daemon import ClientGateway
 from .kernel import LiveKernel
@@ -35,7 +34,7 @@ from .timing import live_totem_config
 from .udp import Address, LiveFrame, UdpTransport
 
 
-class LiveTestbed(TestbedBase):
+class LiveTestbed(Testbed):
     """A live cluster on localhost UDP, one event loop, real time.
 
     ``peers`` is the address book of a ring this bed hosts only part
@@ -75,18 +74,21 @@ class LiveTestbed(TestbedBase):
 
             self.chaos = ChaosTransport(self.transport, self.kernel,
                                         seed=chaos_seed)
-        cluster = Cluster(ClusterConfig(num_nodes=num_nodes), seed=seed,
-                          sim=self.kernel,
-                          transport=self.chaos or self.transport,
-                          node_ids=node_ids)
-        self._init_stack(
-            cluster, totem_config or live_totem_config(),
-            {node_id: sorted(peers) for node_id in cluster.nodes}
-            if peers else None)
+        try:
+            cluster = Cluster(ClusterConfig(num_nodes=num_nodes), seed=seed,
+                              sim=self.kernel,
+                              transport=self.chaos or self.transport,
+                              node_ids=node_ids)
+            self._init_stack(
+                cluster, totem_config or live_totem_config(),
+                {node_id: sorted(peers) for node_id in cluster.nodes}
+                if peers else None)
+        except BaseException:
+            self.shutdown()  # a bed that never was holds no socket
+            raise
         #: Every gateway :meth:`install_gateway` built, oldest first (a
         #: recovered node's old one stays, so its tallies survive).
         self.gateways: List[ClientGateway] = []
-        self._gateway_configs: Dict[str, Optional[AdmissionConfig]] = {}
 
     # -- client gateways ------------------------------------------------
 
@@ -100,35 +102,28 @@ class LiveTestbed(TestbedBase):
         in the bed's kernel time).  Bare envelopes are client traffic
         (ring peers always wrap envelopes in Totem regular messages);
         everything else is ring traffic and goes on to the receiver that
-        was there."""
-        node = self.node(node_id)
-        admission = None
-        if admission_config is not None:
-            admission = AdmissionController(
-                admission_config, node_id=node_id,
-                clock=lambda: self.kernel.now)
-        gateway = ClientGateway(self.runtimes[node_id], node.iface,
-                                node_id=node_id, admission=admission)
-        ring_receiver = node.receiver
+        was there.  A :meth:`recover` of the node puts a fresh gateway
+        on the rebuilt stack (daemon restart semantics)."""
+        def tap(ring_receiver):
+            admission = None
+            if admission_config is not None:
+                admission = AdmissionController(
+                    admission_config, node_id=node_id,
+                    clock=lambda: self.kernel.now)
+            gateway = ClientGateway(self.runtimes[node_id],
+                                    self.node(node_id).iface,
+                                    node_id=node_id, admission=admission)
+            self.gateways.append(gateway)
 
-        def dispatch(frame: LiveFrame) -> None:
-            if isinstance(frame.payload, Envelope):
-                gateway.handle(frame)
-            else:
-                ring_receiver(frame)
+            def dispatch(frame: LiveFrame) -> None:
+                if isinstance(frame.payload, Envelope):
+                    gateway.handle(frame)
+                else:
+                    ring_receiver(frame)
+            return dispatch
 
-        node.set_receiver(dispatch)
-        self._gateway_configs[node_id] = admission_config
-        self.gateways.append(gateway)
-        return gateway
-
-    def recover(self, node_id: str) -> None:
-        """As the base, then a fresh gateway on the rebuilt stack (daemon
-        restart semantics) in the same kernel tick, so no client frame
-        reaches a bare Totem receiver."""
-        super().recover(node_id)
-        if node_id in self._gateway_configs:
-            self.install_gateway(node_id, self._gateway_configs[node_id])
+        self.interpose(node_id, tap)
+        return self.gateways[-1]
 
     # -- execution ------------------------------------------------------
 
@@ -142,26 +137,6 @@ class LiveTestbed(TestbedBase):
         that would never finish must not hang the process."""
         kwargs.setdefault("timeout", 30.0)
         return super().run_process(generator, name, **kwargs)
-
-    def wait_until(
-        self,
-        predicate: Callable[[], bool],
-        *,
-        timeout: float = 10.0,
-        poll: float = 0.02,
-    ) -> float:
-        """Drive the loop until ``predicate()`` is true; returns elapsed
-        seconds.  Raises :class:`~repro.errors.SimulationError` on
-        timeout — real time cannot be fast-forwarded, so condition waits
-        replace the sim's fixed-duration runs."""
-        start = self.sim.now
-        while True:
-            if predicate():
-                return self.sim.now - start
-            if self.sim.now - start > timeout:
-                raise SimulationError(
-                    f"condition not reached within {timeout}s")
-            self.run(poll)
 
     # -- lifecycle ------------------------------------------------------
 

@@ -37,7 +37,6 @@ _LAZY = {
     "GradientOverlay": ("repro.shard.overlay", "GradientOverlay"),
     "OverlayConfig": ("repro.shard.overlay", "OverlayConfig"),
     "SkewTracker": ("repro.shard.overlay", "SkewTracker"),
-    "ShardClusterConfig": ("repro.shard.cluster", "ShardClusterConfig"),
     "ShardedTestbed": ("repro.shard.cluster", "ShardedTestbed"),
     "ShardRouter": ("repro.shard.router", "ShardRouter"),
     "ShardSession": ("repro.shard.router", "ShardSession"),

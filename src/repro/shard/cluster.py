@@ -9,32 +9,32 @@ shard-scoped chaos faults (network partitions) compose with them.
 One substrate, many rings, needs **multicast domains**: Totem multicasts
 LAN-wide, and its membership protocol merges *any* join sender into the
 ring, so N rings on one broadcast network would collapse into one.  The
-sharded testbed therefore wraps every node's receiver with a domain
-filter that drops multicast frames originating outside the node's shard
-— the simulated analogue of per-shard VLANs / multicast groups in a
-real deployment.  Unicast frames cross shards freely; that is the
-overlay's channel.  :class:`ShardSummary` payloads are intercepted in
-the same wrapper and routed to the overlay (they are addressed to a
-node, not a group, so Totem should never see them).
+sharded testbed therefore interposes, on every node, a domain filter
+that drops multicast frames originating outside the node's shard (its
+ring's membership) — the simulated analogue of per-shard VLANs /
+multicast groups in a real deployment; the bed puts it back in front of
+a recovered node's rebuilt processor.  Unicast frames cross shards
+freely; that is the overlay's channel.  :class:`ShardSummary` payloads
+are intercepted in the same wrapper and routed to the overlay (they are
+addressed to a node, not a group, so Totem should never see them).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Dict, List, Optional
 
 from ..core import GradientSteering
 from ..errors import ConfigurationError
-from ..sim import Cluster, ClusterConfig
+from ..sim import Cluster
 from ..sim.network import Frame
-from ..testbed import TestbedBase
-from ..totem import TotemConfig
+from ..testbed import Testbed
 from .overlay import GradientOverlay, OverlayConfig
 from .ring import HashRing
 from .router import ShardRouter
 from .summary import ShardSummary
 
-__all__ = ["ShardClusterConfig", "ShardedTestbed", "sharded_fleet",
+__all__ = ["ShardedTestbed", "sharded_fleet",
            "shard_server_nodes", "shard_client_node", "shard_nodes"]
 
 #: Every shard's steering: the fraction ``p`` of a neighbor delta folded
@@ -63,74 +63,41 @@ def shard_nodes(shard: int, shard_size: int) -> List[str]:
     return shard_server_nodes(shard, shard_size) + [shard_client_node(shard)]
 
 
-@dataclass
-class ShardClusterConfig(ClusterConfig):
-    """Cluster parameters for a sharded deployment.
-
-    ``shards`` rings of ``shard_size`` servers plus one client node
-    each; ``num_nodes`` is derived.  Clock epochs/drift are drawn from
-    the same seeded streams as the flat testbed, so shard group clocks
-    start seconds apart — exactly the condition the gradient overlay's
-    initial alignment has to erase.
-    """
-
-    shards: int = 2
-    shard_size: int = 3
-
-    def __post_init__(self) -> None:
-        if self.shards < 1:
-            raise ConfigurationError("need at least one shard")
-        if self.shard_size < 1:
-            raise ConfigurationError("shard_size must be >= 1")
-        self.num_nodes = self.shards * (self.shard_size + 1)
-
-    def node_ids(self) -> List[str]:
-        ids: List[str] = []
-        for shard in range(self.shards):
-            ids.extend(shard_nodes(shard, self.shard_size))
-        return ids
-
-
-class ShardedTestbed(TestbedBase):
-    """``shards`` independent CCS groups on one simulated network.
+class ShardedTestbed(Testbed):
+    """``shards`` independent CCS groups on one simulated network:
+    ``shards`` rings of ``shard_size`` servers plus one client node each.
 
     Builds the multicast-domain topology, deploys one time-serving group
     per shard (each sharing one :class:`GradientSteering` instance across
     its replicas — the overlay's steering input), and exposes the
-    consistent-hash ring the router and overlay both walk.
+    consistent-hash ring the router and overlay both walk.  Clock
+    epochs and drift come from the flat testbed's seeded streams, so
+    shard group clocks start seconds apart — exactly the condition the
+    gradient overlay's initial alignment has to erase.
     """
 
-    def __init__(
-        self,
-        *,
-        shards: int = 3,
-        shard_size: int = 3,
-        seed: int = 0,
-        cluster_config: Optional[ShardClusterConfig] = None,
-        totem_config: Optional[TotemConfig] = None,
-    ):
-        config = cluster_config or ShardClusterConfig(
-            shards=shards, shard_size=shard_size)
-        self.shards = config.shards
-        self.shard_size = config.shard_size
+    def __init__(self, *, shards: int = 3, shard_size: int = 3,
+                 seed: int = 0):
+        if shards < 1 or shard_size < 1:
+            raise ConfigurationError(
+                "need at least one shard of at least one server")
+        self.shards = shards
+        self.shard_size = shard_size
         self.chaos_seed = seed  # corrupt-state draws from the run's seed
-        self._domains: Dict[str, frozenset] = {}
         memberships: Dict[str, List[str]] = {}
-        for shard in range(self.shards):
-            members = self.server_nodes_of(shard) + [self.client_node_of(shard)]
-            domain = frozenset(members)
-            for node_id in members:
-                memberships[node_id] = members
-                self._domains[node_id] = domain
-        self._init_stack(Cluster(config, seed=seed), totem_config,
-                         memberships)
+        for shard in range(shards):
+            members = shard_nodes(shard, shard_size)
+            memberships.update(dict.fromkeys(members, members))
+        self._init_stack(Cluster(seed=seed, node_ids=list(memberships)),
+                         None, memberships)
         #: Set by the overlay: receives intercepted ShardSummary frames.
         self.summary_sink: Optional[SummarySink] = None
         #: Shared per-shard steering hooks (populated by deploy_shards).
         self.steerings: Dict[int, GradientSteering] = {}
-        self.ring = HashRing(list(range(self.shards)))
-        for node_id in self.node_ids:
-            self._install_domain_filter(node_id)
+        self.ring = HashRing(list(range(shards)))
+        for node_id, members in memberships.items():
+            self.interpose(node_id, partial(
+                self._domain_filter, node_id, frozenset(members)))
 
     # -- topology helpers ----------------------------------------------
 
@@ -232,15 +199,11 @@ class ShardedTestbed(TestbedBase):
 
     # -- multicast domains ----------------------------------------------
 
-    def _install_domain_filter(self, node_id: str) -> None:
-        """Wrap the node's receiver (the Totem processor installed by
-        ``_init_stack``/``recover``) with the shard's multicast domain."""
-        node = self.node(node_id)
-        inner = node.receiver
-        domain = self._domains[node_id]
-
-        def filtered(frame: Frame,
-                     node_id: str = node_id, inner=inner) -> None:
+    def _domain_filter(self, node_id: str, domain: frozenset,
+                       inner: Callable[[Frame], None]):
+        """The tap in front of ``node_id``'s receiver ``inner``: the
+        shard's multicast domain, and the overlay's mailbox."""
+        def filtered(frame: Frame) -> None:
             payload = frame.payload
             if isinstance(payload, ShardSummary):
                 # Overlay traffic: addressed to this node, never Totem's.
@@ -249,16 +212,9 @@ class ShardedTestbed(TestbedBase):
                 return
             if frame.dst is None and frame.src not in domain:
                 return  # another shard's multicast domain
-            if inner is not None:
-                inner(frame)
+            inner(frame)
 
-        node.set_receiver(filtered)
-
-    def recover(self, node_id: str) -> None:
-        """Restart a crashed node — and re-wrap the rebuilt processor's
-        receiver with the shard's domain filter."""
-        super().recover(node_id)
-        self._install_domain_filter(node_id)
+        return filtered
 
 
 def sharded_fleet(app_factory, *, shards: int, shard_size: int, seed: int,

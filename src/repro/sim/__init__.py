@@ -8,14 +8,12 @@ above can run deterministically from a single seed.
 from .clock import US_PER_SEC, ClockValue, HardwareClock
 from .cluster import Cluster, ClusterConfig
 from .faults import FaultEvent, FaultPlan
-from .kernel import AllOf, AnyOf, Event, Process, Simulator, Timeout
+from .kernel import Event, Process, Simulator, Timeout
 from .network import Frame, Interface, LatencyModel, Network
 from .node import Node
 from .rng import RngRegistry, derive_seed
 
 __all__ = [
-    "AllOf",
-    "AnyOf",
     "ClockValue",
     "Cluster",
     "ClusterConfig",

@@ -61,7 +61,8 @@ class Cluster:
                  transport: Optional[Transport] = None,
                  node_ids: Optional[List[str]] = None):
         self.config = config or ClusterConfig()
-        ids = list(node_ids) if node_ids else self.config.node_ids()
+        ids = list(node_ids if node_ids is not None
+                   else self.config.node_ids())
         if not ids:
             raise ConfigurationError("cluster needs at least one node")
         self.seed = seed

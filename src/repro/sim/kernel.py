@@ -24,9 +24,9 @@ from heapq import heappop, heappush
 from itertools import count
 from typing import Any, Callable, Generator, List, Optional, Tuple
 
-from ..errors import Interrupt, ProcessKilled, SimulationError
+from ..errors import ProcessKilled, SimulationError
 
-#: Scheduling priorities: URGENT events (interrupts, kills) pre-empt
+#: Scheduling priorities: URGENT events (kills) pre-empt
 #: NORMAL events scheduled for the same virtual time.
 URGENT = 0
 NORMAL = 1
@@ -43,17 +43,16 @@ class Event:
     time.  Processes wait on events by ``yield``-ing them.
     """
 
-    __slots__ = ("sim", "callbacks", "_value", "_ok", "_delayed_ok",
-                 "_delayed_value", "_cancelled", "_fail_silently")
+    __slots__ = ("sim", "callbacks", "_value", "_ok", "_delayed_value",
+                 "_cancelled", "_fail_silently")
 
     def __init__(self, sim: "Simulator"):
         self.sim = sim
         self.callbacks: Optional[List[Callable[["Event"], None]]] = []
         self._value: Any = _PENDING
         self._ok: Optional[bool] = None
-        # What a still-pending event becomes when the kernel pops it
-        # (timeouts, process starts, interrupts trigger that way).
-        self._delayed_ok = True
+        # What a still-pending event succeeds with when the kernel pops
+        # it (timeouts and process starts trigger that way).
         self._delayed_value: Any = None
         self._cancelled = False
         self._fail_silently = False
@@ -180,21 +179,6 @@ class Process(Event):
         """True while the generator has not finished."""
         return self._alive
 
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process.
-
-        The process is resumed at the current virtual time (URGENT
-        priority) even if the event it was waiting on has not fired; it
-        may re-yield that event to keep waiting.
-        """
-        if not self._alive:
-            return
-        wakeup = Event(self.sim)
-        wakeup._delayed_ok = False
-        wakeup._delayed_value = Interrupt(cause)
-        wakeup._add_callback(self._resume)
-        self.sim._queue_event(wakeup, URGENT)
-
     def kill(self) -> None:
         """Forcibly terminate the process (fail-stop node crash).
 
@@ -219,10 +203,6 @@ class Process(Event):
     def _resume(self, event: Event) -> None:
         if not self._alive:
             return
-        # Detach from whatever we were waiting on (relevant for
-        # interrupts, where the original target stays pending).
-        if self._target is not None and self._target is not event:
-            self._target._remove_callback(self._resume)
         self._target = None
 
         try:
@@ -251,63 +231,6 @@ class Process(Event):
             return
         self._target = next_event
         next_event._add_callback(self._resume)
-
-
-class AnyOf(Event):
-    """Succeeds as soon as any of ``events`` triggers.
-
-    Its value is a list of ``(event, value)`` pairs for the events that
-    have triggered by the time the condition fires.
-    """
-
-    __slots__ = ("events",)
-
-    def __init__(self, sim: "Simulator", events: List[Event]):
-        super().__init__(sim)
-        self.events = list(events)
-        if not self.events:
-            self.succeed([])
-            return
-        for event in self.events:
-            event._add_callback(self._check)
-
-    def _check(self, event: Event) -> None:
-        if self.triggered:
-            return
-        if not event._ok:
-            self.fail(event._value)
-            return
-        done = [(e, e._value) for e in self.events if e.triggered and e._ok]
-        self.succeed(done)
-
-
-class AllOf(Event):
-    """Succeeds once all of ``events`` have triggered successfully.
-
-    Its value is the list of event values in the order given.
-    """
-
-    __slots__ = ("events", "_remaining")
-
-    def __init__(self, sim: "Simulator", events: List[Event]):
-        super().__init__(sim)
-        self.events = list(events)
-        self._remaining = len(self.events)
-        if self._remaining == 0:
-            self.succeed([])
-            return
-        for event in self.events:
-            event._add_callback(self._check)
-
-    def _check(self, event: Event) -> None:
-        if self.triggered:
-            return
-        if not event._ok:
-            self.fail(event._value)
-            return
-        self._remaining -= 1
-        if self._remaining == 0:
-            self.succeed([e._value for e in self.events])
 
 
 class Call:
@@ -426,14 +349,6 @@ class Simulator:
         """Spawn a new process from ``generator``."""
         return Process(self, generator, name=name)
 
-    def any_of(self, events: List[Event]) -> AnyOf:
-        """Condition event: fires when any input event fires."""
-        return AnyOf(self, events)
-
-    def all_of(self, events: List[Event]) -> AllOf:
-        """Condition event: fires when all input events have fired."""
-        return AllOf(self, events)
-
     # -- callback-style scheduling ---------------------------------------
 
     def schedule(self, delay: float, callback: Callable, *args: Any) -> Call:
@@ -496,8 +411,8 @@ class Simulator:
 
     def _fire_event(self, event: Event) -> None:
         if event._value is _PENDING:
-            # Heap-delayed trigger (Timeout, process start, interrupt).
-            event._ok = event._delayed_ok
+            # Heap-delayed trigger (Timeout, process start).
+            event._ok = True
             event._value = event._delayed_value
         callbacks = event.callbacks
         event.callbacks = None

@@ -6,12 +6,13 @@ mirroring the experimental setup of Section 4.2 (four PCs on a quiet
 100 Mbit/s Ethernet, one Totem instance per node, a client on the ring
 leader invoking a three-way actively replicated server).
 
-Everything above the substrate — deployment, time-source selection,
-execution, fault injection — lives in :class:`TestbedBase`, shared with
-the live counterpart :class:`repro.net.testbed.LiveTestbed`, which runs
-the identical stack over real UDP sockets and wall clocks.  Every bed
-builds its hosts through one :class:`~repro.sim.Cluster`, so workload
-code written against this API runs unmodified in either mode.
+It is the one bed class.  Its subclasses keep only what their
+substrate or topology builds: :class:`repro.net.testbed.LiveTestbed`
+runs the identical stack over real UDP sockets and wall clocks, and
+:class:`repro.shard.ShardedTestbed` runs one ring per shard on one
+simulated LAN.  Every bed builds its hosts through one
+:class:`~repro.sim.Cluster`, so workload code written against this API
+runs unmodified in either mode.
 
 Example::
 
@@ -45,7 +46,7 @@ from .core import (
     MODE_ACTIVE,
     MODE_PRIMARY,
 )
-from .errors import ConfigurationError
+from .errors import ConfigurationError, WaitTimeout
 from .replication import (
     ActiveReplica,
     Application,
@@ -57,7 +58,7 @@ from .replication import (
     TimeSource,
 )
 from .rpc import RpcClient
-from .sim import Cluster, ClusterConfig
+from .sim import Cluster, ClusterConfig, Frame
 from .sim.node import Node
 from .totem import TotemConfig, TotemProcessor
 
@@ -70,19 +71,25 @@ STYLES = {
 
 TimeSourceSpec = Union[str, Callable[[Replica], TimeSource]]
 
-#: The :meth:`TestbedBase.deploy` keywords that are the consistent time
+#: The :meth:`Testbed.deploy` keywords that are the consistent time
 #: service's: named, defaulted and checked on its constructor; the bed
 #: only carries them there.
 CTS_OPTIONS = ("coalesce", "fast_path", "max_staleness_us", "byzantine")
 
 
-class TestbedBase:
-    """Deployment and execution API over a set of nodes with Totem.
+#: A receiver tap (:meth:`Testbed.interpose`): the receiver installed
+#: on a node in, the one to install in front of it out.
+Tap = Callable[[Callable[[Frame], None]], Callable[[Frame], None]]
 
-    Substrate-independent: subclasses build a :class:`Cluster` (on the
-    simulator or on a live kernel and transport) and hand it to
-    :meth:`_init_stack`; everything else — replica deployment, clients,
-    time-source wiring, fault injection — is identical in both modes.
+
+class Testbed:
+    """A cluster of nodes with Totem and group runtimes on every node.
+
+    Built here on the simulator.  A subclass builds its own
+    :class:`Cluster` (on a live kernel and transport, or with one ring
+    per shard) and hands it to :meth:`_init_stack`; everything else —
+    replica deployment, clients, time-source wiring, receiver taps,
+    fault injection, condition waits — is this class's, in every mode.
     """
 
     __test__ = False  # not a pytest test class, despite the name
@@ -95,6 +102,17 @@ class TestbedBase:
     chaos_seed: Optional[int] = None
     #: Set by :meth:`record`: new replicas' time sources get a recorder.
     _recording = False
+
+    def __init__(
+        self,
+        *,
+        num_nodes: int = 4,
+        seed: int = 0,
+        cluster_config: Optional[ClusterConfig] = None,
+        totem_config: Optional[TotemConfig] = None,
+    ):
+        config = cluster_config or ClusterConfig(num_nodes=num_nodes)
+        self._init_stack(Cluster(config, seed=seed), totem_config)
 
     def _init_stack(self, cluster: Cluster,
                     totem_config: Optional[TotemConfig],
@@ -119,6 +137,8 @@ class TestbedBase:
             node_id: list((memberships or {}).get(node_id, static))
             for node_id in static
         }
+        #: node_id -> the taps :meth:`interpose` put in front of it.
+        self._taps: Dict[str, List[Tap]] = {}
         for node_id in static:
             self._boot(node_id)
         #: group -> {node_id: Replica}
@@ -132,16 +152,28 @@ class TestbedBase:
 
     def _boot(self, node_id: str) -> TotemProcessor:
         """One node's protocol stack from scratch — a Totem processor on
-        the node, a group runtime on the processor — at first boot and
-        at every :meth:`recover`."""
+        the node, a group runtime on the processor, the node's taps in
+        front of the processor — at first boot and at every
+        :meth:`recover`."""
+        node = self.node(node_id)
         processor = TotemProcessor(
-            self.node(node_id),
+            node,
             self.totem_config,
             static_membership=self._memberships[node_id],
         )
         self.processors[node_id] = processor
         self.runtimes[node_id] = GroupRuntime(processor)
+        for tap in self._taps.get(node_id, ()):
+            node.set_receiver(tap(node.receiver))
         return processor
+
+    def interpose(self, node_id: str, tap: Tap) -> None:
+        """Put ``tap(receiver)`` in front of ``node_id``'s installed
+        receiver, now and again on every :meth:`recover` (after the
+        rebuilt processor, in the order the taps were interposed)."""
+        self._taps.setdefault(node_id, []).append(tap)
+        node = self.node(node_id)
+        node.set_receiver(tap(node.receiver))
 
     # -- node access ---------------------------------------------------
 
@@ -308,6 +340,26 @@ class TestbedBase:
         """Run a scenario generator to completion and return its value."""
         return self.sim.run_process(generator, name=name, **kwargs)
 
+    def wait_until(
+        self,
+        predicate: Callable[[], bool],
+        *,
+        timeout: float = 10.0,
+        poll: float = 0.02,
+    ) -> float:
+        """Run in ``poll``-second steps until ``predicate()`` is true;
+        returns the kernel seconds that took.  Raises
+        :class:`~repro.errors.WaitTimeout` after ``timeout``.  Real
+        time cannot be fast-forwarded, so on a live bed a condition
+        wait replaces the simulator's fixed-duration run."""
+        start = self.sim.now
+        while True:
+            if predicate():
+                return self.sim.now - start
+            if self.sim.now - start > timeout:
+                raise WaitTimeout(f"condition not reached within {timeout}s")
+            self.run(poll)
+
     def crash(self, node_id: str) -> None:
         """Fail-stop the node (processes, clock, network all stop)."""
         self.node(node_id).crash()
@@ -318,10 +370,12 @@ class TestbedBase:
         """Restart a crashed node with fresh protocol state.
 
         Fail-stop semantics: all volatile state is gone, so the Totem
-        processor and group runtime are rebuilt from scratch; the node
-        rejoins the ring via the membership protocol.  Re-add replicas
-        with :meth:`redeploy` (or :meth:`add_replica`) afterwards — they
-        recover their state via state transfer.
+        processor and group runtime are rebuilt from scratch, with the
+        node's :meth:`interpose` taps back in front of the processor
+        before any frame arrives; the node rejoins the ring via the
+        membership protocol.  Re-add replicas with :meth:`redeploy` (or
+        :meth:`add_replica`) afterwards — they recover their state via
+        state transfer.
         """
         self.node(node_id).recover()
         # The crashed daemon is gone for good, even if the host is back
@@ -366,21 +420,6 @@ class TestbedBase:
             if scrambled:
                 details[group] = scrambled
         return details
-
-
-class Testbed(TestbedBase):
-    """A simulated cluster with Totem and group runtimes on every node."""
-
-    def __init__(
-        self,
-        *,
-        num_nodes: int = 4,
-        seed: int = 0,
-        cluster_config: Optional[ClusterConfig] = None,
-        totem_config: Optional[TotemConfig] = None,
-    ):
-        config = cluster_config or ClusterConfig(num_nodes=num_nodes)
-        self._init_stack(Cluster(config, seed=seed), totem_config)
 
     def install_ntp(self, **daemon_kwargs):
         """Discipline every node's clock with an NTP-style daemon."""

@@ -62,6 +62,10 @@ class TestScenarioValidation:
             scenario_from_dict(self.base(nodes=0))
         with pytest.raises(ConfigurationError, match="nodes"):
             scenario_from_dict(self.base(nodes=[1, 2]))
+        with pytest.raises(ConfigurationError, match="nodes"):
+            scenario_from_dict(self.base(nodes=[]))
+        with pytest.raises(ConfigurationError, match="nodes"):
+            scenario_from_dict(self.base(nodes=["n0", "n0", "n1"]))
 
     def test_bad_duration_rejected(self):
         with pytest.raises(ConfigurationError, match="duration"):

@@ -137,9 +137,12 @@ class GatewayClient:
 def run_phase(kernel, clients, **phase):
     """All clients' phases at once; a failed one fails the test."""
     def together():
-        yield kernel.all_of([
-            kernel.process(client.phase(**phase), name=client.name)
-            for client in clients])
+        # Spawn them all, then wait on each in turn (a process is an
+        # event): the phases run concurrently either way.
+        processes = [kernel.process(client.phase(**phase), name=client.name)
+                     for client in clients]
+        for process in processes:
+            yield process
 
     kernel.run_process(together(), timeout=60.0)
 

@@ -20,8 +20,8 @@ pytestmark = pytest.mark.live
 def clock_workload(bed, calls: int = 4):
     """Deploy a replicated clock service, invoke it, return the values.
 
-    Substrate-independent on purpose: everything here is TestbedBase
-    API.  The replicas go on the last three nodes, the client on the
+    Substrate-independent on purpose: everything here is the one
+    ``Testbed`` API, which ``LiveTestbed`` only builds differently.  The replicas go on the last three nodes, the client on the
     first (on a 3-node bed the client shares its node with a replica,
     which the runtime supports).
     """
@@ -81,6 +81,23 @@ class TestLiveBasics:
                 assert live.sim is bed.kernel
                 assert (live.epoch_us, live.drift_ppm) == (
                     modelled.epoch_us, modelled.drift_ppm)
+
+    def test_a_bed_that_fails_to_build_closes_its_loop(self, monkeypatch):
+        import asyncio
+
+        from repro.errors import NetworkError
+
+        loops = []
+        new_event_loop = asyncio.new_event_loop
+
+        def capture():
+            loops.append(new_event_loop())
+            return loops[-1]
+
+        monkeypatch.setattr(asyncio, "new_event_loop", capture)
+        with pytest.raises(NetworkError, match="already attached"):
+            LiveTestbed(node_ids=["a", "a"])
+        assert len(loops) == 1 and loops[0].is_closed()
 
     def test_wait_until_polls_the_loop(self):
         with LiveTestbed(num_nodes=3, seed=7) as bed:

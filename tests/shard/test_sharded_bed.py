@@ -8,7 +8,7 @@ cross-shard session semantics — monotone reads across a migration.
 
 from repro.net.daemon import TimeApp
 from repro.rpc import unwrap
-from repro.shard import ShardedTestbed, ShardRouter
+from repro.shard import ShardedTestbed, ShardRouter, ShardSummary
 from repro.shard.cluster import shard_nodes
 
 
@@ -101,3 +101,30 @@ class TestRouterMigration:
         bed.sim.process(driver(), name="driver")
         bed.run(2.0)
         assert router.calls_routed == 6
+
+
+class TestRecovery:
+    def test_a_recovered_node_stays_in_its_own_ring(self):
+        """A recover rebuilds the node's processor; the shard's domain
+        filter must go back in front of it, or the node's join would
+        merge every shard's ring into one."""
+        bed = ShardedTestbed(shards=2, shard_size=3, seed=0)
+        bed.deploy_shards(TimeApp)
+        bed.start()
+        bed.crash("s0n1")
+        bed.run(0.5)
+        bed.recover("s0n1")
+        bed.run(1.0)
+        for shard in range(2):
+            expected = set(shard_nodes(shard, 3))
+            for node_id in shard_nodes(shard, 3):
+                assert set(bed.processors[node_id].members) == expected
+
+        received = []
+        bed.summary_sink = lambda node_id, summary: received.append(
+            (node_id, summary.shard))
+        summary = ShardSummary(shard=1, group=bed.group_of(1), value_us=1,
+                               offset_us=0, round_seq=0, error_us=0)
+        bed.node("s1n0").iface.unicast("s0n1", summary, size_bytes=96)
+        bed.run(0.1)
+        assert received == [("s0n1", 1)]

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import Interrupt, ProcessKilled, SimulationError
+from repro.errors import ProcessKilled, SimulationError
 from repro.sim import Simulator
 
 
@@ -205,45 +205,6 @@ class TestProcesses:
 
 
 class TestInterruptAndKill:
-    def test_interrupt_wakes_blocked_process(self, sim):
-        def proc():
-            try:
-                yield sim.timeout(100.0)
-            except Interrupt as intr:
-                return ("interrupted", sim.now, intr.cause)
-
-        p = sim.process(proc())
-        sim.schedule(1.0, p.interrupt, "timer")
-        while not p.triggered:
-            sim.step()
-        assert p.value == ("interrupted", 1.0, "timer")
-
-    def test_interrupted_process_can_rewait(self, sim):
-        original = sim.timeout(5.0)
-
-        def proc():
-            try:
-                yield original
-            except Interrupt:
-                pass
-            yield original  # keep waiting on the same event
-            return sim.now
-
-        p = sim.process(proc())
-        sim.schedule(1.0, p.interrupt)
-        sim.run()
-        assert p.value == 5.0
-
-    def test_interrupt_dead_process_is_noop(self, sim):
-        def proc():
-            yield sim.timeout(1.0)
-
-        p = sim.process(proc())
-        sim.run()
-        assert not p.is_alive
-        p.interrupt()  # must not raise
-        sim.run()
-
     def test_kill_stops_process(self, sim):
         trace = []
 
@@ -272,70 +233,6 @@ class TestInterruptAndKill:
 
         sim.schedule(1.0, v.kill)
         assert sim.run_process(waiter()) == "observed kill"
-
-
-class TestConditions:
-    def test_any_of_fires_on_first(self, sim):
-        def proc():
-            result = yield sim.any_of([sim.timeout(3.0, "slow"), sim.timeout(1.0, "fast")])
-            return (sim.now, [value for _, value in result])
-
-        now, values = sim.run_process(proc())
-        assert now == 1.0
-        assert values == ["fast"]
-
-    def test_all_of_waits_for_all(self, sim):
-        def proc():
-            values = yield sim.all_of([sim.timeout(3.0, "a"), sim.timeout(1.0, "b")])
-            return (sim.now, values)
-
-        now, values = sim.run_process(proc())
-        assert now == 3.0
-        assert values == ["a", "b"]
-
-    def test_empty_conditions_fire_immediately(self, sim):
-        def proc():
-            yield sim.any_of([])
-            yield sim.all_of([])
-            return sim.now
-
-        assert sim.run_process(proc()) == 0.0
-
-
-class TestConditionFailures:
-    def test_any_of_propagates_failure(self):
-        sim = Simulator()
-        bad = sim.event()
-
-        def failer():
-            yield sim.timeout(1.0)
-            bad.fail(ValueError("broken input"))
-
-        def waiter():
-            try:
-                yield sim.any_of([bad, sim.timeout(5.0)])
-            except ValueError as exc:
-                return f"caught {exc}"
-
-        sim.process(failer())
-        assert sim.run_process(waiter()) == "caught broken input"
-
-    def test_all_of_propagates_failure(self):
-        sim = Simulator()
-        bad = sim.event()
-
-        def failer():
-            yield sim.timeout(1.0)
-            bad.fail(ValueError("nope"))
-
-        def waiter():
-            try:
-                yield sim.all_of([sim.timeout(0.5), bad])
-            except ValueError:
-                return "failed fast"
-
-        sim.process(failer())
-        assert sim.run_process(waiter()) == "failed fast"
 
 
 class TestRunLimits:

@@ -166,3 +166,6 @@ class TestCluster:
 
         with pytest.raises(ConfigurationError):
             Cluster(ClusterConfig(num_nodes=0))
+        # An empty id list is given, not absent: no default n0..n3.
+        with pytest.raises(ConfigurationError, match="at least one node"):
+            Cluster(node_ids=[])

@@ -18,12 +18,7 @@ class TestHierarchy:
         assert issubclass(errors.RpcTimeout, errors.RpcError)
         assert issubclass(errors.ReconfigurationError, errors.ReplicationError)
         assert issubclass(errors.ProcessKilled, errors.SimulationError)
-        assert issubclass(errors.Interrupt, errors.SimulationError)
         assert issubclass(errors.NodeDown, errors.SimulationError)
-
-    def test_interrupt_carries_cause(self):
-        interrupt = errors.Interrupt(cause="timer")
-        assert interrupt.cause == "timer"
 
     def test_one_except_clause_catches_everything(self):
         for cls in (errors.TotemError, errors.RpcTimeout,

@@ -5,7 +5,7 @@ import pytest
 from repro import Testbed
 from repro.baselines import LocalClockSource
 from repro.core import ConsistentTimeService, MODE_ACTIVE, MODE_PRIMARY
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, WaitTimeout
 from repro.sim import ClusterConfig
 
 from support import ClockApp, call_n  # noqa: E402  (tests/ is on sys.path)
@@ -68,6 +68,21 @@ class TestDeployment:
         bed = Testbed()
         bed.start()
         bed.start()  # no error
+
+
+class TestWaitUntil:
+    def test_runs_the_simulator_in_poll_steps(self):
+        # The wait every bed has: on the simulator it advances virtual
+        # time by ``poll`` per step, exactly as ``bed.run(poll)`` does.
+        bed = Testbed(seed=6)
+        bed.start()
+        ends = bed.sim.now + 0.075
+        elapsed = bed.wait_until(lambda: bed.sim.now > ends, poll=0.05)
+        assert elapsed == pytest.approx(0.1)
+        started = bed.sim.now
+        with pytest.raises(WaitTimeout):
+            bed.wait_until(lambda: False, timeout=0.2, poll=0.05)
+        assert bed.sim.now - started == pytest.approx(0.25)
 
 
 class TestFailureHelpers:
