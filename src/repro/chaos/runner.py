@@ -38,7 +38,7 @@ from ..errors import ConfigurationError, ReproError
 from ..net.client import LiveCaller
 from ..net.daemon import TimeApp
 from ..net.testbed import LiveTestbed
-from ..obs import flight
+from ..obs.flight import FlightRecorder
 from ..obs.crossnode import CrossNodeSpanAssembler, TraceShardWriter, load_shards
 from ..sim.faults import FaultEvent, FaultPlan
 from ..workloads.load import ClockSessions
@@ -75,9 +75,11 @@ class JudgedRun:
         self.seed = seed
         self.duration_s = duration_s
         self.artifacts_dir = artifacts_dir
+        #: This run's flight recorder, with an artifacts directory only.
+        self.flight = FlightRecorder() if artifacts_dir else None
         self.oracle = InvariantOracle(
-            flight_recorder=flight.RECORDER if artifacts_dir else None,
-            dump_dir=artifacts_dir, **oracle_options)
+            flight_recorder=self.flight, dump_dir=artifacts_dir,
+            **oracle_options)
         #: Drives the plan's ``drain`` / ``join`` events; a run over one
         #: group has one, from :meth:`over` on.
         self.plane: Optional[ControlPlane] = None
@@ -106,7 +108,9 @@ class JudgedRun:
             # bleed into this run's timelines.
             trace.BAGGAGE.clear()
             writer = TraceShardWriter(self.artifacts_dir)
-            flight.RECORDER.start().reset()
+            self.flight.start()
+            if isinstance(bed, LiveTestbed):
+                bed.transport.record_frames(self.flight)
         self.oracle.attach()
         try:
             if len(groups) == 1:
@@ -136,7 +140,7 @@ class JudgedRun:
             self.oracle.detach()
             if writer is not None:
                 writer.close()
-                flight.RECORDER.stop()
+                self.flight.stop()
 
     def _injected(self, event: FaultEvent) -> None:
         """Tell the oracle what the plan just injected — in the kernel
@@ -161,7 +165,7 @@ class JudgedRun:
         }
         if self.artifacts_dir is not None:
             try:
-                entry["flight_dump"] = flight.RECORDER.dump(
+                entry["flight_dump"] = self.flight.dump(
                     Path(self.artifacts_dir) / "flight-protocol-failure.json",
                     reason="protocol-failure", context=dict(entry))
             except OSError:
@@ -273,7 +277,7 @@ def run_chaos(
                 lambda: bed.sim.now >= (ends if run.plan.done else ends + 10.0),
                 timeout=duration + 11.0)
 
-        stats = [getattr(replica.time_source, "stats", None)
+        stats = [replica.time_source.stats
                  for replica in bed.replicas(GROUP).values()]
         sections = {
             "chaos": {name: getattr(bed.chaos, name)
@@ -285,9 +289,9 @@ def run_chaos(
                 "frames_signed": bed.auth.frames_signed if bed.auth else 0,
                 "frames_verified": bed.auth.frames_verified if bed.auth else 0,
                 "winners_rejected": sum(
-                    getattr(s, "winners_rejected", 0) for s in stats),
+                    sum(s.winners_rejected.values()) for s in stats),
                 "stabilizations": sum(
-                    getattr(s, "stabilizations", 0) for s in stats),
+                    sum(s.stabilizations.values()) for s in stats),
             },
             "clients": clients.report(),
             "gateway": gateway_tallies(bed),
@@ -295,7 +299,7 @@ def run_chaos(
         }
         if artifacts_dir is not None:
             sections["trace"] = _trace_section(artifacts_dir)
-            sections["flight_dumps"] = list(flight.RECORDER.dumps)
+            sections["flight_dumps"] = list(run.flight.dumps)
         return run.verdict(**sections)
 
 

@@ -32,10 +32,6 @@ from typing import Callable, Deque, Dict, Optional
 
 from .. import obs
 
-G_ADM_QUEUE_DEPTH = obs.REGISTRY.gauge(
-    "cts_admission_queue_depth", "operations currently parked")
-G_ADM_INFLIGHT = obs.REGISTRY.gauge(
-    "cts_admission_inflight", "operations in the order awaiting replies")
 H_ADM_QUEUE_AGE = obs.REGISTRY.histogram(
     "cts_admission_queue_age_seconds",
     "time from arrival to dispatch or shed for queued operations",
@@ -99,6 +95,12 @@ COUNTERS = obs.REGISTRY.read_counters({
              "operations answered Overloaded, by reason "
              "(global_full|client_full|deadline|aged_out)", "reason"),
 })
+#: AdmissionController property -> the gauge family read from it.
+GAUGES = obs.REGISTRY.read_gauges({
+    "queue_depth": ("cts_admission_queue_depth", "operations currently parked"),
+    "inflight": ("cts_admission_inflight",
+                 "operations in the order awaiting replies"),
+})
 
 
 @dataclass
@@ -138,6 +140,7 @@ class AdmissionController:
         self._depth = 0
         #: EWMA of dispatch->complete service time (retry-after basis).
         self._service_ewma_s = 0.05
+        obs.REGISTRY.watch(self, GAUGES, node=node_id)
 
     # -- host interface ------------------------------------------------
 
@@ -167,8 +170,6 @@ class AdmissionController:
         queue.append(_Pending(key, dispatch, shed, now))
         self._depth += 1
         self.stats.queued += 1
-        if obs.REGISTRY.enabled:
-            G_ADM_QUEUE_DEPTH.set(self._depth, node=self.node_id)
         return True
 
     def complete(self, key: object) -> None:
@@ -180,8 +181,6 @@ class AdmissionController:
         service_s = max(0.0, now - dispatched_at)
         self._service_ewma_s += 0.1 * (service_s - self._service_ewma_s)
         self.stats.completed += 1
-        if obs.REGISTRY.enabled:
-            G_ADM_INFLIGHT.set(len(self._inflight), node=self.node_id)
         self._pump(now)
 
     @property
@@ -216,8 +215,6 @@ class AdmissionController:
                       now: float) -> None:
         self._inflight[key] = now
         self.stats.admitted += 1
-        if obs.REGISTRY.enabled:
-            G_ADM_INFLIGHT.set(len(self._inflight), node=self.node_id)
         dispatch()
 
     def _shed_now(self, shed: Callable[[float], None], reason: str,
@@ -247,8 +244,6 @@ class AdmissionController:
                 self._shed_now(entry.shed, "aged_out", now)
                 continue
             self._dispatch_now(entry.key, entry.dispatch, now)
-        if obs.REGISTRY.enabled:
-            G_ADM_QUEUE_DEPTH.set(self._depth, node=self.node_id)
 
     def _next_fair(self) -> _Pending:
         client = self._rr.popleft()

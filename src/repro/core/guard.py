@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional, TYPE_CHECKING
 
-from .. import obs, trace
+from .. import trace
 from ..replication.envelope import Envelope
 from .ccs_handler import CCSHandler
 from .messages import CCSMessage
@@ -44,11 +44,6 @@ STABILIZE_ROUND_GAP = 10_000
 #: we conclude *our* anchor is the corrupted outlier and stabilize.  Two
 #: is sound for f = 1 (the quorum is f + 1).
 STABILIZE_QUORUM = 2
-
-M_WINNERS_REJECTED = obs.REGISTRY.counter(
-    "ccs_winners_rejected_total",
-    "ordered CCS winners rejected by the Byzantine sanity filter, "
-    "labelled by reason (too-high, too-low)")
 
 
 class ByzantineGuard:
@@ -308,9 +303,8 @@ class ByzantineGuard:
     def _reject_ccs(self, envelope: Envelope, msg: CCSMessage,
                     reason: str) -> None:
         svc = self.service
-        svc.stats.winners_rejected += 1
-        if obs.REGISTRY.enabled:
-            M_WINNERS_REJECTED.inc(node=svc.node_id, reason=reason)
+        rejected = svc.stats.winners_rejected
+        rejected[reason] = rejected.get(reason, 0) + 1
         if trace.TRACER.enabled:
             trace.emit(
                 "round.rejected", svc.node_id, thread=msg.thread_id,

@@ -39,7 +39,7 @@ replica-independent round counters from the checkpoint.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple, TYPE_CHECKING
 
 from ..errors import TimeServiceError
@@ -69,43 +69,25 @@ if TYPE_CHECKING:  # pragma: no cover
 MODE_ACTIVE = "active"
 MODE_PRIMARY = "primary"
 
-# -- pushed instruments (zero-cost while the registry is off); the
-# counter families are read from CTSStats, see COUNTERS below ----------
+# -- pushed histograms (zero-cost while the registry is off); the
+# counter and gauge families are read, see COUNTERS and GAUGES below ---
 M_ROUND_LATENCY = obs.REGISTRY.histogram(
     "cts_round_latency_us",
     "CCS round latency: interposition to group-value delivery", unit="us",
     buckets=(50, 100, 200, 400, 800, 1_600, 3_200, 6_400, 12_800, 25_600,
              51_200))
-M_OFFSET = obs.REGISTRY.gauge(
-    "cts_clock_offset_us", "my_clock_offset after the last committed round",
-    unit="us")
 M_BATCH = obs.REGISTRY.histogram(
     "ccs_round_batch_size", "operations served per consumed CCS round",
     unit="ops", buckets=(1, 2, 4, 8, 16, 32, 64, 128))
-M_SKEW = obs.REGISTRY.gauge(
-    "cts_estimated_skew_us",
-    "estimated inter-replica skew at the last round: this replica's "
-    "proposal minus the winning group value (signed)", unit="us")
 M_SKEW_ABS = obs.REGISTRY.histogram(
     "cts_estimated_skew_abs_us",
     "absolute estimated inter-replica skew per round", unit="us",
     buckets=(10, 25, 50, 100, 250, 500, 1_000, 2_500, 5_000, 10_000))
-M_DRIFT_ERROR = obs.REGISTRY.gauge(
-    "cts_drift_bound_error_us",
-    "certified worst-case drift error of the last fast-path read",
-    unit="us")
 M_FAST_STALENESS = obs.REGISTRY.histogram(
     "cts_fast_path_staleness_us",
     "staleness of fast-path reads (physical-clock time since the last "
     "committed round)", unit="us",
     buckets=(50, 100, 250, 500, 1_000, 2_000, 4_000, 8_000))
-M_STALENESS_BUDGET = obs.REGISTRY.gauge(
-    "cts_max_staleness_us",
-    "configured fast-path staleness budget", unit="us")
-M_STABILIZATIONS = obs.REGISTRY.counter(
-    "cts_stabilizations_total",
-    "self-stabilization repairs of scrambled local state, labelled by "
-    "what was repaired (round-counter, watermark, floors, fast-floor)")
 
 
 @dataclass
@@ -134,10 +116,12 @@ class CTSStats:
     fast_path_hits: int = 0
     #: Fast-path attempts that fell back to a full round.
     fast_path_fallbacks: int = 0
-    #: Ordered round winners rejected by the Byzantine sanity filter.
-    winners_rejected: int = 0
-    #: Self-stabilization repairs of scrambled local state.
-    stabilizations: int = 0
+    #: Ordered round winners rejected by the Byzantine sanity filter,
+    #: by reason (too-high, too-low).
+    winners_rejected: Dict[str, int] = field(default_factory=dict)
+    #: Self-stabilization repairs of scrambled local state, by what was
+    #: repaired (round-counter, watermark, floors, fast-floor, anchor).
+    stabilizations: Dict[str, int] = field(default_factory=dict)
     #: Blocked clock operations aborted (abandoned protocol positions).
     rounds_aborted: int = 0
 
@@ -154,9 +138,7 @@ class CTSStats:
         return self.ccs_transmitted / self.ops_completed
 
 
-#: CTSStats field -> the registry family read from it (``winners_rejected``
-#: and ``stabilizations`` carry a second label and stay pushed: the first
-#: in guard.py, the second by ``_note_stabilization`` below).
+#: CTSStats field -> the registry family read from it.
 COUNTERS = obs.REGISTRY.read_counters({
     "rounds_completed": ("ccs_rounds_total", "CCS rounds completed"),
     "ccs_sent": ("ccs_sent_total", "CCS messages handed to Totem for transmission"),
@@ -186,7 +168,31 @@ COUNTERS = obs.REGISTRY.read_counters({
         "cts_fast_path_fallbacks_total",
         "fast-path attempts that fell back to a full CCS round "
         "(staleness or drift bound exceeded)"),
+    "winners_rejected": (
+        "ccs_winners_rejected_total",
+        "ordered CCS winners rejected by the Byzantine sanity filter, "
+        "labelled by reason (too-high, too-low)", "reason"),
+    "stabilizations": (
+        "cts_stabilizations_total",
+        "self-stabilization repairs of scrambled local state, labelled by "
+        "what was repaired (round-counter, watermark, floors, fast-floor)",
+        "what"),
 })
+#: GroupClockState / ConsistentTimeService attribute -> the gauge family
+#: read from it; the staleness budget only from a fast-path service.
+CLOCK_GAUGES = obs.REGISTRY.read_gauges({"offset_us": (
+    "cts_clock_offset_us", "my_clock_offset after the last committed round")})
+GAUGES = obs.REGISTRY.read_gauges({
+    "last_skew_us": (
+        "cts_estimated_skew_us",
+        "estimated inter-replica skew at the last round: this replica's "
+        "proposal minus the winning group value (signed)"),
+    "drift_error_us": (
+        "cts_drift_bound_error_us",
+        "certified worst-case drift error of the last fast-path read"),
+})
+FAST_PATH_GAUGES = obs.REGISTRY.read_gauges({"max_staleness_us": (
+    "cts_max_staleness_us", "configured fast-path staleness budget")})
 
 
 class ConsistentTimeService(TimeSource):
@@ -235,6 +241,14 @@ class ConsistentTimeService(TimeSource):
         self.clock_state = GroupClockState()
         self.stats = CTSStats()
         obs.REGISTRY.watch(self.stats, COUNTERS, node=self.node_id)
+        obs.REGISTRY.watch(self.clock_state, CLOCK_GAUGES, node=self.node_id)
+        #: Our proposal minus the winner, at the last round we proposed
+        #: for; the staleness the last fast-path read was checked at.
+        self.last_skew_us: Optional[int] = None
+        self.last_fast_staleness_us: Optional[int] = None
+        obs.REGISTRY.watch(
+            self, GAUGES + FAST_PATH_GAUGES if fast_path else GAUGES,
+            node=self.node_id)
         #: CCS handler objects, one per logical thread (Section 3.1).
         self._handlers: Dict[str, CCSHandler] = {}
         #: Messages for threads whose handler does not exist yet.
@@ -248,8 +262,12 @@ class ConsistentTimeService(TimeSource):
         self._recovering = False
         #: Physical clock at the last committed round (fast-path anchor).
         self._last_commit_physical_us: Optional[int] = None
-        if fast_path:
-            M_STALENESS_BUDGET.set(self.max_staleness_us, node=self.node_id)
+
+    @property
+    def drift_error_us(self) -> Optional[int]:
+        """The certified drift error of the last fast-path read."""
+        elapsed = self.last_fast_staleness_us
+        return None if elapsed is None else self.drift_bound.error_us(elapsed)
 
     # ------------------------------------------------------------------
     # TimeSource interface: one clock-related operation
@@ -300,10 +318,9 @@ class ConsistentTimeService(TimeSource):
         if fast is not None:
             fast_us, elapsed = fast
             self.stats.fast_path_hits += 1
+            self.last_fast_staleness_us = elapsed
             if obs.REGISTRY.enabled:
                 M_FAST_STALENESS.observe(elapsed, node=self.node_id)
-                M_DRIFT_ERROR.set(self.drift_bound.error_us(elapsed),
-                                  node=self.node_id)
             if self.recorder is not None:
                 self.recorder.fast_served.append((self.sim.now, fast_us, elapsed))
             self._serve(handler, op, fast_us, fast=True)
@@ -443,11 +460,10 @@ class ConsistentTimeService(TimeSource):
         if proposed:
             derived_from_us = in_flight.physical_us
             started_at = in_flight.started_at
+            # We proposed for this round: proposal minus winner is the
+            # per-round estimate of our skew against the group.
+            self.last_skew_us = skew = in_flight.proposal_us - group_us
             if obs.REGISTRY.enabled:
-                # We proposed for this round: proposal minus winner is
-                # the per-round estimate of our skew against the group.
-                skew = in_flight.proposal_us - group_us
-                M_SKEW.set(skew, node=self.node_id)
                 M_SKEW_ABS.observe(abs(skew), node=self.node_id)
         else:
             # We never proposed for this round (it was driven by another
@@ -490,7 +506,6 @@ class ConsistentTimeService(TimeSource):
         self.stats.rounds_completed += 1
 
         if obs.REGISTRY.enabled:
-            M_OFFSET.set(state.offset_us, node=self.node_id)
             M_BATCH.observe(len(served), node=self.node_id)
             for op in served:
                 M_ROUND_LATENCY.observe(
@@ -695,9 +710,8 @@ class ConsistentTimeService(TimeSource):
 
     def _note_stabilization(self, what: str, **fields) -> None:
         """Count one self-stabilization repair of scrambled local state."""
-        self.stats.stabilizations += 1
-        if obs.REGISTRY.enabled:
-            M_STABILIZATIONS.inc(node=self.node_id, what=what)
+        repairs = self.stats.stabilizations
+        repairs[what] = repairs.get(what, 0) + 1
         if trace.TRACER.enabled:
             trace.emit("state.repaired", self.node_id, what=what,
                        t=self.sim.now, **fields)

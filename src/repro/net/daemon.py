@@ -42,7 +42,7 @@ from ..control.admission import (
     overloaded_value,
 )
 from ..errors import ConfigurationError
-from ..obs import flight
+from ..obs.flight import FlightRecorder
 from ..obs.crossnode import TraceShardWriter
 from ..obs.http import MetricsHttpServer
 from ..replication.envelope import Envelope, MsgType, make_envelope
@@ -122,11 +122,11 @@ GATEWAY_COUNTERS = obs.REGISTRY.read_counters({
                            "later replicas' replies recorded, not forwarded"),
     "replies_divergent": ("gateway_divergent_replies_total",
                           "recorded replies that differ from the forwarded"),
+    "dedup_evictions": (
+        "gateway_dedup_evictions_total",
+        "idempotency-window entries evicted, by reason (window|ttl)",
+        "reason"),
 })
-#: Pushed: ``dedup_evictions`` has no per-reason breakdown to read.
-M_GW_DEDUP_EVICTIONS = obs.REGISTRY.counter(
-    "gateway_dedup_evictions_total",
-    "idempotency-window entries evicted, by reason (window|ttl)")
 
 #: An operation id as seen by the gateway.  The *service* group is part
 #: of the identity: a sharded deployment fronts many groups, and the
@@ -192,7 +192,8 @@ class ClientGateway:
         self.replies_replayed = 0
         self.replies_suppressed = 0
         self.replies_divergent = 0
-        self.dedup_evictions = 0
+        #: Idempotency-window entries evicted, by reason (window, ttl).
+        self.dedup_evictions: Dict[str, int] = {}
         obs.REGISTRY.watch(self, GATEWAY_COUNTERS, node=node_id)
 
     def handle(self, frame: LiveFrame) -> None:
@@ -281,9 +282,7 @@ class ClientGateway:
 
     def _evict_oldest(self, reason: str) -> None:
         self._seen.popitem(last=False)
-        self.dedup_evictions += 1
-        if obs.REGISTRY.enabled:
-            M_GW_DEDUP_EVICTIONS.inc(node=self.node_id, reason=reason)
+        self.dedup_evictions[reason] = self.dedup_evictions.get(reason, 0) + 1
 
     def _forward(self, envelope: Envelope) -> None:
         header = envelope.header
@@ -334,11 +333,6 @@ class NodeDaemon:
             raise KeyError(
                 f"--peers must include this node ({config.node_id!r})")
         self.config = config
-        if config.metrics_port is not None or config.trace_dir is not None:
-            # Before the replica exists: its time source exports its
-            # configuration gauges once, at construction.  (The bed
-            # points the registry's clock at its kernel.)
-            obs.REGISTRY.enable()
         self.bed = LiveTestbed(node_ids=[config.node_id], peers=config.peers,
                                auth_secret=config.auth_key)
         self.kernel = self.bed.kernel
@@ -364,6 +358,8 @@ class NodeDaemon:
         )[config.node_id]
         self._metrics_server: Optional[MetricsHttpServer] = None
         self._shard_writer: Optional[TraceShardWriter] = None
+        #: This node's flight recorder (with ``trace_dir`` only).
+        self.flight: Optional[FlightRecorder] = None
 
     @property
     def address(self) -> Address:
@@ -413,17 +409,20 @@ class NodeDaemon:
             self.shutdown()
 
     def start_observability(self) -> None:
-        """Bring up the observability sidecars the config asks for
-        (the metrics registry itself is on since construction): scrape
-        endpoint, trace shards, flight ring."""
+        """Bring up the observability the config asks for: the metrics
+        registry, scrape endpoint, trace shards, flight ring.  (The bed
+        points the registry's clock at its kernel.)"""
         config = self.config
+        if config.metrics_port is not None or config.trace_dir is not None:
+            obs.REGISTRY.enable()
         if config.metrics_port is not None:
             self._metrics_server = MetricsHttpServer(port=config.metrics_port)
             task = self.kernel.loop.create_task(self._metrics_server.start())
             task.add_done_callback(self._metrics_started)
         if config.trace_dir is not None:
             self._shard_writer = TraceShardWriter(config.trace_dir)
-            flight.RECORDER.start()
+            self.flight = FlightRecorder().start()
+            self.bed.transport.record_frames(self.flight)
 
     def _metrics_started(self, task) -> None:
         exc = task.exception()
@@ -445,13 +444,13 @@ class NodeDaemon:
             self.kernel.schedule(1.0, self._report_failures)
 
     def _dump_flight(self, reason: str, context: Optional[Dict] = None) -> None:
-        if self.config.trace_dir is None or not flight.RECORDER.enabled:
+        if self.flight is None or not self.flight.enabled:
             return
         from pathlib import Path
 
         path = (Path(self.config.trace_dir)
                 / f"flight-{self.config.node_id}-{reason}.json")
-        dumped = flight.RECORDER.dump(
+        dumped = self.flight.dump(
             path, reason=reason,
             context={"node": self.config.node_id, **(context or {})})
         self._log(f"flight recorder dumped to {dumped}")
@@ -465,5 +464,5 @@ class NodeDaemon:
         if self._shard_writer is not None:
             self._shard_writer.close()
             self._shard_writer = None
-            flight.RECORDER.stop()
+            self.flight.stop()
         self.bed.shutdown()

@@ -32,7 +32,6 @@ from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 
 from .. import obs, trace as trace_mod
 from ..errors import FrameError, NetworkError, TransportError
-from ..obs import flight
 from ..replication.envelope import Envelope
 from ..trace import TraceContext
 from .transport import Transport, TransportPort
@@ -145,6 +144,7 @@ class UdpPort(TransportPort):
         #: reason code (read as ``udp_datagrams_rejected_total``).
         self.rejected_by_reason: Dict[str, int] = {}
         obs.REGISTRY.watch(self, COUNTERS, node=node_id)
+        self.flight = transport.flight  # fed one digest per frame
 
     @property
     def address(self) -> Address:
@@ -210,8 +210,8 @@ class UdpPort(TransportPort):
         size = len(data)
         self.frames_sent += 1
         self.bytes_sent += size
-        if flight.RECORDER.enabled:
-            flight.RECORDER.record_frame(
+        if self.flight is not None:
+            self.flight.record_frame(
                 self.node_id, "tx", addr, type(payload).__name__, size,
                 trace.trace_id if trace is not None else None)
 
@@ -222,6 +222,7 @@ class UdpPort(TransportPort):
         # loop iteration, not once per datagram.
         recvfrom = self.sock.recvfrom
         auth, node_id, deliver = self.auth, self.node_id, self._deliver
+        flight = self.flight
         while True:
             try:
                 data, addr = recvfrom(65536)
@@ -247,8 +248,8 @@ class UdpPort(TransportPort):
                 envelope = _envelope_of(payload)
                 if envelope is not None:
                     trace_mod.BAGGAGE.put(envelope.header.message_id, trace)
-            if flight.RECORDER.enabled:
-                flight.RECORDER.record_frame(
+            if flight is not None:
+                flight.record_frame(
                     node_id, "rx", addr, type(payload).__name__,
                     len(data), trace.trace_id if trace is not None else None)
             for item in payload if type(payload) is Batch else (payload,):
@@ -277,6 +278,9 @@ class UdpTransport(Transport):
         #: Optional :class:`~repro.net.auth.WireAuthenticator` shared by
         #: every port on this transport (authenticated Byzantine mode).
         self.auth = auth
+        #: The :class:`~repro.obs.flight.FlightRecorder` every port hands
+        #: its frame digests to (None = no recorder).
+        self.flight = None
         self._ports: Dict[str, UdpPort] = {}
 
     # -- topology ---------------------------------------------------------
@@ -299,6 +303,12 @@ class UdpTransport(Transport):
         # unicast to its own successor.
         self.peers[node_id] = port.address
         return port
+
+    def record_frames(self, recorder) -> None:
+        """Feed every port's frame digests to ``recorder`` (None stops)."""
+        self.flight = recorder
+        for port in self._ports.values():
+            port.flight = recorder
 
     def detach(self, node_id: str) -> None:
         port = self._ports.pop(node_id, None)

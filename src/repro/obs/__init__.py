@@ -37,7 +37,7 @@ from .crossnode import (
     assemble_timelines,
     load_shards,
 )
-from .flight import RECORDER, FlightRecorder
+from .flight import FlightRecorder
 from .http import MetricsHttpServer
 from .metrics import (
     Counter,
@@ -62,7 +62,6 @@ __all__ = [
     "MetricsHttpServer",
     "MetricsRegistry",
     "OpTimeline",
-    "RECORDER",
     "REGISTRY",
     "RoundSpan",
     "RoundSpanTracker",

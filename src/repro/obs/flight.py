@@ -9,7 +9,7 @@ before.  The recorder keeps two rings:
   cross-node op hops), subscribed like any other sink;
 * **wire-frame digests** — one compact record per datagram a live UDP
   port sent or received (direction, peer, payload kind, size, trace id),
-  fed by :class:`~repro.net.udp.UdpPort`.
+  fed by :meth:`~repro.net.udp.UdpTransport.record_frames`.
 
 Both rings are ``deque(maxlen=...)``: recording is O(1) and memory is
 bounded.  :meth:`FlightRecorder.dump` writes the rings to a JSON
@@ -18,8 +18,8 @@ the chaos runner hands the recorder to the
 :class:`~repro.chaos.oracle.InvariantOracle` so every violation links to
 a dump of the window that explains it.
 
-The process-wide :data:`RECORDER` is disabled by default; hot paths pay
-one attribute read (``RECORDER.enabled``) when it is off.
+The daemon and a judged run each build their own recorder; a port with
+none attached pays one attribute check per frame.
 """
 
 from __future__ import annotations
@@ -63,11 +63,6 @@ class FlightRecorder:
             self._unsubscribe()
             self._unsubscribe = None
         self.enabled = False
-
-    def reset(self) -> None:
-        self._events.clear()
-        self._frames.clear()
-        self.dumps.clear()
 
     # -- recording -------------------------------------------------------
 
@@ -116,7 +111,3 @@ class FlightRecorder:
                         encoding="utf-8")
         self.dumps.append(str(path))
         return str(path)
-
-
-#: The process-wide recorder live ports and daemons feed.
-RECORDER = FlightRecorder()

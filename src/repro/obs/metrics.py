@@ -3,17 +3,15 @@
 A Prometheus-flavoured, dependency-free instrument set for the CTS
 stack.  Design constraints:
 
-* **Counted once.**  The protocol layers keep their counts as plain
-  attributes (``CTSStats.ccs_sent``, ``Interface.frames_sent``) whether
-  or not anyone records.  A counter family is *read* from those
-  attributes when it is sampled: each layer object is handed to
-  :meth:`MetricsRegistry.watch` once, at construction, and the family
-  reports what the object counted while the registry was recording —
-  nothing runs at the site of the count.
-* **Zero-cost when disabled.**  Gauges and histograms have no plain
-  twin and stay pushed; every mutator begins with a single
-  ``registry.enabled`` check and returns immediately when observability
-  is off.  Watching an object while recording is off keeps one weak
+* **State is read.**  The protocol layers keep their counts and state
+  as plain attributes (``CTSStats.ccs_sent``,
+  ``GroupClockState.offset_us``) whether or not anyone records.
+  Counter and gauge families are *read* from them when sampled: each
+  layer object is handed to :meth:`MetricsRegistry.watch` once, at
+  construction — nothing runs at the site of a count or a change.
+* **Zero-cost when disabled.**  Histograms have no state to read and
+  stay pushed; every mutator begins with a single ``registry.enabled``
+  check.  Watching an object while recording is off keeps one weak
   reference and nothing else.
 * **Simulated time.**  Samples are timestamped with the *virtual* clock
   of the discrete-event kernel: the :class:`~repro.testbed.Testbed`
@@ -93,9 +91,16 @@ class _ScalarMetric(Metric):
         super().__init__(registry, name, help, unit)
         #: label key -> [value, last_updated_sim_time]
         self._series: Dict[LabelKey, List[float]] = {}
+        #: (object, attribute, label key, keyed label, value at attach)
+        self._watched: List[tuple] = []
 
     def _sampled(self) -> Dict[LabelKey, List[float]]:
         return self._series
+
+    def fold(self) -> None:
+        """Recording stopped: keep the sampled values, drop the objects."""
+        self._series = self._sampled()
+        self._watched.clear()
 
     def value(self, **labels: Any) -> float:
         entry = self._sampled().get(_label_key(labels))
@@ -107,6 +112,7 @@ class _ScalarMetric(Metric):
 
     def clear(self) -> None:
         self._series.clear()
+        self._watched.clear()
 
     def samples(self) -> List[dict]:
         return [
@@ -120,19 +126,14 @@ class Counter(_ScalarMetric):
     """A monotonically increasing count.
 
     Fed two ways.  *Pushed*: :meth:`inc` adds to a stored series (user
-    code, and the families ``docs/observability.md`` lists as pushed).
-    *Read*: an object attached by :meth:`MetricsRegistry.watch`
-    contributes ``attribute now - attribute when attached`` each time
-    the family is sampled; when recording stops that difference is
-    folded into the stored series and the object is let go.
+    code; no protocol layer pushes).  *Read*: an object attached by
+    :meth:`MetricsRegistry.watch` contributes ``attribute now -
+    attribute when attached`` each time the family is sampled; when
+    recording stops that difference is folded into the stored series
+    and the object is let go.
     """
 
     kind = "counter"
-
-    def __init__(self, registry, name, help="", unit=""):
-        super().__init__(registry, name, help, unit)
-        #: (object, attribute, label key, keyed label, value at attach)
-        self._watched: List[tuple] = []
 
     def inc(self, amount: float = 1.0, **labels: Any) -> None:
         registry = self.registry
@@ -172,22 +173,19 @@ class Counter(_ScalarMetric):
                     entry[1] = now
         return merged
 
-    def fold(self) -> None:
-        """Recording stopped: keep the sampled values, drop the objects."""
-        self._series = self._sampled()
-        self._watched = []
-
     def total(self) -> float:
         """Sum over every label set."""
         return sum(entry[0] for entry in self._sampled().values())
 
-    def clear(self) -> None:
-        super().clear()
-        self._watched = []
-
 
 class Gauge(_ScalarMetric):
-    """A value that can go up and down (e.g. a clock offset)."""
+    """A value that can go up and down (e.g. a clock offset).
+
+    *Set* by :meth:`set` (user code), or *read*: a watched object
+    reports its attribute at each sample, stamped with the sample's
+    time (``None`` reports nothing); the newest one watched under a
+    label set wins it, e.g. a recovered node's new incarnation.
+    """
 
     kind = "gauge"
 
@@ -198,32 +196,16 @@ class Gauge(_ScalarMetric):
         key = _label_key(labels)
         self._series[key] = [float(value), registry.now()]
 
-    def set_max(self, value: float, **labels: Any) -> None:
-        """High-watermark update: keep the largest value seen.
-
-        Used for envelope-style series (e.g. the worst inter-shard skew
-        observed) where a plain :meth:`set` would let a benign sample
-        erase the violation-relevant peak between scrapes.
-        """
-        registry = self.registry
-        if not registry._enabled:
-            return
-        key = _label_key(labels)
-        entry = self._series.get(key)
-        if entry is not None and entry[0] >= value:
-            return
-        self._series[key] = [float(value), registry.now()]
-
-    def add(self, amount: float, **labels: Any) -> None:
-        registry = self.registry
-        if not registry._enabled:
-            return
-        key = _label_key(labels)
-        entry = self._series.get(key)
-        if entry is None:
-            entry = self._series[key] = [0.0, 0.0]
-        entry[0] += amount
-        entry[1] = registry.now()
+    def _sampled(self) -> Dict[LabelKey, List[float]]:
+        if not self._watched:
+            return self._series
+        now = self.registry.now()
+        merged = dict(self._series)
+        for obj, attr, key, _, _ in self._watched:
+            value = getattr(obj, attr)
+            if value is not None:
+                merged[key] = [float(value), now]
+        return merged
 
 
 @dataclass
@@ -348,16 +330,16 @@ class MetricsRegistry:
     the registrations.
 
     Objects handed to :meth:`watch` are referenced weakly while
-    recording is off.  While it is on the counter families hold them,
-    so a crashed node's counts stay in the series until recording stops
-    or :meth:`reset` starts the series over.
+    recording is off.  While it is on the families hold them, so a
+    crashed node's counts stay in the series until recording stops or
+    :meth:`reset` starts the series over.
     """
 
     def __init__(self):
         self._enabled = False
         self._clock: Optional[Callable[[], float]] = None
         self._metrics: Dict[str, Metric] = {}
-        #: id(object) -> (weak reference, read counters, label key) for
+        #: id(object) -> (weak reference, read families, label key) for
         #: every live watched object; an entry goes when its object does.
         self._sources: Dict[int, tuple] = {}
 
@@ -377,10 +359,10 @@ class MetricsRegistry:
             self._attach_live_sources()
 
     def disable(self) -> None:
-        """Stop recording; the series keep their values."""
+        """Stop recording; the series keep their last sampled values."""
         self._enabled = False
         for metric in self._metrics.values():
-            if isinstance(metric, Counter):
+            if isinstance(metric, _ScalarMetric):
                 metric.fold()
 
     def set_clock(self, clock: Callable[[], float]) -> None:
@@ -438,7 +420,7 @@ class MetricsRegistry:
         return self._register(Histogram, name, help=help, unit=unit,
                               buckets=buckets)
 
-    # -- counters read from plain attributes ----------------------------
+    # -- families read from plain attributes ----------------------------
 
     def read_counters(self, fields: Dict[str, tuple]) -> Tuple[tuple, ...]:
         """Declare counter families that are read, not pushed.
@@ -449,15 +431,24 @@ class MetricsRegistry:
         the values of ``label``.  Returns the declaration to pass to
         :meth:`watch`.
         """
+        return self._declare(Counter, fields)
+
+    def read_gauges(self, fields: Dict[str, tuple]) -> Tuple[tuple, ...]:
+        """Declare gauge families that are read, not pushed: ``fields``
+        maps an attribute (a property will do) of the watched objects
+        to ``(family name, help)``."""
+        return self._declare(Gauge, fields)
+
+    def _declare(self, cls, fields: Dict[str, tuple]) -> Tuple[tuple, ...]:
         return tuple(
-            (attr, self.counter(spec[0], spec[1]),
+            (attr, self._register(cls, spec[0], help=spec[1]),
              spec[2] if len(spec) > 2 else None)
             for attr, spec in fields.items()
         )
 
-    def watch(self, obj: Any, counters: Tuple[tuple, ...],
+    def watch(self, obj: Any, families: Tuple[tuple, ...],
               **labels: Any) -> None:
-        """Report ``obj``'s plain counters under ``labels``.
+        """Report ``obj``'s plain attributes under ``labels``.
 
         Called once per object, when it is built.  With recording off
         this keeps a weak reference; with it on the families hold the
@@ -466,21 +457,21 @@ class MetricsRegistry:
         ident, key = id(obj), _label_key(labels)
         self._sources[ident] = (
             weakref.ref(obj, lambda _: self._sources.pop(ident, None)),
-            counters, key)
+            families, key)
         if self._enabled:
-            self._attach(obj, counters, key)
+            self._attach(obj, families, key)
 
     def _attach_live_sources(self) -> None:
-        for ref, counters, key in list(self._sources.values()):
+        for ref, families, key in list(self._sources.values()):
             obj = ref()
             if obj is not None:
-                self._attach(obj, counters, key)
+                self._attach(obj, families, key)
 
     @staticmethod
-    def _attach(obj: Any, counters: Tuple[tuple, ...], key: LabelKey) -> None:
-        for attr, counter, keyed in counters:
+    def _attach(obj: Any, families: Tuple[tuple, ...], key: LabelKey) -> None:
+        for attr, family, keyed in families:
             base = getattr(obj, attr)
-            counter._watched.append(
+            family._watched.append(
                 (obj, attr, key, keyed, base if keyed is None else dict(base)))
 
     # -- reading --------------------------------------------------------

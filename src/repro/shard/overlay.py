@@ -54,15 +54,15 @@ COUNTERS = obs.REGISTRY.read_counters({
     "rejected": ("shard_summaries_rejected_total",
                  "summaries dropped (bad signature)", "node"),
 })
-M_SHARD_SKEW = obs.REGISTRY.gauge(
-    "shard_skew_us", "current global inter-shard skew (max - min estimate)",
-    unit="us")
-M_SHARD_SKEW_PEAK = obs.REGISTRY.gauge(
-    "shard_skew_peak_us", "worst post-warmup inter-shard skew observed",
-    unit="us")
-M_HOP_SKEW_PEAK = obs.REGISTRY.gauge(
-    "shard_hop_skew_peak_us", "worst post-warmup ring-neighbor skew observed",
-    unit="us")
+#: SkewTracker attribute -> the gauge family read from it.
+GAUGES = obs.REGISTRY.read_gauges({
+    "skew_us": ("shard_skew_us",
+                "current global inter-shard skew (max - min estimate)"),
+    "max_skew_us": ("shard_skew_peak_us",
+                    "worst post-warmup inter-shard skew observed"),
+    "max_hop_skew_us": ("shard_hop_skew_peak_us",
+                        "worst post-warmup ring-neighbor skew observed"),
+})
 
 
 @dataclass
@@ -106,8 +106,11 @@ class SkewTracker:
         self.warmup_s = warmup_s
         self._t0: Optional[float] = None
         self.samples = 0
+        #: The last post-warmup sample's skew, and the envelope so far.
+        self.skew_us: Optional[int] = None
         self.max_skew_us = 0
         self.max_hop_skew_us = 0
+        obs.REGISTRY.watch(self, GAUGES)
 
     def start(self) -> None:
         self._t0 = self.bed.sim.now
@@ -127,7 +130,7 @@ class SkewTracker:
         if len(estimates) < 2 or not self.warmed_up:
             return
         self.samples += 1
-        skew = max(estimates.values()) - min(estimates.values())
+        self.skew_us = skew = max(estimates.values()) - min(estimates.values())
         self.max_skew_us = max(self.max_skew_us, skew)
         hop = 0
         for shard, value in estimates.items():
@@ -135,10 +138,6 @@ class SkewTracker:
                 if neighbor in estimates:
                     hop = max(hop, abs(value - estimates[neighbor]))
         self.max_hop_skew_us = max(self.max_hop_skew_us, hop)
-        if obs.REGISTRY.enabled:
-            M_SHARD_SKEW.set(skew)
-            M_SHARD_SKEW_PEAK.set_max(skew)
-            M_HOP_SKEW_PEAK.set_max(hop)
 
     def envelope(self) -> Dict[str, float]:
         """The measured envelope, for bench JSON and chaos verdicts."""

@@ -14,7 +14,7 @@ below pin the matching exclusion semantics of
 
 from collections import defaultdict
 
-from repro import trace
+from repro import obs, trace
 from repro.chaos.oracle import InvariantOracle
 
 from support import ClockApp, make_testbed, read_until  # noqa: E402 (tests/ on sys.path via conftest)
@@ -81,17 +81,22 @@ class TestReconvergence:
         assert all(b > a for a, b in zip(values, values[1:]))
 
     def test_stabilization_counters_account_for_repairs(self):
-        bed, call_some = build_bed(seed=11)
-        call_some(5)
-        bed.corrupt_state("n2", seed=42)
-        call_some(12)
-        bed.run(0.2)
+        with obs.REGISTRY.session():
+            bed, call_some = build_bed(seed=11)
+            call_some(5)
+            bed.corrupt_state("n2", seed=42)
+            call_some(12)
+            bed.run(0.2)
         service = bed.replicas("svc")["n2"].time_source
-        # Watermark, round-counter and floor repairs each tick the
-        # counter; at least one of them must have fired.
-        assert service.stats.stabilizations >= 1
+        # Watermark, round-counter and floor repairs each count under
+        # their own name, and the {what} series read those counts.
+        assert service.stats.stabilizations == {
+            "watermark": 1, "round-counter": 1, "floors": 1}
+        repairs = obs.REGISTRY.get("cts_stabilizations_total")
+        for what, count in service.stats.stabilizations.items():
+            assert repairs.value(node="n2", what=what) == count
         untouched = bed.replicas("svc")["n3"].time_source
-        assert untouched.stats.stabilizations == 0
+        assert untouched.stats.stabilizations == {}
 
     def test_corruption_is_seeded_and_reproducible(self):
         bed_a, call_a = build_bed(seed=11)

@@ -5,6 +5,7 @@ from collections import deque
 
 import pytest
 
+from repro import obs
 from repro.core import (
     CCSMessage,
     ConsistentTimeService,
@@ -214,14 +215,18 @@ class TestRejectEvidence:
                  + service.drift_bound.error_us(elapsed) + BYZ_WINDOW_US
                  + 20_000)  # lag-scale too high: honest winners, late anchor
         service.guard._reject_evidence["too-high"]["n2"] = fresh - 2_000_000
-        stabilizations = service.stats.stabilizations
-        for round_number, (sender, value) in enumerate(
-                [("n3", fresh), ("n2", fresh + 1_000), ("n3", fresh + 2_000)],
-                start=1):
-            service.handle_ccs(make_envelope(
-                MsgType.CCS, "svc", "svc", 0, round_number, sender,
-                body=CCSMessage(self.THREAD, round_number, value, 0)), reading)
-        assert service.stats.stabilizations == stabilizations + 1
+        assert service.stats.stabilizations == {}
+        with obs.REGISTRY.session():
+            for round_number, (sender, value) in enumerate(
+                    [("n3", fresh), ("n2", fresh + 1_000),
+                     ("n3", fresh + 2_000)], start=1):
+                service.handle_ccs(make_envelope(
+                    MsgType.CCS, "svc", "svc", 0, round_number, sender,
+                    body=CCSMessage(self.THREAD, round_number, value, 0)),
+                    reading)
+        assert service.stats.stabilizations == {"anchor": 1}
+        assert obs.REGISTRY.get("cts_stabilizations_total").value(
+            node="n1", what="anchor") == 1
         assert service._last_commit_physical_us < anchor
 
 

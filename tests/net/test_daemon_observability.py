@@ -7,7 +7,6 @@ import pytest
 
 from repro import obs, trace
 from repro.net.daemon import DaemonConfig, NodeDaemon
-from repro.obs import flight
 from repro.obs.crossnode import shard_path
 
 pytestmark = pytest.mark.live
@@ -39,7 +38,8 @@ class TestStartObservability:
         run_briefly(daemon)  # let the endpoint's start task complete
 
         assert obs.REGISTRY.enabled
-        assert flight.RECORDER.enabled
+        assert daemon.flight.enabled  # this node's own recorder...
+        assert daemon.bed.transport.flight is daemon.flight  # ...fed frames
         assert trace.TRACER.enabled  # the shard writer is subscribed
         assert daemon._metrics_server is not None
         port = daemon._metrics_server.bound_port
@@ -59,7 +59,7 @@ class TestStartObservability:
         # An event emitted now lands in this node's shard.
         trace.emit("round.start", "n0", thread="t0", round=1, t=0.0)
         daemon.shutdown()
-        assert not flight.RECORDER.enabled
+        assert not daemon.flight.enabled
         shard = shard_path(tmp_path / "tr", "n0")
         assert shard.exists()
         assert json.loads(shard.read_text().splitlines()[0])["round"] == 1
@@ -84,6 +84,8 @@ class TestStartObservability:
             daemon.start_observability()
             assert daemon._metrics_server is None
             assert daemon._shard_writer is None
+            assert daemon.flight is None
+            assert not obs.REGISTRY.enabled
             daemon._dump_flight("never")
         finally:
             daemon.shutdown()

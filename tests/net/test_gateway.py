@@ -1,6 +1,9 @@
 """ClientGateway idempotency: retries replay, they never re-execute;
 an op's first reply is forwarded, the rest recorded for the replay."""
 
+import pytest
+
+from repro import obs
 from repro.control.admission import AdmissionConfig, AdmissionController
 from repro.net.daemon import ClientGateway
 from repro.net.udp import LiveFrame
@@ -67,6 +70,21 @@ def make_gateway(admission=None):
             runtime, port)
 
 
+@pytest.fixture
+def recording():
+    with obs.REGISTRY.session():
+        yield
+
+
+def evictions(gateway):
+    """The gateway's window evictions by reason, each checked against
+    the ``gateway_dedup_evictions_total{reason}`` series read from it."""
+    family = obs.REGISTRY.get("gateway_dedup_evictions_total")
+    for reason, count in gateway.dedup_evictions.items():
+        assert family.value(node=gateway.node_id, reason=reason) == count
+    return gateway.dedup_evictions
+
+
 def replies(seq, values=(123, 123, 123)):
     return [reply(seq, sender=f"n{i}", value=value)
             for i, value in enumerate(values)]
@@ -131,7 +149,7 @@ class TestGatewayDedup:
         # Both rode the same client group endpoint: two distinct mcasts.
         assert len(runtime.endpoints["client.c1"].mcasts) == 2
 
-    def test_window_eviction_forgets_oldest(self):
+    def test_window_eviction_forgets_oldest(self, recording):
         gateway, runtime, port = make_gateway()
         for seq in range(1, ClientGateway.DEDUP_WINDOW + 2):
             gateway.handle(LiveFrame("c1", request(seq), 64, ADDR_A))
@@ -141,7 +159,7 @@ class TestGatewayDedup:
         assert gateway.requests_injected == ClientGateway.DEDUP_WINDOW + 2
         # One eviction for the overflow insert, one more when the
         # re-executed op 1 pushed the window over again.
-        assert gateway.dedup_evictions == 2
+        assert evictions(gateway) == {"window": 2}
 
 
 class TestGatewayAnswersOnce:
@@ -254,19 +272,19 @@ def make_timed_gateway():
 class TestGatewayWindowBounds:
     """The idempotency window is bounded by age as well as count."""
 
-    def test_stale_ops_expire_after_the_ttl(self):
+    def test_stale_ops_expire_after_the_ttl(self, recording):
         gateway, runtime, port, clock = make_timed_gateway()
         gateway.handle(LiveFrame("c1", request(1), 64, ADDR_A))
         clock.now = ClientGateway.DEDUP_TTL_S + 1.0
         # Any traffic sweeps the expired entry out...
         gateway.handle(LiveFrame("c1", request(2), 64, ADDR_A))
-        assert gateway.dedup_evictions == 1
+        assert evictions(gateway) == {"ttl": 1}
         # ...so a (pathologically late) retry of op 1 re-executes.
         gateway.handle(LiveFrame("c1", request(1), 64, ADDR_A))
         assert gateway.requests_deduplicated == 0
         assert gateway.requests_injected == 3
 
-    def test_retry_refreshes_the_ttl(self):
+    def test_retry_refreshes_the_ttl(self, recording):
         gateway, runtime, port, clock = make_timed_gateway()
         gateway.handle(LiveFrame("c1", request(1), 64, ADDR_A))
         clock.now = ClientGateway.DEDUP_TTL_S - 1.0
@@ -276,9 +294,9 @@ class TestGatewayWindowBounds:
         clock.now += ClientGateway.DEDUP_TTL_S - 1.0
         gateway.handle(LiveFrame("c1", request(1), 64, ADDR_A))
         assert gateway.requests_deduplicated == 2
-        assert gateway.dedup_evictions == 0
+        assert evictions(gateway) == {}
 
-    def test_fresh_ops_survive_the_sweep(self):
+    def test_fresh_ops_survive_the_sweep(self, recording):
         gateway, runtime, port, clock = make_timed_gateway()
         gateway.handle(LiveFrame("c1", request(1), 64, ADDR_A))
         clock.now = ClientGateway.DEDUP_TTL_S + 1.0
@@ -286,7 +304,7 @@ class TestGatewayWindowBounds:
         clock.now += 1.0
         gateway.handle(LiveFrame("c1", request(2), 64, ADDR_A))  # retry
         assert gateway.requests_deduplicated == 1
-        assert gateway.dedup_evictions == 1  # only op 1 aged out
+        assert evictions(gateway) == {"ttl": 1}  # only op 1 aged out
 
     def test_route_table_is_lru_bounded(self):
         gateway, runtime, port, clock = make_timed_gateway()

@@ -1,11 +1,13 @@
-"""Counter families are *read* from the counters the protocol layers keep.
+"""Counter and gauge families are *read* from the state the protocol
+layers keep.
 
 The evaluation tables are built from plain attributes (``CTSStats``,
-``Interface.frames_sent`` ...); the registry reports those same
-attributes, so the checks here are (1) on a seeded run the exported
-families say what the harness says, (2) for every object handed to
-``REGISTRY.watch`` each family value *is* the attribute, and (3) a run
-with telemetry off behaves like an uninstrumented one.
+``Interface.frames_sent``, ``GroupClockState.offset_us`` ...); the
+registry reports those same attributes, so the checks here are (1) on
+a seeded run the exported families say what the harness says, (2) for
+every object handed to ``REGISTRY.watch`` each family value *is* the
+attribute, and (3) a run with telemetry off behaves like an
+uninstrumented one.
 """
 
 import gc
@@ -160,6 +162,26 @@ def _sharded_bed():
     return bed, gradient
 
 
+def _recovered_bed():
+    """A fast-path active group through a crash, a recover and a
+    state-transfer rejoin of n2; returns the bed and n2's first service."""
+    bed = make_testbed(seed=7)
+    bed.deploy("svc", ClockApp, ["n1", "n2", "n3"], style="active",
+               time_source="cts", fast_path=True, max_staleness_us=1_500)
+    client = bed.client("n0")
+    bed.start()
+    call_n(bed, client, "svc", "get_time", 6)
+    first = bed.replicas("svc")["n2"].time_source
+    bed.crash("n2")
+    bed.run(0.6)
+    call_n(bed, client, "svc", "get_time", 3)
+    bed.recover("n2")
+    bed.add_replica("svc", "n2")
+    bed.run(0.6)
+    call_n(bed, client, "svc", "get_time", 6)
+    return bed, first
+
+
 def _live_bed():
     with LiveTestbed(num_nodes=3, seed=5) as bed:
         bed.deploy("timesvc", daemon.TimeApp, nodes=bed.node_ids,
@@ -175,76 +197,119 @@ def _live_bed():
     return bed, caller
 
 
-#: Every ``read_counters`` declaration in the source tree, beside a
-#: scenario that makes the objects it is declared for.
+#: Every ``read_counters`` / ``read_gauges`` declaration in the source
+#: tree, beside a scenario that makes the objects it is declared for.
 CASES = [
     pytest.param(_sim_bed, [
-        time_service.COUNTERS, ring.COUNTERS, replica.COUNTERS,
+        time_service.COUNTERS, time_service.CLOCK_GAUGES,
+        time_service.GAUGES, ring.COUNTERS, replica.COUNTERS,
         rpc_client.COUNTERS, network.IFACE_COUNTERS,
         network.NETWORK_COUNTERS], id="simulated-bed"),
+    pytest.param(_recovered_bed, [
+        time_service.COUNTERS, time_service.CLOCK_GAUGES,
+        time_service.GAUGES, time_service.FAST_PATH_GAUGES],
+        id="recovered-bed"),
     pytest.param(_chaos_decisions, [chaos_transport.COUNTERS], id="chaos"),
-    pytest.param(_admission_overflow, [admission.COUNTERS], id="admission"),
-    pytest.param(_sharded_bed, [overlay.COUNTERS], id="overlay"),
+    pytest.param(_admission_overflow, [admission.COUNTERS, admission.GAUGES],
+                 id="admission"),
+    pytest.param(_sharded_bed, [overlay.COUNTERS, overlay.GAUGES],
+                 id="overlay"),
     pytest.param(_live_bed, [udp.COUNTERS, daemon.GATEWAY_COUNTERS,
-                             live_client.COUNTERS, admission.COUNTERS],
+                             live_client.COUNTERS, admission.COUNTERS,
+                             admission.GAUGES],
                  id="live-bed", marks=pytest.mark.live),
 ]
 
 
-def _watched_totals():
-    """(family, label set) -> the plain attributes of every live watched
-    object, summed."""
-    totals = {}
-    for ref, counters, key in list(obs.REGISTRY._sources.values()):
+def _watched_values():
+    """(family, label set) -> what the live watched objects hold: a
+    counter's attributes summed, a gauge's newest object's value."""
+    values = {}
+    for ref, families, key in list(obs.REGISTRY._sources.values()):
         source = ref()
-        for attr, family, keyed in counters if source is not None else ():
-            count = getattr(source, attr)
-            series = ({key: count} if keyed is None else
+        for attr, family, keyed in families if source is not None else ():
+            value = getattr(source, attr)
+            if isinstance(family, obs.Gauge):
+                values[family, key] = value  # watched in creation order
+                continue
+            series = ({key: value} if keyed is None else
                       {tuple(sorted(key + ((keyed, str(k)),))): v
-                       for k, v in count.items()})
-            for labels, value in series.items():
-                totals[family, labels] = totals.get((family, labels), 0) + value
-    return totals
+                       for k, v in value.items()})
+            for labels, count in series.items():
+                values[family, labels] = values.get((family, labels), 0) + count
+    return values
 
 
 class TestFamiliesReadTheAttributes:
     """For every object handed to ``REGISTRY.watch`` and every entry of
-    its map, the family reports what the attribute counted during the
-    session: there is no second copy that could disagree."""
+    its map, a counter family reports what the attribute counted during
+    the session and a gauge family what the attribute holds: there is
+    no second copy that could disagree."""
 
     @pytest.mark.parametrize("build, declarations", CASES)
     def test_each_watched_attribute_is_the_family_value(self, build,
                                                         declarations):
         with obs.REGISTRY.session():
-            earlier = _watched_totals()  # leftovers of earlier tests
+            earlier = _watched_values()  # leftovers of earlier tests
             built = build()  # noqa: F841 - keeps the objects alive below
-            counted = {slot: value - earlier.get(slot, 0)
-                       for slot, value in _watched_totals().items()}
-            for (family, labels), value in counted.items():
-                assert family.value(**dict(labels)) == value, (
-                    family.name, labels)
+            read = {}
+            for (family, labels), value in _watched_values().items():
+                if isinstance(family, obs.Counter):
+                    value -= earlier.get((family, labels), 0)
+                read[family, labels] = value
+                if value is not None:
+                    assert family.value(**dict(labels)) == value, (
+                        family.name, labels)
             for declaration in declarations:
                 for attr, family, _ in declaration:
-                    assert family.total() == sum(
-                        value for (f, _), value in counted.items()
-                        if f is family), family.name
-        read = {family for declaration in declarations
-                for _, family, _ in declaration}
-        assert {family for family, _ in counted} >= read - {
+                    if isinstance(family, obs.Counter):
+                        assert family.total() == sum(
+                            value for (f, _), value in read.items()
+                            if f is family), family.name
+        declared = {family for declaration in declarations
+                    for _, family, _ in declaration}
+        assert {family for family, _ in read} >= declared - {
             # keyed tallies with nothing to tally in these scenarios
-            obs.REGISTRY.get("shard_summaries_rejected_total"),
-            obs.REGISTRY.get("cts_admission_shed_total"),
-            obs.REGISTRY.get("udp_datagrams_rejected_total")}
-        assert sum(family.total() for family in read) > 0
+            obs.REGISTRY.get(name) for name in (
+                "shard_summaries_rejected_total", "cts_admission_shed_total",
+                "udp_datagrams_rejected_total", "ccs_winners_rejected_total",
+                "cts_stabilizations_total", "gateway_dedup_evictions_total")}
+        assert any(value for value in read.values())
 
     def test_the_cases_name_every_declaration(self):
         declared = sum(
             path.read_text().count("REGISTRY.read_counters(")
+            + path.read_text().count("REGISTRY.read_gauges(")
             for path in Path(repro.__file__).parent.rglob("*.py")
             if path.name != "metrics.py")
         named = {id(declaration) for case in CASES
                  for declaration in case.values[1]}
         assert declared == len(named)
+
+    def test_a_recovered_node_reports_its_new_incarnation(self):
+        with obs.REGISTRY.session():
+            bed, first = _recovered_bed()
+        offset = obs.REGISTRY.get("cts_clock_offset_us")
+        services = {node: r.time_source
+                    for node, r in bed.replicas("svc").items()}
+        assert set(services) == {"n1", "n2", "n3"}
+        for node, service in services.items():
+            assert offset.value(node=node) == service.clock_state.offset_us
+        assert services["n2"] is not first
+        assert first.clock_state.offset_us != services["n2"].clock_state.offset_us
+        budget = obs.REGISTRY.get("cts_max_staleness_us")
+        assert [budget.value(node=node) for node in services] == [1_500] * 3
+
+    def test_a_bed_built_before_recording_exports_its_budget(self):
+        bed = make_testbed(seed=3)
+        bed.deploy("svc", ClockApp, ["n1", "n2", "n3"], style="active",
+                   time_source="cts", fast_path=True, max_staleness_us=1_200)
+        with obs.REGISTRY.session():
+            bed.start()
+            call_n(bed, bed.client("n0"), "svc", "get_time", 3)
+        budget = obs.REGISTRY.get("cts_max_staleness_us")
+        assert [budget.value(node=node)
+                for node in ("n1", "n2", "n3")] == [1_200] * 3
 
 
 class TestDisabledOverhead:

@@ -2,8 +2,11 @@
 
 import json
 
+import pytest
+
 from repro import trace
 from repro.chaos.oracle import InvariantOracle
+from repro.net.testbed import LiveTestbed
 from repro.obs.flight import FlightRecorder
 
 
@@ -38,7 +41,7 @@ class TestRings:
         recorder.record_frame("n0", "rx", "peer", "Envelope", 64)
         assert recorder.snapshot()["frames"] == []
 
-    def test_stop_unsubscribes_and_reset_clears(self):
+    def test_stop_unsubscribes(self):
         tracer = trace.Tracer()
         recorder = FlightRecorder().start(tracer)
         tracer.emit("round.start", node="n0")
@@ -46,9 +49,25 @@ class TestRings:
         assert not tracer.enabled
         tracer.emit("round.start", node="n0")
         assert len(recorder.snapshot()["events"]) == 1
-        recorder.reset()
-        assert recorder.snapshot()["events"] == []
-        assert recorder.dumps == []
+
+
+@pytest.mark.live
+class TestLiveFrames:
+    def test_a_transport_feeds_the_recorder_it_is_handed(self):
+        recorder = FlightRecorder().start(trace.Tracer())
+        with LiveTestbed(num_nodes=2, seed=3) as bed:
+            bed.transport.record_frames(recorder)
+            late = bed.transport.attach("late", lambda frame: None)
+            assert late.flight is recorder  # a later port is fed too
+            bed.start()
+            bed.run(0.05)
+            bed.transport.record_frames(None)
+            recorded = len(recorder.snapshot()["frames"])
+            bed.run(0.05)
+        frames = recorder.snapshot()["frames"]
+        assert len(frames) == recorded  # nothing after it was taken away
+        assert {f["dir"] for f in frames} == {"tx", "rx"}
+        assert {f["node"] for f in frames} == {"n0", "n1"}
 
 
 class TestDump:

@@ -45,17 +45,71 @@ class TestCounter:
 
 
 class TestGauge:
-    def test_set_and_add(self, registry):
+    def test_set_keeps_the_last_value(self, registry):
         gauge = registry.gauge("g")
         registry.enable()
         gauge.set(4.0, node="n1")
-        gauge.add(-1.5, node="n1")
+        gauge.set(2.5, node="n1")
         assert gauge.value(node="n1") == 2.5
 
     def test_disabled_set_is_noop(self, registry):
         gauge = registry.gauge("g")
         gauge.set(4.0, node="n1")
         assert gauge.value(node="n1") == 0.0
+
+
+class Thing:
+    def __init__(self, level=None):
+        self.level = level
+
+
+class TestReadGauges:
+    """A watched attribute is the gauge: read at each sample, newest
+    object first, its last value kept when recording stops."""
+
+    def test_reports_the_attribute_at_sample_time(self, registry):
+        declared = registry.read_gauges({"level": ("level", "a level")})
+        gauge = registry.get("level")
+        thing = Thing()
+        registry.watch(thing, declared, node="n1")
+        registry.set_clock(lambda: 7.0)
+        with registry.session():
+            assert gauge.samples() == []  # None reports nothing
+            thing.level = 3
+            registry.set_clock(lambda: 9.0)
+            assert gauge.value(node="n1") == 3.0
+            (sample,) = gauge.samples()
+            assert sample["t"] == 9.0  # the sample's time
+        thing.level = 8
+        assert gauge.value(node="n1") == 3.0  # folded when recording stopped
+        assert gauge._watched == []
+
+    def test_a_gauge_built_before_recording_is_read(self, registry):
+        declared = registry.read_gauges({"level": ("level", "a level")})
+        thing = Thing(5)
+        registry.watch(thing, declared, node="n1")
+        with registry.session():
+            pass
+        assert registry.get("level").value(node="n1") == 5.0
+
+    def test_the_newest_object_wins_the_label_set(self, registry):
+        declared = registry.read_gauges({"level": ("level", "a level")})
+        old, new = Thing(1), Thing()
+        registry.watch(old, declared, node="n1")
+        with registry.session():
+            registry.watch(new, declared, node="n1")
+            gauge = registry.get("level")
+            assert gauge.value(node="n1") == 1.0  # new has no value yet
+            new.level = 2
+            old.level = 9
+            assert gauge.value(node="n1") == 2.0
+
+    def test_disabled_reads_keep_only_a_weak_reference(self, registry):
+        declared = registry.read_gauges({"level": ("level", "a level")})
+        registry.watch(Thing(4), declared, node="n1")
+        with registry.session():
+            pass
+        assert registry.collect() == []
 
 
 class TestHistogram:

@@ -35,6 +35,7 @@ the filter put the liar at the head.
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro import obs
 from repro.chaos.byzantine import ByzantineRules
 from repro.chaos.runner import JudgedRun
 from repro.sim import FaultPlan
@@ -163,11 +164,15 @@ class TestPinnedRegressions:
     must actually hit the filter (winners rejected, never committed)."""
 
     def test_seed7_lying_proposer_rejections_observed(self):
-        bed, values = run_byzantine(7, "n1", [(0.0, "lie", 150_000)])
+        with obs.REGISTRY.session():
+            bed, values = run_byzantine(7, "n1", [(0.0, "lie", 150_000)])
         assert all(b > a for a, b in zip(values, values[1:]))
-        rejected = sum(
-            r.time_source.stats.winners_rejected
-            for r in bed.replicas("svc").values())
+        family = obs.REGISTRY.get("ccs_winners_rejected_total")
+        rejected = 0
+        for node, r in bed.replicas("svc").items():
+            for reason, count in r.time_source.stats.winners_rejected.items():
+                assert family.value(node=node, reason=reason) == count
+                rejected += count
         assert rejected > 0  # the lie reached the order and was filtered
         sequences = correct_value_sequences(bed, "n1")
         assert sequences and all(s == sequences[0] for s in sequences)
@@ -176,7 +181,7 @@ class TestPinnedRegressions:
         bed, values = run_byzantine(0, "n1", [(0.0, "equivocate", 200_000)])
         assert all(b > a for a, b in zip(values, values[1:]))
         rejected = sum(
-            r.time_source.stats.winners_rejected
+            sum(r.time_source.stats.winners_rejected.values())
             for r in bed.replicas("svc").values())
         assert rejected > 0
         sequences = correct_value_sequences(bed, "n1")
@@ -191,4 +196,4 @@ class TestPinnedRegressions:
                    time_source="cts")
         service = next(iter(bed.replicas("svc").values())).time_source
         assert service.guard is None
-        assert service.stats.winners_rejected == 0
+        assert service.stats.winners_rejected == {}
