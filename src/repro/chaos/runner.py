@@ -32,7 +32,6 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional
 
-from .. import trace
 from ..control.plane import ControlPlane
 from ..errors import ConfigurationError, ReproError
 from ..net.client import LiveCaller
@@ -104,9 +103,6 @@ class JudgedRun:
         bed.record()  # the oracle's end-of-run check reads every commit
         writer = None
         if self.artifacts_dir is not None:
-            # Stale contexts from an earlier in-process run must not
-            # bleed into this run's timelines.
-            trace.BAGGAGE.clear()
             writer = TraceShardWriter(self.artifacts_dir)
             self.flight.start()
             if isinstance(bed, LiveTestbed):

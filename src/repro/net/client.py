@@ -59,7 +59,8 @@ class CallOutcome:
     latency_us: int
     via: Address
     attempts: int = 1
-    #: Trace id carried on the wire (None when tracing was disabled).
+    #: The operation's key (:func:`repro.trace.op_trace_id`): what
+    #: names its timeline in the trace shards.
     trace_id: Optional[str] = None
 
     @property
@@ -207,19 +208,12 @@ class LiveCaller:
             self.client_id,
             body=Invocation(method, tuple(args)),
         )
-        # A fresh trace context per operation (not per attempt): parked
-        # under the request's identity, the port attaches it to every
-        # copy it sends, so one trace id rides the retries too.
-        tctx = None
-        if trace.TRACER.enabled:
-            tctx = trace.TraceContext(trace.new_trace_id(self._rng),
-                                      f"client.{self.client_id}")
-            trace.BAGGAGE.put(envelope.header.message_id, tctx)
+        # Named by its key, as every hop names it: retries share it.
+        trace_id = trace.op_trace_id(envelope.header.op_key)
         self.stats.calls += 1
         started = sim.now
-        if tctx is not None:
-            trace.emit("op.send", self.client_id, trace=tctx.trace_id,
-                       op_group=self.client_group, conn=conn_id, seq=seq,
+        if trace.TRACER.enabled:
+            trace.emit("op.send", self.client_id, trace=trace_id,
                        method=method, t=started)
 
         deadline = started + timeout
@@ -262,16 +256,14 @@ class LiveCaller:
                     if op.results:
                         self._record_success(address)
                         finished = sim.now
-                        if tctx is not None:
+                        if trace.TRACER.enabled:
                             trace.emit("op.reply_recv", self.client_id,
-                                       trace=tctx.trace_id, conn=conn_id,
-                                       seq=seq, replies=len(op.results),
+                                       trace=trace_id, replies=len(op.results),
                                        t=finished)
                         return CallOutcome(
                             method, op.results,
                             int((finished - started) * 1_000_000), address,
-                            attempts=attempts,
-                            trace_id=tctx.trace_id if tctx else None)
+                            attempts=attempts, trace_id=trace_id)
                     self._record_failure(address)
                 sweep += 1
                 remaining = deadline - sim.now

@@ -203,20 +203,10 @@ class ClientGateway:
         self._record_route(client_group, frame.addr)
         now = self.runtime.sim.now
         self._expire_seen(now)
-        key: _OpKey = (header.dst_grp, client_group,
-                       header.conn_id, header.msg_seq_num)
-        if frame.trace is not None:
-            # Replies to this operation travel as (service group ->
-            # client group) envelopes with the same (conn, seq); park the
-            # context under that identity so the REPLY frames every
-            # replica multicasts — and the forward to the caller — carry
-            # the trace without any per-layer plumbing.
-            trace.BAGGAGE.put(key, frame.trace.child(f"gw.{self.node_id}"))
+        key: _OpKey = header.op_key
         entry = self._seen.get(key)
-        if frame.trace is not None and trace.TRACER.enabled:
-            trace.emit("op.gateway", self.node_id,
-                       trace=frame.trace.trace_id, op_group=client_group,
-                       conn=header.conn_id, seq=header.msg_seq_num,
+        if trace.TRACER.enabled:
+            trace.emit("op.gateway", self.node_id, trace=trace.op_trace_id(key),
                        dedup=entry is not None, t=now)
         if entry is not None:
             # A retry of an operation already in (or through) the order:
@@ -286,9 +276,7 @@ class ClientGateway:
 
     def _forward(self, envelope: Envelope) -> None:
         header = envelope.header
-        # Replies travel service group -> client group (this endpoint's),
-        # so a reply's message id is the operation's key.
-        key: _OpKey = header.message_id
+        key: _OpKey = header.op_key
         entry = self._seen.get(key)
         if entry is not None:
             recorded = entry[1]
@@ -311,12 +299,8 @@ class ClientGateway:
         self.port.sendto(address, envelope)
         self.replies_forwarded += 1
         if trace.TRACER.enabled:
-            context = trace.BAGGAGE.get(key)
-            if context is not None:
-                trace.emit("op.reply", self.node_id,
-                           trace=context.trace_id, conn=header.conn_id,
-                           seq=header.msg_seq_num, replica=envelope.sender,
-                           t=self.runtime.sim.now)
+            trace.emit("op.reply", self.node_id, trace=trace.op_trace_id(key),
+                       replica=envelope.sender, t=self.runtime.sim.now)
 
 
 class NodeDaemon:
@@ -411,27 +395,24 @@ class NodeDaemon:
     def start_observability(self) -> None:
         """Bring up the observability the config asks for: the metrics
         registry, scrape endpoint, trace shards, flight ring.  (The bed
-        points the registry's clock at its kernel.)"""
+        points the registry's clock at its kernel.)  Call it before the
+        loop runs: the endpoint is bound here."""
         config = self.config
         if config.metrics_port is not None or config.trace_dir is not None:
             obs.REGISTRY.enable()
         if config.metrics_port is not None:
-            self._metrics_server = MetricsHttpServer(port=config.metrics_port)
-            task = self.kernel.loop.create_task(self._metrics_server.start())
-            task.add_done_callback(self._metrics_started)
+            server = MetricsHttpServer(port=config.metrics_port)
+            try:
+                self.kernel.loop.run_until_complete(server.start())
+            except OSError as exc:
+                self._log(f"metrics endpoint failed to start: {exc!r}")
+            else:
+                self._metrics_server = server
+                self._log(f"metrics endpoint on port {server.bound_port}")
         if config.trace_dir is not None:
             self._shard_writer = TraceShardWriter(config.trace_dir)
             self.flight = FlightRecorder().start()
             self.bed.transport.record_frames(self.flight)
-
-    def _metrics_started(self, task) -> None:
-        exc = task.exception()
-        if exc is not None:
-            self._log(f"metrics endpoint failed to start: {exc!r}")
-            self._metrics_server = None
-        else:
-            self._log("metrics endpoint on port "
-                      f"{self._metrics_server.bound_port}")
 
     def _report_failures(self) -> None:
         failures = self.kernel.drain_failures()
@@ -460,7 +441,12 @@ class NodeDaemon:
               file=sys.stderr, flush=True)
 
     def shutdown(self) -> None:
+        """Stop the stack and its sidecars and close the bed (idempotent).
+        The metrics endpoint closes on the loop before the bed closes it."""
         self.processor.stop()
+        if self._metrics_server is not None:
+            self.kernel.loop.run_until_complete(self._metrics_server.stop())
+            self._metrics_server = None
         if self._shard_writer is not None:
             self._shard_writer.close()
             self._shard_writer = None

@@ -8,9 +8,8 @@ a token visit's messages as one :class:`~repro.net.wire.Batch` datagram.
 A node does not send itself datagrams: Totem files its own message
 before multicasting it and ignores its own join, so the copy would be
 encoded, sent, received, decoded and dropped as a duplicate — a quarter
-of all datagrams on a three-node ring.  (The simulated LAN does loop a
-multicast back, because its per-destination loss and jitter draws are
-the seeded cost model; see :mod:`repro.net.transport` for the contract.)
+of all datagrams on a three-node ring.  No backend hands a sender its own
+multicast (the contract in :mod:`repro.net.transport`).
 
 Sockets are plain non-blocking ``SOCK_DGRAM`` sockets serviced via
 ``loop.add_reader``, so attaching is synchronous (no coroutine needed
@@ -30,10 +29,10 @@ from __future__ import annotations
 import socket
 from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 
-from .. import obs, trace as trace_mod
+from .. import obs
 from ..errors import FrameError, NetworkError, TransportError
 from ..replication.envelope import Envelope
-from ..trace import TraceContext
+from ..trace import op_trace_id
 from .transport import Transport, TransportPort
 from .wire import Batch, decode_frame_ex, encode_frame, encode_payload
 
@@ -56,13 +55,16 @@ COUNTERS = obs.REGISTRY.read_counters({
 })
 
 
-def _envelope_of(payload: Any) -> Optional[Envelope]:
-    """The envelope a payload carries, if any: bare client traffic, or
-    an ordered Totem regular message wrapping one."""
-    if isinstance(payload, Envelope):
-        return payload
-    inner = getattr(payload, "payload", None)
-    return inner if isinstance(inner, Envelope) else None
+def _op_of(payload: Any) -> Optional[str]:
+    """The trace id a frame digest carries: the operation key of the one
+    envelope in the frame — bare client traffic, or an ordered Totem
+    regular message wrapping one — and None for anything else (a batch,
+    a token, a join)."""
+    if not isinstance(payload, Envelope):
+        payload = getattr(payload, "payload", None)
+        if not isinstance(payload, Envelope):
+            return None
+    return op_trace_id(payload.header.op_key)
 
 
 def _runs(batch: Batch, frame_size: int):
@@ -80,42 +82,23 @@ def _runs(batch: Batch, frame_size: int):
     yield run[0] if len(run) == 1 else Batch(run)
 
 
-def _trace_for(payload: Any) -> Optional[TraceContext]:
-    """The trace context to re-attach when transmitting ``payload``.
-
-    Contexts ride frames, not envelopes, so a message crossing the total
-    order loses its frame; the receive path parks the context in the
-    process-wide baggage keyed by envelope identity, and this lookup
-    restores it on the way out.  Zero-cost while nothing is traced (the
-    baggage stays empty).
-    """
-    if not trace_mod.BAGGAGE:
-        return None
-    envelope = _envelope_of(payload)
-    if envelope is None:
-        return None
-    return trace_mod.BAGGAGE.get(envelope.header.message_id)
-
-
 class LiveFrame:
     """One validated frame off the wire.
 
     Exposes the contract fields (``src``, ``payload``) plus the sender's
     socket address, which the daemon's client gateway uses to route
-    replies to callers outside the peer address book, and the optional
-    trace context carried by the v3 wire format.  Slotted: one is built
-    per datagram received.
+    replies to callers outside the peer address book.  Slotted: one is
+    built per datagram received.
     """
 
-    __slots__ = ("src", "payload", "size_bytes", "addr", "trace")
+    __slots__ = ("src", "payload", "size_bytes", "addr")
 
     def __init__(self, src: str, payload: Any, size_bytes: int,
-                 addr: Address, trace: Optional[TraceContext] = None):
+                 addr: Address):
         self.src = src
         self.payload = payload
         self.size_bytes = size_bytes
         self.addr = addr
-        self.trace = trace
 
     def __repr__(self) -> str:
         return (f"LiveFrame(src={self.src!r}, payload={self.payload!r}, "
@@ -159,18 +142,16 @@ class UdpPort(TransportPort):
         addr = self.transport.peers.get(dst)
         if addr is None:
             return
-        trace = _trace_for(payload)
-        self._send(encode_frame(self.node_id, payload, trace, self.auth),
-                   addr, payload, trace)
+        self._send(encode_frame(self.node_id, payload, None, self.auth),
+                   addr, payload)
 
     def multicast(self, payload: Any, size_bytes: int = 128) -> None:
         """Fan out to every *other* peer in the address book: encoded
         once, one datagram each, none to this port's own address.  A
         batch over :data:`MAX_DATAGRAM` goes as the runs of it that fit."""
         self._check_up()
-        trace = _trace_for(payload)
         me = self.node_id
-        data = encode_frame(me, payload, trace, self.auth)
+        data = encode_frame(me, payload, None, self.auth)
         if len(data) > MAX_DATAGRAM and type(payload) is Batch:
             for part in _runs(payload, len(data)):
                 self.multicast(part)
@@ -178,12 +159,12 @@ class UdpPort(TransportPort):
         send = self._send
         for node_id, addr in self.transport.peers.items():
             if node_id != me:
-                send(data, addr, payload, trace)
+                send(data, addr, payload)
 
     def multicast_many(self, payloads: Sequence[Any], sizes: Sequence[int]) -> None:
         """Two or more payloads go to each other peer as one :class:`~repro.net.wire.Batch`
-        datagram; one goes bare, as does each of a traced run's (own trace context)."""
-        if len(payloads) < 2 or trace_mod.BAGGAGE:
+        datagram; one goes bare."""
+        if len(payloads) < 2:
             super().multicast_many(payloads, sizes)
         else:
             self.multicast(Batch(payloads))
@@ -192,16 +173,14 @@ class UdpPort(TransportPort):
         """Send a framed payload to an explicit socket address (used by
         the daemon to answer clients that are not ring peers)."""
         self._check_up()
-        trace = _trace_for(payload)
-        self._send(encode_frame(self.node_id, payload, trace, self.auth),
-                   addr, payload, trace)
+        self._send(encode_frame(self.node_id, payload, None, self.auth),
+                   addr, payload)
 
     def _check_up(self) -> None:
         if not self.up:
             raise NetworkError(f"interface {self.node_id!r} is down")
 
-    def _send(self, data: bytes, addr: Address, payload: Any = None,
-              trace: Optional[TraceContext] = None) -> None:
+    def _send(self, data: bytes, addr: Address, payload: Any = None) -> None:
         try:
             self.sock.sendto(data, addr)
         except OSError as exc:
@@ -213,7 +192,7 @@ class UdpPort(TransportPort):
         if self.flight is not None:
             self.flight.record_frame(
                 self.node_id, "tx", addr, type(payload).__name__, size,
-                trace.trace_id if trace is not None else None)
+                _op_of(payload))
 
     # -- receiving ---------------------------------------------------------
 
@@ -233,7 +212,8 @@ class UdpPort(TransportPort):
             if not self.up:
                 continue
             try:
-                src, payload, trace = decode_frame_ex(
+                # A trace context a peer still sends is validated, not used.
+                src, payload, _trace = decode_frame_ex(
                     data, auth=auth, auth_node=node_id)
             except FrameError as exc:
                 self.frames_rejected += 1
@@ -242,18 +222,12 @@ class UdpPort(TransportPort):
                     self.rejected_by_reason.get(reason, 0) + 1)
                 continue
             self.frames_received += 1
-            if trace is not None:
-                # Park the context by envelope identity so it survives
-                # the hop across the total order (see _trace_for).
-                envelope = _envelope_of(payload)
-                if envelope is not None:
-                    trace_mod.BAGGAGE.put(envelope.header.message_id, trace)
             if flight is not None:
                 flight.record_frame(
                     node_id, "rx", addr, type(payload).__name__,
-                    len(data), trace.trace_id if trace is not None else None)
+                    len(data), _op_of(payload))
             for item in payload if type(payload) is Batch else (payload,):
-                deliver(LiveFrame(src, item, len(data), addr, trace))
+                deliver(LiveFrame(src, item, len(data), addr))
 
 
 class UdpTransport(Transport):

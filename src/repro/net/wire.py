@@ -80,7 +80,8 @@ MAGIC = b"CT"
 #: v2: CCS messages carry a covering operation id (round coalescing) and
 #: time-transfer state carries per-thread operation-numbering points.
 #: v3: a flags byte after the source, with an optional trace context
-#: (trace id + causal parent) for cross-node causal tracing.
+#: (trace id + causal parent).  No sender sets it any more (a trace is
+#: named by its operation key); a received one is validated and ignored.
 #: v4: scalar value tags; RPC bodies and any other body or payload are
 #: value-encoded (the JSON body tag and payload kind went).  Payload kind
 #: 9 (:class:`Batch`) was appended later without a bump: a daemon older

@@ -5,20 +5,19 @@ One client call to the live stack touches many processes: the caller
 that executes it (``op.execute``), the time service that hands it a
 group-clock value (``op.served``), the CCS round that produced the value
 (``round.won``) and the gateway that forwards the first reply (``op.reply``
-on the daemon, ``op.reply_recv`` on the client).  Each hop stamps its
-trace events with the trace id carried in the v3 wire format
-(:class:`~repro.trace.TraceContext`), so the per-node event streams can
-be re-joined after the fact:
+on the daemon, ``op.reply_recv`` on the client).  Every ``op.*`` event
+is named by the operation's key (:func:`~repro.trace.op_trace_id`),
+which each hop reads off the envelope it holds — nothing extra rides the
+wire — so the per-node event streams can be re-joined after the fact:
 
 * :class:`TraceShardWriter` — subscribes to a tracer and appends every
   event to one JSONL *shard* per emitting node (the files a daemon
   writes with ``repro serve --trace-dir``, or a chaos run collects in
   its artifacts directory);
 * :class:`CrossNodeSpanAssembler` — reads shard records back and
-  stitches them into :class:`OpTimeline` objects, one per trace id,
-  joining by trace id where it is carried and by replica-independent
-  operation identity (``(client_group, conn_id, seq)`` →
-  ``(node, request_index)`` → round) where it is not;
+  stitches them into :class:`OpTimeline` objects, one per operation key,
+  then binds each execution's serve by ``(node, request_index)`` and the
+  serve's CCS round by ``(node, thread, round)``;
 * ``python -m repro trace --shards DIR`` renders the result.
 """
 
@@ -44,6 +43,14 @@ STAGE_ORDER = (
     "reply.forward",
     "reply.recv",
 )
+
+#: Each keyed ``op.*`` kind -> its stage (``op.gateway`` of a retry is
+#: ``gateway.dedup``), and the record fields its hop keeps.
+_HOPS = {"op.send": "client.send", "op.gateway": "gateway.inject",
+         "op.execute": "execute", "op.reply": "reply.forward",
+         "op.reply_recv": "reply.recv"}
+_DETAIL = {"op.send": ("method",), "op.execute": ("req", "method"),
+           "op.reply": ("replica",), "op.reply_recv": ("replies",)}
 
 _SHARD_PREFIX = "trace-"
 
@@ -136,11 +143,10 @@ class Hop:
 class OpTimeline:
     """One client operation, end to end, across every node it touched."""
 
+    #: The operation key (:func:`repro.trace.op_trace_id`).
     trace_id: str
     client: str = "?"
     method: Optional[str] = None
-    #: Replica-independent operation identity (client group, conn, seq).
-    op: Optional[Tuple[str, int, int]] = None
     hops: List[Hop] = field(default_factory=list)
 
     def stages(self) -> List[str]:
@@ -173,7 +179,6 @@ class OpTimeline:
             "trace_id": self.trace_id,
             "client": self.client,
             "method": self.method,
-            "op": list(self.op) if self.op else None,
             "complete": self.complete,
             "nodes": self.nodes,
             "hops": [hop.to_dict() for hop in self.hops],
@@ -183,16 +188,10 @@ class OpTimeline:
 class CrossNodeSpanAssembler:
     """Stitches per-node trace records into end-to-end op timelines.
 
-    Joins, in order of preference:
-
-    1. by **trace id** where the event carries one (``op.send``,
-       ``op.gateway``, ``op.reply``, ``op.reply_recv``, and
-       ``op.execute`` when the baggage propagated);
-    2. by **operation identity** ``(client_group, conn_id, seq)`` for
-       ``op.execute`` events whose trace did not survive;
-    3. by **request index** ``(node, req)`` to bind ``op.served`` (the
-       time service knows the request, not the client), and then by
-       ``(node, thread, round)`` to bind the round's ``round.won``.
+    Every ``op.*`` record joins the timeline its operation key names;
+    ``op.served`` (the time service knows the request, not the client)
+    joins by ``(node, req)`` through that node's ``op.execute``, and a
+    serve's CCS round by ``(node, thread, round)``.
     """
 
     def __init__(self):
@@ -209,83 +208,45 @@ class CrossNodeSpanAssembler:
 
     def assemble(self) -> List[OpTimeline]:
         timelines: Dict[str, OpTimeline] = {}
-        op_to_trace: Dict[Tuple[str, int, int], str] = {}
         req_to_trace: Dict[Tuple[str, Any], str] = {}
         round_won: Dict[Tuple[str, Any, Any], dict] = {}
+        served: List[dict] = []
 
-        def timeline(trace_id: str) -> OpTimeline:
-            entry = timelines.get(trace_id)
-            if entry is None:
-                entry = timelines[trace_id] = OpTimeline(trace_id)
-            return entry
-
-        def op_key(record: dict) -> Optional[Tuple[str, int, int]]:
-            group = record.get("op_group")
-            if group is None:
-                return None
-            return (group, record.get("conn"), record.get("seq"))
-
-        # Pass 1: index round winners; create timelines from traced hops.
+        # Pass 1: every keyed hop joins its timeline; index the rest.
         for r in self._records:
             kind = r.get("kind")
             if kind == "round.won":
                 round_won[(r.get("node"), r.get("thread"),
                            r.get("round"))] = r
                 continue
-            if kind == "op.send" and r.get("trace"):
-                entry = timeline(r["trace"])
-                entry.client = r.get("node", "?")
-                entry.method = r.get("method")
-                key = op_key(r)
-                if key is not None:
-                    entry.op = key
-                    op_to_trace[key] = r["trace"]
-                entry.hops.append(Hop("client.send", r.get("node", "?"),
-                                      r.get("t"),
-                                      {"method": r.get("method")}))
-            elif kind == "op.gateway" and r.get("trace"):
-                stage = ("gateway.dedup" if r.get("dedup")
-                         else "gateway.inject")
-                entry = timeline(r["trace"])
-                key = op_key(r)
-                if key is not None:
-                    entry.op = entry.op or key
-                    op_to_trace.setdefault(key, r["trace"])
-                entry.hops.append(Hop(stage, r.get("node", "?"), r.get("t")))
-            elif kind == "op.reply" and r.get("trace"):
-                timeline(r["trace"]).hops.append(
-                    Hop("reply.forward", r.get("node", "?"), r.get("t"),
-                        {"replica": r.get("replica")}))
-            elif kind == "op.reply_recv" and r.get("trace"):
-                timeline(r["trace"]).hops.append(
-                    Hop("reply.recv", r.get("node", "?"), r.get("t"),
-                        {"replies": r.get("replies")}))
-
-        # Pass 2: executions join by trace id or operation identity and
-        # publish the (node, request_index) -> trace mapping.
-        for r in self._records:
-            if r.get("kind") != "op.execute":
+            if kind == "op.served":
+                served.append(r)
                 continue
-            trace_id = r.get("trace") or op_to_trace.get(op_key(r))
-            if trace_id is None:
+            trace_id = r.get("trace")
+            if not trace_id or kind not in _HOPS:
                 continue
+            entry = timelines.get(trace_id)
+            if entry is None:
+                entry = timelines[trace_id] = OpTimeline(trace_id)
             node = r.get("node", "?")
-            if r.get("req") is not None:
+            if kind == "op.send":
+                entry.client = node
+                entry.method = r.get("method")
+            elif kind == "op.execute" and r.get("req") is not None:
                 req_to_trace[(node, r["req"])] = trace_id
-            timeline(trace_id).hops.append(
-                Hop("execute", node, r.get("t"),
-                    {"req": r.get("req"), "method": r.get("method")}))
+            stage = ("gateway.dedup" if kind == "op.gateway" and r.get("dedup")
+                     else _HOPS[kind])
+            entry.hops.append(Hop(stage, node, r.get("t"),
+                                  {k: r.get(k) for k in _DETAIL.get(kind, ())}))
 
-        # Pass 3: serves join by request index; each non-fast serve pulls
+        # Pass 2: serves join by request index; each non-fast serve pulls
         # in the CCS round that produced its value.
-        for r in self._records:
-            if r.get("kind") != "op.served":
-                continue
+        for r in served:
             node = r.get("node", "?")
             trace_id = req_to_trace.get((node, r.get("req")))
             if trace_id is None:
                 continue
-            entry = timeline(trace_id)
+            entry = timelines[trace_id]
             entry.hops.append(
                 Hop("served", node, r.get("t"),
                     {"round": r.get("round"), "fast": r.get("fast"),

@@ -45,6 +45,16 @@ class MessageHeader(NamedTuple):
         distributed system (paper Section 3.1)."""
         return (self.src_grp, self.dst_grp, self.conn_id, self.msg_seq_num)
 
+    @property
+    def op_key(self) -> Tuple[str, str, int, int]:
+        """The operation this message belongs to, as ``(service group,
+        client group, conn, seq)``: a reply's own id, any other message's
+        with its groups swapped.  A request and its replies share it; a
+        live gateway deduplicates on it and a trace is named by it."""
+        if self.msg_type is MsgType.REPLY:
+            return (self.src_grp, self.dst_grp, self.conn_id, self.msg_seq_num)
+        return (self.dst_grp, self.src_grp, self.conn_id, self.msg_seq_num)
+
 
 class Envelope(NamedTuple):
     """Header plus body plus the sending node, as multicast via Totem."""

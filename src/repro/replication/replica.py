@@ -422,13 +422,9 @@ class Replica(abc.ABC):
     def _execute(self, envelope: Envelope, index: int) -> Generator:
         invocation = envelope.body
         if trace.TRACER.enabled:
-            header = envelope.header
-            context = trace.BAGGAGE.get(header.message_id)
             trace.emit(
                 "op.execute", self.node_id,
-                trace=context.trace_id if context is not None else None,
-                op_group=header.src_grp, conn=header.conn_id,
-                seq=header.msg_seq_num, req=index,
+                trace=trace.op_trace_id(envelope.header.op_key), req=index,
                 method=invocation.method, t=self.sim.now)
         ctx = ReplicaContext(self, self.main_thread_id, request_index=index)
         method = getattr(self.app, invocation.method, None)

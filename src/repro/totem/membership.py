@@ -176,7 +176,7 @@ class MembershipEngine:
             return
         self.highest_ring_seq = max(self.highest_ring_seq, join.ring_seq)
         if join.sender == self.p.me:
-            return  # our own multicast looping back
+            return  # input check: no transport loops our own join back
 
         if self.phase == self.IDLE:
             ring = self.p.ring

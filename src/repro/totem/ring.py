@@ -392,9 +392,9 @@ class TotemProcessor:
             payload = self.send_queue.popleft()
             new_seq += 1
             msg = RegularMessage(self.ring.ring_id, new_seq, self.me, payload)
-            # Record our own message immediately: Totem receives its own
-            # multicasts, but acting on the loopback copy would race the
-            # token we are about to forward.
+            # Record our own message now: no transport hands a sender
+            # its own multicast (repro.net.transport), so this is the
+            # only copy this node files.
             self._store_message(msg)
             out.append(msg)
             self.stats.messages_multicast += 1

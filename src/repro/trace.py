@@ -8,6 +8,8 @@ event stream that the protocol layers feed:
 * ``membership.gather`` / ``membership.install`` — Totem membership;
 * ``replica.promote`` / ``replica.checkpoint`` / ``state.transfer`` —
   replication;
+* ``op.send`` … ``op.reply_recv`` — one client operation's hops, each
+  named by :func:`op_trace_id` (see :mod:`repro.obs.crossnode`);
 
 Usage::
 
@@ -24,81 +26,31 @@ Usage::
 
 from __future__ import annotations
 
-import random
-from collections import OrderedDict
 from contextlib import contextmanager
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Hashable, Iterator, List, NamedTuple, Optional
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 
 class TraceContext(NamedTuple):
-    """Causal identity of one cross-node operation.
+    """The optional trace field of a v3/v4 live frame
+    (:mod:`repro.net.wire`): a trace id and the hop that sent it.
 
-    ``trace_id`` names the end-to-end operation (one client call);
-    ``parent`` names the hop that forwarded it (``client.c7``,
-    ``gw.n0``).  The context is carried in the live wire format
-    (:mod:`repro.net.wire`), so every node an operation touches stamps
-    its trace events with the same id and the
-    :class:`~repro.obs.crossnode.CrossNodeSpanAssembler` can stitch
-    per-node shards into one timeline.
+    Nothing sends one any more: an operation is named by its key
+    (:func:`op_trace_id`), which every hop already holds.  A received
+    context is decoded, validated and ignored.
     """
 
     trace_id: str
     parent: str = ""
 
-    def child(self, hop: str) -> "TraceContext":
-        """The context this hop forwards downstream: same trace, new
-        causal parent."""
-        return TraceContext(self.trace_id, hop)
 
-
-def new_trace_id(rng: Optional[random.Random] = None) -> str:
-    """A compact 64-bit hex trace id (deterministic given ``rng``)."""
-    bits = (rng or random).getrandbits(64)
-    return f"{bits:016x}"
-
-
-class Baggage:
-    """A bounded map from message identity to :class:`TraceContext`.
-
-    Trace contexts ride the *frame*, not the envelope, so a message that
-    crosses the Totem total order (request → regular message → delivery)
-    loses its frame en route.  The receiving port parks the context
-    here, keyed by the envelope's ``message_id``; downstream layers
-    (replica execution, reply forwarding) look it up by the same key and
-    the sending port re-attaches it to outgoing frames.  Bounded FIFO:
-    one entry per in-flight operation, oldest evicted first.
-    """
-
-    LIMIT = 2048
-
-    def __init__(self, limit: int = LIMIT):
-        self.limit = limit
-        self._entries: "OrderedDict[Hashable, TraceContext]" = OrderedDict()
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __bool__(self) -> bool:
-        return bool(self._entries)
-
-    def put(self, key: Hashable, context: TraceContext) -> None:
-        self._entries[key] = context
-        self._entries.move_to_end(key)
-        while len(self._entries) > self.limit:
-            self._entries.popitem(last=False)
-
-    def get(self, key: Hashable) -> Optional[TraceContext]:
-        return self._entries.get(key)
-
-    def clear(self) -> None:
-        self._entries.clear()
-
-
-#: The process-wide trace baggage (one node per daemon process; the
-#: in-process testbeds share it, which is harmless — every node maps the
-#: same message identity to the same context).
-BAGGAGE = Baggage()
+def op_trace_id(key: Tuple[str, str, int, int]) -> str:
+    """The trace id of one client operation: its key ``(service group,
+    client group, conn, seq)`` — what the gateway deduplicates on and
+    :attr:`~repro.replication.envelope.MessageHeader.op_key` reads off
+    a request or a reply — as ``svc/client.c7/1/42``.  Every ``op.*``
+    event carries it as ``trace``."""
+    return "{}/{}/{}/{}".format(*key)
 
 
 @dataclass(frozen=True)

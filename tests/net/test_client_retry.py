@@ -10,9 +10,11 @@ process on a kernel: each test owns a bare ``LiveKernel``.
 import socket
 import threading
 import time
+from contextlib import nullcontext
 
 import pytest
 
+from repro import trace
 from repro.errors import RpcTimeout
 from repro.net.client import LiveCaller
 from repro.net.wire import decode_frame_ex, encode_frame
@@ -148,6 +150,34 @@ class TestRetries:
             assert len(set(responder.seen)) == len(responder.seen) == 2
         finally:
             responder.close()
+
+    def test_a_tracer_sink_does_not_change_the_backoff_pauses(self, kernel):
+        """The caller's jitter is seeded by its client id so a chaos run
+        replays; naming a traced operation draws nothing from it.  A
+        dead server (an address no datagram can be sent to) fails every
+        attempt at once, so the call is all backoff pauses."""
+
+        def pauses(traced):
+            slept, timeout = [], kernel.timeout
+
+            def recording(delay, *args):
+                slept.append(delay)
+                return timeout(delay, *args)
+
+            kernel.timeout = recording
+            try:
+                with LiveCaller(kernel, [("127.0.0.1", 0)],
+                                client_id="jitter") as caller:
+                    with trace.TRACER.capture() if traced else nullcontext():
+                        with pytest.raises(RpcTimeout):
+                            call(kernel, caller, timeout=0.5)
+                    return slept[:caller.stats.backoffs]
+            finally:
+                del kernel.timeout
+
+        untraced = pauses(traced=False)
+        assert len(untraced) == LiveCaller.BREAKER_THRESHOLD
+        assert pauses(traced=True) == untraced
 
 
 class TestCircuitBreaker:

@@ -2,6 +2,7 @@
 
 import asyncio
 import json
+import socket
 
 import pytest
 
@@ -63,6 +64,16 @@ class TestStartObservability:
         shard = shard_path(tmp_path / "tr", "n0")
         assert shard.exists()
         assert json.loads(shard.read_text().splitlines()[0])["round"] == 1
+
+    def test_the_metrics_port_can_be_bound_again_after_shutdown(self, daemon):
+        daemon.start_observability()
+        run_briefly(daemon)
+        port = daemon._metrics_server.bound_port
+        assert port
+        daemon.shutdown()
+        with socket.socket() as sock:
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+            sock.bind(("127.0.0.1", port))  # nothing listens there any more
 
     def test_dump_flight_writes_an_artifact(self, daemon, tmp_path):
         daemon.start_observability()

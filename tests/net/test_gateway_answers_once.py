@@ -164,7 +164,6 @@ def test_a_timeline_has_one_reply_forward_hop():
             bed.wait_until(lambda: all(
                 replica.stats.requests_processed == 4
                 for replica in bed.replicas("timesvc").values()), timeout=3.0)
-        trace.BAGGAGE.clear()
     assembler = CrossNodeSpanAssembler()
     assembler.add_events(trace_event_record(event) for event in events)
     timelines = assembler.assemble()

@@ -17,9 +17,11 @@ import select
 
 import pytest
 
-from repro import trace as trace_mod
+from repro import trace
 from repro.chaos.transport import ChaosTransport
 from repro.net.auth import WireAuthenticator
+from repro.net.client import LiveCaller
+from repro.net.daemon import TimeApp
 from repro.net.testbed import LiveTestbed
 from repro.net.udp import MAX_DATAGRAM, UdpTransport
 from repro.net.wire import Batch, encode_frame
@@ -27,7 +29,6 @@ from repro.replication.envelope import MsgType, make_envelope
 from repro.sim.kernel import Simulator
 from repro.sim.network import Network
 from repro.totem.messages import RegularMessage, RingBeacon, RingId
-from repro.trace import Baggage, TraceContext
 
 from support import ClockApp, call_n  # noqa: E402 (tests/ on sys.path via conftest)
 
@@ -116,19 +117,41 @@ class TestOneDatagramPerVisit:
             assert inbox[peer][0].size_bytes == len(
                 encode_frame("a", BEACON, None, ports["a"].auth))
 
-    def test_a_traced_run_sends_each_message_as_itself(self, kernel, visit_ports,
-                                                       monkeypatch):
+    def test_a_traced_visit_is_one_datagram(self, kernel, visit_ports):
         _transport, ports, inbox = visit_ports
-        baggage = Baggage()
-        baggage.put(("somewhere", "else", 0, 1), TraceContext("t1", "gw.b"))
-        monkeypatch.setattr(trace_mod, "BAGGAGE", baggage)
         messages, sizes = visit(1, 2, 3)
-        ports["a"].multicast_many(messages, sizes)
-        assert ports["a"].frames_sent == 6
+        with trace.TRACER.capture():
+            ports["a"].multicast_many(messages, sizes)
+        assert ports["a"].frames_sent == 2
         kernel.run(kernel.now + 0.05)
         for peer in "bc":
             assert [frame.payload for frame in inbox[peer]] == messages
-            assert ports[peer].frames_received == 3
+            assert ports[peer].frames_received == 1
+
+    def test_a_traced_call_leaves_no_state_that_unbatches_a_visit(
+            self, kernel, three_ports):
+        """Tracing an operation end to end (client, gateway, replicas)
+        changes nothing a later bed in the process sends."""
+        with LiveTestbed(num_nodes=3, seed=7) as bed:
+            bed.deploy("timesvc", TimeApp, nodes=bed.node_ids,
+                       style="active", time_source="cts")
+            bed.start()
+            bed.install_gateway("n0")
+            with LiveCaller(bed.kernel, [bed.node("n0").address],
+                            client_id="traced") as caller, \
+                    trace.TRACER.capture(["op."]) as events:
+                outcome = bed.run_process(
+                    caller.call("gettimeofday", timeout=3.0))
+        assert {event.fields["trace"] for event in events
+                if event.kind != "op.served"} == {outcome.trace_id}
+        _transport, ports, inbox = three_ports
+        messages, sizes = visit(1, 2)
+        ports["a"].multicast_many(messages, sizes)
+        assert ports["a"].frames_sent == 2
+        kernel.run(kernel.now + 0.05)
+        for peer in "bc":
+            assert [frame.payload for frame in inbox[peer]] == messages
+            assert ports[peer].frames_received == 1
 
     def test_a_visit_over_the_datagram_cap_goes_as_runs_that_fit(self, kernel,
                                                                  visit_ports):

@@ -14,27 +14,24 @@ from repro.obs.crossnode import (
 )
 
 
-def synthetic_op(trace_id="aa00aa00aa00aa00", *, with_trace_on_execute=False,
-                 client="c0", nodes=("n0", "n1"), seq=7, req=12):
+def synthetic_op(trace_id="svc/grp.c0/3/7", *, client="c0",
+                 nodes=("n0", "n1"), req=12):
     """Records for one complete operation, as the live stack emits them:
-    the client sends, one gateway injects, every replica executes (trace
-    lost across the Totem hop unless the baggage carried it), the time
-    service serves after a CCS round, the gateway forwards replies."""
-    op_group, conn = "grp.c0", 3
+    the client sends, one gateway injects, every replica executes, the
+    time service serves after a CCS round, the gateway forwards replies.
+    Every op.* record is named by the operation key; op.served and
+    round.won are not."""
     records = [
         {"record": "trace", "kind": "op.send", "node": client,
-         "trace": trace_id, "op_group": op_group, "conn": conn, "seq": seq,
-         "method": "gettimeofday", "t": 1.0},
+         "trace": trace_id, "method": "gettimeofday", "t": 1.0},
         {"record": "trace", "kind": "op.gateway", "node": "n0",
-         "trace": trace_id, "op_group": op_group, "conn": conn, "seq": seq,
-         "dedup": False, "t": 0.1},
+         "trace": trace_id, "dedup": False, "t": 0.1},
     ]
     for i, node in enumerate(nodes):
         records.append(
             {"record": "trace", "kind": "op.execute", "node": node,
-             "trace": trace_id if with_trace_on_execute else None,
-             "op_group": op_group, "conn": conn, "seq": seq,
-             "req": req, "method": "gettimeofday", "t": 0.2 + i})
+             "trace": trace_id, "req": req, "method": "gettimeofday",
+             "t": 0.2 + i})
         records.append(
             {"record": "trace", "kind": "round.won", "node": node,
              "thread": "t0", "round": 5, "winner": "n1",
@@ -45,12 +42,10 @@ def synthetic_op(trace_id="aa00aa00aa00aa00", *, with_trace_on_execute=False,
              "fast": False, "group_us": 1000, "t": 0.3 + i})
     records.append(
         {"record": "trace", "kind": "op.reply", "node": "n0",
-         "trace": trace_id, "conn": conn, "seq": seq,
-         "replica": "n1", "t": 0.4})
+         "trace": trace_id, "replica": "n1", "t": 0.4})
     records.append(
         {"record": "trace", "kind": "op.reply_recv", "node": client,
-         "trace": trace_id, "conn": conn, "seq": seq,
-         "replies": 2, "t": 2.0})
+         "trace": trace_id, "replies": 2, "t": 2.0})
     return records
 
 
@@ -115,19 +110,34 @@ class TestAssembler:
         timelines = self.assemble(synthetic_op())
         assert len(timelines) == 1
         tl = timelines[0]
-        assert tl.trace_id == "aa00aa00aa00aa00"
+        assert tl.trace_id == "svc/grp.c0/3/7"
         assert tl.client == "c0"
         assert tl.method == "gettimeofday"
-        assert tl.op == ("grp.c0", 3, 7)
         assert tl.complete
 
-    def test_untraced_executions_join_by_op_identity(self):
-        # The Totem hop strips the frame; op.execute events carry no
-        # trace id but the same (op_group, conn, seq) identity.
-        timelines = self.assemble(synthetic_op(with_trace_on_execute=False))
-        tl = timelines[0]
+    def test_every_replica_execution_joins_by_the_operation_key(self):
+        tl = self.assemble(synthetic_op())[0]
         executes = [h for h in tl.hops if h.stage == "execute"]
         assert [h.node for h in executes] == ["n0", "n1"]
+        assert [h.detail["req"] for h in executes] == [12, 12]
+
+    def test_an_op_record_without_a_key_joins_nothing(self):
+        records = synthetic_op()
+        for record in records:
+            if record["kind"] == "op.execute":
+                record["trace"] = None
+        tl = self.assemble(records)[0]
+        assert "execute" not in tl.stages()
+        assert "served" not in tl.stages()  # its request index is unbound
+        assert not tl.complete
+
+    def test_a_retry_at_the_gateway_is_a_dedup_hop(self):
+        records = synthetic_op() + [
+            {"record": "trace", "kind": "op.gateway", "node": "n1",
+             "trace": "svc/grp.c0/3/7", "dedup": True, "t": 0.5}]
+        stages = self.assemble(records)[0].stages()
+        assert stages.count("gateway.inject") == 1
+        assert stages.count("gateway.dedup") == 1
 
     def test_serves_and_rounds_join_by_request_index(self):
         tl = self.assemble(synthetic_op())[0]
@@ -162,10 +172,11 @@ class TestAssembler:
         assert not tl.complete
 
     def test_two_operations_stay_separate(self):
-        records = (synthetic_op("aaaa", seq=1, req=10)
-                   + synthetic_op("bbbb", seq=2, req=11))
+        records = (synthetic_op("svc/grp.c0/3/1", req=10)
+                   + synthetic_op("svc/grp.c0/3/2", req=11))
         timelines = self.assemble(records)
-        assert [t.trace_id for t in timelines] == ["aaaa", "bbbb"]
+        assert [t.trace_id for t in timelines] == ["svc/grp.c0/3/1",
+                                                   "svc/grp.c0/3/2"]
         assert all(t.complete for t in timelines)
 
     def test_to_dict_is_json_able(self):

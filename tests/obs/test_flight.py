@@ -6,8 +6,12 @@ import pytest
 
 from repro import trace
 from repro.chaos.oracle import InvariantOracle
+from repro.net.kernel import LiveKernel
 from repro.net.testbed import LiveTestbed
+from repro.net.udp import UdpTransport
 from repro.obs.flight import FlightRecorder
+from repro.replication.envelope import MsgType, make_envelope
+from repro.totem.messages import RegularMessage, RingBeacon, RingId
 
 
 class TestRings:
@@ -68,6 +72,36 @@ class TestLiveFrames:
         assert len(frames) == recorded  # nothing after it was taken away
         assert {f["dir"] for f in frames} == {"tx", "rx"}
         assert {f["node"] for f in frames} == {"n0", "n1"}
+
+    def test_a_digest_names_the_operation_of_its_one_envelope(self):
+        """A bare request and an ordered reply are digested under their
+        shared operation key; a batch or a frame with no envelope under
+        none."""
+        request = make_envelope(MsgType.REQUEST, "client.c1", "svc", 1, 7, "c1")
+        reply = make_envelope(MsgType.REPLY, "svc", "client.c1", 1, 7, "a")
+        ordered = RegularMessage(RingId(1, "a"), 1, "a", reply)
+        kernel = LiveKernel()
+        transport = UdpTransport(kernel.loop)
+        recorder = FlightRecorder().start(trace.Tracer())
+        try:
+            transport.record_frames(recorder)
+            port = transport.attach("a", lambda frame: None)
+            transport.attach("b", lambda frame: None)
+            port.unicast("b", request)
+            port.unicast("b", ordered)
+            port.multicast_many([ordered, ordered], [64, 64])
+            port.unicast("b", RingBeacon(RingId(1, "a"), "a"))
+            kernel.run(kernel.now + 0.05)
+        finally:
+            transport.close()
+            kernel.close()
+        key = "svc/client.c1/1/7"
+        expected = [("Envelope", key), ("RegularMessage", key),
+                    ("Batch", None), ("RingBeacon", None)]
+        frames = recorder.snapshot()["frames"]
+        for direction in ("tx", "rx"):
+            assert [(f["kind"], f["trace"]) for f in frames
+                    if f["dir"] == direction] == expected
 
 
 class TestDump:

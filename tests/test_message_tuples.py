@@ -139,7 +139,10 @@ def test_the_documented_short_forms():
     assert HEADER.message_id == ("client.c1", "svc", 8, 1234)
     assert make_envelope(MsgType.REQUEST, "client.c1", "svc", 8, 1234, "n1") == Envelope(
         HEADER, "n1")
-    assert TraceContext("00ff", "gw.n0").child("n1") == TraceContext("00ff", "n1")
+    # A request and its replies name one operation.
+    assert HEADER.op_key == ("svc", "client.c1", 8, 1234)
+    assert make_envelope(MsgType.REPLY, "svc", "client.c1", 8, 1234,
+                         "n0").header.op_key == HEADER.op_key
 
 
 class TestRingId:
