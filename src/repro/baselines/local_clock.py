@@ -29,7 +29,8 @@ class LocalClockSource(TimeSource):
         self.replica = replica
         self.sim = replica.sim
 
-    def read(self, thread_id: str, call_name: str, physical_us: int) -> Event:
+    def read(self, thread_id: str, call_name: str, physical_us: int, *,
+             op_id=None, fast_ok: bool = True, floor_us=None) -> Event:
         call = resolve_call(call_name)
         value = ClockValue(call.quantize(physical_us))
         self._record(thread_id, call.name, value)

@@ -15,14 +15,11 @@ source" used by the reference-steering drift compensation strategy.
 from __future__ import annotations
 
 import random
-from typing import Callable, List, Optional, TYPE_CHECKING
+from typing import Callable, List, Optional
 
 from ..sim.clock import US_PER_SEC
 from ..sim.node import Node
 from .local_clock import LocalClockSource
-
-if TYPE_CHECKING:  # pragma: no cover
-    from ..replication.replica import Replica
 
 
 class NtpDaemon:

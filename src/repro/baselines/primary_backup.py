@@ -108,7 +108,8 @@ class PrimaryBackupClockSource(TimeSource):
 
     # ------------------------------------------------------------------
 
-    def read(self, thread_id: str, call_name: str, physical_us: int) -> Event:
+    def read(self, thread_id: str, call_name: str, physical_us: int, *,
+             op_id=None, fast_ok: bool = True, floor_us=None) -> Event:
         call = resolve_call(call_name)
         if self.replica.is_primary:
             self._convey(thread_id, physical_us, call.type_id)

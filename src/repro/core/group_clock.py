@@ -16,7 +16,18 @@ algorithm (paper Figure 2):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Tuple
+
+#: High-side slack of the drift-certified window: a group value may
+#: exceed ``last_group + elapsed + drift_error`` by at most this much —
+#: the fast-path ceiling in both modes, the guard's winner filter.
+CERTIFIED_SLACK_US = 10_000
+#: A floor or offset this far from an agreed value is corruption, not
+#: history — stabilize rather than poison proposals.
+STABILIZE_VALUE_GAP_US = 10_000_000
+#: A duplicate-detection watermark this far ahead of live rounds is
+#: corruption — reset it rather than discard rounds forever.
+STABILIZE_ROUND_GAP = 10_000
 
 
 @dataclass
@@ -83,6 +94,21 @@ class GroupClockState:
         (Section 5 / multigroup extension)."""
         if self.causal_floor_us is None or timestamp_us > self.causal_floor_us:
             self.causal_floor_us = timestamp_us
+
+    def drop_floors_above(self, ceiling_us: int) -> Tuple[str, ...]:
+        """Self-stabilization repair: drop each floor above
+        ``ceiling_us``, a value no round, read or ordered input this
+        replica trusts can have reached.  Returns the floors dropped
+        (``fast``, ``causal``)."""
+        dropped: Tuple[str, ...] = ()
+        if self.fast_floor_us is not None and self.fast_floor_us > ceiling_us:
+            self.fast_floor_us = None
+            dropped += ("fast",)
+        if (self.causal_floor_us is not None
+                and self.causal_floor_us > ceiling_us):
+            self.causal_floor_us = None
+            dropped += ("causal",)
+        return dropped
 
     def stabilize(self) -> None:
         """Self-stabilization repair: drop every monotonicity floor.

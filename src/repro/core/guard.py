@@ -1,14 +1,16 @@
-"""The Byzantine guard: an add-on policy over the agreed round stream.
+"""The Byzantine guard: the repairs that need peer evidence.
 
-The crash-only consistent time service trusts every ordered CCS winner
-and most of its own state.  :class:`ByzantineGuard` is what the service
-holds (instead of ``None``) when it may trust neither: a WALDEN-style
-accuracy filter rejects ordered round winners whose value falls outside
-the drift-certified window, and a Herman-style bounded repair replaces
-implausible local state (round counters and floors that no real round
-could have produced) instead of trusting it.  Two repairs are the
-service's own, in both modes: the duplicate watermark and a scrambled
-offset.
+The crash-only consistent time service trusts every ordered CCS winner.
+:class:`ByzantineGuard` is what the service holds (instead of ``None``)
+when it may not: a WALDEN-style accuracy filter rejects ordered round
+winners whose value falls outside the drift-certified window and burns
+their round, ``STABILIZE_QUORUM`` distinct rejected peers (f + 1) prove
+our own anchor wrong and repair it, a rejected proposal of our own
+repairs the state that fed it, and a consumption point off the ordered
+stream adopts its numbering (Herman-style).  Every repair that needs no
+peer evidence is the service's own, in both modes: the duplicate
+watermark, a scrambled offset, the fast-path ceiling and a corrupt fast
+floor (:meth:`~repro.core.group_clock.GroupClockState.drop_floors_above`).
 
 The guard keeps only its own evidence; the state it judges and repairs —
 ``clock_state``, ``_accepted``, the handler counters, the commit anchor —
@@ -22,23 +24,16 @@ from typing import Dict, Optional, TYPE_CHECKING
 from .. import trace
 from ..replication.envelope import Envelope
 from .ccs_handler import CCSHandler
+from .group_clock import (CERTIFIED_SLACK_US, STABILIZE_ROUND_GAP,
+                          STABILIZE_VALUE_GAP_US)
 from .messages import CCSMessage
 
 if TYPE_CHECKING:  # pragma: no cover
     from .time_service import ConsistentTimeService
 
-#: High-side slack of the certified window: a winner may exceed
-#: ``last_group + elapsed + drift_error`` by at most this much.
-BYZ_WINDOW_US = 10_000
 #: Low-side slack: legitimate concurrent proposals may be ordered up to
 #: this far behind the latest committed group value.
 BYZ_LAG_US = 250_000
-#: A floor this far above a freshly agreed value is corruption, not
-#: history — stabilize rather than poison proposals.
-STABILIZE_VALUE_GAP_US = 10_000_000
-#: A duplicate-detection watermark this far ahead of live rounds is
-#: corruption — reset it rather than discard rounds forever.
-STABILIZE_ROUND_GAP = 10_000
 #: Distinct senders whose ordered values must disagree with our
 #: certified window (by a corruption-scale gap, on the same side) before
 #: we conclude *our* anchor is the corrupted outlier and stabilize.  Two
@@ -121,41 +116,6 @@ class ByzantineGuard:
             # forever.  Its parked ops are re-proposed by _pump.
             handler.in_flight = None
 
-    def rejects_fast(self, value: int, elapsed: int) -> bool:
-        """The fast-path ceiling: corrupted local state (offset or a
-        floor) would leak straight to a client here.  Repair what is
-        provably implausible; the caller falls back to a full round."""
-        svc = self.service
-        state = svc.clock_state
-        hi = (state.last_group_us + elapsed
-              + svc.drift_bound.error_us(elapsed) + BYZ_WINDOW_US)
-        if value <= hi:
-            return False
-        repaired = []
-        if state.fast_floor_us is not None and state.fast_floor_us > hi:
-            state.fast_floor_us = None
-            repaired.append("fast")
-        if (
-            state.causal_floor_us is not None
-            and state.causal_floor_us > hi
-        ):
-            state.causal_floor_us = None
-            repaired.append("causal")
-        if repaired:
-            svc._note_stabilization("fast-floor", floors=repaired)
-        return True
-
-    def drop_corrupt_fast_floor(self, value_us: int) -> None:
-        """A fast floor that far above the agreed group value is not a
-        fast read we served — it is corrupted state, and clamping would
-        hand the corruption to a client.  Drop it; monotonicity is
-        re-anchored by this round's value."""
-        state = self.service.clock_state
-        floor = state.fast_floor_us
-        if floor is not None and floor - value_us > STABILIZE_VALUE_GAP_US:
-            state.fast_floor_us = None
-            self.service._note_stabilization("fast-floor", floors=["fast"])
-
     # ------------------------------------------------------------------
     # Sanity filter
     # ------------------------------------------------------------------
@@ -165,7 +125,7 @@ class ByzantineGuard:
 
         After the first commit, an honest winner's value must sit within
         ``[last_group - BYZ_LAG_US, last_group + elapsed + drift_error +
-        BYZ_WINDOW_US]``: group time advances at most at real time plus
+        CERTIFIED_SLACK_US]``: group time advances at most at real time plus
         the certified drift, and a legitimate concurrent proposal can be
         ordered only boundedly late.  Returns the rejection reason, or
         None to accept.  Before the first commit there is no certified
@@ -178,7 +138,7 @@ class ByzantineGuard:
             return None
         elapsed = max(0, physical_us - svc._last_commit_physical_us)
         hi = (last + elapsed + svc.drift_bound.error_us(elapsed)
-              + BYZ_WINDOW_US)
+              + CERTIFIED_SLACK_US)
         if msg.proposed_micros > hi:
             return "too-high"
         if msg.proposed_micros < last - BYZ_LAG_US:
@@ -334,17 +294,6 @@ class ByzantineGuard:
             # proposer must be able to repair itself.
             state.offset_us = anchor - svc._last_commit_physical_us
             repaired.append("offset")
-        if (
-            state.causal_floor_us is not None
-            and state.causal_floor_us - anchor > STABILIZE_VALUE_GAP_US
-        ):
-            state.causal_floor_us = None
-            repaired.append("causal")
-        if (
-            state.fast_floor_us is not None
-            and state.fast_floor_us - anchor > STABILIZE_VALUE_GAP_US
-        ):
-            state.fast_floor_us = None
-            repaired.append("fast")
+        repaired += state.drop_floors_above(anchor + STABILIZE_VALUE_GAP_US)
         if repaired:
             svc._note_stabilization("floors", floors=repaired)

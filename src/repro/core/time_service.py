@@ -19,10 +19,10 @@ clock synchronization algorithm:
 There is one round engine.  An operation parks under a
 replica-independent operation id; the handler opens a round when
 operations are parked and none is in flight; the winning message's
-*covering point* names the operations the round serves.  A replica that
-executes requests serially (``coalesce=False``) parks one operation at
-a time, so every round covers exactly one — the paper's Figure 2; a
-replica that overlaps reads shares rounds between them.
+*covering point* names the operations the round serves.  A replica
+deployed with ``coalesce=False`` executes requests serially and parks
+one operation at a time, so every round covers exactly one — the
+paper's Figure 2; a replica that overlaps reads shares rounds.
 
 The service supports the three replication styles: in ``active`` mode
 every replica competes to be the synchronizer; in ``primary`` mode
@@ -55,8 +55,9 @@ from .ccs_handler import (
     RoundInFlight,
 )
 from .drift import DriftBound, DriftCompensation, NoCompensation
-from .group_clock import GroupClockState
-from .guard import STABILIZE_ROUND_GAP, STABILIZE_VALUE_GAP_US, ByzantineGuard
+from .group_clock import (CERTIFIED_SLACK_US, STABILIZE_ROUND_GAP,
+                          STABILIZE_VALUE_GAP_US, GroupClockState)
+from .guard import ByzantineGuard
 from .interposition import resolve_call
 from .messages import CCSMessage, OpId
 from .recovery import TimeTransferState
@@ -199,7 +200,6 @@ class ConsistentTimeService(TimeSource):
     """The group clock provider for one replica."""
 
     name = "consistent-time-service"
-    accepts_op_ids = True
 
     def __init__(
         self,
@@ -208,7 +208,6 @@ class ConsistentTimeService(TimeSource):
         mode: str = MODE_ACTIVE,
         drift: Optional[DriftCompensation] = None,
         suppress_pending: bool = True,
-        coalesce: bool = True,
         fast_path: bool = False,
         max_staleness_us: int = 2_000,
         drift_bound: Optional[DriftBound] = None,
@@ -229,14 +228,6 @@ class ConsistentTimeService(TimeSource):
         #: The winner sanity filter and self-stabilization policy;
         #: ``None`` in crash-only mode.
         self.guard = ByzantineGuard(self) if byzantine else None
-        #: ``coalesce`` is the replica runtime's decision, not the
-        #: service's: whether request execution is pipelined, so clock
-        #: reads overlap and share rounds, or serial, so every round
-        #: covers exactly one operation.
-        self.supports_concurrent_reads = coalesce
-        #: Reads may carry a per-request session floor (``floor_us``):
-        #: the reply is served strictly above it on every replica.
-        self.supports_session_floor = True
 
         self.clock_state = GroupClockState()
         self.stats = CTSStats()
@@ -278,6 +269,7 @@ class ConsistentTimeService(TimeSource):
         thread_id: str,
         call_name: str,
         physical_us: int,
+        *,
         op_id: Optional[OpId] = None,
         fast_ok: bool = True,
         floor_us: Optional[int] = None,
@@ -289,7 +281,9 @@ class ConsistentTimeService(TimeSource):
         round's winning CCS message — serves it the round's group value,
         so overlapping operations share rounds and still agree across
         replicas.  ``physical_us`` is the operation's one reading of the
-        physical clock (Figure 2, line 3).
+        physical clock (Figure 2, line 3).  ``floor_us`` is the request's
+        session floor: the reply is served strictly above it on every
+        replica.
         """
         if floor_us is not None:
             # Session guarantee: the request carries the client's
@@ -357,11 +351,19 @@ class ConsistentTimeService(TimeSource):
         if 0 <= elapsed <= self.max_staleness_us and (
             self.drift_bound.permits(elapsed)
         ):
-            value = self.clock_state.clamp_to_floor(
-                self.drift.adjust_fast_value(
-                    self.clock_state.propose(physical_us))
-            )
-            if self.guard is not None and self.guard.rejects_fast(value, elapsed):
+            state = self.clock_state
+            value = state.clamp_to_floor(
+                self.drift.adjust_fast_value(state.propose(physical_us)))
+            ceiling = (self._vouched_us(state.last_group_us) + elapsed
+                       + self.drift_bound.error_us(elapsed)
+                       + CERTIFIED_SLACK_US)
+            if value > ceiling:
+                # Corrupted local state (the offset or a floor) would
+                # leak straight to a client here: drop an implausible
+                # floor and run a full round instead.
+                floors = state.drop_floors_above(ceiling)
+                if floors:
+                    self._note_stabilization("fast-floor", floors=list(floors))
                 value = None
         if value is None:
             self.stats.fast_path_fallbacks += 1
@@ -391,10 +393,14 @@ class ConsistentTimeService(TimeSource):
             # agreed group value (commit anchors differ across replicas).
             # The *committed* group clock stays the agreed value, but the
             # reply handed to this replica's clients must not step
-            # backwards past a fast read it already served.
-            if self.guard is not None:
-                self.guard.drop_corrupt_fast_floor(value_us)
+            # backwards past a fast read it already served — unless the
+            # fast floor sits that far above the agreed value: then it is
+            # corrupted state, not a read, and the round re-anchors it.
             floor = self.clock_state.fast_floor_us
+            if (floor is not None and floor
+                    > self._vouched_us(value_us) + STABILIZE_VALUE_GAP_US):
+                self.clock_state.fast_floor_us = floor = None
+                self._note_stabilization("fast-floor", floors=["fast"])
             if floor is not None and value_us <= floor:
                 value_us = floor + 1
             self.clock_state.note_fast_value(value_us)
@@ -707,6 +713,20 @@ class ConsistentTimeService(TimeSource):
                     thread=msg.thread_id, round=msg.round_number,
                     beaten_by=envelope.sender, t=self.sim.now,
                 )
+
+    def _vouched_us(self, group_us: int) -> int:
+        """The highest value local state vouches for beside an agreed
+        ``group_us``, the base of the ``fast-floor`` repair.  Crash-only
+        mode trusts its own state: the last group value and the causal
+        floor, which only ordered input raises (another group's stamp, a
+        request's session floor) and which may sit seconds ahead.  The
+        guard trusts no floor: only the agreed value vouches."""
+        if self.guard is not None:
+            return group_us
+        state = self.clock_state
+        return max(value for value in (
+            group_us, state.last_group_us, state.causal_floor_us)
+            if value is not None)
 
     def _note_stabilization(self, what: str, **fields) -> None:
         """Count one self-stabilization repair of scrambled local state."""

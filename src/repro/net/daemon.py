@@ -89,8 +89,8 @@ class DaemonConfig:
     peers: Dict[str, Address]
     group: str = "timesvc"
     style: str = "active"
-    #: The time-service options ``coalesce``, ``fast_path`` and
-    #: ``max_staleness_us``, as :meth:`~repro.testbed.Testbed.deploy`
+    #: The replica's ``coalesce`` and the time service's ``fast_path``
+    #: and ``max_staleness_us``, as :meth:`~repro.testbed.Testbed.deploy`
     #: takes (and defaults) them.
     time_options: Dict[str, object] = field(default_factory=dict)
     #: Injected wall-clock error (the live Figure-1 inconsistency).

@@ -155,8 +155,12 @@ class OpTimeline:
     @property
     def complete(self) -> bool:
         """The full acceptance chain was observed: client send → gateway
-        inject → replica serve → CCS round won → reply received."""
+        inject → replica serve → CCS round won → reply received.  A
+        fast-path serve is its own value: no round produced it."""
         seen = set(self.stages())
+        if any(hop.stage == "served" and hop.detail.get("fast")
+               for hop in self.hops):
+            seen.add("round.won")
         return {"client.send", "gateway.inject", "served",
                 "round.won", "reply.recv"} <= seen
 

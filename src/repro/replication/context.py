@@ -46,9 +46,8 @@ class ReplicaContext:
         self.node = replica.node
         self.sim = replica.sim
         #: Position of the request being executed in the total order, or
-        #: None for dedicated threads.  With a coalescing time source it
-        #: identifies each clock read replica-independently as
-        #: ``(request_index, read_seq)``.
+        #: None for dedicated threads.  It names each clock read
+        #: replica-independently as ``(request_index, read_seq)``.
         self.request_index = request_index
         self._read_seq = 0
 
@@ -91,21 +90,16 @@ class ReplicaContext:
         return self._read("ftime")
 
     def _read(self, call_name: str, after_us: Optional[int] = None) -> Event:
-        source = self.replica.time_source
-        kwargs = {}
-        if after_us is not None and getattr(
-            source, "supports_session_floor", False
-        ):
-            kwargs["floor_us"] = after_us
-        if self.request_index is not None and getattr(
-            source, "accepts_op_ids", False
-        ):
+        op_id = None
+        if self.request_index is not None:
             self._read_seq += 1
-            kwargs["op_id"] = (self.request_index, self._read_seq)
+            op_id = (self.request_index, self._read_seq)
         # The operation's context reads the physical clock once (Figure 2,
         # line 3); the time source reads none of its own.
         physical_us = self.node.read_clock_us()
-        return source.read(self.thread_id, call_name, physical_us, **kwargs)
+        return self.replica.time_source.read(
+            self.thread_id, call_name, physical_us, op_id=op_id,
+            floor_us=after_us)
 
     # -- instrumentation only ---------------------------------------------
 

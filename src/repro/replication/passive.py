@@ -62,11 +62,9 @@ class PassiveReplica(Replica):
         time_source_factory: Callable[[Replica], TimeSource],
         *,
         checkpoint_interval: int = 10,
-        join_existing: bool = False,
+        **options,
     ):
-        super().__init__(
-            runtime, group, app, time_source_factory, join_existing=join_existing
-        )
+        super().__init__(runtime, group, app, time_source_factory, **options)
         self.checkpoint_interval = checkpoint_interval
         #: Backup-side log of delivered-but-unprocessed requests.
         self.request_log: List[Tuple[int, Envelope]] = []

@@ -92,11 +92,11 @@ class Replica(abc.ABC):
     style = "abstract"
 
     #: Whether this style may overlap request executions across clock
-    #: reads (requires a time source with ``supports_concurrent_reads``).
-    #: Request *admission* stays in delivery order; only the blocking
-    #: portion of clock reads overlaps.  Styles whose correctness depends
-    #: on strictly serial execution (passive primaries take periodic
-    #: checkpoints between requests) turn this off.
+    #: reads (when deployed with ``coalesce``).  Request *admission*
+    #: stays in delivery order; only the blocking portion of clock reads
+    #: overlaps.  Styles whose correctness depends on strictly serial
+    #: execution (passive primaries take periodic checkpoints between
+    #: requests) turn this off.
     supports_pipelining = True
 
     def __init__(
@@ -107,6 +107,7 @@ class Replica(abc.ABC):
         time_source_factory: Callable[["Replica"], TimeSource],
         *,
         join_existing: bool = False,
+        coalesce: bool = True,
     ):
         self.runtime = runtime
         #: True when this replica is (re)joining a group that is believed
@@ -147,9 +148,11 @@ class Replica(abc.ABC):
         self._holding = False
         #: A zero-delay wake-up of the thread is queued.
         self._woken = False
-        #: Set at start: whether every read holds the thread, and the
-        #: node's crash count (a crash ends the thread).
-        self._serial, self._incarnation = True, 0
+        #: Whether every read holds the thread (``coalesce`` off, or a
+        #: style that cannot overlap executions), and the node's crash
+        #: count at start (a crash ends the thread).
+        self._serial = not (self.supports_pipelining and coalesce)
+        self._incarnation = 0
         self._join_observed = False
         self._started = False
         # -- primary-component handling (paper Section 2) ----------------
@@ -180,8 +183,6 @@ class Replica(abc.ABC):
         self.endpoint.on_config_change = self._on_totem_config
         self.endpoint.on_raw_message = self._on_raw_message
         self.main_thread_id = self.threads.create("main").thread_id
-        self._serial = not (self.supports_pipelining and getattr(
-            self.time_source, "supports_concurrent_reads", False))
         self._incarnation = self.node.crash_count
         self.endpoint.join()
 
@@ -410,14 +411,9 @@ class Replica(abc.ABC):
         the lowest request index still active, so it can prune retained
         consumed rounds no future operation can reference."""
         self._active_requests.discard(index)
-        note = getattr(self.time_source, "note_min_active_request", None)
-        if note is not None:
-            floor = (
-                min(self._active_requests)
-                if self._active_requests
-                else self.request_index + 1
-            )
-            note(floor)
+        self.time_source.note_min_active_request(
+            min(self._active_requests) if self._active_requests
+            else self.request_index + 1)
 
     def _execute(self, envelope: Envelope, index: int) -> Generator:
         invocation = envelope.body

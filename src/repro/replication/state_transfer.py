@@ -204,14 +204,9 @@ class StateTransferManager:
         if replica.runs_special_round():
             # A locally-served fast-path value would skip the round the
             # recovering replica integrates its clock from: force one.
-            force = (
-                {"fast_ok": False}
-                if getattr(replica.time_source, "fast_path", False) else {}
-            )
             yield replica.time_source.read(
                 replica.main_thread_id, "gettimeofday",
-                replica.node.read_clock_us(), **force
-            )
+                replica.node.read_clock_us(), fast_ok=False)
         # The designated member (view primary, excluding the target) sends.
         members = [m for m in replica.endpoint.view.members if m != target]
         if not members or members[0] != replica.node_id:

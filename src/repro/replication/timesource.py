@@ -30,10 +30,11 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
 
 
 class ClockRead(Event):
-    """The event a source with ``supports_concurrent_reads`` returns from
-    :meth:`TimeSource.read`: the replica parks the execution that yields
-    it and admits the next request, instead of holding its main thread
-    until the read completes.
+    """The event a read returns when it may complete later, inside the
+    time service (the consistent time service's rounds): a replica that
+    overlaps reads (deployed with ``coalesce``) parks the execution that
+    yields it and admits the next request; a serial one holds its main
+    thread until the read completes, as on any other event.
 
     A read nothing waits on through the kernel completes without a
     kernel event: completing it calls the :attr:`waiter` of an execution
@@ -95,15 +96,6 @@ class TimeSource(abc.ABC):
     #: (``bed.record()``): no per-operation history is kept.
     recorder: Optional[HistoryRecorder] = None
 
-    #: True when the replica runtime should pipeline request execution,
-    #: overlapping clock reads on one thread (the consistent time service
-    #: deployed with ``coalesce=True``).
-    supports_concurrent_reads = False
-
-    #: True when ``read`` accepts an ``op_id`` keyword identifying the
-    #: operation replica-independently as ``(request_index, read_seq)``.
-    accepts_op_ids = False
-
     def _record(self, thread_id: str, call_name: str, value) -> None:
         """Hand one served value to the recorder, if one is attached."""
         if self.recorder is not None:
@@ -111,7 +103,9 @@ class TimeSource(abc.ABC):
                 (self.sim.now, thread_id, call_name, value))
 
     @abc.abstractmethod
-    def read(self, thread_id: str, call_name: str, physical_us: int) -> Event:
+    def read(self, thread_id: str, call_name: str, physical_us: int, *,
+             op_id: Optional[tuple] = None, fast_ok: bool = True,
+             floor_us: Optional[int] = None) -> Event:
         """Begin one clock-related operation on behalf of ``thread_id``.
 
         Returns a simulation event that fires with the
@@ -120,6 +114,11 @@ class TimeSource(abc.ABC):
         ``ftime``) and controls the granularity of the returned value.
         ``physical_us`` is the physical clock, read once in the operation's
         context (Figure 2, line 3); a source reads no clock of its own.
+        ``op_id`` names the operation replica-independently as
+        ``(request_index, read_seq)`` (None on a dedicated thread),
+        ``fast_ok=False`` asks for a value no local shortcut served, and
+        ``floor_us`` is the request's session floor; a source ignores
+        any it has no use for.
         """
 
     # -- protocol plumbing (no-ops for sources that need none) -----------
@@ -138,6 +137,9 @@ class TimeSource(abc.ABC):
 
     def on_config_change(self, change: "ConfigurationChange") -> None:
         """A Totem configuration change was delivered."""
+
+    def note_min_active_request(self, min_request_index: int) -> None:
+        """The replica finished every request below this index."""
 
     # -- state transfer (Section 3.2, "Integration of New Clocks") -------
 

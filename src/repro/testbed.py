@@ -74,7 +74,14 @@ TimeSourceSpec = Union[str, Callable[[Replica], TimeSource]]
 #: The :meth:`Testbed.deploy` keywords that are the consistent time
 #: service's: named, defaulted and checked on its constructor; the bed
 #: only carries them there.
-CTS_OPTIONS = ("coalesce", "fast_path", "max_staleness_us", "byzantine")
+CTS_OPTIONS = ("fast_path", "max_staleness_us", "byzantine")
+
+#: The baseline time sources by name.
+BASELINES = {
+    "local": LocalClockSource,
+    "ntp": NtpDisciplinedSource,
+    "primary-backup": PrimaryBackupClockSource,
+}
 
 
 #: A receiver tap (:meth:`Testbed.interpose`): the receiver installed
@@ -196,17 +203,20 @@ class Testbed:
         ``time_source`` is ``"cts"`` (consistent time service, the
         default), one of the baseline names (``"local"``,
         ``"primary-backup"``, ``"ntp"``), or a factory ``Replica ->
-        TimeSource``; ``drift`` is its drift compensation.  The
+        TimeSource``; ``drift`` is its drift compensation.  ``coalesce``
+        (default on) is the replica's: it overlaps clock reads so they
+        share rounds where the style's ``supports_pipelining`` allows
+        (``False``: serial execution, one round per operation — the same
+        protocol); a baseline's replicas — named, or its class passed as
+        the factory — always run serially, whatever ``coalesce`` says (a
+        factory of your own is deployed as asked).  The
         :data:`CTS_OPTIONS` configure the consistent time service:
-        ``coalesce`` (default on) lets the CTS replicas overlap clock
-        reads so they share rounds (``False``: serial execution, one
-        round per operation — the same protocol); ``fast_path`` (off)
-        and ``max_staleness_us`` (2 000) configure the drift-bounded
-        read fast path; ``byzantine`` (off) arms the winner sanity
-        filter and self-stabilization guard.  The three are independent,
-        and all are ignored for baselines.  Any other keyword is the
-        replication style's own (``checkpoint_interval``); one that
-        nothing takes is a ``TypeError`` here.
+        ``fast_path`` (off) and ``max_staleness_us`` (2 000) the
+        drift-bounded read fast path, ``byzantine`` (off) the Byzantine
+        guard.  All four are independent, and the three are ignored for
+        baselines.  Any other keyword is the replication style's own
+        (``checkpoint_interval``); one that nothing takes is a
+        ``TypeError`` here.
         """
         if group in self.services:
             raise ConfigurationError(f"group {group!r} already deployed")
@@ -256,6 +266,9 @@ class Testbed:
             )
         cts_options = {name: replica_kwargs.pop(name)
                        for name in CTS_OPTIONS if name in replica_kwargs}
+        if time_source in BASELINES or time_source in BASELINES.values():
+            # A baseline read completes at once: nothing to overlap.
+            replica_kwargs["coalesce"] = False
         factory = self._time_source_factory(
             time_source, style, drift, **cts_options)
         replicas = {
@@ -304,12 +317,8 @@ class Testbed:
             return lambda replica: ConsistentTimeService(
                 replica, mode=mode, drift=drift, **cts_options
             )
-        if spec == "local":
-            return LocalClockSource
-        if spec == "ntp":
-            return NtpDisciplinedSource
-        if spec == "primary-backup":
-            return PrimaryBackupClockSource
+        if spec in BASELINES:
+            return BASELINES[spec]
         raise ConfigurationError(
             f"unknown time source {spec!r}; choose 'cts', 'local', 'ntp', "
             "'primary-backup' or pass a factory"

@@ -47,3 +47,15 @@ class TestLocalClockInconsistency:
         ms = call_n(bed, client, "svc", "get_time_ms", 2)
         assert all(v % 1_000_000 == 0 for v in secs)
         assert all(v % 1_000 == 0 for v in ms)
+
+
+class TestOneReadContract:
+    def test_a_baseline_read_ignores_keywords_it_has_no_use_for(self):
+        # Every time source's read takes op_id, fast_ok and floor_us: the
+        # replica's context passes them without asking the source.
+        bed = make_testbed(seed=112)
+        bed.deploy("svc", ClockApp, ["n1"], time_source="local")
+        source = bed.replicas("svc")["n1"].time_source
+        event = source.read("t", "gettimeofday", 1_234_567, op_id=(1, 1),
+                            fast_ok=False, floor_us=9_999_999)
+        assert event.value.micros == 1_234_567

@@ -11,7 +11,7 @@ from repro.core import (
     ConsistentTimeService,
     TimeTransferState,
 )
-from repro.core.guard import BYZ_WINDOW_US, STABILIZE_VALUE_GAP_US
+from repro.core.group_clock import CERTIFIED_SLACK_US, STABILIZE_VALUE_GAP_US
 from repro.errors import TimeServiceError
 from repro.net.testbed import LiveTestbed
 from repro.replication.envelope import MsgType, make_envelope
@@ -199,6 +199,103 @@ class TestOffsetRule:
         assert service.clock_state.offset_us == group_us - reading
 
 
+class TestFloorRepair:
+    """The fast-floor repair is the service's, in both modes: a floor no
+    state the replica trusts vouches for is corrupted, and no client may
+    be handed it.  Crash-only mode trusts its causal floor — only ordered
+    input raises it — so a floor that far ahead stays; the guard trusts
+    no floor."""
+
+    THREAD = "9:floors"
+    HOUR_US = 3_600_000_000
+
+    def fast_service(self, seed, byzantine):
+        bed, client = build_service(seed=seed, fast_path=True,
+                                    byzantine=byzantine)
+        call_n(bed, client, "svc", "get_time", 3)
+        return bed, bed.replicas("svc")["n2"].time_source
+
+    @staticmethod
+    def fast_read(service, thread, **kwargs):
+        """A read inside the staleness budget, so the fast path is
+        tried; returns it and the ceiling a plain group clock sets."""
+        elapsed = 500
+        reading = service._last_commit_physical_us + elapsed
+        ceiling = (service.clock_state.last_group_us + elapsed
+                   + service.drift_bound.error_us(elapsed)
+                   + CERTIFIED_SLACK_US)
+        return service.read(thread, "gettimeofday", reading, **kwargs), ceiling
+
+    @pytest.mark.parametrize("byzantine", [False, True],
+                             ids=["crash-only", "byzantine"])
+    def test_the_fast_path_serves_no_corrupt_floor(self, byzantine):
+        bed, service = self.fast_service(216, byzantine)
+        # Both floors an hour ahead; crash-only mode keeps its causal
+        # floor, so only the fast floor is planted there.
+        state = service.clock_state
+        state.fast_floor_us = state.last_group_us + self.HOUR_US
+        if byzantine:
+            state.causal_floor_us = state.fast_floor_us
+        fallbacks = service.stats.fast_path_fallbacks
+        result, ceiling = self.fast_read(service, self.THREAD)
+        bed.run(0.05)
+        assert result.triggered and result.value.micros <= ceiling
+        assert service.stats.stabilizations == {"fast-floor": 1}
+        assert service.stats.fast_path_fallbacks == fallbacks + 1
+        assert state.causal_floor_us is None
+
+    def test_crash_only_trusts_a_stamp_far_ahead(self):
+        # Another group's stamp (or a session floor) an hour ahead is
+        # ordered input: the read is served above it, and nothing is
+        # repaired.
+        bed, service = self.fast_service(218, byzantine=False)
+        stamp = service.clock_state.last_group_us + self.HOUR_US
+        service.observe_timestamp(stamp)
+        result, _ceiling = self.fast_read(service, self.THREAD)
+        bed.run(0.05)
+        assert result.triggered and result.value.micros > stamp
+        assert service.clock_state.causal_floor_us == stamp
+        assert service.stats.stabilizations == {}
+
+    @pytest.mark.parametrize("byzantine", [False, True],
+                             ids=["crash-only", "byzantine"])
+    def test_a_round_drops_a_corrupt_fast_floor(self, byzantine):
+        # A buffered winner serves the read; the fast floor above it is
+        # not a read this replica served, so it must not lift the reply.
+        bed, service = self.fast_service(217, byzantine)
+        handler = service._handler(self.THREAD)
+        group_us = service.clock_state.last_group_us + 1_000
+        handler.recv_CCS_msg(CCSMessage(
+            self.THREAD, handler.my_round_number + 1, group_us, 0,
+            covers_req=2, covers_seq=1))
+        service.clock_state.fast_floor_us = group_us + self.HOUR_US
+        result = service.read(self.THREAD, "gettimeofday", now_us(service),
+                              op_id=(2, 1))
+        assert result.triggered and result.value.micros == group_us
+        assert service.stats.stabilizations == {"fast-floor": 1}
+        assert service.clock_state.fast_floor_us == group_us
+
+    def test_crash_only_keeps_a_session_floor_it_served(self):
+        # A request's session floor an hour ahead lifts its reply, and the
+        # fast floor with it; a later op a retained round serves must not
+        # step back below that reply.
+        bed, service = self.fast_service(219, byzantine=False)
+        handler = service._handler(self.THREAD)
+        group_us = service.clock_state.last_group_us + 1_000
+        for seq, value in enumerate((group_us, group_us + 1_000), start=1):
+            handler.recv_CCS_msg(CCSMessage(
+                self.THREAD, handler.my_round_number + seq, value, 0,
+                covers_req=seq + 1, covers_seq=1))
+        session = group_us + self.HOUR_US
+        first = service.read(self.THREAD, "gettimeofday", now_us(service),
+                             op_id=(2, 1), floor_us=session)
+        second = service.read(self.THREAD, "gettimeofday", now_us(service),
+                              op_id=(3, 1))
+        assert first.value.micros == session + 1
+        assert second.value.micros > first.value.micros
+        assert service.stats.stabilizations == {}
+
+
 class TestRejectEvidence:
     """The guard's anchor repair counts each sender's latest rejected
     value: a seconds-old entry must not veto a fresh quorum."""
@@ -212,7 +309,7 @@ class TestRejectEvidence:
         reading, anchor = now_us(service), service._last_commit_physical_us
         elapsed = reading - anchor
         fresh = (service.clock_state.last_group_us + elapsed
-                 + service.drift_bound.error_us(elapsed) + BYZ_WINDOW_US
+                 + service.drift_bound.error_us(elapsed) + CERTIFIED_SLACK_US
                  + 20_000)  # lag-scale too high: honest winners, late anchor
         service.guard._reject_evidence["too-high"]["n2"] = fresh - 2_000_000
         assert service.stats.stabilizations == {}

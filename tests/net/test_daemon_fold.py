@@ -21,10 +21,9 @@ def stack(bed, gateway):
     return {
         "totem": bed.processors[node_id].config,
         "membership": bed.processors[node_id].static_membership,
-        "replica": type(replica),
+        "replica": (type(replica), replica._serial),
         "source": (type(source), source.mode, source.fast_path,
-                   source.max_staleness_us,
-                   source.supports_concurrent_reads),
+                   source.max_staleness_us),
         "byzantine": source.guard is not None,
         "signed": bed.node(node_id).iface.auth is not None,
         "admission": gateway.admission.config,
@@ -58,6 +57,22 @@ def test_daemon_and_bed_node_have_the_same_stack(auth_key):
     finally:
         daemon.shutdown()
         bed.shutdown()
+
+
+def test_coalesce_is_the_replicas_option():
+    # ``repro serve --no-coalesce`` hands ``coalesce=False`` to the bed,
+    # which builds a serial replica; by default the replica overlaps its
+    # reads.
+    serial = {}
+    for coalesce in (True, False):
+        daemon = NodeDaemon(DaemonConfig(
+            node_id="n0", peers={"n0": ("127.0.0.1", 0)},
+            time_options=dict(coalesce=coalesce)))
+        try:
+            serial[coalesce] = daemon.replica._serial
+        finally:
+            daemon.shutdown()
+    assert serial == {True: False, False: True}
 
 
 def test_the_daemons_ring_is_the_whole_address_book():

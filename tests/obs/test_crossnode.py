@@ -212,6 +212,18 @@ class TestOpTimeline:
         tl.hops.append(Hop("reply.recv", "c0"))
         assert tl.complete
 
+    def test_a_fast_served_op_is_complete_without_a_round(self):
+        # The fast path serves a drift-bounded local value: there is no
+        # round.won to bind, and the chain is whole without one.
+        stages = [Hop("client.send", "c0"), Hop("gateway.inject", "n0"),
+                  Hop("reply.recv", "c0")]
+        fast = OpTimeline("x", hops=stages + [
+            Hop("served", "n0", detail={"round": None, "fast": True})])
+        assert fast.complete
+        slow = OpTimeline("y", hops=stages + [
+            Hop("served", "n0", detail={"round": 5, "fast": False})])
+        assert not slow.complete
+
     def test_unknown_stages_sort_last(self):
         tl = OpTimeline("x", hops=[Hop("mystery", "n0"),
                                    Hop("client.send", "c0")])

@@ -20,13 +20,12 @@ class ScriptedSource(TimeSource):
     """Every read parks until the next CCS delivery completes it."""
 
     name = "scripted"
-    supports_concurrent_reads = True
 
     def __init__(self, replica):
         self.sim = replica.sim
         self.pending = []
 
-    def read(self, thread_id, call_name, physical_us):
+    def read(self, thread_id, call_name, physical_us, **_ignored):
         read = ClockRead(self.sim)
         self.pending.append(read)
         return read

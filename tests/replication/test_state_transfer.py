@@ -134,7 +134,7 @@ class TestGetStateOnTheRequestQueue:
         client = bed.client("n0")
         bed.start()
         donor = bed.replicas("svc")["n1"]
-        assert donor.time_source.supports_concurrent_reads is pipelined
+        assert donor._serial is not pipelined
         queued = []
         submit = donor._submit
         donor._submit = lambda item: (queued.append(item), submit(item))[1]

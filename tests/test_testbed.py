@@ -55,6 +55,30 @@ class TestDeployment:
         assert len(created) == 1
         assert bed.replicas("svc")["n1"].time_source is created[0]
 
+    def test_the_bed_decides_whether_a_replica_overlaps_reads(self):
+        # ``coalesce`` is the replica's option, decided where the bed
+        # builds it together with the style's ``supports_pipelining``;
+        # a baseline's replicas run serially whatever it says.
+        bed = Testbed()
+        deployments = {
+            "cts": {},
+            "cts-serial": {"coalesce": False},
+            "passive": {"style": "passive"},
+            "local": {"time_source": "local", "coalesce": True},
+            "ntp": {"time_source": "ntp"},
+            "local-class": {"time_source": LocalClockSource},
+            "primary-backup": {"time_source": "primary-backup"},
+        }
+        serial = {group: bed.deploy(group, ClockApp, ["n1"],
+                                    **options)["n1"]._serial
+                  for group, options in deployments.items()}
+        assert serial == {"cts": False, "cts-serial": True, "passive": True,
+                          "local": True, "ntp": True, "local-class": True,
+                          "primary-backup": True}
+        client = bed.client("n0")
+        bed.start()
+        assert len(call_n(bed, client, "local", "get_time", 2)) == 2
+
     def test_deploy_after_start(self):
         bed = Testbed(seed=3)
         bed.start()
