@@ -75,7 +75,7 @@ class InvariantOracle:
     Wire-up::
 
         oracle = InvariantOracle(staleness_budget_us=2_000)
-        oracle.attach()                       # subscribes to trace
+        oracle.attach(bed.obs.tracer)         # hears that bed's rounds
         ...
         oracle.observe_reply("c0", value_us, wall_s=t, rtt_s=dt)
         oracle.note_recovery("n2")
@@ -158,10 +158,11 @@ class InvariantOracle:
 
     # -- lifecycle -------------------------------------------------------
 
-    def attach(self):
-        """Subscribe to telemetry (enables the tracer if it was off)."""
+    def attach(self, tracer: trace.Tracer):
+        """Subscribe to the judged bed's tracer (enables it if it was
+        off)."""
         if self._unsubscribe is None:
-            self._unsubscribe = trace.subscribe(self._on_trace)
+            self._unsubscribe = tracer.subscribe(self._on_trace)
         return self
 
     def detach(self) -> None:

@@ -37,6 +37,7 @@ from ..errors import ConfigurationError, ReproError
 from ..net.client import LiveCaller
 from ..net.daemon import TimeApp
 from ..net.testbed import LiveTestbed
+from ..obs import Bus
 from ..obs.flight import FlightRecorder
 from ..obs.crossnode import CrossNodeSpanAssembler, TraceShardWriter, load_shards
 from ..sim.faults import FaultEvent, FaultPlan
@@ -101,13 +102,14 @@ class JudgedRun:
         """
         self.bed = bed
         bed.record()  # the oracle's end-of-run check reads every commit
+        tracer = bed.obs.tracer  # this bed's events, not another's
         writer = None
         if self.artifacts_dir is not None:
-            writer = TraceShardWriter(self.artifacts_dir)
-            self.flight.start()
+            writer = TraceShardWriter(self.artifacts_dir, tracer)
+            self.flight.start(tracer)
             if isinstance(bed, LiveTestbed):
                 bed.transport.record_frames(self.flight)
-        self.oracle.attach()
+        self.oracle.attach(tracer)
         try:
             if len(groups) == 1:
                 # A join that first recovers a crashed node rebuilds its
@@ -210,7 +212,8 @@ def oracle_fed_clients(count: int, bed: LiveTestbed,
                              trace_id=outcome.trace_id)
 
     servers = [bed.node(node_id).address for node_id in bed.node_ids]
-    callers = [LiveCaller(bed.kernel, servers, client_id=f"chaos{i}")
+    callers = [LiveCaller(bed.kernel, servers, client_id=f"chaos{i}",
+                          obs=bed.obs)
                for i in range(count)]
     sessions = ClockSessions(bed.sim, callers, on_reply=observe,
                              pace_s=0.005)
@@ -241,12 +244,14 @@ def run_chaos(
     fast_path: bool = True,
     max_staleness_us: int = 2_000,
     artifacts_dir: Optional[str] = None,
+    obs: Optional[Bus] = None,
 ) -> Dict:
     """Run one chaos scenario; return the JSON-able verdict.
 
     With ``artifacts_dir`` set the verdict gains a ``trace`` section
     with the cross-node op timelines assembled from the run's shards,
     and ``flight_dumps``, the flight-recorder artifacts it wrote.
+    ``obs`` is the bus the bed records into (its own by default).
     """
     duration = duration_s if duration_s is not None else scenario.duration_s
     n_clients = clients if clients is not None else scenario.clients
@@ -255,7 +260,8 @@ def run_chaos(
                     duration_s=duration, artifacts_dir=artifacts_dir,
                     staleness_budget_us=max_staleness_us)
     with LiveTestbed(node_ids=scenario.node_ids, seed=seed, chaos_seed=seed,
-                     auth_secret=f"chaos-{seed}" if byzantine else None) as bed:
+                     auth_secret=f"chaos-{seed}" if byzantine else None,
+                     obs=obs) as bed:
         bed.deploy(GROUP, TimeApp, nodes=scenario.node_ids,
                    style="active", time_source="cts",
                    fast_path=fast_path, max_staleness_us=max_staleness_us,

@@ -32,11 +32,12 @@ from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from .. import obs
 from ..errors import NetworkError
+from ..obs import Bus
 from ..net.transport import Transport, TransportPort
 from .byzantine import ByzantineRules
 
 #: ChaosTransport tally (keyed by sending node) -> the family read from it.
-COUNTERS = obs.REGISTRY.read_counters({
+COUNTERS = obs.read_counters({
     "dropped": ("chaos_frames_dropped_total", "frames lost to injected loss", "node"),
     "delayed": ("chaos_frames_delayed_total",
                 "frames held back by injected delay", "node"),
@@ -134,7 +135,8 @@ class ChaosTransport(Transport):
     has no self leg at all.
     """
 
-    def __init__(self, inner: Transport, kernel, *, seed: int = 0):
+    def __init__(self, inner: Transport, kernel, *, seed: int = 0,
+                 obs: Optional[Bus] = None):
         self.inner = inner
         self.kernel = kernel
         self.seed = seed
@@ -152,7 +154,8 @@ class ChaosTransport(Transport):
         self.delayed: Dict[str, int] = Counter()
         self.duplicated: Dict[str, int] = Counter()
         self.blocked: Dict[str, int] = Counter()
-        obs.REGISTRY.watch(self, COUNTERS)
+        self.metrics = (obs or Bus()).metrics
+        self.metrics.watch(self, COUNTERS)
 
     # -- topology (Transport contract) ----------------------------------
 

@@ -34,9 +34,10 @@ reconfiguration drills::
     python -m repro control sequence --verdict-json verdict.json
 
 Observability (see ``docs/observability.md``): ``--metrics out.jsonl``
-enables the metrics registry and writes a JSONL + Prometheus-text
-export; on a ``fig`` run it then checks that the export is populated end
-to end.  ``--trace`` streams protocol trace events to stderr.
+records into one telemetry bus that every bed the command builds is
+handed, and writes its JSONL + Prometheus-text export; on a ``fig`` run
+it then checks that the export is populated end to end.  ``--trace``
+streams the bus's protocol trace events to stderr.
 """
 
 from __future__ import annotations
@@ -51,6 +52,7 @@ from typing import List, Optional
 from . import obs, trace
 from .analysis import format_table, summarize
 from .errors import ConfigurationError
+from .obs import CrossNodeSpanAssembler, MetricsRegistry
 from .obs import export as obs_export
 from .testbed import STYLES
 from .workloads import (
@@ -70,7 +72,8 @@ def fig1(args) -> None:
     for label, source in (("local clocks", "local"),
                           ("NTP-disciplined", "ntp"),
                           ("consistent time service", "cts")):
-        s = summarize(measure_divergence(source, seed=args.seed, calls=30))
+        s = summarize(measure_divergence(source, seed=args.seed, calls=30,
+                                         obs=args.obs))
         rows.append([label, f"{s.mean:.1f}", f"{s.maximum:.0f}"])
     print(format_table(["clock source", "mean divergence us", "max us"],
                        rows, title="FIG1 replica clock divergence"))
@@ -78,9 +81,11 @@ def fig1(args) -> None:
 
 def fig5(args) -> None:
     without = run_latency_workload(
-        time_source="local", invocations=args.rounds, seed=args.seed)
+        time_source="local", invocations=args.rounds, seed=args.seed,
+        obs=args.obs)
     with_cts = run_latency_workload(
-        time_source="cts", invocations=args.rounds, seed=args.seed)
+        time_source="cts", invocations=args.rounds, seed=args.seed,
+        obs=args.obs)
     rows = []
     for name, run in (("without CTS", without), ("with CTS", with_cts)):
         s = summarize(run.latencies_us)
@@ -95,7 +100,7 @@ def fig5(args) -> None:
 def ccs(args) -> None:
     run = run_latency_workload(
         time_source="cts", invocations=args.rounds, seed=args.seed,
-        coalesce=args.coalesce)
+        coalesce=args.coalesce, obs=args.obs)
     rows = [[node, count, f"{count / max(1, run.rounds):.2%}"]
             for node, count in sorted(run.ccs_transmitted.items())]
     rows.append(["total", sum(run.ccs_transmitted.values()),
@@ -111,7 +116,8 @@ def ccs(args) -> None:
 
 
 def fig6(args) -> None:
-    result = run_skew_drift_workload(rounds=args.rounds, seed=args.seed)
+    result = run_skew_drift_workload(rounds=args.rounds, seed=args.seed,
+                                     obs=args.obs)
     print(f"FIG6 skew & drift over {args.rounds} rounds")
     print(f"  synchronizer totals: {result.winner_counts()}")
     first_winner = result.winners[0]
@@ -125,7 +131,8 @@ def fig6(args) -> None:
 
 
 def failover(args) -> None:
-    summary = failover_comparison(range(args.seed, args.seed + args.seeds))
+    summary = failover_comparison(range(args.seed, args.seed + args.seeds),
+                                  obs=args.obs)
     rows = []
     for source in ("primary-backup", "cts"):
         data = summary[source]
@@ -138,7 +145,7 @@ def failover(args) -> None:
 
 def drift(args) -> None:
     results, mean_delay = run_drift_ablation(rounds=args.rounds,
-                                             seed=args.seed)
+                                             seed=args.seed, obs=args.obs)
     rows = [[label, f"{results[name].group_drift_ppm() / 1e4:+.2f}%"]
             for name, label in (
                 ("none", "none"),
@@ -149,7 +156,7 @@ def drift(args) -> None:
 
 
 def recovery(args) -> None:
-    result = run_recovery_workload(seed=args.seed)
+    result = run_recovery_workload(seed=args.seed, obs=args.obs)
     print("EXT-RECOVERY new-clock integration")
     print(f"  monotone across join:   {result.monotone}")
     print(f"  joiner consistent:      {result.joiner_consistent}")
@@ -158,7 +165,7 @@ def recovery(args) -> None:
 
 
 def partition(args) -> None:
-    outcome = run_partition_cycle(args.seed)
+    outcome = run_partition_cycle(args.seed, obs=args.obs)
     print("EXT-PARTITION primary-component cycle")
     print(f"  n3 partitioned away; suspended: "
           f"{outcome['minority_suspended']}")
@@ -170,7 +177,8 @@ def partition(args) -> None:
 def scale(args) -> None:
     rows = []
     for replicas in (2, 3, 4, 5):
-        latency, _, _ = run_at_size(replicas, calls=60, seed=args.seed)
+        latency, _, _ = run_at_size(replicas, calls=60, seed=args.seed,
+                                    obs=args.obs)
         rows.append([replicas, f"{latency.p50:.0f}", f"{latency.p90:.0f}"])
     print(format_table(["replicas", "p50 latency (us)", "p90 (us)"], rows,
                        title="EXT-SCALE group-size sweep"))
@@ -211,21 +219,23 @@ def cmd_fig(args) -> int:
     return 0
 
 
-def _check_export(tracker: obs.RoundSpanTracker) -> int:
+def _check_export(registry: MetricsRegistry,
+                  assembler: CrossNodeSpanAssembler) -> int:
     """``--metrics`` on a ``fig`` run: print the registry and the round
     spans; fail (1) on an empty counter family, histogram or span list."""
     print(obs_export.summary_table(
-        obs.REGISTRY, title="OBS-SMOKE registry after the run"))
-    spans = tracker.completed()
+        registry, title="OBS-SMOKE registry after the run"))
+    spans = assembler.round_spans()
     print(f"round spans: {len(spans)} completed; "
-          f"synchronizers: {tracker.winner_counts()}")
+          f"synchronizers: {assembler.winner_counts()}")
     failures = [
         f"counter family {name} is empty"
         for name in ("ccs_rounds_total", "ccs_sent_total", "cts_ops_total",
                      "net_frames_sent_total", "totem_tokens_forwarded_total")
-        if not obs.REGISTRY.get(name).total()
+        if not (registry.get(name) and registry.get(name).total())
     ]
-    if not obs.REGISTRY.get("cts_round_latency_us").total_count():
+    latency = registry.get("cts_round_latency_us")
+    if not (latency and latency.total_count()):
         failures.append("round-latency histogram is empty")
     if not spans:
         failures.append("no round spans were assembled")
@@ -284,7 +294,7 @@ def cmd_serve(args) -> int:
         auth_key=args.auth_key,
     )
     try:
-        daemon = NodeDaemon(config)
+        daemon = NodeDaemon(config, obs=args.obs)
     except (KeyError, ConfigurationError) as error:
         print(f"serve: {error.args[0]}", file=sys.stderr)
         return 2
@@ -299,7 +309,7 @@ def cmd_call(args) -> int:
 
     method = args.target or "gettimeofday"
     kernel = LiveKernel()
-    caller = LiveCaller(kernel, args.connect, group=args.group)
+    caller = LiveCaller(kernel, args.connect, group=args.group, obs=args.obs)
     status = 0
     previous_micros = None
     try:
@@ -357,6 +367,7 @@ def cmd_chaos(args) -> int:
         clients=args.clients,
         max_staleness_us=args.max_staleness_us,
         artifacts_dir=args.artifacts_dir,
+        obs=args.obs,
     )
     return _emit_verdict(verdict, args)
 
@@ -393,6 +404,7 @@ def cmd_control(args) -> int:
         require_rounds=args.require_rounds,
         fast_path=args.fast_path,
         max_staleness_us=args.max_staleness_us,
+        obs=args.obs,
     )
     if action == "rolling-restart":
         verdict = run_rolling_restart(num_nodes=args.nodes, **common)
@@ -474,34 +486,41 @@ REQUIRED = {"serve": ("node", "peers"), "call": ("connect",),
 def _observability(args):
     """Wrap one command in the telemetry the flags asked for.
 
-    ``--metrics PATH`` enables the registry, collects trace events and
-    round spans (the span tracker is what the block receives), and on
-    exit writes a JSONL export to PATH plus a Prometheus text exposition
-    next to it.  ``--trace`` streams every protocol trace event to
-    stderr as it happens.
+    Either flag builds one :class:`~repro.obs.Bus` as ``args.obs``,
+    which the command hands to every bed it builds (so ``fig failover``
+    sums its beds per label); with neither each bed keeps its own.
+    ``--metrics PATH`` records into it and collects its trace events,
+    and on exit writes a JSONL export to PATH plus a Prometheus text
+    exposition next to it; the block receives the span assembler those
+    events are folded into.  ``--trace`` streams every protocol trace
+    event to stderr as it happens.
     """
+    if not (args.trace or args.metrics):
+        yield None
+        return
+    bus = args.obs = obs.Bus()
     events: List[trace.TraceEvent] = []
-    tracker = obs.RoundSpanTracker()
+    spans = CrossNodeSpanAssembler()
     with ExitStack() as stack:
         if args.trace:
-            stack.callback(trace.subscribe(
+            stack.callback(bus.tracer.subscribe(
                 lambda event: print(str(event), file=sys.stderr)))
         if not args.metrics:
             yield None
             return
-        stack.enter_context(obs.REGISTRY.session())
-        stack.enter_context(tracker)
-        stack.callback(trace.subscribe(events.append))
+        stack.enter_context(bus.metrics.session())
+        stack.callback(bus.tracer.subscribe(events.append))
         try:
-            yield tracker
+            yield spans
         finally:
             stack.close()
+            spans.add_events(map(obs_export.trace_event_record, events))
             path = Path(args.metrics)
             written = obs_export.write_jsonl(
-                obs.REGISTRY, path,
-                trace_events=events, spans=tracker.completed())
+                bus.metrics, path,
+                trace_events=events, spans=spans.round_spans())
             prom_path = path.with_suffix(".prom")
-            prom_path.write_text(obs_export.prometheus_text(obs.REGISTRY))
+            prom_path.write_text(obs_export.prometheus_text(bus.metrics))
             print(f"[obs] wrote {written} records to {path} and a "
                   f"Prometheus exposition to {prom_path}", file=sys.stderr)
 
@@ -530,6 +549,9 @@ def build_parser() -> argparse.ArgumentParser:
                              "in Prometheus text exposition format)")
     parser.add_argument("--trace", action="store_true",
                         help="stream protocol trace events to stderr")
+    # The telemetry bus the command's beds share (set by --metrics or
+    # --trace; None: each bed keeps its own).
+    parser.set_defaults(obs=None)
     svc = parser.add_argument_group(
         "time service tuning",
         "CTS options for 'serve', 'fig ccs' and 'control'")
@@ -643,10 +665,10 @@ def main(argv: Optional[List[str]] = None) -> int:
             path.touch()
         except OSError as error:
             parser.error(f"cannot write metrics file {path}: {error}")
-    with _observability(args) as tracker:
+    with _observability(args) as spans:
         status = COMMANDS[args.experiment](args)
-    if tracker is not None and args.experiment == "fig":
-        status |= _check_export(tracker)
+    if spans is not None and args.experiment == "fig":
+        status |= _check_export(args.obs.metrics, spans)
     return status
 
 

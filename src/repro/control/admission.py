@@ -31,8 +31,9 @@ from dataclasses import dataclass, field
 from typing import Callable, Deque, Dict, Optional
 
 from .. import obs
+from ..obs import Bus
 
-H_ADM_QUEUE_AGE = obs.REGISTRY.histogram(
+H_ADM_QUEUE_AGE = obs.histogram(
     "cts_admission_queue_age_seconds",
     "time from arrival to dispatch or shed for queued operations",
     unit="s",
@@ -86,7 +87,7 @@ class AdmissionStats:
 
 
 #: AdmissionStats field -> the registry family read from it.
-COUNTERS = obs.REGISTRY.read_counters({
+COUNTERS = obs.read_counters({
     "admitted": ("cts_admission_admitted_total",
                  "operations dispatched into the total order"),
     "queued": ("cts_admission_queued_total",
@@ -96,7 +97,7 @@ COUNTERS = obs.REGISTRY.read_counters({
              "(global_full|client_full|deadline|aged_out)", "reason"),
 })
 #: AdmissionController property -> the gauge family read from it.
-GAUGES = obs.REGISTRY.read_gauges({
+GAUGES = obs.read_gauges({
     "queue_depth": ("cts_admission_queue_depth", "operations currently parked"),
     "inflight": ("cts_admission_inflight",
                  "operations in the order awaiting replies"),
@@ -121,17 +122,20 @@ class AdmissionController:
     invoked, possibly later (a parked operation dispatches when capacity
     frees, or sheds when it ages out).  :meth:`complete` must be called
     when the operation's first reply leaves the gateway.  ``clock`` is
-    the host's time base, seconds: the kernel's, as every other stamp.
+    the host's time base, seconds: the kernel's, as every other stamp;
+    ``obs`` the bed's bus it records into.
     """
 
     def __init__(self, config: Optional[AdmissionConfig] = None, *,
                  node_id: str = "?",
-                 clock: Callable[[], float]) -> None:
+                 clock: Callable[[], float],
+                 obs: Optional[Bus] = None) -> None:
         self.config = config or AdmissionConfig()
         self.node_id = node_id
         self._clock = clock
+        self.metrics = (obs or Bus()).metrics
         self.stats = AdmissionStats()
-        obs.REGISTRY.watch(self.stats, COUNTERS, node=node_id)
+        self.metrics.watch(self.stats, COUNTERS, node=node_id)
         #: op key -> dispatch instant (insertion-ordered for timeouts).
         self._inflight: "OrderedDict[object, float]" = OrderedDict()
         self._queues: Dict[str, Deque[_Pending]] = {}
@@ -140,7 +144,7 @@ class AdmissionController:
         self._depth = 0
         #: EWMA of dispatch->complete service time (retry-after basis).
         self._service_ewma_s = 0.05
-        obs.REGISTRY.watch(self, GAUGES, node=node_id)
+        self.metrics.watch(self, GAUGES, node=node_id)
 
     # -- host interface ------------------------------------------------
 
@@ -238,8 +242,8 @@ class AdmissionController:
         while self._depth and len(self._inflight) < self.config.max_inflight:
             entry = self._next_fair()
             age = now - entry.enqueued_at
-            if obs.REGISTRY.enabled:
-                H_ADM_QUEUE_AGE.observe(age, node=self.node_id)
+            if self.metrics.enabled:
+                self.metrics.observe(H_ADM_QUEUE_AGE, age, node=self.node_id)
             if age > self.config.max_queue_delay_s:
                 self._shed_now(entry.shed, "aged_out", now)
                 continue

@@ -30,6 +30,7 @@ from ..chaos.runner import JudgedRun, gateway_tallies, oracle_fed_clients
 from ..errors import ReconfigurationError, ReproError
 from ..net.daemon import TimeApp
 from ..net.testbed import LiveTestbed
+from ..obs import Bus
 from .admission import AdmissionConfig
 from .plane import ControlPlane
 
@@ -38,12 +39,13 @@ GROUP = "timesvc"
 def _judge_script(mode: str, node_ids: List[str], serving: List[str],
                   script: Callable[..., Dict], *, seed: int, clients: int,
                   settle_s: float, fast_path: bool, max_staleness_us: int,
-                  admission_config: Optional[AdmissionConfig]) -> Dict:
-    """Boot ``node_ids`` with the group on ``serving``, load it, run the
-    script under the oracle, and return the verdict.  ``script(plane,
-    step)`` runs its steps through ``step(label, action) -> bool``
-    (False: the step failed, stop) and returns the verdict sections it
-    adds."""
+                  admission_config: Optional[AdmissionConfig],
+                  obs: Optional[Bus]) -> Dict:
+    """Boot ``node_ids`` with the group on ``serving`` (recording into
+    ``obs``), load it, run the script under the oracle, and return the
+    verdict.  ``script(plane, step)`` runs its steps through
+    ``step(label, action) -> bool`` (False: the step failed, stop) and
+    returns the verdict sections it adds."""
     # Reconfiguration legitimately lets served time lag while a
     # membership change drains its round backlog; the oracle must see
     # the lag *repaid*, so give it a transient bound sized to a restart
@@ -73,7 +75,7 @@ def _judge_script(mode: str, node_ids: List[str], serving: List[str],
             raise failure  # a protocol failure: the run ends here
         return failure is None
 
-    with LiveTestbed(node_ids=node_ids, seed=seed) as bed:
+    with LiveTestbed(node_ids=node_ids, seed=seed, obs=obs) as bed:
         bed.deploy(GROUP, TimeApp, nodes=serving, style="active",
                    time_source="cts", fast_path=fast_path,
                    max_staleness_us=max_staleness_us)
@@ -121,6 +123,7 @@ def run_rolling_restart(
     fast_path: bool = True,
     max_staleness_us: int = 2_000,
     admission_config: Optional[AdmissionConfig] = None,
+    obs: Optional[Bus] = None,
 ) -> Dict[str, object]:
     """Cycle every node of a live group under sustained client load."""
     node_ids = [f"n{i}" for i in range(num_nodes)]
@@ -133,7 +136,8 @@ def run_rolling_restart(
     return _judge_script(
         "rolling-restart", node_ids, node_ids, script, seed=seed,
         clients=clients, settle_s=settle_s, fast_path=fast_path,
-        max_staleness_us=max_staleness_us, admission_config=admission_config)
+        max_staleness_us=max_staleness_us, admission_config=admission_config,
+        obs=obs)
 
 
 def run_reconfig_sequence(
@@ -146,6 +150,7 @@ def run_reconfig_sequence(
     fast_path: bool = True,
     max_staleness_us: int = 2_000,
     admission_config: Optional[AdmissionConfig] = None,
+    obs: Optional[Bus] = None,
 ) -> Dict[str, object]:
     """The acceptance script: join a 4th replica into a 3-node group,
     drain the original primary, rolling-restart the remaining members —
@@ -169,4 +174,5 @@ def run_reconfig_sequence(
     return _judge_script(
         "reconfig-sequence", node_ids, serving, script, seed=seed,
         clients=clients, settle_s=settle_s, fast_path=fast_path,
-        max_staleness_us=max_staleness_us, admission_config=admission_config)
+        max_staleness_us=max_staleness_us, admission_config=admission_config,
+        obs=obs)

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from typing import Dict, Optional, TYPE_CHECKING
 
-from .. import trace
 from ..replication.envelope import Envelope
 from .ccs_handler import CCSHandler
 from .group_clock import (CERTIFIED_SLACK_US, STABILIZE_ROUND_GAP,
@@ -46,6 +45,7 @@ class ByzantineGuard:
 
     def __init__(self, service: "ConsistentTimeService"):
         self.service = service
+        self.tracer = service.tracer
         #: side ("too-high"/"too-low") -> {sender: latest rejected
         #: value} since the last accepted winner.
         self._reject_evidence: Dict[str, Dict[str, int]] = {
@@ -244,8 +244,8 @@ class ByzantineGuard:
             # behind it.  Discarding the message alone is enough.
             return
         svc._accepted[thread_id] = msg.round_number
-        if trace.TRACER.enabled:
-            trace.emit(
+        if self.tracer.enabled:
+            self.tracer.emit(
                 "round.skipped", svc.node_id, thread=thread_id,
                 round=msg.round_number, t=svc.sim.now)
         handler = svc._handlers.get(thread_id)
@@ -265,8 +265,8 @@ class ByzantineGuard:
         svc = self.service
         rejected = svc.stats.winners_rejected
         rejected[reason] = rejected.get(reason, 0) + 1
-        if trace.TRACER.enabled:
-            trace.emit(
+        if self.tracer.enabled:
+            self.tracer.emit(
                 "round.rejected", svc.node_id, thread=msg.thread_id,
                 round=msg.round_number, sender=envelope.sender,
                 proposed_us=msg.proposed_micros, reason=reason,

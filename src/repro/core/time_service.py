@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple, TYPE_CHECKING
 
 from ..errors import TimeServiceError
-from .. import obs, trace
+from .. import obs
 from ..replication.envelope import Envelope, MsgType, make_envelope
 from ..replication.timesource import ClockRead, TimeSource
 from ..sim.clock import ClockValue
@@ -72,19 +72,19 @@ MODE_PRIMARY = "primary"
 
 # -- pushed histograms (zero-cost while the registry is off); the
 # counter and gauge families are read, see COUNTERS and GAUGES below ---
-M_ROUND_LATENCY = obs.REGISTRY.histogram(
+M_ROUND_LATENCY = obs.histogram(
     "cts_round_latency_us",
     "CCS round latency: interposition to group-value delivery", unit="us",
     buckets=(50, 100, 200, 400, 800, 1_600, 3_200, 6_400, 12_800, 25_600,
              51_200))
-M_BATCH = obs.REGISTRY.histogram(
+M_BATCH = obs.histogram(
     "ccs_round_batch_size", "operations served per consumed CCS round",
     unit="ops", buckets=(1, 2, 4, 8, 16, 32, 64, 128))
-M_SKEW_ABS = obs.REGISTRY.histogram(
+M_SKEW_ABS = obs.histogram(
     "cts_estimated_skew_abs_us",
     "absolute estimated inter-replica skew per round", unit="us",
     buckets=(10, 25, 50, 100, 250, 500, 1_000, 2_500, 5_000, 10_000))
-M_FAST_STALENESS = obs.REGISTRY.histogram(
+M_FAST_STALENESS = obs.histogram(
     "cts_fast_path_staleness_us",
     "staleness of fast-path reads (physical-clock time since the last "
     "committed round)", unit="us",
@@ -140,7 +140,7 @@ class CTSStats:
 
 
 #: CTSStats field -> the registry family read from it.
-COUNTERS = obs.REGISTRY.read_counters({
+COUNTERS = obs.read_counters({
     "rounds_completed": ("ccs_rounds_total", "CCS rounds completed"),
     "ccs_sent": ("ccs_sent_total", "CCS messages handed to Totem for transmission"),
     "ccs_suppressed": (
@@ -181,9 +181,9 @@ COUNTERS = obs.REGISTRY.read_counters({
 })
 #: GroupClockState / ConsistentTimeService attribute -> the gauge family
 #: read from it; the staleness budget only from a fast-path service.
-CLOCK_GAUGES = obs.REGISTRY.read_gauges({"offset_us": (
+CLOCK_GAUGES = obs.read_gauges({"offset_us": (
     "cts_clock_offset_us", "my_clock_offset after the last committed round")})
-GAUGES = obs.REGISTRY.read_gauges({
+GAUGES = obs.read_gauges({
     "last_skew_us": (
         "cts_estimated_skew_us",
         "estimated inter-replica skew at the last round: this replica's "
@@ -192,7 +192,7 @@ GAUGES = obs.REGISTRY.read_gauges({
         "cts_drift_bound_error_us",
         "certified worst-case drift error of the last fast-path read"),
 })
-FAST_PATH_GAUGES = obs.REGISTRY.read_gauges({"max_staleness_us": (
+FAST_PATH_GAUGES = obs.read_gauges({"max_staleness_us": (
     "cts_max_staleness_us", "configured fast-path staleness budget")})
 
 
@@ -218,6 +218,8 @@ class ConsistentTimeService(TimeSource):
         self.replica = replica
         self.node_id = replica.node_id
         self.sim = replica.sim
+        self.tracer = replica.tracer
+        self.metrics = replica.runtime.metrics
         self.mode = mode
         self.drift = drift or NoCompensation()
         self.suppress_pending = suppress_pending
@@ -231,13 +233,13 @@ class ConsistentTimeService(TimeSource):
 
         self.clock_state = GroupClockState()
         self.stats = CTSStats()
-        obs.REGISTRY.watch(self.stats, COUNTERS, node=self.node_id)
-        obs.REGISTRY.watch(self.clock_state, CLOCK_GAUGES, node=self.node_id)
+        self.metrics.watch(self.stats, COUNTERS, node=self.node_id)
+        self.metrics.watch(self.clock_state, CLOCK_GAUGES, node=self.node_id)
         #: Our proposal minus the winner, at the last round we proposed
         #: for; the staleness the last fast-path read was checked at.
         self.last_skew_us: Optional[int] = None
         self.last_fast_staleness_us: Optional[int] = None
-        obs.REGISTRY.watch(
+        self.metrics.watch(
             self, GAUGES + FAST_PATH_GAUGES if fast_path else GAUGES,
             node=self.node_id)
         #: CCS handler objects, one per logical thread (Section 3.1).
@@ -313,8 +315,9 @@ class ConsistentTimeService(TimeSource):
             fast_us, elapsed = fast
             self.stats.fast_path_hits += 1
             self.last_fast_staleness_us = elapsed
-            if obs.REGISTRY.enabled:
-                M_FAST_STALENESS.observe(elapsed, node=self.node_id)
+            if self.metrics.enabled:
+                self.metrics.observe(M_FAST_STALENESS, elapsed,
+                                     node=self.node_id)
             if self.recorder is not None:
                 self.recorder.fast_served.append((self.sim.now, fast_us, elapsed))
             self._serve(handler, op, fast_us, fast=True)
@@ -409,11 +412,11 @@ class ConsistentTimeService(TimeSource):
         if not fast and self.recorder is not None:
             self.recorder.served_ops[(handler.my_thread_id, op.op_id)] = group_us
         self.stats.ops_completed += 1
-        if trace.TRACER.enabled:
+        if self.tracer.enabled:
             # The cross-node assembler joins this to op.execute by
             # (node, request index) and to round.won by (node, thread,
             # round) — see repro.obs.crossnode.
-            trace.emit(
+            self.tracer.emit(
                 "op.served", self.node_id, thread=handler.my_thread_id,
                 req=op.op_id[0], op_seq=op.op_id[1], round=round_number,
                 fast=fast, group_us=value_us, t=self.sim.now,
@@ -469,8 +472,8 @@ class ConsistentTimeService(TimeSource):
             # We proposed for this round: proposal minus winner is the
             # per-round estimate of our skew against the group.
             self.last_skew_us = skew = in_flight.proposal_us - group_us
-            if obs.REGISTRY.enabled:
-                M_SKEW_ABS.observe(abs(skew), node=self.node_id)
+            if self.metrics.enabled:
+                self.metrics.observe(M_SKEW_ABS, abs(skew), node=self.node_id)
         else:
             # We never proposed for this round (it was driven by another
             # replica, or arrived while we were catching up): the reading
@@ -479,8 +482,8 @@ class ConsistentTimeService(TimeSource):
             derived_from_us = physical_us
             started_at = self.sim.now
             handler.in_flight = in_flight
-            if trace.TRACER.enabled:
-                trace.emit(
+            if self.tracer.enabled:
+                self.tracer.emit(
                     "round.start", self.node_id,
                     thread=handler.my_thread_id, round=msg.round_number,
                     proposal_us=None, call=None, buffered=True,
@@ -511,15 +514,16 @@ class ConsistentTimeService(TimeSource):
         self._last_commit_physical_us = physical_us
         self.stats.rounds_completed += 1
 
-        if obs.REGISTRY.enabled:
-            M_BATCH.observe(len(served), node=self.node_id)
+        if self.metrics.enabled:
+            self.metrics.observe(M_BATCH, len(served), node=self.node_id)
             for op in served:
-                M_ROUND_LATENCY.observe(
-                    (self.sim.now - op.started_at) * 1e6, node=self.node_id)
+                self.metrics.observe(
+                    M_ROUND_LATENCY, (self.sim.now - op.started_at) * 1e6,
+                    node=self.node_id)
         if len(served) > 1:
             self.stats.ops_coalesced += len(served) - 1
-        if trace.TRACER.enabled:
-            trace.emit(
+        if self.tracer.enabled:
+            self.tracer.emit(
                 "round.complete", self.node_id,
                 group=self.replica.group,
                 thread=handler.my_thread_id, round=msg.round_number,
@@ -558,8 +562,8 @@ class ConsistentTimeService(TimeSource):
             sent=False,
             started_at=self.sim.now,
         )
-        if trace.TRACER.enabled:
-            trace.emit(
+        if self.tracer.enabled:
+            self.tracer.emit(
                 "round.start", self.node_id, thread=handler.my_thread_id,
                 round=round_number, proposal_us=proposal_us,
                 covers=list(covers), batch=len(handler.parked),
@@ -590,8 +594,8 @@ class ConsistentTimeService(TimeSource):
         pending = handler.in_flight
         pending.sent = True
         self.stats.ccs_sent += 1
-        if trace.TRACER.enabled:
-            trace.emit(
+        if self.tracer.enabled:
+            self.tracer.emit(
                 "round.sent", self.node_id, thread=handler.my_thread_id,
                 round=pending.round_number, proposal_us=pending.proposal_us,
                 t=self.sim.now,
@@ -646,8 +650,8 @@ class ConsistentTimeService(TimeSource):
             self.recorder.winners.append(
                 (thread_id, msg.round_number, envelope.sender))
         self.clock_state.observe_group_value(msg.proposed_micros)
-        if trace.TRACER.enabled:
-            trace.emit(
+        if self.tracer.enabled:
+            self.tracer.emit(
                 "round.won", self.node_id, thread=thread_id,
                 round=msg.round_number, winner=envelope.sender,
                 group_us=msg.proposed_micros, t=self.sim.now,
@@ -659,8 +663,8 @@ class ConsistentTimeService(TimeSource):
             # physical clock; keep the message for post-recovery replay.
             self._commit(msg.proposed_micros, physical_us)
             self.stats.recovery_adoptions += 1
-            if trace.TRACER.enabled:
-                trace.emit(
+            if self.tracer.enabled:
+                self.tracer.emit(
                     "round.adopted", self.node_id, thread=thread_id,
                     round=msg.round_number, offset_us=self.clock_state.offset_us,
                     t=self.sim.now,
@@ -707,8 +711,8 @@ class ConsistentTimeService(TimeSource):
                 self._matches_my_ccs(msg.thread_id, msg.round_number)
             )
             self.stats.ccs_suppressed += cancelled
-            if cancelled and trace.TRACER.enabled:
-                trace.emit(
+            if cancelled and self.tracer.enabled:
+                self.tracer.emit(
                     "round.suppressed", self.node_id,
                     thread=msg.thread_id, round=msg.round_number,
                     beaten_by=envelope.sender, t=self.sim.now,
@@ -732,9 +736,9 @@ class ConsistentTimeService(TimeSource):
         """Count one self-stabilization repair of scrambled local state."""
         repairs = self.stats.stabilizations
         repairs[what] = repairs.get(what, 0) + 1
-        if trace.TRACER.enabled:
-            trace.emit("state.repaired", self.node_id, what=what,
-                       t=self.sim.now, **fields)
+        if self.tracer.enabled:
+            self.tracer.emit("state.repaired", self.node_id, what=what,
+                             t=self.sim.now, **fields)
 
     def _matches_my_ccs(self, thread_id: str, round_number: int) -> Callable:
         def predicate(envelope: Envelope) -> bool:

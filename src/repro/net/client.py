@@ -44,6 +44,7 @@ from typing import Dict, Generator, List, Optional, Sequence, Tuple
 
 from .. import obs, trace
 from ..errors import NetworkError, RpcTimeout
+from ..obs import Bus
 from ..replication.envelope import Envelope, MsgType, make_envelope
 from ..rpc.messages import Invocation, Result
 from ..sim.kernel import Event
@@ -89,7 +90,7 @@ class CallerStats:
 
 
 #: CallerStats field -> the registry family read from it.
-COUNTERS = obs.REGISTRY.read_counters({
+COUNTERS = obs.read_counters({
     "calls": ("client_calls_total", "calls issued by live callers"),
     "retries": ("client_retries_total",
                 "attempts beyond the first (resend of the same operation id)"),
@@ -126,7 +127,9 @@ class _Op:
 
 
 class LiveCaller:
-    """A client endpoint for a live replica group, on ``kernel``."""
+    """A client endpoint for a live replica group, on ``kernel``; it
+    traces and counts into ``obs`` (the bed's bus when it calls into an
+    in-process bed, its own otherwise)."""
 
     #: Consecutive timeouts before a server's breaker opens.
     BREAKER_THRESHOLD = 3
@@ -146,6 +149,7 @@ class LiveCaller:
         *,
         group: str = "timesvc",
         client_id: Optional[str] = None,
+        obs: Optional[Bus] = None,
     ):
         if not servers:
             raise ValueError("need at least one server address")
@@ -160,13 +164,16 @@ class LiveCaller:
         self.client_group = f"client.{self.client_id}"
         # A private one-port transport: the socket is drained, its
         # frames validated and counted, exactly as a node's are.
-        self._transport = UdpTransport(kernel.loop)
+        bus = obs or Bus()
+        self.tracer = bus.tracer
+        self.metrics = bus.metrics
+        self._transport = UdpTransport(kernel.loop, obs=bus)
         self.port = self._transport.attach(self.client_id, self._on_frame)
         self._seq = 0
         #: (conn_id, seq) -> the call waiting for those replies.
         self._pending: Dict[Tuple[int, int], _Op] = {}
         self.stats = CallerStats()
-        obs.REGISTRY.watch(self.stats, COUNTERS, client=self.client_id)
+        self.metrics.watch(self.stats, COUNTERS, client=self.client_id)
         self._breakers: Dict[Address, _Breaker] = {
             address: _Breaker() for address in self.servers}
         # Deterministic jitter so chaos runs with a fixed client id replay.
@@ -212,9 +219,9 @@ class LiveCaller:
         trace_id = trace.op_trace_id(envelope.header.op_key)
         self.stats.calls += 1
         started = sim.now
-        if trace.TRACER.enabled:
-            trace.emit("op.send", self.client_id, trace=trace_id,
-                       method=method, t=started)
+        if self.tracer.enabled:
+            self.tracer.emit("op.send", self.client_id, trace=trace_id,
+                             method=method, t=started)
 
         deadline = started + timeout
         attempts = 0
@@ -256,10 +263,11 @@ class LiveCaller:
                     if op.results:
                         self._record_success(address)
                         finished = sim.now
-                        if trace.TRACER.enabled:
-                            trace.emit("op.reply_recv", self.client_id,
-                                       trace=trace_id, replies=len(op.results),
-                                       t=finished)
+                        if self.tracer.enabled:
+                            self.tracer.emit(
+                                "op.reply_recv", self.client_id,
+                                trace=trace_id, replies=len(op.results),
+                                t=finished)
                         return CallOutcome(
                             method, op.results,
                             int((finished - started) * 1_000_000), address,

@@ -42,6 +42,7 @@ from ..control.admission import (
     overloaded_value,
 )
 from ..errors import ConfigurationError
+from ..obs import Bus
 from ..obs.flight import FlightRecorder
 from ..obs.crossnode import TraceShardWriter
 from ..obs.http import MetricsHttpServer
@@ -111,7 +112,7 @@ class DaemonConfig:
 
 
 #: ClientGateway attribute -> the registry family read from it.
-GATEWAY_COUNTERS = obs.REGISTRY.read_counters({
+GATEWAY_COUNTERS = obs.read_counters({
     "requests_injected": ("gateway_requests_total",
                           "client requests injected into the order"),
     "requests_deduplicated": ("gateway_duplicate_requests_total",
@@ -174,6 +175,8 @@ class ClientGateway:
                  node_id: str = "?",
                  admission: Optional[AdmissionController] = None) -> None:
         self.runtime = runtime
+        self.tracer = runtime.tracer
+        self.metrics = runtime.metrics
         self.port = port
         self.node_id = node_id
         #: Shed-before-collapse controller (None = admit everything).
@@ -194,7 +197,7 @@ class ClientGateway:
         self.replies_divergent = 0
         #: Idempotency-window entries evicted, by reason (window, ttl).
         self.dedup_evictions: Dict[str, int] = {}
-        obs.REGISTRY.watch(self, GATEWAY_COUNTERS, node=node_id)
+        self.metrics.watch(self, GATEWAY_COUNTERS, node=node_id)
 
     def handle(self, frame: LiveFrame) -> None:
         envelope: Envelope = frame.payload
@@ -205,9 +208,10 @@ class ClientGateway:
         self._expire_seen(now)
         key: _OpKey = header.op_key
         entry = self._seen.get(key)
-        if trace.TRACER.enabled:
-            trace.emit("op.gateway", self.node_id, trace=trace.op_trace_id(key),
-                       dedup=entry is not None, t=now)
+        if self.tracer.enabled:
+            self.tracer.emit("op.gateway", self.node_id,
+                             trace=trace.op_trace_id(key),
+                             dedup=entry is not None, t=now)
         if entry is not None:
             # A retry of an operation already in (or through) the order:
             # do not execute it again — replay what the group already
@@ -298,18 +302,20 @@ class ClientGateway:
             return
         self.port.sendto(address, envelope)
         self.replies_forwarded += 1
-        if trace.TRACER.enabled:
-            trace.emit("op.reply", self.node_id, trace=trace.op_trace_id(key),
-                       replica=envelope.sender, t=self.runtime.sim.now)
+        if self.tracer.enabled:
+            self.tracer.emit("op.reply", self.node_id,
+                             trace=trace.op_trace_id(key),
+                             replica=envelope.sender, t=self.runtime.sim.now)
 
 
 class NodeDaemon:
     """One live group member: a one-node :class:`LiveTestbed` given the
     whole ring's address book — the stack ``bench`` and the live tests
     build, node for node — plus a process's lifecycle: the quorum-gated
-    join, signals, the observability sidecars, failure reports."""
+    join, signals, the observability sidecars, failure reports.  ``obs``
+    is the bus the bed records into (the command's, or the bed's own)."""
 
-    def __init__(self, config: DaemonConfig):
+    def __init__(self, config: DaemonConfig, obs: Optional[Bus] = None):
         # The bed imports this module's gateway.
         from .testbed import LiveTestbed
 
@@ -318,7 +324,7 @@ class NodeDaemon:
                 f"--peers must include this node ({config.node_id!r})")
         self.config = config
         self.bed = LiveTestbed(node_ids=[config.node_id], peers=config.peers,
-                               auth_secret=config.auth_key)
+                               auth_secret=config.auth_key, obs=obs)
         self.kernel = self.bed.kernel
         self.node = self.bed.node(config.node_id)
         try:
@@ -393,15 +399,16 @@ class NodeDaemon:
             self.shutdown()
 
     def start_observability(self) -> None:
-        """Bring up the observability the config asks for: the metrics
-        registry, scrape endpoint, trace shards, flight ring.  (The bed
-        points the registry's clock at its kernel.)  Call it before the
-        loop runs: the endpoint is bound here."""
+        """Bring up the observability the config asks for, on the bed's
+        bus: the metrics registry, scrape endpoint, trace shards, flight
+        ring.  Call it before the loop runs: the endpoint is bound
+        here."""
         config = self.config
+        bus = self.bed.obs
         if config.metrics_port is not None or config.trace_dir is not None:
-            obs.REGISTRY.enable()
+            bus.metrics.enable()
         if config.metrics_port is not None:
-            server = MetricsHttpServer(port=config.metrics_port)
+            server = MetricsHttpServer(bus.metrics, port=config.metrics_port)
             try:
                 self.kernel.loop.run_until_complete(server.start())
             except OSError as exc:
@@ -410,8 +417,8 @@ class NodeDaemon:
                 self._metrics_server = server
                 self._log(f"metrics endpoint on port {server.bound_port}")
         if config.trace_dir is not None:
-            self._shard_writer = TraceShardWriter(config.trace_dir)
-            self.flight = FlightRecorder().start()
+            self._shard_writer = TraceShardWriter(config.trace_dir, bus.tracer)
+            self.flight = FlightRecorder().start(bus.tracer)
             self.bed.transport.record_frames(self.flight)
 
     def _report_failures(self) -> None:

@@ -24,6 +24,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from ..control.admission import AdmissionConfig, AdmissionController
+from ..obs import Bus
 from ..replication.envelope import Envelope
 from ..sim import Cluster, ClusterConfig
 from ..testbed import Testbed
@@ -53,8 +54,11 @@ class LiveTestbed(Testbed):
         chaos_seed: Optional[int] = None,
         auth_secret: Optional[str] = None,
         peers: Optional[Dict[str, Address]] = None,
+        obs: Optional[Bus] = None,
     ):
         self.kernel = LiveKernel()
+        # The transport records into the bus the cluster is built on.
+        bus = obs if obs is not None else Bus()
         #: Shared wire authenticator when the cluster runs authenticated.
         #: One instance serves every in-process node: send nonces are
         #: keyed by sender and receive watermarks by (receiver, sender),
@@ -65,7 +69,7 @@ class LiveTestbed(Testbed):
 
             self.auth = WireAuthenticator.from_secret(auth_secret)
         self.transport = UdpTransport(self.kernel.loop, peers=peers,
-                                      auth=self.auth)
+                                      auth=self.auth, obs=bus)
         self.chaos_seed = chaos_seed
         if chaos_seed is not None:
             # Imported lazily: repro.chaos imports this module's runner
@@ -73,12 +77,12 @@ class LiveTestbed(Testbed):
             from ..chaos.transport import ChaosTransport
 
             self.chaos = ChaosTransport(self.transport, self.kernel,
-                                        seed=chaos_seed)
+                                        seed=chaos_seed, obs=bus)
         try:
             cluster = Cluster(ClusterConfig(num_nodes=num_nodes), seed=seed,
                               sim=self.kernel,
                               transport=self.chaos or self.transport,
-                              node_ids=node_ids)
+                              node_ids=node_ids, obs=bus)
             self._init_stack(
                 cluster, totem_config or live_totem_config(),
                 {node_id: sorted(peers) for node_id in cluster.nodes}
@@ -109,7 +113,7 @@ class LiveTestbed(Testbed):
             if admission_config is not None:
                 admission = AdmissionController(
                     admission_config, node_id=node_id,
-                    clock=lambda: self.kernel.now)
+                    clock=lambda: self.kernel.now, obs=self.obs)
             gateway = ClientGateway(self.runtimes[node_id],
                                     self.node(node_id).iface,
                                     node_id=node_id, admission=admission)

@@ -31,6 +31,7 @@ from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 
 from .. import obs
 from ..errors import FrameError, NetworkError, TransportError
+from ..obs import Bus
 from ..replication.envelope import Envelope
 from ..trace import op_trace_id
 from .transport import Transport, TransportPort
@@ -41,7 +42,7 @@ Address = Tuple[str, int]
 MAX_DATAGRAM = 65_000
 
 #: UdpPort attribute -> the registry family read from it.
-COUNTERS = obs.REGISTRY.read_counters({
+COUNTERS = obs.read_counters({
     "frames_sent": ("udp_datagrams_sent_total", "datagrams written per live port"),
     "bytes_sent": ("udp_datagram_bytes_total", "encoded bytes written per live port"),
     "frames_received": ("udp_datagrams_received_total",
@@ -126,7 +127,7 @@ class UdpPort(TransportPort):
         #: Rejection tallies keyed by :class:`~repro.errors.FrameError`
         #: reason code (read as ``udp_datagrams_rejected_total``).
         self.rejected_by_reason: Dict[str, int] = {}
-        obs.REGISTRY.watch(self, COUNTERS, node=node_id)
+        transport.metrics.watch(self, COUNTERS, node=node_id)
         self.flight = transport.flight  # fed one digest per frame
 
     @property
@@ -246,8 +247,11 @@ class UdpTransport(Transport):
         *,
         peers: Optional[Dict[str, Address]] = None,
         auth=None,
+        obs: Optional[Bus] = None,
     ):
         self.loop = loop
+        #: The bed's registry every port records into.
+        self.metrics = (obs or Bus()).metrics
         self.peers: Dict[str, Address] = dict(peers or {})
         #: Optional :class:`~repro.net.auth.WireAuthenticator` shared by
         #: every port on this transport (authenticated Byzantine mode).

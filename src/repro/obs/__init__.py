@@ -1,72 +1,49 @@
 """Observability for the CTS stack: metrics, round spans, exporters.
 
-The subsystem has three parts (see ``docs/observability.md`` for the
-full catalogue):
-
-* :mod:`repro.obs.metrics` — the process-wide :data:`REGISTRY` of
-  counters, gauges and fixed-bucket histograms.  Zero-cost when
-  disabled; samples are stamped with *simulated* time.
-* :mod:`repro.obs.spans` — :class:`RoundSpanTracker`, which assembles a
-  per-round lifecycle record for every CCS round from the trace stream.
-* :mod:`repro.obs.export` — JSONL dumps, Prometheus text exposition and
-  human-readable summary tables.
-* :mod:`repro.obs.crossnode` — per-node trace shards and the
-  :class:`CrossNodeSpanAssembler` that stitches them into end-to-end op
-  timelines across the live stack.
-* :mod:`repro.obs.flight` — the bounded :class:`FlightRecorder` ring
-  dumped on daemon crash or invariant violation.
-* :mod:`repro.obs.http` — :class:`MetricsHttpServer`, the scrape
-  endpoint behind ``repro serve --metrics-port``.
+Every bed records into its own :class:`Bus` (``bed.obs``): a tracer and
+a metrics registry, handed to each layer when the layer is built.
+Nothing is process-wide, so two beds in one process are traced and
+counted apart; a command that runs several beds hands them one bus.
+The parts (``docs/observability.md`` has the catalogue):
+:mod:`~repro.obs.metrics` (the registry and the family specs),
+:mod:`~repro.obs.export` (JSONL, Prometheus text, summary tables),
+:mod:`~repro.obs.crossnode` (trace shards, op timelines and
+:class:`RoundSpan` records), :mod:`~repro.obs.flight` (the bounded
+:class:`FlightRecorder`) and :mod:`~repro.obs.http` (the scrape
+endpoint behind ``repro serve --metrics-port``).
 
 Quick start::
 
-    from repro import obs
-
-    with obs.REGISTRY.session(), obs.RoundSpanTracker() as spans:
-        ...run a scenario...
-    print(obs.export.summary_table(obs.REGISTRY))
-    sent = obs.REGISTRY.get("ccs_sent_total").total()
+    bed = Testbed(seed=1)
+    ...deploy...
+    with bed.obs.metrics.session(), bed.obs.tracer.capture() as events:
+        ...run a scenario on bed...
+    print(obs.export.summary_table(bed.obs.metrics))
+    spans = obs.CrossNodeSpanAssembler()
+    spans.add_events(map(obs.export.trace_event_record, events))
+    print(spans.winner_counts())
 """
 
+from typing import Callable, Optional
+
+from ..trace import Tracer
 from . import export
-from .crossnode import (
-    CrossNodeSpanAssembler,
-    Hop,
-    OpTimeline,
-    TraceShardWriter,
-    assemble_timelines,
-    load_shards,
-)
+from .crossnode import (CrossNodeSpanAssembler, Hop, OpTimeline, RoundSpan,
+                        TraceShardWriter, assemble_timelines, load_shards)
 from .flight import FlightRecorder
 from .http import MetricsHttpServer
-from .metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    HistogramSnapshot,
-    MetricsError,
-    MetricsRegistry,
-    REGISTRY,
-)
-from .spans import RoundSpan, RoundSpanTracker
+from .metrics import (Counter, Family, Gauge, Histogram, HistogramSnapshot,
+                      MetricsError, MetricsRegistry, histogram, read_counters,
+                      read_gauges)
 
-__all__ = [
-    "Counter",
-    "CrossNodeSpanAssembler",
-    "FlightRecorder",
-    "Gauge",
-    "Histogram",
-    "HistogramSnapshot",
-    "Hop",
-    "MetricsError",
-    "MetricsHttpServer",
-    "MetricsRegistry",
-    "OpTimeline",
-    "REGISTRY",
-    "RoundSpan",
-    "RoundSpanTracker",
-    "TraceShardWriter",
-    "assemble_timelines",
-    "export",
-    "load_shards",
-]
+
+class Bus:
+    """One bed's telemetry: the tracer its layers emit into and the
+    registry they record into, both off until someone subscribes or
+    enables.  An object built without one gets its own."""
+
+    __slots__ = ("tracer", "metrics")
+
+    def __init__(self, clock: Optional[Callable[[], float]] = None):
+        self.tracer = Tracer()
+        self.metrics = MetricsRegistry(clock)

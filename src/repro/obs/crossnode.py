@@ -1,29 +1,29 @@
 """Cross-node causal tracing: trace shards and the span assembler.
 
-One client call to the live stack touches many processes: the caller
-(``op.send``), a daemon's client gateway (``op.gateway``), every replica
-that executes it (``op.execute``), the time service that hands it a
-group-clock value (``op.served``), the CCS round that produced the value
-(``round.won``) and the gateway that forwards the first reply (``op.reply``
-on the daemon, ``op.reply_recv`` on the client).  Every ``op.*`` event
-is named by the operation's key (:func:`~repro.trace.op_trace_id`),
-which each hop reads off the envelope it holds — nothing extra rides the
-wire — so the per-node event streams can be re-joined after the fact:
+One client call touches many processes: the caller (``op.send``), a
+daemon's gateway (``op.gateway``), every replica that executes it
+(``op.execute``), the time service that serves it (``op.served``), the
+CCS round that produced the value (``round.won``) and the gateway that
+forwards the first reply (``op.reply``, ``op.reply_recv`` on the
+client).  Every ``op.*`` event is named by the operation's key
+(:func:`~repro.trace.op_trace_id`), so the per-node streams re-join
+after the fact:
 
-* :class:`TraceShardWriter` — subscribes to a tracer and appends every
-  event to one JSONL *shard* per emitting node (the files a daemon
-  writes with ``repro serve --trace-dir``, or a chaos run collects in
-  its artifacts directory);
-* :class:`CrossNodeSpanAssembler` — reads shard records back and
-  stitches them into :class:`OpTimeline` objects, one per operation key,
-  then binds each execution's serve by ``(node, request_index)`` and the
-  serve's CCS round by ``(node, thread, round)``;
+* :class:`TraceShardWriter` appends a tracer's events to one JSONL
+  *shard* per node (``repro serve --trace-dir``, a chaos run's
+  artifacts directory);
+* :class:`CrossNodeSpanAssembler` stitches shard records into one
+  :class:`OpTimeline` per operation key, binding each serve by ``(node,
+  request_index)`` and its CCS round by ``(node, thread, round)``; the
+  ``round.*`` records of that key fold into one :class:`RoundSpan`;
 * ``python -m repro trace --shards DIR`` renders the result.
 """
 
 from __future__ import annotations
 
+import json
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, IO, Iterable, List, Optional, Tuple, Union
@@ -65,25 +65,21 @@ def shard_path(directory: Union[str, Path], node: str) -> Path:
 
 
 class TraceShardWriter:
-    """Streams trace events into per-node JSONL shard files.
+    """Streams a tracer's events into per-node JSONL shard files.
 
     Files are opened lazily (one per node seen) and flushed on
     :meth:`close`.
     """
 
-    def __init__(self, directory: Union[str, Path],
-                 tracer: Optional[trace.Tracer] = None):
+    def __init__(self, directory: Union[str, Path], tracer: trace.Tracer):
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
         self._files: Dict[str, IO[str]] = {}
-        self._unsubscribe = (tracer or trace.TRACER).subscribe(self._on_event)
+        self._unsubscribe = tracer.subscribe(self._on_event)
         self.events_written = 0
 
     def _on_event(self, event: trace.TraceEvent) -> None:
-        record = trace_event_record(event)
-        import json
-
-        line = json.dumps(record, default=str) + "\n"
+        line = json.dumps(trace_event_record(event), default=str) + "\n"
         handle = self._files.get(event.node)
         if handle is None:
             handle = open(shard_path(self.directory, event.node), "a",
@@ -189,13 +185,104 @@ class OpTimeline:
         }
 
 
+@dataclass
+class RoundSpan:
+    """The lifecycle of one CCS round at one replica, folded from its
+    ``round.start`` / ``sent`` / ``won`` / ``suppressed`` / ``adopted`` /
+    ``complete`` records.  They arrive in any order: on a slow replica
+    the winner is often ordered *before* the local round starts (the
+    input-buffer short-circuit of Figure 2, line 11).
+    """
+
+    node: str
+    thread: str
+    round_number: int
+    #: Kernel-time bounds (seconds); None until observed.
+    started_at: Optional[float] = None
+    completed_at: Optional[float] = None
+    #: The local proposal and the winning group value (microseconds).
+    proposal_us: Optional[int] = None
+    group_us: Optional[int] = None
+    #: The round's synchronizer (the sender of the winning CCS message).
+    winner: Optional[str] = None
+    #: my_clock_offset after the round committed (microseconds).
+    offset_us: Optional[int] = None
+    #: The interposed call that started the round (gettimeofday, ...).
+    call: Optional[str] = None
+    #: Our CCS message was handed to Totem / withdrawn before it went.
+    sent: bool = False
+    suppressed: bool = False
+    #: The winner was already buffered when the round started (no CCS
+    #: message constructed at all).
+    from_buffer: bool = False
+    #: A special recovery round (offset adopted mid-recovery).
+    adopted: bool = False
+
+    @property
+    def won_locally(self) -> bool:
+        """True if this replica was the round's synchronizer."""
+        return self.winner == self.node
+
+    @property
+    def latency_us(self) -> Optional[float]:
+        if self.started_at is None or self.completed_at is None:
+            return None
+        return (self.completed_at - self.started_at) * 1e6
+
+    def fold(self, r: dict) -> None:
+        """Fold one of this round's records in."""
+        kind = r["kind"]
+        if kind == "round.start":
+            self.started_at = r.get("t")
+            self.proposal_us = r.get("proposal_us")
+            self.call = r.get("call")
+            self.from_buffer = bool(r.get("buffered"))
+        elif kind == "round.sent":
+            self.sent = True
+        elif kind == "round.won":
+            self.winner = r.get("winner")
+            self.group_us = r.get("group_us")
+        elif kind == "round.suppressed":
+            self.suppressed = True
+        elif kind == "round.adopted":
+            self.adopted = True
+            self.offset_us = r.get("offset_us")
+        elif kind == "round.complete":
+            self.completed_at = r.get("t")
+            if r.get("group_us") is not None:
+                self.group_us = r.get("group_us")
+            self.offset_us = r.get("offset_us", self.offset_us)
+
+    def to_dict(self) -> dict:
+        return {
+            "node": self.node,
+            "thread": self.thread,
+            "round": self.round_number,
+            "started_at": self.started_at,
+            "completed_at": self.completed_at,
+            "latency_us": self.latency_us,
+            "proposal_us": self.proposal_us,
+            "group_us": self.group_us,
+            "winner": self.winner,
+            "won_locally": self.won_locally,
+            "offset_us": self.offset_us,
+            "call": self.call,
+            "sent": self.sent,
+            "suppressed": self.suppressed,
+            "from_buffer": self.from_buffer,
+            "adopted": self.adopted,
+        }
+
+
 class CrossNodeSpanAssembler:
-    """Stitches per-node trace records into end-to-end op timelines.
+    """Stitches per-node trace records into end-to-end op timelines
+    and CCS round spans.
 
     Every ``op.*`` record joins the timeline its operation key names;
     ``op.served`` (the time service knows the request, not the client)
     joins by ``(node, req)`` through that node's ``op.execute``, and a
-    serve's CCS round by ``(node, thread, round)``.
+    serve's CCS round by ``(node, thread, round)``.  The ``round.*``
+    records of that key fold into one :class:`RoundSpan`.
     """
 
     def __init__(self):
@@ -268,6 +355,29 @@ class CrossNodeSpanAssembler:
         for entry in timelines.values():
             entry.sort()
         return sorted(timelines.values(), key=lambda t: t.trace_id)
+
+    def round_spans(self) -> List[RoundSpan]:
+        """Every completed round's span, in ``round.complete`` order.  A
+        record after its round completed opens a new span."""
+        open_spans: Dict[Tuple[str, Any, Any], RoundSpan] = {}
+        completed: List[RoundSpan] = []
+        for r in self._records:
+            kind = r.get("kind", "")
+            key = (r.get("node"), r.get("thread"), r.get("round"))
+            if not kind.startswith("round.") or None in key[1:]:
+                continue
+            span = open_spans.get(key)
+            if span is None:
+                span = open_spans[key] = RoundSpan(*key)
+            span.fold(r)
+            if kind == "round.complete":
+                completed.append(open_spans.pop(key))
+        return completed
+
+    def winner_counts(self) -> Dict[str, int]:
+        """Rounds decided per synchronizer, over completed spans."""
+        return dict(Counter(span.winner for span in self.round_spans()
+                            if span.winner is not None))
 
 
 def assemble_timelines(directory: Union[str, Path]) -> List[OpTimeline]:

@@ -1,15 +1,8 @@
-"""Exporters: JSONL dumps, Prometheus text exposition, summary tables.
-
-Three independent views over the same :class:`~repro.obs.metrics.MetricsRegistry`:
-
-* :func:`write_jsonl` — one JSON record per metric series (plus,
-  optionally, one per trace event and per round span): the machine-
-  readable dump downstream analysis ingests.
-* :func:`prometheus_text` — the classic ``text/plain; version=0.0.4``
-  exposition format, so a snapshot can be diffed against what a real
-  Prometheus scrape of a production deployment would return.
-* :func:`summary_table` — the human-readable roll-up the CLI prints,
-  reusing the benchmark harness's table formatter.
+"""Exporters over one :class:`~repro.obs.metrics.MetricsRegistry`:
+:func:`write_jsonl` (one JSON record per metric series, trace event and
+round span), :func:`prometheus_text` (the ``text/plain; version=0.0.4``
+exposition a real scrape returns) and :func:`summary_table` (the
+roll-up the CLI prints).
 """
 
 from __future__ import annotations
@@ -20,7 +13,6 @@ from pathlib import Path
 from typing import IO, Iterable, List, Optional, Union
 
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry
-from .spans import RoundSpan
 from ..trace import TraceEvent
 
 PathOrFile = Union[str, Path, IO[str]]
@@ -42,9 +34,10 @@ def write_jsonl(
     target: PathOrFile,
     *,
     trace_events: Optional[Iterable[TraceEvent]] = None,
-    spans: Optional[Iterable[RoundSpan]] = None,
+    spans: Optional[Iterable] = None,
 ) -> int:
-    """Dump the registry (and optional traces/spans) as JSON lines.
+    """Dump the registry (and optional trace events and
+    :class:`~repro.obs.crossnode.RoundSpan` records) as JSON lines.
 
     Returns the number of records written.  Record types are
     distinguished by the ``record`` field: ``metric``, ``trace``,
@@ -129,40 +122,35 @@ def _format_value(value: float) -> str:
     return repr(value)
 
 
+def _exposition_lines(metric) -> List[str]:
+    """One family's sample lines (none for a family with no series)."""
+    name, lines = metric.name, []
+    if isinstance(metric, (Counter, Gauge)):
+        for labels, value in metric.items():
+            lines.append(f"{name}{_format_labels(labels)} {_format_value(value)}")
+    elif isinstance(metric, Histogram):
+        for labels, snap in metric.items():
+            for bound, cumulative in snap.cumulative():
+                le = _format_value(float(bound))
+                lines.append(f"{name}_bucket"
+                             f"{_format_labels(labels, {'le': le})} {cumulative}")
+            lines.append(f"{name}_sum{_format_labels(labels)} "
+                         f"{_format_value(snap.sum)}")
+            lines.append(f"{name}_count{_format_labels(labels)} {snap.count}")
+    return lines
+
+
 def prometheus_text(registry: MetricsRegistry) -> str:
     """Render the registry in the Prometheus text exposition format."""
     out = io.StringIO()
     for metric in registry.metrics():
-        header_needed = True
-
-        def header():
-            if metric.help:
-                out.write(f"# HELP {metric.name} {metric.help}\n")
-            out.write(f"# TYPE {metric.name} {metric.kind}\n")
-
-        if isinstance(metric, (Counter, Gauge)):
-            for labels, value in metric.items():
-                if header_needed:
-                    header()
-                    header_needed = False
-                out.write(f"{metric.name}{_format_labels(labels)} "
-                          f"{_format_value(value)}\n")
-        elif isinstance(metric, Histogram):
-            for labels, snap in metric.items():
-                if header_needed:
-                    header()
-                    header_needed = False
-                for bound, cumulative in snap.cumulative():
-                    le = _format_value(float(bound))
-                    out.write(
-                        f"{metric.name}_bucket"
-                        f"{_format_labels(labels, {'le': le})} "
-                        f"{cumulative}\n"
-                    )
-                out.write(f"{metric.name}_sum{_format_labels(labels)} "
-                          f"{_format_value(snap.sum)}\n")
-                out.write(f"{metric.name}_count{_format_labels(labels)} "
-                          f"{snap.count}\n")
+        lines = _exposition_lines(metric)
+        if not lines:
+            continue
+        if metric.help:
+            out.write(f"# HELP {metric.name} {metric.help}\n")
+        out.write(f"# TYPE {metric.name} {metric.kind}\n")
+        out.write("".join(line + "\n" for line in lines))
     return out.getvalue()
 
 

@@ -1,25 +1,14 @@
 """The flight recorder: a bounded ring of recent telemetry per node.
 
-Post-mortem debugging of a live cluster needs the *last* few hundred
-events, not all of them: when a daemon crashes or the chaos oracle flags
-an invariant violation, the interesting state is what the node saw just
-before.  The recorder keeps two rings:
-
-* **trace events** — every :mod:`repro.trace` event (round lifecycle,
-  cross-node op hops), subscribed like any other sink;
-* **wire-frame digests** — one compact record per datagram a live UDP
-  port sent or received (direction, peer, payload kind, size, trace id),
-  fed by :meth:`~repro.net.udp.UdpTransport.record_frames`.
-
-Both rings are ``deque(maxlen=...)``: recording is O(1) and memory is
-bounded.  :meth:`FlightRecorder.dump` writes the rings to a JSON
-artifact; the daemon dumps on crash and on unhandled protocol failures,
-the chaos runner hands the recorder to the
-:class:`~repro.chaos.oracle.InvariantOracle` so every violation links to
-a dump of the window that explains it.
-
-The daemon and a judged run each build their own recorder; a port with
-none attached pays one attribute check per frame.
+Post-mortem debugging needs the *last* few hundred events: when a
+daemon crashes or the chaos oracle flags a violation, what matters is
+what the node saw just before.  The recorder keeps two
+``deque(maxlen=...)`` rings — every event of the bed's tracer, and one
+digest per datagram a live UDP port sent or received (fed by
+:meth:`~repro.net.udp.UdpTransport.record_frames`) — and
+:meth:`FlightRecorder.dump` writes them to a JSON artifact.  The daemon
+and a judged run each build their own; a port with none attached pays
+one attribute check per frame.
 """
 
 from __future__ import annotations
@@ -49,12 +38,11 @@ class FlightRecorder:
 
     # -- lifecycle -------------------------------------------------------
 
-    def start(self, tracer: Optional[trace.Tracer] = None) -> "FlightRecorder":
-        """Begin recording (idempotent): subscribe to the tracer and
-        accept frame digests."""
+    def start(self, tracer: trace.Tracer) -> "FlightRecorder":
+        """Begin recording (idempotent): subscribe to the bed's tracer
+        and accept frame digests."""
         if self._unsubscribe is None:
-            self._unsubscribe = (tracer or trace.TRACER).subscribe(
-                self._on_event)
+            self._unsubscribe = tracer.subscribe(self._on_event)
         self.enabled = True
         return self
 

@@ -1,15 +1,10 @@
-"""A tiny asyncio HTTP endpoint exposing the metrics registry.
+"""A tiny asyncio HTTP endpoint exposing a bed's metrics registry.
 
 Runs on the daemon's own event loop (``repro serve --metrics-port``), so
 a real Prometheus can scrape a live node without any extra thread or
-dependency.  Deliberately minimal: GET-only, one connection at a time
-per reader task, no keep-alive.
-
-Routes:
-
-* ``/metrics`` — Prometheus text exposition of the registry;
-* ``/metrics.json`` — the same samples as a JSON array;
-* ``/healthz`` — liveness probe (``ok``).
+dependency.  GET-only, no keep-alive.  Routes: ``/metrics`` (Prometheus
+text), ``/metrics.json`` (the same samples as a JSON array) and
+``/healthz`` (``ok``).
 """
 
 from __future__ import annotations
@@ -19,20 +14,20 @@ import json
 from typing import Optional
 
 from .export import prometheus_text
-from .metrics import REGISTRY, MetricsRegistry
+from .metrics import MetricsRegistry
 
 _MAX_REQUEST_BYTES = 8192
 _PROM_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 
 
 class MetricsHttpServer:
-    """Serves the registry over HTTP from an asyncio loop."""
+    """Serves a bed's registry over HTTP from an asyncio loop."""
 
-    def __init__(self, *, host: str = "127.0.0.1", port: int = 0,
-                 registry: Optional[MetricsRegistry] = None):
+    def __init__(self, registry: MetricsRegistry, *,
+                 host: str = "127.0.0.1", port: int = 0):
         self.host = host
         self.port = port
-        self.registry = registry if registry is not None else REGISTRY
+        self.registry = registry
         self._server: Optional[asyncio.AbstractServer] = None
         self.requests_served = 0
 

@@ -13,24 +13,22 @@ stack.  Design constraints:
   stay pushed; every mutator begins with a single ``registry.enabled``
   check.  Watching an object while recording is off keeps one weak
   reference and nothing else.
-* **Simulated time.**  Samples are timestamped with the *virtual* clock
-  of the discrete-event kernel: the :class:`~repro.testbed.Testbed`
-  binds ``registry.set_clock(lambda: sim.now)`` when it builds a
-  cluster, so exported series line up with trace events and the
-  latencies the benchmarks report.
-* **Labels.**  Every instrument is a family; series are keyed by label
-  sets (typically ``node="n2"``), mirroring the per-node tables of the
-  paper's evaluation.
+* **One registry per bed** (:class:`repro.obs.Bus`), stamping samples
+  with that bed's kernel time.  A module declares its families as plain
+  :class:`Family` specs (:func:`histogram`, :func:`read_counters`,
+  :func:`read_gauges`); a registry creates a family the first time a
+  layer on it uses it.
+* **Labels.**  Series are keyed by label sets (typically
+  ``node="n2"``), mirroring the per-node tables of the paper's
+  evaluation.
 
 Usage::
 
-    from repro.obs import REGISTRY
-
-    ROUNDS = REGISTRY.counter("ccs_rounds_total", "CCS rounds completed")
-
-    with REGISTRY.session():
-        ...run a scenario...          # instruments record
-    ROUNDS.value(node="n1")           # read back after the run
+    ROUNDS = read_counters({"rounds": ("ccs_rounds_total", "CCS rounds")})
+    registry.watch(stats, ROUNDS, node="n1")     # at construction
+    with registry.session():
+        ...run a scenario...                      # stats.rounds counts
+    registry.get("ccs_rounds_total").value(node="n1")
 """
 
 from __future__ import annotations
@@ -39,16 +37,8 @@ import weakref
 from bisect import bisect_left
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import (
-    Any,
-    Callable,
-    Dict,
-    Iterator,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import (Any, Callable, Dict, Iterator, List, NamedTuple, Optional,
+                    Sequence, Tuple)
 
 from ..errors import ReproError
 
@@ -75,13 +65,6 @@ class Metric:
         self.name = name
         self.help = help
         self.unit = unit
-
-    def clear(self) -> None:
-        raise NotImplementedError
-
-    def samples(self) -> List[dict]:
-        """Flattened per-series records for the exporters."""
-        raise NotImplementedError
 
 
 class _ScalarMetric(Metric):
@@ -321,13 +304,65 @@ class Histogram(Metric):
         return out
 
 
+class Family(NamedTuple):
+    """One family a layer may record into, declared once at module
+    level.  A spec holds no series: a registry creates the family the
+    first time a layer on it uses the spec."""
+
+    kind: type
+    name: str
+    help: str = ""
+    unit: str = ""
+    buckets: Optional[Tuple[float, ...]] = None
+
+
+class Read(NamedTuple):
+    """A watched object's attribute and the family read from it
+    (``keyed``: the label a dict attribute's keys fill)."""
+
+    attr: str
+    family: Family
+    keyed: Optional[str] = None
+
+
+def histogram(name: str, help: str = "", unit: str = "",
+              buckets: Optional[Sequence[float]] = None) -> Family:
+    """Declare a pushed histogram family."""
+    return Family(Histogram, name, help, unit,
+                  None if buckets is None else tuple(buckets))
+
+
+def read_counters(fields: Dict[str, tuple]) -> Tuple[Read, ...]:
+    """Declare counter families that are read, not pushed.
+
+    ``fields`` maps an attribute name of the objects a layer will
+    :meth:`~MetricsRegistry.watch` to ``(family name, help)``, or to
+    ``(family name, help, label)`` when the attribute is a dict of counts
+    keyed by the values of ``label``.  Returns the declaration to pass
+    to ``watch``.
+    """
+    return _declare(Counter, fields)
+
+
+def read_gauges(fields: Dict[str, tuple]) -> Tuple[Read, ...]:
+    """Declare gauge families that are read, not pushed: ``fields``
+    maps an attribute (a property will do) of the watched objects to
+    ``(family name, help)``."""
+    return _declare(Gauge, fields)
+
+
+def _declare(kind: type, fields: Dict[str, tuple]) -> Tuple[Read, ...]:
+    return tuple(Read(attr, Family(kind, spec[0], spec[1]), *spec[2:])
+                 for attr, spec in fields.items())
+
+
 class MetricsRegistry:
-    """The process-wide instrument collection.
+    """One bed's instrument collection.
 
     Disabled by default; :meth:`enable` / :meth:`session` turn recording
-    on.  Instruments survive across sessions (they are module-level
-    handles); :meth:`reset` clears recorded series without forgetting
-    the registrations.
+    on.  Families survive across sessions; :meth:`reset` clears recorded
+    series without forgetting them.  ``clock`` stamps samples (0.0
+    without one).
 
     Objects handed to :meth:`watch` are referenced weakly while
     recording is off.  While it is on the families hold them, so a
@@ -335,9 +370,9 @@ class MetricsRegistry:
     :meth:`reset` starts the series over.
     """
 
-    def __init__(self):
+    def __init__(self, clock: Optional[Callable[[], float]] = None):
         self._enabled = False
-        self._clock: Optional[Callable[[], float]] = None
+        self.clock = clock
         self._metrics: Dict[str, Metric] = {}
         #: id(object) -> (weak reference, read families, label key) for
         #: every live watched object; an entry goes when its object does.
@@ -349,11 +384,9 @@ class MetricsRegistry:
     def enabled(self) -> bool:
         return self._enabled
 
-    def enable(self, clock: Optional[Callable[[], float]] = None) -> None:
+    def enable(self) -> None:
         """Start recording.  Objects already being watched count from
         here: what they counted with recording off is not reported."""
-        if clock is not None:
-            self._clock = clock
         if not self._enabled:
             self._enabled = True
             self._attach_live_sources()
@@ -365,15 +398,11 @@ class MetricsRegistry:
             if isinstance(metric, _ScalarMetric):
                 metric.fold()
 
-    def set_clock(self, clock: Callable[[], float]) -> None:
-        """Bind the (simulated) time source used to stamp samples."""
-        self._clock = clock
-
     def now(self) -> float:
-        return self._clock() if self._clock is not None else 0.0
+        return self.clock() if self.clock is not None else 0.0
 
     def reset(self) -> None:
-        """Clear all recorded series (registrations are kept); watched
+        """Clear all recorded series (families are kept); watched
         objects that are still alive count from zero again."""
         for metric in self._metrics.values():
             metric.clear()
@@ -381,80 +410,62 @@ class MetricsRegistry:
             self._attach_live_sources()
 
     @contextmanager
-    def session(
-        self, clock: Optional[Callable[[], float]] = None
-    ) -> Iterator["MetricsRegistry"]:
+    def session(self) -> Iterator["MetricsRegistry"]:
         """Record within a ``with`` block: reset, enable, then disable.
 
         Recorded series stay readable after the block exits.
         """
         self.reset()
-        self.enable(clock)
+        self.enable()
         try:
             yield self
         finally:
             self.disable()
 
-    # -- registration ---------------------------------------------------
+    # -- families -------------------------------------------------------
 
-    def _register(self, cls, name: str, **kwargs) -> Metric:
-        existing = self._metrics.get(name)
+    def family(self, spec: Family) -> Metric:
+        """The family ``spec`` declares, created on first use."""
+        existing = self._metrics.get(spec.name)
         if existing is not None:
-            if type(existing) is not cls:
+            if type(existing) is not spec.kind:
                 raise MetricsError(
-                    f"metric {name!r} already registered as {existing.kind}"
-                )
+                    f"metric {spec.name!r} already registered as "
+                    f"{existing.kind}")
             return existing
-        metric = cls(self, name, **kwargs)
-        self._metrics[name] = metric
+        options = {} if spec.kind is not Histogram else {"buckets": spec.buckets}
+        metric = spec.kind(self, spec.name, help=spec.help, unit=spec.unit,
+                           **options)
+        self._metrics[spec.name] = metric
         return metric
 
     def counter(self, name: str, help: str = "", unit: str = "") -> Counter:
-        return self._register(Counter, name, help=help, unit=unit)
+        return self.family(Family(Counter, name, help, unit))
 
     def gauge(self, name: str, help: str = "", unit: str = "") -> Gauge:
-        return self._register(Gauge, name, help=help, unit=unit)
+        return self.family(Family(Gauge, name, help, unit))
 
     def histogram(self, name: str, help: str = "", unit: str = "",
                   buckets: Optional[Sequence[float]] = None) -> Histogram:
-        return self._register(Histogram, name, help=help, unit=unit,
-                              buckets=buckets)
+        return self.family(histogram(name, help, unit, buckets))
+
+    def observe(self, spec: Family, value: float, **labels: Any) -> None:
+        """Push one sample into the histogram ``spec`` declares."""
+        self.family(spec).observe(value, **labels)
 
     # -- families read from plain attributes ----------------------------
 
-    def read_counters(self, fields: Dict[str, tuple]) -> Tuple[tuple, ...]:
-        """Declare counter families that are read, not pushed.
-
-        ``fields`` maps an attribute name of the objects a layer will
-        :meth:`watch` to ``(family name, help)``, or to ``(family name,
-        help, label)`` when the attribute is a dict of counts keyed by
-        the values of ``label``.  Returns the declaration to pass to
-        :meth:`watch`.
-        """
-        return self._declare(Counter, fields)
-
-    def read_gauges(self, fields: Dict[str, tuple]) -> Tuple[tuple, ...]:
-        """Declare gauge families that are read, not pushed: ``fields``
-        maps an attribute (a property will do) of the watched objects
-        to ``(family name, help)``."""
-        return self._declare(Gauge, fields)
-
-    def _declare(self, cls, fields: Dict[str, tuple]) -> Tuple[tuple, ...]:
-        return tuple(
-            (attr, self._register(cls, spec[0], help=spec[1]),
-             spec[2] if len(spec) > 2 else None)
-            for attr, spec in fields.items()
-        )
-
-    def watch(self, obj: Any, families: Tuple[tuple, ...],
-              **labels: Any) -> None:
+    def watch(self, obj: Any, reads: Tuple[Read, ...], **labels: Any) -> None:
         """Report ``obj``'s plain attributes under ``labels``.
 
-        Called once per object, when it is built.  With recording off
-        this keeps a weak reference; with it on the families hold the
-        object and read it whenever they are sampled.
+        Called once per object, when it is built, with a
+        :func:`read_counters` / :func:`read_gauges` declaration.  With
+        recording off this keeps a weak reference; with it on the
+        families hold the object and read it whenever they are sampled.
         """
         ident, key = id(obj), _label_key(labels)
+        families = tuple((read.attr, self.family(read.family), read.keyed)
+                         for read in reads)
         self._sources[ident] = (
             weakref.ref(obj, lambda _: self._sources.pop(ident, None)),
             families, key)
@@ -488,7 +499,3 @@ class MetricsRegistry:
         for metric in self.metrics():
             out.extend(metric.samples())
         return out
-
-
-#: The process-wide registry the protocol layers record into.
-REGISTRY = MetricsRegistry()

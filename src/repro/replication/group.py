@@ -128,6 +128,8 @@ class GroupRuntime:
         self.processor = processor
         self.node_id = processor.me
         self.sim = processor.sim
+        self.tracer = processor.tracer
+        self.metrics = processor.metrics
         self._endpoints: Dict[str, GroupEndpoint] = {}
         #: group -> ordered member list (maintained on ALL nodes, even
         #: those not hosting an endpoint, so late joiners see consistent

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, List, Optional, Tuple
 
-from .. import obs, trace
+from .. import obs
 from .envelope import Envelope, MessageHeader, MsgType, make_envelope
 from .group import GroupRuntime, GroupView
 from .replica import Application, Replica
@@ -29,15 +29,15 @@ from .timesource import TimeSource
 
 # -- pushed instruments (zero-cost while the registry is off); checkpoint
 # and promotion counts are read from ReplicaStats -----------------------
-M_CHECKPOINT_BYTES = obs.REGISTRY.histogram(
+M_CHECKPOINT_BYTES = obs.histogram(
     "replication_checkpoint_bytes", "estimated checkpoint wire size",
     unit="bytes", buckets=(64, 128, 256, 512, 1_024, 4_096, 16_384, 65_536))
-M_TAKEOVER_LATENCY = obs.REGISTRY.histogram(
+M_TAKEOVER_LATENCY = obs.histogram(
     "replication_takeover_latency_s",
     "last evidence of the old primary to promotion of the new one",
     unit="s",
     buckets=(0.005, 0.01, 0.02, 0.05, 0.1, 0.2, 0.5, 1.0, 2.0, 5.0))
-M_REPLAY_DEPTH = obs.REGISTRY.histogram(
+M_REPLAY_DEPTH = obs.histogram(
     "replication_promotion_replay_depth",
     "logged requests replayed at promotion",
     buckets=(0, 1, 2, 5, 10, 25, 50, 100, 250))
@@ -125,11 +125,12 @@ class PassiveReplica(Replica):
         )
         self.endpoint.mcast(envelope)
         self.stats.checkpoints_sent += 1
-        if obs.REGISTRY.enabled:
-            M_CHECKPOINT_BYTES.observe(envelope.wire_size(),
-                                       node=self.node_id)
-        if trace.TRACER.enabled:
-            trace.emit(
+        metrics = self.runtime.metrics
+        if metrics.enabled:
+            metrics.observe(M_CHECKPOINT_BYTES, envelope.wire_size(),
+                            node=self.node_id)
+        if self.tracer.enabled:
+            self.tracer.emit(
                 "replica.checkpoint", self.node_id, group=self.group,
                 covers=self.processed_index,
             )
@@ -169,14 +170,16 @@ class PassiveReplica(Replica):
             (index, env) for index, env in self.request_log
             if index > self.processed_index
         ]
-        if obs.REGISTRY.enabled:
-            M_REPLAY_DEPTH.observe(len(backlog), node=self.node_id)
+        metrics = self.runtime.metrics
+        if metrics.enabled:
+            metrics.observe(M_REPLAY_DEPTH, len(backlog), node=self.node_id)
             if self._primary_evidence_at is not None:
-                M_TAKEOVER_LATENCY.observe(
+                metrics.observe(
+                    M_TAKEOVER_LATENCY,
                     self.sim.now - self._primary_evidence_at,
                     node=self.node_id)
-        if trace.TRACER.enabled:
-            trace.emit(
+        if self.tracer.enabled:
+            self.tracer.emit(
                 "replica.promote", self.node_id, group=self.group,
                 replay_from=self.processed_index, replay_depth=len(backlog),
                 t=self.sim.now,

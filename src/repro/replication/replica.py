@@ -32,7 +32,8 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable, Generator, Optional
 
-from .. import obs, trace
+from .. import obs
+from ..trace import op_trace_id
 from ..errors import ReplicationError
 from ..sim.kernel import Event
 from .context import ReplicaContext
@@ -75,7 +76,7 @@ class ReplicaStats:
 
 
 #: ReplicaStats field -> the registry family read from it.
-COUNTERS = obs.REGISTRY.read_counters({
+COUNTERS = obs.read_counters({
     "checkpoints_sent": ("replication_checkpoints_total",
                          "checkpoints multicast by a primary"),
     "promotions": ("replication_promotions_total", "backup-to-primary promotions"),
@@ -110,6 +111,10 @@ class Replica(abc.ABC):
         coalesce: bool = True,
     ):
         self.runtime = runtime
+        # The bed's tracer (the registry is ``runtime.metrics``: an
+        # active replica stays within the 29 instance attributes CPython
+        # 3.11 keeps inline).
+        self.tracer = runtime.tracer
         #: True when this replica is (re)joining a group that is believed
         #: to exist already — e.g. after a crash, when the local group
         #: runtime has no view history and cannot tell from its first
@@ -132,7 +137,7 @@ class Replica(abc.ABC):
         #: at every member because delivery is totally ordered.
         self.request_index = 0
         self.stats = ReplicaStats()
-        obs.REGISTRY.watch(self.stats, COUNTERS, node=self.node_id)
+        runtime.metrics.watch(self.stats, COUNTERS, node=self.node_id)
         self.main_thread_id: str = ""
         # -- the main thread -----------------------------------------------
         #: Request indexes admitted but not yet finished.
@@ -417,10 +422,10 @@ class Replica(abc.ABC):
 
     def _execute(self, envelope: Envelope, index: int) -> Generator:
         invocation = envelope.body
-        if trace.TRACER.enabled:
-            trace.emit(
+        if self.tracer.enabled:
+            self.tracer.emit(
                 "op.execute", self.node_id,
-                trace=trace.op_trace_id(envelope.header.op_key), req=index,
+                trace=op_trace_id(envelope.header.op_key), req=index,
                 method=invocation.method, t=self.sim.now)
         ctx = ReplicaContext(self, self.main_thread_id, request_index=index)
         method = getattr(self.app, invocation.method, None)

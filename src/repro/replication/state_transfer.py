@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, List, Optional, TYPE_CHECKING
 
-from .. import obs, trace
+from .. import obs
 from .envelope import Envelope, MsgType, make_envelope
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -59,11 +59,11 @@ READY = "ready"
 
 # -- pushed instruments (zero-cost while the registry is off); transfers
 # served and applied are read from ReplicaStats -------------------------
-M_TRANSFER_BYTES = obs.REGISTRY.histogram(
+M_TRANSFER_BYTES = obs.histogram(
     "replication_state_transfer_bytes",
     "estimated state-transfer wire size", unit="bytes",
     buckets=(64, 128, 256, 512, 1_024, 4_096, 16_384, 65_536))
-M_TRANSFER_LATENCY = obs.REGISTRY.histogram(
+M_TRANSFER_LATENCY = obs.histogram(
     "replication_state_transfer_latency_s",
     "GET_STATE request to checkpoint adoption", unit="s",
     buckets=(0.005, 0.01, 0.02, 0.05, 0.1, 0.2, 0.5, 1.0, 2.0, 5.0))
@@ -74,6 +74,8 @@ class StateTransferManager:
 
     def __init__(self, replica: "Replica"):
         self.replica = replica
+        self.tracer = replica.tracer
+        self.metrics = replica.runtime.metrics
         self.phase = DISCARDING
         #: Messages buffered between GET_STATE and STATE.
         self.pending: List[Envelope] = []
@@ -176,12 +178,13 @@ class StateTransferManager:
         replica.time_source.finish_recovery()
         self.phase = READY
         replica.stats.state_transfers_applied += 1
-        if obs.REGISTRY.enabled and self._requested_at is not None:
-            M_TRANSFER_LATENCY.observe(
-                replica.sim.now - self._requested_at, node=replica.node_id)
+        if self.metrics.enabled and self._requested_at is not None:
+            self.metrics.observe(M_TRANSFER_LATENCY,
+                                 replica.sim.now - self._requested_at,
+                                 node=replica.node_id)
         self._requested_at = None
-        if trace.TRACER.enabled:
-            trace.emit(
+        if self.tracer.enabled:
+            self.tracer.emit(
                 "state.applied", replica.node_id, group=replica.group,
                 request_index=checkpoint.request_index,
                 replayed=len(self.pending), t=replica.sim.now,
@@ -229,11 +232,11 @@ class StateTransferManager:
             body={"target": target, "checkpoint": checkpoint},
         )
         replica.endpoint.mcast(envelope)
-        if obs.REGISTRY.enabled:
-            M_TRANSFER_BYTES.observe(envelope.wire_size(),
-                                     node=replica.node_id)
-        if trace.TRACER.enabled:
-            trace.emit(
+        if self.metrics.enabled:
+            self.metrics.observe(M_TRANSFER_BYTES, envelope.wire_size(),
+                                 node=replica.node_id)
+        if self.tracer.enabled:
+            self.tracer.emit(
                 "state.served", replica.node_id, group=replica.group,
                 target=target, request_index=checkpoint.request_index,
                 t=replica.sim.now,

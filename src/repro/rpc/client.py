@@ -41,7 +41,7 @@ class ClientStats:
 
 
 #: ClientStats field -> the registry family read from it.
-COUNTERS = obs.REGISTRY.read_counters({
+COUNTERS = obs.read_counters({
     "retries": ("rpc_retries_total", "in-process client re-invocations after timeout"),
 })
 
@@ -51,6 +51,7 @@ class RpcClient:
 
     def __init__(self, runtime: GroupRuntime, group: Optional[str] = None):
         self.runtime = runtime
+        self.metrics = runtime.metrics
         self.node = runtime.processor.node
         self.sim = runtime.sim
         self.group = group or f"client.{runtime.node_id}"
@@ -58,7 +59,7 @@ class RpcClient:
         self.endpoint.on_message = self._on_message
         self.endpoint.join()
         self.stats = ClientStats()
-        obs.REGISTRY.watch(self.stats, COUNTERS, node=self.node.node_id)
+        self.metrics.watch(self.stats, COUNTERS, node=self.node.node_id)
         self._next_conn = 1
         self._conns: Dict[str, int] = {}
         self._next_seq: Dict[int, int] = {}

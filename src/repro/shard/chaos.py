@@ -32,6 +32,7 @@ from typing import Dict, Optional
 from ..chaos.runner import JudgedRun
 from ..chaos.scenario import ChaosScenario, compile_plan
 from ..errors import ConfigurationError
+from ..obs import Bus
 from ..net.daemon import TimeApp
 from ..workloads.load import LoadResult, closed_loop
 from .cluster import sharded_fleet
@@ -48,8 +49,10 @@ def run_shard_chaos(
     fast_path: bool = True,
     max_staleness_us: int = 2_000,
     artifacts_dir: Optional[str] = None,
+    obs: Optional[Bus] = None,
 ) -> Dict:
-    """Run one sharded chaos scenario; return the JSON-able verdict."""
+    """Run one sharded chaos scenario; return the JSON-able verdict
+    (``obs``: the bus the bed records into, its own by default)."""
     if scenario.shards is None:
         raise ConfigurationError(
             "run_shard_chaos needs a sharded scenario (top-level 'shards')")
@@ -61,7 +64,7 @@ def run_shard_chaos(
     bed, overlay, router = sharded_fleet(
         TimeApp, shards=scenario.shards, shard_size=scenario.shard_size,
         seed=seed, fast_path=fast_path, max_staleness_us=max_staleness_us,
-        oracle=run.oracle, secret=f"shards-{seed}")
+        oracle=run.oracle, obs=obs, secret=f"shards-{seed}")
     bed.start()
     overlay.start()
     drill = {"removed": False, "restored": False}

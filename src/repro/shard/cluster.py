@@ -26,6 +26,7 @@ from typing import Callable, Dict, List, Optional
 
 from ..core import GradientSteering
 from ..errors import ConfigurationError
+from ..obs import Bus
 from ..sim import Cluster
 from ..sim.network import Frame
 from ..testbed import Testbed
@@ -77,7 +78,7 @@ class ShardedTestbed(Testbed):
     """
 
     def __init__(self, *, shards: int = 3, shard_size: int = 3,
-                 seed: int = 0):
+                 seed: int = 0, obs: Optional[Bus] = None):
         if shards < 1 or shard_size < 1:
             raise ConfigurationError(
                 "need at least one shard of at least one server")
@@ -88,7 +89,8 @@ class ShardedTestbed(Testbed):
         for shard in range(shards):
             members = shard_nodes(shard, shard_size)
             memberships.update(dict.fromkeys(members, members))
-        self._init_stack(Cluster(seed=seed, node_ids=list(memberships)),
+        self._init_stack(Cluster(seed=seed, node_ids=list(memberships),
+                                 obs=obs),
                          None, memberships)
         #: Set by the overlay: receives intercepted ShardSummary frames.
         self.summary_sink: Optional[SummarySink] = None
@@ -219,7 +221,8 @@ class ShardedTestbed(Testbed):
 
 def sharded_fleet(app_factory, *, shards: int, shard_size: int, seed: int,
                   fast_path: bool = True, max_staleness_us: int = 2_000,
-                  oracle=None, **overlay_options):
+                  oracle=None, obs: Optional[Bus] = None,
+                  **overlay_options):
     """A deployed fleet, not yet started: the sharded bed with
     ``app_factory`` on every shard, the gradient overlay between the
     shards (``overlay_options`` are :class:`OverlayConfig` fields) and
@@ -228,9 +231,11 @@ def sharded_fleet(app_factory, *, shards: int, shard_size: int, seed: int,
     With an ``oracle``, every overlay summary and every routed reply
     feeds it — replies only once the skew envelope has warmed up (the
     initial epoch-alignment jumps are not staleness), and with the
-    overlay's hop bound as rate slack.
+    overlay's hop bound as rate slack.  ``obs`` is the bus the bed
+    records into (its own by default).
     """
-    bed = ShardedTestbed(shards=shards, shard_size=shard_size, seed=seed)
+    bed = ShardedTestbed(shards=shards, shard_size=shard_size, seed=seed,
+                         obs=obs)
     bed.deploy_shards(app_factory, fast_path=fast_path,
                       max_staleness_us=max_staleness_us)
     config = OverlayConfig(**overlay_options)

@@ -46,7 +46,7 @@ __all__ = ["OverlayConfig", "GradientOverlay", "SkewTracker"]
 
 #: GradientOverlay tally -> the registry family read from it, keyed by
 #: the sending shard, the receiving shard and the receiving node.
-COUNTERS = obs.REGISTRY.read_counters({
+COUNTERS = obs.read_counters({
     "sent": ("shard_summaries_sent_total",
              "clock summaries sent to ring neighbors", "shard"),
     "received": ("shard_summaries_received_total",
@@ -55,7 +55,7 @@ COUNTERS = obs.REGISTRY.read_counters({
                  "summaries dropped (bad signature)", "node"),
 })
 #: SkewTracker attribute -> the gauge family read from it.
-GAUGES = obs.REGISTRY.read_gauges({
+GAUGES = obs.read_gauges({
     "skew_us": ("shard_skew_us",
                 "current global inter-shard skew (max - min estimate)"),
     "max_skew_us": ("shard_skew_peak_us",
@@ -110,7 +110,7 @@ class SkewTracker:
         self.skew_us: Optional[int] = None
         self.max_skew_us = 0
         self.max_hop_skew_us = 0
-        obs.REGISTRY.watch(self, GAUGES)
+        bed.obs.metrics.watch(self, GAUGES)
 
     def start(self) -> None:
         self._t0 = self.bed.sim.now
@@ -173,7 +173,7 @@ class GradientOverlay:
         self.sent: Dict[int, int] = Counter()
         self.received: Dict[int, int] = Counter()
         self.rejected: Dict[str, int] = Counter()
-        obs.REGISTRY.watch(self, COUNTERS)
+        bed.obs.metrics.watch(self, COUNTERS)
         self._started = False
         bed.summary_sink = self._on_summary
 

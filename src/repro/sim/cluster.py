@@ -14,6 +14,7 @@ from typing import Dict, List, Optional
 
 from ..errors import ConfigurationError
 from ..net.transport import Transport
+from ..obs import Bus
 from .clock import US_PER_SEC
 from .kernel import Simulator
 from .network import LatencyModel, Network
@@ -54,12 +55,19 @@ class ClusterConfig:
 class Cluster:
     """A ready-to-run testbed: kernel + network + nodes.  A live bed
     passes its kernel as ``sim``, its UDP or chaos transport as
-    ``transport`` (kept as ``network``) and its ``node_ids``."""
+    ``transport`` (kept as ``network``) and its ``node_ids``.
+
+    ``obs`` is the bed's telemetry :class:`~repro.obs.Bus`, built here
+    unless one is handed in (one bus shared by the beds a command runs
+    one after another, or the one a live bed's transport was built on);
+    its registry stamps samples in this cluster's kernel time.  The
+    network and every node are built on it."""
 
     def __init__(self, config: Optional[ClusterConfig] = None, *,
                  seed: int = 0, sim: Optional[Simulator] = None,
                  transport: Optional[Transport] = None,
-                 node_ids: Optional[List[str]] = None):
+                 node_ids: Optional[List[str]] = None,
+                 obs: Optional[Bus] = None):
         self.config = config or ClusterConfig()
         ids = list(node_ids if node_ids is not None
                    else self.config.node_ids())
@@ -67,12 +75,16 @@ class Cluster:
             raise ConfigurationError("cluster needs at least one node")
         self.seed = seed
         self.sim = sim if sim is not None else Simulator()
+        self.obs = obs if obs is not None else Bus()
+        kernel = self.sim
+        self.obs.metrics.clock = lambda: kernel.now
         self.rngs = RngRegistry(seed)
         self.network = transport if transport is not None else Network(
             self.sim,
             self.rngs.stream("network"),
             latency=self.config.latency,
             loss_rate=self.config.loss_rate,
+            obs=self.obs,
         )
         self.nodes: Dict[str, Node] = {}
         clock_rng = self.rngs.stream("clock-setup")
@@ -95,6 +107,7 @@ class Cluster:
                     node_id, self.config.cpu_factor
                 ),
                 cpu_jitter=self.config.cpu_jitter,
+                obs=self.obs,
             )
 
     # -- convenience -----------------------------------------------------

@@ -28,17 +28,18 @@ from typing import Any, Callable, Dict, Optional
 
 from .. import obs
 from ..errors import NetworkError
+from ..obs import Bus
 from ..net.transport import Transport, TransportPort
 from .kernel import Simulator
 
 #: Interface / Network attribute -> the registry family read from it.
-IFACE_COUNTERS = obs.REGISTRY.read_counters({
+IFACE_COUNTERS = obs.read_counters({
     "frames_sent": ("net_frames_sent_total", "frames handed to the LAN per interface"),
     "bytes_sent": ("net_bytes_sent_total",
                    "payload bytes handed to the LAN per interface"),
     "frames_received": ("net_frames_received_total", "frames delivered per interface"),
 })
-NETWORK_COUNTERS = obs.REGISTRY.read_counters({
+NETWORK_COUNTERS = obs.read_counters({
     "frames_dropped": ("net_frames_dropped_total",
                        "frames lost to the configured loss rate"),
 })
@@ -94,7 +95,7 @@ class Interface(TransportPort):
         self.frames_sent = 0
         self.frames_received = 0
         self.bytes_sent = 0
-        obs.REGISTRY.watch(self, IFACE_COUNTERS, node=node_id)
+        network.metrics.watch(self, IFACE_COUNTERS, node=node_id)
 
     # -- sending ----------------------------------------------------------
 
@@ -139,6 +140,7 @@ class Network(Transport):
         *,
         latency: Optional[LatencyModel] = None,
         loss_rate: float = 0.0,
+        obs: Optional[Bus] = None,
     ):
         if not 0.0 <= loss_rate < 1.0:
             raise NetworkError(f"loss_rate must be in [0, 1), got {loss_rate}")
@@ -156,7 +158,9 @@ class Network(Transport):
         #: same visit and must arrive after them.)
         self._last_arrival: Dict[str, Dict[str, float]] = {}
         self.frames_dropped = 0
-        obs.REGISTRY.watch(self, NETWORK_COUNTERS)
+        #: The bed's registry every interface records into.
+        self.metrics = (obs or Bus()).metrics
+        self.metrics.watch(self, NETWORK_COUNTERS)
         #: Optional per-leg payload mutator ``(src, dst, payload) ->
         #: payload`` applied to every delivery — the simulator-side
         #: hook for Byzantine injection (lies and equivocation in the

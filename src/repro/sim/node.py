@@ -17,6 +17,7 @@ from typing import Callable, Generator, List, Optional
 
 from ..errors import NodeDown
 from ..net.transport import Transport, TransportPort
+from ..obs import Bus
 from .clock import ClockValue, HardwareClock
 from .kernel import Process, Simulator, Timeout
 from .network import Frame
@@ -37,11 +38,15 @@ class Node:
         clock_granularity_us: int = 1,
         cpu_factor: float = 1.0,
         cpu_jitter: float = 0.05,
+        obs: Optional[Bus] = None,
     ):
         if cpu_factor <= 0:
             raise ValueError(f"cpu_factor must be positive, got {cpu_factor}")
         self.sim = sim
         self.node_id = node_id
+        #: The bed's telemetry bus: the protocol stack built on this host
+        #: traces and records into it.
+        self.obs = obs if obs is not None else Bus()
         self.alive = True
         self.cpu_factor = cpu_factor
         self.cpu_jitter = cpu_jitter

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Union
 
-from . import obs
 from .baselines import (
     LocalClockSource,
     NtpDisciplinedSource,
@@ -47,6 +46,7 @@ from .core import (
     MODE_PRIMARY,
 )
 from .errors import ConfigurationError, WaitTimeout
+from .obs import Bus
 from .replication import (
     ActiveReplica,
     Application,
@@ -92,7 +92,9 @@ Tap = Callable[[Callable[[Frame], None]], Callable[[Frame], None]]
 class Testbed:
     """A cluster of nodes with Totem and group runtimes on every node.
 
-    Built here on the simulator.  A subclass builds its own
+    Built here on the simulator.  ``obs`` is the telemetry bus the bed
+    records into, ``bed.obs`` (its cluster builds one unless handed
+    one).  A subclass builds its own
     :class:`Cluster` (on a live kernel and transport, or with one ring
     per shard) and hands it to :meth:`_init_stack`; everything else —
     replica deployment, clients, time-source wiring, receiver taps,
@@ -117,9 +119,10 @@ class Testbed:
         seed: int = 0,
         cluster_config: Optional[ClusterConfig] = None,
         totem_config: Optional[TotemConfig] = None,
+        obs: Optional[Bus] = None,
     ):
         config = cluster_config or ClusterConfig(num_nodes=num_nodes)
-        self._init_stack(Cluster(config, seed=seed), totem_config)
+        self._init_stack(Cluster(config, seed=seed, obs=obs), totem_config)
 
     def _init_stack(self, cluster: Cluster,
                     totem_config: Optional[TotemConfig],
@@ -134,8 +137,9 @@ class Testbed:
         """
         self.cluster = cluster
         self.sim = cluster.sim
-        # Metric samples are stamped in this testbed's kernel time.
-        obs.REGISTRY.set_clock(lambda: self.sim.now)
+        #: The bed's telemetry: every layer it builds traces and records
+        #: into this tracer and registry (``cluster.obs``).
+        self.obs = cluster.obs
         self.totem_config = totem_config or TotemConfig()
         self.processors: Dict[str, TotemProcessor] = {}
         self.runtimes: Dict[str, GroupRuntime] = {}

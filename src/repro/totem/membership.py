@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Set, Tuple
 
-from .. import obs, trace
+from .. import obs
 from .messages import (
     CommitMemberInfo,
     CommitToken,
@@ -51,7 +51,7 @@ from .ring import ProcessorState
 
 # -- pushed instrument (zero-cost while the registry is off); gathers and
 # installs are read from ProcessorStats ---------------------------------
-M_MEMBERSHIP_DURATION = obs.REGISTRY.histogram(
+M_MEMBERSHIP_DURATION = obs.histogram(
     "totem_membership_duration_s",
     "gather start to ring installation", unit="s",
     buckets=(0.001, 0.002, 0.005, 0.01, 0.02, 0.05, 0.1, 0.2, 0.5, 1.0, 2.0))
@@ -64,8 +64,13 @@ class MembershipEngine:
     GATHER = "gather"
     RECOVER = "recover"
 
-    def __init__(self, processor):
+    def __init__(self, processor, static_membership: Tuple[str, ...]):
         self.p = processor
+        self.tracer = processor.tracer
+        self.metrics = processor.metrics
+        #: The configured processor universe; majority of this set makes a
+        #: component primary under the primary-component partition model.
+        self.static_membership = static_membership
         self.phase = self.IDLE
         #: Highest ring sequence number ever seen; new rings must exceed it.
         self.highest_ring_seq = 0
@@ -108,9 +113,7 @@ class MembershipEngine:
         #: style), so the system keeps making progress through a sequence
         #: of crashes: 4 -> 3 (3/4) -> 2 (2/3) are each primary, while a
         #: simultaneous 4 -> 2 split is not.
-        self.last_primary_members: Tuple[str, ...] = tuple(
-            processor.static_membership
-        )
+        self.last_primary_members: Tuple[str, ...] = static_membership
 
     # ------------------------------------------------------------------
     # Gather phase
@@ -135,9 +138,9 @@ class MembershipEngine:
         self._commit_last_token_seq = 0
         self._gather_started_at = self.p.sim.now
         self.p.stats.gathers += 1
-        if trace.TRACER.enabled:
-            trace.emit("membership.gather", self.p.me, reason=reason,
-                       t=self.p.sim.now)
+        if self.tracer.enabled:
+            self.tracer.emit("membership.gather", self.p.me, reason=reason,
+                             t=self.p.sim.now)
         self._broadcast_join()
         self._commit_loss.clear()
         self._commit_retransmit.clear()
@@ -422,10 +425,10 @@ class MembershipEngine:
             p.sim.now - self._gather_started_at
             if self._gather_started_at is not None else None
         )
-        if obs.REGISTRY.enabled and duration_s is not None:
-            M_MEMBERSHIP_DURATION.observe(duration_s, node=p.me)
-        if trace.TRACER.enabled:
-            trace.emit(
+        if self.metrics.enabled and duration_s is not None:
+            self.metrics.observe(M_MEMBERSHIP_DURATION, duration_s, node=p.me)
+        if self.tracer.enabled:
+            self.tracer.emit(
                 "membership.install", p.me, ring=str(token.ring_id),
                 members=",".join(token.members),
                 primary=change.is_primary, duration_s=duration_s,
@@ -436,7 +439,7 @@ class MembershipEngine:
 
     def _is_primary(self, members: Set[str]) -> bool:
         base = set(self.last_primary_members) | (
-            members - set(self.p.static_membership)
+            members - set(self.static_membership)
         )
         is_primary = 2 * len(members & base) > len(base)
         if is_primary:

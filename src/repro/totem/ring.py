@@ -31,7 +31,7 @@ from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 from collections import deque
 
-from .. import obs, trace
+from .. import obs
 from ..errors import TotemError
 from ..sim.node import Node
 from .config import TotemConfig
@@ -49,7 +49,7 @@ from .messages import (
 
 # -- pushed instrument (zero-cost while the registry is off); the
 # counter families are read from ProcessorStats, see COUNTERS below ------
-M_TOKEN_INTERVAL = obs.REGISTRY.histogram(
+M_TOKEN_INTERVAL = obs.histogram(
     "totem_token_rotation_us", "interval between token visits at one node",
     unit="us",
     buckets=(50, 100, 200, 400, 800, 1_600, 3_200, 6_400, 12_800, 25_600))
@@ -92,7 +92,7 @@ class ProcessorStats:
 
 
 #: ProcessorStats field -> the registry family read from it.
-COUNTERS = obs.REGISTRY.read_counters({
+COUNTERS = obs.read_counters({
     "messages_multicast": ("totem_messages_multicast_total",
                            "regular messages broadcast on the ring"),
     "retransmissions": ("totem_retransmissions_total",
@@ -121,7 +121,19 @@ class TotemProcessor:
     Applications interact through :meth:`mcast`, :meth:`cancel_pending`
     and the ``on_deliver`` / ``on_config_change`` callbacks; everything
     else is protocol machinery.
+
+    The processor keeps at most 29 instance attributes: CPython 3.11
+    stores instance values inline only below that, and a 30th cost
+    ~4.5 % CPU per op on ``sim-rounds-c1``.  Hooks nothing in ``src/``
+    sets are class attributes for that reason.
     """
+
+    #: Safe delivery (Totem's stronger guarantee): fired for a message
+    #: once every ring member is known to have received it — i.e. its
+    #: sequence number has fallen below the aru watermark on two
+    #: consecutive token visits.  Safe delivery trails agreed delivery
+    #: by one-to-two token rotations.
+    on_safe_deliver: Optional[Callable[[RegularMessage], None]] = None
 
     def __init__(
         self,
@@ -135,16 +147,16 @@ class TotemProcessor:
         self.node = node
         self.sim = node.sim
         self.me = node.node_id
+        #: The host's telemetry bus, which the layers above take from here.
+        self.tracer = node.obs.tracer
+        self.metrics = node.obs.metrics
         self.config = config or TotemConfig()
         self.config.validate()
-        #: The configured processor universe; majority of this set makes a
-        #: component primary under the primary-component partition model.
-        self.static_membership = tuple(static_membership or [self.me])
 
         self.state = ProcessorState.GATHER
         self.ring: Optional[RingConfig] = None
         self.stats = ProcessorStats()
-        obs.REGISTRY.watch(self.stats, COUNTERS, node=self.me)
+        self.metrics.watch(self.stats, COUNTERS, node=self.me)
 
         # -- regular-ring state (reset on every ring install) -----------
         self.received: Dict[int, RegularMessage] = {}
@@ -163,12 +175,6 @@ class TotemProcessor:
 
         # -- application callbacks ---------------------------------------
         self.on_deliver: Optional[Callable[[RegularMessage], None]] = None
-        #: Safe delivery (Totem's stronger guarantee): fired for a message
-        #: once every ring member is known to have received it — i.e. its
-        #: sequence number has fallen below the aru watermark on two
-        #: consecutive token visits.  Safe delivery trails agreed delivery
-        #: by one-to-two token rotations.
-        self.on_safe_deliver: Optional[Callable[[RegularMessage], None]] = None
         self.on_config_change: Optional[Callable[[ConfigurationChange], None]] = None
         #: Raw-reception hook: fires when a message first arrives, before
         #: total-order delivery.  Used by the time service's "effective
@@ -187,13 +193,20 @@ class TotemProcessor:
         self._last_sent_token: Optional[RegularToken] = None
         self._retransmit_count = 0
 
-        self.membership = MembershipEngine(self)
+        self.membership = MembershipEngine(
+            self, tuple(static_membership or [self.me]))
         self.started = False
         node.set_receiver(self._on_frame)
 
     # ------------------------------------------------------------------
     # Application-facing API
     # ------------------------------------------------------------------
+
+    @property
+    def static_membership(self) -> Tuple[str, ...]:
+        """The configured processor universe (kept by the membership
+        engine, which judges primariness against it)."""
+        return self.membership.static_membership
 
     def start(self) -> None:
         """Boot the processor: begin the initial gather phase."""
@@ -351,9 +364,10 @@ class TotemProcessor:
         self.last_token_seq = token.token_seq
         if self.config.record_token_times:
             self.token_arrival_times.append(self.sim.now)
-        if obs.REGISTRY.enabled and self._last_token_at is not None:
-            M_TOKEN_INTERVAL.observe(
-                (self.sim.now - self._last_token_at) * 1e6, node=self.me)
+        if self.metrics.enabled and self._last_token_at is not None:
+            self.metrics.observe(
+                M_TOKEN_INTERVAL, (self.sim.now - self._last_token_at) * 1e6,
+                node=self.me)
         self._last_token_at = self.sim.now
         self._token_evidence()
         # Simulated CPU cost of the token visit, then forward.
@@ -377,8 +391,8 @@ class TotemProcessor:
             if msg is not None:
                 out.append(msg._replace(retransmission=True))
                 self.stats.retransmissions += 1
-                if trace.TRACER.enabled:
-                    trace.emit(
+                if self.tracer.enabled:
+                    self.tracer.emit(
                         "totem.retransmit", self.me, seq=seq,
                         ring=str(self.ring.ring_id),
                         token_seq=token.token_seq,
@@ -402,8 +416,8 @@ class TotemProcessor:
         if self.send_queue and sent >= self.config.window_size:
             # Flow control: the window closed with payloads still queued.
             self.stats.flow_control_deferrals += 1
-            if trace.TRACER.enabled:
-                trace.emit(
+            if self.tracer.enabled:
+                self.tracer.emit(
                     "totem.flow_control", self.me, seq=new_seq,
                     deferred=len(self.send_queue),
                     window=self.config.window_size,
@@ -461,8 +475,8 @@ class TotemProcessor:
         successor = self.ring.successor(self.me)
         self.unicast_raw(successor, token)
         self.stats.tokens_forwarded += 1
-        if trace.TRACER.enabled:
-            trace.emit(
+        if self.tracer.enabled:
+            self.tracer.emit(
                 "totem.token.forward", self.me, to=successor,
                 token_seq=token.token_seq, seq=token.seq, aru=token.aru,
                 rtr=len(token.rtr), ring=str(token.ring_id),
@@ -512,8 +526,8 @@ class TotemProcessor:
             return  # give up; the token-loss timeout will trigger membership
         self._retransmit_count += 1
         self.stats.token_retransmissions += 1
-        if trace.TRACER.enabled:
-            trace.emit(
+        if self.tracer.enabled:
+            self.tracer.emit(
                 "totem.token.retransmit", self.me,
                 token_seq=self._last_sent_token.token_seq,
                 attempt=self._retransmit_count,

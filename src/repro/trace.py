@@ -1,27 +1,18 @@
 """Structured protocol tracing.
 
-Production debugging of a group-communication stack lives and dies by
-its traces.  This module provides a lightweight, zero-cost-when-disabled
-event stream that the protocol layers feed:
+A zero-cost-when-disabled event stream the protocol layers feed:
+``round.*`` (time service),
+``membership.*`` (Totem), ``replica.*`` / ``state.*`` (replication)
+and ``op.send`` … ``op.reply_recv``, one client operation's hops, each
+named by :func:`op_trace_id` (see :mod:`repro.obs.crossnode`).
 
-* ``round.start`` / ``round.won`` / ``round.suppressed`` — time service;
-* ``membership.gather`` / ``membership.install`` — Totem membership;
-* ``replica.promote`` / ``replica.checkpoint`` / ``state.transfer`` —
-  replication;
-* ``op.send`` … ``op.reply_recv`` — one client operation's hops, each
-  named by :func:`op_trace_id` (see :mod:`repro.obs.crossnode`);
+There is no process-wide tracer: each bed owns one :class:`Tracer`
+(``bed.obs.tracer``, see :class:`repro.obs.Bus`) and hands it to every
+layer it builds, so two beds in one process are traced apart::
 
-Usage::
-
-    from repro import trace
-
-    with trace.capture() as events:
-        ...run a scenario...
-    for event in events:
-        print(event)
-
-    # or stream to a callback:
-    trace.subscribe(print)
+    with bed.obs.tracer.capture(["round."]) as events:
+        ...run a scenario on bed...
+    unsubscribe = bed.obs.tracer.subscribe(print)   # or stream them
 """
 
 from __future__ import annotations
@@ -66,30 +57,20 @@ class TraceEvent:
         return f"[{self.node}] {self.kind} {details}"
 
 
-class _Subscription:
-    """One registration of a sink.
-
-    A unique token per ``subscribe()`` call: unsubscribing is scoped to
-    this registration, so subscribing the same callable twice yields two
-    independent handles and releasing one (even repeatedly) never strips
-    the other.
-    """
-
-    __slots__ = ("sink",)
-
-    def __init__(self, sink: Callable[[TraceEvent], None]):
-        self.sink = sink
-
-
 class Tracer:
     """A fan-out sink for trace events.
 
-    Disabled (the default) it is a single attribute check per call site;
-    enabling attaches sinks that receive every event.
+    A bed owns one (``bed.obs.tracer``) and hands it to every layer it
+    builds.  Disabled (no sink attached) it is a single attribute check
+    per call site; enabling attaches sinks that receive every event.
     """
 
     def __init__(self):
-        self._sinks: List[_Subscription] = []
+        #: One entry per ``subscribe()`` call, keyed by a fresh token:
+        #: subscribing the same callable twice yields two independent
+        #: handles, and releasing one (even repeatedly) never strips the
+        #: other.
+        self._sinks: Dict[object, Callable[[TraceEvent], None]] = {}
 
     @property
     def enabled(self) -> bool:
@@ -98,14 +79,11 @@ class Tracer:
     def subscribe(self, sink: Callable[[TraceEvent], None]) -> Callable[[], None]:
         """Attach a sink; returns an idempotent unsubscribe function
         scoped to this registration."""
-        entry = _Subscription(sink)
-        self._sinks.append(entry)
+        token = object()
+        self._sinks[token] = sink
 
         def unsubscribe() -> None:
-            try:
-                self._sinks.remove(entry)
-            except ValueError:
-                pass  # already unsubscribed
+            self._sinks.pop(token, None)
 
         return unsubscribe
 
@@ -114,8 +92,8 @@ class Tracer:
         if not self._sinks:
             return
         event = TraceEvent(kind, node, fields)
-        for entry in list(self._sinks):
-            entry.sink(event)
+        for sink in list(self._sinks.values()):
+            sink(event)
 
     @contextmanager
     def capture(
@@ -137,12 +115,3 @@ class Tracer:
             yield events
         finally:
             unsubscribe()
-
-
-#: The process-wide tracer the protocol layers emit into.
-TRACER = Tracer()
-
-#: Convenience aliases mirroring the module docstring.
-subscribe = TRACER.subscribe
-emit = TRACER.emit
-capture = TRACER.capture

@@ -10,8 +10,9 @@ side by side over many seeds.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List
+from typing import List, Optional
 
+from ..obs import Bus
 from ..replication import Application
 from .load import paper_bed, timed_calls
 
@@ -67,11 +68,12 @@ def run_failover_workload(
     time_source: str = "cts",
     seed: int = 0,
     calls_each_side: int = 5,
+    obs: Optional[Bus] = None,
 ) -> FailoverResult:
     """Measure the clock step across one crash of a passive group's
     primary."""
     bed, client = paper_bed(
-        seed, ClockReadApp, settle=0.3,
+        seed, ClockReadApp, settle=0.3, obs=obs,
         cluster=dict(clock_epoch_spread_s=30.0),
         style="passive", time_source=time_source, checkpoint_interval=5)
 
@@ -92,8 +94,10 @@ def failover_comparison(
     seeds: range,
     *,
     calls_each_side: int = 4,
+    obs: Optional[Bus] = None,
 ) -> dict:
-    """Run the failover workload for both time sources over many seeds.
+    """Run the failover workload for both time sources over many seeds,
+    every bed recording into ``obs`` when one is given.
 
     Returns per-source summaries used by the EXT-FAILOVER benchmark.
     """
@@ -104,6 +108,7 @@ def failover_comparison(
                 time_source=source,
                 seed=seed,
                 calls_each_side=calls_each_side,
+                obs=obs,
             )
             for seed in seeds
         ]

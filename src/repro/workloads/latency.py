@@ -12,9 +12,10 @@ service.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 from ..core import CTSStats
+from ..obs import Bus
 from ..replication import Application
 from .load import paper_bed, timed_calls
 
@@ -71,6 +72,7 @@ def run_latency_workload(
     seed: int = 0,
     cpu_profile: dict = None,
     coalesce: bool = True,
+    obs: Optional[Bus] = None,
 ) -> LatencyRunResult:
     """Run the Figure 5 measurement once.
 
@@ -78,13 +80,14 @@ def run_latency_workload(
     ``"local"`` measures the same application without it (replica
     consistency is then *not* guaranteed — exactly the paper's caveat).
     ``cpu_profile`` maps node ids to relative CPU speeds; defaults to
-    :data:`PAPER_CPU_PROFILE`.
+    :data:`PAPER_CPU_PROFILE`.  ``obs`` is the bus the bed records
+    into (its own by default).
     """
     profile = PAPER_CPU_PROFILE if cpu_profile is None else cpu_profile
     bed, client = paper_bed(
         seed, TimeServerApp, group="timesvc",
         cluster=dict(cpu_factor_overrides=profile),
-        style="active", time_source=time_source, coalesce=coalesce)
+        style="active", time_source=time_source, coalesce=coalesce, obs=obs)
 
     timed_calls(bed, client, "timesvc", "get_time", invocations, timeout=5.0)
     bed.run(0.05)

@@ -28,6 +28,7 @@ from typing import Callable, Dict, Generator, List, Optional, Sequence
 
 from ..control.admission import is_overloaded, retry_after_of
 from ..errors import RpcTimeout
+from ..obs import Bus
 from ..sim import ClusterConfig
 from ..testbed import Testbed
 
@@ -342,15 +343,17 @@ class ZipfPicker:
 def paper_bed(seed: int, app_factory, nodes: Sequence[str] = ("n1", "n2", "n3"),
               *, group: str = "svc", record: bool = False,
               settle: float = 0.2, num_nodes: int = 4,
-              cluster: Optional[Dict] = None, **deploy_options):
+              cluster: Optional[Dict] = None, obs: Optional[Bus] = None,
+              **deploy_options):
     """The paper's bed, started: four PCs, ``app_factory`` deployed as
     ``group`` on ``nodes`` (``deploy_options`` as ``Testbed.deploy``),
     the unreplicated client on the ring leader n0.  ``cluster`` holds
     further ``ClusterConfig`` fields; ``record`` asks for experiment
-    records before anything is deployed.  Returns the bed and the
+    records before anything is deployed; ``obs`` is the bus the bed
+    records into (its own by default).  Returns the bed and the
     client."""
     bed = Testbed(seed=seed, cluster_config=ClusterConfig(
-        num_nodes=num_nodes, **(cluster or {})))
+        num_nodes=num_nodes, **(cluster or {})), obs=obs)
     if record:
         bed.record()
     bed.deploy(group, app_factory, list(nodes), **deploy_options)

@@ -114,7 +114,7 @@ def calibrate_capacity(bed, servers, *, workers: int = 8,
                  for pivot in range(len(servers))]
     callers = [
         LiveCaller(bed.sim, rotations[index % len(servers)],
-                   client_id=f"cal{index}")
+                   client_id=f"cal{index}", obs=bed.obs)
         for index in range(workers)]
     try:
         result = closed_loop(bed, ClockSessions(bed.sim, callers).call,
@@ -179,7 +179,7 @@ def run_overload_suite(
         # Identities are sticky to a gateway: dedup and fair-queue state
         # for one client lives on one node.
         callers += [LiveCaller(bed.sim, [servers[identity % len(servers)]],
-                               client_id=f"ol{identity}")
+                               client_id=f"ol{identity}", obs=bed.obs)
                     for identity in range(identities)]
 
         def one_run(rate: float, run_s: float = duration_s) -> LoadResult:

@@ -12,8 +12,9 @@ fourth replica joins mid-run.  The workload verifies and measures that
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List
+from typing import List, Optional
 
+from ..obs import Bus
 from ..replication import Application
 from .load import last_readings, paper_bed, timed_calls
 
@@ -72,12 +73,13 @@ def run_recovery_workload(
     seed: int = 0,
     calls_before: int = 6,
     calls_after: int = 6,
+    obs: Optional[Bus] = None,
 ) -> RecoveryResult:
     """Run service, join a fourth replica mid-run, measure integration."""
     # Recording: the joiner's source gets a recorder when it is added.
     bed, client = paper_bed(
         seed, RecoveryClockApp, ["n1", "n2"], record=True,
-        cluster=dict(clock_epoch_spread_s=30.0))
+        cluster=dict(clock_epoch_spread_s=30.0), obs=obs)
 
     def stamps(count):
         return [micros for _, micros in

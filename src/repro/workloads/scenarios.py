@@ -13,9 +13,10 @@ benchmark files share.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..analysis import Summary, summarize
+from ..obs import Bus
 from ..sim import ClusterConfig
 from ..testbed import Testbed
 from .failover import ClockReadApp
@@ -23,13 +24,13 @@ from .load import last_readings, paper_bed, timed_calls
 from .recovery import RecoveryClockApp
 
 
-def measure_divergence(time_source: str, *, seed: int,
-                       calls: int = 60) -> List[int]:
+def measure_divergence(time_source: str, *, seed: int, calls: int = 60,
+                       obs: Optional[Bus] = None) -> List[int]:
     """Per-operation spread (max - min, microseconds) of the replicas'
     readings over ``calls`` operations.  ``"ntp"`` installs the
     discipline and lets it converge first."""
     bed = Testbed(seed=seed, cluster_config=ClusterConfig(
-        num_nodes=4, clock_epoch_spread_s=10.0))
+        num_nodes=4, clock_epoch_spread_s=10.0), obs=obs)
     bed.record()
     if time_source == "ntp":
         bed.install_ntp(poll_interval_s=0.5, gain=0.7)
@@ -46,10 +47,11 @@ def measure_divergence(time_source: str, *, seed: int,
     return [max(values) - min(values) for values in zip(*per_replica)]
 
 
-def run_partition_cycle(seed: int) -> Dict[str, object]:
+def run_partition_cycle(seed: int,
+                        obs: Optional[Bus] = None) -> Dict[str, object]:
     """Three calls, partition n3 away, three calls, heal, three calls."""
     bed, client = paper_bed(seed, RecoveryClockApp, record=True,
-                            cluster=dict(clock_epoch_spread_s=30.0))
+                            cluster=dict(clock_epoch_spread_s=30.0), obs=obs)
 
     def stamps():
         return [micros for _, micros in
@@ -75,13 +77,13 @@ def run_partition_cycle(seed: int) -> Dict[str, object]:
     return outcome
 
 
-def run_at_size(replicas: int, *, calls: int = 150,
-                seed: int = 9) -> Tuple[Summary, int, int]:
+def run_at_size(replicas: int, *, calls: int = 150, seed: int = 9,
+                obs: Optional[Bus] = None) -> Tuple[Summary, int, int]:
     """Client latency summary, CCS messages on the wire and rounds
     decided with ``replicas`` servers (plus the client's node)."""
     nodes = [f"n{i}" for i in range(1, replicas + 1)]
     bed, client = paper_bed(seed, lambda: ClockReadApp(40e-6), nodes,
-                            num_nodes=replicas + 1, settle=0.3)
+                            num_nodes=replicas + 1, settle=0.3, obs=obs)
     timed_calls(bed, client, "svc", "get_time", calls, timeout=5.0)
     bed.run(0.1)
     services = [r.time_source for r in bed.replicas("svc").values()]

@@ -32,6 +32,7 @@ from ..core import (
     MeanDelayCompensation,
     NoCompensation,
 )
+from ..obs import Bus
 from ..replication import Application
 from ..sim import US_PER_SEC, ClusterConfig, RngRegistry
 from ..testbed import Testbed
@@ -134,6 +135,7 @@ def run_skew_drift_workload(
     seed: int = 0,
     drift: Optional[DriftCompensation] = None,
     drift_factory=None,
+    obs: Optional[Bus] = None,
 ) -> SkewDriftResult:
     """Run the Figure 6 measurement once and collect all series.
 
@@ -141,7 +143,8 @@ def run_skew_drift_workload(
     that need simulation access, e.g. reference steering against the
     testbed's notion of real time.
     """
-    bed = Testbed(seed=seed, cluster_config=ClusterConfig(num_nodes=4))
+    bed = Testbed(seed=seed, cluster_config=ClusterConfig(num_nodes=4),
+                  obs=obs)
     if drift_factory is not None:
         drift = drift_factory(bed)
     bed.record()
@@ -194,7 +197,7 @@ def run_skew_drift_workload(
 
 
 def run_drift_ablation(
-    *, rounds: int, seed: int
+    *, rounds: int, seed: int, obs: Optional[Bus] = None
 ) -> Tuple[Dict[str, SkewDriftResult], int]:
     """EXT-DRIFT: the Figure 6 workload under each Section 3.3 strategy.
 
@@ -207,7 +210,7 @@ def run_drift_ablation(
     transient skew from real time but no drift").
     """
     plain = run_skew_drift_workload(rounds=rounds, seed=seed,
-                                    drift=NoCompensation())
+                                    drift=NoCompensation(), obs=obs)
     series = next(iter(plain.series.values()))
     real_span_us = (series.times_s[-1] - series.times_s[0]) * US_PER_SEC
     group_span_us = series.history[-1][0] - series.history[0][0]
@@ -215,10 +218,12 @@ def run_drift_ablation(
     results = {
         "none": plain,
         "mean-delay": run_skew_drift_workload(
-            rounds=rounds, seed=seed, drift=MeanDelayCompensation(mean_delay)),
+            rounds=rounds, seed=seed, drift=MeanDelayCompensation(mean_delay),
+            obs=obs),
         "reference-steering": run_skew_drift_workload(
             rounds=rounds, seed=seed,
             drift_factory=lambda bed: AlignedReferenceSteering(
-                lambda: int(bed.sim.now * US_PER_SEC), proportion=0.2)),
+                lambda: int(bed.sim.now * US_PER_SEC), proportion=0.2),
+            obs=obs),
     }
     return results, mean_delay

@@ -28,8 +28,8 @@ ROUND_BOUND = 2
 REPLICAS = ["n1", "n2", "n3", "n4"]
 
 
-def build_bed(seed):
-    bed = make_testbed(seed=seed, num_nodes=5, epoch_spread_s=30.0)
+def build_bed(seed, bus=None):
+    bed = make_testbed(seed=seed, num_nodes=5, epoch_spread_s=30.0, obs=bus)
     bed.deploy("svc", ClockApp, REPLICAS, style="active",
                time_source="cts", byzantine=True)
     client = bed.client("n0")
@@ -40,7 +40,8 @@ def build_bed(seed):
 class TestReconvergence:
     def test_state_repaired_within_round_bound(self):
         bed, call_some = build_bed(seed=11)
-        with trace.TRACER.capture(["round.complete", "state.repaired"]) as events:
+        with bed.obs.tracer.capture(["round.complete",
+                                     "state.repaired"]) as events:
             values = call_some(5)
             mark = len(events)
             details = bed.corrupt_state("n2", seed=42)
@@ -81,8 +82,9 @@ class TestReconvergence:
         assert all(b > a for a, b in zip(values, values[1:]))
 
     def test_stabilization_counters_account_for_repairs(self):
-        with obs.REGISTRY.session():
-            bed, call_some = build_bed(seed=11)
+        bus = obs.Bus()
+        with bus.metrics.session():
+            bed, call_some = build_bed(seed=11, bus=bus)
             call_some(5)
             bed.corrupt_state("n2", seed=42)
             call_some(12)
@@ -92,7 +94,7 @@ class TestReconvergence:
         # their own name, and the {what} series read those counts.
         assert service.stats.stabilizations == {
             "watermark": 1, "round-counter": 1, "floors": 1}
-        repairs = obs.REGISTRY.get("cts_stabilizations_total")
+        repairs = bus.metrics.get("cts_stabilizations_total")
         for what, count in service.stats.stabilizations.items():
             assert repairs.value(node="n2", what=what) == count
         untouched = bed.replicas("svc")["n3"].time_source
@@ -115,56 +117,60 @@ class TestOracleCorruptionWindow:
     is flagged as failing to stabilize."""
 
     def test_divergence_inside_window_excluded(self):
-        oracle = InvariantOracle().attach()
+        tracer = trace.Tracer()
+        oracle = InvariantOracle().attach(tracer)
         try:
             oracle.note_corruption("n1", round_bound=ROUND_BOUND)
             for rnd in (1, 2):  # rounds 1..ROUND_BOUND: still repairing
-                trace.emit("round.complete", "n0",
-                           thread="t", round=rnd, group_us=500 * rnd)
-                trace.emit("round.complete", "n1",
-                           thread="t", round=rnd, group_us=500 * rnd + 7)
+                tracer.emit("round.complete", "n0",
+                            thread="t", round=rnd, group_us=500 * rnd)
+                tracer.emit("round.complete", "n1",
+                            thread="t", round=rnd, group_us=500 * rnd + 7)
         finally:
             oracle.detach()
         assert oracle.ok
 
     def test_divergence_after_window_flagged(self):
-        oracle = InvariantOracle().attach()
+        tracer = trace.Tracer()
+        oracle = InvariantOracle().attach(tracer)
         try:
             oracle.note_corruption("n1", round_bound=ROUND_BOUND)
             for rnd in (1, 2, 3):  # round 3 is past the window
-                trace.emit("round.complete", "n0",
-                           thread="t", round=rnd, group_us=500 * rnd)
-                trace.emit("round.complete", "n1",
-                           thread="t", round=rnd, group_us=500 * rnd + 7)
+                tracer.emit("round.complete", "n0",
+                            thread="t", round=rnd, group_us=500 * rnd)
+                tracer.emit("round.complete", "n1",
+                            thread="t", round=rnd, group_us=500 * rnd + 7)
         finally:
             oracle.detach()
         assert [v.check for v in oracle.violations] == ["agreement"]
         assert oracle.violations[0].subject == "n1"
 
     def test_agreement_after_window_passes_when_converged(self):
-        oracle = InvariantOracle().attach()
+        tracer = trace.Tracer()
+        oracle = InvariantOracle().attach(tracer)
         try:
             oracle.note_corruption("n1", round_bound=ROUND_BOUND)
-            trace.emit("round.complete", "n1",
-                       thread="t", round=1, group_us=999_999)  # repairing
+            tracer.emit("round.complete", "n1",
+                        thread="t", round=1, group_us=999_999)  # repairing
             for rnd in (2, 3, 4):
-                trace.emit("round.complete", "n0",
-                           thread="t", round=rnd, group_us=500 * rnd)
-                trace.emit("round.complete", "n1",
-                           thread="t", round=rnd, group_us=500 * rnd)
+                tracer.emit("round.complete", "n0",
+                            thread="t", round=rnd, group_us=500 * rnd)
+                tracer.emit("round.complete", "n1",
+                            thread="t", round=rnd, group_us=500 * rnd)
         finally:
             oracle.detach()
         assert oracle.ok
 
     def test_never_reconverging_replica_flagged_at_finish(self):
-        oracle = InvariantOracle().attach()
+        tracer = trace.Tracer()
+        oracle = InvariantOracle().attach(tracer)
         try:
             oracle.note_corruption("n1", round_bound=ROUND_BOUND)
             # n1 completes only ROUND_BOUND rounds after corruption: it
             # never provably re-entered agreement.
             for rnd in (1, 2):
-                trace.emit("round.complete", "n1",
-                           thread="t", round=rnd, group_us=500 * rnd)
+                tracer.emit("round.complete", "n1",
+                            thread="t", round=rnd, group_us=500 * rnd)
         finally:
             pass
         oracle.finish()  # detaches

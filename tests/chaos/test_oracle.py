@@ -2,6 +2,9 @@
 
 from repro import trace
 from repro.chaos.oracle import InvariantOracle
+from repro.chaos.runner import JudgedRun
+
+from support import ClockApp, call_n, make_testbed  # noqa: E402
 
 
 def checks(oracle):
@@ -154,46 +157,50 @@ class TestStaleness:
 
 class TestAgreement:
     def test_identical_commits_pass(self):
-        oracle = InvariantOracle().attach()
+        tracer = trace.Tracer()
+        oracle = InvariantOracle().attach(tracer)
         try:
-            trace.emit("round.complete", "n0",
-                       thread="t", round=1, group_us=500, offset_us=5)
-            trace.emit("round.complete", "n1",
-                       thread="t", round=1, group_us=500, offset_us=7)
+            tracer.emit("round.complete", "n0",
+                        thread="t", round=1, group_us=500, offset_us=5)
+            tracer.emit("round.complete", "n1",
+                        thread="t", round=1, group_us=500, offset_us=7)
         finally:
             oracle.detach()
         assert oracle.ok
         assert oracle.rounds_checked == 2
 
     def test_divergent_commit_flagged(self):
-        oracle = InvariantOracle().attach()
+        tracer = trace.Tracer()
+        oracle = InvariantOracle().attach(tracer)
         try:
-            trace.emit("round.complete", "n0",
-                       thread="t", round=1, group_us=500)
-            trace.emit("round.complete", "n1",
-                       thread="t", round=1, group_us=501)
+            tracer.emit("round.complete", "n0",
+                        thread="t", round=1, group_us=500)
+            tracer.emit("round.complete", "n1",
+                        thread="t", round=1, group_us=501)
         finally:
             oracle.detach()
         assert checks(oracle) == ["agreement"]
         assert oracle.violations[0].subject == "n1"
 
     def test_distinct_rounds_do_not_collide(self):
-        oracle = InvariantOracle().attach()
+        tracer = trace.Tracer()
+        oracle = InvariantOracle().attach(tracer)
         try:
-            trace.emit("round.complete", "n0",
-                       thread="t", round=1, group_us=500)
-            trace.emit("round.complete", "n0",
-                       thread="t", round=2, group_us=900)
-            trace.emit("round.complete", "n0",
-                       thread="u", round=1, group_us=777)
+            tracer.emit("round.complete", "n0",
+                        thread="t", round=1, group_us=500)
+            tracer.emit("round.complete", "n0",
+                        thread="t", round=2, group_us=900)
+            tracer.emit("round.complete", "n0",
+                        thread="u", round=1, group_us=777)
         finally:
             oracle.detach()
         assert oracle.ok
 
     def test_other_trace_kinds_ignored(self):
-        oracle = InvariantOracle().attach()
+        tracer = trace.Tracer()
+        oracle = InvariantOracle().attach(tracer)
         try:
-            trace.emit("round.start", "n0", thread="t", round=1)
+            tracer.emit("round.start", "n0", thread="t", round=1)
         finally:
             oracle.detach()
         assert oracle.rounds_checked == 0
@@ -202,14 +209,15 @@ class TestAgreement:
         # An agreement violation's subject is a node, which has no calls
         # of its own: the violation must still link the recent client
         # traffic so the timelines around the divergence can be pulled.
-        oracle = InvariantOracle().attach()
+        tracer = trace.Tracer()
+        oracle = InvariantOracle().attach(tracer)
         try:
             oracle.observe_reply("c0", 100, wall_s=0.0, trace_id="t-one")
             oracle.observe_reply("c1", 200, wall_s=0.0, trace_id="t-two")
-            trace.emit("round.complete", "n0",
-                       thread="t", round=1, group_us=500)
-            trace.emit("round.complete", "n1",
-                       thread="t", round=1, group_us=501)
+            tracer.emit("round.complete", "n0",
+                        thread="t", round=1, group_us=500)
+            tracer.emit("round.complete", "n1",
+                        thread="t", round=1, group_us=501)
         finally:
             oracle.detach()
         assert checks(oracle) == ["agreement"]
@@ -268,10 +276,11 @@ class TestFinish:
         assert oracle.violations[0].subject == "n0"
 
     def test_recovered_node_without_new_rounds_flagged(self):
-        oracle = InvariantOracle().attach()
+        tracer = trace.Tracer()
+        oracle = InvariantOracle().attach(tracer)
         try:
-            trace.emit("round.complete", "n1",
-                       thread="t", round=1, group_us=500)
+            tracer.emit("round.complete", "n1",
+                        thread="t", round=1, group_us=500)
             oracle.note_recovery("n1")
         finally:
             pass
@@ -279,11 +288,12 @@ class TestFinish:
         assert checks(oracle) == ["recovery"]
 
     def test_recovered_node_with_new_round_passes(self):
-        oracle = InvariantOracle().attach()
+        tracer = trace.Tracer()
+        oracle = InvariantOracle().attach(tracer)
         try:
             oracle.note_recovery("n1")
-            trace.emit("round.complete", "n1",
-                       thread="t", round=1, group_us=500)
+            tracer.emit("round.complete", "n1",
+                        thread="t", round=1, group_us=500)
         finally:
             pass
         oracle.finish()
@@ -303,3 +313,29 @@ class TestReport:
         # Violations are JSON-able (transcripts are repr'd strings).
         assert all(isinstance(entry, str)
                    for entry in report["violations"][0]["transcript"])
+
+
+class TestJudgedApart:
+    def test_two_beds_are_judged_apart(self):
+        """A judged run hears the rounds of the bed it judges, not those
+        of another bed with the same node ids and group running beside it
+        in the process (whose commits would disagree with the judged
+        bed's at every round)."""
+        judged, other = make_testbed(seed=41), make_testbed(seed=42)
+        clients = {}
+        for bed in (judged, other):
+            bed.deploy("svc", ClockApp, ["n1", "n2", "n3"], time_source="cts")
+            clients[bed] = bed.client("n0")
+        run = JudgedRun(seed=41)
+        with run.over(judged, ["svc"], capture=False):
+            judged.start()
+            other.start()
+            for _ in range(3):
+                for bed in (judged, other):
+                    call_n(bed, clients[bed], "svc", "get_time", 2)
+                    bed.run(0.05)
+        completed = sum(replica.time_source.stats.rounds_completed
+                        for replica in judged.replicas("svc").values())
+        assert completed > 0
+        assert run.oracle.rounds_checked == completed
+        assert run.oracle.ok, run.oracle.violations

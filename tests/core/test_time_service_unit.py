@@ -5,7 +5,6 @@ from collections import deque
 
 import pytest
 
-from repro import obs
 from repro.core import (
     CCSMessage,
     ConsistentTimeService,
@@ -313,7 +312,7 @@ class TestRejectEvidence:
                  + 20_000)  # lag-scale too high: honest winners, late anchor
         service.guard._reject_evidence["too-high"]["n2"] = fresh - 2_000_000
         assert service.stats.stabilizations == {}
-        with obs.REGISTRY.session():
+        with bed.obs.metrics.session() as registry:
             for round_number, (sender, value) in enumerate(
                     [("n3", fresh), ("n2", fresh + 1_000),
                      ("n3", fresh + 2_000)], start=1):
@@ -322,7 +321,7 @@ class TestRejectEvidence:
                     body=CCSMessage(self.THREAD, round_number, value, 0)),
                     reading)
         assert service.stats.stabilizations == {"anchor": 1}
-        assert obs.REGISTRY.get("cts_stabilizations_total").value(
+        assert registry.get("cts_stabilizations_total").value(
             node="n1", what="anchor") == 1
         assert service._last_commit_physical_us < anchor
 

@@ -14,7 +14,7 @@ from contextlib import nullcontext
 
 import pytest
 
-from repro import trace
+from repro import obs
 from repro.errors import RpcTimeout
 from repro.net.client import LiveCaller
 from repro.net.wire import decode_frame_ex, encode_frame
@@ -165,10 +165,11 @@ class TestRetries:
                 return timeout(delay, *args)
 
             kernel.timeout = recording
+            bus = obs.Bus()
             try:
                 with LiveCaller(kernel, [("127.0.0.1", 0)],
-                                client_id="jitter") as caller:
-                    with trace.TRACER.capture() if traced else nullcontext():
+                                client_id="jitter", obs=bus) as caller:
+                    with bus.tracer.capture() if traced else nullcontext():
                         with pytest.raises(RpcTimeout):
                             call(kernel, caller, timeout=0.5)
                     return slept[:caller.stats.backoffs]

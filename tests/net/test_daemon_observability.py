@@ -6,7 +6,6 @@ import socket
 
 import pytest
 
-from repro import obs, trace
 from repro.net.daemon import DaemonConfig, NodeDaemon
 from repro.obs.crossnode import shard_path
 
@@ -26,7 +25,6 @@ def daemon(tmp_path):
         yield daemon
     finally:
         daemon.shutdown()
-        obs.REGISTRY.disable()
 
 
 def run_briefly(daemon, seconds=0.05):
@@ -38,10 +36,12 @@ class TestStartObservability:
         daemon.start_observability()
         run_briefly(daemon)  # let the endpoint's start task complete
 
-        assert obs.REGISTRY.enabled
+        bus = daemon.bed.obs
+        assert bus.metrics.enabled  # the bed's registry...
+        assert daemon._metrics_server.registry is bus.metrics  # ...scraped
         assert daemon.flight.enabled  # this node's own recorder...
         assert daemon.bed.transport.flight is daemon.flight  # ...fed frames
-        assert trace.TRACER.enabled  # the shard writer is subscribed
+        assert bus.tracer.enabled  # the shard writer is subscribed
         assert daemon._metrics_server is not None
         port = daemon._metrics_server.bound_port
         assert port
@@ -57,8 +57,8 @@ class TestStartObservability:
         body = daemon.kernel.loop.run_until_complete(fetch("/healthz"))
         assert "200 OK" in body and "ok" in body
 
-        # An event emitted now lands in this node's shard.
-        trace.emit("round.start", "n0", thread="t0", round=1, t=0.0)
+        # An event the bed emits now lands in this node's shard.
+        bus.tracer.emit("round.start", "n0", thread="t0", round=1, t=0.0)
         daemon.shutdown()
         assert not daemon.flight.enabled
         shard = shard_path(tmp_path / "tr", "n0")
@@ -78,7 +78,8 @@ class TestStartObservability:
     def test_dump_flight_writes_an_artifact(self, daemon, tmp_path):
         daemon.start_observability()
         run_briefly(daemon)
-        trace.emit("round.start", "n0", thread="t0", round=7, t=0.0)
+        daemon.bed.obs.tracer.emit("round.start", "n0", thread="t0", round=7,
+                                   t=0.0)
         daemon._dump_flight("unit-test", context={"extra": "yes"})
         artifact_path = tmp_path / "tr" / "flight-n0-unit-test.json"
         assert artifact_path.exists()
@@ -96,7 +97,8 @@ class TestStartObservability:
             assert daemon._metrics_server is None
             assert daemon._shard_writer is None
             assert daemon.flight is None
-            assert not obs.REGISTRY.enabled
+            assert not daemon.bed.obs.metrics.enabled
+            assert not daemon.bed.obs.tracer.enabled
             daemon._dump_flight("never")
         finally:
             daemon.shutdown()

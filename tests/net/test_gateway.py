@@ -1,8 +1,6 @@
 """ClientGateway idempotency: retries replay, they never re-execute;
 an op's first reply is forwarded, the rest recorded for the replay."""
 
-import pytest
-
 from repro import obs
 from repro.control.admission import AdmissionConfig, AdmissionController
 from repro.net.daemon import ClientGateway
@@ -32,9 +30,15 @@ class FakeClock:
 
 
 class FakeRuntime:
+    """What a gateway takes from its node's group runtime: endpoints, the
+    kernel clock and the bus, recording from the start."""
+
     def __init__(self):
         self.endpoints = {}
         self.sim = FakeClock()
+        bus = obs.Bus()
+        self.tracer, self.metrics = bus.tracer, bus.metrics
+        self.metrics.enable()
 
     def endpoint(self, group):
         endpoint = self.endpoints.setdefault(group, FakeEndpoint())
@@ -70,16 +74,10 @@ def make_gateway(admission=None):
             runtime, port)
 
 
-@pytest.fixture
-def recording():
-    with obs.REGISTRY.session():
-        yield
-
-
 def evictions(gateway):
     """The gateway's window evictions by reason, each checked against
     the ``gateway_dedup_evictions_total{reason}`` series read from it."""
-    family = obs.REGISTRY.get("gateway_dedup_evictions_total")
+    family = gateway.metrics.get("gateway_dedup_evictions_total")
     for reason, count in gateway.dedup_evictions.items():
         assert family.value(node=gateway.node_id, reason=reason) == count
     return gateway.dedup_evictions
@@ -149,7 +147,7 @@ class TestGatewayDedup:
         # Both rode the same client group endpoint: two distinct mcasts.
         assert len(runtime.endpoints["client.c1"].mcasts) == 2
 
-    def test_window_eviction_forgets_oldest(self, recording):
+    def test_window_eviction_forgets_oldest(self):
         gateway, runtime, port = make_gateway()
         for seq in range(1, ClientGateway.DEDUP_WINDOW + 2):
             gateway.handle(LiveFrame("c1", request(seq), 64, ADDR_A))
@@ -272,7 +270,7 @@ def make_timed_gateway():
 class TestGatewayWindowBounds:
     """The idempotency window is bounded by age as well as count."""
 
-    def test_stale_ops_expire_after_the_ttl(self, recording):
+    def test_stale_ops_expire_after_the_ttl(self):
         gateway, runtime, port, clock = make_timed_gateway()
         gateway.handle(LiveFrame("c1", request(1), 64, ADDR_A))
         clock.now = ClientGateway.DEDUP_TTL_S + 1.0
@@ -284,7 +282,7 @@ class TestGatewayWindowBounds:
         assert gateway.requests_deduplicated == 0
         assert gateway.requests_injected == 3
 
-    def test_retry_refreshes_the_ttl(self, recording):
+    def test_retry_refreshes_the_ttl(self):
         gateway, runtime, port, clock = make_timed_gateway()
         gateway.handle(LiveFrame("c1", request(1), 64, ADDR_A))
         clock.now = ClientGateway.DEDUP_TTL_S - 1.0
@@ -296,7 +294,7 @@ class TestGatewayWindowBounds:
         assert gateway.requests_deduplicated == 2
         assert evictions(gateway) == {}
 
-    def test_fresh_ops_survive_the_sweep(self, recording):
+    def test_fresh_ops_survive_the_sweep(self):
         gateway, runtime, port, clock = make_timed_gateway()
         gateway.handle(LiveFrame("c1", request(1), 64, ADDR_A))
         clock.now = ClientGateway.DEDUP_TTL_S + 1.0

@@ -12,7 +12,6 @@ senders, compared by the caller — through the replay path.
 
 import pytest
 
-from repro import trace
 from repro.net.client import LiveCaller
 from repro.replication.envelope import MsgType
 from repro.net.daemon import TimeApp
@@ -157,8 +156,8 @@ def test_a_gateway_without_a_replica_gets_every_ordered_reply():
 def test_a_timeline_has_one_reply_forward_hop():
     bed, gateway = serving_bed(replicas=3, seed=15)
     with bed, LiveCaller(bed.kernel, [bed.node("n0").address],
-                         client_id="ct") as caller:
-        with trace.TRACER.capture(["op.", "round."]) as events:
+                         client_id="ct", obs=bed.obs) as caller:
+        with bed.obs.tracer.capture(["op.", "round."]) as events:
             for _ in range(4):
                 bed.run_process(caller.call("gettimeofday", timeout=3.0))
             bed.wait_until(lambda: all(

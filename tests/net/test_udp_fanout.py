@@ -17,7 +17,6 @@ import select
 
 import pytest
 
-from repro import trace
 from repro.chaos.transport import ChaosTransport
 from repro.net.auth import WireAuthenticator
 from repro.net.client import LiveCaller
@@ -118,9 +117,11 @@ class TestOneDatagramPerVisit:
                 encode_frame("a", BEACON, None, ports["a"].auth))
 
     def test_a_traced_visit_is_one_datagram(self, kernel, visit_ports):
-        _transport, ports, inbox = visit_ports
+        """Recording on the registry the ports count into changes
+        nothing they send (a port holds no tracer at all)."""
+        transport, ports, inbox = visit_ports
         messages, sizes = visit(1, 2, 3)
-        with trace.TRACER.capture():
+        with transport.metrics.session():
             ports["a"].multicast_many(messages, sizes)
         assert ports["a"].frames_sent == 2
         kernel.run(kernel.now + 0.05)
@@ -138,8 +139,8 @@ class TestOneDatagramPerVisit:
             bed.start()
             bed.install_gateway("n0")
             with LiveCaller(bed.kernel, [bed.node("n0").address],
-                            client_id="traced") as caller, \
-                    trace.TRACER.capture(["op."]) as events:
+                            client_id="traced", obs=bed.obs) as caller, \
+                    bed.obs.tracer.capture(["op."]) as events:
                 outcome = bed.run_process(
                     caller.call("gettimeofday", timeout=3.0))
         assert {event.fields["trace"] for event in events

@@ -10,7 +10,6 @@ import struct
 
 import pytest
 
-from repro import obs
 from repro.net.kernel import LiveKernel
 from repro.net.udp import UdpTransport
 from repro.net.wire import HEADER_SIZE, MAGIC, WIRE_VERSION, encode_frame, frame
@@ -98,15 +97,13 @@ class TestFrameRejection:
 
     def test_rejections_land_in_the_metrics_registry(self, live_port):
         kernel, port, probe, received = live_port
-        counter = obs.REGISTRY.counter("udp_datagrams_rejected_total")
-        obs.REGISTRY.enable()
-        try:
+        registry = port.transport.metrics
+        with registry.session():
+            counter = registry.get("udp_datagrams_rejected_total")
             before = counter.value(node="n0", reason="truncated")
             probe.sendto(b"CT", port.address)
             pump(kernel)
             after = counter.value(node="n0", reason="truncated")
-        finally:
-            obs.REGISTRY.disable()
         assert after == before + 1
 
     def test_rejection_reasons_are_tallied_per_port(self, live_port):

@@ -5,8 +5,8 @@ The evaluation tables are built from plain attributes (``CTSStats``,
 ``Interface.frames_sent``, ``GroupClockState.offset_us`` ...); the
 registry reports those same attributes, so the checks here are (1) on
 a seeded run the exported families say what the harness says, (2) for
-every object handed to ``REGISTRY.watch`` each family value *is* the
-attribute, and (3) a run with telemetry off behaves like an
+every object handed to a bed registry's ``watch`` each family value
+*is* the attribute, and (3) a run with telemetry off behaves like an
 uninstrumented one.
 """
 
@@ -18,6 +18,7 @@ import pytest
 
 import repro
 from repro import obs
+from repro.obs.export import trace_event_record
 from repro.chaos import transport as chaos_transport
 from repro.control import admission
 from repro.core import time_service
@@ -35,18 +36,22 @@ from support import ClockApp, CounterApp, call_n, make_testbed  # noqa: E402
 
 @pytest.fixture
 def ccs_run():
-    """One CCS workload recorded by the registry and the span tracker."""
-    tracker = obs.RoundSpanTracker()
-    with obs.REGISTRY.session(), tracker:
-        run = run_latency_workload(time_source="cts", invocations=80, seed=11)
-    return run, tracker
+    """One CCS workload recorded by its bus's registry, and the round
+    spans assembled from its trace."""
+    bus = obs.Bus()
+    with bus.metrics.session(), bus.tracer.capture(["round."]) as events:
+        run = run_latency_workload(time_source="cts", invocations=80, seed=11,
+                                   obs=bus)
+    spans = obs.CrossNodeSpanAssembler()
+    spans.add_events(map(trace_event_record, events))
+    return run, bus.metrics, spans
 
 
 class TestCcsCountsMatchHarness:
     def test_transmitted_equals_sent_minus_suppressed(self, ccs_run):
-        run, _ = ccs_run
-        sent = obs.REGISTRY.get("ccs_sent_total")
-        suppressed = obs.REGISTRY.get("ccs_suppressed_total")
+        run, registry, _ = ccs_run
+        sent = registry.get("ccs_sent_total")
+        suppressed = registry.get("ccs_suppressed_total")
         derived = {
             node: sent.value(node=node) - suppressed.value(node=node)
             for node in run.ccs_transmitted
@@ -55,14 +60,14 @@ class TestCcsCountsMatchHarness:
                            for node, count in run.ccs_transmitted.items()}
 
     def test_total_transmitted_equals_rounds(self, ccs_run):
-        run, _ = ccs_run
-        sent = obs.REGISTRY.get("ccs_sent_total")
-        suppressed = obs.REGISTRY.get("ccs_suppressed_total")
+        run, registry, _ = ccs_run
+        sent = registry.get("ccs_sent_total")
+        suppressed = registry.get("ccs_suppressed_total")
         assert sent.total() - suppressed.total() == run.rounds
 
     def test_round_latency_histogram_populated(self, ccs_run):
-        run, _ = ccs_run
-        histogram = obs.REGISTRY.get("cts_round_latency_us")
+        run, registry, _ = ccs_run
+        histogram = registry.get("cts_round_latency_us")
         # Each of the three replicas completes (at least) one round per
         # application invocation; recovery rounds add a few more, but a
         # late joiner may miss the earliest ones.
@@ -73,21 +78,21 @@ class TestCcsCountsMatchHarness:
             assert snapshot.sum >= 0.0
 
     def test_spans_agree_with_round_counters(self, ccs_run):
-        _, tracker = ccs_run
-        rounds = obs.REGISTRY.get("ccs_rounds_total")
-        spans = tracker.completed()
+        _, registry, assembler = ccs_run
+        rounds = registry.get("ccs_rounds_total")
+        spans = assembler.round_spans()
         # One completed span per completed round per replica.
         assert len(spans) == int(rounds.total())
         sent_spans = sum(1 for s in spans if s.sent and not s.suppressed)
-        sent = obs.REGISTRY.get("ccs_sent_total")
-        suppressed = obs.REGISTRY.get("ccs_suppressed_total")
+        sent = registry.get("ccs_sent_total")
+        suppressed = registry.get("ccs_suppressed_total")
         assert sent_spans == int(sent.total() - suppressed.total())
 
     def test_winner_counts_sum_to_rounds(self, ccs_run):
-        run, tracker = ccs_run
-        winners = tracker.winner_counts()
+        run, _, assembler = ccs_run
+        winners = assembler.winner_counts()
         # Every completed span names its synchronizer.
-        assert sum(winners.values()) == len(tracker.completed())
+        assert sum(winners.values()) == len(assembler.round_spans())
         # Only replicas that transmitted a CCS message can have won rounds.
         for node, count in winners.items():
             if count:
@@ -99,19 +104,19 @@ class TestInterfaceCountersMatchNetwork:
         bed = make_testbed(seed=21)
         bed.deploy("svc", ClockApp, ["n1", "n2", "n3"], time_source="cts")
         client = bed.client("n0")
-        with obs.REGISTRY.session():
+        with bed.obs.metrics.session() as registry:
             bed.start()
             call_n(bed, client, "svc", "get_time", 5)
-        frames = obs.REGISTRY.get("net_frames_sent_total")
-        bytes_sent = obs.REGISTRY.get("net_bytes_sent_total")
+        frames = registry.get("net_frames_sent_total")
+        bytes_sent = registry.get("net_bytes_sent_total")
         for node_id, node in bed.cluster.nodes.items():
             assert frames.value(node=node_id) == node.iface.frames_sent
             assert bytes_sent.value(node=node_id) == node.iface.bytes_sent
 
 
-def _sim_bed():
+def _sim_bed(bus):
     """A lossy passive group through a crash and a state-transfer rejoin."""
-    bed = make_testbed(seed=5, loss_rate=0.02)
+    bed = make_testbed(seed=5, loss_rate=0.02, obs=bus)
     bed.deploy("svc", CounterApp, ["n1", "n2", "n3"], style="passive",
                time_source="cts", checkpoint_interval=2)
     client = bed.client("n0")
@@ -127,8 +132,9 @@ def _sim_bed():
     return bed
 
 
-def _chaos_decisions():
-    chaos = chaos_transport.ChaosTransport(inner=None, kernel=None, seed=3)
+def _chaos_decisions(bus):
+    chaos = chaos_transport.ChaosTransport(inner=None, kernel=None, seed=3,
+                                           obs=bus)
     chaos.partition({"a"}, {"b"})
     assert chaos.decide("a", "b") is None
     chaos.heal()
@@ -141,17 +147,17 @@ def _chaos_decisions():
     return chaos
 
 
-def _admission_overflow():
+def _admission_overflow(bus):
     controller = admission.AdmissionController(
         admission.AdmissionConfig(max_inflight=1, max_global_queue=1),
-        node_id="n9", clock=lambda: 0.0)
+        node_id="n9", clock=lambda: 0.0, obs=bus)
     for index in range(4):
         controller.submit("c", index, lambda: None, lambda retry: None)
     return controller
 
 
-def _sharded_bed():
-    bed = ShardedTestbed(shards=2, shard_size=3, seed=3)
+def _sharded_bed(bus):
+    bed = ShardedTestbed(shards=2, shard_size=3, seed=3, obs=bus)
     bed.deploy_shards(daemon.TimeApp)
     gradient = GradientOverlay(bed, overlay.OverlayConfig(secret="t"))
     router = ShardRouter(bed)
@@ -162,10 +168,10 @@ def _sharded_bed():
     return bed, gradient
 
 
-def _recovered_bed():
+def _recovered_bed(bus=None):
     """A fast-path active group through a crash, a recover and a
     state-transfer rejoin of n2; returns the bed and n2's first service."""
-    bed = make_testbed(seed=7)
+    bed = make_testbed(seed=7, obs=bus)
     bed.deploy("svc", ClockApp, ["n1", "n2", "n3"], style="active",
                time_source="cts", fast_path=True, max_staleness_us=1_500)
     client = bed.client("n0")
@@ -182,14 +188,14 @@ def _recovered_bed():
     return bed, first
 
 
-def _live_bed():
-    with LiveTestbed(num_nodes=3, seed=5) as bed:
+def _live_bed(bus):
+    with LiveTestbed(num_nodes=3, seed=5, obs=bus) as bed:
         bed.deploy("timesvc", daemon.TimeApp, nodes=bed.node_ids,
                    style="active", time_source="cts")
         bed.start()
         bed.install_gateway("n0", admission.AdmissionConfig())
         caller = live_client.LiveCaller(bed.kernel, [bed.node("n0").address],
-                                        client_id="xcheck")
+                                        client_id="xcheck", obs=bed.obs)
         for _ in range(3):
             bed.run_process(caller.call("gettimeofday", timeout=3.0))
         caller.close()
@@ -198,7 +204,8 @@ def _live_bed():
 
 
 #: Every ``read_counters`` / ``read_gauges`` declaration in the source
-#: tree, beside a scenario that makes the objects it is declared for.
+#: tree, beside a scenario that builds the objects it is declared for on
+#: the bus it is handed.
 CASES = [
     pytest.param(_sim_bed, [
         time_service.COUNTERS, time_service.CLOCK_GAUGES,
@@ -221,11 +228,11 @@ CASES = [
 ]
 
 
-def _watched_values():
+def _watched_values(registry):
     """(family, label set) -> what the live watched objects hold: a
     counter's attributes summed, a gauge's newest object's value."""
     values = {}
-    for ref, families, key in list(obs.REGISTRY._sources.values()):
+    for ref, families, key in list(registry._sources.values()):
         source = ref()
         for attr, family, keyed in families if source is not None else ():
             value = getattr(source, attr)
@@ -241,36 +248,36 @@ def _watched_values():
 
 
 class TestFamiliesReadTheAttributes:
-    """For every object handed to ``REGISTRY.watch`` and every entry of
-    its map, a counter family reports what the attribute counted during
-    the session and a gauge family what the attribute holds: there is
-    no second copy that could disagree."""
+    """For every object handed to a registry's ``watch`` and every entry
+    of its map, a counter family reports what the attribute counted
+    during the session and a gauge family what the attribute holds:
+    there is no second copy that could disagree."""
 
     @pytest.mark.parametrize("build, declarations", CASES)
     def test_each_watched_attribute_is_the_family_value(self, build,
                                                         declarations):
-        with obs.REGISTRY.session():
-            earlier = _watched_values()  # leftovers of earlier tests
-            built = build()  # noqa: F841 - keeps the objects alive below
+        bus = obs.Bus()
+        registry = bus.metrics
+        with registry.session():
+            built = build(bus)  # noqa: F841 - keeps the objects alive below
             read = {}
-            for (family, labels), value in _watched_values().items():
-                if isinstance(family, obs.Counter):
-                    value -= earlier.get((family, labels), 0)
+            for (family, labels), value in _watched_values(registry).items():
                 read[family, labels] = value
                 if value is not None:
                     assert family.value(**dict(labels)) == value, (
                         family.name, labels)
             for declaration in declarations:
-                for attr, family, _ in declaration:
+                for spec in declaration:
+                    family = registry.family(spec.family)
                     if isinstance(family, obs.Counter):
                         assert family.total() == sum(
                             value for (f, _), value in read.items()
                             if f is family), family.name
-        declared = {family for declaration in declarations
-                    for _, family, _ in declaration}
+        declared = {registry.family(spec.family)
+                    for declaration in declarations for spec in declaration}
         assert {family for family, _ in read} >= declared - {
             # keyed tallies with nothing to tally in these scenarios
-            obs.REGISTRY.get(name) for name in (
+            registry.get(name) for name in (
                 "shard_summaries_rejected_total", "cts_admission_shed_total",
                 "udp_datagrams_rejected_total", "ccs_winners_rejected_total",
                 "cts_stabilizations_total", "gateway_dedup_evictions_total")}
@@ -278,8 +285,8 @@ class TestFamiliesReadTheAttributes:
 
     def test_the_cases_name_every_declaration(self):
         declared = sum(
-            path.read_text().count("REGISTRY.read_counters(")
-            + path.read_text().count("REGISTRY.read_gauges(")
+            path.read_text().count("obs.read_counters(")
+            + path.read_text().count("obs.read_gauges(")
             for path in Path(repro.__file__).parent.rglob("*.py")
             if path.name != "metrics.py")
         named = {id(declaration) for case in CASES
@@ -287,9 +294,10 @@ class TestFamiliesReadTheAttributes:
         assert declared == len(named)
 
     def test_a_recovered_node_reports_its_new_incarnation(self):
-        with obs.REGISTRY.session():
-            bed, first = _recovered_bed()
-        offset = obs.REGISTRY.get("cts_clock_offset_us")
+        bus = obs.Bus()
+        with bus.metrics.session() as registry:
+            bed, first = _recovered_bed(bus)
+        offset = registry.get("cts_clock_offset_us")
         services = {node: r.time_source
                     for node, r in bed.replicas("svc").items()}
         assert set(services) == {"n1", "n2", "n3"}
@@ -297,17 +305,17 @@ class TestFamiliesReadTheAttributes:
             assert offset.value(node=node) == service.clock_state.offset_us
         assert services["n2"] is not first
         assert first.clock_state.offset_us != services["n2"].clock_state.offset_us
-        budget = obs.REGISTRY.get("cts_max_staleness_us")
+        budget = registry.get("cts_max_staleness_us")
         assert [budget.value(node=node) for node in services] == [1_500] * 3
 
     def test_a_bed_built_before_recording_exports_its_budget(self):
         bed = make_testbed(seed=3)
         bed.deploy("svc", ClockApp, ["n1", "n2", "n3"], style="active",
                    time_source="cts", fast_path=True, max_staleness_us=1_200)
-        with obs.REGISTRY.session():
+        with bed.obs.metrics.session() as registry:
             bed.start()
             call_n(bed, bed.client("n0"), "svc", "get_time", 3)
-        budget = obs.REGISTRY.get("cts_max_staleness_us")
+        budget = registry.get("cts_max_staleness_us")
         assert [budget.value(node=node)
                 for node in ("n1", "n2", "n3")] == [1_200] * 3
 
@@ -317,19 +325,20 @@ class TestDisabledOverhead:
         """With the registry off the instrumented stack must behave
         byte-for-byte like the uninstrumented one (same RNG draws, same
         latencies) — the hooks must be pure observers."""
-        obs.REGISTRY.reset()
+        off, on = obs.Bus(), obs.Bus()
         baseline = run_latency_workload(time_source="cts", invocations=40,
-                                        seed=5)
-        assert obs.REGISTRY.get("ccs_rounds_total").total() == 0
-        with obs.REGISTRY.session():
+                                        seed=5, obs=off)
+        assert off.metrics.get("ccs_rounds_total").total() == 0
+        with on.metrics.session():
             recorded = run_latency_workload(time_source="cts", invocations=40,
-                                            seed=5)
+                                            seed=5, obs=on)
+        assert on.metrics.get("ccs_rounds_total").total() > 0
         assert recorded.latencies_us == baseline.latencies_us
         assert recorded.ccs_transmitted == baseline.ccs_transmitted
 
     def test_watching_with_recording_off_keeps_only_a_weak_reference(self):
         registry = obs.MetricsRegistry()
-        declared = registry.read_counters({"count": ("things_total", "things")})
+        declared = obs.read_counters({"count": ("things_total", "things")})
 
         class Thing:
             count = 0

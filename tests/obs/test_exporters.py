@@ -9,8 +9,8 @@ from repro.obs import MetricsRegistry, RoundSpan, export
 
 
 def populated_registry():
-    registry = MetricsRegistry()
-    registry.enable(clock=lambda: 1.5)
+    registry = MetricsRegistry(clock=lambda: 1.5)
+    registry.enable()
     registry.counter("requests_total", help="requests served").inc(3, node="n1")
     registry.gauge("offset_us", help="clock offset").set(-42.5, node="n2")
     hist = registry.histogram("latency_us", help="latency", buckets=(10, 100))

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.obs import Counter, Gauge, Histogram, MetricsError, MetricsRegistry
+from repro.obs import (Counter, Gauge, Histogram, MetricsError, MetricsRegistry,
+                       histogram, read_gauges)
 
 
 @pytest.fixture
@@ -36,7 +37,8 @@ class TestCounter:
 
     def test_samples_timestamped_with_bound_clock(self, registry):
         counter = registry.counter("c")
-        registry.enable(clock=lambda: 12.5)
+        registry.clock = lambda: 12.5
+        registry.enable()
         counter.inc(node="n1")
         (sample,) = counter.samples()
         assert sample["t"] == 12.5
@@ -68,15 +70,15 @@ class TestReadGauges:
     object first, its last value kept when recording stops."""
 
     def test_reports_the_attribute_at_sample_time(self, registry):
-        declared = registry.read_gauges({"level": ("level", "a level")})
-        gauge = registry.get("level")
+        declared = read_gauges({"level": ("level", "a level")})
         thing = Thing()
         registry.watch(thing, declared, node="n1")
-        registry.set_clock(lambda: 7.0)
+        gauge = registry.get("level")
+        registry.clock = lambda: 7.0
         with registry.session():
             assert gauge.samples() == []  # None reports nothing
             thing.level = 3
-            registry.set_clock(lambda: 9.0)
+            registry.clock = lambda: 9.0
             assert gauge.value(node="n1") == 3.0
             (sample,) = gauge.samples()
             assert sample["t"] == 9.0  # the sample's time
@@ -85,7 +87,7 @@ class TestReadGauges:
         assert gauge._watched == []
 
     def test_a_gauge_built_before_recording_is_read(self, registry):
-        declared = registry.read_gauges({"level": ("level", "a level")})
+        declared = read_gauges({"level": ("level", "a level")})
         thing = Thing(5)
         registry.watch(thing, declared, node="n1")
         with registry.session():
@@ -93,7 +95,7 @@ class TestReadGauges:
         assert registry.get("level").value(node="n1") == 5.0
 
     def test_the_newest_object_wins_the_label_set(self, registry):
-        declared = registry.read_gauges({"level": ("level", "a level")})
+        declared = read_gauges({"level": ("level", "a level")})
         old, new = Thing(1), Thing()
         registry.watch(old, declared, node="n1")
         with registry.session():
@@ -105,7 +107,7 @@ class TestReadGauges:
             assert gauge.value(node="n1") == 2.0
 
     def test_disabled_reads_keep_only_a_weak_reference(self, registry):
-        declared = registry.read_gauges({"level": ("level", "a level")})
+        declared = read_gauges({"level": ("level", "a level")})
         registry.watch(Thing(4), declared, node="n1")
         with registry.session():
             pass
@@ -160,6 +162,18 @@ class TestRegistry:
         with pytest.raises(MetricsError):
             registry.gauge("c")
 
+    def test_a_spec_becomes_a_family_on_first_use(self, registry):
+        spec = histogram("h", "a histogram", unit="us", buckets=(5, 1))
+        assert registry.get("h") is None
+        registry.enable()
+        registry.observe(spec, 3.0, node="n1")
+        family = registry.get("h")
+        assert isinstance(family, Histogram) and family.bounds == (1, 5)
+        assert registry.family(spec) is family
+        assert family.snapshot(node="n1").count == 1
+        # Specs hold no series: another registry starts empty.
+        assert MetricsRegistry().family(spec).total_count() == 0
+
     def test_get_and_metrics_listing(self, registry):
         registry.counter("b")
         registry.gauge("a")
@@ -196,7 +210,7 @@ class TestRegistry:
 
     def test_clock_defaults_to_zero(self, registry):
         assert registry.now() == 0.0
-        registry.set_clock(lambda: 3.25)
+        registry.clock = lambda: 3.25
         assert registry.now() == 3.25
 
     def test_collect_flattens_all_instruments(self, registry):
@@ -213,7 +227,7 @@ class TestZeroCostWhenDisabled:
 
     def test_no_series_created(self, registry):
         ticks = []
-        registry.set_clock(lambda: ticks.append(1) or 0.0)
+        registry.clock = lambda: ticks.append(1) or 0.0
         registry.counter("c").inc(node="n1")
         registry.gauge("g").set(1.0, node="n1")
         registry.histogram("h", buckets=(1,)).observe(2.0, node="n1")

@@ -8,8 +8,8 @@ from repro.obs.metrics import MetricsRegistry
 
 
 def sample_registry():
-    registry = MetricsRegistry()
-    registry.enable(clock=lambda: 2.0)
+    registry = MetricsRegistry(clock=lambda: 2.0)
+    registry.enable()
     registry.counter("requests_total", help="requests").inc(5, node="n0")
     registry.gauge("offset_us", help="offset").set(-3.5, node='n"1\n')
     registry.disable()
@@ -34,8 +34,7 @@ def serve_and_fetch(path_or_request, *, registry=None):
         request = path_or_request
 
     async def scenario():
-        server = MetricsHttpServer(
-            port=0, registry=registry or sample_registry())
+        server = MetricsHttpServer(registry or sample_registry(), port=0)
         await server.start()
         try:
             assert server.bound_port
@@ -104,7 +103,7 @@ class TestRoutes:
 class TestLifecycle:
     def test_bound_port_none_before_start_and_after_stop(self):
         async def scenario():
-            server = MetricsHttpServer(port=0, registry=sample_registry())
+            server = MetricsHttpServer(sample_registry(), port=0)
             assert server.bound_port is None
             await server.start()
             port = server.bound_port
@@ -117,7 +116,7 @@ class TestLifecycle:
 
     def test_sequential_requests_on_one_server(self):
         async def scenario():
-            server = MetricsHttpServer(port=0, registry=sample_registry())
+            server = MetricsHttpServer(sample_registry(), port=0)
             await server.start()
             try:
                 for _ in range(3):

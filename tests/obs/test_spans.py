@@ -1,7 +1,10 @@
-"""Tests for round-span assembly from the trace stream."""
+"""Round spans: the cross-node assembler folds every ``round.*`` record
+of one (node, thread, round) into one span, yielded in ``round.complete``
+order."""
 
 from repro import trace
-from repro.obs import RoundSpan, RoundSpanTracker
+from repro.obs import CrossNodeSpanAssembler, RoundSpan
+from repro.obs.export import trace_event_record
 
 from support import ClockApp, call_n, make_testbed  # noqa: E402
 
@@ -18,14 +21,21 @@ def emit_round(tracer, node, thread, round_number, *, winner="n2",
                 group_us=150, offset_us=50, latency_us=1000.0, t=complete_t)
 
 
+def assembled(events) -> CrossNodeSpanAssembler:
+    assembler = CrossNodeSpanAssembler()
+    assembler.add_events(map(trace_event_record, events))
+    return assembler
+
+
 class TestTrackerUnit:
+    """Round-span tracking by the assembler, record by record."""
+
     def test_assembles_one_span_per_round(self):
         tracer = trace.Tracer()
-        tracker = RoundSpanTracker(tracer=tracer)
-        with tracker:
+        with tracer.capture() as events:
             emit_round(tracer, "n1", "t0", 1)
             emit_round(tracer, "n1", "t0", 2, start_t=2.0, complete_t=2.002)
-        spans = tracker.completed()
+        spans = assembled(events).round_spans()
         assert [s.round_number for s in spans] == [1, 2]
         span = spans[0]
         assert span.node == "n1"
@@ -36,15 +46,12 @@ class TestTrackerUnit:
         assert span.group_us == 150
         assert span.offset_us == 50
         assert span.latency_us == (1.001 - 1.0) * 1e6
-        assert span.complete
-        assert tracker.open_spans() == []
 
     def test_out_of_order_won_before_start(self):
         """The winner is often ordered before the local round starts
         (input-buffer short-circuit); the span must still assemble."""
         tracer = trace.Tracer()
-        tracker = RoundSpanTracker(tracer=tracer)
-        with tracker:
+        with tracer.capture() as events:
             tracer.emit("round.won", "n3", thread="t0", round=1,
                         winner="n2", group_us=99)
             tracer.emit("round.start", "n3", thread="t0", round=1,
@@ -52,61 +59,56 @@ class TestTrackerUnit:
                         t=5.0)
             tracer.emit("round.complete", "n3", thread="t0", round=1,
                         group_us=99, offset_us=9, latency_us=0.0, t=5.0)
-        (span,) = tracker.completed()
+        (span,) = assembled(events).round_spans()
         assert span.from_buffer
         assert span.winner == "n2"
         assert span.latency_us == 0.0
 
     def test_suppression_and_adoption_flags(self):
         tracer = trace.Tracer()
-        tracker = RoundSpanTracker(tracer=tracer)
-        with tracker:
+        with tracer.capture() as events:
             tracer.emit("round.start", "n2", thread="t0", round=4,
                         proposal_us=1, call="time", buffered=False, t=0.0)
             tracer.emit("round.suppressed", "n2", thread="t0", round=4)
             tracer.emit("round.adopted", "n2", thread="t0", round=4,
                         offset_us=-7)
-        (span,) = tracker.open_spans()
+        # A round that has not completed yields no span.
+        assert assembled(events).round_spans() == []
+        with tracer.capture() as completion:
+            tracer.emit("round.complete", "n2", thread="t0", round=4, t=0.5)
+        (span,) = assembled(events + completion).round_spans()
         assert span.suppressed
         assert span.adopted
         assert span.offset_us == -7
-        assert not span.complete
-        assert span.latency_us is None
+        assert span.latency_us == 0.5e6
 
     def test_ignores_unrelated_and_incomplete_events(self):
         tracer = trace.Tracer()
-        tracker = RoundSpanTracker(tracer=tracer)
-        with tracker:
+        with tracer.capture() as events:
             tracer.emit("membership.gather", "n1", reason="boot")
             tracer.emit("round.start", "n1")  # no thread/round: dropped
-        assert tracker.all_spans() == []
+            tracer.emit("round.complete", "n1", thread="t0")  # no round
+        assert assembled(events).round_spans() == []
 
-    def test_detach_stops_assembly(self):
+    def test_a_record_after_completion_opens_a_new_span(self):
         tracer = trace.Tracer()
-        tracker = RoundSpanTracker(tracer=tracer)
-        tracker.attach()
-        tracker.detach()
-        emit_round(tracer, "n1", "t0", 1)
-        assert tracker.completed() == []
-
-    def test_keep_events_retains_constituents(self):
-        tracer = trace.Tracer()
-        tracker = RoundSpanTracker(keep_events=True, tracer=tracer)
-        with tracker:
-            emit_round(tracer, "n1", "t0", 1)
-        (span,) = tracker.completed()
-        assert [e.kind for e in span.events] == [
-            "round.start", "round.sent", "round.won", "round.complete"]
+        with tracer.capture() as events:
+            emit_round(tracer, "n1", "t0", 1, winner="n2")
+            tracer.emit("round.won", "n1", thread="t0", round=1,
+                        winner="n3", group_us=1)
+        (span,) = assembled(events).round_spans()
+        assert span.winner == "n2"
 
     def test_winner_counts_and_latencies(self):
         tracer = trace.Tracer()
-        tracker = RoundSpanTracker(tracer=tracer)
-        with tracker:
+        with tracer.capture() as events:
             emit_round(tracer, "n1", "t0", 1, winner="n2")
             emit_round(tracer, "n1", "t0", 2, winner="n2")
             emit_round(tracer, "n1", "t0", 3, winner="n1")
-        assert tracker.winner_counts() == {"n2": 2, "n1": 1}
-        assert len(tracker.latencies_us()) == 3
+        assembler = assembled(events)
+        assert assembler.winner_counts() == {"n2": 2, "n1": 1}
+        assert [round(s.latency_us) for s in assembler.round_spans()] == [
+            1000, 1000, 1000]
 
     def test_to_dict_is_json_friendly(self):
         span = RoundSpan("n1", "t0", 7, started_at=1.0, completed_at=1.5,
@@ -123,17 +125,18 @@ class TestTrackerIntegration:
         bed.deploy("svc", ClockApp, ["n1", "n2", "n3"], time_source="cts")
         client = bed.client("n0")
         bed.start()
-        with RoundSpanTracker() as tracker:
+        with bed.obs.tracer.capture(kinds=["round."]) as events:
             call_n(bed, client, "svc", "get_time", 5)
             bed.run(0.05)
-        spans = tracker.completed()
+        assembler = assembled(events)
+        spans = assembler.round_spans()
         # Every replica completes every application round.
         assert len(spans) >= 15
         assert all(s.latency_us is not None and s.latency_us >= 0
                    for s in spans)
         # Exactly one synchronizer per round; every span knows its winner.
         assert all(s.winner for s in spans)
-        winners = tracker.winner_counts()
+        winners = assembler.winner_counts()
         assert sum(winners.values()) == len(spans)
         # Synchronizers are group members, and one of them won rounds.
         assert set(winners) <= {"n1", "n2", "n3"}

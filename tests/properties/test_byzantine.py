@@ -52,7 +52,7 @@ BYZ_SETTINGS = dict(
 REPLICAS = ["n1", "n2", "n3", "n4"]
 
 
-def run_byzantine(seed, liar, events, calls=12, warmup=3):
+def run_byzantine(seed, liar, events, calls=12, warmup=3, bus=None):
     """Drive `calls` invocations while `events` scripts the liar.
 
     ``events`` is a list of ``(at_s, kind, magnitude_us)`` with kind
@@ -60,7 +60,7 @@ def run_byzantine(seed, liar, events, calls=12, warmup=3):
     happens *after* ``warmup`` clean calls have anchored the filter.
     Returns ``(bed, values)`` — the monotone reply sequence.
     """
-    bed = make_testbed(seed=seed, num_nodes=5, epoch_spread_s=30.0)
+    bed = make_testbed(seed=seed, num_nodes=5, epoch_spread_s=30.0, obs=bus)
     bed.record()
     bed.deploy("svc", ClockApp, REPLICAS, style="active",
                time_source="cts", byzantine=True)
@@ -164,10 +164,12 @@ class TestPinnedRegressions:
     must actually hit the filter (winners rejected, never committed)."""
 
     def test_seed7_lying_proposer_rejections_observed(self):
-        with obs.REGISTRY.session():
-            bed, values = run_byzantine(7, "n1", [(0.0, "lie", 150_000)])
+        bus = obs.Bus()
+        with bus.metrics.session():
+            bed, values = run_byzantine(7, "n1", [(0.0, "lie", 150_000)],
+                                        bus=bus)
         assert all(b > a for a, b in zip(values, values[1:]))
-        family = obs.REGISTRY.get("ccs_winners_rejected_total")
+        family = bus.metrics.get("ccs_winners_rejected_total")
         rejected = 0
         for node, r in bed.replicas("svc").items():
             for reason, count in r.time_source.stats.winners_rejected.items():

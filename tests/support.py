@@ -96,6 +96,7 @@ def make_testbed(
     loss_rate: float = 0.0,
     drift_ppm_max: float = 50.0,
     totem_config: Optional[TotemConfig] = None,
+    obs=None,
 ) -> Testbed:
     config = ClusterConfig(
         num_nodes=num_nodes,
@@ -103,7 +104,8 @@ def make_testbed(
         clock_drift_ppm_max=drift_ppm_max,
         loss_rate=loss_rate,
     )
-    return Testbed(seed=seed, cluster_config=config, totem_config=totem_config)
+    return Testbed(seed=seed, cluster_config=config, totem_config=totem_config,
+                   obs=obs)
 
 
 def call_n(bed: Testbed, client, group: str, method: str, n: int, *args,

@@ -168,6 +168,23 @@ class TestCommands:
             assert text in out
 
 
+@pytest.fixture
+def buses(monkeypatch):
+    """Every telemetry bus the CLI or a bed's cluster builds, in order."""
+    built = []
+
+    class Recorded(obs.Bus):
+        __slots__ = ()
+
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+    monkeypatch.setattr("repro.obs.Bus", Recorded)
+    monkeypatch.setattr("repro.sim.cluster.Bus", Recorded)
+    return built
+
+
 class TestObservability:
     def test_metrics_command_cross_check_passes(self, tmp_path, capsys):
         assert main(["fig", "ccs", "--rounds", "60",
@@ -186,7 +203,8 @@ class TestObservability:
         assert "FAIL: counter family ccs_rounds_total is empty" in out
         assert "FAIL: no round spans were assembled" in out
 
-    def test_metrics_flag_writes_jsonl_and_prometheus(self, tmp_path, capsys):
+    def test_metrics_flag_writes_jsonl_and_prometheus(self, tmp_path, capsys,
+                                                      buses):
         target = tmp_path / "ccs.jsonl"
         assert main(["fig", "ccs", "--rounds", "40",
                      "--metrics", str(target)]) == 0
@@ -209,8 +227,10 @@ class TestObservability:
         text = prom.read_text()
         assert "# TYPE ccs_sent_total counter" in text
         assert 'cts_round_latency_us_bucket{le="+Inf"' in text
-        # The registry is switched back off after the export.
-        assert not obs.REGISTRY.enabled
+        # One bus for the command's beds, switched back off after the
+        # export.
+        (bus,) = buses
+        assert not bus.metrics.enabled and not bus.tracer.enabled
 
     def test_metrics_flag_fails_fast_on_bad_path(self, capsys):
         # An unusable export path must be rejected BEFORE the experiment
@@ -225,13 +245,16 @@ class TestObservability:
         assert "membership.install" in captured.err
         assert "membership.install" not in captured.out
 
-    def test_disabled_by_default_records_nothing(self, capsys):
-        obs.REGISTRY.reset()  # clear residue from earlier enabled runs
+    def test_disabled_by_default_records_nothing(self, capsys, buses):
         main(["fig", "ccs", "--rounds", "30"])
         capsys.readouterr()
-        counter = obs.REGISTRY.get("ccs_rounds_total")
-        assert counter is not None
-        assert counter.total() == 0
+        # Each bed kept its own bus, and none of them recorded.
+        assert buses
+        for bus in buses:
+            counter = bus.metrics.get("ccs_rounds_total")
+            assert counter is not None
+            assert counter.total() == 0
+            assert not bus.tracer.enabled
 
 
 class TestTraceCommand:

@@ -1,6 +1,5 @@
-"""Tests for the structured tracing facility."""
-
-import pytest
+"""Tests for the structured tracing facility: a tracer instance, and
+the events the layers of a bed emit into the bed's own tracer."""
 
 from repro import trace
 
@@ -9,57 +8,62 @@ from support import ClockApp, call_n, make_testbed  # noqa: E402
 
 class TestTracerUnit:
     def test_disabled_by_default(self):
-        assert not trace.TRACER.enabled
+        assert not trace.Tracer().enabled
+        assert not make_testbed(seed=1).obs.tracer.enabled
 
     def test_subscribe_and_emit(self):
+        tracer = trace.Tracer()
         events = []
-        unsubscribe = trace.subscribe(events.append)
-        try:
-            trace.emit("test.kind", "n9", detail=42)
-        finally:
-            unsubscribe()
+        unsubscribe = tracer.subscribe(events.append)
+        assert tracer.enabled
+        tracer.emit("test.kind", "n9", detail=42)
+        unsubscribe()
+        assert not tracer.enabled
         assert len(events) == 1
         assert events[0].kind == "test.kind"
         assert events[0].node == "n9"
         assert events[0].fields == {"detail": 42}
 
     def test_unsubscribe_stops_delivery(self):
+        tracer = trace.Tracer()
         events = []
-        unsubscribe = trace.subscribe(events.append)
+        unsubscribe = tracer.subscribe(events.append)
         unsubscribe()
-        trace.emit("test.kind", "n9")
+        tracer.emit("test.kind", "n9")
         assert events == []
 
     def test_unsubscribe_is_idempotent(self):
+        tracer = trace.Tracer()
         events = []
-        unsubscribe = trace.subscribe(events.append)
+        unsubscribe = tracer.subscribe(events.append)
         unsubscribe()
         unsubscribe()  # second call must be a harmless no-op
-        trace.emit("test.kind", "n9")
+        tracer.emit("test.kind", "n9")
         assert events == []
 
     def test_unsubscribe_is_scoped_to_its_registration(self):
         """Regression: subscribing the same callable twice used to let one
         unsubscribe handle (called repeatedly) strip both registrations."""
+        tracer = trace.Tracer()
         events = []
-        first = trace.subscribe(events.append)
-        second = trace.subscribe(events.append)
+        first = tracer.subscribe(events.append)
+        second = tracer.subscribe(events.append)
         first()
         first()  # repeat release of the same handle
-        try:
-            trace.emit("test.kind", "n9")
-            # The second registration must still be attached.
-            assert len(events) == 1
-        finally:
-            second()
-        trace.emit("test.kind", "n9")
+        tracer.emit("test.kind", "n9")
+        # The second registration must still be attached.
+        assert len(events) == 1
+        second()
+        tracer.emit("test.kind", "n9")
         assert len(events) == 1
 
     def test_capture_filters_by_prefix(self):
-        with trace.capture(kinds=["a."]) as events:
-            trace.emit("a.one", "n1")
-            trace.emit("b.two", "n1")
+        tracer = trace.Tracer()
+        with tracer.capture(kinds=["a."]) as events:
+            tracer.emit("a.one", "n1")
+            tracer.emit("b.two", "n1")
         assert [e.kind for e in events] == ["a.one"]
+        assert not tracer.enabled
 
     def test_event_str(self):
         event = trace.TraceEvent("round.won", "n2", {"round": 3})
@@ -72,7 +76,7 @@ class TestProtocolTraces:
         bed.deploy("svc", ClockApp, ["n1", "n2", "n3"], time_source="cts")
         client = bed.client("n0")
         bed.start()
-        with trace.capture(kinds=["round."]) as events:
+        with bed.obs.tracer.capture(kinds=["round."]) as events:
             call_n(bed, client, "svc", "get_time", 3)
             bed.run(0.05)
         kinds = {e.kind for e in events}
@@ -87,7 +91,7 @@ class TestProtocolTraces:
         bed.deploy("svc", ClockApp, ["n1", "n2", "n3"], time_source="cts")
         client = bed.client("n0")
         bed.start()
-        with trace.capture(kinds=["totem."]) as events:
+        with bed.obs.tracer.capture(kinds=["totem."]) as events:
             call_n(bed, client, "svc", "get_time", 3)
         forwards = [e for e in events if e.kind == "totem.token.forward"]
         assert forwards, "token circulation must be traced"
@@ -99,7 +103,7 @@ class TestProtocolTraces:
         bed.deploy("svc", ClockApp, ["n1", "n2", "n3"], time_source="cts")
         client = bed.client("n0")
         bed.start(settle=0.5)
-        with trace.capture(kinds=["totem."]) as events:
+        with bed.obs.tracer.capture(kinds=["totem."]) as events:
             call_n(bed, client, "svc", "get_time", 10, timeout=5.0)
         kinds = {e.kind for e in events}
         # With 12% loss some data messages and/or tokens must be re-sent.
@@ -109,7 +113,7 @@ class TestProtocolTraces:
     def test_membership_events_emitted(self):
         bed = make_testbed(seed=171)
         bed.deploy("svc", ClockApp, ["n1", "n2"], time_source="local")
-        with trace.capture(kinds=["membership."]) as events:
+        with bed.obs.tracer.capture(kinds=["membership."]) as events:
             bed.start()
             bed.crash("n2")
             bed.run(0.4)
@@ -125,7 +129,7 @@ class TestProtocolTraces:
         )
         client = bed.client("n0")
         bed.start(settle=0.3)
-        with trace.capture(kinds=["replica.", "state."]) as events:
+        with bed.obs.tracer.capture(kinds=["replica.", "state."]) as events:
             call_n(bed, client, "svc", "get_time", 4)
             primary = next(
                 nid for nid, r in bed.replicas("svc").items() if r.is_primary
@@ -142,7 +146,7 @@ class TestProtocolTraces:
         client = bed.client("n0")
         bed.start()
         call_n(bed, client, "svc", "get_time", 2)
-        with trace.capture(kinds=["state."]) as events:
+        with bed.obs.tracer.capture(kinds=["state."]) as events:
             bed.add_replica("svc", "n3", ClockApp, time_source="cts")
             bed.run(0.5)
         kinds = [e.kind for e in events]
