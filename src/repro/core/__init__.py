@@ -21,12 +21,7 @@ from .interposition import CLOCK_CALLS, CLOCK_CALLS_BY_ID, ClockCall, resolve_ca
 from .messages import CCSMessage
 from .multigroup import GroupClockStamp, observe_incoming, stamp_outgoing
 from .recovery import TimeTransferState
-from .time_service import (
-    MODE_ACTIVE,
-    MODE_PRIMARY,
-    ConsistentTimeService,
-    CTSStats,
-)
+from .time_service import ConsistentTimeService, CTSStats
 
 __all__ = [
     "AlignedReferenceSteering",
@@ -42,8 +37,6 @@ __all__ = [
     "GradientSteering",
     "GroupClockStamp",
     "GroupClockState",
-    "MODE_ACTIVE",
-    "MODE_PRIMARY",
     "MeanDelayCompensation",
     "NoCompensation",
     "ReferenceSteering",

@@ -188,18 +188,6 @@ class CCSHandler:
         # re-raise if the waiting process died before observing it.
         result.defuse()
 
-    def drop_through(self, round_number: int) -> int:
-        """Discard buffered messages for rounds <= ``round_number``
-        (applied when a checkpoint fast-forwards this thread past them).
-
-        Returns how many were dropped.
-        """
-        before = len(self.my_input_buffer)
-        self.my_input_buffer = deque(
-            m for m in self.my_input_buffer if m.round_number > round_number
-        )
-        return before - len(self.my_input_buffer)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"<CCSHandler {self.my_thread_id} round={self.my_round_number} "

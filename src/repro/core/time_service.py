@@ -24,17 +24,18 @@ deployed with ``coalesce=False`` executes requests serially and parks
 one operation at a time, so every round covers exactly one — the
 paper's Figure 2; a replica that overlaps reads shares rounds.
 
-The service supports the three replication styles: in ``active`` mode
-every replica competes to be the synchronizer; in ``primary`` mode
-(passive/semi-active) only the primary sends CCS messages, and a backup
-that takes over first checks whether a CCS message for its round has
-already been delivered (Section 3.3) before sending its own.
+Who proposes is the replica's replication style: in an active group
+every replica competes to be the synchronizer; in a passive or
+semi-active group only the primary sends CCS messages, and a backup that
+takes over first checks whether a CCS message for its round has already
+been delivered (Section 3.3) before sending its own.
 
 Integration of new clocks (Section 3.2) is implemented through
 ``begin_recovery``/``finish_recovery`` plus the transfer-state snapshot:
 a recovering replica adopts the group clock from delivered CCS messages
 (deriving its own offset from its own physical clock) and inherits the
-replica-independent round counters from the checkpoint.
+replica-independent round counters from the checkpoint.  A passive
+backup applies each periodic checkpoint's snapshot the same way.
 """
 
 from __future__ import annotations
@@ -65,10 +66,6 @@ from .recovery import TimeTransferState
 if TYPE_CHECKING:  # pragma: no cover
     from ..replication.group import GroupView
     from ..replication.replica import Replica
-
-#: Modes: every replica competes, or only the primary proposes.
-MODE_ACTIVE = "active"
-MODE_PRIMARY = "primary"
 
 # -- pushed histograms (zero-cost while the registry is off); the
 # counter and gauge families are read, see COUNTERS and GAUGES below ---
@@ -201,32 +198,29 @@ class ConsistentTimeService(TimeSource):
 
     name = "consistent-time-service"
 
+    #: The clock-rate error budget a fast-path read is certified within.
+    drift_bound = DriftBound()
+
     def __init__(
         self,
         replica: "Replica",
         *,
-        mode: str = MODE_ACTIVE,
         drift: Optional[DriftCompensation] = None,
         suppress_pending: bool = True,
         fast_path: bool = False,
         max_staleness_us: int = 2_000,
-        drift_bound: Optional[DriftBound] = None,
         byzantine: bool = False,
     ):
-        if mode not in (MODE_ACTIVE, MODE_PRIMARY):
-            raise TimeServiceError(f"unknown mode {mode!r}")
         self.replica = replica
         self.node_id = replica.node_id
         self.sim = replica.sim
         self.tracer = replica.tracer
         self.metrics = replica.runtime.metrics
-        self.mode = mode
         self.drift = drift or NoCompensation()
         self.suppress_pending = suppress_pending
         #: Serve bounded-staleness reads locally between rounds.
         self.fast_path = fast_path
         self.max_staleness_us = int(max_staleness_us)
-        self.drift_bound = drift_bound or DriftBound()
         #: The winner sanity filter and self-stabilization policy;
         #: ``None`` in crash-only mode.
         self.guard = ByzantineGuard(self) if byzantine else None
@@ -586,9 +580,9 @@ class ConsistentTimeService(TimeSource):
     def _may_send(self) -> bool:
         if self._recovering:
             return False  # a recovering replica never competes (§3.2)
-        if self.mode == MODE_ACTIVE:
-            return True
-        return self.replica.endpoint.is_primary
+        # Passive and semi-active replication leave every
+        # non-deterministic decision to the primary (Section 3.3).
+        return self.replica.style == "active" or self.replica.is_primary
 
     def _send_ccs(self, handler: CCSHandler) -> None:
         pending = handler.in_flight
@@ -790,7 +784,7 @@ class ConsistentTimeService(TimeSource):
     # ------------------------------------------------------------------
 
     def on_view_change(self, view: "GroupView") -> None:
-        if self.mode != MODE_PRIMARY or view.primary != self.node_id:
+        if self.replica.style == "active" or view.primary != self.node_id:
             return
         # We just became (or confirmed ourselves as) primary: any round
         # still blocked with no CCS message received must now be driven
@@ -897,37 +891,6 @@ class ConsistentTimeService(TimeSource):
             self.clock_state.observe_group_value(state.last_group_us)
         if state.causal_floor_us is not None:
             self.clock_state.observe_causal_timestamp(state.causal_floor_us)
-
-    def fast_forward(self, state: object) -> None:
-        """Apply a passive-replication checkpoint's time state: jump the
-        consumption point past rounds the checkpointed app state already
-        reflects, dropping the now-stale buffered messages."""
-        if not isinstance(state, TimeTransferState):
-            return
-        for thread_id, round_number in state.rounds.items():
-            self._initial_rounds[thread_id] = max(
-                self._initial_rounds.get(thread_id, 0), round_number
-            )
-            handler = self._handlers.get(thread_id)
-            if handler is not None:
-                handler.my_round_number = max(
-                    handler.my_round_number, round_number
-                )
-                handler.drop_through(round_number)
-        for thread_id, op in state.ops.items():
-            op = (int(op[0]), int(op[1]))
-            if op > self._initial_ops.get(thread_id, (0, 0)):
-                self._initial_ops[thread_id] = op
-            handler = self._handlers.get(thread_id)
-            if handler is not None and op > handler.last_op_id:
-                handler.last_op_id = op
-        self.my_common_input_buffer = [
-            m
-            for m in self.my_common_input_buffer
-            if m.round_number > state.rounds.get(m.thread_id, 0)
-        ]
-        if state.last_group_us is not None:
-            self.clock_state.observe_group_value(state.last_group_us)
 
     # ------------------------------------------------------------------
     # Multigroup causal timestamps (Section 5 extension)

@@ -103,17 +103,9 @@ class PassiveReplica(Replica):
             and index is not None
             and index % self.checkpoint_interval == 0
         ):
-            self._send_checkpoint()
+            self._send_checkpoint(self.state_transfer.capture())
 
-    def _send_checkpoint(self) -> None:
-        checkpoint = Checkpoint(
-            app_state=self.app.get_state(),
-            request_index=self.request_index,
-            # Round counters let backups discard CCS messages whose
-            # values are already baked into the checkpointed state.
-            time_state=self.time_source.get_transfer_state(),
-            processed_index=self.processed_index,
-        )
+    def _send_checkpoint(self, checkpoint: Checkpoint) -> None:
         envelope = make_envelope(
             MsgType.CHECKPOINT,
             self.group,
@@ -143,7 +135,9 @@ class PassiveReplica(Replica):
         self.app.set_state(checkpoint.app_state)
         self.processed_index = checkpoint.processed_index
         if checkpoint.time_state is not None:
-            self.time_source.fast_forward(checkpoint.time_state)
+            # The round counters let the backup discard CCS messages whose
+            # values are already baked into the checkpointed state.
+            self.time_source.set_transfer_state(checkpoint.time_state)
         self.request_log = [
             (index, env)
             for index, env in self.request_log
@@ -206,8 +200,8 @@ class PassiveReplica(Replica):
 
     def after_state_served(self, checkpoint: Checkpoint) -> None:
         # Serving a state transfer produced a fresh checkpoint anyway:
-        # broadcast it so backups fast-forward past the special round.
-        self._send_checkpoint()
+        # broadcast it so backups skip past the special round.
+        self._send_checkpoint(checkpoint)
 
     def capture_extra_state(self) -> Any:
         """Hand a joiner the backlog its checkpoint does not cover."""

@@ -226,7 +226,6 @@ class Replica(abc.ABC):
         heals it either resumes (if no group member kept processing
         elsewhere) or rejoins through a fresh state transfer."""
         self._component_primary = change.is_primary
-        self.time_source.on_config_change(change)
         if not change.is_primary:
             if not self.suspended and self.state_transfer.ready:
                 self.suspended = True

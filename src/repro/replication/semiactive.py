@@ -3,9 +3,9 @@
 Both the primary and the backups process incoming messages, but any
 non-deterministic decision is made at the primary and conveyed to the
 backups.  Here the non-deterministic decisions are clock readings: the
-time source runs in primary-only mode — only the primary multicasts CCS
-messages; backups block until the primary's value arrives and adopt it.
-Only the primary transmits replies.
+consistent time service reads the style and lets only the primary
+multicast CCS messages; backups block until the primary's value arrives
+and adopt it.  Only the primary transmits replies.
 """
 
 from __future__ import annotations
@@ -17,12 +17,9 @@ from .replica import Replica
 
 
 class SemiActiveReplica(Replica):
-    """A member of a semi-actively replicated group.
-
-    Construct its time source in primary-only mode (e.g.
-    ``ConsistentTimeService(..., mode="primary")``) so non-deterministic
-    clock decisions flow from the primary, as Delta-4 prescribes.
-    """
+    """A member of a semi-actively replicated group: its consistent time
+    service takes clock decisions at the primary only, as Delta-4
+    prescribes."""
 
     style = "semi-active"
 

@@ -195,6 +195,19 @@ class StateTransferManager:
 
     # -- serving side --------------------------------------------------------
 
+    def capture(self) -> Checkpoint:
+        """The replica's state as one checkpoint: what a joiner adopts
+        from a STATE message and a passive backup from a periodic
+        CHECKPOINT."""
+        replica = self.replica
+        return Checkpoint(
+            app_state=replica.app.get_state(),
+            request_index=replica.request_index,
+            time_state=replica.time_source.get_transfer_state(),
+            processed_index=replica.checkpoint_index(),
+            extra=replica.capture_extra_state(),
+        )
+
     def handle_get_state(self, envelope: Envelope):
         """Generator run in the main thread at the quiescent point."""
         replica = self.replica
@@ -214,13 +227,7 @@ class StateTransferManager:
         members = [m for m in replica.endpoint.view.members if m != target]
         if not members or members[0] != replica.node_id:
             return
-        checkpoint = Checkpoint(
-            app_state=replica.app.get_state(),
-            request_index=replica.request_index,
-            time_state=replica.time_source.get_transfer_state(),
-            processed_index=replica.checkpoint_index(),
-            extra=replica.capture_extra_state(),
-        )
+        checkpoint = self.capture()
         replica.stats.state_transfers_served += 1
         envelope = make_envelope(
             MsgType.STATE,

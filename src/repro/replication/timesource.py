@@ -24,7 +24,6 @@ from typing import Any, Callable, Dict, List, Optional, TYPE_CHECKING
 from ..sim.kernel import NORMAL, Event
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
-    from ..totem.messages import ConfigurationChange
     from .envelope import Envelope
     from .group import GroupView
 
@@ -135,9 +134,6 @@ class TimeSource(abc.ABC):
     def on_view_change(self, view: "GroupView") -> None:
         """The replica's group membership view changed."""
 
-    def on_config_change(self, change: "ConfigurationChange") -> None:
-        """A Totem configuration change was delivered."""
-
     def note_min_active_request(self, min_request_index: int) -> None:
         """The replica finished every request below this index."""
 
@@ -165,8 +161,5 @@ class TimeSource(abc.ABC):
         return None
 
     def set_transfer_state(self, state: object) -> None:
-        """Adopt time-service state from a checkpoint."""
-
-    def fast_forward(self, state: object) -> None:
-        """Skip past rounds a periodic checkpoint's state already covers
-        (passive replication)."""
+        """Adopt time-service state from a checkpoint: a state transfer's,
+        or a passive primary's periodic one."""

@@ -178,13 +178,11 @@ class ShardedTestbed(Testbed):
             return None
         source = self.services[self.group_of(shard)][
             self.primary_node_of(shard)].time_source
-        drift_bound = getattr(source, "drift_bound", None)
-        error_us = int(drift_bound.max_error_us) if drift_bound else 0
         rounds = getattr(getattr(source, "stats", None), "rounds_completed", 0)
         summary = ShardSummary(
             shard=shard, group=self.group_of(shard), value_us=value_us,
             offset_us=source.clock_state.offset_us, round_seq=rounds,
-            error_us=error_us)
+            error_us=source.drift_bound.max_error_us)
         return summary.sign(secret)
 
     def send_summary(self, src_shard: int, dst_shard: int,

@@ -39,12 +39,7 @@ from .baselines import (
     PrimaryBackupClockSource,
     install_ntp_daemons,
 )
-from .core import (
-    ConsistentTimeService,
-    DriftCompensation,
-    MODE_ACTIVE,
-    MODE_PRIMARY,
-)
+from .core import ConsistentTimeService, DriftCompensation
 from .errors import ConfigurationError, WaitTimeout
 from .obs import Bus
 from .replication import (
@@ -273,8 +268,7 @@ class Testbed:
         if time_source in BASELINES or time_source in BASELINES.values():
             # A baseline read completes at once: nothing to overlap.
             replica_kwargs["coalesce"] = False
-        factory = self._time_source_factory(
-            time_source, style, drift, **cts_options)
+        factory = self._time_source_factory(time_source, drift, **cts_options)
         replicas = {
             node_id: STYLES[style](self.runtimes[node_id], group,
                                    app_factory(), factory, **replica_kwargs)
@@ -308,7 +302,6 @@ class Testbed:
     @staticmethod
     def _time_source_factory(
         spec: TimeSourceSpec,
-        style: str,
         drift: Optional[DriftCompensation],
         **cts_options,
     ) -> Callable[[Replica], TimeSource]:
@@ -317,9 +310,8 @@ class Testbed:
         if callable(spec):
             return spec
         if spec == "cts":
-            mode = MODE_ACTIVE if style == "active" else MODE_PRIMARY
             return lambda replica: ConsistentTimeService(
-                replica, mode=mode, drift=drift, **cts_options
+                replica, drift=drift, **cts_options
             )
         if spec in BASELINES:
             return BASELINES[spec]

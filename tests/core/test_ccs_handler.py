@@ -97,9 +97,3 @@ class TestBuffer:
     def test_pop_empty_raises(self, handler):
         with pytest.raises(TimeServiceError, match="empty buffer"):
             handler.pop_message()
-
-    def test_drop_through_discards_stale_rounds(self, handler):
-        for r in range(1, 6):
-            handler.recv_CCS_msg(msg(r))
-        assert handler.drop_through(3) == 3
-        assert [m.round_number for m in handler.my_input_buffer] == [4, 5]

@@ -11,7 +11,7 @@ import pytest
 
 from repro import Application
 
-from support import make_testbed  # noqa: E402 (tests/ on sys.path via conftest)
+from support import ClockApp, make_testbed  # noqa: E402 (tests/ on sys.path via conftest)
 
 
 class StampLog(Application):
@@ -110,8 +110,8 @@ class TestReplayDeterminism:
         assert all(b > a for a, b in zip(sequence, sequence[1:]))
 
     def test_checkpoint_prunes_buffered_rounds(self):
-        """With frequent checkpoints, backups fast-forward past covered
-        rounds and drop the corresponding buffered CCS messages."""
+        """With frequent checkpoints, backups skip past covered rounds
+        and drop the corresponding buffered CCS messages."""
         bed, client = deploy(seed=153, checkpoint_interval=3)
         calls(bed, client, 9)
         bed.run(0.1)
@@ -137,3 +137,30 @@ class TestReplayDeterminism:
         assert new_primary.app.stamps == original
         # And the replay processed fewer requests than the full history.
         assert new_primary.stats.requests_processed < 10
+
+    def test_a_backup_holds_the_time_state_a_joiner_would(self):
+        """A periodic checkpoint is applied like a state transfer: the
+        causal floor a request's session floor raised at the primary
+        reaches every backup with it."""
+        bed = make_testbed(seed=3)
+        bed.deploy("svc", ClockApp, ["n1", "n2", "n3"], style="passive",
+                   time_source="cts", checkpoint_interval=1)
+        client = bed.client("n0")
+        bed.start()
+
+        def scenario():
+            result, _ = yield from client.timed_call("svc", "get_time")
+            floor_us = result.value + 50_000_000
+            result, _ = yield from client.timed_call(
+                "svc", "get_time_after", floor_us)
+            assert result.ok and result.value > floor_us
+            result, _ = yield from client.timed_call("svc", "get_time")
+            assert result.ok
+
+        bed.run_process(scenario())
+        replicas = bed.replicas("svc").values()
+        (primary,) = [r for r in replicas if r.is_primary]
+        floor_us = primary.time_source.clock_state.causal_floor_us
+        assert floor_us is not None
+        for replica in replicas:
+            assert replica.time_source.clock_state.causal_floor_us == floor_us

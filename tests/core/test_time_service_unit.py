@@ -23,12 +23,12 @@ def now_us(service):
     return service.replica.node.read_clock_us()
 
 
-def build_service(seed=200, mode="active", record=True, **kwargs):
+def build_service(seed=200, record=True, **kwargs):
     bed = make_testbed(seed=seed)
     if record:
         bed.record()
     bed.deploy("svc", ClockApp, ["n1", "n2", "n3"], time_source=(
-        lambda replica: ConsistentTimeService(replica, mode=mode, **kwargs)
+        lambda replica: ConsistentTimeService(replica, **kwargs)
     ))
     client = bed.client("n0")
     bed.start()
@@ -36,14 +36,6 @@ def build_service(seed=200, mode="active", record=True, **kwargs):
 
 
 class TestConstruction:
-    def test_invalid_mode_rejected(self):
-        bed = make_testbed(seed=201)
-        with pytest.raises(TimeServiceError, match="unknown mode"):
-            bed.deploy(
-                "svc", ClockApp, ["n1"],
-                time_source=lambda r: ConsistentTimeService(r, mode="quantum"),
-            )
-
     def test_stats_start_at_zero(self):
         bed, _client = build_service(seed=202)
         service = bed.replicas("svc")["n1"].time_source
@@ -345,7 +337,6 @@ class TestTransferStateUnit:
         bed, _client = build_service(seed=209)
         service = bed.replicas("svc")["n1"].time_source
         service.set_transfer_state("garbage")  # silently ignored
-        service.fast_forward(None)
 
     def test_wire_size_scales_with_buffered(self):
         empty = TimeTransferState()

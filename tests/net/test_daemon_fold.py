@@ -22,7 +22,7 @@ def stack(bed, gateway):
         "totem": bed.processors[node_id].config,
         "membership": bed.processors[node_id].static_membership,
         "replica": (type(replica), replica._serial),
-        "source": (type(source), source.mode, source.fast_path,
+        "source": (type(source), replica.style, source.fast_path,
                    source.max_staleness_us),
         "byzantine": source.guard is not None,
         "signed": bed.node(node_id).iface.auth is not None,

@@ -4,7 +4,6 @@ import pytest
 
 from repro import Testbed
 from repro.baselines import LocalClockSource
-from repro.core import ConsistentTimeService, MODE_ACTIVE, MODE_PRIMARY
 from repro.errors import ConfigurationError, WaitTimeout
 from repro.sim import ClusterConfig
 
@@ -34,13 +33,24 @@ class TestDeployment:
             bed.deploy("svc", ClockApp, ["n2"])
 
     def test_cts_mode_follows_style(self):
+        # Every active replica competes for a round; in passive and
+        # semi-active groups only the primary sends CCS messages.
         bed = Testbed()
-        bed.deploy("a", ClockApp, ["n1"], style="active", time_source="cts")
-        bed.deploy("p", ClockApp, ["n2"], style="passive", time_source="cts")
-        bed.deploy("s", ClockApp, ["n3"], style="semi-active", time_source="cts")
-        assert bed.replicas("a")["n1"].time_source.mode == MODE_ACTIVE
-        assert bed.replicas("p")["n2"].time_source.mode == MODE_PRIMARY
-        assert bed.replicas("s")["n3"].time_source.mode == MODE_PRIMARY
+        nodes = ["n1", "n2", "n3"]
+        for style in ("active", "passive", "semi-active"):
+            bed.deploy(style, ClockApp, nodes, style=style, time_source="cts")
+        client = bed.client("n0")
+        bed.start()
+        for style in ("active", "passive", "semi-active"):
+            replicas = bed.replicas(style).values()
+            before = {r.node_id: r.time_source.stats.ccs_sent for r in replicas}
+            call_n(bed, client, style, "get_time", 5)
+            grew = {r.node_id for r in replicas
+                    if r.time_source.stats.ccs_sent > before[r.node_id]}
+            if style == "active":
+                assert len(grew) > 1
+            else:
+                assert grew == {r.node_id for r in replicas if r.is_primary}
 
     def test_custom_time_source_factory(self):
         bed = Testbed()
