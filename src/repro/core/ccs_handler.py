@@ -70,10 +70,11 @@ class ConsumedRound:
 class CCSHandler:
     """my_thread_id, my_round_number, my_input_buffer and friends."""
 
-    def __init__(self, thread_id: str, start_round: int = 0):
+    def __init__(self, thread_id: str):
         self.my_thread_id = thread_id
-        #: The highest *consumed* round (the consumption point).
-        self.my_round_number = start_round
+        #: The highest *consumed* round (the consumption point); a state
+        #: transfer raises it.
+        self.my_round_number = 0
         #: Received CCS messages not yet consumed by an operation.
         self.my_input_buffer: Deque[CCSMessage] = deque()
         #: Operations parked until a round covering them is consumed,

@@ -233,12 +233,8 @@ class ByzantineGuard:
         races for the next round on the rotating token.
         """
         svc = self.service
-        if (
-            msg.round_number
-            - svc._accepted.get(
-                thread_id, svc._initial_rounds.get(thread_id, 0))
-            > STABILIZE_ROUND_GAP
-        ):
+        if (msg.round_number - svc._accepted.get(thread_id, 0)
+                > STABILIZE_ROUND_GAP):
             # A corrupted sender's round numbering is not part of the
             # live stream; adopting it would discard every honest round
             # behind it.  Discarding the message alone is enough.

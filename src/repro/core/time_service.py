@@ -36,14 +36,22 @@ a recovering replica adopts the group clock from delivered CCS messages
 (deriving its own offset from its own physical clock) and inherits the
 replica-independent round counters from the checkpoint.  A passive
 backup applies each periodic checkpoint's snapshot the same way.
+
+One departure from the paper: there is no common input buffer (Figures
+2 and 3).  Thread ids are deterministic, so a thread's handler is
+created the first time its id is seen — by a read, an accepted winner
+or a transferred state — and its input buffer is the only place the
+thread's winners wait.  With two buffers, a transfer onto a replica
+that already held a handler could queue a newer winner ahead of older
+transferred rounds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple, TYPE_CHECKING
+from typing import Callable, Dict, Optional, Tuple, TYPE_CHECKING
 
-from ..errors import TimeServiceError
+from ..errors import ConsistencyError
 from .. import obs
 from ..replication.envelope import Envelope, MsgType, make_envelope
 from ..replication.timesource import ClockRead, TimeSource
@@ -236,16 +244,12 @@ class ConsistentTimeService(TimeSource):
         self.metrics.watch(
             self, GAUGES + FAST_PATH_GAUGES if fast_path else GAUGES,
             node=self.node_id)
-        #: CCS handler objects, one per logical thread (Section 3.1).
+        #: CCS handler objects, one per logical thread (Section 3.1),
+        #: created on first sight of the thread: the only place its
+        #: winners wait.
         self._handlers: Dict[str, CCSHandler] = {}
-        #: Messages for threads whose handler does not exist yet.
-        self.my_common_input_buffer: List[CCSMessage] = []
         #: Duplicate detection: thread -> highest round accepted.
         self._accepted: Dict[str, int] = {}
-        #: Round counters inherited via state transfer.
-        self._initial_rounds: Dict[str, int] = {}
-        #: Operation-numbering points inherited via state transfer.
-        self._initial_ops: Dict[str, OpId] = {}
         self._recovering = False
         #: Physical clock at the last committed round (fast-path anchor).
         self._last_commit_physical_us: Optional[int] = None
@@ -291,7 +295,6 @@ class ConsistentTimeService(TimeSource):
         call = resolve_call(call_name)
         handler = self._handler(thread_id)
         op_id = handler.assign_op_id(op_id)
-        self._drain_common(handler)
         result = ClockRead(self.sim)
         op = PendingOp(op_id, call, result, self.sim.now, floor_us)
 
@@ -443,15 +446,14 @@ class ConsistentTimeService(TimeSource):
                 buffered = [msg.round_number] + [
                     m.round_number for m in handler.my_input_buffer]
                 in_flight = handler.in_flight
-                raise TimeServiceError(
+                raise ConsistencyError(
                     f"thread {thread!r}: buffered CCS round "
                     f"{msg.round_number} does not follow consumption point "
                     f"{handler.my_round_number} (node {self.node_id}; "
                     f"buffered rounds {buffered}; accepted watermark "
                     f"{self._accepted.get(thread)}; in-flight round "
                     f"{in_flight.round_number if in_flight else None}; "
-                    f"recovering: {self._recovering}; inherited initial "
-                    f"round {self._initial_rounds.get(thread)})",
+                    f"recovering: {self._recovering})",
                     node=self.node_id,
                 )
             self.guard.adopt_round_numbering(handler, msg)
@@ -622,9 +624,7 @@ class ConsistentTimeService(TimeSource):
         if not isinstance(msg, CCSMessage):
             return  # some other time source's control traffic
         thread_id = msg.thread_id
-        watermark = self._accepted.get(
-            thread_id, self._initial_rounds.get(thread_id, 0)
-        )
+        watermark = self._accepted.get(thread_id, 0)
         if msg.round_number <= watermark:
             if watermark - msg.round_number <= STABILIZE_ROUND_GAP:
                 self.stats.duplicates_discarded += 1
@@ -651,10 +651,12 @@ class ConsistentTimeService(TimeSource):
                 group_us=msg.proposed_micros, t=self.sim.now,
             )
 
+        handler = self._handler(thread_id)
+        handler.recv_CCS_msg(msg)
         if self._recovering:
             # Integration of a new clock (Section 3.2): adopt the group
             # clock immediately, deriving our own offset from our own
-            # physical clock; keep the message for post-recovery replay.
+            # physical clock; the message stays buffered for replay.
             self._commit(msg.proposed_micros, physical_us)
             self.stats.recovery_adoptions += 1
             if self.tracer.enabled:
@@ -663,17 +665,10 @@ class ConsistentTimeService(TimeSource):
                     round=msg.round_number, offset_us=self.clock_state.offset_us,
                     t=self.sim.now,
                 )
-            self.my_common_input_buffer.append(msg)
             return
 
         self._try_suppress(envelope, msg)
-
-        handler = self._handlers.get(thread_id)
-        if handler is not None:
-            handler.recv_CCS_msg(msg)
-            self._pump(handler, physical_us)
-        else:
-            self.my_common_input_buffer.append(msg)
+        self._pump(handler, physical_us)
 
     def handle_raw_ccs(self, envelope: Envelope, physical_us: int) -> None:
         """Early duplicate suppression (Section 4.3).
@@ -747,37 +742,14 @@ class ConsistentTimeService(TimeSource):
 
         return predicate
 
-    # ------------------------------------------------------------------
-    # Handlers and buffers
-    # ------------------------------------------------------------------
-
     def _handler(self, thread_id: str) -> CCSHandler:
+        """The thread's handler, created on first sight of its id — by a
+        read, an accepted winner or a transferred state.  Thread ids are
+        deterministic, so no message ever waits outside a handler (the
+        paper's common input buffer, Figure 3 line 4)."""
         if thread_id not in self._handlers:
-            handler = CCSHandler(
-                thread_id, self._initial_rounds.get(thread_id, 0)
-            )
-            handler.last_op_id = self._initial_ops.get(thread_id, (0, 0))
-            self._handlers[thread_id] = handler
+            self._handlers[thread_id] = CCSHandler(thread_id)
         return self._handlers[thread_id]
-
-    def _drain_common(self, handler: CCSHandler) -> None:
-        """Figure 2, line 10: move matching messages from the common
-        input buffer to the thread's handler."""
-        if not self.my_common_input_buffer:
-            return
-        matching = [
-            m for m in self.my_common_input_buffer
-            if m.thread_id == handler.my_thread_id
-        ]
-        if not matching:
-            return
-        self.my_common_input_buffer = [
-            m for m in self.my_common_input_buffer
-            if m.thread_id != handler.my_thread_id
-        ]
-        for msg in matching:
-            if msg.round_number > handler.my_round_number:
-                handler.recv_CCS_msg(msg)
 
     # ------------------------------------------------------------------
     # Views and primary failover (Section 3.3)
@@ -827,66 +799,45 @@ class ConsistentTimeService(TimeSource):
                 state.ops[thread_id] = handler.last_op_id
             if handler.my_input_buffer:
                 state.buffered[thread_id] = list(handler.my_input_buffer)
-        for msg in self.my_common_input_buffer:
-            state.rounds.setdefault(
-                msg.thread_id, self._initial_rounds.get(msg.thread_id, 0)
-            )
-            state.buffered.setdefault(msg.thread_id, []).append(msg)
         state.accepted.update(self._accepted)
         return state
 
     def set_transfer_state(self, state: object) -> None:
+        """Adopt a transferred protocol position, thread by thread.
+
+        Transferred messages are authoritative up to their horizon; what
+        this replica buffered live extends beyond it.  A replica that
+        already holds handlers (rejoining the primary component after a
+        partition, or a passive backup applying a checkpoint) drops its
+        messages below the horizon — they may come from an abandoned
+        minority fork — and its counters rise to the transferred ones."""
         if not isinstance(state, TimeTransferState):
             return
-        self._initial_rounds = dict(state.rounds)
-        self._initial_ops = {
-            thread_id: (int(op[0]), int(op[1]))
-            for thread_id, op in state.ops.items()
-        }
-        for thread_id, op in self._initial_ops.items():
-            handler = self._handlers.get(thread_id)
-            if handler is not None and op > handler.last_op_id:
-                handler.last_op_id = op
-        # Merge the transferred buffers with what we observed live while
-        # recovering: transferred messages are authoritative up to their
-        # horizon; our own observations extend beyond it.  A replica that
-        # *re*-transfers (rejoining the primary component after a
-        # partition) already has handlers; their buffered messages — which
-        # may come from the abandoned minority fork — join the merge and
-        # are discarded below the transferred horizon, and their round
-        # counters fast-forward to the transferred consumption point.
-        local: Dict[str, List[CCSMessage]] = {}
-        for msg in self.my_common_input_buffer:
-            local.setdefault(msg.thread_id, []).append(msg)
-        for thread_id, handler in self._handlers.items():
-            for msg in handler.my_input_buffer:
-                local.setdefault(thread_id, []).append(msg)
+        for thread_id in sorted(
+                set(state.rounds) | set(state.buffered) | set(self._handlers)):
+            handler = self._handler(thread_id)
+            transferred = state.buffered.get(thread_id, [])
+            horizon = max([m.round_number for m in transferred] + [
+                state.rounds.get(thread_id, 0),
+                state.accepted.get(thread_id, 0)])
+            beyond = [m for m in handler.my_input_buffer
+                      if m.round_number > horizon]
+            handler.my_round_number = max(
+                handler.my_round_number, state.rounds.get(thread_id, 0))
+            op = state.ops.get(thread_id, (0, 0))
+            handler.last_op_id = max(handler.last_op_id,
+                                     (int(op[0]), int(op[1])))
             handler.my_input_buffer.clear()
-            transferred_round = state.rounds.get(thread_id)
-            if transferred_round is not None:
-                handler.my_round_number = max(
-                    handler.my_round_number, transferred_round
-                )
-        merged: List[CCSMessage] = []
-        threads = set(state.rounds) | set(state.buffered) | set(local) | set(
-            state.accepted
-        )
-        for thread_id in sorted(threads):
-            transferred = list(state.buffered.get(thread_id, []))
-            horizon = max(
-                [m.round_number for m in transferred]
-                + [state.rounds.get(thread_id, 0), state.accepted.get(thread_id, 0)]
-            )
-            beyond = [
-                m for m in local.get(thread_id, []) if m.round_number > horizon
-            ]
-            merged.extend(transferred)
-            merged.extend(beyond)
-            highest = max([horizon] + [m.round_number for m in beyond])
+            handler.my_input_buffer.extend(
+                m for m in transferred + beyond
+                if m.round_number > handler.my_round_number)
             self._accepted[thread_id] = max(
-                self._accepted.get(thread_id, 0), highest
-            )
-        self.my_common_input_buffer = merged
+                [self._accepted.get(thread_id, 0), horizon]
+                + [m.round_number for m in beyond])
+        for thread_id, accepted in state.accepted.items():
+            # Also a thread with no handler: a winner the guard burnt.
+            self._accepted[thread_id] = max(
+                self._accepted.get(thread_id, 0), accepted)
         if state.last_group_us is not None:
             self.clock_state.observe_group_value(state.last_group_us)
         if state.causal_floor_us is not None:

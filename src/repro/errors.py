@@ -71,6 +71,13 @@ class TimeServiceError(ReproError):
         self.node = node
 
 
+class ConsistencyError(TimeServiceError):
+    """The time service's own state contradicts the total order (a
+    buffered round that does not follow the consumption point).  Never
+    the application's error: it ends the run instead of becoming a
+    reply, unlike an aborted operation's :class:`TimeServiceError`."""
+
+
 class ConfigurationError(ReproError):
     """Invalid configuration supplied to a component."""
 

@@ -34,7 +34,7 @@ from typing import Any, Callable, Generator, Optional
 
 from .. import obs
 from ..trace import op_trace_id
-from ..errors import ReplicationError
+from ..errors import ConsistencyError, ReplicationError
 from ..sim.kernel import Event
 from .context import ReplicaContext
 from .envelope import Envelope, MessageHeader, MsgType, make_envelope
@@ -434,6 +434,8 @@ class Replica(abc.ABC):
             try:
                 value = yield from method(ctx, *invocation.args)
                 result = Result(value=value)
+            except ConsistencyError:
+                raise  # this replica's state is wrong, not the request
             except Exception as exc:  # deterministic app error -> caller
                 result = Result(error=f"{type(exc).__name__}: {exc}")
         self.stats.requests_processed += 1

@@ -49,10 +49,6 @@ class TestRounds:
         bed.run(0.05)
         assert [h.my_round_number for h in handlers] == [b + 3 for b in before]
 
-    def test_start_round_offset_from_transfer(self):
-        handler = CCSHandler("0:main", start_round=17)
-        assert handler.my_round_number == 17
-
     def test_park_keeps_operation_order(self, sim, handler):
         for req in (3, 1, 2):
             handler.park(op(sim, req))

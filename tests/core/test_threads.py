@@ -102,9 +102,9 @@ class TestTimerThreads:
 class TestCommonInputBuffer:
     def test_early_ccs_parked_until_thread_exists(self):
         """A slow replica receives CCS messages for a thread it has not
-        created yet; they wait in the common input buffer (Figure 3,
-        line 4) and are consumed when the thread's first operation runs
-        (Figure 2, line 10)."""
+        created yet; they wait in the handler made on first sight of the
+        thread id (the paper's common input buffer, Figure 3 line 4) and
+        are consumed when the thread's first operation runs."""
         bed, client = deploy_with_timers(seed=145)
         # Skip creating the timer thread at n3 initially; n1/n2's timer
         # rounds will arrive at n3 with no matching handler.
@@ -119,7 +119,8 @@ class TestCommonInputBuffer:
         bed2.run(0.05)
         slow = replicas["n3"]
         parked = [
-            m.thread_id for m in slow.time_source.my_common_input_buffer
+            m.thread_id for handler in slow.time_source._handlers.values()
+            for m in handler.my_input_buffer
         ]
         assert parked and all(t.endswith(":timer") for t in parked)
         # Now create the thread at n3: it drains the parked rounds and

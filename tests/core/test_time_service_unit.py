@@ -114,7 +114,7 @@ class TestAbortInFlight:
 
 class TestBufferedRoundGap:
     def test_gap_in_the_buffer_names_what_explains_it(self):
-        # The live chaos flake (ROADMAP 4(a)) is this assertion firing on
+        # The live chaos flake (ROADMAP K1) was this assertion firing on
         # a recovered replica; whoever meets it next needs the handler's
         # whole picture in the message, not just two round numbers.
         bed, client = build_service(seed=208)
@@ -122,7 +122,6 @@ class TestBufferedRoundGap:
         service = bed.replicas("svc")["n2"].time_source
         thread = "9:gap"
         handler = service._handler(thread)
-        service._initial_rounds[thread] = 4
         for round_number in (7, 8):  # planted: the handler consumed 0
             handler.recv_CCS_msg(CCSMessage(thread, round_number, 1_000, 0))
         with pytest.raises(TimeServiceError) as raised:
@@ -131,8 +130,26 @@ class TestBufferedRoundGap:
         for field in ("thread '9:gap'", "round 7", "consumption point 0",
                       "node n2", "buffered rounds [7, 8]",
                       "accepted watermark None", "in-flight round None",
-                      "recovering: False", "inherited initial round 4"):
+                      "recovering: False"):
             assert field in message, (field, message)
+        assert raised.value.node == "n2"
+
+
+    def test_a_gap_met_by_a_client_read_ends_the_run(self):
+        # A consistency failure is this replica's, not the request's: it
+        # reaches the kernel (a chaos verdict's protocol_failures) rather
+        # than becoming an error reply while the popped round is lost.
+        bed, client = build_service(seed=208)
+        call_n(bed, client, "svc", "get_time", 3)
+        service = bed.replicas("svc")["n2"].time_source
+        handler = service._handlers["0:main"]
+        gap = handler.my_round_number + 2  # one round skipped
+        handler.recv_CCS_msg(CCSMessage(
+            "0:main", gap, service.clock_state.last_group_us + 1_000, 0,
+            covers_req=handler.last_op_id[0] + 1, covers_seq=1))
+        with pytest.raises(TimeServiceError) as raised:
+            call_n(bed, client, "svc", "get_time", 1)
+        assert "does not follow consumption point" in str(raised.value)
         assert raised.value.node == "n2"
 
 
@@ -329,9 +346,44 @@ class TestTransferStateUnit:
         bed, _client = build_service(seed=208)
         service = bed.replicas("svc")["n1"].time_source
         service.set_transfer_state(state)
-        assert service._initial_rounds == {"0:main": 7}
+        handler = service._handlers["0:main"]
+        assert handler.my_round_number == 7
+        assert [m.round_number for m in handler.my_input_buffer] == [8]
         assert service._accepted["0:main"] >= 8
         assert service.clock_state.last_group_us >= 123456
+
+    def test_a_winner_after_a_transfer_waits_behind_its_rounds(self):
+        # A passive backup applying a checkpoint, or a replica rejoining
+        # after a partition, already holds the thread's handler.  A
+        # winner delivered before the thread's next read must queue
+        # behind the transferred rounds, not ahead of them.
+        bed, client = build_service(seed=208)
+        call_n(bed, client, "svc", "get_time", 3)
+        service = bed.replicas("svc")["n2"].time_source
+        handler = service._handlers["0:main"]
+        rounds = handler.my_round_number + 5
+        request = handler.last_op_id[0] + 1
+        group_us = service.clock_state.last_group_us + 1_000
+        service.set_transfer_state(TimeTransferState(
+            rounds={"0:main": rounds},
+            buffered={"0:main": [CCSMessage(
+                "0:main", rounds + 1, group_us, 0,
+                covers_req=request, covers_seq=1)]},
+            accepted={"0:main": rounds + 1},
+            ops={"0:main": (request - 1, 1)},
+            last_group_us=group_us - 1_000,
+        ))
+        service.handle_ccs(make_envelope(
+            MsgType.CCS, "svc", "svc", 0, rounds + 2, "n1",
+            body=CCSMessage("0:main", rounds + 2, group_us + 1_000, 0,
+                            covers_req=request + 1, covers_seq=1)),
+            now_us(service))
+        read = service.read("0:main", "gettimeofday", now_us(service),
+                            op_id=(request, 1))
+        assert read.triggered and read.value.micros == group_us
+        assert handler.my_round_number == rounds + 1
+        assert [m.round_number for m in handler.my_input_buffer] == [
+            rounds + 2]
 
     def test_non_transfer_state_ignored(self):
         bed, _client = build_service(seed=209)

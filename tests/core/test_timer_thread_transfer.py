@@ -52,14 +52,14 @@ class TestTimerThreadTransfer:
                                  time_source="cts")
         bed.run(0.5)
         assert joiner.state_transfer.ready
-        # The transferred state carried the timer thread's position: its
-        # initial round counter matches the members' handler.
+        # The transferred state carried the timer thread's position into
+        # the joiner's handler for it.
         veteran = bed.replicas("svc")["n1"].time_source
         timer_thread = next(
             t for t in veteran._handlers if t.endswith(":timer")
         )
-        transferred = joiner.time_source._initial_rounds.get(timer_thread)
-        assert transferred is not None
+        transferred = joiner.time_source._handlers[timer_thread]
+        assert transferred.my_round_number > 0
         # Start the joiner's timer thread: it continues from the group's
         # round position and produces identical subsequent stamps.
         joiner.create_thread("timer", joiner.app.timer_body(1000))
