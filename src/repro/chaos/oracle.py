@@ -29,7 +29,9 @@ commits from the agreement check entirely (f < n/3 faulty tolerated),
 and :meth:`InvariantOracle.note_corruption` opens a bounded repair
 window for a correct replica whose state was scrambled — agreement is
 re-enforced once the window closes, and a replica that never completes
-a round beyond it is flagged as failing to self-stabilize.
+a round beyond it is flagged as failing to self-stabilize.  In either
+mode, a run with no ``corrupt-state`` on record fails ``stabilization``
+if a replica repaired its round bookkeeping: the repair masked a bug.
 
 Violations carry the offending transcript; the oracle never raises
 mid-run, so one broken invariant cannot mask later ones.
@@ -41,6 +43,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from .. import trace
+from ..core import ConsistentTimeService
 
 
 @dataclass
@@ -474,6 +477,13 @@ class InvariantOracle:
                 for node_id, replica in bed.replicas(audited).items():
                     if node_id in self._faulty:
                         continue  # a Byzantine replica owes no identity
+                    stats = getattr(replica.time_source, "stats", None)
+                    repaired = sorted((what, count) for what, count in getattr(
+                        stats, "stabilizations", {}).items()
+                        if what in ConsistentTimeService.ROUND_REPAIRS)
+                    if repaired and not self._corrupted:
+                        self._flag("stabilization", node_id, f"repaired {repaired} "
+                                   f"with no corrupt-state on record", repaired)
                     recorder = replica.time_source.recorder
                     for entry in recorder.history if recorder else ():
                         group_us, physical_us, offset_us = entry

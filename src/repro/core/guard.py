@@ -1,16 +1,20 @@
-"""The Byzantine guard: the repairs that need peer evidence.
+"""The Byzantine guard: the winner filter and the repairs it implies.
 
 The crash-only consistent time service trusts every ordered CCS winner.
 :class:`ByzantineGuard` is what the service holds (instead of ``None``)
-when it may not: a WALDEN-style accuracy filter rejects ordered round
-winners whose value falls outside the drift-certified window and burns
-their round, ``STABILIZE_QUORUM`` distinct rejected peers (f + 1) prove
-our own anchor wrong and repair it, a rejected proposal of our own
-repairs the state that fed it, and a consumption point off the ordered
-stream adopts its numbering (Herman-style).  Every repair that needs no
-peer evidence is the service's own, in both modes: the duplicate
-watermark, a scrambled offset, the fast-path ceiling and a corrupt fast
-floor (:meth:`~repro.core.group_clock.GroupClockState.drop_floors_above`).
+when it may not, behind one hook, :meth:`ByzantineGuard.admit_winner`:
+a WALDEN-style accuracy filter rejects ordered round winners whose
+value falls outside the drift-certified window and burns their round
+(a winner numbered past the next round is discarded unburnt),
+``STABILIZE_QUORUM`` distinct rejected peers (f + 1) prove our own
+anchor wrong and repair it, and a rejected proposal of our own repairs
+the state that fed it.  Every repair that needs no peer evidence is the
+service's own, in both modes: the duplicate watermark, the round
+counter (Herman-style adoption of the ordered numbering), a scrambled
+offset, the fast-path ceiling and a corrupt fast floor
+(:meth:`~repro.core.group_clock.GroupClockState.drop_floors_above`).
+Early duplicate suppression needs no filter: a winner the guard rejects
+has its round burnt, so a proposal sequenced after it loses either way.
 
 The guard keeps only its own evidence; the state it judges and repairs —
 ``clock_state``, ``_accepted``, the handler counters, the commit anchor —
@@ -22,7 +26,6 @@ from __future__ import annotations
 from typing import Dict, Optional, TYPE_CHECKING
 
 from ..replication.envelope import Envelope
-from .ccs_handler import CCSHandler
 from .group_clock import (CERTIFIED_SLACK_US, STABILIZE_ROUND_GAP,
                           STABILIZE_VALUE_GAP_US)
 from .messages import CCSMessage
@@ -52,15 +55,23 @@ class ByzantineGuard:
             "too-high": {}, "too-low": {}}
 
     # ------------------------------------------------------------------
-    # Hooks the service calls
+    # The hook the service calls
     # ------------------------------------------------------------------
 
     def admit_winner(self, envelope: Envelope, msg: CCSMessage,
                      physical_us: int) -> bool:
         """Judge one ordered round winner at its delivery reading;
-        False means it was rejected and its round burned."""
+        False means it was rejected: discarded if out of order, else
+        its round burned."""
         svc = self.service
         if not svc._recovering:
+            ahead = msg.round_number - svc._accepted.get(msg.thread_id, 0) - 1
+            if 0 < ahead <= STABILIZE_ROUND_GAP:
+                # No replica proposes round k + 2 before k + 1 is won: a
+                # forged numbering.  Every correct replica's watermark
+                # discards it alike, and the skipped round stays open.
+                self._reject_ccs(envelope, msg, "out-of-order")
+                return False
             reason = self._winner_rejection(msg, physical_us)
             if reason is not None and self._note_reject_evidence(
                     reason, envelope.sender, msg, physical_us):
@@ -84,37 +95,14 @@ class ByzantineGuard:
                 # among correct replicas — another replica may commit
                 # this winner.  Committing a *different* value for the
                 # same round number would diverge, so the round is
-                # dead to us: burn its number and re-propose.
-                self._skip_round(msg.thread_id, msg, physical_us)
+                # dead to us: burn its number and re-propose — unless it
+                # is further ahead still, a corrupted sender's numbering.
+                if ahead <= 0:
+                    self._skip_round(msg, physical_us)
                 return False
         self._reject_evidence["too-high"].clear()
         self._reject_evidence["too-low"].clear()
         return True
-
-    def would_reject(self, msg: CCSMessage, physical_us: int) -> bool:
-        """A value we will reject once ordered must not withdraw our own
-        honest proposal: the round still needs it."""
-        return self._winner_rejection(msg, physical_us) is not None
-
-    def adopt_round_numbering(self, handler: CCSHandler,
-                              msg: CCSMessage) -> None:
-        """Self-stabilization (Herman-style): a consumption point that
-        does not line up with the totally ordered round stream is
-        corrupted local state.  The ordered stream is the ground truth
-        every correct replica shares — adopt its numbering."""
-        self.service._note_stabilization(
-            "round-counter", thread=handler.my_thread_id,
-            had=handler.my_round_number, adopted=msg.round_number - 1)
-        if (
-            handler.in_flight is not None
-            and abs(handler.in_flight.round_number - msg.round_number)
-            > STABILIZE_ROUND_GAP
-        ):
-            # The pending proposal carries the corrupted numbering; a
-            # round that far from the ordered stream can never
-            # complete, and keeping it would block _open_round
-            # forever.  Its parked ops are re-proposed by _pump.
-            handler.in_flight = None
 
     # ------------------------------------------------------------------
     # Sanity filter
@@ -218,41 +206,34 @@ class ByzantineGuard:
                 return True
         return False
 
-    def _skip_round(self, thread_id: str, msg: CCSMessage, physical_us: int) -> None:
+    def _skip_round(self, msg: CCSMessage, physical_us: int) -> None:
         """Burn a round whose ordered winner we rejected.
 
         Other correct replicas may have accepted the winner, and the
         first ordered proposal *is* the round under Totem — so once we
         reject it, no later proposal may win the same round number for
         us without risking divergence.  Advance the duplicate watermark
-        past the round, move the consumption point up, and withdraw any
-        in-flight proposal so ``_pump`` re-proposes the parked
-        operations for the next round.  A liar that keeps winning the
-        order therefore costs correct replicas rounds, never agreement;
-        liveness survives because every honest replica's re-proposal
-        races for the next round on the rotating token.
+        past the round, move the consumption point up (consuming first
+        the winners buffered below it, so the burn lands in order), and
+        withdraw any in-flight proposal so ``_pump`` re-proposes the
+        parked operations for the next round.  A liar that keeps winning
+        the order therefore costs correct replicas rounds, never
+        agreement; liveness survives because every honest replica's
+        re-proposal races for the next round on the rotating token.
         """
-        svc = self.service
-        if (msg.round_number - svc._accepted.get(thread_id, 0)
-                > STABILIZE_ROUND_GAP):
-            # A corrupted sender's round numbering is not part of the
-            # live stream; adopting it would discard every honest round
-            # behind it.  Discarding the message alone is enough.
-            return
+        svc, thread_id = self.service, msg.thread_id
         svc._accepted[thread_id] = msg.round_number
         if self.tracer.enabled:
             self.tracer.emit(
                 "round.skipped", svc.node_id, thread=thread_id,
                 round=msg.round_number, t=svc.sim.now)
-        handler = svc._handlers.get(thread_id)
-        if handler is None:
-            return
+        handler = svc._handler(thread_id)
+        while handler.my_input_buffer:
+            svc._consume_round(handler, physical_us, False)
         handler.my_round_number = max(
             handler.my_round_number, msg.round_number)
-        if (
-            handler.in_flight is not None
-            and handler.in_flight.round_number <= msg.round_number
-        ):
+        pending = handler.in_flight
+        if pending is not None and pending.round_number <= msg.round_number:
             handler.in_flight = None
         svc._pump(handler, physical_us)
 

@@ -123,7 +123,7 @@ class CTSStats:
     #: Fast-path attempts that fell back to a full round.
     fast_path_fallbacks: int = 0
     #: Ordered round winners rejected by the Byzantine sanity filter,
-    #: by reason (too-high, too-low).
+    #: by reason (too-high, too-low, out-of-order).
     winners_rejected: Dict[str, int] = field(default_factory=dict)
     #: Self-stabilization repairs of scrambled local state, by what was
     #: repaired (round-counter, watermark, floors, fast-floor, anchor).
@@ -177,7 +177,7 @@ COUNTERS = obs.read_counters({
     "winners_rejected": (
         "ccs_winners_rejected_total",
         "ordered CCS winners rejected by the Byzantine sanity filter, "
-        "labelled by reason (too-high, too-low)", "reason"),
+        "labelled by reason (too-high, too-low, out-of-order)", "reason"),
     "stabilizations": (
         "cts_stabilizations_total",
         "self-stabilization repairs of scrambled local state, labelled by "
@@ -440,23 +440,32 @@ class ConsistentTimeService(TimeSource):
         then serve every parked operation the message's covering point
         binds to this round (Figure 2 lines 15-17, amortized)."""
         msg = handler.pop_message()
-        if msg.round_number != handler.my_round_number + 1:
-            if self.guard is None:
-                thread = handler.my_thread_id
+        gap = msg.round_number - handler.my_round_number - 1
+        if gap:
+            thread, pending = handler.my_thread_id, handler.in_flight
+            if abs(gap) <= STABILIZE_ROUND_GAP:
                 buffered = [msg.round_number] + [
                     m.round_number for m in handler.my_input_buffer]
-                in_flight = handler.in_flight
                 raise ConsistencyError(
                     f"thread {thread!r}: buffered CCS round "
                     f"{msg.round_number} does not follow consumption point "
                     f"{handler.my_round_number} (node {self.node_id}; "
                     f"buffered rounds {buffered}; accepted watermark "
                     f"{self._accepted.get(thread)}; in-flight round "
-                    f"{in_flight.round_number if in_flight else None}; "
+                    f"{pending.round_number if pending else None}; "
                     f"recovering: {self._recovering})",
                     node=self.node_id,
                 )
-            self.guard.adopt_round_numbering(handler, msg)
+            # Off by more (the watermark's scale rule), the counter is
+            # scrambled local state: adopt the ordered stream's numbering,
+            # Herman-style, and drop a proposal as far off — it would
+            # never complete; _pump re-proposes its parked ops.
+            self._note_stabilization(
+                "round-counter", thread=thread, had=handler.my_round_number,
+                adopted=msg.round_number - 1)
+            if pending is not None and abs(
+                    pending.round_number - msg.round_number) > STABILIZE_ROUND_GAP:
+                handler.in_flight = None
         handler.my_round_number = msg.round_number
         group_us = msg.proposed_micros
         in_flight, handler.in_flight = handler.in_flight, None
@@ -670,18 +679,17 @@ class ConsistentTimeService(TimeSource):
         self._try_suppress(envelope, msg)
         self._pump(handler, physical_us)
 
-    def handle_raw_ccs(self, envelope: Envelope, physical_us: int) -> None:
+    def handle_raw_ccs(self, envelope: Envelope) -> None:
         """Early duplicate suppression (Section 4.3).
 
         A CCS message observed on the wire already carries a Totem
         sequence number; a message of ours still sitting in the send
         queue would be sequenced *after* it and lose the round with
-        certainty — withdraw it without waiting for ordered delivery.
+        certainty — withdraw it without waiting for ordered delivery,
+        in both modes: a winner the guard rejects has its round burnt.
         """
         msg = envelope.body
         if isinstance(msg, CCSMessage):
-            if self.guard is not None and self.guard.would_reject(msg, physical_us):
-                return
             self._try_suppress(envelope, msg)
 
     def _try_suppress(self, envelope: Envelope, msg: CCSMessage) -> None:
@@ -720,6 +728,10 @@ class ConsistentTimeService(TimeSource):
         return max(value for value in (
             group_us, state.last_group_us, state.causal_floor_us)
             if value is not None)
+
+    #: Repairs of round bookkeeping: with no corruption on record, one
+    #: of them masked a bug (the chaos oracle fails the run).
+    ROUND_REPAIRS = frozenset({"round-counter", "watermark"})
 
     def _note_stabilization(self, what: str, **fields) -> None:
         """Count one self-stabilization repair of scrambled local state."""
@@ -834,10 +846,6 @@ class ConsistentTimeService(TimeSource):
             self._accepted[thread_id] = max(
                 [self._accepted.get(thread_id, 0), horizon]
                 + [m.round_number for m in beyond])
-        for thread_id, accepted in state.accepted.items():
-            # Also a thread with no handler: a winner the guard burnt.
-            self._accepted[thread_id] = max(
-                self._accepted.get(thread_id, 0), accepted)
         if state.last_group_us is not None:
             self.clock_state.observe_group_value(state.last_group_us)
         if state.causal_floor_us is not None:

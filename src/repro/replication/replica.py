@@ -217,7 +217,7 @@ class Replica(abc.ABC):
 
     def _on_raw_message(self, envelope: Envelope) -> None:
         if envelope.header.msg_type is MsgType.CCS:
-            self.time_source.handle_raw_ccs(envelope, self.node.read_clock_us())
+            self.time_source.handle_raw_ccs(envelope)
 
     def _on_totem_config(self, change) -> None:
         """Primary-component partition handling (paper Section 2): only

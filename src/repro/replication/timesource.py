@@ -126,10 +126,10 @@ class TimeSource(abc.ABC):
         """An ordered CCS control message arrived for this replica;
         ``physical_us`` is the physical clock read at its delivery."""
 
-    def handle_raw_ccs(self, envelope: "Envelope", physical_us: int) -> None:
+    def handle_raw_ccs(self, envelope: "Envelope") -> None:
         """A CCS message was *observed* on the wire before ordering
-        completed (early duplicate-suppression opportunity), at the
-        physical clock reading ``physical_us``."""
+        completed (early duplicate-suppression opportunity); withdrawing
+        what it beat depends on no time, so no clock is read for it."""
 
     def on_view_change(self, view: "GroupView") -> None:
         """The replica's group membership view changed."""

@@ -339,3 +339,40 @@ class TestJudgedApart:
         assert completed > 0
         assert run.oracle.rounds_checked == completed
         assert run.oracle.ok, run.oracle.violations
+
+
+class TestUnprovokedRepairs:
+    """A round-counter or watermark repair is a transient fault's remedy:
+    in a run with no ``corrupt-state`` on record, it masked a bug."""
+
+    @staticmethod
+    def judged_run(noted):
+        bed = make_testbed(seed=43)
+        bed.deploy("svc", ClockApp, ["n1", "n2", "n3"], time_source="cts")
+        client = bed.client("n0")
+        run = JudgedRun(seed=43)
+        with run.over(bed, ["svc"], capture=False):
+            bed.start()
+            call_n(bed, client, "svc", "get_time", 3)
+            service = bed.replicas("svc")["n2"].time_source
+            # A planted gap: n2's consumption point jumps by the
+            # corrupt-state scrambler's distance.
+            service._handlers["0:main"].my_round_number += 1_500_000
+            if noted:
+                run.oracle.note_corruption("n2")
+            call_n(bed, client, "svc", "get_time", 5)
+            bed.run(0.05)
+        return run.oracle, service.stats.stabilizations
+
+    def test_a_repair_with_no_corruption_on_record_fails_the_run(self):
+        oracle, repairs = self.judged_run(noted=False)
+        assert repairs.get("round-counter")
+        # n2 proposed under its scrambled number before the live winner
+        # reached it, so its peers adopted that numbering too (K16).
+        assert set(checks(oracle)) == {"stabilization"}
+        assert "n2" in {v.subject for v in oracle.violations}
+
+    def test_the_same_repair_passes_with_corruption_on_record(self):
+        oracle, repairs = self.judged_run(noted=True)
+        assert repairs.get("round-counter")
+        assert oracle.ok, oracle.violations

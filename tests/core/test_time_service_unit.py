@@ -11,7 +11,7 @@ from repro.core import (
     TimeTransferState,
 )
 from repro.core.group_clock import CERTIFIED_SLACK_US, STABILIZE_VALUE_GAP_US
-from repro.errors import TimeServiceError
+from repro.errors import ConsistencyError, TimeServiceError
 from repro.net.testbed import LiveTestbed
 from repro.replication.envelope import MsgType, make_envelope
 
@@ -112,19 +112,29 @@ class TestAbortInFlight:
         assert second.triggered and second.ok
 
 
+BOTH_MODES = pytest.mark.parametrize("byzantine", [False, True],
+                                     ids=["crash-only", "byzantine"])
+
+
 class TestBufferedRoundGap:
-    def test_gap_in_the_buffer_names_what_explains_it(self):
+    """A winner off the consumption point, in both modes: a gap within
+    ``STABILIZE_ROUND_GAP`` is a bug in this replica's bookkeeping and
+    fails loudly; a corruption-scale one is a scrambled counter, and the
+    ordered stream's numbering repairs it."""
+
+    @BOTH_MODES
+    def test_gap_in_the_buffer_names_what_explains_it(self, byzantine):
         # The live chaos flake (ROADMAP K1) was this assertion firing on
         # a recovered replica; whoever meets it next needs the handler's
         # whole picture in the message, not just two round numbers.
-        bed, client = build_service(seed=208)
+        bed, client = build_service(seed=208, byzantine=byzantine)
         call_n(bed, client, "svc", "get_time", 3)
         service = bed.replicas("svc")["n2"].time_source
         thread = "9:gap"
         handler = service._handler(thread)
         for round_number in (7, 8):  # planted: the handler consumed 0
             handler.recv_CCS_msg(CCSMessage(thread, round_number, 1_000, 0))
-        with pytest.raises(TimeServiceError) as raised:
+        with pytest.raises(ConsistencyError) as raised:
             service.read(thread, "gettimeofday", now_us(service))
         message = str(raised.value)
         for field in ("thread '9:gap'", "round 7", "consumption point 0",
@@ -133,13 +143,14 @@ class TestBufferedRoundGap:
                       "recovering: False"):
             assert field in message, (field, message)
         assert raised.value.node == "n2"
+        assert service.stats.stabilizations == {}
 
-
-    def test_a_gap_met_by_a_client_read_ends_the_run(self):
+    @BOTH_MODES
+    def test_a_gap_met_by_a_client_read_ends_the_run(self, byzantine):
         # A consistency failure is this replica's, not the request's: it
         # reaches the kernel (a chaos verdict's protocol_failures) rather
         # than becoming an error reply while the popped round is lost.
-        bed, client = build_service(seed=208)
+        bed, client = build_service(seed=208, byzantine=byzantine)
         call_n(bed, client, "svc", "get_time", 3)
         service = bed.replicas("svc")["n2"].time_source
         handler = service._handlers["0:main"]
@@ -147,10 +158,147 @@ class TestBufferedRoundGap:
         handler.recv_CCS_msg(CCSMessage(
             "0:main", gap, service.clock_state.last_group_us + 1_000, 0,
             covers_req=handler.last_op_id[0] + 1, covers_seq=1))
-        with pytest.raises(TimeServiceError) as raised:
+        with pytest.raises(ConsistencyError) as raised:
             call_n(bed, client, "svc", "get_time", 1)
         assert "does not follow consumption point" in str(raised.value)
         assert raised.value.node == "n2"
+
+    @BOTH_MODES
+    def test_a_scrambled_counter_adopts_the_ordered_numbering(self, byzantine):
+        # The counter (and the proposal it numbered) jumped the
+        # corrupt-state scrambler's distance ahead of the ordered stream.
+        bed, client = build_service(seed=208, byzantine=byzantine)
+        call_n(bed, client, "svc", "get_time", 3)
+        service = bed.replicas("svc")["n2"].time_source
+        thread = "9:scrambled"
+        handler = service._handler(thread)
+        handler.my_round_number = 1_500_000
+        service._may_send = lambda: False  # keep the scrambled proposal home
+        first = service.read(thread, "gettimeofday", now_us(service),
+                             op_id=(2, 1))
+        assert handler.in_flight.round_number == 1_500_001
+        group_us = service.clock_state.last_group_us + 1_000
+        handler.recv_CCS_msg(CCSMessage(thread, 1, group_us, 0,
+                                        covers_req=2, covers_seq=1))
+        second = service.read(thread, "gettimeofday", now_us(service),
+                              op_id=(3, 1))
+        assert first.triggered and first.value.micros == group_us
+        assert not second.triggered  # parked behind a fresh round 2
+        assert handler.my_round_number == 1
+        assert handler.in_flight.round_number == 2
+        assert service.stats.stabilizations == {"round-counter": 1}
+
+
+class TestEarlySuppression:
+    """Section 4.3's raw-observation withdrawal runs the same way in both
+    modes: a raw winner the guard will reject once ordered still beats
+    our queued proposal, since skip-on-reject burns the round it wins."""
+
+    THREAD = "9:raw"
+
+    def test_a_winner_the_filter_rejects_withdraws_our_proposal(self):
+        bed, client = build_service(seed=220, byzantine=True)
+        call_n(bed, client, "svc", "get_time", 3)
+        service = bed.replicas("svc")["n2"].time_source
+        processor, stats = bed.processors["n2"], service.stats
+        suppressed, duplicates = stats.ccs_suppressed, stats.duplicates_discarded
+        service.read(self.THREAD, "gettimeofday", now_us(service),
+                     op_id=(2, 1))
+        ours = [p for p in processor.send_queue if getattr(p.body, "thread_id", None)
+                == self.THREAD]
+        assert [p.body.round_number for p in ours] == [1]
+        state = service.clock_state
+        too_high = state.last_group_us + 3_600_000_000
+        winner = make_envelope(
+            MsgType.CCS, "svc", "svc", 0, 1, "n1",
+            body=CCSMessage(self.THREAD, 1, too_high, 0,
+                            covers_req=2, covers_seq=1))
+        service.handle_raw_ccs(winner)
+        assert stats.ccs_suppressed == suppressed + 1
+        assert ours[0] not in processor.send_queue
+        service.handle_ccs(winner, now_us(service))
+        assert stats.winners_rejected == {"too-high": 1}
+        committed = (state.last_group_us, state.offset_us,
+                     service._accepted[self.THREAD])
+        # Had the proposal gone out, the burnt round would discard it:
+        # round 1 commits nothing here either way.
+        service.handle_ccs(ours[0], now_us(service))
+        assert stats.duplicates_discarded == duplicates + 1
+        assert (state.last_group_us, state.offset_us,
+                service._accepted[self.THREAD]) == committed
+        assert service._handlers[self.THREAD].in_flight.round_number == 2
+
+
+class TestGuardRounds:
+    """The guard judges a winner's round as well as its value, and a
+    round it burns reaches the consumption point in order: no gap the
+    service would raise on is left behind."""
+
+    THREAD = "9:burn"
+
+    @staticmethod
+    def winner(round_number, group_us, covers_req, thread=THREAD):
+        return make_envelope(
+            MsgType.CCS, "svc", "svc", 0, round_number, "n1",
+            body=CCSMessage(thread, round_number, group_us, 0,
+                            covers_req=covers_req, covers_seq=1))
+
+    def test_a_burn_behind_a_buffered_winner_keeps_the_order(self):
+        bed, client = build_service(seed=221, byzantine=True)
+        call_n(bed, client, "svc", "get_time", 3)
+        service = bed.replicas("svc")["n2"].time_source
+        sane = service.clock_state.last_group_us + 1_000
+        # Round 1 waits unconsumed: no operation of the thread asked yet.
+        service.handle_ccs(self.winner(1, sane, 2), now_us(service))
+        service.handle_ccs(self.winner(2, sane + 3_600_000_000, 3),
+                           now_us(service))
+        assert service.stats.winners_rejected == {"too-high": 1}
+        first = service.read(self.THREAD, "gettimeofday", now_us(service),
+                             op_id=(2, 1))
+        second = service.read(self.THREAD, "gettimeofday", now_us(service),
+                              op_id=(3, 1))
+        handler = service._handlers[self.THREAD]
+        assert first.triggered and first.value.micros == sane
+        assert not second.triggered  # re-proposed after the burnt round
+        assert handler.my_round_number == 2
+        assert handler.in_flight.round_number == 3
+        assert service.stats.stabilizations == {}
+
+    def test_a_burnt_first_winner_numbers_the_new_handler(self):
+        bed, client = build_service(seed=222, byzantine=True)
+        call_n(bed, client, "svc", "get_time", 3)
+        service = bed.replicas("svc")["n2"].time_source
+        sane = service.clock_state.last_group_us + 1_000
+        # Rejected before anything on this replica named the thread.
+        service.handle_ccs(self.winner(1, sane + 3_600_000_000, 2),
+                           now_us(service))
+        service.handle_ccs(self.winner(2, sane, 2), now_us(service))
+        read = service.read(self.THREAD, "gettimeofday", now_us(service),
+                            op_id=(2, 1))
+        assert read.triggered and read.value.micros == sane
+        assert service._handlers[self.THREAD].my_round_number == 2
+        assert service.stats.stabilizations == {}
+
+    def test_a_forged_round_ahead_is_discarded(self):
+        # One Byzantine sender numbers a believable value two rounds
+        # ahead of the stream: buffered, it would put a gap in front of
+        # every correct replica's next round.
+        bed, client = build_service(seed=223, byzantine=True)
+        call_n(bed, client, "svc", "get_time", 3)
+        services = [r.time_source for r in bed.replicas("svc").values()]
+        for service in services:
+            handler = service._handlers["0:main"]
+            forged = self.winner(
+                service._accepted["0:main"] + 2,
+                service.clock_state.last_group_us + 1_000,
+                handler.last_op_id[0] + 1, thread="0:main")
+            service.handle_ccs(forged, now_us(service))
+            assert service.stats.winners_rejected == {"out-of-order": 1}
+            assert not handler.my_input_buffer
+        values = call_n(bed, client, "svc", "get_time", 3)
+        assert all(b > a for a, b in zip(values, values[1:]))
+        for service in services:
+            assert service.stats.stabilizations == {}
 
 
 class TestOffsetRule:
